@@ -56,13 +56,6 @@ pub struct SimNet {
     nodes: BTreeMap<u64, ChordNode>,
     succ_list_len: usize,
     stats: NetStats,
-    /// Worker threads the ground-truth stabilization paths
-    /// ([`SimNet::build_stable`], [`SimNet::stabilize_direct`]) may
-    /// partition their per-node table computation over. The computed
-    /// tables are a pure function of the alive-id vector, so the result
-    /// is bit-for-bit identical for every value; 1 (the default) stays
-    /// inline.
-    stabilize_workers: usize,
     /// Memoized first *alive* successor per node. Routing consults this
     /// once per hop of every lookup; between membership/maintenance
     /// events successor lists and liveness are static, so the walk down
@@ -90,7 +83,6 @@ impl SimNet {
             nodes: BTreeMap::new(),
             succ_list_len: 8,
             stats: NetStats::default(),
-            stabilize_workers: 1,
             succ_cache: RefCell::new(BTreeMap::new()),
             alive_cache: RefCell::new(None),
         }
@@ -114,12 +106,10 @@ impl SimNet {
         self.succ_list_len = len;
     }
 
-    /// Sets the worker count for the partitioned ground-truth
-    /// stabilization paths (see the field doc). Purely an execution
-    /// hint: every value computes identical tables.
-    pub fn set_stabilize_workers(&mut self, workers: usize) {
-        self.stabilize_workers = workers.max(1);
-    }
+    /// No-op: stabilization is single-threaded. Kept only because
+    /// `clash-benchmark/src/micro.rs` calls it; the next
+    /// `benchmark`-archetype PR drops the call and this method.
+    pub fn set_stabilize_workers(&mut self, _workers: usize) {}
 
     /// Creates a ring with `n` distinct random node identifiers (not yet
     /// stabilized — call [`SimNet::build_stable`] or run the maintenance
@@ -242,9 +232,7 @@ impl SimNet {
     /// The ground-truth routing tables of the node at ring position
     /// `pos`: successor list of length `r` (`[self]` on a one-node
     /// ring), predecessor, and all `m` fingers. A pure function of the
-    /// sorted alive-id slice — which is what lets
-    /// [`SimNet::install_tables`] partition the computation over worker
-    /// threads without any risk to determinism.
+    /// sorted alive-id slice.
     fn tables_for(
         ids: &[ChordId],
         pos: usize,
@@ -265,44 +253,12 @@ impl SimNet {
         (succ_list, pred, fingers)
     }
 
-    /// Computes every alive node's ground-truth tables — partitioned
-    /// over `stabilize_workers` contiguous ring chunks when the ring is
-    /// big enough to pay for the threads — then installs them in ring
-    /// order. Bit-for-bit identical for every worker count: the chunks
-    /// are disjoint, the computation is pure, and installation happens
-    /// on one thread in one order.
+    /// Computes and installs every alive node's ground-truth tables, in
+    /// ring order.
     fn install_tables(&mut self, ids: &[ChordId], r: usize) {
-        const PAR_STABILIZE_MIN: usize = 1024;
         let m = self.space.bits() as usize;
-        let workers = self.stabilize_workers;
-        let compute_range = |lo: usize, hi: usize| {
-            (lo..hi)
-                .map(|pos| Self::tables_for(ids, pos, r, m))
-                .collect()
-        };
-        let all: Vec<(Vec<ChordId>, Option<ChordId>, Vec<ChordId>)> =
-            if workers > 1 && ids.len() >= PAR_STABILIZE_MIN {
-                let chunk = ids.len().div_ceil(workers);
-                let mut out = Vec::with_capacity(ids.len());
-                std::thread::scope(|scope| {
-                    let compute = &compute_range;
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let lo = (w * chunk).min(ids.len());
-                            let hi = ((w + 1) * chunk).min(ids.len());
-                            scope.spawn(move || compute(lo, hi))
-                        })
-                        .collect();
-                    for h in handles {
-                        let part: Vec<_> = h.join().expect("stabilize worker panicked");
-                        out.extend(part);
-                    }
-                });
-                out
-            } else {
-                compute_range(0, ids.len())
-            };
-        for (pos, (succ_list, pred, fingers)) in all.into_iter().enumerate() {
+        for pos in 0..ids.len() {
+            let (succ_list, pred, fingers) = Self::tables_for(ids, pos, r, m);
             let node = self
                 .nodes
                 .get_mut(&ids[pos].value())
@@ -458,9 +414,9 @@ impl SimNet {
     }
 
     /// Records the statistics of one lookup that was already routed
-    /// elsewhere — the sharded batch path resolves probes against a
-    /// [`RouteSnapshot`] on worker threads and replays the accounting
-    /// here in plan order, so [`SimNet::stats`] stays bit-for-bit what
+    /// elsewhere — the batched locate path resolves probes against a
+    /// [`RouteSnapshot`] and replays the accounting here in plan order,
+    /// so [`SimNet::stats`] stays bit-for-bit what
     /// the sequential [`SimNet::find_successor_path`] calls would have
     /// produced.
     pub fn record_routed_lookup(&mut self, hops: u32) {
@@ -720,10 +676,10 @@ impl SimNet {
         1
     }
 
-    /// Freezes the current routing state into a `Sync`
+    /// Freezes the current routing state into a flat
     /// [`RouteSnapshot`] whose `route_with_path` is bit-for-bit
-    /// [`SimNet::route_with_path`] — for routing batched lookups on
-    /// worker threads between membership events.
+    /// [`SimNet::route_with_path`] — for routing batched lookups
+    /// between membership events.
     pub fn snapshot(&self) -> RouteSnapshot {
         let m = self.space.bits() as usize;
         let hop_limit = 4 * self.space.bits() + self.nodes.len() as u32 + 8;
@@ -1245,34 +1201,6 @@ mod tests {
         // Dead nodes keep stale state in both worlds.
         for &id in ids.iter().take(20) {
             assert!(proto.node(id).is_some() && direct.node(id).is_some());
-        }
-    }
-
-    /// The partitioned stabilization paths are a pure execution choice:
-    /// every worker count must install bit-identical routing state, on
-    /// rings both above and below the parallel threshold, with corpses
-    /// present.
-    #[test]
-    fn partitioned_stabilize_matches_sequential() {
-        for workers in [2usize, 3, 8] {
-            let mut seq = stable_net(1500, 77);
-            let mut par = stable_net(1500, 77);
-            par.set_stabilize_workers(workers);
-            // Exercise both entry points: a rebuild from scratch and a
-            // post-membership stabilization with failures behind.
-            par.build_stable();
-            seq.build_stable();
-            let ids = seq.node_ids();
-            for &victim in ids.iter().step_by(97).take(5) {
-                seq.fail(victim);
-                par.fail(victim);
-            }
-            let joiner = ChordId::new(0x1234_5678, space());
-            seq.join(joiner, ids[1]);
-            par.join(joiner, ids[1]);
-            seq.stabilize_direct();
-            par.stabilize_direct();
-            assert_same_routing_state(&seq, &par, &format!("workers={workers}"));
         }
     }
 

@@ -1,11 +1,12 @@
-//! An immutable, thread-shareable snapshot of the ring's routing state.
+//! An immutable, flat snapshot of the ring's routing state.
 //!
-//! The sharded simulation path routes batched locate probes on worker
-//! threads. `SimNet` itself cannot cross threads (it memoizes through
-//! `RefCell` caches), so [`crate::net::SimNet::snapshot`] flattens every
-//! alive node's routing state — first alive successor, finger table,
+//! The batched locate path routes a whole window of probes at once.
+//! `SimNet` routes by chasing per-node `BTreeMap` entries and `RefCell`
+//! memo caches; [`crate::net::SimNet::snapshot`] flattens every alive
+//! node's routing state — first alive successor, finger table,
 //! successor list, each entry pre-resolved to "usable" (present *and*
-//! alive) — into this `Sync` structure. [`RouteSnapshot::route_with_path`]
+//! alive) — into dense arrays, which is where the batched path's
+//! routing speed-up comes from. [`RouteSnapshot::route_with_path`]
 //! then replays the exact `route_visit` algorithm over the flat arrays:
 //! same hop sequence, same owner, same path, same hop-limit panic, pinned
 //! by the differential tests below. Between membership events the routing
@@ -17,7 +18,7 @@ use crate::id::ChordId;
 use crate::net::LookupResult;
 
 /// A frozen copy of every alive node's routing state, indexed by ring
-/// position. Safe to share across threads (`&self` routing only).
+/// position (`&self` routing only).
 #[derive(Debug, Clone)]
 pub struct RouteSnapshot {
     pub(crate) space: HashSpace,

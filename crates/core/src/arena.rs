@@ -16,8 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use clash_simkernel::merge::arc_of;
-
 use crate::server::ClashServer;
 
 /// Dense storage for the cluster's servers, indexed by ring id, iterated
@@ -107,21 +105,6 @@ impl ServerArena {
             .values()
             .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
     }
-
-    /// Per-arc slices of the live ids: element `a` holds, in ascending
-    /// order, exactly the ids the canonical arc function maps to arc `a`
-    /// of a `bits`-wide ring split into `shards` arcs. This is the handoff
-    /// shape of the sharded phases — worker `a` receives slice `a` as its
-    /// whole input — and concatenating the slices in arc order reproduces
-    /// [`ServerArena::ids`] exactly (the arc function is monotone).
-    pub fn arc_ids(&self, shards: usize, bits: u32) -> Vec<Vec<u64>> {
-        let shards = shards.max(1);
-        let mut arcs: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
-        for &sid in self.index.keys() {
-            arcs[arc_of(sid, shards, bits)].push(sid);
-        }
-        arcs
-    }
 }
 
 impl Default for ServerArena {
@@ -176,27 +159,5 @@ mod tests {
         assert_eq!(slots_before, 4);
         let order: Vec<u64> = a.iter().map(|s| s.id().value()).collect();
         assert_eq!(order, vec![1, 2, 4, 9]);
-    }
-
-    #[test]
-    fn arc_ids_partition_concatenates_to_global_order() {
-        let cfg = ClashConfig::small_test();
-        let bits = cfg.hash_space.bits();
-        let mut a = ServerArena::new();
-        for v in [0u64, 3, 40, 77, 128, 200, 255] {
-            a.insert(server(v));
-        }
-        let reference: Vec<u64> = a.ids().collect();
-        for shards in [1usize, 2, 3, 8] {
-            let arcs = a.arc_ids(shards, bits);
-            assert_eq!(arcs.len(), shards);
-            let concat: Vec<u64> = arcs.iter().flatten().copied().collect();
-            assert_eq!(concat, reference, "shards={shards}");
-            for (arc, ids) in arcs.iter().enumerate() {
-                for &sid in ids {
-                    assert_eq!(arc_of(sid, shards, bits), arc);
-                }
-            }
-        }
     }
 }

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use clash_chord::id::ChordId;
-use clash_chord::net::{LookupResult, SimNet};
+use clash_chord::net::SimNet;
 use clash_chord::snapshot::RouteSnapshot;
 use clash_keyspace::cover::{PrefixCover, PrefixMap};
 use clash_keyspace::hash::{KeyHasher, SplitMixHasher};
@@ -37,7 +37,6 @@ use clash_obs::{
     CheckPhase, NullProfiler, NullSink, PhaseProfile, PhaseProfiler, Telemetry, TraceEvent,
     TraceEventKind, TraceSink,
 };
-use clash_simkernel::merge::MergeQueue;
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::{
@@ -53,7 +52,6 @@ use crate::load::{GroupLoad, LoadLevel};
 use crate::messages::ReleaseResponse;
 use crate::replication::ReplicaRecord;
 use crate::server::ClashServer;
-use crate::shardset::ArcShardedSet;
 use crate::table::TableEntry;
 use crate::ServerId;
 
@@ -345,7 +343,7 @@ struct QueryRec {
 
 /// One locate probe planned by the batched client path — everything the
 /// charge phase needs to replay the sequential accounting bit-for-bit
-/// (see the "sharded batch state" section of [`ClashCluster`]).
+/// (see the "batched locate state" section of [`ClashCluster`]).
 #[derive(Debug, Clone, Copy)]
 struct PlannedProbe {
     /// Client entry node (the `random_alive` draw, made at plan time so
@@ -368,7 +366,7 @@ struct PlannedProbe {
     depth: u32,
 }
 
-/// A planned probe after shard-local routing: the plan plus the routed
+/// A planned probe after snapshot routing: the plan plus the routed
 /// hop count and per-hop path, ready for in-order charging.
 #[derive(Debug)]
 struct RoutedProbe {
@@ -377,11 +375,6 @@ struct RoutedProbe {
     hops: u32,
     path: Vec<(ChordId, ChordId)>,
 }
-
-/// A speculated first-split placement: the right child's target hash
-/// plus the pre-routed lookup and routing path it resolved to (see
-/// `ClashCluster::split_route_cache`).
-type SpeculatedRoute = (u64, LookupResult, Vec<(ServerId, ServerId)>);
 
 /// An in-process CLASH cluster (see the module docs).
 pub struct ClashCluster {
@@ -447,18 +440,15 @@ pub struct ClashCluster {
     // asserts exactly that in debug builds, and a differential proptest
     // pins it against the full-scan reference mode.
     /// Servers whose load/table state changed since their last
-    /// classification. Sharded by ring arc: each arc owns its slice, so
-    /// per-arc phases hand worker threads disjoint id sets; iteration
-    /// stays globally ascending (the arc function is monotone), so every
-    /// walk matches the unsharded `BTreeSet` bit-for-bit.
-    dirty_servers: ArcShardedSet,
+    /// classification.
+    dirty_servers: BTreeSet<u64>,
     /// Servers currently classified overloaded (split candidates).
-    overloaded: ArcShardedSet,
+    overloaded: BTreeSet<u64>,
     /// Servers currently underloaded *and* holding at least one split
     /// (inactive) entry — the only servers that can possibly merge.
-    mergeable: ArcShardedSet,
+    mergeable: BTreeSet<u64>,
     /// Servers owing at least one load report.
-    reporters: ArcShardedSet,
+    reporters: BTreeSet<u64>,
     /// Groups whose replica placement needs (re-)ensuring: payload
     /// under-replicated after a partition skip, or holders dropped by a
     /// failed write-through. Steady-state groups whose placement is
@@ -483,45 +473,35 @@ pub struct ClashCluster {
     deliver_scratch: Vec<(ServerId, ServerId, Prefix, GroupLoad, bool, bool)>,
     /// Reused scratch for full-sweep id snapshots.
     ids_scratch: Vec<u64>,
-    // ----- sharded batch state -------------------------------------------
+    // ----- batched locate state ------------------------------------------
     //
     // With `config.shards > 0` the client locate path splits into three
-    // phases. **Plan** (sequential, at the op): draw the entry node,
-    // resolve the probe's owner by ground truth (legal because batch
-    // windows only exist between membership barriers, when routing and
-    // ground truth agree), run the depth search against live server
-    // tables, and queue a `PlannedProbe`; ledger mutations stay
-    // synchronous, group-load pushes are coalesced into `batch_touched`.
-    // **Shard** (pure, parallel when shards > 1): partition the queued
-    // probes by target ring arc, deliberately scramble each lane's local
-    // order with a labelled substream (adversarial proof that worker
-    // scheduling cannot matter), and resolve each probe's DHT route
-    // against a frozen `RouteSnapshot`. **Charge** (sequential, in plan
-    // order via the deterministic merge queue): replay hop stats,
-    // per-link transport costs, message counters and latency
-    // observations exactly as the unbatched path interleaves them.
-    // `flush_batch` runs at every barrier; results are bit-for-bit
-    // identical for every shard count, including 0 (sequential) —
-    // pinned by `tests/shard_equivalence.rs` and the
-    // `sharded_batching_matches_sequential` proptest.
+    // phases. **Plan** (at the op): draw the entry node, resolve the
+    // probe's owner by ground truth (legal because batch windows only
+    // exist between membership barriers, when routing and ground truth
+    // agree), run the depth search against live server tables, and queue
+    // a `PlannedProbe`; ledger mutations stay synchronous, group-load
+    // pushes are coalesced into `batch_touched`. **Route** (pure, at the
+    // barrier): resolve each probe's DHT route, in plan order, against a
+    // frozen `RouteSnapshot`. **Charge** (in plan order): resolve every
+    // transport message of the flush in one `send_batch`, then replay hop
+    // stats, message counters and latency observations exactly as the
+    // unbatched path interleaves them. `flush_batch` runs at every
+    // barrier; results are bit-for-bit identical to `shards = 0`
+    // (sequential) — pinned by `tests/shard_equivalence.rs` and the
+    // `sharded_batching_matches_sequential` proptest. The sequential
+    // path stays because batching steps aside under a partition and for
+    // the fixed-depth baseline (see `batching_active`): on those inputs
+    // it is the only path.
     /// Probes planned but not yet routed/charged.
     batch_probes: Vec<PlannedProbe>,
     /// Groups with a deferred (coalesced) load push.
     batch_touched: BTreeSet<Prefix>,
-    /// Monotone flush counter salting the per-shard jitter substreams.
+    /// Monotone flush counter (the flight recorder's flush ordinal).
     flush_seq: u64,
     /// Frozen routing state for the current batch window; dropped by
     /// every ring-membership mutation, rebuilt lazily at the next flush.
-    route_snapshot: Option<Arc<RouteSnapshot>>,
-    /// Speculative first-split placements, keyed by splitter id: the
-    /// right child's target hash plus its pre-routed lookup and path,
-    /// resolved per ring arc on scope workers against the frozen
-    /// snapshot at the start of the split phase. `try_split` consults
-    /// this once per candidate and falls back to live routing whenever
-    /// the candidate's hottest group changed since speculation (the
-    /// stored hash no longer matches) — so a hit is, provably, the
-    /// exact route the live call would have produced.
-    split_route_cache: BTreeMap<u64, SpeculatedRoute>,
+    route_snapshot: Option<RouteSnapshot>,
     /// Debug builds: how many route phases passed the zero-cluster-RNG-draw
     /// cross-check (the runtime mirror of the clash-lint static rules).
     #[cfg(debug_assertions)]
@@ -579,13 +559,9 @@ impl ClashCluster {
         config: ClashConfig,
         n_servers: usize,
         seed: u64,
-        mut transport: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
     ) -> Result<Self, ClashError> {
         config.validate()?;
-        // The transport's batch path may fan out over this many workers;
-        // its contract pins the result bit-for-bit to the worker count 1
-        // case, so this is purely an execution hint.
-        transport.set_batch_workers(config.shards.max(1) as usize);
         if n_servers == 0 {
             return Err(ClashError::InvalidConfig {
                 reason: "cluster needs at least one server",
@@ -594,15 +570,9 @@ impl ClashCluster {
         let root_rng = DetRng::new(seed);
         let mut ring_rng = root_rng.substream("ring");
         let mut net = SimNet::with_random_nodes(config.hash_space, n_servers, &mut ring_rng);
-        // Ground-truth stabilization may partition its table computation
-        // over the shard workers — like the batch hint above, results
-        // are identical for every value.
-        net.set_stabilize_workers(config.shards.max(1) as usize);
         net.build_stable();
         let mut servers = ServerArena::new();
-        let arc_count = config.shards.max(1) as usize;
-        let bits = config.hash_space.bits();
-        let mut dirty_servers = ArcShardedSet::new(arc_count, bits);
+        let mut dirty_servers = BTreeSet::new();
         for id in net.node_ids() {
             servers.insert(ClashServer::new(id, config));
             dirty_servers.insert(id.value());
@@ -631,9 +601,9 @@ impl ClashCluster {
             recovery_active: Cell::new(false),
             oracle_reads_in_recovery: Cell::new(0),
             dirty_servers,
-            overloaded: ArcShardedSet::new(arc_count, bits),
-            mergeable: ArcShardedSet::new(arc_count, bits),
-            reporters: ArcShardedSet::new(arc_count, bits),
+            overloaded: BTreeSet::new(),
+            mergeable: BTreeSet::new(),
+            reporters: BTreeSet::new(),
             replica_dirty: BTreeSet::new(),
             replica_full_sync: false,
             full_scan_checks: false,
@@ -645,7 +615,6 @@ impl ClashCluster {
             batch_touched: BTreeSet::new(),
             flush_seq: 0,
             route_snapshot: None,
-            split_route_cache: BTreeMap::new(),
             #[cfg(debug_assertions)]
             route_draw_checks: 0,
             trace: Box::new(NullSink),
@@ -723,17 +692,16 @@ impl ClashCluster {
 
     /// Drops a departed server from every candidate index.
     fn forget_server(&mut self, sid_value: u64) {
-        self.dirty_servers.remove(sid_value);
-        self.overloaded.remove(sid_value);
-        self.mergeable.remove(sid_value);
-        self.reporters.remove(sid_value);
+        self.dirty_servers.remove(&sid_value);
+        self.overloaded.remove(&sid_value);
+        self.mergeable.remove(&sid_value);
+        self.reporters.remove(&sid_value);
     }
 
     /// Marks every live server dirty (construction, membership sweeps,
     /// and the full-scan reference mode).
     fn mark_all_dirty(&mut self) {
-        let ids: Vec<u64> = self.servers.ids().collect();
-        self.dirty_servers.extend(ids);
+        self.dirty_servers.extend(self.servers.ids());
     }
 
     /// Folds the dirty set into the candidate indices, using exactly the
@@ -741,95 +709,29 @@ impl ClashCluster {
     /// [`ClashServer::load_level`] (recomputed from scratch, so float
     /// summation order — and therefore every threshold comparison — is
     /// identical to the pre-optimization code) plus the cheap structural
-    /// predicates for merge-ability and report-owing.
+    /// predicates for merge-ability and report-owing. A departed server
+    /// leaves every index.
     fn refresh_candidates(&mut self) {
-        // Below this many dirty servers the classification runs inline:
-        // thread spawn costs more than classifying a near-empty set (the
-        // steady-state checks reclassify a handful of servers).
-        const PAR_REFRESH_MIN: usize = 512;
-        if self.dirty_servers.is_empty() {
-            return;
-        }
-        let n_shards = self.config.shards.max(1) as usize;
-        if n_shards > 1 && self.dirty_servers.len() >= PAR_REFRESH_MIN {
-            self.refresh_candidates_sharded();
-            return;
-        }
-        let dirty = self.dirty_servers.take_all();
-        for sid in dirty {
-            let verdict = Self::classify(self.servers.get(sid));
-            self.apply_classification(sid, verdict);
-        }
-    }
-
-    /// The pure per-server classification the candidate indices are
-    /// maintained by — exactly the predicates the historical full sweep
-    /// applied ([`ClashServer::load_level`] recomputed from scratch, so
-    /// float summation order and every threshold comparison match the
-    /// pre-optimization code). `None` = departed server.
-    fn classify(server: Option<&ClashServer>) -> Option<(bool, bool, bool)> {
-        server.map(|s| {
-            let level = s.load_level();
-            (
-                level == LoadLevel::Overloaded,
-                level == LoadLevel::Underloaded && s.table().has_split_entries(),
-                s.owes_reports(),
-            )
-        })
-    }
-
-    /// Folds one classification verdict into the candidate indices.
-    fn apply_classification(&mut self, sid: u64, verdict: Option<(bool, bool, bool)>) {
-        let (over, merge, owes) = verdict.unwrap_or((false, false, false));
-        if over {
-            self.overloaded.insert(sid);
-        } else {
-            self.overloaded.remove(sid);
-        }
-        if merge {
-            self.mergeable.insert(sid);
-        } else {
-            self.mergeable.remove(sid);
-        }
-        if owes {
-            self.reporters.insert(sid);
-        } else {
-            self.reporters.remove(sid);
-        }
-    }
-
-    /// The arc-sharded [`ClashCluster::refresh_candidates`]: each worker
-    /// classifies its own arc's dirty servers against the shared arena
-    /// (pure reads), the verdicts funnel through the deterministic
-    /// [`MergeQueue`] keyed by server id, and the fold applies them on
-    /// one thread. Classification is a pure per-server function and the
-    /// index updates for distinct ids commute, so the result is
-    /// bit-for-bit the sequential path's for every shard count — pinned
-    /// by `tests/shard_equivalence.rs` and the candidate-index debug
-    /// verifier.
-    fn refresh_candidates_sharded(&mut self) {
-        let dirty_arcs = self.dirty_servers.take_arcs();
-        let servers = &self.servers;
-        let mut queue: MergeQueue<u64, Option<(bool, bool, bool)>> =
-            MergeQueue::new(dirty_arcs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = dirty_arcs
-                .iter()
-                .map(|arc_ids| {
-                    scope.spawn(move || {
-                        arc_ids
-                            .iter()
-                            .map(|&sid| (sid, Self::classify(servers.get(sid))))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for (arc, handle) in handles.into_iter().enumerate() {
-                *queue.lane_mut(arc) = handle.join().expect("classify worker panicked");
+        for sid in std::mem::take(&mut self.dirty_servers) {
+            let (over, merge, owes) = self.servers.get(sid).map_or((false, false, false), |s| {
+                let level = s.load_level();
+                (
+                    level == LoadLevel::Overloaded,
+                    level == LoadLevel::Underloaded && s.table().has_split_entries(),
+                    s.owes_reports(),
+                )
+            });
+            for (index, member) in [
+                (&mut self.overloaded, over),
+                (&mut self.mergeable, merge),
+                (&mut self.reporters, owes),
+            ] {
+                if member {
+                    index.insert(sid);
+                } else {
+                    index.remove(&sid);
+                }
             }
-        });
-        for (sid, verdict) in queue.drain() {
-            self.apply_classification(sid, verdict);
         }
     }
 
@@ -845,23 +747,23 @@ impl ClashCluster {
     pub fn verify_candidate_indices(&self) {
         for server in self.servers.iter() {
             let sid = server.id().value();
-            if self.dirty_servers.contains(sid) {
+            if self.dirty_servers.contains(&sid) {
                 continue;
             }
             let level = server.load_level();
             assert_eq!(
-                self.overloaded.contains(sid),
+                self.overloaded.contains(&sid),
                 level == LoadLevel::Overloaded,
                 "stale overloaded-index entry for {sid:#x}"
             );
             let can_merge = level == LoadLevel::Underloaded && server.table().has_split_entries();
             assert_eq!(
-                self.mergeable.contains(sid),
+                self.mergeable.contains(&sid),
                 can_merge,
                 "stale mergeable-index entry for {sid:#x}"
             );
             assert_eq!(
-                self.reporters.contains(sid),
+                self.reporters.contains(&sid),
                 server.owes_reports(),
                 "stale reporter-index entry for {sid:#x}"
             );
@@ -873,7 +775,7 @@ impl ClashCluster {
             .chain(self.reporters.iter())
         {
             assert!(
-                self.servers.contains(sid) || self.dirty_servers.contains(sid),
+                self.servers.contains(*sid) || self.dirty_servers.contains(sid),
                 "candidate index names departed server {sid:#x}"
             );
         }
@@ -1412,7 +1314,7 @@ impl ClashCluster {
     }
 
     /// True while client locates should plan into the batch instead of
-    /// routing synchronously. Requires `shards > 0` (opt-in), the
+    /// routing synchronously. Requires `shards != 0` (opt-in), the
     /// adaptive protocol (the fixed-depth baseline lazily materializes
     /// groups mid-locate, which is inherently sequential), and an
     /// unpartitioned transport (the sequential path aborts an attach
@@ -1502,115 +1404,53 @@ impl ClashCluster {
         self.route_draw_checks
     }
 
-    /// The shard + charge phases of the batch (see the field docs).
+    /// The route + charge phases of the batch (see the field docs).
     fn flush_batch_probes(&mut self) -> Result<(), ClashError> {
-        // Below this many pending probes a flush routes inline even when
-        // N > 1: spawning worker threads costs more than routing a
-        // near-empty batch (e.g. the isolated load-check cells flush a
-        // couple of probes per period). Purely an execution-strategy
-        // switch — lanes, shuffle and merge order are untouched, so the
-        // result is bit-for-bit identical either way (the equivalence
-        // pins cover batches on both sides of the threshold).
-        const PAR_ROUTE_MIN: usize = 64;
         let probes = std::mem::take(&mut self.batch_probes);
-        let probe_count = probes.len();
-        let n_shards = self.config.shards.max(1) as usize;
         let this_flush = self.flush_seq;
         if self.trace_on {
             self.emit(TraceEventKind::FlushBegin {
                 flush_seq: this_flush,
-                probes: probe_count as u64,
+                probes: probes.len() as u64,
                 shards: u64::from(self.config.shards),
             });
         }
         self.phase_begin(CheckPhase::FlushPlan);
-        let snapshot = match &self.route_snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(self.net.snapshot());
-                self.route_snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
+        let snapshot = self
+            .route_snapshot
+            .take()
+            .unwrap_or_else(|| self.net.snapshot());
         // Runtime mirror of the clash-lint static rules: from here (the
-        // snapshot is frozen) until the merge-queue drain finishes, the
-        // cluster RNG must not advance — lane scrambling draws from
-        // labelled substreams and routing is pure, so any draw here would
-        // make results depend on batch timing.
+        // snapshot is frozen) until routing finishes, the cluster RNG must
+        // not advance — routing is pure, so any draw here would make
+        // results depend on batch timing.
         #[cfg(debug_assertions)]
         let draws_at_freeze = self.rng.draw_count();
-        let bits = self.config.hash_space.bits();
-        // Shard by target ring arc: shard(h) = ⌊h · N / 2^bits⌋ — N
-        // contiguous key-space arcs.
-        let mut lanes: Vec<Vec<(u64, PlannedProbe)>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (seq, p) in probes.into_iter().enumerate() {
-            let shard = ((u128::from(p.target) * n_shards as u128) >> bits) as usize;
-            lanes[shard].push((seq as u64, p));
-        }
-        // Deliberately scramble each lane's local order with a labelled
-        // substream keyed by (flush, shard). Routing is pure and the
-        // merge queue re-orders by plan sequence, so this provably
-        // cannot change results — which is the point: every flush is an
-        // adversarial schedule, so any order-dependence in the shard
-        // phase would break the equivalence pins immediately instead of
-        // only under unlucky thread timings. Derived substreams never
-        // advance `self.rng`, so protocol draws are untouched.
-        for (shard, lane) in lanes.iter_mut().enumerate() {
-            let mut jitter = self
-                .rng
-                .substream_indexed("shard", self.flush_seq * n_shards as u64 + shard as u64);
-            for i in (1..lane.len()).rev() {
-                let j = jitter.uniform_index(i + 1);
-                lane.swap(i, j);
-            }
-        }
         self.flush_seq += 1;
         self.phase_end(CheckPhase::FlushPlan);
         self.phase_begin(CheckPhase::FlushRoute);
-        // Shard phase: resolve each lane's routes against the frozen
-        // snapshot — worker threads when sharding is real and the batch
-        // is big enough to pay for them, inline otherwise (same code
-        // path, same merge discipline).
-        let mut queue: MergeQueue<u64, RoutedProbe> = MergeQueue::new(n_shards);
-        let route_lane = |snap: &RouteSnapshot, lane: Vec<(u64, PlannedProbe)>| {
-            lane.into_iter()
-                .map(|(seq, plan)| {
-                    let (lookup, path) = snap.route_with_path(plan.start, plan.target);
-                    (
-                        seq,
-                        RoutedProbe {
-                            plan,
-                            owner: lookup.owner,
-                            hops: lookup.hops,
-                            path,
-                        },
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        if n_shards > 1 && probe_count >= PAR_ROUTE_MIN {
-            std::thread::scope(|scope| {
-                let snap: &RouteSnapshot = &snapshot;
-                let handles: Vec<_> = lanes
-                    .drain(..)
-                    .map(|lane| scope.spawn(move || route_lane(snap, lane)))
-                    .collect();
-                for (shard, handle) in handles.into_iter().enumerate() {
-                    *queue.lane_mut(shard) = handle.join().expect("shard worker panicked");
+        // Route phase: resolve every probe, in plan order, against the
+        // frozen snapshot.
+        let routed: Vec<RoutedProbe> = probes
+            .into_iter()
+            .map(|plan| {
+                let (lookup, path) = snapshot.route_with_path(plan.start, plan.target);
+                RoutedProbe {
+                    plan,
+                    owner: lookup.owner,
+                    hops: lookup.hops,
+                    path,
                 }
-            });
-        } else {
-            for (shard, lane) in lanes.into_iter().enumerate() {
-                *queue.lane_mut(shard) = route_lane(&snapshot, lane);
-            }
-        }
+            })
+            .collect();
+        self.route_snapshot = Some(snapshot);
         #[cfg(debug_assertions)]
         {
             assert_eq!(
                 self.rng.draw_count(),
                 draws_at_freeze,
-                "route phase drew from the cluster RNG between snapshot freeze and merge \
-                 drain; results would depend on batch timing"
+                "route phase drew from the cluster RNG after the snapshot freeze; results \
+                 would depend on batch timing"
             );
             self.route_draw_checks += 1;
         }
@@ -1626,7 +1466,6 @@ impl ClashCluster {
         // transport (see `partition_network` / `heal_partition`), so
         // the sequential loop could never have aborted mid-probe and
         // skipped later sends.
-        let routed: Vec<RoutedProbe> = queue.drain().into_iter().map(|(_, r)| r).collect();
         let mut send_specs: Vec<SendSpec> = Vec::with_capacity(routed.len() * 2);
         for r in &routed {
             debug_assert_eq!(
@@ -2220,53 +2059,13 @@ impl ClashCluster {
                 .replica_store_mut()
                 .expire_held(|group, owner| pending.contains(&group) || net.is_alive(owner));
         }
-        // Re-ensure placement for every active group, owner by owner. The
-        // work-list collection is a pure read of per-server tables, so at
-        // scale it fans out per ring arc onto scope workers; each lane
-        // funnels back through the MergeQueue keyed by server id, which
-        // reproduces the sequential ascending-id, per-server push order
-        // exactly (the arc function is monotone and per-lane sorting is
-        // stable). The `ensure_replicas` apply stays on this thread.
-        const PAR_SWEEP_MIN: usize = 512;
-        let n_shards = self.config.shards.max(1) as usize;
-        let work: Vec<(Prefix, ServerId)> = if n_shards > 1 && ids.len() >= PAR_SWEEP_MIN {
-            let servers = &self.servers;
-            let arcs = servers.arc_ids(n_shards, self.config.hash_space.bits());
-            let mut queue: MergeQueue<u64, (Prefix, ServerId)> = MergeQueue::new(n_shards);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = arcs
-                    .iter()
-                    .map(|arc| {
-                        scope.spawn(move || {
-                            let mut lane: Vec<(u64, (Prefix, ServerId))> = Vec::new();
-                            for &sid in arc {
-                                let server = servers.get(sid).expect("arc ids are live");
-                                let owner = server.id();
-                                lane.extend(
-                                    server
-                                        .table()
-                                        .active_groups()
-                                        .map(|e| (sid, (e.group, owner))),
-                                );
-                            }
-                            lane
-                        })
-                    })
-                    .collect();
-                for (arc, handle) in handles.into_iter().enumerate() {
-                    *queue.lane_mut(arc) = handle.join().expect("replica sweep worker panicked");
-                }
-            });
-            queue.drain().into_iter().map(|(_, w)| w).collect()
-        } else {
-            let mut work = Vec::new();
-            for &sid in &ids {
-                let server = self.servers.get(sid).expect("snapshotted id");
-                let owner = server.id();
-                work.extend(server.table().active_groups().map(|e| (e.group, owner)));
-            }
-            work
-        };
+        // Re-ensure placement for every active group, owner by owner.
+        let mut work: Vec<(Prefix, ServerId)> = Vec::new();
+        for &sid in &ids {
+            let server = self.servers.get(sid).expect("snapshotted id");
+            let owner = server.id();
+            work.extend(server.table().active_groups().map(|e| (e.group, owner)));
+        }
         self.ids_scratch = ids;
         for (group, owner) in work {
             self.ensure_replicas(group, owner);
@@ -2327,7 +2126,6 @@ impl ClashCluster {
         self.phase_end(CheckPhase::Reports);
         self.phase_begin(CheckPhase::SplitSpeculate);
         self.refresh_candidates();
-        self.speculate_split_routes();
         self.phase_end(CheckPhase::SplitSpeculate);
         self.phase_begin(CheckPhase::Splits);
         // Split phase. The historical sweep walked every server in
@@ -2339,7 +2137,7 @@ impl ClashCluster {
         let mut cursor = 0u64;
         loop {
             self.refresh_candidates();
-            let Some(sid_value) = self.overloaded.first_at_or_after(cursor) else {
+            let Some(&sid_value) = self.overloaded.range(cursor..).next() else {
                 break;
             };
             let mut splits_done = 0;
@@ -2361,10 +2159,6 @@ impl ClashCluster {
             };
             cursor = next;
         }
-        // Stale speculations for candidates that recovered (or whose
-        // hottest group moved) before their turn must not leak into the
-        // next check's snapshot window.
-        self.split_route_cache.clear();
         self.phase_end(CheckPhase::Splits);
         self.phase_begin(CheckPhase::Merges);
         // Merge phase, same cursor discipline over the mergeable set
@@ -2373,7 +2167,7 @@ impl ClashCluster {
         let mut cursor = 0u64;
         loop {
             self.refresh_candidates();
-            let Some(sid_value) = self.mergeable.first_at_or_after(cursor) else {
+            let Some(&sid_value) = self.mergeable.range(cursor..).next() else {
                 break;
             };
             let mut merges_done = 0;
@@ -2424,7 +2218,7 @@ impl ClashCluster {
         // sweep. The scratch batch is reused across periods.
         let mut deliveries = std::mem::take(&mut self.deliver_scratch);
         deliveries.clear();
-        for sid_value in self.reporters.iter() {
+        for &sid_value in &self.reporters {
             let server = self.servers.get(sid_value).expect("reporters are live");
             let own_id = server.id();
             server.for_each_pending_report(|dest, group, load, is_leaf| {
@@ -2447,74 +2241,6 @@ impl ClashCluster {
             }
         }
         self.deliver_scratch = deliveries;
-    }
-
-    /// Pre-routes the *first* split placement of every overloaded
-    /// candidate, per ring arc on scope workers, against the frozen
-    /// route snapshot. Runs once at the start of the split phase, after
-    /// the opening candidate refresh: routing state cannot change inside
-    /// a load check (ring membership only moves between checks), so the
-    /// snapshot stays valid for the whole phase, and
-    /// [`RouteSnapshot::route_with_path`] is pinned bit-for-bit to the
-    /// live router. Reading the per-arc slices of the overloaded set
-    /// keeps each worker on exactly its own arc's servers; results
-    /// funnel back through the [`MergeQueue`] keyed by splitter id.
-    ///
-    /// Purely an execution-strategy move: `try_split` verifies every
-    /// cached entry against the hash it would have routed (and replays
-    /// the lookup accounting), so a consumed speculation is
-    /// indistinguishable from the live call it replaces.
-    fn speculate_split_routes(&mut self) {
-        const PAR_SPECULATE_MIN: usize = 64;
-        self.split_route_cache.clear();
-        let n_shards = self.config.shards.max(1) as usize;
-        if n_shards <= 1 || self.overloaded.len() < PAR_SPECULATE_MIN {
-            return;
-        }
-        let snapshot = match &self.route_snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(self.net.snapshot());
-                self.route_snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
-        let servers = &self.servers;
-        let hasher = self.hasher;
-        let arc_count = self.overloaded.arc_count();
-        let mut queue: MergeQueue<u64, SpeculatedRoute> = MergeQueue::new(arc_count);
-        std::thread::scope(|scope| {
-            let snap: &RouteSnapshot = &snapshot;
-            let handles: Vec<_> = (0..arc_count)
-                .map(|arc| {
-                    let ids = self.overloaded.arc(arc);
-                    scope.spawn(move || {
-                        let mut lane = Vec::new();
-                        for &sid in ids {
-                            let Some(server) = servers.get(sid) else {
-                                continue;
-                            };
-                            let Some(hot) = server.hottest_splittable() else {
-                                continue;
-                            };
-                            let Ok((_, right)) = hot.split() else {
-                                continue;
-                            };
-                            let h = hasher.hash_key(right.virtual_key());
-                            let (lookup, path) = snap.route_with_path(server.id(), h);
-                            lane.push((sid, (h, lookup, path)));
-                        }
-                        lane
-                    })
-                })
-                .collect();
-            for (arc, handle) in handles.into_iter().enumerate() {
-                *queue.lane_mut(arc) = handle.join().expect("split speculation worker panicked");
-            }
-        });
-        for (sid, entry) in queue.drain() {
-            self.split_route_cache.insert(sid, entry);
-        }
     }
 
     /// Splits the hottest group of `sid_value`, placing the right child via
@@ -2543,9 +2269,6 @@ impl ClashCluster {
         let mut group = hot;
         let mut op_latency = SimDuration::ZERO;
         let mut committed_splits = false;
-        // A speculative pre-routed placement, if the split phase produced
-        // one for this candidate; only the first iteration can use it.
-        let mut speculated = self.split_route_cache.remove(&sid_value);
         // Finishes the operation after self-mapped iterations committed but
         // a later placement crossed the partition: the last right child is
         // already active locally, which is a valid terminal state.
@@ -2565,18 +2288,7 @@ impl ClashCluster {
             // the routing hops up to the cut were genuinely attempted.
             let (_, right_prefix) = group.split()?;
             let h = self.hasher.hash_key(right_prefix.virtual_key());
-            let (lookup, path) = match speculated.take() {
-                // The speculation targeted exactly this hash, so its
-                // snapshot route is the live route; replay the lookup
-                // accounting the live call would have recorded. A stale
-                // entry (the hottest group changed since speculation)
-                // falls through to live routing.
-                Some((spec_h, lookup, path)) if spec_h == h => {
-                    self.net.record_routed_lookup(lookup.hops);
-                    (lookup, path)
-                }
-                _ => self.net.find_successor_path(server_id, h),
-            };
+            let (lookup, path) = self.net.find_successor_path(server_id, h);
             for (from, to) in path {
                 if !self.transport_send(from, to, MessageClass::Probe, &mut op_latency) {
                     return if committed_splits {
@@ -4996,32 +4708,21 @@ mod tests {
         assert!(max_probes <= 5, "max probes {max_probes}");
     }
 
-    /// Runtime mirror of the clash-lint static rules, pinned: the sharded
-    /// route phase (snapshot freeze → merge drain) must never draw from
+    /// Runtime mirror of the clash-lint static rules, pinned: the batched
+    /// route phase (snapshot freeze → last route) must never draw from
     /// the cluster RNG — the in-phase assertion fails the flush if it
     /// does, and `route_draw_checks` proves the instrumented path really
-    /// ran, on both sides of the inline/threaded routing threshold.
+    /// ran.
     #[cfg(debug_assertions)]
     #[test]
     fn route_phase_draws_zero_from_cluster_rng() {
-        let config = ClashConfig::small_test().with_shards(4);
+        let config = ClashConfig::small_test().with_shards(1);
         let mut c = ClashCluster::new(config, 8, 1).unwrap();
-        // Small batch: routes inline (below the worker threshold).
-        for i in 0..8u64 {
-            c.attach_source(i, key(i * 31), 1.0).unwrap();
-        }
-        c.flush_batch().unwrap();
-        let after_inline = c.route_draw_checks();
-        assert!(after_inline > 0, "inline route phase was never checked");
-        // Large batch: crosses PAR_ROUTE_MIN, routes on worker threads.
-        for i in 8..300u64 {
+        for i in 0..300u64 {
             c.attach_source(i, key(i % 256), 1.0).unwrap();
         }
         c.flush_batch().unwrap();
-        assert!(
-            c.route_draw_checks() > after_inline,
-            "threaded route phase was never checked"
-        );
+        assert!(c.route_draw_checks() > 0, "route phase was never checked");
         c.run_load_check().unwrap();
         c.verify_consistency();
     }

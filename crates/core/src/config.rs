@@ -79,16 +79,14 @@ pub struct ClashConfig {
     /// disables replication entirely and preserves the pre-replication
     /// behavior bit for bit.
     pub replication_factor: usize,
-    /// Ring-arc shard count for the batched locate path. `0` (the
-    /// default) keeps every client operation fully synchronous — the
-    /// historical sequential semantics. `n ≥ 1` partitions the hash
-    /// space into `n` contiguous arcs: client locates are *planned*
-    /// synchronously (preserving every RNG draw and ledger mutation in
-    /// op order), their DHT routing is resolved per-arc against a frozen
-    /// routing snapshot (on worker threads when `n > 1`), and the
-    /// results are charged through a deterministic merge queue. The
-    /// outcome is bit-for-bit identical for every `n`, including `0` —
-    /// pinned by `tests/shard_equivalence.rs`.
+    /// Batched-locate switch. `0` (the default) routes every client
+    /// locate synchronously — the historical sequential semantics. Any
+    /// non-zero value *plans* locates synchronously (preserving every
+    /// RNG draw and ledger mutation in op order) and routes/charges them
+    /// at the next barrier against a frozen routing snapshot; every
+    /// non-zero value executes identical code (the value is not a size).
+    /// The outcome is bit-for-bit identical to `0` — pinned by
+    /// `tests/shard_equivalence.rs`.
     pub shards: u32,
 }
 
@@ -178,20 +176,10 @@ impl ClashConfig {
             .unwrap_or(1)
     }
 
-    /// A copy with the given ring-arc shard count for batched locates.
+    /// A copy with batched locates off (`0`) or on (any non-zero value;
+    /// see [`ClashConfig::shards`]).
     pub fn with_shards(self, shards: u32) -> Self {
         ClashConfig { shards, ..self }
-    }
-
-    /// The shard count named by the `CLASH_SHARDS` environment variable,
-    /// or 0 (sequential) when unset/unparsable. The shard-equivalence
-    /// suite reads this so CI can run the same scenarios sequentially
-    /// and at several shard counts.
-    pub fn shards_from_env() -> u32 {
-        std::env::var("CLASH_SHARDS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
     }
 
     /// Overload threshold in absolute load units.

@@ -62,7 +62,6 @@ pub mod load;
 pub mod messages;
 pub mod replication;
 pub mod server;
-pub mod shardset;
 pub mod table;
 
 pub use client::{DepthSearch, SearchOutcome};

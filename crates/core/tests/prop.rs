@@ -415,28 +415,26 @@ proptest! {
         }
     }
 
-    /// Ring-arc batched locates are bit-for-bit equivalent to the
-    /// sequential path for *every* shard count: two clusters play the
-    /// same random interleaving of workload bursts, detach waves, joins,
-    /// graceful leaves, crashes and load checks — one fully sequential
-    /// (`shards = 0`), one on the plan/route/merge-charge path — and
-    /// after every operation (with the batch explicitly flushed) the
-    /// message accounting, global cover, per-server loads and all
+    /// Batched locates are bit-for-bit equivalent to the sequential
+    /// path: two clusters play the same random interleaving of workload
+    /// bursts, detach waves, joins, graceful leaves, crashes, load checks
+    /// and whole heat/split/cool/merge cycles — one fully sequential
+    /// (`shards = 0`), one on the plan/route/charge path — and after
+    /// every operation (with the batch explicitly flushed) the message
+    /// accounting, global cover, per-server loads and all
     /// membership/load-check reports must be identical. The mirror of
-    /// `dirty_tracked_load_checks_match_full_scan` for the sharding
+    /// `dirty_tracked_load_checks_match_full_scan` for the batching
     /// layer.
     #[test]
     fn sharded_batching_matches_sequential(
         servers in 2usize..10,
         seed in 0u64..500,
-        shards in 1u32..5,
         replication in 0usize..3,
-        ops in prop::collection::vec((0u8..8, 0u64..u64::MAX), 1..14),
+        ops in prop::collection::vec((0u8..9, 0u64..u64::MAX), 1..14),
     ) {
         let config = ClashConfig::small_test().with_replication(replication);
         let mut seq = ClashCluster::new(config, servers, seed).unwrap();
-        let mut sharded =
-            ClashCluster::new(config.with_shards(shards), servers, seed).unwrap();
+        let mut sharded = ClashCluster::new(config.with_shards(1), servers, seed).unwrap();
         let mut next_source = 0u64;
         let mut attached: Vec<u64> = Vec::new();
         for &(op, arg) in &ops {
@@ -497,6 +495,34 @@ proptest! {
                         prop_assert_eq!(ra, rb, "failure reports diverged");
                     }
                 }
+                // The engineered hot region: heat one quadrant well
+                // past one server's capacity so splits place children
+                // across the ring, then cool it so merges pull them
+                // back — every check of the cycle must report alike.
+                8 => {
+                    let first = next_source;
+                    for i in 0..96u64 {
+                        let k = key(((arg % 4) << 6) | (i % 64));
+                        let pa = seq.attach_source(first + i, k, 2.0).unwrap();
+                        let pb = sharded.attach_source(first + i, k, 2.0).unwrap();
+                        prop_assert_eq!(pa, pb, "placements diverged");
+                    }
+                    next_source += 96;
+                    for _ in 0..4 {
+                        let ra = seq.run_load_check().unwrap();
+                        let rb = sharded.run_load_check().unwrap();
+                        prop_assert_eq!(ra, rb, "hot-phase load checks diverged");
+                    }
+                    for i in 0..96u64 {
+                        seq.detach_source(first + i).unwrap();
+                        sharded.detach_source(first + i).unwrap();
+                    }
+                    for _ in 0..16 {
+                        let ra = seq.run_load_check().unwrap();
+                        let rb = sharded.run_load_check().unwrap();
+                        prop_assert_eq!(ra, rb, "cold-phase load checks diverged");
+                    }
+                }
                 // A load-check period elapses on both (the natural
                 // flush barrier).
                 _ => {
@@ -517,87 +543,6 @@ proptest! {
             sharded.verify_consistency();
             sharded.verify_candidate_indices();
         }
-    }
-
-    /// Cross-arc split and merge equivalence: with `shards >= 2` a
-    /// split's right child regularly lands on a server in a *different*
-    /// ring arc than the splitter, and the later merge pulls that child
-    /// back across the same arc boundary — the exact cross-shard
-    /// traffic the arc-sharded candidate sets, the split-route
-    /// speculation and the merge queue must route deterministically.
-    /// The sharded cluster must stay bit-for-bit equal to the
-    /// sequential one through the full heat/cool cycle, and the case is
-    /// only counted when it actually witnessed at least one cross-arc
-    /// split *and* one cross-arc merge (placement is hash-uniform, so
-    /// rejections are rare; `prop_assume` keeps silent coverage loss
-    /// impossible rather than asserting on luck).
-    #[test]
-    fn cross_arc_splits_and_merges_match_sequential(
-        servers in 8usize..16,
-        seed in 0u64..300,
-        shards in 2u32..5,
-        hot_region in 0u64..4,
-    ) {
-        let config = ClashConfig::small_test();
-        let bits = config.hash_space.bits();
-        let arc = |id: ServerId| {
-            clash_simkernel::merge::arc_of(id.value(), shards as usize, bits)
-        };
-        let mut seq = ClashCluster::new(config, servers, seed).unwrap();
-        let mut sharded =
-            ClashCluster::new(config.with_shards(shards), servers, seed).unwrap();
-        let mut cross_arc_splits = 0usize;
-        let mut cross_arc_merges = 0usize;
-        // Heat one quadrant well past one server's capacity.
-        for i in 0..96u64 {
-            let k = key((hot_region << 6) | (i % 64));
-            let pa = seq.attach_source(i, k, 2.0).unwrap();
-            let pb = sharded.attach_source(i, k, 2.0).unwrap();
-            prop_assert_eq!(pa, pb, "placements diverged");
-        }
-        for _ in 0..4 {
-            let ra = seq.run_load_check().unwrap();
-            let rb = sharded.run_load_check().unwrap();
-            prop_assert_eq!(&ra, &rb, "hot-phase load checks diverged");
-            cross_arc_splits += ra
-                .splits
-                .iter()
-                .filter(|s| arc(s.server) != arc(s.right_child_server))
-                .count();
-        }
-        // Cool everything and let merges consolidate the children back.
-        for i in 0..96u64 {
-            seq.detach_source(i).unwrap();
-            sharded.detach_source(i).unwrap();
-        }
-        for _ in 0..16 {
-            // A merge's victim is the right child's home *before* the
-            // check; snapshot the owners the records will refer to.
-            let owners: Vec<_> = sharded
-                .global_cover()
-                .iter()
-                .map(|g| (g, sharded.group_owner(g)))
-                .collect();
-            let ra = seq.run_load_check().unwrap();
-            let rb = sharded.run_load_check().unwrap();
-            prop_assert_eq!(&ra, &rb, "cold-phase load checks diverged");
-            for m in &ra.merges {
-                let Ok((_, right)) = m.parent.split() else { continue };
-                let victim = owners
-                    .iter()
-                    .find(|(g, _)| *g == right)
-                    .and_then(|(_, o)| *o);
-                if let Some(victim) = victim {
-                    if arc(victim) != arc(m.server) {
-                        cross_arc_merges += 1;
-                    }
-                }
-            }
-        }
-        sharded.verify_consistency();
-        sharded.verify_candidate_indices();
-        prop_assume!(cross_arc_splits > 0);
-        prop_assume!(cross_arc_merges > 0);
     }
 
     /// Heating then cooling a region splits and then re-merges it; the

@@ -4,8 +4,8 @@
 //! transport pins, the `BENCH_scale.json` trajectory — rests on one
 //! contract: protocol crates draw randomness only from `DetRng`
 //! substreams, never read the wall clock or OS entropy, never iterate a
-//! `RandomState`-hashed map, spawn threads only at the two registered
-//! `std::thread::scope` sites, and read the process environment only in
+//! `RandomState`-hashed map, spawn threads only at the one registered
+//! `std::thread::scope` site, and read the process environment only in
 //! config/report entry points. This crate makes that contract
 //! machine-checked: a small comment/string-stripping Rust tokenizer, a
 //! rule registry ([`rules::RULES`]), and per-crate path policies

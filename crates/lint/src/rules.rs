@@ -224,8 +224,8 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                         out,
                         THREAD_CONTAINMENT,
                         line,
-                        "`std::thread` outside the registered fan-out sites \
-                         (crates/core/src/cluster.rs, crates/sim/src/experiments/mod.rs)"
+                        "`std::thread` outside the registered fan-out site \
+                         (crates/sim/src/experiments/mod.rs)"
                             .to_string(),
                     );
                 }
@@ -244,7 +244,7 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                         THREAD_CONTAINMENT,
                         line,
                         format!(
-                            "`thread::{}` outside the registered fan-out sites",
+                            "`thread::{}` outside the registered fan-out site",
                             toks[i + 3].text
                         ),
                     );
@@ -258,8 +258,8 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                     THREAD_CONTAINMENT,
                     line,
                     format!(
-                        "`{t}` introduces schedule-dependent state; the sharded phases \
-                         communicate only through MergeQueue"
+                        "`{t}` introduces schedule-dependent state; protocol state is \
+                         single-threaded and harness threads share nothing mutable"
                     ),
                 );
             }

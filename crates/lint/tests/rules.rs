@@ -259,19 +259,29 @@ fn thread_fires_outside_registered_sites() {
 
 #[test]
 fn thread_scope_ok_at_registered_sites() {
+    let diags = lint_one(
+        "crates/sim/src/experiments/mod.rs",
+        "fn f() { std::thread::scope(|s| {}); }",
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn thread_scope_fires_at_the_deregistered_protocol_sites() {
     for path in [
         "crates/core/src/cluster.rs",
-        "crates/sim/src/experiments/mod.rs",
+        "crates/chord/src/net.rs",
+        "crates/transport/src/link.rs",
     ] {
         let diags = lint_one(path, "fn f() { std::thread::scope(|s| {}); }");
-        assert!(diags.is_empty(), "{path}: {diags:?}");
+        assert_eq!(fired(&diags), vec!["thread-containment"], "{path}");
     }
 }
 
 #[test]
 fn locks_and_atomics_fire_even_at_registered_sites() {
     let diags = lint_one(
-        "crates/core/src/cluster.rs",
+        "crates/sim/src/experiments/mod.rs",
         "use std::sync::Mutex;\nstatic N: std::sync::atomic::AtomicU64 = AtomicU64::new(0);",
     );
     let rules = fired(&diags);

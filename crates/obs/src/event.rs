@@ -137,13 +137,14 @@ pub enum TraceEventKind {
         /// The replica holder that finally took ownership.
         new_owner: u64,
     },
-    /// A batched-locate flush window opened (sharded plan/route/merge).
+    /// A batched-locate flush window opened (plan/route/charge).
     FlushBegin {
         /// Monotone flush sequence number.
         flush_seq: u64,
         /// Probes queued in this window.
         probes: u64,
-        /// Ring-arc shards the window routed across (0 = sequential).
+        /// The cluster's `ClashConfig::shards` value (non-zero: a flush
+        /// only happens on the batched path).
         shards: u64,
     },
     /// The matching flush window closed; all probes charged in plan order.

@@ -22,8 +22,10 @@ pub enum CheckPhase {
     CandidateRefresh,
     /// LOAD_REPORT delivery to parent-group owners.
     Reports,
-    /// Speculative pre-routing of split placements against the frozen
-    /// snapshot (sharded lanes), ahead of the split cursor walk.
+    /// The candidate refresh between report delivery and the split
+    /// cursor walk. (The split-route speculation the phase was named for
+    /// is gone; the variant stays because `clash-benchmark` iterates
+    /// [`CheckPhase::ALL`] and declares `core.phase.split_speculate_ms`.)
     SplitSpeculate,
     /// The split cursor walk (hot groups, one binary level each).
     Splits,
@@ -33,7 +35,7 @@ pub enum CheckPhase {
     ReplicaSync,
     /// Batch flush: sequential planning of probe order.
     FlushPlan,
-    /// Batch flush: routing against the frozen snapshot (sharded lanes).
+    /// Batch flush: routing against the frozen snapshot, in plan order.
     FlushRoute,
     /// Batch flush: charging routed probes in plan order.
     FlushMerge,

@@ -5,9 +5,9 @@
 //!               [--out DIR] [--bench-out PATH] [--min-events-per-sec F]
 //!               [--min-churn-events-per-sec F]`
 //!
-//! `--shards N` runs the cells on the ring-arc batched locate path
-//! (default: the `CLASH_SHARDS` environment variable, else 0 =
-//! sequential). Deterministic outputs are identical for every value.
+//! `--shards N` with any non-zero `N` runs the cells on the batched
+//! locate path (default 0 = sequential; every non-zero value executes
+//! identical code). Deterministic outputs are identical for every value.
 //!
 //! `--cells NAMES` runs only the comma-separated, exactly-named cells
 //! (canonical unscaled names, e.g. `--cells churn_1000000` or
@@ -44,13 +44,10 @@ fn main() {
                 .unwrap_or_else(|_| panic!("--min-churn-events-per-sec must be a float, got {s:?}"))
         });
     let cells = report::flag_value(&args, "--cells");
-    let shards: u32 = report::flag_value(&args, "--shards").map_or_else(
-        clash_core::config::ClashConfig::shards_from_env,
-        |s| {
-            s.parse()
-                .unwrap_or_else(|_| panic!("--shards must be an integer, got {s:?}"))
-        },
-    );
+    let shards: u32 = report::flag_value(&args, "--shards").map_or(0, |s| {
+        s.parse()
+            .unwrap_or_else(|_| panic!("--shards must be an integer, got {s:?}"))
+    });
 
     let out = scale::run_filtered(scale_factor, seed, shards, cells.as_deref())
         .expect("scale experiment failed");

@@ -198,7 +198,7 @@ impl RunResult {
 
     /// A digest of every deterministic field of the result — everything
     /// except `check_wall_ms` (wall time). Two runs of the same scenario
-    /// must produce equal fingerprints whatever the shard count or
+    /// must produce equal fingerprints whatever the locate path or
     /// machine; the shard-equivalence suite compares these directly so a
     /// divergence prints both complete states.
     pub fn deterministic_fingerprint(&self) -> String {

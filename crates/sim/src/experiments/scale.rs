@@ -116,9 +116,10 @@ pub struct ScaleOutput {
     pub scale: f64,
     /// Root seed in force.
     pub seed: u64,
-    /// Ring-arc shard count the cells ran with (0 = sequential). The
-    /// deterministic fields are identical for every value — only the
-    /// wall-clock columns may move.
+    /// The `ClashConfig::shards` value the cells ran with (0 =
+    /// sequential locates, non-zero = batched). The deterministic fields
+    /// are identical for every value — only the wall-clock columns may
+    /// move.
     pub shards: u32,
 }
 
@@ -361,9 +362,9 @@ pub fn run(scale: f64) -> Result<ScaleOutput, ClashError> {
     run_seeded(scale, None, 0)
 }
 
-/// [`run`] with an optional root seed override and a ring-arc shard
-/// count for the batched locate path (0 = sequential; the deterministic
-/// outputs are identical either way).
+/// [`run`] with an optional root seed override and the batched-locate
+/// switch (`shards`: 0 = sequential, non-zero = batched; the
+/// deterministic outputs are identical either way).
 ///
 /// # Errors
 ///
@@ -646,8 +647,8 @@ mod tests {
     }
 
     /// Same seed ⇒ identical deterministic fields (only wall-clock may
-    /// differ between runs of the same build) — *across shard counts*:
-    /// the sequential sweep and a 2-sharded sweep must agree on every
+    /// differ between runs of the same build) — *across locate paths*:
+    /// the sequential sweep and a batched sweep must agree on every
     /// protocol-visible number.
     #[test]
     fn scale_cells_are_deterministic_across_shard_counts() {

@@ -41,13 +41,11 @@
 #![forbid(unsafe_code)]
 pub mod dist;
 pub mod event;
-pub mod merge;
 pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use merge::MergeQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -83,8 +83,8 @@ impl DetRng {
     /// clone keeps its parent's count.
     ///
     /// This is the runtime mirror of the `clash-lint` static rules: phases
-    /// that must not consume protocol randomness — the sharded route phase
-    /// between snapshot freeze and merge drain — assert this stays flat.
+    /// that must not consume protocol randomness — the batched route phase
+    /// after the snapshot freeze — assert this stays flat.
     pub fn draw_count(&self) -> u64 {
         self.draws
     }

@@ -212,10 +212,9 @@ pub trait Transport: Send {
     /// [`Transport::send`] once per spec in order — same deliveries,
     /// same final [`TransportStats`], same internal state afterwards.
     /// The default implementation is exactly that loop; implementations
-    /// may override it with a faster schedule (batched lookups, worker
-    /// threads over link-disjoint lanes) as long as the equivalence
-    /// holds. The flush charge path hands its whole plan-ordered window
-    /// to this method.
+    /// may override it with a faster schedule (batched lookups) as long
+    /// as the equivalence holds. The flush charge path hands its whole
+    /// plan-ordered window to this method.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
@@ -225,9 +224,9 @@ pub trait Transport: Send {
         }
     }
 
-    /// Advisory worker-thread budget for [`Transport::send_batch`]
-    /// (1 = stay on the caller's thread). Purely an execution-strategy
-    /// hint: results never depend on it. Default: ignored.
+    /// No-op: `send_batch` is single-threaded. Kept only because
+    /// `clash-benchmark/src/micro.rs` calls it; the next
+    /// `benchmark`-archetype PR drops the call and this method.
     fn set_batch_workers(&mut self, _workers: usize) {}
 
     /// Counters accumulated since construction (or the last reset).

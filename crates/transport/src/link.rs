@@ -112,20 +112,20 @@ pub struct LinkTransport {
     /// looked up once per send and never iterated, so an O(1)
     /// deterministic hash beats the tree walk on large rings. The state
     /// is split into [`LINK_SHARDS`] sub-maps by a pure function of the
-    /// (src, dst) pair so that [`Transport::send_batch`] worker threads
-    /// can own disjoint sub-maps; which sub-map a link lands in is
-    /// invisible to callers (a link's state and draw order depend only
-    /// on its pair), so the split cannot change any delivery.
+    /// (src, dst) pair because that bounds the rehash peak: a growing
+    /// map briefly holds its old and new tables, and one map for every
+    /// link measured `peak_rss_mb` 34.5 → 47.5 on the benchmark's
+    /// `churn_wan_seq` and 27.1 → 33.3 on `storm_lossy`, with no time
+    /// change. Which sub-map a link lands in is invisible to callers (a
+    /// link's state and draw order depend only on its pair), so the
+    /// split cannot change any delivery.
     links: Vec<LinkMap>,
     partition: PartitionMatrix,
     stats: TransportStats,
-    /// Worker-thread budget for [`Transport::send_batch`] (1 = inline).
-    /// Execution strategy only — results are identical for every value.
-    batch_workers: usize,
 }
 
-/// Fixed sub-map count for the link state (must divide evenly into
-/// worker lanes; a power of two keeps the shard pick a mask).
+/// Fixed sub-map count for the link state (a power of two keeps the
+/// sub-map pick a mask).
 const LINK_SHARDS: usize = 32;
 
 /// Sends per cache-warming window in the batch path: lookups for a
@@ -134,10 +134,6 @@ const LINK_SHARDS: usize = 32;
 /// chain into memory-level-parallel misses. 64 windows × ~2 lines per
 /// link stay comfortably within L1.
 const WARM_WINDOW: usize = 64;
-
-/// Below this many sends a batch is charged by the plain sequential
-/// loop: thread spawn + scatter overhead would exceed the work.
-const PAR_BATCH_MIN: usize = 4096;
 
 /// The derived 64-bit identity of a directed link: seeds the link's RNG
 /// substream and (by its low bits) picks the sub-map shard.
@@ -161,7 +157,6 @@ impl LinkTransport {
             links: (0..LINK_SHARDS).map(|_| HashMap::default()).collect(),
             partition: PartitionMatrix::default(),
             stats: TransportStats::default(),
-            batch_workers: 1,
         }
     }
 
@@ -188,42 +183,8 @@ impl LinkTransport {
             .or_insert_with(|| Self::make_link(&policy, root, pair))
     }
 
-    /// Resolves one non-local, non-partitioned send against a link's
-    /// state: the loss/retry draws plus the latency sample. Free
-    /// function so batch workers can run it against their own sub-maps;
-    /// the caller folds the returned delivery into its stats.
-    fn resolve_on_link(policy: &LinkPolicy, link: &mut LinkState) -> Delivery {
-        // Transient loss: each transmission drops independently; after
-        // max_retries losses the final transmission goes through.
-        let mut attempts = 1u32;
-        while attempts <= policy.max_retries && link.rng.chance(policy.drop_probability) {
-            attempts += 1;
-        }
-        let latency = policy.retry_timeout * u64::from(attempts - 1)
-            + policy.latency.sample(link.base, &mut link.rng);
-        Delivery::Delivered { latency, attempts }
-    }
-
-    /// Folds one delivery outcome into `stats` exactly as the sequential
-    /// [`Transport::send`] does. Every field is a sum of non-negative
-    /// integers, so the fold order cannot change the totals — which is
-    /// what lets the batch path account lane-by-lane.
-    fn charge_stats(stats: &mut TransportStats, class: MessageClass, d: Delivery) {
-        match d {
-            Delivery::Delivered { latency, attempts } => {
-                stats.messages += 1;
-                stats.per_class[class.index()] += 1;
-                stats.retransmissions += u64::from(attempts - 1);
-                stats.total_latency_us += latency.as_micros();
-            }
-            Delivery::Unreachable { .. } => {
-                stats.unreachable += 1;
-            }
-        }
-    }
-
     /// The monomorphic single-send core shared by [`Transport::send`]
-    /// and the batch paths.
+    /// and [`Transport::send_batch`].
     #[inline]
     fn send_one(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery {
         if src == dst {
@@ -241,122 +202,20 @@ impl LinkTransport {
             return Delivery::Unreachable { attempts };
         }
         let policy = self.policy;
-        let d = Self::resolve_on_link(&policy, self.link_state(src, dst));
-        Self::charge_stats(&mut self.stats, class, d);
-        d
-    }
-
-    /// The inline (no worker threads) batch path: per [`WARM_WINDOW`]
-    /// window, first touch every send's link entry in a tight loop —
-    /// the lookups are independent, so their cache misses overlap —
-    /// then charge the window in order against the now-warm entries.
-    /// Draw order per link and stats totals are exactly the sequential
-    /// loop's (same calls, same order).
-    fn send_batch_inline(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
-        let mut i = 0;
-        while i < sends.len() {
-            let end = (i + WARM_WINDOW).min(sends.len());
-            for s in &sends[i..end] {
-                if s.src != s.dst {
-                    let shard = pair_mix(s.src, s.dst) as usize & (LINK_SHARDS - 1);
-                    if let Some(l) = self.links[shard].get(&(s.src, s.dst)) {
-                        std::hint::black_box(l);
-                    }
-                }
-            }
-            for s in &sends[i..end] {
-                let d = self.send_one(s.src, s.dst, s.class);
-                out.push(d);
-            }
-            i = end;
+        let link = self.link_state(src, dst);
+        // Transient loss: each transmission drops independently; after
+        // max_retries losses the final transmission goes through.
+        let mut attempts = 1u32;
+        while attempts <= policy.max_retries && link.rng.chance(policy.drop_probability) {
+            attempts += 1;
         }
-    }
-
-    /// The worker-thread batch path: sends are split into per-worker
-    /// lanes by the link's sub-map shard (a pure function of the pair),
-    /// so every link's sends land in exactly one lane *in batch order*
-    /// — each link's RNG draws happen in the same order as the
-    /// sequential loop's. Local and partitioned sends never touch link
-    /// state and are resolved inline. Stats are folded per lane and
-    /// summed (integer sums are order-free), and deliveries are
-    /// scattered back by batch index, so the result is bit-for-bit the
-    /// sequential loop's whatever the worker count or thread timing.
-    fn send_batch_workers(&mut self, workers: usize, sends: &[SendSpec], out: &mut Vec<Delivery>) {
-        debug_assert!(out.is_empty());
-        out.resize(sends.len(), Delivery::Unreachable { attempts: 0 });
-        let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); workers];
-        for (i, s) in sends.iter().enumerate() {
-            if s.src == s.dst {
-                self.stats.messages += 1;
-                self.stats.per_class[s.class.index()] += 1;
-                out[i] = Delivery::Delivered {
-                    latency: SimDuration::ZERO,
-                    attempts: 1,
-                };
-            } else if !self.partition.connected(s.src, s.dst) {
-                self.stats.unreachable += 1;
-                out[i] = Delivery::Unreachable {
-                    attempts: self.policy.max_retries + 1,
-                };
-            } else {
-                let shard = pair_mix(s.src, s.dst) as usize & (LINK_SHARDS - 1);
-                lanes[shard % workers].push(i as u32);
-            }
-        }
-        // Hand each worker the sub-maps of its lane: round-robin by
-        // shard index, so shard `s` sits at position `s / workers` of
-        // worker `s % workers`.
-        let mut worker_maps: Vec<Vec<&mut LinkMap>> = (0..workers).map(|_| Vec::new()).collect();
-        for (shard, map) in self.links.iter_mut().enumerate() {
-            worker_maps[shard % workers].push(map);
-        }
-        let policy = self.policy;
-        let root = &self.root;
-        let mut lane_results: Vec<Vec<Delivery>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .zip(worker_maps)
-                .map(|(lane, mut maps)| {
-                    scope.spawn(move || {
-                        let mut res: Vec<Delivery> = Vec::with_capacity(lane.len());
-                        let mut i = 0;
-                        while i < lane.len() {
-                            let end = (i + WARM_WINDOW).min(lane.len());
-                            for &si in &lane[i..end] {
-                                let s = &sends[si as usize];
-                                let pair = pair_mix(s.src, s.dst);
-                                let shard = pair as usize & (LINK_SHARDS - 1);
-                                if let Some(l) = maps[shard / workers].get(&(s.src, s.dst)) {
-                                    std::hint::black_box(l);
-                                }
-                            }
-                            for &si in &lane[i..end] {
-                                let s = &sends[si as usize];
-                                let pair = pair_mix(s.src, s.dst);
-                                let shard = pair as usize & (LINK_SHARDS - 1);
-                                let link = maps[shard / workers]
-                                    .entry((s.src, s.dst))
-                                    .or_insert_with(|| Self::make_link(&policy, root, pair));
-                                res.push(Self::resolve_on_link(&policy, link));
-                            }
-                            i = end;
-                        }
-                        res
-                    })
-                })
-                .collect();
-            lane_results = handles
-                .into_iter()
-                .map(|h| h.join().expect("link batch worker panicked"))
-                .collect();
-        });
-        for (lane, res) in lanes.iter().zip(lane_results) {
-            for (&si, d) in lane.iter().zip(res) {
-                Self::charge_stats(&mut self.stats, sends[si as usize].class, d);
-                out[si as usize] = d;
-            }
-        }
+        let latency = policy.retry_timeout * u64::from(attempts - 1)
+            + policy.latency.sample(link.base, &mut link.rng);
+        self.stats.messages += 1;
+        self.stats.per_class[class.index()] += 1;
+        self.stats.retransmissions += u64::from(attempts - 1);
+        self.stats.total_latency_us += latency.as_micros();
+        Delivery::Delivered { latency, attempts }
     }
 }
 
@@ -365,19 +224,30 @@ impl Transport for LinkTransport {
         self.send_one(src, dst, class)
     }
 
+    /// Per [`WARM_WINDOW`] window, first touch every send's link entry
+    /// in a tight loop — the lookups are independent, so their cache
+    /// misses overlap — then charge the window in order against the
+    /// now-warm entries. Draw order per link and stats totals are
+    /// exactly the sequential loop's (same calls, same order). The warm
+    /// window is the transport's share of the benchmark's measured
+    /// batched-over-sequential locate speed-up.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
-        if self.batch_workers > 1 && sends.len() >= PAR_BATCH_MIN {
-            let workers = self.batch_workers.min(LINK_SHARDS);
-            self.send_batch_workers(workers, sends, out);
-        } else {
-            self.send_batch_inline(sends, out);
+        for window in sends.chunks(WARM_WINDOW) {
+            for s in window {
+                if s.src != s.dst {
+                    let shard = pair_mix(s.src, s.dst) as usize & (LINK_SHARDS - 1);
+                    if let Some(l) = self.links[shard].get(&(s.src, s.dst)) {
+                        std::hint::black_box(l);
+                    }
+                }
+            }
+            for s in window {
+                let d = self.send_one(s.src, s.dst, s.class);
+                out.push(d);
+            }
         }
-    }
-
-    fn set_batch_workers(&mut self, workers: usize) {
-        self.batch_workers = workers.max(1);
     }
 
     fn stats(&self) -> TransportStats {
@@ -555,11 +425,10 @@ mod tests {
             .collect()
     }
 
-    fn assert_batch_matches_sequential(policy: LinkPolicy, workers: usize, partition: bool) {
+    fn assert_batch_matches_sequential(policy: LinkPolicy, partition: bool) {
         let sends = mixed_batch(10_000);
         let mut seq = LinkTransport::new(policy, 77);
         let mut bat = LinkTransport::new(policy, 77);
-        bat.set_batch_workers(workers);
         if partition {
             // Nodes 0..48 vs 49..96: plenty of severed pairs in the mix.
             let islands: Vec<Vec<u64>> = vec![(0..49).collect(), (49..97).collect()];
@@ -572,7 +441,7 @@ mod tests {
             .collect();
         let mut got = Vec::new();
         bat.send_batch(&sends, &mut got);
-        assert_eq!(expected, got, "workers={workers} partition={partition}");
+        assert_eq!(expected, got, "partition={partition}");
         assert_eq!(seq.stats(), bat.stats());
         // Draw order per link must also line up for *future* traffic.
         for s in sends.iter().take(200) {
@@ -586,31 +455,21 @@ mod tests {
 
     #[test]
     fn send_batch_matches_sequential_inline() {
-        assert_batch_matches_sequential(LinkPolicy::lossy_wan(0.2), 1, false);
-    }
-
-    #[test]
-    fn send_batch_matches_sequential_workers() {
-        for workers in [2, 4, 8] {
-            assert_batch_matches_sequential(LinkPolicy::lossy_wan(0.2), workers, false);
-        }
+        assert_batch_matches_sequential(LinkPolicy::lossy_wan(0.2), false);
     }
 
     #[test]
     fn send_batch_matches_sequential_partitioned() {
-        for workers in [1, 4] {
-            assert_batch_matches_sequential(LinkPolicy::wan(), workers, true);
-        }
+        assert_batch_matches_sequential(LinkPolicy::wan(), true);
     }
 
     #[test]
     fn send_batch_small_batches_and_empty() {
         let mut t = LinkTransport::new(LinkPolicy::wan(), 5);
-        t.set_batch_workers(4);
         let mut out = vec![Delivery::Unreachable { attempts: 9 }];
         t.send_batch(&[], &mut out);
         assert!(out.is_empty(), "empty batch clears out");
-        // Below PAR_BATCH_MIN the inline path runs even with workers set.
+        // One short of a warm window.
         let sends = mixed_batch(63);
         let mut seq = LinkTransport::new(LinkPolicy::wan(), 5);
         let expected: Vec<Delivery> = sends
