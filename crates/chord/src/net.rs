@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
@@ -71,6 +72,21 @@ pub struct SimNet {
     /// indexing (same sorted order, same single `uniform_index` draw)
     /// picks bit-for-bit the same node the rebuild would have.
     alive_cache: RefCell<Option<Vec<ChordId>>>,
+    /// Number of alive nodes (the O(1) answer to
+    /// [`SimNet::alive_count`]).
+    alive: usize,
+    /// True while every alive node's tables are the maintenance fixpoint
+    /// [`SimNet::stabilize_direct`] last installed, except for what
+    /// `joined` / `removed` record — the precondition of its incremental
+    /// repair. Anything else that writes tables (construction,
+    /// `add_node`, the round-based protocol, `build_stable`, a
+    /// successor-list length change) clears it.
+    fixpoint: bool,
+    /// Ids [`SimNet::join`] added since the fixpoint.
+    joined: Vec<ChordId>,
+    /// Ids [`SimNet::fail`] / [`SimNet::remove_node`] took out of the
+    /// alive set since the fixpoint.
+    removed: Vec<ChordId>,
 }
 
 impl SimNet {
@@ -85,7 +101,19 @@ impl SimNet {
             stats: NetStats::default(),
             succ_cache: RefCell::new(BTreeMap::new()),
             alive_cache: RefCell::new(None),
+            alive: 0,
+            fixpoint: false,
+            joined: Vec::new(),
+            removed: Vec::new(),
         }
+    }
+
+    /// The tables are no longer a known fixpoint plus a recorded delta:
+    /// the next [`SimNet::stabilize_direct`] recomputes the whole ring.
+    fn forget_fixpoint(&mut self) {
+        self.fixpoint = false;
+        self.joined.clear();
+        self.removed.clear();
     }
 
     /// Drops every memoized first-alive-successor entry and the alive-id
@@ -104,6 +132,7 @@ impl SimNet {
     pub fn set_successor_list_len(&mut self, len: usize) {
         assert!(len > 0, "successor list length must be positive");
         self.succ_list_len = len;
+        self.forget_fixpoint();
     }
 
     /// No-op: stabilization is single-threaded. Kept only because
@@ -139,18 +168,27 @@ impl SimNet {
     /// Adds a solitary (unwired) node. Returns false if the identifier is
     /// already taken.
     pub fn add_node(&mut self, id: ChordId) -> bool {
+        let added = self.insert_solitary(id);
+        if added {
+            self.forget_fixpoint();
+        }
+        added
+    }
+
+    fn insert_solitary(&mut self, id: ChordId) -> bool {
         debug_assert_eq!(id.space(), self.space);
         if self.nodes.contains_key(&id.value()) {
             return false;
         }
         self.nodes.insert(id.value(), ChordNode::solitary(id));
+        self.alive += 1;
         self.invalidate_succ_cache();
         true
     }
 
     /// Number of alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.nodes.values().filter(|n| n.is_alive()).count()
+        self.alive
     }
 
     /// Identifiers of all alive nodes, in ring order.
@@ -184,27 +222,36 @@ impl SimNet {
         ids[rng.uniform_index(ids.len())]
     }
 
-    /// Ground truth: the alive node owning hash `h` (its ring successor),
-    /// or `None` on an empty ring. O(log S) on the in-memory map; used for
-    /// bootstrap and validation, not by the routed protocol.
-    pub fn owner_of(&self, h: u64) -> Option<ChordId> {
-        let h = h & self.space.mask();
+    /// Alive ids at or after `h`, in ring order, wrapping once around.
+    fn alive_from(&self, h: u64) -> impl Iterator<Item = ChordId> + '_ {
         self.nodes
             .range(h..)
             .chain(self.nodes.range(..h))
-            .find(|(_, n)| n.is_alive())
+            .filter(|(_, n)| n.is_alive())
             .map(|(_, n)| n.id())
     }
 
-    /// Ground truth: the alive node strictly preceding `h` on the ring.
-    pub fn predecessor_of(&self, h: u64) -> Option<ChordId> {
-        let h = h & self.space.mask();
+    /// Alive ids strictly before `h`, nearest first, wrapping once
+    /// around (so `h` itself, if alive, comes last).
+    fn alive_before(&self, h: u64) -> impl Iterator<Item = ChordId> + '_ {
         self.nodes
             .range(..h)
             .rev()
             .chain(self.nodes.range(h..).rev())
-            .find(|(_, n)| n.is_alive())
+            .filter(|(_, n)| n.is_alive())
             .map(|(_, n)| n.id())
+    }
+
+    /// Ground truth: the alive node owning hash `h` (its ring successor),
+    /// or `None` on an empty ring. O(log S) on the in-memory map; used for
+    /// bootstrap and validation, not by the routed protocol.
+    pub fn owner_of(&self, h: u64) -> Option<ChordId> {
+        self.alive_from(h & self.space.mask()).next()
+    }
+
+    /// Ground truth: the alive node strictly preceding `h` on the ring.
+    pub fn predecessor_of(&self, h: u64) -> Option<ChordId> {
+        self.alive_before(h & self.space.mask()).next()
     }
 
     /// Installs exact routing state on every alive node: perfect fingers,
@@ -217,6 +264,10 @@ impl SimNet {
         }
         let r = self.succ_list_len.min(ids.len());
         self.install_tables(&ids, r);
+        // Rings no larger than the successor-list length get lists
+        // padded with `self` here, which the maintenance fixpoint never
+        // holds.
+        self.forget_fixpoint();
     }
 
     /// Owner of `h` among the sorted alive ids — binary search plus
@@ -454,9 +505,10 @@ impl SimNet {
     /// Panics if `bootstrap` is not alive.
     pub fn join(&mut self, new_id: ChordId, bootstrap: ChordId) -> Option<u32> {
         assert!(self.is_alive(bootstrap), "bootstrap node must be alive");
-        if !self.add_node(new_id) {
+        if !self.insert_solitary(new_id) {
             return None;
         }
+        self.joined.push(new_id);
         let lookup = self.route(bootstrap, new_id.value());
         let succ = lookup.owner;
         let mut messages = lookup.hops;
@@ -497,6 +549,8 @@ impl SimNet {
         match self.nodes.get_mut(&id.value()) {
             Some(n) if n.is_alive() => {
                 n.mark_failed();
+                self.alive -= 1;
+                self.removed.push(id);
                 self.invalidate_succ_cache();
                 true
             }
@@ -516,11 +570,15 @@ impl SimNet {
     /// way a crashed host would). Survivors' pointers to it are repaired by
     /// the maintenance protocol. Returns false if the id is unknown.
     pub fn remove_node(&mut self, id: ChordId) -> bool {
-        let removed = self.nodes.remove(&id.value()).is_some();
-        if removed {
-            self.invalidate_succ_cache();
+        let Some(node) = self.nodes.remove(&id.value()) else {
+            return false;
+        };
+        if node.is_alive() {
+            self.alive -= 1;
+            self.removed.push(id);
         }
-        removed
+        self.invalidate_succ_cache();
+        true
     }
 
     /// One round of Chord stabilization over every alive node (in ring
@@ -528,6 +586,8 @@ impl SimNet {
     /// successor lists. Returns true if any state changed.
     pub fn stabilize_round(&mut self) -> bool {
         let ids = self.node_ids();
+        debug_assert_eq!(ids.len(), self.alive, "alive counter drifted");
+        self.forget_fixpoint();
         let mut changed = false;
         for id in ids {
             changed |= self.stabilize_one(id);
@@ -621,6 +681,7 @@ impl SimNet {
     /// changed.
     pub fn fix_fingers_round(&mut self) -> bool {
         let ids = self.node_ids();
+        self.forget_fixpoint();
         let m = self.space.bits() as usize;
         let mut changed = false;
         for id in ids {
@@ -650,15 +711,25 @@ impl SimNet {
         max_rounds
     }
 
-    /// Installs the maintenance protocol's convergence fixpoint directly,
-    /// in O(S·M) instead of O(rounds·S·M·log S): every alive node gets
-    /// the successor list, predecessor and fingers that iterating
-    /// [`SimNet::stabilize_round`] + [`SimNet::fix_fingers_round`] to
-    /// quiescence produces (pinned state-for-state by the
-    /// `stabilize_direct_*` differential tests). Dead nodes keep their
-    /// stale state untouched, exactly as the round-based protocol leaves
-    /// them. Returns the round count to report (always 1 — one logical
-    /// maintenance round).
+    /// Installs the maintenance protocol's convergence fixpoint directly:
+    /// every alive node gets the successor list, predecessor and fingers
+    /// that iterating [`SimNet::stabilize_round`] +
+    /// [`SimNet::fix_fingers_round`] to quiescence produces (pinned
+    /// state-for-state by the `stabilize_direct_*` differential tests and
+    /// the `stabilize_direct_repair_matches_whole_ring` proptest). Dead
+    /// nodes keep their stale state untouched, exactly as the round-based
+    /// protocol leaves them. Returns the round count to report (always 1
+    /// — one logical maintenance round).
+    ///
+    /// Cost. When the tables were this fixpoint at the previous call and
+    /// only [`SimNet::join`]s, or only [`SimNet::fail`] /
+    /// [`SimNet::remove_node`]s, happened since, only what names a
+    /// changed arc is rewritten ([`SimNet::repair_around`]):
+    /// O((M + r)·log S) map steps per changed node plus the ≈ M fingers
+    /// that move. Otherwise — the state is not a known fixpoint, the
+    /// delta mixes joins with removals, or fewer than `r + 2` nodes are
+    /// alive — every alive node's tables are recomputed by binary search
+    /// over the sorted alive ids: O(S·M·log S), three `Vec`s per node.
     ///
     /// The fixpoint differs from [`SimNet::build_stable`] only on rings
     /// smaller than the successor-list length: stabilization's list
@@ -667,13 +738,121 @@ impl SimNet {
     /// `build_stable` pads with `self` — which is why the membership path
     /// must use this method, not `build_stable`.
     pub fn stabilize_direct(&mut self) -> usize {
-        let ids = self.node_ids();
-        if ids.is_empty() {
+        if self.alive == 0 {
             return 1;
         }
-        let r = self.succ_list_len.min(ids.len() - 1);
-        self.install_tables(&ids, r);
+        let joined = std::mem::take(&mut self.joined);
+        let removed = std::mem::take(&mut self.removed);
+        if self.fixpoint
+            && self.alive >= self.succ_list_len + 2
+            && (joined.is_empty() || removed.is_empty())
+        {
+            for &id in &joined {
+                self.repair_around(id, true);
+            }
+            for &id in &removed {
+                self.repair_around(id, false);
+            }
+            self.invalidate_succ_cache();
+            debug_assert!(
+                self.tables_are_fixpoint(),
+                "incremental repair diverged from the whole-ring fixpoint"
+            );
+        } else {
+            let ids = self.node_ids();
+            debug_assert_eq!(ids.len(), self.alive, "alive counter drifted");
+            let r = self.succ_list_len.min(ids.len() - 1);
+            self.install_tables(&ids, r);
+        }
+        self.fixpoint = true;
         1
+    }
+
+    /// Repairs the fixpoint around one changed ring position: `at`
+    /// joined (and is alive), or stopped being alive. With `p` the alive
+    /// predecessor of `at` and `o` the alive owner of `at`'s position
+    /// (`at` itself after a join, its successor after a removal), the
+    /// only table entries whose ground truth moved are
+    ///
+    /// * the successor lists of the `r` alive predecessors of `at` (and
+    ///   all of `at`'s own tables after a join),
+    /// * the predecessor pointer of the first alive node after `at`,
+    /// * finger `k` of every alive node in `(p − 2^k, at − 2^k]`: its
+    ///   target lies in `(p, at]`, which `o` now owns.
+    ///
+    /// Requires at least `r + 2` alive nodes (full-length successor
+    /// lists that never reach their own node) and every alive node not
+    /// named above to hold fixpoint tables already.
+    fn repair_around(&mut self, at: ChordId, joined: bool) {
+        let r = self.succ_list_len;
+        let h = at.value();
+        // r alive predecessors (ring order), then the r + 1 alive nodes
+        // from `at` on: every node whose list changes, followed by every
+        // node those lists can name.
+        let mut window: Vec<ChordId> = self.alive_before(h).take(r).collect();
+        window.reverse();
+        window.extend(self.alive_from(h).take(r + 1));
+        debug_assert_eq!(window.len(), 2 * r + 1);
+        let pred = window[r - 1];
+        let owner = window[r];
+        debug_assert_eq!(owner == at, joined);
+        let rewritten = if joined { r + 1 } else { r };
+        for j in 0..rewritten {
+            let list = window[j + 1..=j + r].to_vec();
+            self.node_mut(window[j]).set_successor_list(list);
+        }
+        if joined {
+            self.node_mut(window[r + 1]).set_predecessor(Some(at));
+        }
+        self.node_mut(owner).set_predecessor(Some(pred));
+        let mask = self.space.mask();
+        for k in 0..self.space.bits() {
+            if joined {
+                let target = at.add_power_of_two(k).value();
+                let finger = self.owner_of(target).expect("ring is non-empty");
+                self.node_mut(at).set_finger(k as usize, finger);
+            }
+            let step = 1u64 << k;
+            let lo = pred.value().wrapping_sub(step) & mask;
+            let hi = h.wrapping_sub(step) & mask;
+            // (lo, hi] on the ring: one map range, or two across 0.
+            let arcs = if lo < hi {
+                [Some((Excluded(lo), Included(hi))), None]
+            } else {
+                [
+                    Some((Excluded(lo), Unbounded)),
+                    Some((Unbounded, Included(hi))),
+                ]
+            };
+            for arc in arcs.into_iter().flatten() {
+                for (_, node) in self.nodes.range_mut(arc) {
+                    if node.is_alive() {
+                        node.set_finger(k as usize, owner);
+                    }
+                }
+            }
+        }
+    }
+
+    fn node_mut(&mut self, id: ChordId) -> &mut ChordNode {
+        self.nodes.get_mut(&id.value()).expect("id names a node")
+    }
+
+    /// True if every alive node holds exactly [`SimNet::tables_for`] —
+    /// the whole-ring reference the incremental repair is checked
+    /// against in debug builds.
+    fn tables_are_fixpoint(&self) -> bool {
+        let ids = self.node_ids();
+        let r = self.succ_list_len.min(ids.len() - 1);
+        let m = self.space.bits() as usize;
+        ids.len() == self.alive
+            && ids.iter().enumerate().all(|(pos, id)| {
+                let (succ_list, pred, fingers) = Self::tables_for(&ids, pos, r, m);
+                let node = &self.nodes[&id.value()];
+                node.successor_list() == succ_list.as_slice()
+                    && node.predecessor() == pred
+                    && node.fingers() == fingers.as_slice()
+            })
     }
 
     /// Freezes the current routing state into a flat

@@ -105,6 +105,13 @@ impl ServerArena {
             .values()
             .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
     }
+
+    /// Live servers in slot order — for passes whose per-server work is
+    /// independent of every other server's, where the id-ordered index
+    /// walk buys nothing.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut ClashServer> + '_ {
+        self.slots.iter_mut().flatten()
+    }
 }
 
 impl Default for ServerArena {

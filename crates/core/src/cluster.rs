@@ -454,13 +454,19 @@ pub struct ClashCluster {
     /// failed write-through. Steady-state groups whose placement is
     /// complete are never touched by `sync_replicas`.
     replica_dirty: BTreeSet<Prefix>,
-    /// Membership changed (join/leave/crash/deferred-recovery retry):
-    /// the next `sync_replicas` runs the full lease-expiry + placement
-    /// sweep instead of the dirty-group fast path.
+    /// Ring positions that joined, left or crashed since the last
+    /// `sync_replicas`: the successor sets of their `r` alive ring
+    /// predecessors changed, so the next sync re-ensures those owners'
+    /// groups (and expires leases if a position is now empty).
+    replica_resync_at: Vec<ServerId>,
+    /// A deferred-recovery retry changed the pending set, or the
+    /// reference mode is on: the next `sync_replicas` runs the whole
+    /// lease-expiry + placement sweep over every server.
     replica_full_sync: bool,
     /// Reference mode for differential tests: every load check marks all
-    /// servers dirty and full-syncs replicas, reproducing the historical
-    /// full-scan semantics from scratch each period.
+    /// servers dirty, and every replica sync — periodic or
+    /// membership-triggered — is the whole-cluster sweep, reproducing
+    /// the historical full-scan semantics from scratch.
     full_scan_checks: bool,
     /// `CLASH_VERIFY_EVERY`: run the debug-build consistency sweep on
     /// every Nth `debug_verify` call (default 1 = every call; 0 = never).
@@ -471,8 +477,6 @@ pub struct ClashCluster {
     verify_countdown: Cell<u32>,
     /// Reused scratch for the report-delivery batch.
     deliver_scratch: Vec<(ServerId, ServerId, Prefix, GroupLoad, bool, bool)>,
-    /// Reused scratch for full-sweep id snapshots.
-    ids_scratch: Vec<u64>,
     // ----- batched locate state ------------------------------------------
     //
     // With `config.shards > 0` the client locate path splits into three
@@ -605,12 +609,12 @@ impl ClashCluster {
             mergeable: BTreeSet::new(),
             reporters: BTreeSet::new(),
             replica_dirty: BTreeSet::new(),
+            replica_resync_at: Vec::new(),
             replica_full_sync: false,
             full_scan_checks: false,
             verify_every,
             verify_countdown: Cell::new(1),
             deliver_scratch: Vec::new(),
-            ids_scratch: Vec::new(),
             batch_probes: Vec::new(),
             batch_touched: BTreeSet::new(),
             flush_seq: 0,
@@ -2008,30 +2012,38 @@ impl ClashCluster {
             .set_placed(group, kept);
     }
 
-    /// Periodic replica maintenance, run every load-check period (the
-    /// same cadence as the load reports it piggybacks on): expires held
-    /// replicas whose owner has left the ring (a local observation from
-    /// ring maintenance, so it is partition-safe — and deliberately the
-    /// *only* expiry trigger: a holder that merely fell off its owner's
-    /// registry, e.g. because a partition starved its write-through, may
-    /// carry the last surviving copy and keeps it until the owner either
-    /// re-seeds or explicitly invalidates it), then re-ensures every
-    /// active group's replica set against the owner's current successor
-    /// list.
+    /// Replica maintenance, run every load-check period (the same
+    /// cadence as the load reports it piggybacks on) and at the end of
+    /// every membership call: expires held replicas whose owner has left
+    /// the ring (a local observation from ring maintenance, so it is
+    /// partition-safe — and deliberately the *only* expiry trigger: a
+    /// holder that merely fell off its owner's registry, e.g. because a
+    /// partition starved its write-through, may carry the last surviving
+    /// copy and keeps it until the owner either re-seeds or explicitly
+    /// invalidates it), then re-ensures replica sets against their
+    /// owners' current successor lists.
+    ///
+    /// Which sets: a group outside `replica_dirty` has exactly its
+    /// owner's `alive_successors` placed (checked by
+    /// `verify_consistency`), so its `ensure_replicas` sends nothing
+    /// and changes nothing. That leaves the dirty groups in steady
+    /// state, and after a membership event additionally the groups
+    /// owned by the `r` alive ring predecessors of each changed
+    /// position — the only owners whose successor set moved. Transport
+    /// loss and jitter are drawn per send, so the membership branch
+    /// issues its calls in the whole sweep's own order (owner id, then
+    /// table order): it is that sweep minus provable no-ops.
     fn sync_replicas(&mut self) {
         if !self.replication_enabled() {
             return;
         }
-        if !self.replica_full_sync {
+        let changed = std::mem::take(&mut self.replica_resync_at);
+        let whole = self.replica_full_sync || (self.full_scan_checks && !changed.is_empty());
+        if !whole && changed.is_empty() {
             // Steady state: no owner died and no membership changed since
-            // the last sync, so lease expiry would be a no-op and every
-            // fully-placed group's re-ensure would send nothing. Only the
+            // the last sync, so lease expiry would be a no-op. Only the
             // groups whose placement is actually incomplete need work.
-            if self.replica_dirty.is_empty() {
-                return;
-            }
-            let dirty = std::mem::take(&mut self.replica_dirty);
-            for group in dirty {
+            for group in std::mem::take(&mut self.replica_dirty) {
                 // The group may have been split/merged away (its replicas
                 // were invalidated inline) or be awaiting a deferred
                 // recovery; only currently active groups re-ensure.
@@ -2042,31 +2054,44 @@ impl ClashCluster {
             }
             return;
         }
-        // Membership changed: the historical full sweep — expire held
-        // replicas whose owner left the ring, then re-ensure every active
-        // group against its owner's current successor list.
         self.replica_full_sync = false;
-        self.replica_dirty.clear();
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.servers.ids());
-        let pending: BTreeSet<Prefix> = self.pending_recovery.keys().copied().collect();
-        for &sid in &ids {
-            let net = &self.net;
-            self.servers
-                .get_mut(sid)
-                .expect("snapshotted id")
-                .replica_store_mut()
-                .expire_held(|group, owner| pending.contains(&group) || net.is_alive(owner));
+        let dirty = std::mem::take(&mut self.replica_dirty);
+        let owners: BTreeSet<u64> = if whole {
+            self.servers.ids().collect()
+        } else {
+            let mut owners: BTreeSet<u64> = dirty
+                .iter()
+                .filter_map(|&g| self.global_index.get(g))
+                .map(|owner| owner.value())
+                .collect();
+            for at in &changed {
+                let mut h = at.value();
+                for _ in 0..self.config.replication_factor {
+                    let Some(pred) = self.net.predecessor_of(h) else {
+                        break;
+                    };
+                    h = pred.value();
+                    owners.insert(h);
+                }
+            }
+            owners
+        };
+        // A join takes no owner out of the ring and leaves the pending
+        // set alone, so no lease can have run out since the last sweep.
+        if whole || changed.iter().any(|&at| !self.net.is_alive(at)) {
+            let (net, pending) = (&self.net, &self.pending_recovery);
+            for server in self.servers.iter_mut() {
+                server.replica_store_mut().expire_held(|group, owner| {
+                    pending.contains_key(&group) || net.is_alive(owner)
+                });
+            }
         }
-        // Re-ensure placement for every active group, owner by owner.
         let mut work: Vec<(Prefix, ServerId)> = Vec::new();
-        for &sid in &ids {
-            let server = self.servers.get(sid).expect("snapshotted id");
+        for sid in owners {
+            let server = self.servers.get(sid).expect("ring member");
             let owner = server.id();
             work.extend(server.table().active_groups().map(|e| (e.group, owner)));
         }
-        self.ids_scratch = ids;
         for (group, owner) in work {
             self.ensure_replicas(group, owner);
         }
@@ -2688,7 +2713,7 @@ impl ClashCluster {
         // Membership changed every successor set around the new node:
         // re-replicate immediately (the join announcement triggers it),
         // like any DHT store would.
-        self.replica_full_sync = true;
+        self.replica_resync_at.push(new_id);
         self.sync_replicas();
         self.debug_verify();
         Ok(JoinReport {
@@ -2762,7 +2787,7 @@ impl ClashCluster {
         // The leaver's held replicas vanished with it: re-replicate
         // immediately so no group waits out a load-check period
         // under-protected.
-        self.replica_full_sync = true;
+        self.replica_resync_at.push(victim);
         self.sync_replicas();
         self.debug_verify();
         Ok(LeaveReport {
@@ -2775,11 +2800,32 @@ impl ClashCluster {
         })
     }
 
+    /// The servers whose tables can hold a pointer at the holder of one
+    /// of `groups`' entries. A parent pointer names the holder of the
+    /// entry one level up and a right-child pointer the holder of the
+    /// right child, and every entry sits on its group's `Map()` owner
+    /// (`verify_consistency` step 5) — so only the `Map()` owners of a
+    /// group's parent and two children qualify. Ascending id order.
+    fn pointer_holders(&self, groups: impl Iterator<Item = Prefix>) -> BTreeSet<u64> {
+        let mut holders = BTreeSet::new();
+        for group in groups {
+            let children = group.split().ok().map(|(l, r)| [l, r]);
+            for near in group
+                .parent()
+                .into_iter()
+                .chain(children.into_iter().flatten())
+            {
+                holders.insert(self.map_group(near).value());
+            }
+        }
+        holders
+    }
+
     /// Moves already-extracted entries from `from` to their current
     /// `Map()` owners: installs them with tree state intact, updates the
     /// oracle for active groups, charges state-transfer/redirect costs
-    /// from the ledgers, and re-points parent/right-child pointers
-    /// cluster-wide. Handoffs are modeled *reliable*: a partition delays
+    /// from the ledgers, and re-points the parent/right-child pointers
+    /// that name them. Handoffs are modeled *reliable*: a partition delays
     /// (and is not latency-charged) but never destroys a transfer —
     /// membership changes across an active partition are outside this
     /// harness's scenarios.
@@ -2835,23 +2881,29 @@ impl ClashCluster {
         }
         let mut parents_repointed = 0;
         let mut right_children_repointed = 0;
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.servers.ids());
-        for &sid in &ids {
+        let namers = self.pointer_holders(moved_to.keys().copied());
+        for &sid in &namers {
             // Re-points only rewrite pointer destinations (never a group's
             // activity, load, or report-owing status), so they need no
             // dirty mark.
             let (p, r) = self
                 .servers
                 .get_mut(sid)
-                .expect("snapshotted id")
+                .expect("Map() owners are ring members")
                 .table_mut()
                 .repoint_moved_entries(|g| moved_to.get(&g).copied());
             parents_repointed += p;
             right_children_repointed += r;
         }
-        self.ids_scratch = ids;
+        #[cfg(debug_assertions)]
+        for server in self.servers.iter_mut() {
+            if !namers.contains(&server.id().value()) {
+                let missed = server
+                    .table_mut()
+                    .repoint_moved_entries(|g| moved_to.get(&g).copied());
+                assert_eq!(missed, (0, 0), "{} named a moved entry", server.id());
+            }
+        }
         // Each re-point is one notification message.
         self.msgs.handoff_messages += (parents_repointed + right_children_repointed) as u64;
         Ok(MigrationTally {
@@ -2970,7 +3022,7 @@ impl ClashCluster {
         // Failure-triggered re-replication: survivors whose holders died
         // with the victims re-seed now, not a load-check period later —
         // this is what keeps *sequential* single crashes lossless.
-        self.replica_full_sync = true;
+        self.replica_resync_at.extend_from_slice(victims);
         self.sync_replicas();
         self.debug_verify();
         Ok(report)
@@ -3007,32 +3059,8 @@ impl ClashCluster {
                 report.groups_recovered += 1;
             }
         }
-        // Repair dangling pointers on every survivor, resolving right
-        // children against the post-reassignment oracle.
-        let ids: Vec<u64> = self.servers.ids().collect();
-        for corpse in corpses {
-            let victim = corpse.id();
-            for &sid in &ids {
-                let index = &self.global_index;
-                let active = &self.recovery_active;
-                let reads = &self.oracle_reads_in_recovery;
-                let server = self.servers.get_mut(sid).expect("snapshotted id");
-                let (orphans, repairs) =
-                    server.table_mut().repair_after_peer_failure(victim, |g| {
-                        if active.get() {
-                            reads.set(reads.get() + 1);
-                        }
-                        index.get(g).copied()
-                    });
-                report.orphaned_parents += orphans;
-                report.repaired_right_children += repairs;
-                if orphans > 0 {
-                    // Orphaning turns `parent = victim` entries into
-                    // roots, which stop owing reports.
-                    self.mark_dirty(sid);
-                }
-            }
-        }
+        // Right children resolve against the post-reassignment oracle.
+        self.repair_pointers_at(corpses, report, None);
         Ok(())
     }
 
@@ -3072,22 +3100,60 @@ impl ClashCluster {
         // announcements — local knowledge from this recovery, never the
         // oracle. Deferred and vanished groups resolve to nothing, so the
         // dangling pointer clears.
-        let ids: Vec<u64> = self.servers.ids().collect();
+        self.repair_pointers_at(corpses, report, Some(&promotions));
+        Ok(())
+    }
+
+    /// Repairs every survivor's parent/right-child pointers at the
+    /// crashed servers (see [`ServerTable::repair_after_peer_failure`]),
+    /// visiting only the tables that can name an entry a corpse held.
+    /// Right children resolve through `promotions`, or through the
+    /// (counted) oracle when there are none.
+    fn repair_pointers_at(
+        &mut self,
+        corpses: &[ClashServer],
+        report: &mut FailureReport,
+        promotions: Option<&BTreeMap<Prefix, ServerId>>,
+    ) {
         for corpse in corpses {
             let victim = corpse.id();
-            for &sid in &ids {
-                let server = self.servers.get_mut(sid).expect("snapshotted id");
-                let (orphans, repairs) = server
+            let namers = self.pointer_holders(corpse.table().entries().map(|e| e.group));
+            debug_assert!(
+                self.servers
+                    .iter()
+                    .all(|s| namers.contains(&s.id().value()) || !s.table().names_server(victim)),
+                "a table outside the corpse's tree neighbourhood names {victim}"
+            );
+            let (index, active, reads) = (
+                &self.global_index,
+                &self.recovery_active,
+                &self.oracle_reads_in_recovery,
+            );
+            let resolve = |g: Prefix| match promotions {
+                Some(promoted) => promoted.get(&g).copied(),
+                None => {
+                    if active.get() {
+                        reads.set(reads.get() + 1);
+                    }
+                    index.get(g).copied()
+                }
+            };
+            for sid in namers {
+                let (orphans, repairs) = self
+                    .servers
+                    .get_mut(sid)
+                    .expect("Map() owners are ring members")
                     .table_mut()
-                    .repair_after_peer_failure(victim, |g| promotions.get(&g).copied());
+                    .repair_after_peer_failure(victim, resolve);
                 report.orphaned_parents += orphans;
                 report.repaired_right_children += repairs;
                 if orphans > 0 {
-                    self.mark_dirty(sid);
+                    // Orphaning turns `parent = victim` entries into
+                    // roots, which stop owing reports.
+                    self.dirty_servers.insert(sid);
                 }
             }
         }
-        Ok(())
     }
 
     /// The surviving client registry for `groups`: which sources and
@@ -3100,6 +3166,9 @@ impl ClashCluster {
     ) -> BTreeMap<Prefix, (Vec<u64>, Vec<u64>)> {
         let mut map: BTreeMap<Prefix, (Vec<u64>, Vec<u64>)> =
             groups.map(|g| (g, (Vec::new(), Vec::new()))).collect();
+        if map.is_empty() {
+            return map;
+        }
         for (&sid, rec) in &self.sources {
             if let Some(slot) = map.get_mut(&rec.group) {
                 slot.0.push(sid);
@@ -3580,9 +3649,17 @@ impl ClashCluster {
         // own active group, and every *live* holder its registry names
         // holds the record for the right owner with the current ledger
         // (write-through keeps registered holders exact; only
-        // unregistered copies may go stale). A registry may transiently
-        // name a dead holder — a crash between syncs — which the next
-        // maintenance round prunes.
+        // unregistered copies may go stale). A group the sync worklist
+        // does not carry is placed on exactly its owner's alive
+        // successors, in successor order — what lets `ensure_replicas`
+        // leave seeded holders alone and `sync_replicas` skip the groups
+        // no membership change reached (the planted merge-reseed bug
+        // breaks precisely this, and is left to the chaos suite's own
+        // placement invariants to catch). A dirty group's registry may
+        // still name a dead holder, which the next sync prunes. And no
+        // lease outlives its owner's ring membership except while the
+        // group's recovery is pending, which is why a join need not
+        // expire any.
         if self.replication_enabled() {
             for (group, &owner) in self.global_index.iter() {
                 let owner_server = self.server(owner).expect("owner exists");
@@ -3590,6 +3667,14 @@ impl ClashCluster {
                     owner_server.replica_store().held(group).is_none(),
                     "{owner} owns {group} and also holds a replica of it"
                 );
+                if !self.replica_dirty.contains(&group) && !self.chaos_skip_merge_reseed {
+                    assert_eq!(
+                        owner_server.replica_store().placed(group),
+                        self.net
+                            .alive_successors(owner, self.config.replication_factor),
+                        "{group} is off the sync worklist but not placed on {owner}'s successors"
+                    );
+                }
                 let ledger = self.ledgers.get(&group);
                 for &holder in owner_server.replica_store().placed(group) {
                     let Some(holder_server) = self.server(holder) else {
@@ -3612,6 +3697,15 @@ impl ClashCluster {
                         rec.queries.as_slice(),
                         queries,
                         "stale replica ledger for {group}"
+                    );
+                }
+            }
+            for server in self.servers.iter() {
+                for (group, owner) in server.replica_store().held_owners() {
+                    assert!(
+                        self.net.is_alive(owner) || self.pending_recovery.contains_key(&group),
+                        "{} holds a lease on {group} from departed {owner}",
+                        server.id()
                     );
                 }
             }

@@ -99,9 +99,17 @@ impl ReplicaStore {
             .collect()
     }
 
+    /// Every held replica's group and the owner it names.
+    pub(crate) fn held_owners(&self) -> impl Iterator<Item = (Prefix, ServerId)> + '_ {
+        self.held.iter().map(|(g, r)| (g, r.owner))
+    }
+
     /// Drops held replicas failing `keep(group, owner)` — the local lease
     /// expiry run during periodic maintenance. Returns how many expired.
     pub fn expire_held<F: Fn(Prefix, ServerId) -> bool>(&mut self, keep: F) -> usize {
+        if self.held.is_empty() {
+            return 0;
+        }
         let stale: Vec<Prefix> = self
             .held
             .iter()

@@ -510,6 +510,14 @@ impl ServerTable {
         (parents, rights)
     }
 
+    /// True if some entry's parent or right-child pointer names `server`
+    /// — what [`ServerTable::repair_after_peer_failure`] would act on.
+    pub(crate) fn names_server(&self, server: ServerId) -> bool {
+        self.map
+            .iter()
+            .any(|(_, e)| e.parent == ParentRef::Server(server) || e.right_child == Some(server))
+    }
+
     /// Repairs this table after a peer server failed: entries whose
     /// parent pointer named the dead server become roots (their parent
     /// entry died with it), and split entries whose right child lived on

@@ -39,6 +39,20 @@ fn churn_spec() -> ScenarioSpec {
     )
 }
 
+/// A membership storm: a join, drain, crash or 3-server burst every
+/// ≈ 2 s of virtual time, thirty-odd between consecutive load checks.
+/// Each of them re-syncs replicas for the ring neighbourhood it changed
+/// on the optimized path and sweeps the whole cluster in the reference.
+fn storm_spec() -> ScenarioSpec {
+    pin_spec()
+        .with_phase_duration(SimDuration::from_mins(2))
+        .with_churn(
+            ChurnSpec::sustained(SimDuration::from_secs(4), SimDuration::from_secs(10), 8, 64)
+                .with_crashes(SimDuration::from_secs(12))
+                .with_crash_bursts(SimDuration::from_secs(45), 3),
+        )
+}
+
 fn run(spec: ScenarioSpec, replication: usize, full_scan: bool) -> RunResult {
     let config = ClashConfig {
         capacity: 60.0,
@@ -103,5 +117,26 @@ fn dirty_tracking_matches_full_scan_across_seeds() {
         let dirty = run(spec.clone(), 2, false);
         let full = run(spec, 2, true);
         assert_equal_runs(&dirty, &full, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn scoped_membership_resync_matches_full_scan_in_a_storm() {
+    for replication in [0usize, 2] {
+        for seed in [1u64, 42, 0xBEEF] {
+            let mut spec = storm_spec();
+            spec.seed = seed;
+            let scoped = run(spec.clone(), replication, false);
+            let full = run(spec, replication, true);
+            assert_equal_runs(
+                &scoped,
+                &full,
+                &format!("storm r={replication} seed={seed}"),
+            );
+            assert!(
+                scoped.joins + scoped.leaves + scoped.crashes >= 100,
+                "storm must keep membership changing"
+            );
+        }
     }
 }

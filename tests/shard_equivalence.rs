@@ -61,6 +61,20 @@ fn flash_spec() -> ScenarioSpec {
     ))
 }
 
+/// A membership storm: a join, drain, crash or 3-server burst every
+/// ≈ 2 s of virtual time, thirty-odd between consecutive load checks —
+/// the cadence at which the incremental ring repair and the scoped
+/// replica re-sync, not the load check, are the cluster's steady work.
+fn storm_spec() -> ScenarioSpec {
+    pin_spec()
+        .with_phase_duration(SimDuration::from_mins(2))
+        .with_churn(
+            ChurnSpec::sustained(SimDuration::from_secs(4), SimDuration::from_secs(10), 8, 64)
+                .with_crashes(SimDuration::from_secs(12))
+                .with_crash_bursts(SimDuration::from_secs(45), 3),
+        )
+}
+
 fn run(spec: ScenarioSpec, replication: usize, shards: u32) -> RunResult {
     let config = ClashConfig {
         capacity: 60.0,
@@ -104,15 +118,17 @@ fn assert_equal_runs(a: &RunResult, b: &RunResult, label: &str) {
 
 /// The headline pin: the batched plan/route/charge path must reproduce
 /// the sequential run *bit for bit* — Figure-4, churn, crash-burst and
-/// flash-crowd scenarios, r = 0 and r = 2, three seeds each.
+/// flash-crowd and membership-storm scenarios, r = 0 and r = 2, three
+/// seeds each.
 #[test]
 fn single_shard_batching_matches_sequential_bit_for_bit() {
     type SpecFn = fn() -> ScenarioSpec;
-    let scenarios: [(&str, SpecFn); 4] = [
+    let scenarios: [(&str, SpecFn); 5] = [
         ("fig4", pin_spec),
         ("churn", churn_spec),
         ("burst", burst_spec),
         ("flash", flash_spec),
+        ("storm", storm_spec),
     ];
     for (name, make_spec) in scenarios {
         for replication in [0usize, 2] {
@@ -129,6 +145,10 @@ fn single_shard_batching_matches_sequential_bit_for_bit() {
                 match name {
                     "burst" => assert!(sequential.crashes > 0, "burst scenario must crash servers"),
                     "flash" => assert!(sequential.joins >= 24, "flash crowd must join its servers"),
+                    "storm" => assert!(
+                        sequential.joins + sequential.leaves + sequential.crashes >= 100,
+                        "storm must keep membership changing"
+                    ),
                     _ => {}
                 }
             }
