@@ -65,6 +65,20 @@ impl ServerArena {
         Some(self.slots[slot].as_mut().expect("indexed slot is live"))
     }
 
+    /// The server of ring member `sid`. The cluster keeps exactly one
+    /// server per alive ring node, so a miss is a broken invariant and
+    /// panics.
+    pub(crate) fn live(&self, sid: u64) -> &ClashServer {
+        self.get(sid)
+            .unwrap_or_else(|| panic!("ring member {sid:#x} has no server"))
+    }
+
+    /// Mutable [`ServerArena::live`].
+    pub(crate) fn live_mut(&mut self, sid: u64) -> &mut ClashServer {
+        self.get_mut(sid)
+            .unwrap_or_else(|| panic!("ring member {sid:#x} has no server"))
+    }
+
     /// Inserts a server under its own ring id. Returns false (leaving the
     /// arena unchanged) if the id is already present.
     pub fn insert(&mut self, server: ClashServer) -> bool {

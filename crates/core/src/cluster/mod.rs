@@ -1,0 +1,430 @@
+//! An in-process CLASH cluster: servers over a Chord ring, with the full
+//! message flow of §5 and per-message accounting.
+//!
+//! The cluster plays three roles:
+//!
+//! 1. **Protocol harness** — it moves `ACCEPT_OBJECT`, `ACCEPT_KEYGROUP`,
+//!    `RELEASE_KEYGROUP` and `LOAD_REPORT` messages between
+//!    [`ClashServer`]s, routing through the simulated Chord ring and
+//!    counting every message and hop ([`MessageStats`]). Every message is
+//!    charged virtual time through a [`clash_transport::Transport`]
+//!    (hop-by-hop for routed probes) into [`LatencyMetrics`]; a lossy or
+//!    partitioned transport makes deliveries time out or fail, which the
+//!    protocol paths survive by deferring work (see the per-method docs).
+//! 2. **Data plane** — it tracks which streaming sources and continuous
+//!    queries currently sit in which key group (the per-group *ledgers*),
+//!    so splits and merges repartition load exactly.
+//! 3. **Oracle** — it maintains the global map of active groups
+//!    ([`ClashCluster::global_cover`]), which the tests use to verify the
+//!    protocol's invariants (the active groups always partition the key
+//!    space; every lookup lands on the true owner).
+//!
+//! One module per protocol step, each over the state struct it owns
+//! (the map is in `docs/ARCHITECTURE.md`); this file keeps the cluster
+//! itself, its construction and the data plane.
+//!
+//! The full-scale experiment driver (`clash-sim`) wraps this type with
+//! simulated time, workload generators and metric recording.
+
+mod accounting;
+mod load_check;
+mod locate;
+mod membership;
+mod recovery;
+mod replication;
+#[cfg(test)]
+mod tests;
+mod verify;
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use clash_chord::net::SimNet;
+use clash_keyspace::hash::{KeyHasher, SplitMixHasher};
+use clash_keyspace::key::Key;
+use clash_keyspace::prefix::Prefix;
+use clash_simkernel::rng::DetRng;
+use clash_transport::{InstantTransport, Transport};
+
+use crate::arena::ServerArena;
+use crate::config::ClashConfig;
+use crate::error::ClashError;
+use crate::latency::LatencyMetrics;
+use crate::load::GroupLoad;
+use crate::replication::ReplicaRecord;
+use crate::server::ClashServer;
+use crate::ServerId;
+
+pub use accounting::MessageStats;
+pub use load_check::{LoadCheckReport, MergeRecord, SplitRecord};
+pub use locate::{Placement, RangeQueryResult};
+pub use membership::{JoinReport, LeaveReport};
+pub use recovery::FailureReport;
+
+/// Per-group data-plane state. The member lists live behind `Arc`s so
+/// replica payloads are O(1) snapshots: seeding `r` holders shares one
+/// allocation, and a later ledger mutation copies-on-write only if a
+/// replica still holds the old snapshot (at `r = 0` the `Arc`s are never
+/// shared, so `make_mut` never copies).
+#[derive(Debug, Clone, Default)]
+struct GroupLedger {
+    sources: Arc<Vec<u64>>,
+    queries: Arc<Vec<u64>>,
+    rate: f64,
+}
+
+impl GroupLedger {
+    fn load(&self) -> GroupLoad {
+        GroupLoad {
+            data_rate: self.rate,
+            queries: self.queries.len() as u64,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct SourceRec {
+    key: Key,
+    rate: f64,
+    group: Prefix,
+}
+
+#[derive(Debug, Clone)]
+struct QueryRec {
+    key: Key,
+    group: Prefix,
+}
+
+/// The surviving client registry for a set of groups: per group, the
+/// source ids and query ids still pointing at it.
+type ClientMembership = BTreeMap<Prefix, (Vec<u64>, Vec<u64>)>;
+
+/// The data plane: the per-group ledgers and the member records that
+/// point back at them. Splits, merges and recoveries repartition it
+/// without touching a server, the ring or the transport.
+#[derive(Debug, Default)]
+struct DataPlane {
+    ledgers: BTreeMap<Prefix, GroupLedger>,
+    sources: BTreeMap<u64, SourceRec>,
+    queries: BTreeMap<u64, QueryRec>,
+}
+
+impl DataPlane {
+    /// The current ledger of `group` as a replica payload. O(1): the
+    /// member lists are shared `Arc` snapshots, cloned per holder by
+    /// reference count only — the write-through path copies-on-write at
+    /// the *next* ledger mutation instead of deep-cloning per seed.
+    fn replica_payload(&self, group: Prefix, owner: ServerId) -> ReplicaRecord {
+        let ledger = self.ledgers.get(&group);
+        ReplicaRecord {
+            owner,
+            sources: ledger.map(|l| Arc::clone(&l.sources)).unwrap_or_default(),
+            queries: ledger.map(|l| Arc::clone(&l.queries)).unwrap_or_default(),
+        }
+    }
+
+    /// Repartitions the ledger of `group` between its two children by the
+    /// key bit at the split depth, updating member records. Returns the
+    /// children's loads.
+    fn split(&mut self, group: Prefix, left: Prefix, right: Prefix) -> (GroupLoad, GroupLoad) {
+        let ledger = self.ledgers.remove(&group).unwrap_or_default();
+        let bit_index = group.depth();
+        let mut left_rate = 0.0;
+        let mut right_rate = 0.0;
+        let mut left_sources = Vec::new();
+        let mut right_sources = Vec::new();
+        let mut left_queries = Vec::new();
+        let mut right_queries = Vec::new();
+        for &sid in ledger.sources.iter() {
+            let rec = self.sources.get_mut(&sid).expect("ledger member exists");
+            if rec.key.bit(bit_index) == 0 {
+                rec.group = left;
+                left_rate += rec.rate;
+                left_sources.push(sid);
+            } else {
+                rec.group = right;
+                right_rate += rec.rate;
+                right_sources.push(sid);
+            }
+        }
+        for &qid in ledger.queries.iter() {
+            let rec = self.queries.get_mut(&qid).expect("ledger member exists");
+            if rec.key.bit(bit_index) == 0 {
+                rec.group = left;
+                left_queries.push(qid);
+            } else {
+                rec.group = right;
+                right_queries.push(qid);
+            }
+        }
+        let left_ledger = GroupLedger {
+            sources: Arc::new(left_sources),
+            queries: Arc::new(left_queries),
+            rate: left_rate,
+        };
+        let right_ledger = GroupLedger {
+            sources: Arc::new(right_sources),
+            queries: Arc::new(right_queries),
+            rate: right_rate,
+        };
+        let loads = (left_ledger.load(), right_ledger.load());
+        self.ledgers.insert(left, left_ledger);
+        self.ledgers.insert(right, right_ledger);
+        loads
+    }
+
+    /// Folds the ledgers of `left` and `right` back into `parent`'s,
+    /// left members first.
+    fn merge(&mut self, left: Prefix, right: Prefix, parent: Prefix) {
+        let mut merged = self.ledgers.remove(&left).unwrap_or_default();
+        let right_ledger = self.ledgers.remove(&right).unwrap_or_default();
+        Arc::make_mut(&mut merged.sources).extend_from_slice(&right_ledger.sources);
+        Arc::make_mut(&mut merged.queries).extend_from_slice(&right_ledger.queries);
+        merged.rate += right_ledger.rate;
+        for sid in merged.sources.iter() {
+            self.sources
+                .get_mut(sid)
+                .expect("ledger member exists")
+                .group = parent;
+        }
+        for qid in merged.queries.iter() {
+            self.queries
+                .get_mut(qid)
+                .expect("ledger member exists")
+                .group = parent;
+        }
+        self.ledgers.insert(parent, merged);
+    }
+
+    /// The surviving client registry for `groups`: which sources and
+    /// queries still point at each (clients outlive their servers; their
+    /// attachments may not). One scan per recovery event.
+    fn membership(&self, groups: impl Iterator<Item = Prefix>) -> ClientMembership {
+        let mut map: ClientMembership = groups.map(|g| (g, (Vec::new(), Vec::new()))).collect();
+        if map.is_empty() {
+            return map;
+        }
+        for (&sid, rec) in &self.sources {
+            if let Some(slot) = map.get_mut(&rec.group) {
+                slot.0.push(sid);
+            }
+        }
+        for (&qid, rec) in &self.queries {
+            if let Some(slot) = map.get_mut(&rec.group) {
+                slot.1.push(qid);
+            }
+        }
+        map
+    }
+}
+
+/// An in-process CLASH cluster (see the module docs).
+pub struct ClashCluster {
+    config: ClashConfig,
+    hasher: SplitMixHasher,
+    net: SimNet,
+    servers: ServerArena,
+    oracle: verify::Oracle,
+    data: DataPlane,
+    rng: DetRng,
+    wire: accounting::Wire,
+    recovery: recovery::RecoveryState,
+    candidates: load_check::Candidates,
+    replica_work: replication::ReplicaWork,
+    batch: locate::LocateBatch,
+    obs: accounting::Obs,
+    /// Chaos-only fault hook: when set, merges skip re-seeding the
+    /// parent's replica set (see
+    /// [`ClashCluster::set_chaos_skip_merge_reseed`]). Never set outside
+    /// fault-injection tests.
+    chaos_skip_merge_reseed: bool,
+    /// Reference mode for differential tests: every load check marks all
+    /// servers dirty, and every replica sync — periodic or
+    /// membership-triggered — is the whole-cluster sweep, reproducing
+    /// the historical full-scan semantics from scratch.
+    full_scan_checks: bool,
+    /// `CLASH_VERIFY_EVERY`: run the debug-build consistency sweep on
+    /// every Nth `debug_verify` call (default 1 = every call; 0 = never).
+    #[cfg(debug_assertions)]
+    verify_every: u32,
+    /// Calls remaining until the next debug-build consistency sweep.
+    #[cfg(debug_assertions)]
+    verify_countdown: u32,
+}
+
+impl ClashCluster {
+    /// Builds a cluster of `n_servers` over a stabilized Chord ring and
+    /// bootstraps the initial uniform key groups onto their `Map()`
+    /// owners.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClashError::InvalidConfig`] for inconsistent
+    /// configurations.
+    pub fn new(config: ClashConfig, n_servers: usize, seed: u64) -> Result<Self, ClashError> {
+        Self::with_transport(config, n_servers, seed, Box::new(InstantTransport::new()))
+    }
+
+    /// [`ClashCluster::new`] over an explicit message transport (latency,
+    /// loss and partition models live in `clash-transport`). The transport
+    /// must derive its randomness from its own seed: the cluster never
+    /// shares its protocol RNG with the transport, so swapping transports
+    /// never perturbs protocol-level draws.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClashError::InvalidConfig`] for inconsistent
+    /// configurations.
+    pub fn with_transport(
+        config: ClashConfig,
+        n_servers: usize,
+        seed: u64,
+        transport: Box<dyn Transport>,
+    ) -> Result<Self, ClashError> {
+        config.validate()?;
+        if n_servers == 0 {
+            return Err(ClashError::InvalidConfig {
+                reason: "cluster needs at least one server",
+            });
+        }
+        let root_rng = DetRng::new(seed);
+        let mut ring_rng = root_rng.substream("ring");
+        let mut net = SimNet::with_random_nodes(config.hash_space, n_servers, &mut ring_rng);
+        net.build_stable();
+        let mut servers = ServerArena::new();
+        let mut candidates = load_check::Candidates::default();
+        for id in net.node_ids() {
+            servers.insert(ClashServer::new(id, config));
+            candidates.mark_dirty(id.value());
+        }
+        let mut cluster = ClashCluster {
+            config,
+            hasher: SplitMixHasher::new(config.hash_space, config.hash_seed),
+            net,
+            servers,
+            oracle: verify::Oracle::new(config.key_width),
+            data: DataPlane::default(),
+            rng: root_rng.substream("cluster"),
+            wire: accounting::Wire {
+                transport,
+                msgs: MessageStats::default(),
+                latency: LatencyMetrics::new(),
+            },
+            recovery: Default::default(),
+            candidates,
+            replica_work: Default::default(),
+            batch: Default::default(),
+            obs: Default::default(),
+            chaos_skip_merge_reseed: false,
+            full_scan_checks: false,
+            #[cfg(debug_assertions)]
+            verify_every: ClashConfig::verify_every_from_env(),
+            #[cfg(debug_assertions)]
+            verify_countdown: 1,
+        };
+        if cluster.config.splitting_enabled {
+            cluster.bootstrap_initial_groups()?;
+        }
+        Ok(cluster)
+    }
+
+    fn bootstrap_initial_groups(&mut self) -> Result<(), ClashError> {
+        let depth = self.config.initial_depth;
+        let width = self.config.key_width;
+        for pattern in 0..(1u64 << depth) {
+            let group = Prefix::new(pattern, depth, width)?;
+            let owner = self.map_group(group);
+            self.servers.live_mut(owner.value()).bootstrap_root(group)?;
+            self.candidates.mark_dirty(owner.value());
+            self.oracle.insert(group, owner);
+            self.data.ledgers.insert(group, GroupLedger::default());
+            self.ensure_replicas(group, owner);
+        }
+        Ok(())
+    }
+
+    /// `Map(f(virtual key))` by ground truth (no hop accounting) — the
+    /// DHT's own placement function, used for bootstrap, membership
+    /// handoffs and crash re-homing (a real deployment would route a
+    /// lookup; the destination is identical).
+    fn map_group(&self, group: Prefix) -> ServerId {
+        let h = self.hasher.hash_key(group.virtual_key());
+        self.net.owner_of(h).expect("ring is non-empty")
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &ClashConfig {
+        &self.config
+    }
+
+    /// The underlying Chord ring.
+    pub fn net(&self) -> &SimNet {
+        &self.net
+    }
+
+    /// True if `source_id` is currently attached. Sources die when their
+    /// group is lost in an unrecoverable crash, so long-running drivers
+    /// check before re-keying a stream.
+    pub fn has_source(&self, source_id: u64) -> bool {
+        self.data.sources.contains_key(&source_id)
+    }
+
+    /// True if `query_id` is currently attached (see
+    /// [`ClashCluster::has_source`]).
+    pub fn has_query(&self, query_id: u64) -> bool {
+        self.data.queries.contains_key(&query_id)
+    }
+
+    /// Number of currently attached sources.
+    pub fn source_count(&self) -> usize {
+        self.data.sources.len()
+    }
+
+    /// Number of currently attached queries.
+    pub fn query_count(&self) -> usize {
+        self.data.queries.len()
+    }
+
+    /// All server identifiers.
+    pub fn server_ids(&self) -> Vec<ServerId> {
+        self.servers.iter().map(ClashServer::id).collect()
+    }
+
+    /// A server by identifier.
+    pub fn server(&self, id: ServerId) -> Option<&ClashServer> {
+        self.servers.get(id.value())
+    }
+
+    /// Number of servers.
+    pub fn server_count(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// `(server, load)` for every server.
+    pub fn server_loads(&self) -> Vec<(ServerId, f64)> {
+        self.servers
+            .iter()
+            .map(|s| (s.id(), s.current_load()))
+            .collect()
+    }
+
+    /// Servers currently holding at least one active group.
+    pub fn servers_with_groups(&self) -> usize {
+        self.servers
+            .iter()
+            .filter(|s| s.table().active_count() > 0)
+            .count()
+    }
+}
+
+impl std::fmt::Debug for ClashCluster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClashCluster")
+            .field("servers", &self.server_count())
+            .field("groups", &self.oracle.view().len())
+            .field("sources", &self.data.sources.len())
+            .field("queries", &self.data.queries.len())
+            .field("msgs", &self.wire.msgs)
+            .finish()
+    }
+}

@@ -527,7 +527,7 @@ impl ServerTable {
     pub fn repair_after_peer_failure(
         &mut self,
         dead: ServerId,
-        resolve: impl Fn(Prefix) -> Option<ServerId>,
+        mut resolve: impl FnMut(Prefix) -> Option<ServerId>,
     ) -> (usize, usize) {
         let groups: Vec<Prefix> = self.map.prefixes().collect();
         let mut orphaned = 0;

@@ -443,10 +443,12 @@ impl PrefixCover {
         Ok(())
     }
 
+    /// True if a member lies strictly below `group`. Removal prunes
+    /// empty trie nodes, so one does iff `group`'s node has a child.
     fn any_descendant(&self, group: Prefix) -> bool {
         self.map
-            .iter()
-            .any(|(p, _)| group.is_prefix_of(p) && p != group)
+            .node_for(group)
+            .is_some_and(|n| n.children.iter().any(Option::is_some))
     }
 
     /// Replaces `group` with its two children; returns them.
@@ -757,6 +759,16 @@ mod tests {
         assert!(c.insert(p("0*")).is_err(), "ancestor must be rejected");
         c.insert(p("10*")).unwrap();
         assert_eq!(c.len(), 2);
+        // Above a member that is deeper than a child, on the side
+        // `min_key()` does not walk into.
+        c.insert(p("11011*")).unwrap();
+        assert!(
+            c.insert(p("11*")).is_err(),
+            "grand-ancestor must be rejected"
+        );
+        assert!(c.insert(p("1*")).is_err());
+        c.insert(p("111*")).unwrap();
+        assert_eq!(c.len(), 4);
     }
 
     #[test]

@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn protocol_classification() {
-        assert!(is_protocol("crates/core/src/cluster.rs"));
+        assert!(is_protocol("crates/core/src/cluster/mod.rs"));
         assert!(is_protocol("crates/simkernel/src/rng.rs"));
         assert!(is_protocol("crates/chaos/src/engine.rs"));
         assert!(is_protocol("src/lib.rs"));
@@ -114,7 +114,7 @@ mod tests {
         assert!(may_read_wall_clock("crates/bench/src/lib.rs"));
         assert!(may_read_wall_clock("crates/obs/src/profile.rs"));
         assert!(may_read_wall_clock("crates/lint/src/main.rs"));
-        assert!(!may_read_wall_clock("crates/core/src/cluster.rs"));
+        assert!(!may_read_wall_clock("crates/core/src/cluster/mod.rs"));
         assert!(!may_read_wall_clock("crates/simkernel/src/time.rs"));
         assert!(!may_read_wall_clock("src/lib.rs"));
     }
@@ -124,7 +124,7 @@ mod tests {
         assert!(is_env_entry_point("crates/core/src/config.rs"));
         assert!(is_env_entry_point("crates/sim/src/report.rs"));
         assert!(is_env_entry_point("crates/sim/src/bin/scale.rs"));
-        assert!(!is_env_entry_point("crates/core/src/cluster.rs"));
+        assert!(!is_env_entry_point("crates/core/src/cluster/mod.rs"));
     }
 
     #[test]
@@ -132,6 +132,6 @@ mod tests {
         assert!(is_registered_thread_site(
             "crates/sim/src/experiments/mod.rs"
         ));
-        assert!(!is_registered_thread_site("crates/core/src/cluster.rs"));
+        assert!(!is_registered_thread_site("crates/core/src/cluster/mod.rs"));
     }
 }

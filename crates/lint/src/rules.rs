@@ -349,7 +349,7 @@ pub fn check_charging(files: &[(String, Lexed)], out: &mut Vec<Diagnostic>) {
                 rule: EXHAUSTIVE_CHARGING,
                 message: format!(
                     "`MessageClass::{variant}` is never charged in clash-core; new message \
-                     types must go through transport_send so latency accounting stays honest"
+                     types must go through Wire::send so latency accounting stays honest"
                 ),
             });
         }

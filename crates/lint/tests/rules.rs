@@ -134,7 +134,7 @@ fn wall_clock_allow_without_reason_is_rejected() {
 #[test]
 fn ambient_rng_fires_everywhere() {
     for path in [
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "crates/sim/src/driver.rs",
         "tests/shard_equivalence.rs",
         "examples/quickstart.rs",
@@ -269,7 +269,7 @@ fn thread_scope_ok_at_registered_sites() {
 #[test]
 fn thread_scope_fires_at_the_deregistered_protocol_sites() {
     for path in [
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "crates/chord/src/net.rs",
         "crates/transport/src/link.rs",
     ] {
@@ -324,7 +324,7 @@ fn thread_allow_with_reason_suppresses() {
 #[test]
 fn env_var_fires_outside_entry_points() {
     let diags = lint_one(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "fn f() { let v = std::env::var(\"CLASH_X\"); }",
     );
     assert_eq!(fired(&diags), vec!["env-discipline"]);
@@ -374,7 +374,7 @@ fn env_set_var_fires_in_library_code() {
 #[test]
 fn env_allow_with_reason_suppresses() {
     let diags = lint_one(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "fn f() { let v = std::env::var(\"X\"); } // clash-lint: allow(env-discipline) -- fixture",
     );
     assert!(diags.is_empty(), "{diags:?}");
@@ -390,7 +390,7 @@ fn uncharged_variant_fires_at_its_definition_line() {
     let diags = run_files(&[
         SourceFile::new("crates/transport/src/lib.rs", MINI_TRANSPORT),
         SourceFile::new(
-            "crates/core/src/cluster.rs",
+            "crates/core/src/cluster/mod.rs",
             "fn f(t: &mut T) { t.send(1, 2, MessageClass::Probe); }",
         ),
     ]);
@@ -405,7 +405,7 @@ fn fully_charged_enum_is_clean() {
     let diags = run_files(&[
         SourceFile::new("crates/transport/src/lib.rs", MINI_TRANSPORT),
         SourceFile::new(
-            "crates/core/src/cluster.rs",
+            "crates/core/src/cluster/mod.rs",
             "fn f(t: &mut T) {\n\
              t.send(1, 2, MessageClass::Probe);\n\
              t.send(1, 2, MessageClass::Handoff);\n}",
@@ -437,7 +437,7 @@ fn missing_enum_in_transport_is_itself_a_finding() {
 
 #[test]
 fn charging_rule_skipped_without_transport_file() {
-    let diags = lint_one("crates/core/src/cluster.rs", "fn f() {}");
+    let diags = lint_one("crates/core/src/cluster/mod.rs", "fn f() {}");
     assert!(diags.is_empty(), "{diags:?}");
 }
 

@@ -20,7 +20,7 @@ fn committed_workspace_is_clean() {
     // whole pass could be green by scanning nothing.
     for anchor in [
         "crates/transport/src/lib.rs",
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "crates/simkernel/src/rng.rs",
     ] {
         assert!(

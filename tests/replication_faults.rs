@@ -366,6 +366,22 @@ fn range_query_matches_oracle_after_join_crash_heal() {
     let walked = c.range_query(root).unwrap();
     assert_eq!(walked.groups, c.oracle_range(root));
     assert_eq!(c.recovery_oracle_reads(), 0);
+
+    // The walk's own cost does not depend on when its probes are
+    // charged: at the op (`shards = 0`) or at the next flush.
+    let walk = |shards: u32| {
+        let config = ClashConfig::small_test().with_shards(shards);
+        let mut c = ClashCluster::new(config, 16, 21).unwrap();
+        for i in 0..200 {
+            c.attach_source(i, key((i * 7) % 256), 1.5).unwrap();
+        }
+        c.run_load_check().unwrap();
+        let walked = c.range_query(root).unwrap();
+        (walked.probes, walked.messages, walked.groups)
+    };
+    let sequential = walk(0);
+    assert!(sequential.0 as usize >= sequential.2.len());
+    assert_eq!(walk(1), sequential);
 }
 
 /// The repo-level suites honor `CLASH_REPLICATION` (the CI matrix runs
