@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use clash_chord::id::ChordId;
 use clash_chord::net::SimNet;
 use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
@@ -35,5 +36,42 @@ fn bench_stabilization_round(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_lookup_scaling, bench_stabilization_round);
+/// Routing with the ring changing underneath it: a membership event has
+/// to leave lookups as fast as it found them *and* cost its own
+/// neighbourhood only — an index rebuilt (or a cache refilled) after
+/// every event shows up here as milliseconds per iteration.
+fn bench_route_under_churn(c: &mut Criterion) {
+    let space = HashSpace::PAPER;
+    let mut rng = DetRng::new(3);
+    let mut net = SimNet::with_random_nodes(space, 4096, &mut rng);
+    net.stabilize_direct();
+    let route_64 = |net: &SimNet, rng: &mut DetRng| {
+        for _ in 0..64 {
+            let start = net.random_alive(rng);
+            black_box(net.route(start, rng.next_u64() & space.mask()));
+        }
+    };
+    c.bench_function(
+        "chord route under churn (4096 nodes; join + 64 routes + fail + 64 routes)",
+        |b| {
+            b.iter(|| {
+                let bootstrap = net.random_alive(&mut rng);
+                net.join(ChordId::new(rng.next_u64(), space), bootstrap);
+                net.stabilize_direct();
+                route_64(&net, &mut rng);
+                let victim = net.random_alive(&mut rng);
+                net.fail(victim);
+                net.stabilize_direct();
+                route_64(&net, &mut rng);
+            })
+        },
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_lookup_scaling,
+    bench_stabilization_round,
+    bench_route_under_churn
+);
 criterion_main!(benches);

@@ -10,11 +10,14 @@
 //!
 //! * [`id::ChordId`] — M-bit ring identifiers with wrapping interval
 //!   arithmetic;
-//! * [`node::ChordNode`] — per-node state: successor list, predecessor,
-//!   finger table;
 //! * [`net::SimNet`] — the in-process network: iterative
 //!   `find_successor` with per-hop counting, node join/leave/fail,
-//!   stabilization and finger repair;
+//!   stabilization and finger repair. Every node's successor list,
+//!   predecessor and finger table is one row of a dense arena, each
+//!   entry carrying the row it names, so a routing hop is array
+//!   indexing; membership and maintenance write the rows in place and
+//!   one engine routes every lookup over them;
+//! * [`node::ChordNode`] — a read-only view of one node's row;
 //! * [`virtual_nodes::VirtualRing`] — CFS-style virtual servers (used by
 //!   the ablation experiments).
 //!

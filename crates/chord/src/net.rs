@@ -1,9 +1,7 @@
 //! The in-process Chord network: routing, membership and maintenance.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
@@ -45,6 +43,43 @@ impl NetStats {
     }
 }
 
+/// One table entry — a finger, a successor-list slot, a ring position:
+/// the id it names and the arena row that held that id when the entry
+/// was written. The row makes a hop an array index instead of a search;
+/// [`SimNet::live`] is the check that it still holds that id.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Entry {
+    pub(crate) id: u64,
+    pub(crate) row: u32,
+}
+
+/// Wrapping ring distance from `a` to `x` (the `ChordId::distance_to`
+/// arithmetic on raw values).
+#[inline]
+fn dist(a: u64, x: u64, mask: u64) -> u64 {
+    x.wrapping_sub(a) & mask
+}
+
+/// `x ∈ (a, b)` on the ring; `a == b` means "everything but `a`".
+#[inline]
+fn in_open(x: u64, a: u64, b: u64, mask: u64) -> bool {
+    if a == b {
+        return x != a;
+    }
+    let d_self = dist(a, x, mask);
+    d_self > 0 && d_self < dist(a, b, mask)
+}
+
+/// `x ∈ (a, b]` on the ring; `a == b` means the whole ring.
+#[inline]
+fn in_half_open(x: u64, a: u64, b: u64, mask: u64) -> bool {
+    if a == b {
+        return true;
+    }
+    let d_self = dist(a, x, mask);
+    d_self > 0 && d_self <= dist(a, b, mask)
+}
+
 /// A simulated Chord ring.
 ///
 /// All nodes live in one process; "messages" are method calls with hop
@@ -52,29 +87,40 @@ impl NetStats {
 /// routing, exactly as a crashed host would be; [`SimNet::stabilize_round`]
 /// and [`SimNet::fix_fingers_round`] implement the Chord maintenance
 /// protocol that repairs pointers around failures and joins.
+///
+/// Layout. Every node's tables are one row of a dense arena: `M` finger
+/// entries in `fingers`, up to `succ_stride` successor entries in
+/// `succs`, its id, liveness byte and predecessor in `ids` / `alive` /
+/// `preds`. Membership and maintenance write those rows in place, so
+/// routing never consults anything that could be out of date: a crash
+/// flips `alive[row]`, a departure also returns the row to `free`, and a
+/// join takes a row from there. A stale entry naming a departed id whose
+/// row has since been reused fails the usability test's id comparison
+/// and is resolved by id instead — unusable unless that id re-joined.
+/// `ring` lists the alive nodes in id order; ground truth
+/// ([`SimNet::owner_of`], [`SimNet::random_alive`], the fixpoint
+/// installer) is an index or a binary search into it.
 pub struct SimNet {
     space: HashSpace,
-    nodes: BTreeMap<u64, ChordNode>,
     succ_list_len: usize,
     stats: NetStats,
-    /// Memoized first *alive* successor per node. Routing consults this
-    /// once per hop of every lookup; between membership/maintenance
-    /// events successor lists and liveness are static, so the walk down
-    /// the successor list is paid once per node instead of once per hop.
-    /// Any mutation that can change the answer (join, fail, removal,
-    /// stabilization, `build_stable`) clears the whole cache — those
-    /// events are rare next to lookups.
-    succ_cache: RefCell<BTreeMap<u64, ChordId>>,
-    /// Memoized alive node ids in ring order — what
-    /// [`SimNet::random_alive`] indexes into. Rebuilding this vector per
-    /// client entry-point draw was an O(ring) cost on *every* probe;
-    /// the cache is invalidated together with `succ_cache`, and the
-    /// indexing (same sorted order, same single `uniform_index` draw)
-    /// picks bit-for-bit the same node the rebuild would have.
-    alive_cache: RefCell<Option<Vec<ChordId>>>,
-    /// Number of alive nodes (the O(1) answer to
-    /// [`SimNet::alive_count`]).
-    alive: usize,
+    /// Alive nodes in ring order, each with its row.
+    ring: Vec<Entry>,
+    /// Crashed nodes (id → row): the row keeps the corpse's stale tables.
+    corpses: BTreeMap<u64, u32>,
+    /// Rows of removed nodes, reused last-freed-first.
+    free: Vec<u32>,
+    ids: Vec<u64>,
+    alive: Vec<bool>,
+    preds: Vec<Option<u64>>,
+    /// `space.bits()` entries per row; entry `k` routes toward `id + 2^k`.
+    fingers: Vec<Entry>,
+    /// `succ_stride` slots per row, the first `succ_lens[row]` in use.
+    succs: Vec<Entry>,
+    succ_lens: Vec<u32>,
+    /// Only grows: a shorter `succ_list_len` leaves existing lists their
+    /// length until maintenance rewrites them.
+    succ_stride: usize,
     /// True while every alive node's tables are the maintenance fixpoint
     /// [`SimNet::stabilize_direct`] last installed, except for what
     /// `joined` / `removed` record — the precondition of its incremental
@@ -89,6 +135,14 @@ pub struct SimNet {
     removed: Vec<ChordId>,
 }
 
+// The route phase of a batched flush routes through `&SimNet` and must
+// stay pure: no interior mutability (clippy.toml bans `RefCell`/`Cell`
+// in this crate), so the borrow checker sees every write.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SimNet>();
+};
+
 impl SimNet {
     /// Creates an empty ring over the given hash space with the Chord
     /// default successor-list length (`⌈log₂ expected-nodes⌉` is typical;
@@ -96,12 +150,18 @@ impl SimNet {
     pub fn new(space: HashSpace) -> Self {
         SimNet {
             space,
-            nodes: BTreeMap::new(),
             succ_list_len: 8,
             stats: NetStats::default(),
-            succ_cache: RefCell::new(BTreeMap::new()),
-            alive_cache: RefCell::new(None),
-            alive: 0,
+            ring: Vec::new(),
+            corpses: BTreeMap::new(),
+            free: Vec::new(),
+            ids: Vec::new(),
+            alive: Vec::new(),
+            preds: Vec::new(),
+            fingers: Vec::new(),
+            succs: Vec::new(),
+            succ_lens: Vec::new(),
+            succ_stride: 8,
             fixpoint: false,
             joined: Vec::new(),
             removed: Vec::new(),
@@ -116,14 +176,6 @@ impl SimNet {
         self.removed.clear();
     }
 
-    /// Drops every memoized first-alive-successor entry and the alive-id
-    /// vector. Called by every mutation that can change liveness or a
-    /// successor list.
-    fn invalidate_succ_cache(&self) {
-        self.succ_cache.borrow_mut().clear();
-        *self.alive_cache.borrow_mut() = None;
-    }
-
     /// Sets the successor-list length (fault-tolerance depth).
     ///
     /// # Panics
@@ -132,6 +184,15 @@ impl SimNet {
     pub fn set_successor_list_len(&mut self, len: usize) {
         assert!(len > 0, "successor list length must be positive");
         self.succ_list_len = len;
+        if len > self.succ_stride {
+            let mut succs = vec![Entry::default(); self.ids.len() * len];
+            for row in 0..self.ids.len() {
+                let list = self.succs_of(row);
+                succs[row * len..][..list.len()].copy_from_slice(list);
+            }
+            self.succs = succs;
+            self.succ_stride = len;
+        }
         self.forget_fixpoint();
     }
 
@@ -152,10 +213,21 @@ impl SimNet {
             (n as u128) <= space.size(),
             "cannot place {n} nodes in a {space} hash space"
         );
+        let mut ids = BTreeSet::new();
+        while ids.len() < n {
+            ids.insert(ChordId::new(rng.next_u64(), space));
+        }
         let mut net = SimNet::new(space);
-        while net.nodes.len() < n {
-            let id = ChordId::new(rng.next_u64(), space);
-            net.add_node(id);
+        net.ring.reserve_exact(n);
+        net.ids.reserve_exact(n);
+        net.alive.reserve_exact(n);
+        net.preds.reserve_exact(n);
+        net.succ_lens.reserve_exact(n);
+        net.fingers.reserve_exact(n * space.bits() as usize);
+        net.succs.reserve_exact(n * net.succ_stride);
+        // Ascending ids append to `ring`: no insertion shifts anything.
+        for id in ids {
+            net.insert_solitary(id);
         }
         net
     }
@@ -165,49 +237,140 @@ impl SimNet {
         self.space
     }
 
+    fn bits(&self) -> usize {
+        self.space.bits() as usize
+    }
+
+    pub(crate) fn id(&self, value: u64) -> ChordId {
+        ChordId::new(value, self.space)
+    }
+
+    /// `id`'s position in `ring`, or where it would be inserted.
+    fn ring_pos(&self, id: u64) -> Result<usize, usize> {
+        self.ring.binary_search_by_key(&id, |e| e.id)
+    }
+
+    /// The row holding `id`'s tables, alive or crashed.
+    fn row_of(&self, id: u64) -> Option<usize> {
+        match self.ring_pos(id) {
+            Ok(pos) => Some(self.ring[pos].row as usize),
+            Err(_) => self.corpses.get(&id).map(|&row| row as usize),
+        }
+    }
+
+    /// The ring entry of an alive node.
+    fn entry_of(&self, id: ChordId) -> Entry {
+        let pos = self.ring_pos(id.value()).expect("id names an alive node");
+        self.ring[pos]
+    }
+
+    pub(crate) fn fingers_of(&self, row: usize) -> &[Entry] {
+        let m = self.bits();
+        &self.fingers[row * m..(row + 1) * m]
+    }
+
+    pub(crate) fn succs_of(&self, row: usize) -> &[Entry] {
+        &self.succs[row * self.succ_stride..][..self.succ_lens[row] as usize]
+    }
+
+    /// Replaces a row's successor list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `list` is empty — a node always knows at least one
+    /// successor (possibly itself).
+    pub(crate) fn set_succs(&mut self, row: usize, list: &[Entry]) {
+        assert!(!list.is_empty(), "successor list must be non-empty");
+        self.succs[row * self.succ_stride..][..list.len()].copy_from_slice(list);
+        self.succ_lens[row] = list.len() as u32;
+    }
+
+    pub(crate) fn row_id(&self, row: usize) -> ChordId {
+        self.id(self.ids[row])
+    }
+
+    pub(crate) fn row_alive(&self, row: usize) -> bool {
+        self.alive[row]
+    }
+
+    pub(crate) fn row_pred(&self, row: usize) -> Option<ChordId> {
+        self.preds[row].map(|p| self.id(p))
+    }
+
+    /// `e` with its current row if the node it names is alive — the
+    /// "usable" test of routing. The row an entry carries still holds
+    /// its id unless that node departed and the row was reused; only
+    /// then (or for a dead id) is the id searched for.
+    #[inline]
+    fn live(&self, e: Entry) -> Option<Entry> {
+        let row = e.row as usize;
+        if self.alive[row] && self.ids[row] == e.id {
+            Some(e)
+        } else {
+            self.ring_pos(e.id).ok().map(|pos| self.ring[pos])
+        }
+    }
+
     /// Adds a solitary (unwired) node. Returns false if the identifier is
     /// already taken.
     pub fn add_node(&mut self, id: ChordId) -> bool {
-        let added = self.insert_solitary(id);
+        let added = self.insert_solitary(id).is_some();
         if added {
             self.forget_fixpoint();
         }
         added
     }
 
-    fn insert_solitary(&mut self, id: ChordId) -> bool {
+    /// Gives `id` a row whose every pointer names `id` itself; `None` if
+    /// the identifier is taken, by an alive node or a corpse.
+    fn insert_solitary(&mut self, id: ChordId) -> Option<Entry> {
         debug_assert_eq!(id.space(), self.space);
-        if self.nodes.contains_key(&id.value()) {
-            return false;
+        let value = id.value();
+        let pos = self.ring_pos(value).err()?;
+        if self.corpses.contains_key(&value) {
+            return None;
         }
-        self.nodes.insert(id.value(), ChordNode::solitary(id));
-        self.alive += 1;
-        self.invalidate_succ_cache();
-        true
+        let m = self.bits();
+        let row = self.free.pop().unwrap_or_else(|| {
+            self.ids.push(0);
+            self.alive.push(false);
+            self.preds.push(None);
+            self.succ_lens.push(0);
+            self.fingers
+                .resize(self.fingers.len() + m, Entry::default());
+            self.succs
+                .resize(self.succs.len() + self.succ_stride, Entry::default());
+            (self.ids.len() - 1) as u32
+        });
+        let me = Entry { id: value, row };
+        let row = row as usize;
+        self.ids[row] = value;
+        self.alive[row] = true;
+        self.preds[row] = None;
+        self.fingers[row * m..(row + 1) * m].fill(me);
+        self.set_succs(row, &[me]);
+        self.ring.insert(pos, me);
+        Some(me)
     }
 
     /// Number of alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.alive
+        self.ring.len()
     }
 
     /// Identifiers of all alive nodes, in ring order.
     pub fn node_ids(&self) -> Vec<ChordId> {
-        self.nodes
-            .values()
-            .filter(|n| n.is_alive())
-            .map(|n| n.id())
-            .collect()
+        self.ring.iter().map(|e| self.id(e.id)).collect()
     }
 
-    /// Immutable access to a node's state.
-    pub fn node(&self, id: ChordId) -> Option<&ChordNode> {
-        self.nodes.get(&id.value())
+    /// A view of a node's state (alive or crashed).
+    pub fn node(&self, id: ChordId) -> Option<ChordNode<'_>> {
+        self.row_of(id.value()).map(|row| ChordNode::new(self, row))
     }
 
     /// True if `id` names an alive node.
     pub fn is_alive(&self, id: ChordId) -> bool {
-        self.nodes.get(&id.value()).is_some_and(|n| n.is_alive())
+        self.ring_pos(id.value()).is_ok()
     }
 
     /// A uniformly random alive node (for client entry points).
@@ -216,111 +379,77 @@ impl SimNet {
     ///
     /// Panics if the ring has no alive nodes.
     pub fn random_alive(&self, rng: &mut DetRng) -> ChordId {
-        let mut cache = self.alive_cache.borrow_mut();
-        let ids = cache.get_or_insert_with(|| self.node_ids());
-        assert!(!ids.is_empty(), "ring has no alive nodes");
-        ids[rng.uniform_index(ids.len())]
+        assert!(!self.ring.is_empty(), "ring has no alive nodes");
+        self.id(self.ring[rng.uniform_index(self.ring.len())].id)
     }
 
-    /// Alive ids at or after `h`, in ring order, wrapping once around.
-    fn alive_from(&self, h: u64) -> impl Iterator<Item = ChordId> + '_ {
-        self.nodes
-            .range(h..)
-            .chain(self.nodes.range(..h))
-            .filter(|(_, n)| n.is_alive())
-            .map(|(_, n)| n.id())
-    }
-
-    /// Alive ids strictly before `h`, nearest first, wrapping once
-    /// around (so `h` itself, if alive, comes last).
-    fn alive_before(&self, h: u64) -> impl Iterator<Item = ChordId> + '_ {
-        self.nodes
-            .range(..h)
-            .rev()
-            .chain(self.nodes.range(h..).rev())
-            .filter(|(_, n)| n.is_alive())
-            .map(|(_, n)| n.id())
+    /// The ring entry owning `h`: the first alive id at or after it,
+    /// wrapping.
+    fn owner_entry(&self, h: u64) -> Entry {
+        let i = self.ring.partition_point(|e| e.id < h);
+        self.ring[if i == self.ring.len() { 0 } else { i }]
     }
 
     /// Ground truth: the alive node owning hash `h` (its ring successor),
-    /// or `None` on an empty ring. O(log S) on the in-memory map; used for
-    /// bootstrap and validation, not by the routed protocol.
+    /// or `None` on an empty ring. A binary search; used for bootstrap
+    /// and validation, not by the routed protocol.
     pub fn owner_of(&self, h: u64) -> Option<ChordId> {
-        self.alive_from(h & self.space.mask()).next()
+        (!self.ring.is_empty()).then(|| self.id(self.owner_entry(h & self.space.mask()).id))
     }
 
     /// Ground truth: the alive node strictly preceding `h` on the ring.
     pub fn predecessor_of(&self, h: u64) -> Option<ChordId> {
-        self.alive_before(h & self.space.mask()).next()
+        let h = h & self.space.mask();
+        let n = self.ring.len();
+        let i = self.ring.partition_point(|e| e.id < h);
+        (n > 0).then(|| self.id(self.ring[(i + n - 1) % n].id))
     }
 
     /// Installs exact routing state on every alive node: perfect fingers,
     /// successor lists and predecessors. Equivalent to running the
     /// maintenance protocol to convergence, in O(S·M·log S) time.
     pub fn build_stable(&mut self) {
-        let ids: Vec<ChordId> = self.node_ids();
-        if ids.is_empty() {
-            return;
-        }
-        let r = self.succ_list_len.min(ids.len());
-        self.install_tables(&ids, r);
+        self.install_tables(self.succ_list_len.min(self.ring.len()));
         // Rings no larger than the successor-list length get lists
         // padded with `self` here, which the maintenance fixpoint never
         // holds.
         self.forget_fixpoint();
     }
 
-    /// Owner of `h` among the sorted alive ids — binary search plus
-    /// wrap-around. Identical to [`SimNet::owner_of`] whenever `ids`
-    /// holds exactly the alive nodes in ring order (the stabilization
-    /// paths' precondition), without the per-query tree walk over dead
-    /// nodes' corpses.
-    fn owner_in(ids: &[ChordId], h: u64) -> ChordId {
-        let i = ids.partition_point(|id| id.value() < h);
-        ids[if i == ids.len() { 0 } else { i }]
+    /// Ground truth for the node at ring position `pos`: entry `k` of
+    /// its successor list.
+    fn true_succ(&self, pos: usize, k: usize) -> Entry {
+        self.ring[(pos + 1 + k) % self.ring.len()]
     }
 
-    /// The ground-truth routing tables of the node at ring position
-    /// `pos`: successor list of length `r` (`[self]` on a one-node
-    /// ring), predecessor, and all `m` fingers. A pure function of the
-    /// sorted alive-id slice.
-    fn tables_for(
-        ids: &[ChordId],
-        pos: usize,
-        r: usize,
-        m: usize,
-    ) -> (Vec<ChordId>, Option<ChordId>, Vec<ChordId>) {
-        let n = ids.len();
-        let id = ids[pos];
-        let succ_list: Vec<ChordId> = if n == 1 {
-            vec![id]
-        } else {
-            (1..=r).map(|k| ids[(pos + k) % n]).collect()
-        };
-        let pred = (n > 1).then(|| ids[(pos + n - 1) % n]);
-        let fingers = (0..m)
-            .map(|k| Self::owner_in(ids, id.add_power_of_two(k as u32).value()))
-            .collect();
-        (succ_list, pred, fingers)
+    /// Ground truth for the node at ring position `pos`: its predecessor
+    /// (none on a one-node ring).
+    fn true_pred(&self, pos: usize) -> Option<u64> {
+        let n = self.ring.len();
+        (n > 1).then(|| self.ring[(pos + n - 1) % n].id)
     }
 
-    /// Computes and installs every alive node's ground-truth tables, in
-    /// ring order.
-    fn install_tables(&mut self, ids: &[ChordId], r: usize) {
-        let m = self.space.bits() as usize;
-        for pos in 0..ids.len() {
-            let (succ_list, pred, fingers) = Self::tables_for(ids, pos, r, m);
-            let node = self
-                .nodes
-                .get_mut(&ids[pos].value())
-                .expect("id from node_ids");
-            node.set_successor_list(succ_list);
-            node.set_predecessor(pred);
-            for (k, f) in fingers.into_iter().enumerate() {
-                node.set_finger(k, f);
+    /// Ground truth for the node at ring position `pos`: finger `k`.
+    fn true_finger(&self, pos: usize, k: usize) -> Entry {
+        let start = self.ring[pos].id.wrapping_add(1u64 << k) & self.space.mask();
+        self.owner_entry(start)
+    }
+
+    /// Writes every alive node's ground-truth tables, successor lists of
+    /// length `r`, into its row.
+    fn install_tables(&mut self, r: usize) {
+        let m = self.bits();
+        for pos in 0..self.ring.len() {
+            let row = self.ring[pos].row as usize;
+            for k in 0..r {
+                self.succs[row * self.succ_stride + k] = self.true_succ(pos, k);
+            }
+            self.succ_lens[row] = r as u32;
+            self.preds[row] = self.true_pred(pos);
+            for k in 0..m {
+                self.fingers[row * m + k] = self.true_finger(pos, k);
             }
         }
-        self.invalidate_succ_cache();
     }
 
     /// Pure routed lookup: resolves the successor of `h` starting at
@@ -336,61 +465,72 @@ impl SimNet {
         self.route_visit(start, h, |_, _| ())
     }
 
-    /// [`SimNet::route`], additionally returning the per-hop path as
-    /// `(from, to)` pairs — one pair per inter-node message — so callers
-    /// can charge each hop its own link cost (latency, loss) through a
-    /// transport. `path.len()` always equals the returned hop count.
-    pub fn route_with_path(
+    /// [`SimNet::route`], additionally writing the per-hop path into
+    /// `path` (cleared first) as `(from, to)` pairs — one pair per
+    /// inter-node message — so callers can charge each hop its own link
+    /// cost (latency, loss) through a transport without a `Vec` per
+    /// lookup. `path.len()` always equals the returned hop count.
+    pub fn route_path(
         &self,
         start: ChordId,
         h: u64,
-    ) -> (LookupResult, Vec<(ChordId, ChordId)>) {
-        let mut path = Vec::new();
+        path: &mut Vec<(ChordId, ChordId)>,
+    ) -> LookupResult {
+        path.clear();
         let result = self.route_visit(start, h, |from, to| path.push((from, to)));
         debug_assert_eq!(path.len(), result.hops as usize);
-        (result, path)
+        result
     }
 
-    /// The routing engine: `visit(from, to)` fires once per inter-node
-    /// hop, in order. Monomorphized with a no-op visitor this is exactly
-    /// the old allocation-free `route`.
+    /// The routing engine — the only hop loop there is: `visit(from, to)`
+    /// fires once per inter-node hop, in order.
     fn route_visit<F: FnMut(ChordId, ChordId)>(
         &self,
         start: ChordId,
         h: u64,
         mut visit: F,
     ) -> LookupResult {
-        assert!(self.is_alive(start), "lookup must start at an alive node");
-        let target = ChordId::new(h, self.space);
-        let mut current = start;
+        let Ok(start_pos) = self.ring_pos(start.value()) else {
+            panic!("lookup must start at an alive node, not {start:?}");
+        };
+        let mask = self.space.mask();
+        let target = h & mask;
+        let hop_limit = 4 * self.space.bits() + (self.ring.len() + self.corpses.len()) as u32 + 8;
+        let done = |owner: Entry, hops: u32| LookupResult {
+            owner: self.id(owner.id),
+            hops,
+        };
+        let mut current = self.ring[start_pos];
         let mut hops = 0u32;
-        let hop_limit = 4 * self.space.bits() + self.nodes.len() as u32 + 8;
         loop {
-            if target.value() == current.value() {
-                return LookupResult {
-                    owner: current,
-                    hops,
-                };
+            let row = current.row as usize;
+            let succ = self.first_alive_successor(row);
+            // At the target — or a solitary (fully isolated) node, which
+            // owns everything.
+            if target == current.id || succ.id == current.id {
+                return done(current, hops);
             }
-            let node = &self.nodes[&current.value()];
-            let succ = self.first_alive_successor(node);
-            if succ == current {
-                // Solitary (or fully isolated) node owns everything.
-                return LookupResult {
-                    owner: current,
-                    hops,
-                };
+            if in_half_open(target, current.id, succ.id, mask) {
+                visit(self.id(current.id), self.id(succ.id));
+                return done(succ, hops + 1);
             }
-            if target.in_half_open_interval(current, succ) {
-                visit(current, succ);
-                return LookupResult {
-                    owner: succ,
-                    hops: hops + 1,
-                };
-            }
-            let next = node.closest_preceding(target, |c| self.is_alive(c));
-            let next = if next == current { succ } else { next };
-            visit(current, next);
+            // Closest preceding node: the farthest usable finger strictly
+            // between here and the target, else the farthest such
+            // successor-list entry (closer than any usable finger after
+            // failures), else the first alive successor.
+            let preceding = |e: &Entry| {
+                in_open(e.id, current.id, target, mask)
+                    .then(|| self.live(*e))
+                    .flatten()
+            };
+            let next = self
+                .fingers_of(row)
+                .iter()
+                .rev()
+                .find_map(preceding)
+                .or_else(|| self.succs_of(row).iter().rev().find_map(preceding))
+                .unwrap_or(succ);
+            visit(self.id(current.id), self.id(next.id));
             current = next;
             hops += 1;
             assert!(
@@ -400,18 +540,16 @@ impl SimNet {
         }
     }
 
-    fn first_alive_successor(&self, node: &ChordNode) -> ChordId {
-        if let Some(&cached) = self.succ_cache.borrow().get(&node.id().value()) {
-            return cached;
-        }
-        let succ = node
-            .successor_list()
+    /// The first alive entry of `row`'s successor list (the node itself
+    /// when none is).
+    fn first_alive_successor(&self, row: usize) -> Entry {
+        self.succs_of(row)
             .iter()
-            .copied()
-            .find(|&s| self.is_alive(s))
-            .unwrap_or_else(|| node.id());
-        self.succ_cache.borrow_mut().insert(node.id().value(), succ);
-        succ
+            .find_map(|&s| self.live(s))
+            .unwrap_or(Entry {
+                id: self.ids[row],
+                row: row as u32,
+            })
     }
 
     /// The first `r` distinct *alive* ring successors of `id`, in
@@ -422,15 +560,14 @@ impl SimNet {
     /// deployment's would. Returns fewer than `r` entries on small rings
     /// and an empty vector for unknown nodes.
     pub fn alive_successors(&self, id: ChordId, r: usize) -> Vec<ChordId> {
-        if r == 0 {
-            return Vec::new();
-        }
-        let Some(node) = self.nodes.get(&id.value()) else {
+        let Some(row) = self.row_of(id.value()).filter(|_| r > 0) else {
             return Vec::new();
         };
         let mut out: Vec<ChordId> = Vec::with_capacity(r);
-        for &s in node.successor_list() {
-            if s != id && self.is_alive(s) && !out.contains(&s) {
+        for &s in self.succs_of(row) {
+            let alive = self.live(s).is_some();
+            let s = self.id(s.id);
+            if s != id && alive && !out.contains(&s) {
                 out.push(s);
                 if out.len() == r {
                     break;
@@ -444,32 +581,28 @@ impl SimNet {
     /// CLASH builds on (§4 of the paper).
     pub fn find_successor(&mut self, start: ChordId, h: u64) -> LookupResult {
         let result = self.route(start, h);
-        self.record_lookup(result);
+        self.record_routed_lookup(result.hops);
         result
     }
 
-    /// [`SimNet::find_successor`] returning the per-hop path (see
-    /// [`SimNet::route_with_path`]). Statistics are recorded identically.
+    /// [`SimNet::find_successor`] writing the per-hop path into `path`
+    /// (see [`SimNet::route_path`]). Statistics are recorded identically.
     pub fn find_successor_path(
         &mut self,
         start: ChordId,
         h: u64,
-    ) -> (LookupResult, Vec<(ChordId, ChordId)>) {
-        let (result, path) = self.route_with_path(start, h);
-        self.record_lookup(result);
-        (result, path)
-    }
-
-    fn record_lookup(&mut self, result: LookupResult) {
+        path: &mut Vec<(ChordId, ChordId)>,
+    ) -> LookupResult {
+        let result = self.route_path(start, h, path);
         self.record_routed_lookup(result.hops);
+        result
     }
 
-    /// Records the statistics of one lookup that was already routed
-    /// elsewhere — the batched locate path resolves probes against a
-    /// [`RouteSnapshot`] and replays the accounting here in plan order,
-    /// so [`SimNet::stats`] stays bit-for-bit what
-    /// the sequential [`SimNet::find_successor_path`] calls would have
-    /// produced.
+    /// Records the statistics of one lookup that was already routed by
+    /// [`SimNet::route_path`] — the batched locate path routes its
+    /// probes purely and replays the accounting here in plan order, so
+    /// [`SimNet::stats`] stays bit-for-bit what the sequential
+    /// [`SimNet::find_successor_path`] calls would have produced.
     pub fn record_routed_lookup(&mut self, hops: u32) {
         self.stats.lookups += 1;
         self.stats.total_hops += u64::from(hops);
@@ -505,63 +638,58 @@ impl SimNet {
     /// Panics if `bootstrap` is not alive.
     pub fn join(&mut self, new_id: ChordId, bootstrap: ChordId) -> Option<u32> {
         assert!(self.is_alive(bootstrap), "bootstrap node must be alive");
-        if !self.insert_solitary(new_id) {
-            return None;
-        }
+        let row = self.insert_solitary(new_id)?.row as usize;
         self.joined.push(new_id);
         let lookup = self.route(bootstrap, new_id.value());
-        let succ = lookup.owner;
+        let succ = self.entry_of(lookup.owner);
         let mut messages = lookup.hops;
-        let m = self.space.bits() as usize;
-        let mut fingers = Vec::with_capacity(m);
-        for k in 0..m {
-            let target = new_id.add_power_of_two(k as u32);
-            let r = self.route(succ, target.value());
-            fingers.push(r.owner);
+        // Seeded while the new row is still solitary, written after.
+        let mut fingers = Vec::with_capacity(self.bits());
+        for k in 0..self.space.bits() {
+            let target = new_id.add_power_of_two(k);
+            let r = self.route(lookup.owner, target.value());
+            fingers.push(self.entry_of(r.owner));
             messages = messages.saturating_add(r.hops);
         }
         let mut succ_list = vec![succ];
         succ_list.extend(
-            self.nodes[&succ.value()]
-                .successor_list()
+            self.succs_of(succ.row as usize)
                 .iter()
-                .copied()
-                .filter(|&s| s != new_id && s != succ && self.is_alive_raw(s)),
+                .filter(|s| s.id != new_id.value() && s.id != succ.id)
+                .filter_map(|&s| self.live(s)),
         );
         succ_list.truncate(self.succ_list_len);
-        let node = self
-            .nodes
-            .get_mut(&new_id.value())
-            .expect("node just added");
-        node.set_successor_list(succ_list);
-        node.set_predecessor(None);
-        for (k, f) in fingers.into_iter().enumerate() {
-            node.set_finger(k, f);
-        }
-        self.invalidate_succ_cache();
+        let m = self.bits();
+        self.set_succs(row, &succ_list);
+        self.preds[row] = None;
+        self.fingers[row * m..(row + 1) * m].copy_from_slice(&fingers);
         Some(messages)
+    }
+
+    /// Takes `ring[pos]` out of the alive set.
+    fn unlist(&mut self, pos: usize) -> Entry {
+        let e = self.ring.remove(pos);
+        self.alive[e.row as usize] = false;
+        self.removed.push(self.id(e.id));
+        e
     }
 
     /// Marks a node failed (crash model: no goodbye messages).
     ///
     /// Returns false if the node was missing or already dead.
     pub fn fail(&mut self, id: ChordId) -> bool {
-        match self.nodes.get_mut(&id.value()) {
-            Some(n) if n.is_alive() => {
-                n.mark_failed();
-                self.alive -= 1;
-                self.removed.push(id);
-                self.invalidate_succ_cache();
-                true
-            }
-            _ => false,
-        }
+        let Ok(pos) = self.ring_pos(id.value()) else {
+            return false;
+        };
+        let e = self.unlist(pos);
+        self.corpses.insert(e.id, e.row);
+        true
     }
 
     /// Removes failed nodes' state entirely (garbage collection).
     pub fn remove_failed(&mut self) {
-        self.nodes.retain(|_, n| n.is_alive());
-        self.invalidate_succ_cache();
+        self.free.extend(self.corpses.values());
+        self.corpses.clear();
     }
 
     /// Removes a node's state entirely — the graceful-departure model: the
@@ -570,14 +698,14 @@ impl SimNet {
     /// way a crashed host would). Survivors' pointers to it are repaired by
     /// the maintenance protocol. Returns false if the id is unknown.
     pub fn remove_node(&mut self, id: ChordId) -> bool {
-        let Some(node) = self.nodes.remove(&id.value()) else {
-            return false;
+        let row = match self.ring_pos(id.value()) {
+            Ok(pos) => self.unlist(pos).row,
+            Err(_) => match self.corpses.remove(&id.value()) {
+                Some(row) => row,
+                None => return false,
+            },
         };
-        if node.is_alive() {
-            self.alive -= 1;
-            self.removed.push(id);
-        }
-        self.invalidate_succ_cache();
+        self.free.push(row);
         true
     }
 
@@ -585,114 +713,88 @@ impl SimNet {
     /// order): repair successor pointers, notify successors, refresh
     /// successor lists. Returns true if any state changed.
     pub fn stabilize_round(&mut self) -> bool {
-        let ids = self.node_ids();
-        debug_assert_eq!(ids.len(), self.alive, "alive counter drifted");
         self.forget_fixpoint();
         let mut changed = false;
-        for id in ids {
-            changed |= self.stabilize_one(id);
+        for pos in 0..self.ring.len() {
+            changed |= self.stabilize_one(pos);
         }
         changed
     }
 
-    fn stabilize_one(&mut self, id: ChordId) -> bool {
-        if !self.is_alive(id) {
-            return false;
-        }
+    /// Stabilizes the node at ring position `pos` (no step of it moves a
+    /// ring position).
+    fn stabilize_one(&mut self, pos: usize) -> bool {
+        let mask = self.space.mask();
+        let me = self.ring[pos];
+        let (id, row) = (me.id, me.row as usize);
         let mut changed = false;
-        let node = &self.nodes[&id.value()];
-        let mut succ = self.first_alive_successor(node);
-        if succ == id && self.alive_count() > 1 {
+        let mut succ = self.first_alive_successor(row);
+        if succ == me && self.alive_count() > 1 {
             // Lost all successors: re-discover via ground truth (models
             // out-of-band rejoin, needed only after catastrophic failures).
-            succ = self
-                .owner_of(id.value().wrapping_add(1) & self.space.mask())
-                .expect("ring has alive nodes");
+            succ = self.owner_entry(id.wrapping_add(1) & mask);
         }
         // successor's predecessor may be a closer successor for us.
-        if succ != id {
-            if let Some(x) = self.nodes[&succ.value()].predecessor() {
-                if self.is_alive(x) && x.in_open_interval(id, succ) {
-                    succ = x;
+        if succ != me {
+            if let Some(Ok(x)) = self.preds[succ.row as usize].map(|x| self.ring_pos(x)) {
+                if in_open(self.ring[x].id, id, succ.id, mask) {
+                    succ = self.ring[x];
                 }
             }
         }
         // Refresh our successor list from succ's list.
         let mut list = vec![succ];
-        if succ != id {
-            let succ_node = &self.nodes[&succ.value()];
+        if succ != me {
             list.extend(
-                succ_node
-                    .successor_list()
+                self.succs_of(succ.row as usize)
                     .iter()
-                    .copied()
-                    .filter(|&s| self.is_alive(s) && s != id),
+                    .filter_map(|&s| self.live(s))
+                    .filter(|&s| s != me),
             );
         }
         list.dedup();
         list.truncate(self.succ_list_len);
-        let list_changed = {
-            let node = self.nodes.get_mut(&id.value()).expect("alive node");
-            if node.successor_list() != list.as_slice() {
-                node.set_successor_list(list);
-                true
-            } else {
-                false
-            }
-        };
-        if list_changed {
-            self.invalidate_succ_cache();
+        changed |= !self
+            .succs_of(row)
+            .iter()
+            .map(|s| s.id)
+            .eq(list.iter().map(|s| s.id));
+        self.set_succs(row, &list);
+        // Drop a dead predecessor.
+        if self.preds[row].is_some_and(|p| self.ring_pos(p).is_err()) {
+            self.preds[row] = None;
             changed = true;
         }
-        // Drop a dead predecessor.
-        if let Some(p) = self.nodes[&id.value()].predecessor() {
-            if !self.nodes.get(&p.value()).is_some_and(|n| n.is_alive()) {
-                self.nodes
-                    .get_mut(&id.value())
-                    .expect("alive node")
-                    .set_predecessor(None);
-                changed = true;
-            }
-        }
         // Notify: tell succ about us.
-        if succ != id {
-            let current_pred = self.nodes[&succ.value()].predecessor();
+        if succ != me {
+            let current_pred = self.preds[succ.row as usize];
             let adopt = match current_pred {
                 None => true,
-                Some(p) => !self.is_alive_raw(p) || id.in_open_interval(p, succ),
+                Some(p) => self.ring_pos(p).is_err() || in_open(id, p, succ.id, mask),
             };
             if adopt && current_pred != Some(id) {
-                self.nodes
-                    .get_mut(&succ.value())
-                    .expect("alive succ")
-                    .set_predecessor(Some(id));
+                self.preds[succ.row as usize] = Some(id);
                 changed = true;
             }
         }
         changed
-    }
-
-    fn is_alive_raw(&self, id: ChordId) -> bool {
-        self.nodes.get(&id.value()).is_some_and(|n| n.is_alive())
     }
 
     /// One round of finger repair on every alive node: recompute each
     /// finger by routing from the node itself. Returns true if any finger
     /// changed.
     pub fn fix_fingers_round(&mut self) -> bool {
-        let ids = self.node_ids();
         self.forget_fixpoint();
-        let m = self.space.bits() as usize;
+        let m = self.bits();
         let mut changed = false;
-        for id in ids {
+        for pos in 0..self.ring.len() {
+            let id = self.id(self.ring[pos].id);
+            let row = self.ring[pos].row as usize;
             for k in 0..m {
                 let target = id.add_power_of_two(k as u32);
-                let owner = self.route(id, target.value()).owner;
-                let node = self.nodes.get_mut(&id.value()).expect("alive node");
-                if node.fingers()[k] != owner {
-                    node.set_finger(k, owner);
-                    changed = true;
-                }
+                let owner = self.entry_of(self.route(id, target.value()).owner);
+                changed |= self.fingers[row * m + k].id != owner.id;
+                self.fingers[row * m + k] = owner;
             }
         }
         changed
@@ -725,11 +827,11 @@ impl SimNet {
     /// only [`SimNet::join`]s, or only [`SimNet::fail`] /
     /// [`SimNet::remove_node`]s, happened since, only what names a
     /// changed arc is rewritten ([`SimNet::repair_around`]):
-    /// O((M + r)·log S) map steps per changed node plus the ≈ M fingers
-    /// that move. Otherwise — the state is not a known fixpoint, the
-    /// delta mixes joins with removals, or fewer than `r + 2` nodes are
-    /// alive — every alive node's tables are recomputed by binary search
-    /// over the sorted alive ids: O(S·M·log S), three `Vec`s per node.
+    /// O(M·log S) search steps per changed node plus the `r²` successor
+    /// slots and ≈ M fingers that move. Otherwise — the state is not a
+    /// known fixpoint, the delta mixes joins with removals, or fewer
+    /// than `r + 2` nodes are alive — every alive row is rewritten by
+    /// binary search over `ring`: O(S·M·log S).
     ///
     /// The fixpoint differs from [`SimNet::build_stable`] only on rings
     /// smaller than the successor-list length: stabilization's list
@@ -738,34 +840,36 @@ impl SimNet {
     /// `build_stable` pads with `self` — which is why the membership path
     /// must use this method, not `build_stable`.
     pub fn stabilize_direct(&mut self) -> usize {
-        if self.alive == 0 {
+        if self.ring.is_empty() {
             return 1;
         }
         let joined = std::mem::take(&mut self.joined);
         let removed = std::mem::take(&mut self.removed);
         if self.fixpoint
-            && self.alive >= self.succ_list_len + 2
+            && self.ring.len() >= self.succ_list_len + 2
             && (joined.is_empty() || removed.is_empty())
         {
             for &id in &joined {
-                self.repair_around(id, true);
+                self.repair_around(id.value(), true);
             }
             for &id in &removed {
-                self.repair_around(id, false);
+                self.repair_around(id.value(), false);
             }
-            self.invalidate_succ_cache();
             debug_assert!(
                 self.tables_are_fixpoint(),
                 "incremental repair diverged from the whole-ring fixpoint"
             );
         } else {
-            let ids = self.node_ids();
-            debug_assert_eq!(ids.len(), self.alive, "alive counter drifted");
-            let r = self.succ_list_len.min(ids.len() - 1);
-            self.install_tables(&ids, r);
+            self.install_tables(self.fixpoint_list_len());
         }
         self.fixpoint = true;
         1
+    }
+
+    /// Successor-list length at the maintenance fixpoint: the list never
+    /// reaches its own node, except `[self]` on a one-node ring.
+    fn fixpoint_list_len(&self) -> usize {
+        self.succ_list_len.min(self.ring.len() - 1).max(1)
     }
 
     /// Repairs the fixpoint around one changed ring position: `at`
@@ -783,144 +887,93 @@ impl SimNet {
     /// Requires at least `r + 2` alive nodes (full-length successor
     /// lists that never reach their own node) and every alive node not
     /// named above to hold fixpoint tables already.
-    fn repair_around(&mut self, at: ChordId, joined: bool) {
+    fn repair_around(&mut self, at: u64, joined: bool) {
         let r = self.succ_list_len;
-        let h = at.value();
+        let (m, n, mask) = (self.bits(), self.ring.len(), self.space.mask());
         // r alive predecessors (ring order), then the r + 1 alive nodes
         // from `at` on: every node whose list changes, followed by every
         // node those lists can name.
-        let mut window: Vec<ChordId> = self.alive_before(h).take(r).collect();
-        window.reverse();
-        window.extend(self.alive_from(h).take(r + 1));
-        debug_assert_eq!(window.len(), 2 * r + 1);
-        let pred = window[r - 1];
-        let owner = window[r];
-        debug_assert_eq!(owner == at, joined);
+        let at_pos = self.ring.partition_point(|e| e.id < at);
+        let first = at_pos + n - r;
+        let window = |j: usize| (first + j) % n;
+        let pred = self.ring[window(r - 1)];
+        let owner = self.ring[window(r)];
+        debug_assert_eq!(owner.id == at, joined);
         let rewritten = if joined { r + 1 } else { r };
         for j in 0..rewritten {
-            let list = window[j + 1..=j + r].to_vec();
-            self.node_mut(window[j]).set_successor_list(list);
+            let row = self.ring[window(j)].row as usize;
+            for k in 0..r {
+                self.succs[row * self.succ_stride + k] = self.true_succ(window(j), k);
+            }
+            self.succ_lens[row] = r as u32;
         }
         if joined {
-            self.node_mut(window[r + 1]).set_predecessor(Some(at));
+            self.preds[self.ring[window(r + 1)].row as usize] = Some(at);
         }
-        self.node_mut(owner).set_predecessor(Some(pred));
-        let mask = self.space.mask();
-        for k in 0..self.space.bits() {
+        self.preds[owner.row as usize] = Some(pred.id);
+        for k in 0..m {
             if joined {
-                let target = at.add_power_of_two(k).value();
-                let finger = self.owner_of(target).expect("ring is non-empty");
-                self.node_mut(at).set_finger(k as usize, finger);
+                self.fingers[owner.row as usize * m + k] = self.true_finger(window(r), k);
             }
             let step = 1u64 << k;
-            let lo = pred.value().wrapping_sub(step) & mask;
-            let hi = h.wrapping_sub(step) & mask;
-            // (lo, hi] on the ring: one map range, or two across 0.
+            let lo = pred.id.wrapping_sub(step) & mask;
+            let hi = at.wrapping_sub(step) & mask;
+            // (lo, hi] on the ring: one run of `ring`, or two across 0.
+            let after_lo = self.ring.partition_point(|e| e.id <= lo);
+            let after_hi = self.ring.partition_point(|e| e.id <= hi);
             let arcs = if lo < hi {
-                [Some((Excluded(lo), Included(hi))), None]
+                [after_lo..after_hi, 0..0]
             } else {
-                [
-                    Some((Excluded(lo), Unbounded)),
-                    Some((Unbounded, Included(hi))),
-                ]
+                [after_lo..n, 0..after_hi]
             };
-            for arc in arcs.into_iter().flatten() {
-                for (_, node) in self.nodes.range_mut(arc) {
-                    if node.is_alive() {
-                        node.set_finger(k as usize, owner);
-                    }
-                }
+            for e in arcs.into_iter().flat_map(|arc| &self.ring[arc]) {
+                self.fingers[e.row as usize * m + k] = owner;
             }
         }
     }
 
-    fn node_mut(&mut self, id: ChordId) -> &mut ChordNode {
-        self.nodes.get_mut(&id.value()).expect("id names a node")
-    }
-
-    /// True if every alive node holds exactly [`SimNet::tables_for`] —
-    /// the whole-ring reference the incremental repair is checked
-    /// against in debug builds.
+    /// True if every alive row holds exactly the ground truth
+    /// [`SimNet::install_tables`] writes — the whole-ring reference the
+    /// incremental repair is checked against in debug builds.
     fn tables_are_fixpoint(&self) -> bool {
-        let ids = self.node_ids();
-        let r = self.succ_list_len.min(ids.len() - 1);
-        let m = self.space.bits() as usize;
-        ids.len() == self.alive
-            && ids.iter().enumerate().all(|(pos, id)| {
-                let (succ_list, pred, fingers) = Self::tables_for(&ids, pos, r, m);
-                let node = &self.nodes[&id.value()];
-                node.successor_list() == succ_list.as_slice()
-                    && node.predecessor() == pred
-                    && node.fingers() == fingers.as_slice()
-            })
+        let r = self.fixpoint_list_len();
+        (0..self.ring.len()).all(|pos| {
+            let row = self.ring[pos].row as usize;
+            self.succs_of(row)
+                .iter()
+                .copied()
+                .eq((0..r).map(|k| self.true_succ(pos, k)))
+                && self.preds[row] == self.true_pred(pos)
+                && self
+                    .fingers_of(row)
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &f)| f == self.true_finger(pos, k))
+        })
     }
 
-    /// Freezes the current routing state into a flat
-    /// [`RouteSnapshot`] whose `route_with_path` is bit-for-bit
-    /// [`SimNet::route_with_path`] — for routing batched lookups
-    /// between membership events.
-    pub fn snapshot(&self) -> RouteSnapshot {
-        let m = self.space.bits() as usize;
-        let hop_limit = 4 * self.space.bits() + self.nodes.len() as u32 + 8;
-        let alive: Vec<&ChordNode> = self.nodes.values().filter(|n| n.is_alive()).collect();
-        let mut values = Vec::with_capacity(alive.len());
-        let mut first_succ = Vec::with_capacity(alive.len());
-        let mut fingers = Vec::with_capacity(alive.len() * m);
-        let mut succs = Vec::new();
-        let mut succ_offsets = Vec::with_capacity(alive.len() + 1);
-        succ_offsets.push(0u32);
-        for node in alive {
-            values.push(node.id().value());
-            first_succ.push(self.first_alive_successor(node).value());
-            fingers.extend(
-                node.fingers()
-                    .iter()
-                    .map(|&f| (f.value(), self.is_alive_raw(f))),
-            );
-            succs.extend(
-                node.successor_list()
-                    .iter()
-                    .map(|&s| (s.value(), self.is_alive_raw(s))),
-            );
-            succ_offsets.push(succs.len() as u32);
-        }
-        RouteSnapshot {
-            space: self.space,
-            hop_limit,
-            values,
-            first_succ,
-            fingers,
-            succs,
-            succ_offsets,
-        }
+    /// The live rows behind [`RouteSnapshot`]'s old interface. Kept only
+    /// because `clash-benchmark/src/micro.rs` calls it; the next
+    /// `benchmark`-archetype PR drops the call and this method.
+    pub fn snapshot(&self) -> RouteSnapshot<'_> {
+        RouteSnapshot { net: self }
     }
 
     /// True if every alive node's successor, predecessor and fingers match
     /// ground truth — the post-condition of successful maintenance.
     pub fn is_fully_stabilized(&self) -> bool {
-        let ids = self.node_ids();
-        if ids.is_empty() {
-            return true;
-        }
-        for (pos, &id) in ids.iter().enumerate() {
-            let node = &self.nodes[&id.value()];
-            let true_succ = ids[(pos + 1) % ids.len()];
-            if ids.len() > 1 && self.first_alive_successor(node) != true_succ {
-                return false;
-            }
-            let true_pred = ids[(pos + ids.len() - 1) % ids.len()];
-            if ids.len() > 1 && node.predecessor() != Some(true_pred) {
-                return false;
-            }
-            for k in 0..self.space.bits() as usize {
-                let target = id.add_power_of_two(k as u32);
-                let owner = self.owner_of(target.value()).expect("non-empty");
-                if node.fingers()[k] != owner {
-                    return false;
-                }
-            }
-        }
-        true
+        let n = self.ring.len();
+        (0..n).all(|pos| {
+            let row = self.ring[pos].row as usize;
+            (n == 1
+                || (self.first_alive_successor(row) == self.true_succ(pos, 0)
+                    && self.preds[row] == self.true_pred(pos)))
+                && self
+                    .fingers_of(row)
+                    .iter()
+                    .enumerate()
+                    .all(|(k, f)| f.id == self.true_finger(pos, k).id)
+        })
     }
 }
 
@@ -928,7 +981,7 @@ impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("space", &self.space)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &(self.ring.len() + self.corpses.len()))
             .field("alive", &self.alive_count())
             .field("stats", &self.stats)
             .finish()
@@ -1249,11 +1302,12 @@ mod tests {
         let net = stable_net(128, 25);
         let starts = net.node_ids();
         let mut rng = DetRng::new(26);
+        let mut path = Vec::new();
         for _ in 0..500 {
             let h = rng.next_u64() & space().mask();
             let start = starts[rng.uniform_index(starts.len())];
             let plain = net.route(start, h);
-            let (routed, path) = net.route_with_path(start, h);
+            let routed = net.route_path(start, h, &mut path);
             assert_eq!(plain, routed);
             assert_eq!(path.len(), routed.hops as usize);
             // The path is a connected chain from start to the owner.
@@ -1271,7 +1325,8 @@ mod tests {
     fn find_successor_path_records_stats() {
         let mut net = stable_net(32, 27);
         let start = net.node_ids()[0];
-        let (r, path) = net.find_successor_path(start, 0x1234);
+        let mut path = Vec::new();
+        let r = net.find_successor_path(start, 0x1234, &mut path);
         assert_eq!(net.stats().lookups, 1);
         assert_eq!(net.stats().total_hops, u64::from(r.hops));
         assert_eq!(path.len(), r.hops as usize);

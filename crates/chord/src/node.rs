@@ -3,136 +3,70 @@
 use std::fmt;
 
 use crate::id::ChordId;
+use crate::net::SimNet;
 
-/// The state one Chord node maintains: its successor list, predecessor and
-/// finger table (Stoica et al., SIGCOMM 2001, §4).
+/// A read-only view of the state one Chord node maintains: its successor
+/// list, predecessor and finger table (Stoica et al., SIGCOMM 2001, §4),
+/// sized exactly as in the Chord paper — M fingers and an r-entry
+/// successor list.
 ///
-/// Nodes do not own network behaviour — [`crate::net::SimNet`] drives the
-/// protocol — but all routing state lives here, sized exactly as in the
-/// Chord paper: M fingers and an r-entry successor list.
-#[derive(Clone)]
-pub struct ChordNode {
-    id: ChordId,
-    /// `fingers[k]` routes toward `id + 2^k`; entry 0 is the successor.
-    fingers: Vec<ChordId>,
-    /// The first `r` nodes following this one on the ring.
-    successor_list: Vec<ChordId>,
-    predecessor: Option<ChordId>,
-    alive: bool,
+/// The state itself is one row of [`SimNet`]'s table arena, which drives
+/// the protocol and writes it in place; this view names the row and
+/// copies out what is asked for.
+#[derive(Clone, Copy)]
+pub struct ChordNode<'a> {
+    net: &'a SimNet,
+    row: usize,
 }
 
-impl ChordNode {
-    /// Creates a solitary node: all routing state points at itself.
-    pub fn solitary(id: ChordId) -> Self {
-        let m = id.space().bits() as usize;
-        ChordNode {
-            id,
-            fingers: vec![id; m],
-            successor_list: vec![id],
-            predecessor: None,
-            alive: true,
-        }
+impl<'a> ChordNode<'a> {
+    pub(crate) fn new(net: &'a SimNet, row: usize) -> Self {
+        ChordNode { net, row }
     }
 
     /// This node's ring identifier.
     pub fn id(&self) -> ChordId {
-        self.id
+        self.net.row_id(self.row)
     }
 
     /// The immediate successor (first live entry of the successor list
-    /// falls to [`crate::net::SimNet`]; this returns the raw head).
+    /// falls to [`SimNet`]; this returns the raw head).
     pub fn successor(&self) -> ChordId {
-        self.successor_list[0]
+        self.successor_list()[0]
     }
 
     /// The successor list, nearest first.
-    pub fn successor_list(&self) -> &[ChordId] {
-        &self.successor_list
-    }
-
-    /// Replaces the successor list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is empty — a node always knows at least one
-    /// successor (possibly itself).
-    pub fn set_successor_list(&mut self, list: Vec<ChordId>) {
-        assert!(!list.is_empty(), "successor list must be non-empty");
-        self.successor_list = list;
+    pub fn successor_list(&self) -> Vec<ChordId> {
+        let list = self.net.succs_of(self.row);
+        list.iter().map(|s| self.net.id(s.id)).collect()
     }
 
     /// The predecessor, if known.
     pub fn predecessor(&self) -> Option<ChordId> {
-        self.predecessor
-    }
-
-    /// Sets or clears the predecessor pointer.
-    pub fn set_predecessor(&mut self, p: Option<ChordId>) {
-        self.predecessor = p;
+        self.net.row_pred(self.row)
     }
 
     /// The finger table; entry `k` is the node this one believes succeeds
     /// `id + 2^k`.
-    pub fn fingers(&self) -> &[ChordId] {
-        &self.fingers
-    }
-
-    /// Sets finger `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn set_finger(&mut self, k: usize, target: ChordId) {
-        self.fingers[k] = target;
+    pub fn fingers(&self) -> Vec<ChordId> {
+        let fingers = self.net.fingers_of(self.row);
+        fingers.iter().map(|f| self.net.id(f.id)).collect()
     }
 
     /// Whether the node is alive (failed nodes keep their state for
     /// post-mortem inspection but are skipped by routing).
     pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
-    /// Marks the node failed.
-    pub fn mark_failed(&mut self) {
-        self.alive = false;
-    }
-
-    /// The best local route toward `target`: the closest finger (or
-    /// successor-list entry) that lies strictly between this node and the
-    /// target, among nodes accepted by `is_usable`. Falls back to the first
-    /// usable successor, then to `self`.
-    pub fn closest_preceding(
-        &self,
-        target: ChordId,
-        is_usable: impl Fn(ChordId) -> bool,
-    ) -> ChordId {
-        for &f in self.fingers.iter().rev() {
-            if f.in_open_interval(self.id, target) && is_usable(f) {
-                return f;
-            }
-        }
-        // Successor-list entries can be closer than any usable finger
-        // after failures.
-        for &s in self.successor_list.iter().rev() {
-            if s.in_open_interval(self.id, target) && is_usable(s) {
-                return s;
-            }
-        }
-        self.successor_list
-            .iter()
-            .copied()
-            .find(|&s| is_usable(s))
-            .unwrap_or(self.id)
+        self.net.row_alive(self.row)
     }
 }
 
-impl fmt::Debug for ChordNode {
+impl fmt::Debug for ChordNode<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ChordNode")
-            .field("id", &self.id)
+            .field("id", &self.id())
             .field("successor", &self.successor())
-            .field("predecessor", &self.predecessor)
-            .field("alive", &self.alive)
+            .field("predecessor", &self.predecessor())
+            .field("alive", &self.is_alive())
             .finish()
     }
 }
@@ -146,9 +80,28 @@ mod tests {
         ChordId::new(v, HashSpace::new(8).unwrap())
     }
 
+    fn stable_ring(ids: &[u64]) -> SimNet {
+        let mut net = SimNet::new(HashSpace::new(8).unwrap());
+        for &v in ids {
+            net.add_node(id(v));
+        }
+        net.build_stable();
+        net
+    }
+
+    /// The node a lookup from `from` toward `target` is forwarded to
+    /// first — the engine's closest-preceding choice.
+    fn first_hop(net: &SimNet, from: u64, target: u64) -> ChordId {
+        let mut path = Vec::new();
+        net.route_path(id(from), target, &mut path);
+        path[0].1
+    }
+
     #[test]
     fn solitary_points_to_self() {
-        let n = ChordNode::solitary(id(42));
+        let mut net = SimNet::new(HashSpace::new(8).unwrap());
+        net.add_node(id(42));
+        let n = net.node(id(42)).unwrap();
         assert_eq!(n.successor(), id(42));
         assert_eq!(n.fingers().len(), 8);
         assert!(n.fingers().iter().all(|&f| f == id(42)));
@@ -158,46 +111,38 @@ mod tests {
 
     #[test]
     fn closest_preceding_picks_farthest_usable_finger() {
-        let mut n = ChordNode::solitary(id(0));
-        n.set_finger(0, id(1));
-        n.set_finger(3, id(8));
-        n.set_finger(6, id(64));
-        n.set_finger(7, id(128));
+        let net = stable_ring(&[0, 1, 8, 64, 128]);
         // Routing toward 100: finger 64 is the closest preceding.
-        assert_eq!(n.closest_preceding(id(100), |_| true), id(64));
+        assert_eq!(first_hop(&net, 0, 100), id(64));
         // Routing toward 200: finger 128 precedes it.
-        assert_eq!(n.closest_preceding(id(200), |_| true), id(128));
+        assert_eq!(first_hop(&net, 0, 200), id(128));
     }
 
     #[test]
     fn closest_preceding_skips_unusable() {
-        let mut n = ChordNode::solitary(id(0));
-        n.set_finger(6, id(64));
-        n.set_finger(7, id(128));
-        n.set_successor_list(vec![id(1)]);
-        let dead = id(128);
-        assert_eq!(n.closest_preceding(id(200), |c| c != dead), id(64));
+        let mut net = stable_ring(&[0, 1, 8, 64, 128]);
+        net.fail(id(128));
+        assert_eq!(first_hop(&net, 0, 200), id(64));
     }
 
     #[test]
     fn closest_preceding_falls_back_to_successor() {
-        let mut n = ChordNode::solitary(id(10));
-        n.set_successor_list(vec![id(20)]);
         // Target just after self; no finger strictly inside (10, 12).
-        assert_eq!(n.closest_preceding(id(12), |c| c != id(10)), id(20));
+        let net = stable_ring(&[10, 20]);
+        assert_eq!(first_hop(&net, 10, 12), id(20));
     }
 
     #[test]
     fn mark_failed() {
-        let mut n = ChordNode::solitary(id(1));
-        n.mark_failed();
-        assert!(!n.is_alive());
+        let mut net = stable_ring(&[1, 2]);
+        net.fail(id(1));
+        assert!(!net.node(id(1)).unwrap().is_alive());
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_successor_list_rejected() {
-        let mut n = ChordNode::solitary(id(1));
-        n.set_successor_list(vec![]);
+        let mut net = stable_ring(&[1]);
+        net.set_succs(0, &[]);
     }
 }

@@ -114,6 +114,9 @@ pub(super) struct Wire {
     pub(super) msgs: MessageStats,
     /// End-to-end per-operation latency recorders.
     pub(super) latency: LatencyMetrics,
+    /// The `(from, to)` hops of the route being charged: the ring writes
+    /// each lookup's path here, so no probe or placement allocates one.
+    pub(super) hops: Vec<(ChordId, ChordId)>,
 }
 
 impl Wire {
@@ -136,8 +139,18 @@ impl Wire {
         }
     }
 
+    /// Sends a `Probe` along every routing hop in `self.hops`, in order.
+    /// Returns the first severed hop, if any (latency accumulated up to
+    /// it stands).
+    pub(super) fn send_hops(&mut self, total: &mut SimDuration) -> Option<(ChordId, ChordId)> {
+        (0..self.hops.len()).find_map(|i| {
+            let (from, to) = self.hops[i];
+            (!self.send(from, to, MessageClass::Probe, total)).then_some((from, to))
+        })
+    }
+
     /// Charges one routed probe through the transport: every routing hop
-    /// of `path` plus the response from `owner` back to `start`.
+    /// in `self.hops` plus the response from `owner` back to `start`.
     ///
     /// # Errors
     ///
@@ -148,13 +161,10 @@ impl Wire {
         &mut self,
         start: ChordId,
         owner: ChordId,
-        path: Vec<(ChordId, ChordId)>,
         op_latency: &mut SimDuration,
     ) -> Result<(), ClashError> {
-        for (from, to) in path {
-            if !self.send(from, to, MessageClass::Probe, op_latency) {
-                return Err(ClashError::NetworkUnreachable { from, to });
-            }
+        if let Some((from, to)) = self.send_hops(op_latency) {
+            return Err(ClashError::NetworkUnreachable { from, to });
         }
         if !self.send(owner, start, MessageClass::ProbeResponse, op_latency) {
             return Err(ClashError::NetworkUnreachable {

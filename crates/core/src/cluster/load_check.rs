@@ -422,13 +422,11 @@ impl ClashCluster {
             // the routing hops up to the cut were genuinely attempted.
             let (_, right_prefix) = group.split()?;
             let h = self.hasher.hash_key(right_prefix.virtual_key());
-            let (lookup, path) = self.net.find_successor_path(server_id, h);
+            let wire = &mut self.wire;
+            let lookup = (self.net).find_successor_path(server_id, h, &mut wire.hops);
             let target = lookup.owner;
             let self_mapped = target == server_id;
-            let wire = &mut self.wire;
-            let deliverable = path
-                .into_iter()
-                .all(|(from, to)| wire.send(from, to, MessageClass::Probe, &mut op_latency))
+            let deliverable = wire.send_hops(&mut op_latency).is_none()
                 && (self_mapped
                     || wire.send(
                         server_id,

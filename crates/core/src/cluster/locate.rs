@@ -7,7 +7,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use clash_chord::id::ChordId;
-use clash_chord::snapshot::RouteSnapshot;
 use clash_keyspace::hash::KeyHasher;
 use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
@@ -70,15 +69,8 @@ struct PlannedProbe {
     key_bits: u64,
     /// The depth this probe guessed (see `key_bits`).
     depth: u32,
-}
-
-/// A planned probe after snapshot routing: the plan plus the routed
-/// hop count and per-hop path, ready for in-order charging.
-#[derive(Debug)]
-struct RoutedProbe {
-    plan: PlannedProbe,
+    /// Routed hop count: 0 until the flush's route phase fills it in.
     hops: u32,
-    path: Vec<(ChordId, ChordId)>,
 }
 
 /// Batched locate state. With `config.shards > 0` the client locate
@@ -89,7 +81,8 @@ struct RoutedProbe {
 /// and queue a `PlannedProbe`; ledger mutations stay synchronous,
 /// group-load pushes are coalesced into `touched`. **Route** (pure, at
 /// the barrier): resolve each probe's DHT route, in plan order, against
-/// a frozen `RouteSnapshot`. **Charge** (in plan order): resolve every
+/// the live ring — frozen in effect, because every ring mutation is a
+/// barrier that flushes first. **Charge** (in plan order): resolve every
 /// transport message of the flush in one `send_batch`, then replay hop
 /// stats, message counters and latency observations exactly as the
 /// unbatched path interleaves them. `flush_batch` runs at every barrier;
@@ -107,9 +100,6 @@ pub(super) struct LocateBatch {
     touched: BTreeSet<Prefix>,
     /// Monotone flush counter (the flight recorder's flush ordinal).
     flush_seq: u64,
-    /// Frozen routing state for the current batch window; dropped by
-    /// every ring-membership mutation, rebuilt lazily at the next flush.
-    pub(super) route_snapshot: Option<RouteSnapshot>,
     /// Debug builds: how many route phases passed the zero-cluster-RNG-draw
     /// cross-check (the runtime mirror of the clash-lint static rules).
     #[cfg(debug_assertions)]
@@ -168,9 +158,9 @@ impl ClashCluster {
                 self.net.owner_of(h).expect("ring is non-empty")
             } else {
                 // Charge now.
-                let (lookup, path) = self.net.find_successor_path(start, h);
+                let lookup = (self.net).find_successor_path(start, h, &mut self.wire.hops);
                 self.wire
-                    .charge_probe_route(start, lookup.owner, path, &mut op_latency)?;
+                    .charge_probe_route(start, lookup.owner, &mut op_latency)?;
                 self.wire.msgs.probes += 1;
                 self.wire.msgs.probe_messages += u64::from(lookup.hops) + 1;
                 lookup.owner
@@ -193,6 +183,7 @@ impl ClashCluster {
                     op_end: found.is_some(),
                     key_bits: key.bits(),
                     depth: guess,
+                    hops: 0,
                 });
             } else if adaptive {
                 self.obs.trace(|| TraceEventKind::LocateProbe {
@@ -283,7 +274,7 @@ impl ClashCluster {
 
     /// The route + charge phases of the batch (see [`LocateBatch`]).
     fn flush_batch_probes(&mut self) -> Result<(), ClashError> {
-        let probes = std::mem::take(&mut self.batch.probes);
+        let mut probes = std::mem::take(&mut self.batch.probes);
         let this_flush = self.batch.flush_seq;
         self.obs.trace(|| TraceEventKind::FlushBegin {
             flush_seq: this_flush,
@@ -291,73 +282,60 @@ impl ClashCluster {
             shards: u64::from(self.config.shards),
         });
         self.obs.phase_begin(CheckPhase::FlushPlan);
-        let snapshot = self
-            .batch
-            .route_snapshot
-            .get_or_insert_with(|| self.net.snapshot());
-        // Runtime mirror of the clash-lint static rules: from here (the
-        // snapshot is frozen) until routing finishes, the cluster RNG must
-        // not advance — routing is pure, so any draw here would make
-        // results depend on batch timing.
+        // Runtime mirror of the clash-lint static rules: from here until
+        // routing finishes, the cluster RNG must not advance — routing is
+        // pure, so any draw here would make results depend on batch
+        // timing.
         #[cfg(debug_assertions)]
         let draws_at_freeze = self.rng.draw_count();
         self.batch.flush_seq += 1;
         self.obs.phase_end(CheckPhase::FlushPlan);
         self.obs.phase_begin(CheckPhase::FlushRoute);
-        // Route phase: resolve every probe, in plan order, against the
-        // frozen snapshot.
-        let routed: Vec<RoutedProbe> = probes
-            .into_iter()
-            .map(|plan| {
-                let (lookup, path) = snapshot.route_with_path(plan.start, plan.target);
-                debug_assert_eq!(
-                    lookup.owner, plan.owner,
-                    "batch window spanned a ring change: routed owner diverged from plan"
-                );
-                RoutedProbe {
-                    plan,
-                    hops: lookup.hops,
-                    path,
-                }
-            })
-            .collect();
+        // Route phase: resolve every probe, in plan order, and lay out
+        // every transport message of the flush in that same order — each
+        // probe's routing hops, then its owner→start response. The
+        // message and delivery vectors live for this flush only: kept
+        // between flushes they stay 1.4 GB resident in `scale`'s
+        // 1M-server cell and buy no measurable time on any workload.
+        let mut send_specs: Vec<SendSpec> = Vec::with_capacity(probes.len() * 2);
+        for plan in &mut probes {
+            let hops = &mut self.wire.hops;
+            let lookup = self.net.route_path(plan.start, plan.target, hops);
+            debug_assert_eq!(
+                lookup.owner, plan.owner,
+                "batch window spanned a ring change: routed owner diverged from plan"
+            );
+            plan.hops = lookup.hops;
+            send_specs.extend(hops.iter().map(|&(from, to)| SendSpec {
+                src: from.value(),
+                dst: to.value(),
+                class: MessageClass::Probe,
+            }));
+            send_specs.push(SendSpec {
+                src: plan.owner.value(),
+                dst: plan.start.value(),
+                class: MessageClass::ProbeResponse,
+            });
+        }
         #[cfg(debug_assertions)]
         {
             assert_eq!(
                 self.rng.draw_count(),
                 draws_at_freeze,
-                "route phase drew from the cluster RNG after the snapshot freeze; results \
-                 would depend on batch timing"
+                "route phase drew from the cluster RNG; results would depend on batch timing"
             );
             self.batch.route_draw_checks += 1;
         }
         self.obs.phase_end(CheckPhase::FlushRoute);
         self.obs.phase_begin(CheckPhase::FlushMerge);
-        // Charge phase, pass 1: lay out every transport message of the
-        // flush in global plan order — each probe's routing hops, then
-        // its owner→start response — and resolve the whole sequence in
-        // one [`Transport::send_batch`]. The batch contract guarantees
+        // Charge phase, pass 1: resolve the whole sequence in one
+        // [`Transport::send_batch`]. The batch contract guarantees
         // the same deliveries, stats, and per-link draw order as the
         // equivalent `send` loop; pre-resolving ahead of the accounting
         // replay is safe because a flush only ever runs on a connected
         // transport (see `partition_network` / `heal_partition`), so
         // the sequential loop could never have aborted mid-probe and
         // skipped later sends.
-        let mut send_specs: Vec<SendSpec> = Vec::with_capacity(routed.len() * 2);
-        for r in &routed {
-            for &(from, to) in &r.path {
-                send_specs.push(SendSpec {
-                    src: from.value(),
-                    dst: to.value(),
-                    class: MessageClass::Probe,
-                });
-            }
-            send_specs.push(SendSpec {
-                src: r.plan.owner.value(),
-                dst: r.plan.start.value(),
-                class: MessageClass::ProbeResponse,
-            });
-        }
         let mut deliveries: Vec<Delivery> = Vec::new();
         self.wire.transport.send_batch(&send_specs, &mut deliveries);
         // Pass 2: replay the per-op accounting over the resolved
@@ -368,29 +346,32 @@ impl ClashCluster {
         let mut op_latency = SimDuration::ZERO;
         let mut op_hop = 0_u32;
         let mut cursor = 0usize;
-        for routed in routed {
-            self.net.record_routed_lookup(routed.hops);
-            let response = (routed.plan.owner, routed.plan.start);
-            for &(from, to) in routed.path.iter().chain([&response]) {
+        for plan in probes {
+            self.net.record_routed_lookup(plan.hops);
+            for _ in 0..=plan.hops {
                 match deliveries[cursor] {
                     Delivery::Delivered { latency, .. } => op_latency += latency,
                     Delivery::Unreachable { .. } => {
-                        return Err(ClashError::NetworkUnreachable { from, to });
+                        let space = plan.start.space();
+                        return Err(ClashError::NetworkUnreachable {
+                            from: ChordId::new(send_specs[cursor].src, space),
+                            to: ChordId::new(send_specs[cursor].dst, space),
+                        });
                     }
                 }
                 cursor += 1;
             }
             self.wire.msgs.probes += 1;
-            self.wire.msgs.probe_messages += u64::from(routed.hops) + 1;
+            self.wire.msgs.probe_messages += u64::from(plan.hops) + 1;
             op_hop += 1;
             self.obs.trace(|| TraceEventKind::LocateProbe {
-                key: routed.plan.key_bits,
-                depth: routed.plan.depth,
-                server: routed.plan.owner.value(),
-                accepted: routed.plan.op_end,
+                key: plan.key_bits,
+                depth: plan.depth,
+                server: plan.owner.value(),
+                accepted: plan.op_end,
                 hop: op_hop,
             });
-            if routed.plan.op_end {
+            if plan.op_end {
                 self.wire.msgs.locates += 1;
                 self.wire.latency.locate.observe(ms(op_latency));
                 op_latency = SimDuration::ZERO;

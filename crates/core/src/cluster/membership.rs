@@ -97,7 +97,6 @@ impl ClashCluster {
         // Join lookup + finger seeding, plus the announcement itself.
         self.wire.msgs.handoff_messages += u64::from(join_msgs) + 1;
         let rounds = self.net.stabilize_direct();
-        self.batch.route_snapshot = None;
         self.servers.insert(ClashServer::new(new_id, self.config));
         self.candidates.mark_dirty(new_id.value());
         self.wire.msgs.joins += 1;
@@ -205,7 +204,6 @@ impl ClashCluster {
         });
         self.net.remove_node(victim);
         let rounds = self.net.stabilize_direct();
-        self.batch.route_snapshot = None;
         let tally = self.migrate_entries(victim, entries)?;
         // The leaver's held replicas vanished with it: re-replicate
         // immediately so no group waits out a load-check period

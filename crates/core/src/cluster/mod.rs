@@ -309,6 +309,7 @@ impl ClashCluster {
                 transport,
                 msgs: MessageStats::default(),
                 latency: LatencyMetrics::new(),
+                hops: Vec::new(),
             },
             recovery: Default::default(),
             candidates,

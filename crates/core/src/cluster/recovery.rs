@@ -214,7 +214,6 @@ impl ClashCluster {
                 .trace(|| TraceEventKind::ServerCrashed { server: v.value() });
         }
         self.net.stabilize_direct();
-        self.batch.route_snapshot = None;
 
         let mut report = FailureReport::new(victims[0], victims.len());
         self.oracle.recovery_active = true;

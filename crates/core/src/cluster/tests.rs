@@ -1045,7 +1045,7 @@ fn depth_probe_counts_match_paper_bound() {
 }
 
 /// Runtime mirror of the clash-lint static rules, pinned: the batched
-/// route phase (snapshot freeze → last route) must never draw from
+/// route phase (first route → last route) must never draw from
 /// the cluster RNG — the in-phase assertion fails the flush if it
 /// does, and `route_draw_checks` proves the instrumented path really
 /// ran.
