@@ -40,7 +40,7 @@ use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_keyspace::key::Key;
-use clash_obs::{RingSink, TraceEvent};
+use clash_obs::{MetricValue, RingSink, Telemetry, TraceEvent};
 use clash_simkernel::rng::DetRng;
 use clash_transport::{LatencyModel, LinkPolicy, LinkTransport};
 use clash_workload::{FaultKind, Workload, WorkloadKind};
@@ -142,6 +142,9 @@ pub struct ScheduleOutcome {
     pub violation: Option<Violation>,
     /// The flight-recorder ring tail at the end of the run.
     pub trace_tail: Vec<TraceEvent>,
+    /// The cluster's telemetry at the end of the run (empty when the
+    /// cluster could not be built or its last window would not close).
+    pub telemetry: Telemetry,
 }
 
 /// One failing schedule: the original, its delta-debugged minimal form,
@@ -179,6 +182,9 @@ pub struct CampaignReport {
     pub worst_convergence_checks: u32,
     /// Failing schedules, shrunk. Empty means all invariants held.
     pub failures: Vec<CampaignFailure>,
+    /// Every cluster counter summed over the schedules (`locate.flushes`
+    /// against `messages.probes` says which rule closed the windows).
+    pub telemetry: Telemetry,
 }
 
 /// Runs a whole campaign: `n_schedules` seed-derived schedules, each
@@ -198,6 +204,7 @@ pub fn run_campaign(
         invariant_checks: 0,
         worst_convergence_checks: 0,
         failures: Vec::new(),
+        telemetry: Telemetry::new(),
     };
     for index in 0..n_schedules {
         let schedule = ChaosSchedule::generate(campaign_seed, index);
@@ -212,6 +219,11 @@ pub fn run_campaign(
             *total += n;
         }
         report.invariant_checks += outcome.invariant_checks;
+        for (name, value) in outcome.telemetry.iter() {
+            if let MetricValue::Counter(n) = value {
+                report.telemetry.add(name, *n);
+            }
+        }
         if let Some(k) = outcome.convergence_checks_used {
             report.worst_convergence_checks = report.worst_convergence_checks.max(k);
         }
@@ -270,17 +282,24 @@ pub fn run_schedule(options: &ChaosOptions, schedule: &ChaosSchedule) -> Schedul
                 convergence_checks_used: None,
                 violation: Some(violation),
                 trace_tail: Vec::new(),
+                telemetry: Telemetry::new(),
             }
         }
     };
     let violation = run.execute(schedule).err();
+    let trace_tail = run.cluster.take_trace_events();
+    let telemetry = match run.cluster.flush_batch() {
+        Ok(()) => run.cluster.telemetry(),
+        Err(_) => Telemetry::new(),
+    };
     ScheduleOutcome {
         events_by_class: run.events_by_class,
         faults_injected: run.faults_injected,
         invariant_checks: run.invariant_checks,
         convergence_checks_used: run.convergence_checks_used,
         violation,
-        trace_tail: run.cluster.take_trace_events(),
+        trace_tail,
+        telemetry,
     }
 }
 
@@ -702,6 +721,9 @@ impl<'a> Run<'a> {
     /// Invariants 1–3 (plus 5 on a quiet network), checked after every
     /// event.
     fn check_invariants(&mut self, at: Option<usize>) -> Result<(), Violation> {
+        // The invariants read loads and replica ledgers: close the
+        // event's locate window first.
+        self.guard("flush_batch", at, |c| c.flush_batch())?;
         // 1. Structural consistency. `verify_consistency` panics with a
         // descriptive message on violation; the quiet catch turns that
         // into a first-class finding.

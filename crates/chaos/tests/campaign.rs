@@ -40,6 +40,18 @@ fn default_scale_campaign_of_64_schedules_is_all_green() {
             && report.worst_convergence_checks <= options.convergence_checks,
         "convergence stayed within the bound, worst {}",
         report.worst_convergence_checks
+    ); // The campaign runs the default config, i.e. the locate-window
+       // code, and telemetry says which closing rule ran: the engine keeps
+       // client traffic off a partitioned network, so every window was
+       // closed by a barrier — far fewer flushes than probes, and never
+       // more than one per barrier the engine and the cluster raise.
+    let counted = |name: &str| report.telemetry.counter_value(name).expect(name);
+    let flushes = counted("locate.flushes");
+    assert!(flushes > 0, "the campaign located nothing");
+    assert!(
+        counted("messages.probes") > 4 * flushes,
+        "{} probes in {flushes} windows",
+        counted("messages.probes")
     );
 }
 

@@ -135,7 +135,7 @@ pub struct SimNet {
     removed: Vec<ChordId>,
 }
 
-// The route phase of a batched flush routes through `&SimNet` and must
+// The route phase of a locate flush routes through `&SimNet` and must
 // stay pure: no interior mutability (clippy.toml bans `RefCell`/`Cell`
 // in this crate), so the borrow checker sees every write.
 const _: fn() = || {
@@ -599,10 +599,10 @@ impl SimNet {
     }
 
     /// Records the statistics of one lookup that was already routed by
-    /// [`SimNet::route_path`] — the batched locate path routes its
-    /// probes purely and replays the accounting here in plan order, so
-    /// [`SimNet::stats`] stays bit-for-bit what the sequential
-    /// [`SimNet::find_successor_path`] calls would have produced.
+    /// [`SimNet::route_path`] — the locate flush routes its probes
+    /// purely and replays the accounting here in plan order, so
+    /// [`SimNet::stats`] is bit-for-bit what a
+    /// [`SimNet::find_successor_path`] call per probe would have left.
     pub fn record_routed_lookup(&mut self, hops: u32) {
         self.stats.lookups += 1;
         self.stats.total_hops += u64::from(hops);

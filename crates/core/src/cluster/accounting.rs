@@ -13,7 +13,6 @@ use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::{Delivery, LinkPolicy, MessageClass, Transport, TransportStats};
 
 use super::{ClashCluster, GroupLedger};
-use crate::error::ClashError;
 use crate::latency::{ms, LatencyMetrics};
 use crate::ServerId;
 
@@ -149,32 +148,6 @@ impl Wire {
         })
     }
 
-    /// Charges one routed probe through the transport: every routing hop
-    /// in `self.hops` plus the response from `owner` back to `start`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClashError::NetworkUnreachable`] on the first severed
-    /// hop (any latency already accumulated into `op_latency` stands —
-    /// the time was spent before the route hit the cut).
-    pub(super) fn charge_probe_route(
-        &mut self,
-        start: ChordId,
-        owner: ChordId,
-        op_latency: &mut SimDuration,
-    ) -> Result<(), ClashError> {
-        if let Some((from, to)) = self.send_hops(op_latency) {
-            return Err(ClashError::NetworkUnreachable { from, to });
-        }
-        if !self.send(owner, start, MessageClass::ProbeResponse, op_latency) {
-            return Err(ClashError::NetworkUnreachable {
-                from: owner,
-                to: start,
-            });
-        }
-        Ok(())
-    }
-
     /// One charged `REPLICATE_KEYGROUP` + `ACK_REPLICA` exchange (a
     /// replica seed, or a recovery's state fetch). Returns false, with
     /// nothing counted, when either leg is undeliverable.
@@ -284,15 +257,16 @@ impl Obs {
 impl ClashCluster {
     /// Message statistics since the last reset.
     pub fn message_stats(&self) -> MessageStats {
+        self.debug_assert_window_closed();
         self.wire.msgs
     }
 
     /// Resets message statistics (per-measurement-window accounting).
-    /// Closes the batch window first: probes planned before the reset
-    /// belong to the window it ends.
+    /// Closes the locate window first: probes planned before the reset
+    /// belong to the measurement it ends.
     pub fn reset_message_stats(&mut self) {
         self.flush_batch()
-            .expect("batch windows never span a partition");
+            .expect("a window that outlives its op never spans a partition");
         self.wire.msgs = MessageStats::default();
         self.net.reset_stats();
         self.wire.transport.reset_stats();
@@ -301,11 +275,13 @@ impl ClashCluster {
     /// The transport's delivery counters (retransmissions, unreachable
     /// sends, mean latency).
     pub fn transport_stats(&self) -> TransportStats {
+        self.debug_assert_window_closed();
         self.wire.transport.stats()
     }
 
     /// The per-operation latency histograms (virtual milliseconds).
     pub fn latency_metrics(&self) -> &LatencyMetrics {
+        self.debug_assert_window_closed();
         &self.wire.latency
     }
 
@@ -371,6 +347,7 @@ impl ClashCluster {
     /// unified [`Telemetry`] registry (the driver layers its own
     /// counters on top under a `driver.` prefix).
     pub fn telemetry(&self) -> Telemetry {
+        self.debug_assert_window_closed();
         let mut t = Telemetry::new();
         let m = &self.wire.msgs;
         t.counter("messages.probes", m.probes);
@@ -394,6 +371,9 @@ impl ClashCluster {
         t.counter("messages.replication_messages", m.replication_messages);
         t.counter("messages.control_total", m.control_messages());
         t.counter("messages.total", m.total_messages());
+        t.counter("locate.flushes", self.batch.flush_seq);
+        let widest = self.batch.window_probes_max as f64;
+        t.gauge("locate.window_probes_max", widest);
         t.gauge("servers.active", self.server_count() as f64);
         t.gauge("recovery.pending", self.recovery.pending.len() as f64);
         t.counter("recovery.retries", self.recovery.retries);
@@ -416,14 +396,13 @@ impl ClashCluster {
     }
 
     /// Severs the network into islands of servers: protocol messages
-    /// between islands fail with [`ClashError::NetworkUnreachable`] (or
+    /// between islands fail with `ClashError::NetworkUnreachable` (or
     /// are silently lost, for soft-state reports) until
     /// [`ClashCluster::heal_partition`]. No-op on the instant transport.
     pub fn partition_network(&mut self, islands: &[Vec<ServerId>]) {
-        // Close the batch window before the cut: batched ops planned on
-        // the connected network must be charged at connected-network
-        // prices. The transport is connected here, so charging cannot
-        // fail.
+        // Close the locate window before the cut: ops planned on the
+        // connected network are charged at its prices, and a window left
+        // open is one the transport was connected for.
         self.flush_batch()
             .expect("flush before partition cannot hit a severed link");
         let raw: Vec<Vec<u64>> = islands
@@ -439,10 +418,9 @@ impl ClashCluster {
     /// their sampled base propagation delay (see
     /// [`Transport::set_policy`]). No-op on the instant transport.
     pub fn set_link_policy(&mut self, policy: LinkPolicy) {
-        // Close the batch window first: ops planned under the old policy
-        // must be charged at the prices they were planned under. While
-        // partitioned the window is empty (batching is inert), so the
-        // flush cannot hit a severed link either way.
+        // Close the locate window first: ops planned under the old policy
+        // are charged at its prices. While partitioned every probe closes
+        // its own window, so nothing here can hit a severed link.
         self.flush_batch()
             .expect("flush before policy change cannot hit a severed link");
         self.wire.transport.set_policy(policy);
@@ -450,10 +428,7 @@ impl ClashCluster {
 
     /// Heals any active network partition.
     pub fn heal_partition(&mut self) {
-        // Batching is disabled while partitioned, so the batch is empty
-        // here in practice; flushing anyway keeps the invariant local.
-        self.flush_batch()
-            .expect("flush before heal cannot hit a severed link");
+        // Nothing to flush: a partition closes every probe's window.
         self.wire.transport.heal();
     }
 }

@@ -1,19 +1,22 @@
 //! Client operations (§5): the depth search that locates a key's group,
-//! the batched plan → route → charge pipeline that defers its routing to
-//! the next barrier, and the attach / detach / move calls that put
-//! sources and queries on the group the search found.
+//! the locate window its probes are planned into and the one flush that
+//! routes and charges them, and the attach / detach / move calls that
+//! put sources and queries on the group the search found.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use clash_chord::id::ChordId;
+use clash_chord::net::SimNet;
 use clash_keyspace::hash::KeyHasher;
 use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
 use clash_obs::{CheckPhase, TraceEventKind};
+use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::SimDuration;
 use clash_transport::{Delivery, MessageClass, SendSpec};
 
+use super::accounting::{Obs, Wire};
 use super::{ClashCluster, GroupLedger, QueryRec, SourceRec};
 use crate::client::{DepthSearch, SearchOutcome};
 use crate::error::ClashError;
@@ -46,9 +49,8 @@ pub struct RangeQueryResult {
     pub messages: u64,
 }
 
-/// One locate probe planned by the batched client path — everything the
-/// charge phase needs to replay the sequential accounting bit-for-bit
-/// (see [`LocateBatch`]).
+/// One planned locate probe — everything the flush needs to route it,
+/// send its hops and account it (see [`LocateBatch`]).
 #[derive(Debug, Clone, Copy)]
 struct PlannedProbe {
     /// Client entry node (the `random_alive` draw, made at plan time so
@@ -56,54 +58,199 @@ struct PlannedProbe {
     start: ServerId,
     /// Hashed probe target `f(virtual key)`.
     target: u64,
-    /// The owner the plan resolved by ground truth. Batch windows only
-    /// exist between membership barriers, when the ring is converged, so
-    /// the routed owner must agree (debug-asserted at route time).
+    /// The owner by ground truth. A window never spans a membership
+    /// event, so the routed owner must agree (debug-asserted).
     owner: ServerId,
-    /// True when this probe completed its locate: the charge phase
-    /// counts the locate and observes the op's accumulated latency here.
-    /// For the adaptive protocol this is also the accepting probe.
+    /// True when this probe completed its locate (for the adaptive
+    /// protocol, the accepting probe): the flush counts the locate and
+    /// observes the op's accumulated latency here.
     op_end: bool,
-    /// The located key's bits — carried so the charge phase can emit the
-    /// flight-recorder probe event in plan order (zero cost otherwise).
+    /// The located key's bits and the depth guessed, for the
+    /// flight-recorder probe event the flush emits in plan order.
     key_bits: u64,
-    /// The depth this probe guessed (see `key_bits`).
     depth: u32,
     /// Routed hop count: 0 until the flush's route phase fills it in.
     hops: u32,
 }
 
-/// Batched locate state. With `config.shards > 0` the client locate
-/// path splits into three phases. **Plan** (at the op): draw the entry
-/// node, resolve the probe's owner by ground truth (legal because batch
-/// windows only exist between membership barriers, when routing and
-/// ground truth agree), run the depth search against live server tables,
-/// and queue a `PlannedProbe`; ledger mutations stay synchronous,
-/// group-load pushes are coalesced into `touched`. **Route** (pure, at
-/// the barrier): resolve each probe's DHT route, in plan order, against
-/// the live ring — frozen in effect, because every ring mutation is a
-/// barrier that flushes first. **Charge** (in plan order): resolve every
-/// transport message of the flush in one `send_batch`, then replay hop
-/// stats, message counters and latency observations exactly as the
-/// unbatched path interleaves them. `flush_batch` runs at every barrier;
-/// results are bit-for-bit identical to `shards = 0` (sequential) —
-/// pinned by `tests/shard_equivalence.rs` and the
-/// `sharded_batching_matches_sequential` proptest. Charging at the op
-/// stays because batching steps aside under a partition and for the
-/// fixed-depth baseline (see `batching_active`): on those inputs it is
-/// the only way.
+/// Probes a window holds before it closes itself. Measured (table in
+/// ARCHITECTURE.md § Locate windows): unbounded held `churn_wan_sharded`
+/// 20 % above its twin's `peak_rss_mb`, 4 096 cost it 8 % of its
+/// events/s, 8 192 is at parity, 16 384 buys no time for 0.2 MiB more.
+/// A power of two, so `probes` doubles onto exactly this capacity.
+const WINDOW_PROBES: usize = 8192;
+
+/// Probes the flush routes, sends and replays per pass through its two
+/// reused buffers (≈ 100 KB whatever the window holds). 256 cost
+/// `churn_wan_sharded` 4 %; 1 024 bought no time and put `fig4_static`
+/// `peak_rss_mb` at +10 % (512: +9 %, bound 15 %).
+const FLUSH_CHUNK: usize = 512;
+
+/// The locate window. A client probe is priced in two steps. **Plan**
+/// (at the op): draw the entry node, resolve the owner by ground truth,
+/// read its answer off its live table, advance the depth search, queue a
+/// `PlannedProbe`; ledger mutations stay synchronous, load pushes
+/// coalesce into `touched`. **Flush** (`flush_batch_probes`, the only
+/// code that routes a client probe, sends its hops or counts it): route
+/// each probe in plan order against the live ring — frozen in effect,
+/// every ring mutation being a barrier that flushes first — resolve the
+/// messages in `send_batch` passes, replay the accounting. Only *when*
+/// the window closes varies: at a barrier ([`ClashCluster::flush_batch`]),
+/// at [`WINDOW_PROBES`], or per probe (`window_may_stay_open`) —
+/// unobservably: `tests/shard_equivalence.rs` and the
+/// `sharded_batching_matches_sequential` proptest pin it bit for bit.
 #[derive(Default)]
 pub(super) struct LocateBatch {
     /// Probes planned but not yet routed/charged.
     probes: Vec<PlannedProbe>,
+    /// The flush's per-pass buffers ([`FLUSH_CHUNK`] bounds them).
+    specs: Vec<SendSpec>,
+    deliveries: Vec<Delivery>,
+    /// Latency and probe ordinal of the op being replayed: its probes
+    /// may be charged by several flushes.
+    op_latency: SimDuration,
+    op_hop: u32,
     /// Groups with a deferred (coalesced) load push.
     touched: BTreeSet<Prefix>,
     /// Monotone flush counter (the flight recorder's flush ordinal).
-    flush_seq: u64,
+    pub(super) flush_seq: u64,
+    /// The most probes one flush has charged (1: all closed per probe).
+    pub(super) window_probes_max: u64,
     /// Debug builds: how many route phases passed the zero-cluster-RNG-draw
     /// cross-check (the runtime mirror of the clash-lint static rules).
     #[cfg(debug_assertions)]
     route_draw_checks: u64,
+}
+
+impl LocateBatch {
+    /// Routes and charges the window's probes, a [`FLUSH_CHUNK`] at a
+    /// time. On every return, the first severed hop's `NetworkUnreachable`
+    /// included, the window is empty and every span opened here closed.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn flush_batch_probes(
+        &mut self,
+        net: &mut SimNet,
+        wire: &mut Wire,
+        obs: &mut Obs,
+        rng: &DetRng,
+    ) -> Result<(), ClashError> {
+        let planned = self.probes.len();
+        let severed = wire.transport.is_partitioned();
+        let this_flush = self.flush_seq;
+        self.flush_seq += 1;
+        self.window_probes_max = self.window_probes_max.max(planned as u64);
+        obs.trace(|| TraceEventKind::FlushBegin {
+            flush_seq: this_flush,
+            probes: planned as u64,
+        });
+        let mut charged = Ok(());
+        for chunk in (0..planned).step_by(FLUSH_CHUNK) {
+            let chunk = chunk..planned.min(chunk + FLUSH_CHUNK);
+            obs.phase_begin(CheckPhase::FlushRoute);
+            // Runtime mirror of the clash-lint static rules: routing is
+            // pure, so a cluster RNG draw before it finishes would make
+            // results depend on window timing.
+            #[cfg(debug_assertions)]
+            let draws_at_freeze = rng.draw_count();
+            // Route phase: in plan order, lay out each probe's routing
+            // hops, then its owner→start response.
+            let specs = &mut self.specs;
+            specs.clear();
+            for plan in &mut self.probes[chunk.clone()] {
+                let lookup = net.route_path(plan.start, plan.target, &mut wire.hops);
+                debug_assert_eq!(
+                    lookup.owner, plan.owner,
+                    "locate window spanned a ring change: routed owner diverged from plan"
+                );
+                plan.hops = lookup.hops;
+                let first = specs.len();
+                specs.extend(wire.hops.iter().map(|&(from, to)| SendSpec {
+                    src: from.value(),
+                    dst: to.value(),
+                    class: MessageClass::Probe,
+                }));
+                specs.push(SendSpec {
+                    src: plan.owner.value(),
+                    dst: plan.start.value(),
+                    class: MessageClass::ProbeResponse,
+                });
+                if severed {
+                    // A sender stops at the cut: nothing past the first
+                    // severed hop is ever sent.
+                    let cut = specs[first..]
+                        .iter()
+                        .position(|s| !wire.transport.reachable(s.src, s.dst));
+                    specs.truncate(cut.map_or(specs.len(), |cut| first + cut + 1));
+                }
+            }
+            #[cfg(debug_assertions)]
+            {
+                assert_eq!(
+                    rng.draw_count(),
+                    draws_at_freeze,
+                    "route phase drew from the cluster RNG; results would depend on window timing"
+                );
+                self.route_draw_checks += 1;
+            }
+            obs.phase_end(CheckPhase::FlushRoute);
+            obs.phase_begin(CheckPhase::FlushMerge);
+            // Charge phase: one [`Transport::send_batch`] (by contract
+            // the same deliveries, stats and per-link draw order as the
+            // `send` loop)...
+            wire.transport.send_batch(&self.specs, &mut self.deliveries);
+            // ...then replay the accounting in plan order: hop stats,
+            // probe counters, and each op's latency at its final probe.
+            let mut sent = self.specs.iter().zip(&self.deliveries);
+            'replay: for plan in &self.probes[chunk] {
+                net.record_routed_lookup(plan.hops);
+                for _ in 0..=plan.hops {
+                    match sent.next().expect("one delivery per planned message") {
+                        (_, Delivery::Delivered { latency, .. }) => self.op_latency += *latency,
+                        (spec, Delivery::Unreachable { .. }) => {
+                            let space = plan.start.space();
+                            charged = Err(ClashError::NetworkUnreachable {
+                                from: ChordId::new(spec.src, space),
+                                to: ChordId::new(spec.dst, space),
+                            });
+                            break 'replay;
+                        }
+                    }
+                }
+                wire.msgs.probes += 1;
+                wire.msgs.probe_messages += u64::from(plan.hops) + 1;
+                self.op_hop += 1;
+                obs.trace(|| TraceEventKind::LocateProbe {
+                    key: plan.key_bits,
+                    depth: plan.depth,
+                    server: plan.owner.value(),
+                    accepted: plan.op_end,
+                    hop: self.op_hop,
+                });
+                if plan.op_end {
+                    wire.msgs.locates += 1;
+                    let op_latency = std::mem::take(&mut self.op_latency);
+                    wire.latency.locate.observe(ms(op_latency));
+                    self.op_hop = 0;
+                }
+            }
+            debug_assert!(
+                charged.is_err() || sent.next().is_none(),
+                "charge replay must consume every delivery"
+            );
+            obs.phase_end(CheckPhase::FlushMerge);
+            if charged.is_err() {
+                // The op died at the cut: its latency dies with it.
+                self.op_latency = SimDuration::ZERO;
+                self.op_hop = 0;
+                break;
+            }
+        }
+        self.probes.clear();
+        obs.trace(|| TraceEventKind::FlushEnd {
+            flush_seq: this_flush,
+        });
+        charged
+    }
 }
 
 impl ClashCluster {
@@ -131,13 +278,12 @@ impl ClashCluster {
         // probe is accepted without asking, and the group materializes
         // on first touch.
         let adaptive = self.config.splitting_enabled;
-        let batched = self.batching_active();
+        let per_probe = !self.window_may_stay_open();
         let width = self.config.key_width.get();
         let mut search = match hint {
             Some(h) => DepthSearch::with_hint(width, h),
             None => DepthSearch::new(width),
         };
-        let mut op_latency = SimDuration::ZERO;
         let mut probes = 0;
         loop {
             let guess = if adaptive {
@@ -148,59 +294,45 @@ impl ClashCluster {
             let group_guess = Prefix::of_key(key, guess);
             let h = self.hasher.hash_key(group_guess.virtual_key());
             let start = self.net.random_alive(&mut self.rng);
+            let owner = self.net.owner_of(h).expect("ring is non-empty");
             probes += 1;
-            let owner = if batched {
-                // Queue for flush: same control flow and RNG draws, but
-                // DHT routing and all message/latency charging wait for
-                // [`ClashCluster::flush_batch`]. The search itself runs
-                // live against server tables (tables only change at
-                // barriers), so the result is exactly the sequential one.
-                self.net.owner_of(h).expect("ring is non-empty")
-            } else {
-                // Charge now.
-                let lookup = (self.net).find_successor_path(start, h, &mut self.wire.hops);
-                self.wire
-                    .charge_probe_route(start, lookup.owner, &mut op_latency)?;
-                self.wire.msgs.probes += 1;
-                self.wire.msgs.probe_messages += u64::from(lookup.hops) + 1;
-                lookup.owner
-            };
-            let found = if adaptive {
-                let responder = self.servers.live_mut(owner.value());
-                let response = responder.handle_accept_object(key, guess);
-                match search.record(guess, response)? {
-                    SearchOutcome::Found { depth, .. } => Some(depth),
-                    SearchOutcome::Continue { .. } => None,
+            // Plan: the answer is read off the owner's live table (tables
+            // only change at barriers); routing and charging wait.
+            let responder = adaptive.then(|| self.servers.live_mut(owner.value()));
+            let found = match &responder {
+                Some(server) => {
+                    let response = server.table().classify_object(key, guess);
+                    match search.record(guess, response)? {
+                        SearchOutcome::Found { depth, .. } => Some(depth),
+                        SearchOutcome::Continue { .. } => None,
+                    }
                 }
-            } else {
-                Some(guess)
+                None => Some(guess),
             };
-            if batched {
-                self.batch.probes.push(PlannedProbe {
-                    start,
-                    target: h,
-                    owner,
-                    op_end: found.is_some(),
-                    key_bits: key.bits(),
-                    depth: guess,
-                    hops: 0,
-                });
-            } else if adaptive {
-                self.obs.trace(|| TraceEventKind::LocateProbe {
-                    key: key.bits(),
-                    depth: guess,
-                    server: owner.value(),
-                    accepted: found.is_some(),
-                    hop: probes,
-                });
+            self.batch.probes.push(PlannedProbe {
+                start,
+                target: h,
+                owner,
+                op_end: found.is_some(),
+                key_bits: key.bits(),
+                depth: guess,
+                hops: 0,
+            });
+            if per_probe || self.batch.probes.len() >= WINDOW_PROBES {
+                self.batch.flush_batch_probes(
+                    &mut self.net,
+                    &mut self.wire,
+                    &mut self.obs,
+                    &self.rng,
+                )?;
+            }
+            // The probe arrives: just sent, or on a connected network.
+            if let Some(server) = responder {
+                server.count_probe_answered();
             }
             let Some(depth) = found else {
                 continue;
             };
-            if !batched {
-                self.wire.msgs.locates += 1;
-                self.wire.latency.locate.observe(ms(op_latency));
-            }
             if !adaptive {
                 self.materialize_baseline_group(group_guess, owner)?;
             }
@@ -231,32 +363,36 @@ impl ClashCluster {
         Ok(())
     }
 
-    /// True while client locates should plan into the batch instead of
-    /// routing synchronously. Requires `shards != 0` (opt-in), the
-    /// adaptive protocol (the fixed-depth baseline lazily materializes
-    /// groups mid-locate, which is inherently sequential), and an
-    /// unpartitioned transport (charging at the op aborts an attach
-    /// *before* its ledger mutation when a probe hits the cut — a
-    /// divergence batching cannot reproduce, so it steps aside).
-    pub(super) fn batching_active(&self) -> bool {
-        self.config.shards > 0
-            && self.config.splitting_enabled
-            && !self.wire.transport.is_partitioned()
+    /// True while the window may outlive its probe and defer load
+    /// pushes: not for the fixed-depth baseline (it materializes and
+    /// dematerializes groups around its locates) nor under a partition (a
+    /// probe that hits the cut aborts its op ahead of any mutation).
+    fn window_may_stay_open(&self) -> bool {
+        self.config.splitting_enabled && !self.wire.transport.is_partitioned()
     }
 
-    /// Routes and charges every planned probe and pushes every deferred
-    /// group-load update. Runs automatically at every barrier (load
-    /// check, membership change, partition, driver sample); a no-op when
-    /// nothing is batched, so it is always safe to call before reading
-    /// message stats, latency metrics or server loads.
+    /// Closes the locate window: routes and charges every planned probe
+    /// and pushes every deferred group-load update. Every barrier (load
+    /// check, membership change, partition, policy change, stats reset,
+    /// driver sample) runs it; a no-op on a closed window.
+    ///
+    /// **The rule:** message stats, latency metrics, transport stats,
+    /// telemetry, `net().stats()` and server loads are as of the last
+    /// flush — call this before reading them after a client operation
+    /// (the `&self` accessors debug-assert it).
     ///
     /// # Errors
     ///
-    /// Propagates charging errors; none occur in correct operation
-    /// (batch windows never span a partition).
+    /// Propagates charging errors; none occur in correct operation (a
+    /// window that outlives its op never spans a partition).
     pub fn flush_batch(&mut self) -> Result<(), ClashError> {
         if !self.batch.probes.is_empty() {
-            self.flush_batch_probes()?;
+            self.batch.flush_batch_probes(
+                &mut self.net,
+                &mut self.wire,
+                &mut self.obs,
+                &self.rng,
+            )?;
         }
         for group in std::mem::take(&mut self.batch.touched) {
             self.push_group_load(group)?;
@@ -264,130 +400,19 @@ impl ClashCluster {
         Ok(())
     }
 
+    /// Debug builds: an open window would change what the caller reads.
+    pub(super) fn debug_assert_window_closed(&self) {
+        debug_assert!(
+            self.batch.probes.is_empty() && self.batch.touched.is_empty(),
+            "locate window is open: call `flush_batch()` first"
+        );
+    }
+
     /// Debug builds: how many route phases have passed the
-    /// zero-cluster-RNG-draw cross-check. The regression test in this
-    /// module uses it to prove the instrumented path actually ran.
+    /// zero-cluster-RNG-draw cross-check (proof the check actually ran).
     #[cfg(debug_assertions)]
     pub fn route_draw_checks(&self) -> u64 {
         self.batch.route_draw_checks
-    }
-
-    /// The route + charge phases of the batch (see [`LocateBatch`]).
-    fn flush_batch_probes(&mut self) -> Result<(), ClashError> {
-        let mut probes = std::mem::take(&mut self.batch.probes);
-        let this_flush = self.batch.flush_seq;
-        self.obs.trace(|| TraceEventKind::FlushBegin {
-            flush_seq: this_flush,
-            probes: probes.len() as u64,
-            shards: u64::from(self.config.shards),
-        });
-        self.obs.phase_begin(CheckPhase::FlushPlan);
-        // Runtime mirror of the clash-lint static rules: from here until
-        // routing finishes, the cluster RNG must not advance — routing is
-        // pure, so any draw here would make results depend on batch
-        // timing.
-        #[cfg(debug_assertions)]
-        let draws_at_freeze = self.rng.draw_count();
-        self.batch.flush_seq += 1;
-        self.obs.phase_end(CheckPhase::FlushPlan);
-        self.obs.phase_begin(CheckPhase::FlushRoute);
-        // Route phase: resolve every probe, in plan order, and lay out
-        // every transport message of the flush in that same order — each
-        // probe's routing hops, then its owner→start response. The
-        // message and delivery vectors live for this flush only: kept
-        // between flushes they stay 1.4 GB resident in `scale`'s
-        // 1M-server cell and buy no measurable time on any workload.
-        let mut send_specs: Vec<SendSpec> = Vec::with_capacity(probes.len() * 2);
-        for plan in &mut probes {
-            let hops = &mut self.wire.hops;
-            let lookup = self.net.route_path(plan.start, plan.target, hops);
-            debug_assert_eq!(
-                lookup.owner, plan.owner,
-                "batch window spanned a ring change: routed owner diverged from plan"
-            );
-            plan.hops = lookup.hops;
-            send_specs.extend(hops.iter().map(|&(from, to)| SendSpec {
-                src: from.value(),
-                dst: to.value(),
-                class: MessageClass::Probe,
-            }));
-            send_specs.push(SendSpec {
-                src: plan.owner.value(),
-                dst: plan.start.value(),
-                class: MessageClass::ProbeResponse,
-            });
-        }
-        #[cfg(debug_assertions)]
-        {
-            assert_eq!(
-                self.rng.draw_count(),
-                draws_at_freeze,
-                "route phase drew from the cluster RNG; results would depend on batch timing"
-            );
-            self.batch.route_draw_checks += 1;
-        }
-        self.obs.phase_end(CheckPhase::FlushRoute);
-        self.obs.phase_begin(CheckPhase::FlushMerge);
-        // Charge phase, pass 1: resolve the whole sequence in one
-        // [`Transport::send_batch`]. The batch contract guarantees
-        // the same deliveries, stats, and per-link draw order as the
-        // equivalent `send` loop; pre-resolving ahead of the accounting
-        // replay is safe because a flush only ever runs on a connected
-        // transport (see `partition_network` / `heal_partition`), so
-        // the sequential loop could never have aborted mid-probe and
-        // skipped later sends.
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        self.wire.transport.send_batch(&send_specs, &mut deliveries);
-        // Pass 2: replay the per-op accounting over the resolved
-        // deliveries in the same plan order — hop stats, probe
-        // counters, and the locate latency observation at each op's
-        // final probe. Unreachable deliveries surface the same error at
-        // the same position the sequential loop would have raised it.
-        let mut op_latency = SimDuration::ZERO;
-        let mut op_hop = 0_u32;
-        let mut cursor = 0usize;
-        for plan in probes {
-            self.net.record_routed_lookup(plan.hops);
-            for _ in 0..=plan.hops {
-                match deliveries[cursor] {
-                    Delivery::Delivered { latency, .. } => op_latency += latency,
-                    Delivery::Unreachable { .. } => {
-                        let space = plan.start.space();
-                        return Err(ClashError::NetworkUnreachable {
-                            from: ChordId::new(send_specs[cursor].src, space),
-                            to: ChordId::new(send_specs[cursor].dst, space),
-                        });
-                    }
-                }
-                cursor += 1;
-            }
-            self.wire.msgs.probes += 1;
-            self.wire.msgs.probe_messages += u64::from(plan.hops) + 1;
-            op_hop += 1;
-            self.obs.trace(|| TraceEventKind::LocateProbe {
-                key: plan.key_bits,
-                depth: plan.depth,
-                server: plan.owner.value(),
-                accepted: plan.op_end,
-                hop: op_hop,
-            });
-            if plan.op_end {
-                self.wire.msgs.locates += 1;
-                self.wire.latency.locate.observe(ms(op_latency));
-                op_latency = SimDuration::ZERO;
-                op_hop = 0;
-            }
-        }
-        debug_assert_eq!(
-            cursor,
-            deliveries.len(),
-            "charge replay must consume every delivery"
-        );
-        self.obs.phase_end(CheckPhase::FlushMerge);
-        self.obs.trace(|| TraceEventKind::FlushEnd {
-            flush_seq: this_flush,
-        });
-        Ok(())
     }
 
     /// Attaches a streaming data source: locates the key's group and adds
@@ -577,14 +602,12 @@ impl ClashCluster {
         self.cleanup_baseline_group(rec.group)?;
         Ok(())
     }
-    /// Defers the load report while a batch window is open (last write
-    /// wins: only the final rate before a barrier is observable, and
-    /// nothing reads owner loads between barriers), otherwise pushes
-    /// immediately. Used at the four client-op sites only — split,
-    /// merge and recovery push synchronously because their reports are
-    /// part of a barrier.
+    /// Defers the load report while the window may stay open (last write
+    /// wins: nothing reads owner loads between barriers), otherwise
+    /// pushes immediately. For the four client ops only — split, merge
+    /// and recovery push synchronously, inside a barrier.
     fn push_group_load_batched(&mut self, group: Prefix) -> Result<(), ClashError> {
-        if self.batching_active() {
+        if self.window_may_stay_open() {
             self.batch.touched.insert(group);
             Ok(())
         } else {
@@ -628,8 +651,8 @@ impl ClashCluster {
     /// if the walk exceeds 4096 groups (guard against mis-use on the
     /// fine-grained baseline).
     pub fn range_query(&mut self, range: Prefix) -> Result<RangeQueryResult, ClashError> {
-        // Both snapshots are taken on a closed batch window, so the
-        // difference is exactly this walk's probes whatever `shards` is.
+        // Both snapshots are taken on a closed window, so the difference
+        // is exactly this walk's probes.
         self.flush_batch()?;
         let before = self.wire.msgs;
         let mut groups: Vec<(Prefix, ServerId)> = Vec::new();

@@ -79,8 +79,7 @@ impl ClashCluster {
     /// Returns [`ClashError::InvalidConfig`] if the identifier is already
     /// present in the ring (alive or crashed).
     pub fn join_server(&mut self, new_id: ServerId) -> Result<JoinReport, ClashError> {
-        // Membership barrier: charge all batched work against the ring
-        // as it was when that work was planned.
+        // Barrier: planned probes are charged on the ring they were planned on.
         self.flush_batch()?;
         if self.net.node(new_id).is_some() {
             return Err(ClashError::InvalidConfig {
@@ -182,8 +181,7 @@ impl ClashCluster {
     /// Returns [`ClashError::UnknownServer`] for unknown servers and
     /// [`ClashError::InvalidConfig`] when asked to drain the last one.
     pub fn leave_server(&mut self, victim: ServerId) -> Result<LeaveReport, ClashError> {
-        // Membership barrier: charge all batched work against the ring
-        // as it was when that work was planned.
+        // Barrier: planned probes are charged on the ring they were planned on.
         self.flush_batch()?;
         if self.servers.len() <= 1 {
             return Err(ClashError::InvalidConfig {

@@ -358,7 +358,7 @@ impl ClashCluster {
         &self.config
     }
 
-    /// The underlying Chord ring.
+    /// The underlying Chord ring (its `stats()` as of the last flush).
     pub fn net(&self) -> &SimNet {
         &self.net
     }
@@ -403,6 +403,7 @@ impl ClashCluster {
 
     /// `(server, load)` for every server.
     pub fn server_loads(&self) -> Vec<(ServerId, f64)> {
+        self.debug_assert_window_closed();
         self.servers
             .iter()
             .map(|s| (s.id(), s.current_load()))

@@ -177,8 +177,7 @@ impl ClashCluster {
     /// victim list and when the crash would take the last server;
     /// [`ClashError::UnknownServer`] for unknown victims.
     pub fn fail_servers(&mut self, victims: &[ServerId]) -> Result<FailureReport, ClashError> {
-        // Membership barrier: charge all batched work against the ring
-        // as it was when that work was planned.
+        // Barrier: planned probes are charged on the ring they were planned on.
         self.flush_batch()?;
         if victims.is_empty() {
             return Err(ClashError::InvalidConfig {

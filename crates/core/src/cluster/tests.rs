@@ -1,8 +1,25 @@
 use super::*;
 use clash_keyspace::key::KeyWidth;
+use clash_obs::{CheckPhase, PhaseProfile, PhaseProfiler, TraceEventKind, TraceMode};
 
 fn key(bits: u64) -> Key {
     Key::from_bits_truncated(bits, KeyWidth::new(8).unwrap())
+}
+
+/// A profiler that counts, per phase, spans begun and not yet ended.
+#[derive(Default)]
+struct OpenPhases(PhaseProfile);
+
+impl PhaseProfiler for OpenPhases {
+    fn begin(&mut self, phase: CheckPhase) {
+        self.0.ms[phase.index()] += 1.0;
+    }
+    fn end(&mut self, phase: CheckPhase) {
+        self.0.ms[phase.index()] -= 1.0;
+    }
+    fn profile(&self) -> PhaseProfile {
+        self.0
+    }
 }
 
 fn cluster(n: usize) -> ClashCluster {
@@ -44,10 +61,12 @@ fn attach_detach_source_roundtrip() {
     let mut c = cluster(8);
     let p = c.attach_source(1, key(0b1011_0100), 2.0).unwrap();
     assert_eq!(c.source_count(), 1);
+    c.flush_batch().unwrap();
     let owner = c.server(p.server).unwrap();
     assert!((owner.current_load() - 2.0).abs() < 1e-9);
     c.detach_source(1).unwrap();
     assert_eq!(c.source_count(), 0);
+    c.flush_batch().unwrap();
     let owner = c.server(p.server).unwrap();
     assert_eq!(owner.current_load(), 0.0);
     c.verify_consistency();
@@ -188,6 +207,7 @@ fn move_source_with_rate_changes_rate() {
     let p = c
         .move_source_with_rate(5, key(0b0000_0010), Some(2.0))
         .unwrap();
+    c.flush_batch().unwrap();
     let owner = c.server(p.server).unwrap();
     assert!((owner.current_load() - 2.0).abs() < 1e-9);
 }
@@ -196,8 +216,10 @@ fn move_source_with_rate_changes_rate() {
 fn move_source_uses_hint_and_keeps_rate() {
     let mut c = cluster(8);
     c.attach_source(7, key(0b0000_0001), 2.0).unwrap();
+    c.flush_batch().unwrap();
     let before = c.message_stats();
     let p = c.move_source(7, key(0b0000_0010)).unwrap();
+    c.flush_batch().unwrap();
     let after = c.message_stats();
     // Same group (same 2-bit prefix): the hint resolves in one probe.
     assert_eq!(after.probes - before.probes, 1);
@@ -218,6 +240,7 @@ fn queries_count_toward_load_and_migrate() {
     for i in 0..100 {
         c.attach_source(1000 + i, key(i % 64), 2.0).unwrap();
     }
+    c.flush_batch().unwrap();
     let before = c.message_stats().state_transfer_messages;
     c.run_load_check().unwrap();
     let after = c.message_stats().state_transfer_messages;
@@ -229,6 +252,7 @@ fn queries_count_toward_load_and_migrate() {
 fn message_stats_accumulate_sensibly() {
     let mut c = cluster(8);
     c.attach_source(1, key(9), 1.0).unwrap();
+    c.flush_batch().unwrap();
     let stats = c.message_stats();
     assert!(stats.probes >= 1);
     assert!(stats.probe_messages >= stats.probes);
@@ -544,6 +568,7 @@ fn interleaved_joins_and_leaves_under_load() {
         }
     }
     assert_eq!(c.source_count(), 120);
+    c.flush_batch().unwrap();
     let total: f64 = c.server_loads().iter().map(|&(_, l)| l).sum();
     assert!((total - 120.0 * 1.5).abs() < 1e-6);
 }
@@ -580,6 +605,7 @@ fn local_right_child_merge_conserves_load() {
     for i in 0..30 {
         c.detach_source(i).unwrap();
     }
+    c.flush_batch().unwrap();
     let total_before: f64 = c.server_loads().iter().map(|&(_, l)| l).sum();
     assert!(total_before > 0.0);
     let merges_before = c.message_stats().merges;
@@ -722,7 +748,12 @@ fn partition_blocks_cross_island_operations_and_heals() {
 
     // During the partition, some locates fail with NetworkUnreachable
     // (whenever the route crosses islands) — and nothing panics or
-    // corrupts state, including load checks.
+    // corrupts state, including load checks. Every probe closes its own
+    // window, through the flush's error arm when it hits the cut: the
+    // span and the phase that flush opened must close all the same, and
+    // it must send nothing past the cut.
+    c.set_trace_sink(TraceMode::Full.make_sink());
+    c.set_profiler(Box::new(OpenPhases::default()));
     let mut failed = 0;
     let mut ok = 0;
     for bits in 0..256u64 {
@@ -734,6 +765,25 @@ fn partition_blocks_cross_island_operations_and_heals() {
     }
     assert!(failed > 0, "an island split must sever some routes");
     assert!(ok > 0, "intra-island routes keep working");
+    let events = c.take_trace_events();
+    let count = |pred: fn(&TraceEventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
+    let begun = count(|k| matches!(k, TraceEventKind::FlushBegin { probes: 1, .. }));
+    assert!(begun >= 256, "one flush per probe, got {begun}");
+    assert_eq!(
+        begun,
+        count(|k| matches!(k, TraceEventKind::FlushEnd { .. })),
+        "a failed flush left its trace span open"
+    );
+    assert_eq!(
+        c.phase_profile().ms,
+        [0.0; 10],
+        "a failed flush left a profiler phase open"
+    );
+    assert_eq!(
+        c.transport_stats().unreachable,
+        failed,
+        "a probe stops at the cut: one refused send per failed locate"
+    );
     c.run_load_check().unwrap();
     c.verify_consistency();
     assert!(c.transport_stats().unreachable > 0);
@@ -747,6 +797,7 @@ fn partition_blocks_cross_island_operations_and_heals() {
         assert_eq!(p.server, oracle_server);
         assert_eq!(p.group, oracle_group);
     }
+    c.flush_batch().unwrap();
     c.verify_consistency();
     assert!(c.global_cover().is_partition());
 }
@@ -1044,7 +1095,7 @@ fn depth_probe_counts_match_paper_bound() {
     assert!(max_probes <= 5, "max probes {max_probes}");
 }
 
-/// Runtime mirror of the clash-lint static rules, pinned: the batched
+/// Runtime mirror of the clash-lint static rules, pinned: the flush's
 /// route phase (first route → last route) must never draw from
 /// the cluster RNG — the in-phase assertion fails the flush if it
 /// does, and `route_draw_checks` proves the instrumented path really
@@ -1052,8 +1103,7 @@ fn depth_probe_counts_match_paper_bound() {
 #[cfg(debug_assertions)]
 #[test]
 fn route_phase_draws_zero_from_cluster_rng() {
-    let config = ClashConfig::small_test().with_shards(1);
-    let mut c = ClashCluster::new(config, 8, 1).unwrap();
+    let mut c = cluster(8);
     for i in 0..300u64 {
         c.attach_source(i, key(i % 256), 1.0).unwrap();
     }

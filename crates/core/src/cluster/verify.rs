@@ -167,7 +167,9 @@ impl ClashCluster {
     /// # Panics
     ///
     /// Panics on any inconsistency (these are bugs, not runtime errors).
+    /// Debug builds also panic on an open locate window.
     pub fn verify_consistency(&self) {
+        self.debug_assert_window_closed();
         self.run_with_trace_dump(|c| c.verify_consistency_inner());
     }
 

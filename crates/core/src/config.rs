@@ -79,14 +79,10 @@ pub struct ClashConfig {
     /// disables replication entirely and preserves the pre-replication
     /// behavior bit for bit.
     pub replication_factor: usize,
-    /// Batched-locate switch. `0` (the default) routes every client
-    /// locate synchronously — the historical sequential semantics. Any
-    /// non-zero value *plans* locates synchronously (preserving every
-    /// RNG draw and ledger mutation in op order) and routes/charges them
-    /// at the next barrier against a frozen routing snapshot; every
-    /// non-zero value executes identical code (the value is not a size).
-    /// The outcome is bit-for-bit identical to `0` — pinned by
-    /// `tests/shard_equivalence.rs`.
+    /// Inert: read by nothing in this workspace (one locate path; CI
+    /// greps for readers). Kept, with [`ClashConfig::with_shards`], only
+    /// for `clash-benchmark`'s `workloads.rs:143`, `e2e.rs:228` and
+    /// `micro.rs:160,188`; the next `[benchmark]` PR drops all of it.
     pub shards: u32,
 }
 
@@ -176,8 +172,7 @@ impl ClashConfig {
             .unwrap_or(1)
     }
 
-    /// A copy with batched locates off (`0`) or on (any non-zero value;
-    /// see [`ClashConfig::shards`]).
+    /// A copy with the inert [`ClashConfig::shards`] field set.
     pub fn with_shards(self, shards: u32) -> Self {
         ClashConfig { shards, ..self }
     }
@@ -320,15 +315,6 @@ mod tests {
         assert_eq!(ClashConfig::small_test().replication_factor, 0);
         let cfg = ClashConfig::small_test().with_replication(3);
         assert_eq!(cfg.replication_factor, 3);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn shards_default_off_and_builder_sets_them() {
-        assert_eq!(ClashConfig::paper().shards, 0);
-        assert_eq!(ClashConfig::small_test().shards, 0);
-        let cfg = ClashConfig::small_test().with_shards(4);
-        assert_eq!(cfg.shards, 4);
         cfg.validate().unwrap();
     }
 }

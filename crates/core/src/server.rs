@@ -128,8 +128,13 @@ impl ClashServer {
 
     /// Handles an `ACCEPT_OBJECT` probe.
     pub fn handle_accept_object(&mut self, key: Key, depth: u32) -> AcceptObjectResponse {
-        self.stats.probes_answered += 1;
+        self.count_probe_answered();
         self.table.classify_object(key, depth)
+    }
+
+    /// Counts an `ACCEPT_OBJECT` probe the cluster answered off the table.
+    pub(crate) fn count_probe_answered(&mut self) {
+        self.stats.probes_answered += 1;
     }
 
     /// Handles `ACCEPT_KEYGROUP`: per §5 the receiver must always accept

@@ -4,11 +4,12 @@
 //! module documentation against *real* cluster states produced by random
 //! workloads — not hand-built oracles.
 
-use clash_core::cluster::ClashCluster;
+use clash_core::cluster::{ClashCluster, LoadCheckReport, Placement};
 use clash_core::config::ClashConfig;
 use clash_core::messages::AcceptObjectResponse;
 use clash_core::ServerId;
 use clash_keyspace::key::Key;
+use clash_transport::{LinkPolicy, LinkTransport};
 use proptest::prelude::*;
 
 fn key(bits: u64) -> Key {
@@ -29,7 +30,125 @@ fn loaded_cluster(
     for _ in 0..checks {
         c.run_load_check().unwrap();
     }
+    c.flush_batch().unwrap();
     c
+}
+
+/// What one call of `sharded_batching_matches_sequential` reported.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Placed(Placement),
+    /// A join, leave or crash report, rendered (three report types).
+    Membership(String),
+    Checked(LoadCheckReport),
+}
+
+/// Plays one op of `sharded_batching_matches_sequential` on `c`:
+/// `first` is the op's first fresh source id, `wave` the sources a
+/// detach wave drops, and `flush_at` closes the window by hand after
+/// that many of the op's client calls.
+fn play(
+    c: &mut ClashCluster,
+    op: u8,
+    arg: u64,
+    first: u64,
+    wave: &[u64],
+    flush_at: Option<u64>,
+) -> Vec<Seen> {
+    let mut seen = Vec::new();
+    let mut calls = 0u64;
+    let mut client_call = |c: &mut ClashCluster| {
+        calls += 1;
+        if flush_at == Some(calls) {
+            c.flush_batch().unwrap();
+        }
+    };
+    let hash_space = c.config().hash_space;
+    match op {
+        // Workload burst: heat a quadrant chosen by `arg`. Between
+        // barriers the whole burst lands in one window.
+        0 | 1 => {
+            let quadrant = (arg % 4) << 6;
+            for j in 0..12 {
+                let bits = quadrant | ((arg.wrapping_add(j * 17)) % 64);
+                seen.push(Seen::Placed(
+                    c.attach_source(first + j, key(bits), 2.0).unwrap(),
+                ));
+                client_call(c);
+            }
+        }
+        // Detach wave: cool half the attached sources.
+        2 => {
+            for &sid in wave {
+                if c.has_source(sid) {
+                    c.detach_source(sid).unwrap();
+                    client_call(c);
+                }
+            }
+        }
+        // Join a fresh server with an arbitrary ring id (a barrier).
+        3 => {
+            let id = ServerId::new(arg, hash_space);
+            if c.net().node(id).is_none() {
+                seen.push(Seen::Membership(format!(
+                    "{:?}",
+                    c.join_server(id).unwrap()
+                )));
+            }
+        }
+        // Graceful drain (4) or crash (5) of an arbitrary server.
+        4 | 5 => {
+            if c.server_count() > 1 {
+                let ids = c.server_ids();
+                let victim = ids[(arg as usize) % ids.len()];
+                seen.push(Seen::Membership(if op == 4 {
+                    format!("{:?}", c.leave_server(victim).unwrap())
+                } else {
+                    format!("{:?}", c.fail_server(victim).unwrap())
+                }));
+            }
+        }
+        // The engineered hot region: heat one quadrant well past one
+        // server's capacity so splits place children across the ring,
+        // then cool it so merges pull them back — every check of the
+        // cycle must report alike.
+        8 => {
+            for i in 0..96u64 {
+                let k = key(((arg % 4) << 6) | (i % 64));
+                seen.push(Seen::Placed(c.attach_source(first + i, k, 2.0).unwrap()));
+                client_call(c);
+            }
+            for _ in 0..4 {
+                seen.push(Seen::Checked(c.run_load_check().unwrap()));
+            }
+            for i in 0..96u64 {
+                c.detach_source(first + i).unwrap();
+            }
+            for _ in 0..16 {
+                seen.push(Seen::Checked(c.run_load_check().unwrap()));
+            }
+        }
+        // A load-check period elapses (the natural barrier).
+        _ => seen.push(Seen::Checked(c.run_load_check().unwrap())),
+    }
+    seen
+}
+
+/// Both windows are closed: everything a reader can see must agree.
+fn assert_same_state(reference: &ClashCluster, twin: &ClashCluster) {
+    assert_eq!(reference.message_stats(), twin.message_stats());
+    assert_eq!(reference.transport_stats(), twin.transport_stats());
+    assert_eq!(
+        reference.latency_metrics().locate.summary().snapshot(),
+        twin.latency_metrics().locate.summary().snapshot()
+    );
+    assert_eq!(
+        reference.global_cover().iter().collect::<Vec<_>>(),
+        twin.global_cover().iter().collect::<Vec<_>>()
+    );
+    assert_eq!(reference.server_loads(), twin.server_loads());
+    assert_eq!(reference.rng_draws(), twin.rng_draws());
+    twin.verify_consistency();
 }
 
 proptest! {
@@ -216,6 +335,7 @@ proptest! {
                 }
             }
             // Every event leaves the cluster fully consistent...
+            c.flush_batch().unwrap();
             c.verify_consistency();
             prop_assert!(c.global_cover().is_partition());
             // ...and serving correct, bounded lookups.
@@ -230,6 +350,7 @@ proptest! {
         }
         // No data-plane state was lost across all membership changes.
         prop_assert_eq!(c.source_count() as u64, next_source);
+        c.flush_batch().unwrap();
         let total: f64 = c.server_loads().iter().map(|&(_, l)| l).sum();
         prop_assert!((total - next_source as f64 * 2.0).abs() < 1e-6);
     }
@@ -296,6 +417,7 @@ proptest! {
             // After every event: recovered groups + ledgers equal the
             // oracle's view, and recovery never read the oracle.
             prop_assert_eq!(c.recovery_oracle_reads(), 0, "oracle read during recovery");
+            c.flush_batch().unwrap();
             c.verify_consistency();
             prop_assert!(c.global_cover().is_partition());
         }
@@ -404,6 +526,8 @@ proptest! {
             }
             // Identical message accounting and identical global state
             // after *every* operation, not just load checks.
+            dirty.flush_batch().unwrap();
+            full.flush_batch().unwrap();
             prop_assert_eq!(dirty.message_stats(), full.message_stats());
             prop_assert_eq!(
                 dirty.global_cover().iter().collect::<Vec<_>>(),
@@ -415,16 +539,16 @@ proptest! {
         }
     }
 
-    /// Batched locates are bit-for-bit equivalent to the sequential
-    /// path: two clusters play the same random interleaving of workload
-    /// bursts, detach waves, joins, graceful leaves, crashes, load checks
-    /// and whole heat/split/cool/merge cycles — one fully sequential
-    /// (`shards = 0`), one on the plan/route/charge path — and after
-    /// every operation (with the batch explicitly flushed) the message
-    /// accounting, global cover, per-server loads and all
-    /// membership/load-check reports must be identical. The mirror of
-    /// `dirty_tracked_load_checks_match_full_scan` for the batching
-    /// layer.
+    /// When a locate window closes is unobservable: three clusters play
+    /// the same random interleaving of workload bursts, detach waves,
+    /// joins, graceful leaves, crashes, load checks and whole
+    /// heat/split/cool/merge cycles. The reference closes every window
+    /// at its first probe (a one-island "partition": nothing severed),
+    /// one twin closes windows only at barriers, one also flushes by
+    /// hand at a position drawn from the op's argument. Every call must
+    /// report alike, and whenever a twin's window is closed its message
+    /// accounting, transport counters, global cover and per-server loads
+    /// must equal the reference's.
     #[test]
     fn sharded_batching_matches_sequential(
         servers in 2usize..10,
@@ -433,116 +557,45 @@ proptest! {
         ops in prop::collection::vec((0u8..9, 0u64..u64::MAX), 1..14),
     ) {
         let config = ClashConfig::small_test().with_replication(replication);
-        let mut seq = ClashCluster::new(config, servers, seed).unwrap();
-        let mut sharded = ClashCluster::new(config.with_shards(1), servers, seed).unwrap();
+        let mk = || {
+            let transport = Box::new(LinkTransport::new(LinkPolicy::lan(), seed));
+            ClashCluster::with_transport(config, servers, seed, transport).unwrap()
+        };
+        let (mut reference, mut at_barriers, mut by_hand) = (mk(), mk(), mk());
+        let everyone = reference.server_ids();
+        reference.partition_network(&[everyone]);
         let mut next_source = 0u64;
         let mut attached: Vec<u64> = Vec::new();
         for &(op, arg) in &ops {
+            let wave: Vec<u64> = match op {
+                2 => attached.drain(..attached.len() / 2).collect(),
+                _ => Vec::new(),
+            };
+            let seen = play(&mut reference, op, arg, next_source, &wave, None);
+            let lazily = play(&mut at_barriers, op, arg, next_source, &wave, None);
+            let flushed = play(&mut by_hand, op, arg, next_source, &wave, Some(arg % 12));
+            prop_assert_eq!(&seen, &lazily, "barrier-closed windows reported otherwise");
+            prop_assert_eq!(&seen, &flushed, "hand-closed windows reported otherwise");
             match op {
-                // Workload burst: heat a quadrant chosen by `arg`. The
-                // whole burst lands in one batch window on the sharded
-                // cluster.
                 0 | 1 => {
-                    let quadrant = (arg % 4) << 6;
-                    for j in 0..12 {
-                        let bits = quadrant | ((arg.wrapping_add(j * 17)) % 64);
-                        let pa = seq.attach_source(next_source, key(bits), 2.0).unwrap();
-                        let pb = sharded.attach_source(next_source, key(bits), 2.0).unwrap();
-                        prop_assert_eq!(pa, pb, "placements diverged");
-                        attached.push(next_source);
-                        next_source += 1;
-                    }
+                    attached.extend(next_source..next_source + 12);
+                    next_source += 12;
                 }
-                // Detach wave: cool half the attached sources.
-                2 => {
-                    let drop_n = attached.len() / 2;
-                    for sid in attached.drain(..drop_n) {
-                        if seq.has_source(sid) {
-                            seq.detach_source(sid).unwrap();
-                        }
-                        if sharded.has_source(sid) {
-                            sharded.detach_source(sid).unwrap();
-                        }
-                    }
-                }
-                // Join a fresh server with an arbitrary ring id (an
-                // implicit flush barrier on the sharded cluster).
-                3 => {
-                    let id = ServerId::new(arg, config.hash_space);
-                    if seq.net().node(id).is_none() {
-                        let ra = seq.join_server(id).unwrap();
-                        let rb = sharded.join_server(id).unwrap();
-                        prop_assert_eq!(ra, rb, "join reports diverged");
-                    }
-                }
-                // Graceful drain of an arbitrary server.
-                4 => {
-                    if seq.server_count() > 1 {
-                        let ids = seq.server_ids();
-                        let victim = ids[(arg as usize) % ids.len()];
-                        let ra = seq.leave_server(victim).unwrap();
-                        let rb = sharded.leave_server(victim).unwrap();
-                        prop_assert_eq!(ra, rb, "leave reports diverged");
-                    }
-                }
-                // Crash an arbitrary server.
-                5 => {
-                    if seq.server_count() > 1 {
-                        let ids = seq.server_ids();
-                        let victim = ids[(arg as usize) % ids.len()];
-                        let ra = seq.fail_server(victim).unwrap();
-                        let rb = sharded.fail_server(victim).unwrap();
-                        prop_assert_eq!(ra, rb, "failure reports diverged");
-                    }
-                }
-                // The engineered hot region: heat one quadrant well
-                // past one server's capacity so splits place children
-                // across the ring, then cool it so merges pull them
-                // back — every check of the cycle must report alike.
-                8 => {
-                    let first = next_source;
-                    for i in 0..96u64 {
-                        let k = key(((arg % 4) << 6) | (i % 64));
-                        let pa = seq.attach_source(first + i, k, 2.0).unwrap();
-                        let pb = sharded.attach_source(first + i, k, 2.0).unwrap();
-                        prop_assert_eq!(pa, pb, "placements diverged");
-                    }
-                    next_source += 96;
-                    for _ in 0..4 {
-                        let ra = seq.run_load_check().unwrap();
-                        let rb = sharded.run_load_check().unwrap();
-                        prop_assert_eq!(ra, rb, "hot-phase load checks diverged");
-                    }
-                    for i in 0..96u64 {
-                        seq.detach_source(first + i).unwrap();
-                        sharded.detach_source(first + i).unwrap();
-                    }
-                    for _ in 0..16 {
-                        let ra = seq.run_load_check().unwrap();
-                        let rb = sharded.run_load_check().unwrap();
-                        prop_assert_eq!(ra, rb, "cold-phase load checks diverged");
-                    }
-                }
-                // A load-check period elapses on both (the natural
-                // flush barrier).
-                _ => {
-                    let ra = seq.run_load_check().unwrap();
-                    let rb = sharded.run_load_check().unwrap();
-                    prop_assert_eq!(ra, rb, "load-check reports diverged");
-                }
+                8 => next_source += 96,
+                _ => {}
             }
-            // Close any open batch window, then demand identical
-            // observable state after *every* operation.
-            sharded.flush_batch().unwrap();
-            prop_assert_eq!(seq.message_stats(), sharded.message_stats());
-            prop_assert_eq!(
-                seq.global_cover().iter().collect::<Vec<_>>(),
-                sharded.global_cover().iter().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(seq.server_loads(), sharded.server_loads());
-            sharded.verify_consistency();
-            sharded.verify_candidate_indices();
+            by_hand.flush_batch().unwrap();
+            assert_same_state(&reference, &by_hand);
+            by_hand.verify_candidate_indices();
+            // An op that ended on a barrier left the lazy twin's window
+            // closed as well.
+            if matches!(seen.last(), Some(Seen::Membership(_) | Seen::Checked(_))) {
+                assert_same_state(&reference, &at_barriers);
+            }
         }
+        at_barriers.flush_batch().unwrap();
+        assert_same_state(&reference, &at_barriers);
+        at_barriers.verify_candidate_indices();
     }
 
     /// Heating then cooling a region splits and then re-merges it; the

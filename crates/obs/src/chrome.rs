@@ -133,7 +133,6 @@ mod tests {
                 TraceEventKind::FlushBegin {
                     flush_seq: 0,
                     probes: 3,
-                    shards: 2,
                 },
             ),
             ev(2, TraceEventKind::ServerJoined { server: 7 }),

@@ -137,15 +137,15 @@ pub enum TraceEventKind {
         /// The replica holder that finally took ownership.
         new_owner: u64,
     },
-    /// A batched-locate flush window opened (plan/route/charge).
+    /// A locate window closed and its flush began (route, send, replay).
+    /// `probes` tells which closing rule ran: 1 under a partition or for
+    /// the fixed-depth baseline, the window bound, or whatever a barrier
+    /// found planned.
     FlushBegin {
         /// Monotone flush sequence number.
         flush_seq: u64,
-        /// Probes queued in this window.
+        /// Probes planned in this window.
         probes: u64,
-        /// The cluster's `ClashConfig::shards` value (non-zero: a flush
-        /// only happens on the batched path).
-        shards: u64,
     },
     /// The matching flush window closed; all probes charged in plan order.
     FlushEnd {
@@ -347,15 +347,9 @@ impl TraceEventKind {
                 ("group_depth", Int(u64::from(group_depth))),
                 ("new_owner", Int(new_owner)),
             ],
-            TraceEventKind::FlushBegin {
-                flush_seq,
-                probes,
-                shards,
-            } => vec![
-                ("flush_seq", Int(flush_seq)),
-                ("probes", Int(probes)),
-                ("shards", Int(shards)),
-            ],
+            TraceEventKind::FlushBegin { flush_seq, probes } => {
+                vec![("flush_seq", Int(flush_seq)), ("probes", Int(probes))]
+            }
             TraceEventKind::FlushEnd { flush_seq } => vec![("flush_seq", Int(flush_seq))],
             TraceEventKind::LoadCheckBegin {
                 ordinal,
@@ -459,7 +453,6 @@ mod tests {
             TraceEventKind::FlushBegin {
                 flush_seq: 1,
                 probes: 64,
-                shards: 4,
             },
             TraceEventKind::FlushEnd { flush_seq: 1 },
             TraceEventKind::LoadCheckBegin {

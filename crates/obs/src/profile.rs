@@ -1,4 +1,4 @@
-//! Per-phase wall-clock profiling of the load check and batch flush.
+//! Per-phase wall-clock profiling of the load check and the locate flush.
 //!
 //! The protocol crates are bound by the `no-wall-clock` lint policy:
 //! they may *name* phases but never read a clock. The split here keeps
@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-/// The named phases of a load check and of a batched-locate flush.
+/// The named phases of a load check and of a locate-window flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckPhase {
     /// Re-promotion attempts for recoveries deferred at crash time.
@@ -33,11 +33,16 @@ pub enum CheckPhase {
     Merges,
     /// Replica synchronisation (dirty and full syncs).
     ReplicaSync,
-    /// Batch flush: sequential planning of probe order.
+    /// Never entered: probes are planned at the op, so the flush has no
+    /// planning step. (The variant stays because `clash-benchmark`
+    /// iterates [`CheckPhase::ALL`] and declares
+    /// `core.phase.flush_plan_ms`.)
     FlushPlan,
-    /// Batch flush: routing against the frozen snapshot, in plan order.
+    /// Flush: routing the window's probes against the live ring, in plan
+    /// order.
     FlushRoute,
-    /// Batch flush: charging routed probes in plan order.
+    /// Flush: sending the routed probes' messages and replaying their
+    /// accounting, in plan order.
     FlushMerge,
 }
 

@@ -1,13 +1,9 @@
 //! Scale experiment binary: mechanical cost of the protocol core from
 //! the paper's 1000-server cell up to ~10× it, under churn + WAN.
 //!
-//! Usage: `scale [--scale F] [--seed S] [--shards N] [--cells NAMES]
+//! Usage: `scale [--scale F] [--seed S] [--cells NAMES]
 //!               [--out DIR] [--bench-out PATH] [--min-events-per-sec F]
 //!               [--min-churn-events-per-sec F]`
-//!
-//! `--shards N` with any non-zero `N` runs the cells on the batched
-//! locate path (default 0 = sequential; every non-zero value executes
-//! identical code). Deterministic outputs are identical for every value.
 //!
 //! `--cells NAMES` runs only the comma-separated, exactly-named cells
 //! (canonical unscaled names, e.g. `--cells churn_1000000` or
@@ -44,13 +40,9 @@ fn main() {
                 .unwrap_or_else(|_| panic!("--min-churn-events-per-sec must be a float, got {s:?}"))
         });
     let cells = report::flag_value(&args, "--cells");
-    let shards: u32 = report::flag_value(&args, "--shards").map_or(0, |s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("--shards must be an integer, got {s:?}"))
-    });
 
-    let out = scale::run_filtered(scale_factor, seed, shards, cells.as_deref())
-        .expect("scale experiment failed");
+    let out =
+        scale::run_filtered(scale_factor, seed, cells.as_deref()).expect("scale experiment failed");
     println!("{}", scale::render(&out));
     scale::write_csvs(&out, &out_dir).expect("write scale csv");
     scale::write_bench_json(&out, &bench_out).expect("write bench json");

@@ -71,7 +71,8 @@ pub struct ChurnOutput {
 }
 
 /// Sweeps `n` deterministic keys through the client protocol and checks
-/// each placement against the oracle.
+/// each placement against the oracle. The sweep's locates count in the
+/// numbers every caller reads next, so it closes their window.
 pub(crate) fn oracle_sweep(cluster: &mut ClashCluster, n: u64, seed: u64) -> OracleSweep {
     let width = cluster.config().key_width;
     let mut rng = DetRng::new(seed);
@@ -87,6 +88,7 @@ pub(crate) fn oracle_sweep(cluster: &mut ClashCluster, n: u64, seed: u64) -> Ora
         }
         max_probes = max_probes.max(placement.probes);
     }
+    cluster.flush_batch().expect("flush cannot fail");
     OracleSweep {
         checked: n,
         agreed,

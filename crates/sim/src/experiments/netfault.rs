@@ -171,6 +171,7 @@ fn latency_cdfs(scale: f64, seed: u64) -> Result<Vec<LatencyRow>, ClashError> {
                 let key = clash_keyspace::key::Key::from_bits_truncated(rng.next_u64(), width);
                 cluster.locate(key)?;
             }
+            cluster.flush_batch()?;
             let hist = &cluster.latency_metrics().locate;
             // One percent-grid pass: indices 49/94/98 are p50/p95/p99.
             let grid: Vec<f64> = (1..=100).map(|pct| f64::from(pct) / 100.0).collect();

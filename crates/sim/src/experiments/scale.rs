@@ -116,11 +116,6 @@ pub struct ScaleOutput {
     pub scale: f64,
     /// Root seed in force.
     pub seed: u64,
-    /// The `ClashConfig::shards` value the cells ran with (0 =
-    /// sequential locates, non-zero = batched). The deterministic fields
-    /// are identical for every value — only the wall-clock columns may
-    /// move.
-    pub shards: u32,
 }
 
 impl ScaleOutput {
@@ -201,7 +196,6 @@ fn churn_cell(
     servers: usize,
     sources_per_server: usize,
     mins: u64,
-    shards: u32,
     seed: u64,
 ) -> Result<ScaleCell, ClashError> {
     let sources = servers * sources_per_server;
@@ -212,8 +206,7 @@ fn churn_cell(
         capacity: ClashConfig::paper().capacity * sources_per_server as f64 / 100.0,
         ..ClashConfig::paper()
     }
-    .with_replication(2)
-    .with_shards(shards);
+    .with_replication(2);
     // Scale every period with the cell's virtual minutes so each cell
     // observes a comparable number of checks (~30) and membership
     // events (~7 expected) regardless of duration: before this, the
@@ -283,9 +276,9 @@ fn churn_cell(
 /// One load-check cell: a `servers` ring with `servers / 2` sources —
 /// nothing ever overloads — timing [`LOADCHECK_CHECKS`] cluster-wide
 /// checks with [`LOADCHECK_MOVES_PER_CHECK`] source moves between each.
-fn loadcheck_cell(servers: usize, shards: u32, seed: u64) -> Result<ScaleCell, ClashError> {
+fn loadcheck_cell(servers: usize, seed: u64) -> Result<ScaleCell, ClashError> {
     let sources = (servers / 2).max(8);
-    let config = ClashConfig::paper().with_replication(2).with_shards(shards);
+    let config = ClashConfig::paper().with_replication(2);
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), seed ^ 0x10AD));
     let mut cluster = ClashCluster::with_transport(config, servers, seed, transport)?;
     let workload = Workload::paper(WorkloadKind::C);
@@ -318,8 +311,8 @@ fn loadcheck_cell(servers: usize, shards: u32, seed: u64) -> Result<ScaleCell, C
                 moves += 1;
             }
         }
-        // Route and charge the moves' batched locate work outside the
-        // check timer — it is move cost, not check cost.
+        // Route and charge the moves' locate work outside the check
+        // timer — it is move cost, not check cost.
         cluster.flush_batch()?;
         let c0 = Instant::now();
         cluster.run_load_check()?;
@@ -353,24 +346,22 @@ fn loadcheck_cell(servers: usize, shards: u32, seed: u64) -> Result<ScaleCell, C
     })
 }
 
-/// Runs the full sweep at `scale` with the default seed, sequentially.
+/// Runs the full sweep at `scale` with the default seed.
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
 pub fn run(scale: f64) -> Result<ScaleOutput, ClashError> {
-    run_seeded(scale, None, 0)
+    run_seeded(scale, None)
 }
 
-/// [`run`] with an optional root seed override and the batched-locate
-/// switch (`shards`: 0 = sequential, non-zero = batched; the
-/// deterministic outputs are identical either way).
+/// [`run`] with an optional root seed override.
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>, shards: u32) -> Result<ScaleOutput, ClashError> {
-    run_filtered(scale, seed, shards, None)
+pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<ScaleOutput, ClashError> {
+    run_filtered(scale, seed, None)
 }
 
 /// [`run_seeded`] restricted to a comma-separated list of exact cell
@@ -389,7 +380,6 @@ pub fn run_seeded(scale: f64, seed: Option<u64>, shards: u32) -> Result<ScaleOut
 pub fn run_filtered(
     scale: f64,
     seed: Option<u64>,
-    shards: u32,
     filter: Option<&str>,
 ) -> Result<ScaleOutput, ClashError> {
     let seed = seed.unwrap_or(DEFAULT_SEED);
@@ -401,7 +391,7 @@ pub fn run_filtered(
         }
         let servers = scaled(n, scale, 16);
         eprintln!("[scale] churn cell: {servers} servers...");
-        cells.push(churn_cell(servers, density, mins, shards, seed)?);
+        cells.push(churn_cell(servers, density, mins, seed)?);
     }
     for &n in &LOADCHECK_RING_SIZES {
         if !wanted(&format!("loadcheck_{n}")) {
@@ -409,22 +399,17 @@ pub fn run_filtered(
         }
         let servers = scaled(n, scale, 32);
         eprintln!("[scale] load-check cell: {servers} servers...");
-        cells.push(loadcheck_cell(servers, shards, seed)?);
+        cells.push(loadcheck_cell(servers, seed)?);
     }
-    Ok(ScaleOutput {
-        cells,
-        scale,
-        seed,
-        shards,
-    })
+    Ok(ScaleOutput { cells, scale, seed })
 }
 
 /// Renders the sweep as an ASCII table.
 pub fn render(out: &ScaleOutput) -> String {
     let mut s = format!(
         "Scale — mechanical cost up to 100x the paper's Figure-4 cell \
-         (scale {}, seed {:#x}, shards {}):\n",
-        out.scale, out.seed, out.shards
+         (scale {}, seed {:#x}):\n",
+        out.scale, out.seed
     );
     let rows: Vec<Vec<String>> = out
         .cells
@@ -560,7 +545,6 @@ pub fn to_bench_json(out: &ScaleOutput) -> String {
     s.push_str("  \"bench\": \"scale\",\n");
     s.push_str(&format!("  \"scale\": {},\n", out.scale));
     s.push_str(&format!("  \"seed\": {},\n", out.seed));
-    s.push_str(&format!("  \"shards\": {},\n", out.shards));
     s.push_str(&format!(
         "  \"min_loadcheck_events_per_sec\": {:.1},\n",
         out.min_loadcheck_events_per_sec().unwrap_or(0.0)
@@ -617,7 +601,7 @@ mod tests {
     /// floor number.
     #[test]
     fn scale_smoke_end_to_end() {
-        let out = run_seeded(0.005, Some(7), 0).unwrap();
+        let out = run_seeded(0.005, Some(7)).unwrap();
         assert_eq!(
             out.cells.len(),
             CHURN_CELLS.len() + LOADCHECK_RING_SIZES.len()
@@ -647,13 +631,11 @@ mod tests {
     }
 
     /// Same seed ⇒ identical deterministic fields (only wall-clock may
-    /// differ between runs of the same build) — *across locate paths*:
-    /// the sequential sweep and a batched sweep must agree on every
-    /// protocol-visible number.
+    /// differ between runs of the same build).
     #[test]
-    fn scale_cells_are_deterministic_across_shard_counts() {
-        let a = run_seeded(0.005, Some(11), 0).unwrap();
-        let b = run_seeded(0.005, Some(11), 2).unwrap();
+    fn scale_cells_are_deterministic_for_a_seed() {
+        let a = run_seeded(0.005, Some(11)).unwrap();
+        let b = run_seeded(0.005, Some(11)).unwrap();
         for (x, y) in a.cells.iter().zip(&b.cells) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.events, y.events);
@@ -671,7 +653,7 @@ mod tests {
     /// must now carry non-degenerate timing fields.
     #[test]
     fn every_cell_reports_nondegenerate_timing() {
-        let out = run_seeded(0.002, Some(13), 1).unwrap();
+        let out = run_seeded(0.002, Some(13)).unwrap();
         for c in &out.cells {
             assert!(c.wall_ms > 0.0, "{}: zero wall_ms", c.name);
             assert!(c.events_per_sec > 0.0, "{}: zero throughput", c.name);
@@ -719,8 +701,8 @@ mod tests {
     /// independent).
     #[test]
     fn cell_filter_selects_and_matches_full_sweep() {
-        let full = run_seeded(0.005, Some(11), 0).unwrap();
-        let only = run_filtered(0.005, Some(11), 0, Some("churn_4000")).unwrap();
+        let full = run_seeded(0.005, Some(11)).unwrap();
+        let only = run_filtered(0.005, Some(11), Some("churn_4000")).unwrap();
         assert_eq!(only.cells.len(), 1);
         let a = &only.cells[0];
         let b = full.cells.iter().find(|c| c.name == a.name).unwrap();
@@ -728,7 +710,7 @@ mod tests {
         assert_eq!((a.splits, a.merges), (b.splits, b.merges));
         assert_eq!(a.membership_events, b.membership_events);
         assert_eq!(a.locate_p95_ms, b.locate_p95_ms);
-        let none = run_filtered(0.005, Some(11), 0, Some("no_such_cell")).unwrap();
+        let none = run_filtered(0.005, Some(11), Some("no_such_cell")).unwrap();
         assert!(none.cells.is_empty());
         assert!(none.min_churn_events_per_sec().is_none());
         assert!(only.min_churn_events_per_sec().is_some());
@@ -737,11 +719,11 @@ mod tests {
         // cell and never drag the 10k/100k/1M cells along. (Reported
         // names carry the scaled server count; only the count and kind
         // identify the cell here.)
-        let prefix = run_filtered(0.005, Some(11), 0, Some("churn_1000")).unwrap();
+        let prefix = run_filtered(0.005, Some(11), Some("churn_1000")).unwrap();
         assert_eq!(prefix.cells.len(), 1);
         assert_eq!(prefix.cells[0].servers, 16, "scaled churn_1000 cell");
         // Comma lists select each named cell once.
-        let pair = run_filtered(0.005, Some(11), 0, Some("churn_4000, loadcheck_4000")).unwrap();
+        let pair = run_filtered(0.005, Some(11), Some("churn_4000, loadcheck_4000")).unwrap();
         assert_eq!(pair.cells.len(), 2);
         assert_eq!(pair.cells[0].kind, CellKind::Churn);
         assert_eq!(pair.cells[1].kind, CellKind::LoadCheck);
@@ -755,7 +737,7 @@ mod tests {
     /// the 30-minute cells).
     #[test]
     fn churn_cells_observe_comparable_checks_and_events() {
-        let out = run_seeded(0.005, Some(19), 0).unwrap();
+        let out = run_seeded(0.005, Some(19)).unwrap();
         let churn: Vec<_> = out
             .cells
             .iter()

@@ -229,8 +229,8 @@ impl Transport for LinkTransport {
     /// misses overlap — then charge the window in order against the
     /// now-warm entries. Draw order per link and stats totals are
     /// exactly the sequential loop's (same calls, same order). The warm
-    /// window is the transport's share of the benchmark's measured
-    /// batched-over-sequential locate speed-up.
+    /// window is the transport's share of what charging probes in one
+    /// pass per flush saves over sending each on its own.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());

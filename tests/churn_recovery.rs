@@ -72,6 +72,7 @@ fn interleaved_crashes_and_workload() {
     // Six crashes happened; the fleet shrank but kept serving.
     assert_eq!(cluster.server_count(), 14);
     assert_eq!(cluster.source_count(), 12 * 25);
+    cluster.flush_batch().unwrap();
     cluster.verify_consistency();
 }
 
@@ -193,6 +194,7 @@ fn elastic_capacity_under_sustained_load() {
     }
     // Drains and crashes lost no attached state.
     assert_eq!(cluster.source_count() as u64, next_source - 60);
+    cluster.flush_batch().unwrap();
     let stats = cluster.message_stats();
     assert_eq!(stats.joins, 4);
     assert!(stats.leaves >= 5);

@@ -69,10 +69,12 @@ fn random_walk_preserves_all_invariants() {
             }
         }
         if step % 100 == 0 {
+            cluster.flush_batch().unwrap();
             cluster.verify_consistency();
             assert!(cluster.global_cover().is_partition());
         }
     }
+    cluster.flush_batch().unwrap();
     cluster.verify_consistency();
 
     // Final: every possible key locates to the oracle owner.

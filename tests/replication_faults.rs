@@ -49,6 +49,14 @@ fn lan_cluster(r: usize, seed: u64) -> ClashCluster {
     c
 }
 
+/// Puts every server on one island: nothing is severed, but the
+/// transport reports a partition, so every probe is charged on its own
+/// — the reference the barrier-closed locate window is pinned against.
+fn close_every_window_per_probe(c: &mut ClashCluster) {
+    let everyone = c.server_ids();
+    c.partition_network(&[everyone]);
+}
+
 /// Sweeps every key against the oracle; panics on the first divergence.
 fn assert_full_oracle_agreement(c: &mut ClashCluster) {
     for bits in 0..256u64 {
@@ -368,20 +376,24 @@ fn range_query_matches_oracle_after_join_crash_heal() {
     assert_eq!(c.recovery_oracle_reads(), 0);
 
     // The walk's own cost does not depend on when its probes are
-    // charged: at the op (`shards = 0`) or at the next flush.
-    let walk = |shards: u32| {
-        let config = ClashConfig::small_test().with_shards(shards);
-        let mut c = ClashCluster::new(config, 16, 21).unwrap();
+    // charged: one by one, or by the flush that ends the walk.
+    let walk = |per_probe: bool| {
+        let transport = Box::new(LinkTransport::new(LinkPolicy::lan(), 21));
+        let mut c =
+            ClashCluster::with_transport(ClashConfig::small_test(), 16, 21, transport).unwrap();
         for i in 0..200 {
             c.attach_source(i, key((i * 7) % 256), 1.5).unwrap();
         }
         c.run_load_check().unwrap();
+        if per_probe {
+            close_every_window_per_probe(&mut c);
+        }
         let walked = c.range_query(root).unwrap();
         (walked.probes, walked.messages, walked.groups)
     };
-    let sequential = walk(0);
+    let sequential = walk(true);
     assert!(sequential.0 as usize >= sequential.2.len());
-    assert_eq!(walk(1), sequential);
+    assert_eq!(walk(false), sequential);
 }
 
 /// The repo-level suites honor `CLASH_REPLICATION` (the CI matrix runs
@@ -414,20 +426,22 @@ fn env_selected_replication_factor_survives_a_crash() {
     assert_eq!(c.source_count(), 60);
 }
 
-/// Crash under batched locates: the crash is a barrier that flushes the
-/// open batch window before the promotion pulls state from the victim's
-/// replica holders. The batched cluster must produce the identical
+/// Crash on an open locate window: the crash is a barrier that flushes
+/// the window before the promotion pulls state from the victim's
+/// replica holders. The windowed cluster must produce the identical
 /// `FailureReport`, message accounting and post-recovery state as a
-/// sequential twin — and a partitioned crash + heal afterwards (batching
-/// steps aside during the partition) must land both at 100% oracle
-/// agreement.
+/// probe-by-probe twin — and a partitioned crash + heal afterwards
+/// (every window closes per probe during the partition) must land both
+/// at 100% oracle agreement.
 #[test]
 fn cross_shard_crash_promotes_like_sequential_and_heals() {
     let config = ClashConfig::small_test().with_replication(2);
-    let mk = |shards: u32| {
+    let mk = |per_probe: bool| {
         let transport = Box::new(LinkTransport::new(LinkPolicy::lan(), 11));
-        let mut c =
-            ClashCluster::with_transport(config.with_shards(shards), 8, 11, transport).unwrap();
+        let mut c = ClashCluster::with_transport(config, 8, 11, transport).unwrap();
+        if per_probe {
+            close_every_window_per_probe(&mut c);
+        }
         for i in 0..96 {
             c.attach_source(i, key((i * 7) % 256), 1.5).unwrap();
         }
@@ -435,8 +449,8 @@ fn cross_shard_crash_promotes_like_sequential_and_heals() {
         c.verify_consistency();
         c
     };
-    let mut seq = mk(0);
-    let mut sharded = mk(2);
+    let mut seq = mk(true);
+    let mut sharded = mk(false);
 
     let victim = seq
         .server_ids()
@@ -458,8 +472,9 @@ fn cross_shard_crash_promotes_like_sequential_and_heals() {
     assert_full_oracle_agreement(&mut sharded);
     sharded.flush_batch().unwrap();
 
-    // Partitioned crash + heal, mirrored on both: batching is inert
-    // while partitioned, and the healed promotion must agree too.
+    // Partitioned crash + heal, mirrored on both: every window closes
+    // per probe while partitioned, and the healed promotion must agree
+    // too.
     let ids = seq.server_ids();
     let (left, right) = ids.split_at(ids.len() / 2);
     seq.partition_network(&[left.to_vec(), right.to_vec()]);
@@ -468,6 +483,7 @@ fn cross_shard_crash_promotes_like_sequential_and_heals() {
     let rb = sharded.fail_server(left[0]).unwrap();
     assert_eq!(ra, rb, "partitioned failure reports diverged");
     seq.heal_partition();
+    close_every_window_per_probe(&mut seq);
     sharded.heal_partition();
     for _ in 0..2 {
         let ca = seq.run_load_check().unwrap();
@@ -480,7 +496,11 @@ fn cross_shard_crash_promotes_like_sequential_and_heals() {
     assert_eq!(seq.server_loads(), sharded.server_loads());
     sharded.verify_consistency();
     assert!(sharded.global_cover().is_partition());
+    assert_full_oracle_agreement(&mut seq);
     assert_full_oracle_agreement(&mut sharded);
+    sharded.flush_batch().unwrap();
+    assert_eq!(seq.message_stats(), sharded.message_stats());
+    assert_eq!(seq.transport_stats(), sharded.transport_stats());
 }
 
 /// Rapid partition flapping around a deferred recovery: severing and
@@ -727,4 +747,44 @@ fn scoped_membership_resync_matches_the_whole_sweep_on_a_lossy_wan() {
             }
         }
     }
+}
+
+/// The fixed-depth baseline materializes a group on its first attach and
+/// dematerializes it on its last detach, replicas included — so its load
+/// pushes cannot wait for a barrier the way the adaptive protocol's do.
+/// The constants were recorded from the charge-at-the-op code the locate
+/// window replaced (same seeds, same calls).
+#[test]
+fn baseline_churn_materializes_and_dematerializes_like_the_sequential_path() {
+    let config = ClashConfig::dht_baseline(8).with_replication(2);
+    let key = |bits: u64| Key::from_bits_truncated(bits << 16, config.key_width);
+    let transport = Box::new(LinkTransport::new(LinkPolicy::lan(), 29));
+    let mut c = ClashCluster::with_transport(config, 8, 29, transport).unwrap();
+    let mut peak_groups = 0;
+    for round in 0..6u64 {
+        for i in 0..40u64 {
+            let bits = (round * 31 + i * 5) % 256;
+            c.attach_source(round * 40 + i, key(bits), 1.0).unwrap();
+        }
+        peak_groups = peak_groups.max(c.global_cover().len());
+        for i in (0..40u64).filter(|i| (i + round) % 3 != 0) {
+            c.detach_source(round * 40 + i).unwrap();
+        }
+        c.run_load_check().unwrap();
+        c.verify_consistency();
+    }
+    assert_eq!((peak_groups, c.global_cover().len()), (104, 80));
+    assert_eq!(c.source_count(), 80);
+    let msgs = c.message_stats();
+    assert_eq!(
+        (msgs.probes, msgs.probe_messages, msgs.locates),
+        (240, 752, 240)
+    );
+    assert_eq!(msgs.replication_messages, 1262);
+    assert_eq!(msgs.control_messages(), 752 + 1262);
+    let transport = c.transport_stats();
+    assert_eq!(transport.messages, 2014);
+    assert_eq!(transport.total_latency_us, 2_203_545);
+    assert_eq!(transport.per_class, [512, 240, 0, 0, 0, 0, 788, 474]);
+    assert_eq!(c.rng_draws(), 240);
 }

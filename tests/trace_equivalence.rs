@@ -3,8 +3,8 @@
 //! The contract the tracing tentpole lives or dies by: **recording is
 //! observation, not behaviour**. Attaching any trace sink — the bounded
 //! ring or the unbounded full-export buffer — must leave the protocol's
-//! decisions bit-for-bit identical to the untraced run, across shard
-//! counts and replication factors, and must draw *zero* RNG of its own.
+//! decisions bit-for-bit identical to the untraced run, across
+//! replication factors, and must draw *zero* RNG of its own.
 //!
 //! Each pin runs the same churn+crash scenario three ways (tracing off,
 //! ring, full) and compares `RunResult::deterministic_fingerprint()`
@@ -36,13 +36,12 @@ fn spec() -> ScenarioSpec {
     )
 }
 
-fn run(replication: usize, shards: u32, trace: TraceMode) -> (RunResult, ClashCluster) {
+fn run(replication: usize, trace: TraceMode) -> (RunResult, ClashCluster) {
     let config = ClashConfig {
         capacity: 60.0,
         ..ClashConfig::paper()
     }
-    .with_replication(replication)
-    .with_shards(shards);
+    .with_replication(replication);
     let spec = spec();
     let transport: Box<dyn Transport> = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
     let mut driver =
@@ -54,39 +53,36 @@ fn run(replication: usize, shards: u32, trace: TraceMode) -> (RunResult, ClashCl
 }
 
 /// Off vs ring vs full: identical fingerprints and identical RNG draw
-/// counts, for the sequential and the sharded locate path, with and
-/// without replication.
+/// counts, with and without replication.
 #[test]
 fn tracing_mode_never_changes_the_run() {
     for replication in [0usize, 2] {
-        for shards in [0u32, 4] {
-            let (off, off_cluster) = run(replication, shards, TraceMode::Off);
-            let (ring, ring_cluster) = run(replication, shards, TraceMode::Ring(256));
-            let (full, full_cluster) = run(replication, shards, TraceMode::Full);
-            let label = format!("r={replication} shards={shards}");
-            assert_eq!(
-                off.deterministic_fingerprint(),
-                ring.deterministic_fingerprint(),
-                "{label}: ring tracing changed the run"
-            );
-            assert_eq!(
-                off.deterministic_fingerprint(),
-                full.deterministic_fingerprint(),
-                "{label}: full tracing changed the run"
-            );
-            // Tracing draws no RNG: the protocol stream's draw count is
-            // the strictest possible "no hidden behaviour" witness.
-            assert_eq!(
-                off_cluster.rng_draws(),
-                ring_cluster.rng_draws(),
-                "{label}: ring tracing drew RNG"
-            );
-            assert_eq!(
-                off_cluster.rng_draws(),
-                full_cluster.rng_draws(),
-                "{label}: full tracing drew RNG"
-            );
-        }
+        let (off, off_cluster) = run(replication, TraceMode::Off);
+        let (ring, ring_cluster) = run(replication, TraceMode::Ring(256));
+        let (full, full_cluster) = run(replication, TraceMode::Full);
+        let label = format!("r={replication}");
+        assert_eq!(
+            off.deterministic_fingerprint(),
+            ring.deterministic_fingerprint(),
+            "{label}: ring tracing changed the run"
+        );
+        assert_eq!(
+            off.deterministic_fingerprint(),
+            full.deterministic_fingerprint(),
+            "{label}: full tracing changed the run"
+        );
+        // Tracing draws no RNG: the protocol stream's draw count is
+        // the strictest possible "no hidden behaviour" witness.
+        assert_eq!(
+            off_cluster.rng_draws(),
+            ring_cluster.rng_draws(),
+            "{label}: ring tracing drew RNG"
+        );
+        assert_eq!(
+            off_cluster.rng_draws(),
+            full_cluster.rng_draws(),
+            "{label}: full tracing drew RNG"
+        );
     }
 }
 
@@ -95,7 +91,7 @@ fn tracing_mode_never_changes_the_run() {
 /// time and strictly increasing sequence numbers.
 #[test]
 fn full_trace_captures_the_expected_event_classes() {
-    let (result, mut cluster) = run(2, 2, TraceMode::Full);
+    let (result, mut cluster) = run(2, TraceMode::Full);
     let events = cluster.take_trace_events();
     assert!(
         events.len() > 1000,
@@ -159,13 +155,13 @@ fn full_trace_captures_the_expected_event_classes() {
 /// tail it retains matches the end of the full capture.
 #[test]
 fn ring_sink_retains_the_newest_tail() {
-    let (_, mut full_cluster) = run(0, 0, TraceMode::Full);
+    let (_, mut full_cluster) = run(0, TraceMode::Full);
     let full = full_cluster.take_trace_events();
     // Both sides of the panic dump's 64-event window: a ring smaller
     // than the window (the case the capacity accessor exists for) and
     // one larger than it.
     for cap in [16usize, 128] {
-        let (_, mut ring_cluster) = run(0, 0, TraceMode::Ring(cap));
+        let (_, mut ring_cluster) = run(0, TraceMode::Ring(cap));
         let kept = ring_cluster.take_trace_events();
         assert_eq!(kept.len(), cap.min(full.len()), "cap={cap}");
         // Conservation: every emitted event is either kept or counted
@@ -184,7 +180,7 @@ fn ring_sink_retains_the_newest_tail() {
 /// counters it replaces, for both the cluster and driver namespaces.
 #[test]
 fn telemetry_registry_matches_legacy_counters() {
-    let (result, cluster) = run(2, 2, TraceMode::Off);
+    let (result, cluster) = run(2, TraceMode::Off);
     let t = result.telemetry(&cluster);
     assert_eq!(
         t.counter_value("cluster.messages.total"),

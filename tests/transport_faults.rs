@@ -10,11 +10,13 @@
 //! 2. **Determinism** — same seed + same `LinkPolicy` ⇒ identical
 //!    `RunResult`, sample-for-sample, including transport stats.
 
-use clash_core::cluster::MessageStats;
+use clash_core::cluster::{ClashCluster, MessageStats};
 use clash_core::config::ClashConfig;
+use clash_core::error::ClashError;
+use clash_keyspace::key::Key;
 use clash_sim::driver::SimDriver;
 use clash_simkernel::time::SimDuration;
-use clash_transport::{LinkPolicy, LinkTransport};
+use clash_transport::{LinkPolicy, LinkTransport, TransportStats};
 use clash_workload::scenario::ScenarioSpec;
 
 /// The Figure-4-shaped scenario the equivalence constants were captured
@@ -175,4 +177,76 @@ fn transport_seed_changes_latency_without_touching_protocol() {
         c2.transport_stats().messages,
         "but carry exactly the same envelopes"
     );
+}
+
+/// Under a real two-island partition every probe is charged before its
+/// responder counts it and before the attach touches a ledger: a probe
+/// that hits the cut sends nothing past it and leaves no trace but the
+/// refused send. The constants were recorded from the charge-at-the-op
+/// code this path replaced (same seeds, same calls).
+#[test]
+fn refused_attaches_under_a_partition_leave_what_the_sequential_path_left() {
+    let config = ClashConfig::small_test().with_replication(2);
+    let key = |bits: u64| Key::from_bits_truncated(bits, config.key_width);
+    let transport = Box::new(LinkTransport::new(LinkPolicy::lan(), 23));
+    let mut c = ClashCluster::with_transport(config, 8, 23, transport).unwrap();
+    for i in 0..100u64 {
+        c.attach_source(i, key((i * 7) % 64), 2.0).unwrap();
+    }
+    for _ in 0..2 {
+        c.run_load_check().unwrap();
+    }
+    let ids = c.server_ids();
+    let (left, right) = ids.split_at(ids.len() / 2);
+    c.partition_network(&[left.to_vec(), right.to_vec()]);
+    let mut refused = 0u64;
+    for i in 100..300u64 {
+        match c.attach_source(i, key((i * 11) % 256), 0.25) {
+            Ok(_) => assert!(c.has_source(i)),
+            Err(ClashError::NetworkUnreachable { .. }) => {
+                refused += 1;
+                assert!(!c.has_source(i), "a refused attach reached the ledger");
+            }
+            Err(e) => panic!("unexpected error under partition: {e}"),
+        }
+    }
+    assert_eq!(refused, 157);
+    assert_eq!(c.source_count(), 143);
+    let answered: Vec<u64> = ids
+        .iter()
+        .map(|&id| c.server(id).unwrap().stats().probes_answered)
+        .collect();
+    assert_eq!(answered, [100, 36, 17, 32, 0, 9, 27, 20]);
+    assert_eq!(
+        c.message_stats(),
+        MessageStats {
+            probes: 241,
+            probe_messages: 781,
+            locates: 143,
+            split_messages: 8,
+            merge_messages: 0,
+            report_messages: 3,
+            state_transfer_messages: 0,
+            redirect_messages: 100,
+            splits: 3,
+            merges: 0,
+            accept_keygroups: 3,
+            self_mapped_retries: 0,
+            handoff_messages: 0,
+            joins: 0,
+            leaves: 0,
+            replication_messages: 46,
+        }
+    );
+    assert_eq!(
+        c.transport_stats(),
+        TransportStats {
+            messages: 872,
+            retransmissions: 0,
+            unreachable: 157,
+            total_latency_us: 938_412,
+            per_class: [579, 241, 3, 3, 0, 0, 26, 20],
+        }
+    );
+    assert_eq!(c.rng_draws(), 398);
 }
