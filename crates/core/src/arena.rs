@@ -1,20 +1,17 @@
 //! A slot arena for the cluster's servers.
 //!
-//! The cluster used to keep its servers in a `BTreeMap<u64, ClashServer>`
-//! — every per-server access chased tree nodes holding the full (large)
-//! server value, and every load check snapshotted the key set into a
-//! fresh `Vec`. The arena stores the servers in a dense `Vec` of slots
-//! (freed slots are recycled) with a small `u64 → slot` index kept in a
-//! `BTreeMap`, so:
+//! The servers sit in a dense `Vec` of slots (freed slots are recycled,
+//! keeping the vector dense under churn) with two `u64 → slot` indexes:
 //!
-//! * per-id access touches only the compact index tree plus one slot;
-//! * iteration stays **deterministic in ring-id order** (the index tree's
-//!   order), which the same-seed bit-for-bit reproducibility of the whole
-//!   simulator depends on;
-//! * slots of departed servers are reused, keeping the vector dense under
-//!   churn.
+//! * a hashed one answers every per-id access — one probe plus one slot;
+//!   every client probe looks its responder up here;
+//! * an ordered one answers iteration, which stays **deterministic in
+//!   ring-id order** — the order the same-seed bit-for-bit
+//!   reproducibility of the whole simulator depends on.
 
 use std::collections::BTreeMap;
+
+use clash_simkernel::collections::DetHashMap;
 
 use crate::server::ClashServer;
 
@@ -24,6 +21,9 @@ use crate::server::ClashServer;
 pub struct ServerArena {
     slots: Vec<Option<ClashServer>>,
     free: Vec<usize>,
+    /// Point lookups.
+    slot_of: DetHashMap<u64, usize>,
+    /// Iteration in ring-id order; holds the same pairs as `slot_of`.
     index: BTreeMap<u64, usize>,
 }
 
@@ -33,6 +33,7 @@ impl ServerArena {
         ServerArena {
             slots: Vec::new(),
             free: Vec::new(),
+            slot_of: DetHashMap::default(),
             index: BTreeMap::new(),
         }
     }
@@ -49,19 +50,19 @@ impl ServerArena {
 
     /// True if `sid` names a live server.
     pub fn contains(&self, sid: u64) -> bool {
-        self.index.contains_key(&sid)
+        self.slot_of.contains_key(&sid)
     }
 
     /// The server with ring id `sid`.
     pub fn get(&self, sid: u64) -> Option<&ClashServer> {
-        self.index
+        self.slot_of
             .get(&sid)
             .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
     }
 
     /// Mutable access to the server with ring id `sid`.
     pub fn get_mut(&mut self, sid: u64) -> Option<&mut ClashServer> {
-        let slot = *self.index.get(&sid)?;
+        let slot = *self.slot_of.get(&sid)?;
         Some(self.slots[slot].as_mut().expect("indexed slot is live"))
     }
 
@@ -83,7 +84,7 @@ impl ServerArena {
     /// arena unchanged) if the id is already present.
     pub fn insert(&mut self, server: ClashServer) -> bool {
         let sid = server.id().value();
-        if self.index.contains_key(&sid) {
+        if self.contains(sid) {
             return false;
         }
         let slot = match self.free.pop() {
@@ -96,6 +97,7 @@ impl ServerArena {
                 self.slots.len() - 1
             }
         };
+        self.slot_of.insert(sid, slot);
         self.index.insert(sid, slot);
         true
     }
@@ -103,7 +105,8 @@ impl ServerArena {
     /// Removes and returns the server with ring id `sid`, recycling its
     /// slot.
     pub fn remove(&mut self, sid: u64) -> Option<ClashServer> {
-        let slot = self.index.remove(&sid)?;
+        let slot = self.slot_of.remove(&sid)?;
+        self.index.remove(&sid);
         self.free.push(slot);
         self.slots[slot].take()
     }

@@ -12,7 +12,8 @@ use clash_obs::{
 use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::{Delivery, LinkPolicy, MessageClass, Transport, TransportStats};
 
-use super::{ClashCluster, GroupLedger};
+use super::data_plane::GroupLedger;
+use super::ClashCluster;
 use crate::latency::{ms, LatencyMetrics};
 use crate::ServerId;
 

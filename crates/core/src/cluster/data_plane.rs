@@ -1,0 +1,795 @@
+//! The data plane: which streaming sources and continuous queries sit in
+//! which key group (the per-group *ledgers*), and the member records
+//! that point back at them. Splits, merges and recoveries repartition it
+//! without touching a server, the ring or the transport.
+//!
+//! Every client op looks a record and a ledger up by key, so both are
+//! hashed ([`DetHashMap`] / [`ShardedMap`]) — an ordered map's tree walk
+//! was a third of a key change's wall. Order survives only where it
+//! reaches a result: a ledger's member order (it feeds `split`'s rate
+//! sums, replica payloads and recovered ledgers, so members leave by an
+//! order-preserving `remove`, never `swap_remove`), the ascending id
+//! lists [`DataPlane::membership`] sorts, and the ascending push order
+//! [`DataPlane::unqueue`] sorts. The `BTreeMap` layout this replaced is
+//! kept below as the differential reference.
+
+use std::sync::Arc;
+
+use clash_keyspace::key::Key;
+use clash_keyspace::prefix::Prefix;
+use clash_simkernel::collections::{DetHashMap, ShardedMap};
+
+use crate::load::GroupLoad;
+use crate::replication::ReplicaRecord;
+use crate::ServerId;
+
+/// Per-group data-plane state. The member lists live behind `Arc`s so
+/// replica payloads are O(1) snapshots: seeding `r` holders shares one
+/// allocation, and a later ledger mutation copies-on-write only if a
+/// replica still holds the old snapshot (at `r = 0` the `Arc`s are never
+/// shared, so `make_mut` never copies).
+#[derive(Debug, Clone, Default)]
+pub(super) struct GroupLedger {
+    pub(super) sources: Arc<Vec<u64>>,
+    pub(super) queries: Arc<Vec<u64>>,
+    rate: f64,
+    /// The group sits in the locate window's deferred-push list
+    /// ([`DataPlane::queue_push`]): a second op on it adds nothing.
+    queued: bool,
+}
+
+impl GroupLedger {
+    pub(super) fn load(&self) -> GroupLoad {
+        GroupLoad {
+            data_rate: self.rate,
+            queries: self.queries.len() as u64,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+pub(super) struct SourceRec {
+    key: Key,
+    rate: f64,
+    pub(super) group: Prefix,
+}
+
+#[derive(Debug, Clone)]
+pub(super) struct QueryRec {
+    key: Key,
+    pub(super) group: Prefix,
+}
+
+/// The surviving client registry for a set of groups: per group, the
+/// source ids and query ids still pointing at it, each list ascending.
+pub(super) type ClientMembership = DetHashMap<Prefix, (Vec<u64>, Vec<u64>)>;
+
+/// Takes `id` out of a member list, keeping the others' order.
+fn remove_member(members: &mut Arc<Vec<u64>>, id: u64) {
+    let members = Arc::make_mut(members);
+    if let Some(at) = members.iter().position(|&m| m == id) {
+        members.remove(at);
+    }
+}
+
+/// The ledgers and member records (see the module docs).
+#[derive(Debug, Default)]
+pub(super) struct DataPlane {
+    pub(super) ledgers: DetHashMap<Prefix, GroupLedger>,
+    pub(super) sources: ShardedMap<u64, SourceRec>,
+    pub(super) queries: ShardedMap<u64, QueryRec>,
+}
+
+impl DataPlane {
+    /// The ledger of `group`, if it has one.
+    pub(super) fn ledger(&self, group: Prefix) -> Option<&GroupLedger> {
+        self.ledgers.get(&group)
+    }
+
+    /// Gives `group` a fresh, empty ledger (a bootstrapped or
+    /// materialized group).
+    pub(super) fn open_group(&mut self, group: Prefix) {
+        self.ledgers.insert(group, GroupLedger::default());
+    }
+
+    /// The ledger of `group`, created empty if missing.
+    pub(super) fn ledger_or_default(&mut self, group: Prefix) -> &GroupLedger {
+        self.ledgers.entry(group).or_default()
+    }
+
+    /// Drops `group`'s ledger if it has no members left. True if it did.
+    pub(super) fn close_group_if_empty(&mut self, group: Prefix) -> bool {
+        let empty = self
+            .ledgers
+            .get(&group)
+            .is_some_and(|l| l.sources.is_empty() && l.queries.is_empty());
+        if empty {
+            self.ledgers.remove(&group);
+        }
+        empty
+    }
+
+    /// Adds source `id` to `group` at `rate`.
+    pub(super) fn attach_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
+        self.link_source(id, rate, group);
+        self.sources.insert(id, SourceRec { key, rate, group });
+    }
+
+    /// Removes source `id`. Returns the group it left.
+    pub(super) fn detach_source(&mut self, id: u64) -> Option<Prefix> {
+        let rec = self.sources.remove(id)?;
+        self.unlink(rec.group, id, rec.rate);
+        Some(rec.group)
+    }
+
+    /// The first half of a key change: takes source `id` off its group's
+    /// ledger but keeps its record for [`DataPlane::relink_source`] (or
+    /// [`DataPlane::forget_source`] if the re-locate fails). Returns the
+    /// group it left and its rate.
+    pub(super) fn unlink_source(&mut self, id: u64) -> Option<(Prefix, f64)> {
+        let &SourceRec { group, rate, .. } = self.sources.get(id)?;
+        self.unlink(group, id, rate);
+        Some((group, rate))
+    }
+
+    /// Puts an unlinked source on `group`'s ledger, rewriting its record
+    /// in place.
+    pub(super) fn relink_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
+        self.link_source(id, rate, group);
+        *self
+            .sources
+            .get_mut(id)
+            .expect("an unlinked source keeps its record") = SourceRec { key, rate, group };
+    }
+
+    /// Drops the record of an unlinked source.
+    pub(super) fn forget_source(&mut self, id: u64) {
+        self.sources.remove(id);
+    }
+
+    fn link_source(&mut self, id: u64, rate: f64, group: Prefix) {
+        let ledger = self.ledgers.entry(group).or_default();
+        Arc::make_mut(&mut ledger.sources).push(id);
+        ledger.rate += rate;
+    }
+
+    fn unlink(&mut self, group: Prefix, id: u64, rate: f64) {
+        let ledger = self
+            .ledgers
+            .get_mut(&group)
+            .expect("attached source has a ledger");
+        remove_member(&mut ledger.sources, id);
+        ledger.rate = (ledger.rate - rate).max(0.0);
+    }
+
+    /// Adds query `id` to `group`.
+    pub(super) fn attach_query(&mut self, id: u64, key: Key, group: Prefix) {
+        let ledger = self.ledgers.entry(group).or_default();
+        Arc::make_mut(&mut ledger.queries).push(id);
+        self.queries.insert(id, QueryRec { key, group });
+    }
+
+    /// Removes query `id`. Returns the group it left.
+    pub(super) fn detach_query(&mut self, id: u64) -> Option<Prefix> {
+        let rec = self.queries.remove(id)?;
+        let ledger = self
+            .ledgers
+            .get_mut(&rec.group)
+            .expect("attached query has a ledger");
+        remove_member(&mut ledger.queries, id);
+        Some(rec.group)
+    }
+
+    /// Queues `group`'s deferred load push on `touched` unless it is
+    /// already there.
+    pub(super) fn queue_push(&mut self, group: Prefix, touched: &mut Vec<Prefix>) {
+        let ledger = self
+            .ledgers
+            .get_mut(&group)
+            .expect("a client op's group has a ledger");
+        if !ledger.queued {
+            ledger.queued = true;
+            touched.push(group);
+        }
+    }
+
+    /// Puts the deferred pushes in ascending group order (the order they
+    /// are pushed in) and clears their flags.
+    pub(super) fn unqueue(&mut self, touched: &mut [Prefix]) {
+        touched.sort_unstable();
+        for group in touched.iter() {
+            if let Some(ledger) = self.ledgers.get_mut(group) {
+                ledger.queued = false;
+            }
+        }
+    }
+
+    /// The current ledger of `group` as a replica payload. O(1): the
+    /// member lists are shared `Arc` snapshots, cloned per holder by
+    /// reference count only — the write-through path copies-on-write at
+    /// the *next* ledger mutation instead of deep-cloning per seed.
+    pub(super) fn replica_payload(&self, group: Prefix, owner: ServerId) -> ReplicaRecord {
+        let ledger = self.ledgers.get(&group);
+        ReplicaRecord {
+            owner,
+            sources: ledger.map(|l| Arc::clone(&l.sources)).unwrap_or_default(),
+            queries: ledger.map(|l| Arc::clone(&l.queries)).unwrap_or_default(),
+        }
+    }
+
+    /// Repartitions the ledger of `group` between its two children by the
+    /// key bit at the split depth, updating member records. Returns the
+    /// children's loads.
+    pub(super) fn split(
+        &mut self,
+        group: Prefix,
+        left: Prefix,
+        right: Prefix,
+    ) -> (GroupLoad, GroupLoad) {
+        let ledger = self.ledgers.remove(&group).unwrap_or_default();
+        let bit_index = group.depth();
+        let mut left_rate = 0.0;
+        let mut right_rate = 0.0;
+        let mut left_sources = Vec::new();
+        let mut right_sources = Vec::new();
+        let mut left_queries = Vec::new();
+        let mut right_queries = Vec::new();
+        for &sid in ledger.sources.iter() {
+            let rec = self.sources.get_mut(sid).expect("ledger member exists");
+            if rec.key.bit(bit_index) == 0 {
+                rec.group = left;
+                left_rate += rec.rate;
+                left_sources.push(sid);
+            } else {
+                rec.group = right;
+                right_rate += rec.rate;
+                right_sources.push(sid);
+            }
+        }
+        for &qid in ledger.queries.iter() {
+            let rec = self.queries.get_mut(qid).expect("ledger member exists");
+            if rec.key.bit(bit_index) == 0 {
+                rec.group = left;
+                left_queries.push(qid);
+            } else {
+                rec.group = right;
+                right_queries.push(qid);
+            }
+        }
+        let left_ledger = GroupLedger {
+            sources: Arc::new(left_sources),
+            queries: Arc::new(left_queries),
+            rate: left_rate,
+            queued: false,
+        };
+        let right_ledger = GroupLedger {
+            sources: Arc::new(right_sources),
+            queries: Arc::new(right_queries),
+            rate: right_rate,
+            queued: false,
+        };
+        let loads = (left_ledger.load(), right_ledger.load());
+        self.ledgers.insert(left, left_ledger);
+        self.ledgers.insert(right, right_ledger);
+        loads
+    }
+
+    /// Folds the ledgers of `left` and `right` back into `parent`'s,
+    /// left members first.
+    pub(super) fn merge(&mut self, left: Prefix, right: Prefix, parent: Prefix) {
+        let mut merged = self.ledgers.remove(&left).unwrap_or_default();
+        let right_ledger = self.ledgers.remove(&right).unwrap_or_default();
+        Arc::make_mut(&mut merged.sources).extend_from_slice(&right_ledger.sources);
+        Arc::make_mut(&mut merged.queries).extend_from_slice(&right_ledger.queries);
+        merged.rate += right_ledger.rate;
+        for &sid in merged.sources.iter() {
+            self.sources
+                .get_mut(sid)
+                .expect("ledger member exists")
+                .group = parent;
+        }
+        for &qid in merged.queries.iter() {
+            self.queries
+                .get_mut(qid)
+                .expect("ledger member exists")
+                .group = parent;
+        }
+        self.ledgers.insert(parent, merged);
+    }
+
+    /// The surviving client registry for `groups`: which sources and
+    /// queries still point at each (clients outlive their servers; their
+    /// attachments may not). One scan per recovery event; the registry
+    /// is hashed, so each list is sorted after.
+    pub(super) fn membership(&self, groups: impl Iterator<Item = Prefix>) -> ClientMembership {
+        let mut map: ClientMembership = groups.map(|g| (g, (Vec::new(), Vec::new()))).collect();
+        if map.is_empty() {
+            return map;
+        }
+        for (&sid, rec) in self.sources.iter() {
+            if let Some(slot) = map.get_mut(&rec.group) {
+                slot.0.push(sid);
+            }
+        }
+        for (&qid, rec) in self.queries.iter() {
+            if let Some(slot) = map.get_mut(&rec.group) {
+                slot.1.push(qid);
+            }
+        }
+        for (sources, queries) in map.values_mut() {
+            sources.sort_unstable();
+            queries.sort_unstable();
+        }
+        map
+    }
+
+    /// Re-installs `group`'s ledger after its owner crashed, from the
+    /// promoted `replica`'s member lists (`None`: every copy died)
+    /// reconciled against `live`, the group's surviving client registry
+    /// as [`DataPlane::membership`] returns it: attachments the replica
+    /// never saw (a partition starved its write-through) died with the
+    /// owner and are dropped from the registry, and replica members that
+    /// detached meanwhile drop out. Returns the sources and queries
+    /// dropped.
+    pub(super) fn restore(
+        &mut self,
+        group: Prefix,
+        replica: Option<&ReplicaRecord>,
+        live: &(Vec<u64>, Vec<u64>),
+    ) -> (usize, usize) {
+        let (live_sources, live_queries) = live;
+        let survivors = |members: Option<&Arc<Vec<u64>>>, live: &[u64]| -> Vec<u64> {
+            members.map_or_else(Vec::new, |m| {
+                m.iter()
+                    .copied()
+                    .filter(|id| live.binary_search(id).is_ok())
+                    .collect()
+            })
+        };
+        let sources = survivors(replica.map(|r| &r.sources), live_sources);
+        let queries = survivors(replica.map(|r| &r.queries), live_queries);
+        let mut lost = (0, 0);
+        for &s in live_sources {
+            if !sources.contains(&s) {
+                self.sources.remove(s);
+                lost.0 += 1;
+            }
+        }
+        for &q in live_queries {
+            if !queries.contains(&q) {
+                self.queries.remove(q);
+                lost.1 += 1;
+            }
+        }
+        let rate = match replica {
+            Some(_) => sources
+                .iter()
+                .map(|&s| self.sources.get(s).expect("survivors are attached").rate)
+                .sum(),
+            None => 0.0,
+        };
+        let ledger = GroupLedger {
+            sources: Arc::new(sources),
+            queries: Arc::new(queries),
+            rate,
+            queued: false,
+        };
+        self.ledgers.insert(group, ledger);
+        lost
+    }
+}
+
+/// The ordered layout the hashed one replaced, kept verbatim as the
+/// differential reference: `BTreeMap` registry and ledger map, members
+/// leaving by `retain`, deferred pushes in a `BTreeSet`.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::*;
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct RefLedger {
+        pub(super) sources: Vec<u64>,
+        pub(super) queries: Vec<u64>,
+        pub(super) rate: f64,
+    }
+
+    #[derive(Debug, Default)]
+    pub(super) struct RefDataPlane {
+        pub(super) ledgers: BTreeMap<Prefix, RefLedger>,
+        pub(super) sources: BTreeMap<u64, SourceRec>,
+        pub(super) queries: BTreeMap<u64, QueryRec>,
+        pub(super) touched: BTreeSet<Prefix>,
+    }
+
+    impl RefDataPlane {
+        pub(super) fn open_group(&mut self, group: Prefix) {
+            self.ledgers.insert(group, RefLedger::default());
+        }
+
+        pub(super) fn attach_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
+            let ledger = self.ledgers.entry(group).or_default();
+            ledger.sources.push(id);
+            ledger.rate += rate;
+            self.sources.insert(id, SourceRec { key, rate, group });
+        }
+
+        pub(super) fn detach_source(&mut self, id: u64) -> Option<Prefix> {
+            let rec = self.sources.remove(&id)?;
+            let ledger = self.ledgers.get_mut(&rec.group).unwrap();
+            ledger.sources.retain(|&s| s != id);
+            ledger.rate = (ledger.rate - rec.rate).max(0.0);
+            Some(rec.group)
+        }
+
+        pub(super) fn attach_query(&mut self, id: u64, key: Key, group: Prefix) {
+            self.ledgers.entry(group).or_default().queries.push(id);
+            self.queries.insert(id, QueryRec { key, group });
+        }
+
+        pub(super) fn detach_query(&mut self, id: u64) -> Option<Prefix> {
+            let rec = self.queries.remove(&id)?;
+            let ledger = self.ledgers.get_mut(&rec.group).unwrap();
+            ledger.queries.retain(|&q| q != id);
+            Some(rec.group)
+        }
+
+        pub(super) fn split(&mut self, group: Prefix, left: Prefix, right: Prefix) {
+            let ledger = self.ledgers.remove(&group).unwrap_or_default();
+            let bit_index = group.depth();
+            let (mut l, mut r) = (RefLedger::default(), RefLedger::default());
+            for &sid in &ledger.sources {
+                let rec = self.sources.get_mut(&sid).unwrap();
+                let side = if rec.key.bit(bit_index) == 0 {
+                    rec.group = left;
+                    &mut l
+                } else {
+                    rec.group = right;
+                    &mut r
+                };
+                side.rate += rec.rate;
+                side.sources.push(sid);
+            }
+            for &qid in &ledger.queries {
+                let rec = self.queries.get_mut(&qid).unwrap();
+                if rec.key.bit(bit_index) == 0 {
+                    rec.group = left;
+                    l.queries.push(qid);
+                } else {
+                    rec.group = right;
+                    r.queries.push(qid);
+                }
+            }
+            self.ledgers.insert(left, l);
+            self.ledgers.insert(right, r);
+        }
+
+        pub(super) fn merge(&mut self, left: Prefix, right: Prefix, parent: Prefix) {
+            let mut merged = self.ledgers.remove(&left).unwrap_or_default();
+            let right_ledger = self.ledgers.remove(&right).unwrap_or_default();
+            merged.sources.extend_from_slice(&right_ledger.sources);
+            merged.queries.extend_from_slice(&right_ledger.queries);
+            merged.rate += right_ledger.rate;
+            for sid in &merged.sources {
+                self.sources.get_mut(sid).unwrap().group = parent;
+            }
+            for qid in &merged.queries {
+                self.queries.get_mut(qid).unwrap().group = parent;
+            }
+            self.ledgers.insert(parent, merged);
+        }
+
+        pub(super) fn membership(
+            &self,
+            groups: impl Iterator<Item = Prefix>,
+        ) -> BTreeMap<Prefix, (Vec<u64>, Vec<u64>)> {
+            let mut map: BTreeMap<_, _> = groups.map(|g| (g, (Vec::new(), Vec::new()))).collect();
+            for (&sid, rec) in &self.sources {
+                if let Some(slot) = map.get_mut(&rec.group) {
+                    slot.0.push(sid);
+                }
+            }
+            for (&qid, rec) in &self.queries {
+                if let Some(slot) = map.get_mut(&rec.group) {
+                    slot.1.push(qid);
+                }
+            }
+            map
+        }
+
+        /// `promote_or_defer`'s reconcile as it stood, linear `contains`
+        /// and all.
+        pub(super) fn restore(
+            &mut self,
+            group: Prefix,
+            replica: Option<&ReplicaRecord>,
+            live: &(Vec<u64>, Vec<u64>),
+        ) -> (usize, usize) {
+            let (live_sources, live_queries) = live;
+            let ledger = match replica {
+                Some(rec) => {
+                    let sources: Vec<u64> = rec
+                        .sources
+                        .iter()
+                        .copied()
+                        .filter(|s| live_sources.contains(s))
+                        .collect();
+                    let queries: Vec<u64> = rec
+                        .queries
+                        .iter()
+                        .copied()
+                        .filter(|q| live_queries.contains(q))
+                        .collect();
+                    let mut lost = (0, 0);
+                    for s in live_sources {
+                        if !sources.contains(s) {
+                            self.sources.remove(s);
+                            lost.0 += 1;
+                        }
+                    }
+                    for q in live_queries {
+                        if !queries.contains(q) {
+                            self.queries.remove(q);
+                            lost.1 += 1;
+                        }
+                    }
+                    let rate: f64 = sources.iter().map(|s| self.sources[s].rate).sum();
+                    self.ledgers.insert(
+                        group,
+                        RefLedger {
+                            sources,
+                            queries,
+                            rate,
+                        },
+                    );
+                    return lost;
+                }
+                None => {
+                    for s in live_sources {
+                        self.sources.remove(s);
+                    }
+                    for q in live_queries {
+                        self.queries.remove(q);
+                    }
+                    RefLedger::default()
+                }
+            };
+            self.ledgers.insert(group, ledger);
+            (live_sources.len(), live_queries.len())
+        }
+    }
+}
+
+/// Drives [`DataPlane`] and the ordered reference through the same random
+/// op sequences over a live split/merge cover, comparing everything a
+/// caller can observe after every op.
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use clash_keyspace::key::KeyWidth;
+    use proptest::prelude::*;
+
+    use super::reference::RefDataPlane;
+    use super::*;
+
+    const WIDTH: u32 = 8;
+
+    fn width() -> KeyWidth {
+        KeyWidth::new(WIDTH).unwrap()
+    }
+
+    /// The cover group holding `key`.
+    fn group_of(cover: &BTreeSet<Prefix>, key: Key) -> Prefix {
+        (0..=WIDTH)
+            .map(|d| Prefix::of_key(key, d))
+            .find(|g| cover.contains(g))
+            .expect("the cover partitions the key space")
+    }
+
+    fn pick<T: Copy>(items: impl ExactSizeIterator<Item = T>, arg: u64) -> Option<T> {
+        let mut items = items;
+        let n = items.len();
+        (n > 0).then(|| items.nth(arg as usize % n).unwrap())
+    }
+
+    fn assert_same(dp: &DataPlane, reference: &RefDataPlane) {
+        assert_eq!(dp.ledgers.len(), reference.ledgers.len(), "ledger count");
+        for (group, r) in &reference.ledgers {
+            let l = dp.ledger(*group).unwrap_or_else(|| panic!("{group} lost"));
+            assert_eq!(
+                l.sources.as_slice(),
+                r.sources.as_slice(),
+                "{group} sources"
+            );
+            assert_eq!(
+                l.queries.as_slice(),
+                r.queries.as_slice(),
+                "{group} queries"
+            );
+            assert_eq!(l.rate.to_bits(), r.rate.to_bits(), "{group} rate");
+        }
+        assert_eq!(dp.sources.len(), reference.sources.len(), "source count");
+        for (&id, r) in &reference.sources {
+            let s = dp
+                .sources
+                .get(id)
+                .unwrap_or_else(|| panic!("source {id} lost"));
+            assert_eq!((s.key, s.group), (r.key, r.group), "source {id}");
+            assert_eq!(s.rate.to_bits(), r.rate.to_bits(), "source {id} rate");
+        }
+        assert_eq!(dp.queries.len(), reference.queries.len(), "query count");
+        for (&id, r) in &reference.queries {
+            let q = dp
+                .queries
+                .get(id)
+                .unwrap_or_else(|| panic!("query {id} lost"));
+            assert_eq!((q.key, q.group), (r.key, r.group), "query {id}");
+        }
+    }
+
+    /// Both memberships of `groups`, compared list by list.
+    fn assert_same_membership(dp: &DataPlane, reference: &RefDataPlane, groups: &[Prefix]) {
+        let hashed = dp.membership(groups.iter().copied());
+        let ordered = reference.membership(groups.iter().copied());
+        assert_eq!(hashed.len(), ordered.len());
+        for (group, lists) in &ordered {
+            assert_eq!(hashed.get(group), Some(lists), "membership of {group}");
+        }
+    }
+
+    /// Closes the locate window: the pushes go out ascending, once each.
+    fn close_window(dp: &mut DataPlane, reference: &mut RefDataPlane, touched: &mut Vec<Prefix>) {
+        dp.unqueue(touched);
+        let expected: Vec<Prefix> = std::mem::take(&mut reference.touched).into_iter().collect();
+        assert_eq!(std::mem::take(touched), expected, "deferred push order");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn hashed_data_plane_matches_ordered_reference(
+            ops in prop::collection::vec((0u8..12, 0u64..u64::MAX, 0u64..u64::MAX), 1..160),
+        ) {
+            let mut dp = DataPlane::default();
+            let mut reference = RefDataPlane::default();
+            let mut cover: BTreeSet<Prefix> = BTreeSet::new();
+            for pattern in 0..4 {
+                let root = Prefix::new(pattern, 2, width()).unwrap();
+                cover.insert(root);
+                dp.open_group(root);
+                reference.open_group(root);
+            }
+            let mut touched = Vec::new();
+            let mut next_id = 0u64;
+            for (op, a, b) in ops {
+                let key = Key::from_bits_truncated(a, width());
+                let rate = (b % 1000) as f64 / 7.0;
+                if matches!(op, 6 | 7 | 9) {
+                    // Splits, merges and recoveries run at barriers.
+                    close_window(&mut dp, &mut reference, &mut touched);
+                }
+                match op {
+                    0 | 1 => {
+                        let group = group_of(&cover, key);
+                        dp.attach_source(next_id, key, rate, group);
+                        reference.attach_source(next_id, key, rate, group);
+                        next_id += 1;
+                    }
+                    2 => {
+                        let group = group_of(&cover, key);
+                        dp.attach_query(next_id, key, group);
+                        reference.attach_query(next_id, key, group);
+                        next_id += 1;
+                    }
+                    3 => {
+                        // Unknown ids included: both must refuse alike.
+                        let id = pick(reference.sources.keys().copied(), a).unwrap_or(next_id);
+                        prop_assert_eq!(dp.detach_source(id), reference.detach_source(id));
+                    }
+                    4 => {
+                        let id = pick(reference.queries.keys().copied(), a).unwrap_or(next_id);
+                        prop_assert_eq!(dp.detach_query(id), reference.detach_query(id));
+                    }
+                    5 => {
+                        // A key change; one in four re-locates fail and
+                        // leave the source detached.
+                        let Some(id) = pick(reference.sources.keys().copied(), b) else {
+                            continue;
+                        };
+                        let old_rate = reference.sources[&id].rate;
+                        let (left, kept_rate) = dp.unlink_source(id).unwrap();
+                        prop_assert_eq!(kept_rate.to_bits(), old_rate.to_bits());
+                        prop_assert_eq!(Some(left), reference.detach_source(id));
+                        if b % 4 == 0 {
+                            dp.forget_source(id);
+                        } else {
+                            let group = group_of(&cover, key);
+                            dp.relink_source(id, key, rate, group);
+                            reference.attach_source(id, key, rate, group);
+                        }
+                    }
+                    6 => {
+                        let splittable = cover.iter().copied().filter(|g| g.depth() < WIDTH);
+                        let Some(group) = pick(splittable.collect::<Vec<_>>().into_iter(), a)
+                        else {
+                            continue;
+                        };
+                        let (left, right) = group.split().unwrap();
+                        dp.split(group, left, right);
+                        reference.split(group, left, right);
+                        cover.remove(&group);
+                        cover.extend([left, right]);
+                    }
+                    7 => {
+                        let mergeable: Vec<Prefix> = cover
+                            .iter()
+                            .copied()
+                            .filter(|g| g.depth() > 2 && g.last_bit() == Some(0))
+                            .filter(|g| cover.contains(&g.sibling().unwrap()))
+                            .collect();
+                        let Some(left) = pick(mergeable.into_iter(), a) else {
+                            continue;
+                        };
+                        let (right, parent) = (left.sibling().unwrap(), left.parent().unwrap());
+                        dp.merge(left, right, parent);
+                        reference.merge(left, right, parent);
+                        cover.remove(&left);
+                        cover.remove(&right);
+                        cover.insert(parent);
+                    }
+                    8 => {
+                        // A random subset of the cover (plus a group no
+                        // client points at).
+                        let groups: Vec<Prefix> = cover
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| (a >> (i % 64)) & 1 == 1)
+                            .map(|(_, &g)| g)
+                            .chain([Prefix::root(width())])
+                            .collect();
+                        assert_same_membership(&dp, &reference, &groups);
+                    }
+                    9 => {
+                        // Recovery: a replica that missed one attach (the
+                        // member at `b`) and carries one long-gone id, or
+                        // no replica at all.
+                        let Some(group) = pick(cover.iter().copied(), a) else {
+                            continue;
+                        };
+                        let live = reference.membership(std::iter::once(group)).remove(&group).unwrap();
+                        prop_assert_eq!(dp.membership(std::iter::once(group)).remove(&group), Some(live.clone()));
+                        let replica = (b % 3 != 0).then(|| {
+                            let l = &reference.ledgers[&group];
+                            let drop_one = |v: &[u64]| -> Vec<u64> {
+                                let skip = (!v.is_empty()).then(|| b as usize % v.len());
+                                v.iter().enumerate().filter(|&(i, _)| Some(i) != skip).map(|(_, &x)| x).chain([u64::MAX]).collect()
+                            };
+                            ReplicaRecord {
+                                owner: ServerId::new(1, crate::config::ClashConfig::small_test().hash_space),
+                                sources: Arc::new(drop_one(&l.sources)),
+                                queries: Arc::new(drop_one(&l.queries)),
+                            }
+                        });
+                        prop_assert_eq!(
+                            dp.restore(group, replica.as_ref(), &live),
+                            reference.restore(group, replica.as_ref(), &live)
+                        );
+                    }
+                    10 => {
+                        // A client op's deferred push, on up to three groups.
+                        for shift in [0, 21, 42] {
+                            let group = pick(cover.iter().copied(), a >> shift).unwrap();
+                            dp.queue_push(group, &mut touched);
+                            reference.touched.insert(group);
+                        }
+                    }
+                    _ => close_window(&mut dp, &mut reference, &mut touched),
+                }
+                assert_same(&dp, &reference);
+            }
+        }
+    }
+}

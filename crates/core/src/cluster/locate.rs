@@ -3,9 +3,6 @@
 //! routes and charges them, and the attach / detach / move calls that
 //! put sources and queries on the group the search found.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
 use clash_chord::id::ChordId;
 use clash_chord::net::SimNet;
 use clash_keyspace::hash::KeyHasher;
@@ -17,7 +14,7 @@ use clash_simkernel::time::SimDuration;
 use clash_transport::{Delivery, MessageClass, SendSpec};
 
 use super::accounting::{Obs, Wire};
-use super::{ClashCluster, GroupLedger, QueryRec, SourceRec};
+use super::ClashCluster;
 use crate::client::{DepthSearch, SearchOutcome};
 use crate::error::ClashError;
 use crate::latency::ms;
@@ -110,8 +107,9 @@ pub(super) struct LocateBatch {
     /// may be charged by several flushes.
     op_latency: SimDuration,
     op_hop: u32,
-    /// Groups with a deferred (coalesced) load push.
-    touched: BTreeSet<Prefix>,
+    /// Groups with a deferred (coalesced) load push, each once (its
+    /// ledger's `queued` flag) — sorted only when the window closes.
+    touched: Vec<Prefix>,
     /// Monotone flush counter (the flight recorder's flush ordinal).
     pub(super) flush_seq: u64,
     /// The most probes one flush has charged (1: all closed per probe).
@@ -357,7 +355,7 @@ impl ClashCluster {
             server.bootstrap_root(group)?;
             self.candidates.mark_dirty(owner.value());
             self.oracle.insert(group, owner);
-            self.data.ledgers.insert(group, GroupLedger::default());
+            self.data.open_group(group);
             self.ensure_replicas(group, owner);
         }
         Ok(())
@@ -394,9 +392,16 @@ impl ClashCluster {
                 &self.rng,
             )?;
         }
-        for group in std::mem::take(&mut self.batch.touched) {
+        // Pushed in ascending group order (`unqueue` sorts), so the push
+        // sequence depends on which groups the ops touched, not on the
+        // order they touched them in.
+        let mut touched = std::mem::take(&mut self.batch.touched);
+        self.data.unqueue(&mut touched);
+        for &group in &touched {
             self.push_group_load(group)?;
         }
+        touched.clear();
+        self.batch.touched = touched;
         Ok(())
     }
 
@@ -443,23 +448,14 @@ impl ClashCluster {
         rate: f64,
         hint: Option<u32>,
     ) -> Result<Placement, ClashError> {
-        if self.data.sources.contains_key(&source_id) {
+        if self.data.sources.contains_key(source_id) {
             return Err(ClashError::InvalidConfig {
                 reason: "source id already attached",
             });
         }
         let placement = self.locate_hinted(key, hint)?;
-        let ledger = self.data.ledgers.entry(placement.group).or_default();
-        Arc::make_mut(&mut ledger.sources).push(source_id);
-        ledger.rate += rate;
-        self.data.sources.insert(
-            source_id,
-            SourceRec {
-                key,
-                rate,
-                group: placement.group,
-            },
-        );
+        self.data
+            .attach_source(source_id, key, rate, placement.group);
         self.push_group_load_batched(placement.group)?;
         Ok(placement)
     }
@@ -470,23 +466,20 @@ impl ClashCluster {
     ///
     /// Returns [`ClashError::InvalidConfig`] for unknown ids.
     pub fn detach_source(&mut self, source_id: u64) -> Result<(), ClashError> {
-        let rec = self
+        let group = self
             .data
-            .sources
-            .remove(&source_id)
+            .detach_source(source_id)
             .ok_or(ClashError::InvalidConfig {
                 reason: "unknown source id",
             })?;
-        let ledger = self
-            .data
-            .ledgers
-            .get_mut(&rec.group)
-            .expect("attached source has a ledger");
-        Arc::make_mut(&mut ledger.sources).retain(|&s| s != source_id);
-        ledger.rate = (ledger.rate - rec.rate).max(0.0);
-        self.push_group_load_batched(rec.group)?;
-        self.cleanup_baseline_group(rec.group)?;
-        Ok(())
+        self.left_group(group)
+    }
+
+    /// A member left `group`: push its load, and dematerialize it if that
+    /// emptied a baseline group.
+    fn left_group(&mut self, group: Prefix) -> Result<(), ClashError> {
+        self.push_group_load_batched(group)?;
+        self.cleanup_baseline_group(group)
     }
 
     /// In the fixed-depth baseline, groups materialize lazily on first
@@ -496,15 +489,9 @@ impl ClashCluster {
         if self.config.splitting_enabled {
             return Ok(());
         }
-        let empty = self
-            .data
-            .ledgers
-            .get(&group)
-            .is_some_and(|l| l.sources.is_empty() && l.queries.is_empty());
-        if !empty {
+        if !self.data.close_group_if_empty(group) {
             return Ok(());
         }
-        self.data.ledgers.remove(&group);
         if let Some(owner) = self.oracle.owner(group) {
             self.invalidate_replicas(group, owner);
             self.oracle.remove(group);
@@ -520,6 +507,7 @@ impl ClashCluster {
 
     /// Moves a source to a new key (the paper's "virtual stream" key
     /// change): detach, then re-locate with the previous depth as hint.
+    /// A failed re-locate leaves the source detached.
     ///
     /// # Errors
     ///
@@ -540,17 +528,29 @@ impl ClashCluster {
         new_key: Key,
         new_rate: Option<f64>,
     ) -> Result<Placement, ClashError> {
-        let rec = self
-            .data
-            .sources
-            .get(&source_id)
-            .ok_or(ClashError::InvalidConfig {
-                reason: "unknown source id",
-            })?;
-        let hint = rec.group.depth();
-        let rate = new_rate.unwrap_or(rec.rate);
-        self.detach_source(source_id)?;
-        self.attach_source_hinted(source_id, new_key, rate, Some(hint))
+        // The record stays in the registry (nothing reads it before the
+        // re-locate ends) and is rewritten in place.
+        let (group, rate) =
+            self.data
+                .unlink_source(source_id)
+                .ok_or(ClashError::InvalidConfig {
+                    reason: "unknown source id",
+                })?;
+        let rate = new_rate.unwrap_or(rate);
+        let placed = self
+            .left_group(group)
+            .and_then(|()| self.locate_hinted(new_key, Some(group.depth())));
+        let placement = match placed {
+            Ok(placement) => placement,
+            Err(e) => {
+                self.data.forget_source(source_id);
+                return Err(e);
+            }
+        };
+        self.data
+            .relink_source(source_id, new_key, rate, placement.group);
+        self.push_group_load_batched(placement.group)?;
+        Ok(placement)
     }
 
     /// Attaches a continuous query object to its key's group.
@@ -560,21 +560,13 @@ impl ClashCluster {
     /// Returns [`ClashError::InvalidConfig`] if the query id is already
     /// attached; propagates locate errors.
     pub fn attach_query(&mut self, query_id: u64, key: Key) -> Result<Placement, ClashError> {
-        if self.data.queries.contains_key(&query_id) {
+        if self.data.queries.contains_key(query_id) {
             return Err(ClashError::InvalidConfig {
                 reason: "query id already attached",
             });
         }
         let placement = self.locate(key)?;
-        let ledger = self.data.ledgers.entry(placement.group).or_default();
-        Arc::make_mut(&mut ledger.queries).push(query_id);
-        self.data.queries.insert(
-            query_id,
-            QueryRec {
-                key,
-                group: placement.group,
-            },
-        );
+        self.data.attach_query(query_id, key, placement.group);
         self.push_group_load_batched(placement.group)?;
         Ok(placement)
     }
@@ -585,30 +577,22 @@ impl ClashCluster {
     ///
     /// Returns [`ClashError::InvalidConfig`] for unknown ids.
     pub fn detach_query(&mut self, query_id: u64) -> Result<(), ClashError> {
-        let rec = self
+        let group = self
             .data
-            .queries
-            .remove(&query_id)
+            .detach_query(query_id)
             .ok_or(ClashError::InvalidConfig {
                 reason: "unknown query id",
             })?;
-        let ledger = self
-            .data
-            .ledgers
-            .get_mut(&rec.group)
-            .expect("attached query has a ledger");
-        Arc::make_mut(&mut ledger.queries).retain(|&q| q != query_id);
-        self.push_group_load_batched(rec.group)?;
-        self.cleanup_baseline_group(rec.group)?;
-        Ok(())
+        self.left_group(group)
     }
+
     /// Defers the load report while the window may stay open (last write
     /// wins: nothing reads owner loads between barriers), otherwise
     /// pushes immediately. For the four client ops only — split, merge
     /// and recovery push synchronously, inside a barrier.
     fn push_group_load_batched(&mut self, group: Prefix) -> Result<(), ClashError> {
         if self.window_may_stay_open() {
-            self.batch.touched.insert(group);
+            self.data.queue_push(group, &mut self.batch.touched);
             Ok(())
         } else {
             self.push_group_load(group)
@@ -626,7 +610,7 @@ impl ClashCluster {
             .oracle
             .owner(group)
             .ok_or(ClashError::UnknownGroup { group })?;
-        let load = self.data.ledgers.get(&group).map(|l| l.load());
+        let load = self.data.ledger(group).map(|l| l.load());
         self.servers
             .get_mut(owner.value())
             .ok_or(ClashError::UnknownServer { server: owner })?

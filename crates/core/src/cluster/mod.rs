@@ -21,12 +21,13 @@
 //!
 //! One module per protocol step, each over the state struct it owns
 //! (the map is in `docs/ARCHITECTURE.md`); this file keeps the cluster
-//! itself, its construction and the data plane.
+//! itself and its construction.
 //!
 //! The full-scale experiment driver (`clash-sim`) wraps this type with
 //! simulated time, workload generators and metric recording.
 
 mod accounting;
+mod data_plane;
 mod load_check;
 mod locate;
 mod membership;
@@ -36,12 +37,8 @@ mod replication;
 mod tests;
 mod verify;
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use clash_chord::net::SimNet;
 use clash_keyspace::hash::{KeyHasher, SplitMixHasher};
-use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
 use clash_simkernel::rng::DetRng;
 use clash_transport::{InstantTransport, Transport};
@@ -50,173 +47,16 @@ use crate::arena::ServerArena;
 use crate::config::ClashConfig;
 use crate::error::ClashError;
 use crate::latency::LatencyMetrics;
-use crate::load::GroupLoad;
-use crate::replication::ReplicaRecord;
 use crate::server::ClashServer;
 use crate::ServerId;
+
+use data_plane::DataPlane;
 
 pub use accounting::MessageStats;
 pub use load_check::{LoadCheckReport, MergeRecord, SplitRecord};
 pub use locate::{Placement, RangeQueryResult};
 pub use membership::{JoinReport, LeaveReport};
 pub use recovery::FailureReport;
-
-/// Per-group data-plane state. The member lists live behind `Arc`s so
-/// replica payloads are O(1) snapshots: seeding `r` holders shares one
-/// allocation, and a later ledger mutation copies-on-write only if a
-/// replica still holds the old snapshot (at `r = 0` the `Arc`s are never
-/// shared, so `make_mut` never copies).
-#[derive(Debug, Clone, Default)]
-struct GroupLedger {
-    sources: Arc<Vec<u64>>,
-    queries: Arc<Vec<u64>>,
-    rate: f64,
-}
-
-impl GroupLedger {
-    fn load(&self) -> GroupLoad {
-        GroupLoad {
-            data_rate: self.rate,
-            queries: self.queries.len() as u64,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct SourceRec {
-    key: Key,
-    rate: f64,
-    group: Prefix,
-}
-
-#[derive(Debug, Clone)]
-struct QueryRec {
-    key: Key,
-    group: Prefix,
-}
-
-/// The surviving client registry for a set of groups: per group, the
-/// source ids and query ids still pointing at it.
-type ClientMembership = BTreeMap<Prefix, (Vec<u64>, Vec<u64>)>;
-
-/// The data plane: the per-group ledgers and the member records that
-/// point back at them. Splits, merges and recoveries repartition it
-/// without touching a server, the ring or the transport.
-#[derive(Debug, Default)]
-struct DataPlane {
-    ledgers: BTreeMap<Prefix, GroupLedger>,
-    sources: BTreeMap<u64, SourceRec>,
-    queries: BTreeMap<u64, QueryRec>,
-}
-
-impl DataPlane {
-    /// The current ledger of `group` as a replica payload. O(1): the
-    /// member lists are shared `Arc` snapshots, cloned per holder by
-    /// reference count only — the write-through path copies-on-write at
-    /// the *next* ledger mutation instead of deep-cloning per seed.
-    fn replica_payload(&self, group: Prefix, owner: ServerId) -> ReplicaRecord {
-        let ledger = self.ledgers.get(&group);
-        ReplicaRecord {
-            owner,
-            sources: ledger.map(|l| Arc::clone(&l.sources)).unwrap_or_default(),
-            queries: ledger.map(|l| Arc::clone(&l.queries)).unwrap_or_default(),
-        }
-    }
-
-    /// Repartitions the ledger of `group` between its two children by the
-    /// key bit at the split depth, updating member records. Returns the
-    /// children's loads.
-    fn split(&mut self, group: Prefix, left: Prefix, right: Prefix) -> (GroupLoad, GroupLoad) {
-        let ledger = self.ledgers.remove(&group).unwrap_or_default();
-        let bit_index = group.depth();
-        let mut left_rate = 0.0;
-        let mut right_rate = 0.0;
-        let mut left_sources = Vec::new();
-        let mut right_sources = Vec::new();
-        let mut left_queries = Vec::new();
-        let mut right_queries = Vec::new();
-        for &sid in ledger.sources.iter() {
-            let rec = self.sources.get_mut(&sid).expect("ledger member exists");
-            if rec.key.bit(bit_index) == 0 {
-                rec.group = left;
-                left_rate += rec.rate;
-                left_sources.push(sid);
-            } else {
-                rec.group = right;
-                right_rate += rec.rate;
-                right_sources.push(sid);
-            }
-        }
-        for &qid in ledger.queries.iter() {
-            let rec = self.queries.get_mut(&qid).expect("ledger member exists");
-            if rec.key.bit(bit_index) == 0 {
-                rec.group = left;
-                left_queries.push(qid);
-            } else {
-                rec.group = right;
-                right_queries.push(qid);
-            }
-        }
-        let left_ledger = GroupLedger {
-            sources: Arc::new(left_sources),
-            queries: Arc::new(left_queries),
-            rate: left_rate,
-        };
-        let right_ledger = GroupLedger {
-            sources: Arc::new(right_sources),
-            queries: Arc::new(right_queries),
-            rate: right_rate,
-        };
-        let loads = (left_ledger.load(), right_ledger.load());
-        self.ledgers.insert(left, left_ledger);
-        self.ledgers.insert(right, right_ledger);
-        loads
-    }
-
-    /// Folds the ledgers of `left` and `right` back into `parent`'s,
-    /// left members first.
-    fn merge(&mut self, left: Prefix, right: Prefix, parent: Prefix) {
-        let mut merged = self.ledgers.remove(&left).unwrap_or_default();
-        let right_ledger = self.ledgers.remove(&right).unwrap_or_default();
-        Arc::make_mut(&mut merged.sources).extend_from_slice(&right_ledger.sources);
-        Arc::make_mut(&mut merged.queries).extend_from_slice(&right_ledger.queries);
-        merged.rate += right_ledger.rate;
-        for sid in merged.sources.iter() {
-            self.sources
-                .get_mut(sid)
-                .expect("ledger member exists")
-                .group = parent;
-        }
-        for qid in merged.queries.iter() {
-            self.queries
-                .get_mut(qid)
-                .expect("ledger member exists")
-                .group = parent;
-        }
-        self.ledgers.insert(parent, merged);
-    }
-
-    /// The surviving client registry for `groups`: which sources and
-    /// queries still point at each (clients outlive their servers; their
-    /// attachments may not). One scan per recovery event.
-    fn membership(&self, groups: impl Iterator<Item = Prefix>) -> ClientMembership {
-        let mut map: ClientMembership = groups.map(|g| (g, (Vec::new(), Vec::new()))).collect();
-        if map.is_empty() {
-            return map;
-        }
-        for (&sid, rec) in &self.sources {
-            if let Some(slot) = map.get_mut(&rec.group) {
-                slot.0.push(sid);
-            }
-        }
-        for (&qid, rec) in &self.queries {
-            if let Some(slot) = map.get_mut(&rec.group) {
-                slot.1.push(qid);
-            }
-        }
-        map
-    }
-}
 
 /// An in-process CLASH cluster (see the module docs).
 pub struct ClashCluster {
@@ -338,7 +178,7 @@ impl ClashCluster {
             self.servers.live_mut(owner.value()).bootstrap_root(group)?;
             self.candidates.mark_dirty(owner.value());
             self.oracle.insert(group, owner);
-            self.data.ledgers.insert(group, GroupLedger::default());
+            self.data.open_group(group);
             self.ensure_replicas(group, owner);
         }
         Ok(())
@@ -367,13 +207,13 @@ impl ClashCluster {
     /// group is lost in an unrecoverable crash, so long-running drivers
     /// check before re-keying a stream.
     pub fn has_source(&self, source_id: u64) -> bool {
-        self.data.sources.contains_key(&source_id)
+        self.data.sources.contains_key(source_id)
     }
 
     /// True if `query_id` is currently attached (see
     /// [`ClashCluster::has_source`]).
     pub fn has_query(&self, query_id: u64) -> bool {
-        self.data.queries.contains_key(&query_id)
+        self.data.queries.contains_key(query_id)
     }
 
     /// Number of currently attached sources.

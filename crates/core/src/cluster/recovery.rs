@@ -4,12 +4,12 @@
 //! and are retried at every load check.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use clash_keyspace::prefix::Prefix;
 use clash_obs::TraceEventKind;
 
-use super::{ClashCluster, ClientMembership, GroupLedger, LoadCheckReport};
+use super::data_plane::ClientMembership;
+use super::{ClashCluster, LoadCheckReport};
 use crate::error::ClashError;
 use crate::replication::ReplicaRecord;
 use crate::server::ClashServer;
@@ -252,8 +252,8 @@ impl ClashCluster {
                     .bootstrap_root(group)?;
                 self.candidates.mark_dirty(new_owner.value());
                 self.oracle.insert(group, new_owner);
-                let ledger = self.data.ledgers.entry(group).or_default();
-                self.wire.count_group_move(ledger);
+                self.wire
+                    .count_group_move(self.data.ledger_or_default(group));
                 self.push_group_load(group)?;
                 report.groups_reassigned += 1;
                 report.groups_recovered += 1;
@@ -395,45 +395,10 @@ impl ClashCluster {
                 break;
             }
         }
-        let (live_sources, live_queries) = membership.get(&group).cloned().unwrap_or_default();
-        let ledger = match &fetched {
-            Some(rec) => {
-                // Reconcile the replica's ledger against the surviving
-                // client registry: attachments the replica never saw (a
-                // partition starved its write-through) died with the
-                // owner, and replica members that detached meanwhile drop
-                // out.
-                let sources: Vec<u64> = rec
-                    .sources
-                    .iter()
-                    .copied()
-                    .filter(|s| live_sources.contains(s))
-                    .collect();
-                let queries: Vec<u64> = rec
-                    .queries
-                    .iter()
-                    .copied()
-                    .filter(|q| live_queries.contains(q))
-                    .collect();
-                for s in &live_sources {
-                    if !sources.contains(s) {
-                        self.data.sources.remove(s);
-                        report.sources_lost += 1;
-                    }
-                }
-                for q in &live_queries {
-                    if !queries.contains(q) {
-                        self.data.queries.remove(q);
-                        report.queries_lost += 1;
-                    }
-                }
-                let rate: f64 = sources.iter().map(|s| self.data.sources[s].rate).sum();
-                GroupLedger {
-                    sources: Arc::new(sources),
-                    queries: Arc::new(queries),
-                    rate,
-                }
-            }
+        let no_clients = Default::default();
+        let live = membership.get(&group).unwrap_or(&no_clients);
+        let (sources_lost, queries_lost) = match &fetched {
+            Some(rec) => self.data.restore(group, Some(rec), live),
             None if !candidates.is_empty() => {
                 // Replicas exist but every one sits behind the partition:
                 // defer. The group leaves the active cover until a later
@@ -477,27 +442,19 @@ impl ClashCluster {
                 }
                 return Ok(None);
             }
-            None => {
-                // The owner and every replica are gone: the state is
-                // genuinely lost. Re-root the group empty so the cover
-                // stays a partition, and truthfully drop the stranded
-                // clients — no silent resurrection from the oracle.
-                for s in &live_sources {
-                    self.data.sources.remove(s);
-                }
-                for q in &live_queries {
-                    self.data.queries.remove(q);
-                }
-                report.sources_lost += live_sources.len();
-                report.queries_lost += live_queries.len();
-                GroupLedger::default()
-            }
+            // The owner and every replica are gone: the state is
+            // genuinely lost. Re-root the group empty so the cover stays
+            // a partition, and truthfully drop the stranded clients — no
+            // silent resurrection from the oracle.
+            None => self.data.restore(group, None, live),
         };
+        report.sources_lost += sources_lost;
+        report.queries_lost += queries_lost;
         // The group comes back as a root on its new owner, with whatever
         // state survived.
+        let ledger = self.data.ledger(group).expect("restored above");
         let load = ledger.load();
-        self.wire.count_group_move(&ledger);
-        self.data.ledgers.insert(group, ledger);
+        self.wire.count_group_move(ledger);
         let server = self.servers.live_mut(new_owner.value());
         server.bootstrap_root(group)?;
         server.set_group_load(group, load)?;
@@ -522,7 +479,7 @@ impl ClashCluster {
                 failed: old_owner.value(),
                 group_bits: group.pattern(),
                 group_depth: group.depth(),
-                clients_dropped: (live_sources.len() + live_queries.len()) as u64,
+                clients_dropped: (sources_lost + queries_lost) as u64,
             });
         }
         Ok(Some(new_owner))

@@ -1,5 +1,5 @@
 use super::*;
-use clash_keyspace::key::KeyWidth;
+use clash_keyspace::key::{Key, KeyWidth};
 use clash_obs::{CheckPhase, PhaseProfile, PhaseProfiler, TraceEventKind, TraceMode};
 
 fn key(bits: u64) -> Key {

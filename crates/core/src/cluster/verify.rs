@@ -227,11 +227,11 @@ impl ClashCluster {
         }
         // 4. Ledger membership matches member records.
         for (group, ledger) in &self.data.ledgers {
-            for sid in ledger.sources.iter() {
-                assert_eq!(&self.data.sources[sid].group, group);
+            for &sid in ledger.sources.iter() {
+                assert_eq!(self.data.sources.get(sid).map(|r| r.group), Some(*group));
             }
-            for qid in ledger.queries.iter() {
-                assert_eq!(&self.data.queries[qid].group, group);
+            for &qid in ledger.queries.iter() {
+                assert_eq!(self.data.queries.get(qid).map(|r| r.group), Some(*group));
             }
         }
         // 5. Every table entry sits on its group's current Map() owner —
@@ -279,7 +279,7 @@ impl ClashCluster {
                         "{group} is off the sync worklist but not placed on {owner}'s successors"
                     );
                 }
-                let ledger = self.data.ledgers.get(&group);
+                let ledger = self.data.ledger(group);
                 for &holder in owner_server.replica_store().placed(group) {
                     let Some(holder_server) = self.server(holder) else {
                         continue; // crashed holder, pruned at next sync

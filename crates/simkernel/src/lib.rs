@@ -39,6 +39,7 @@
 // The grep audit at PR 7 found zero `unsafe` in the protocol crates;
 // lock that in — determinism reasoning assumes no aliasing backdoors.
 #![forbid(unsafe_code)]
+pub mod collections;
 pub mod dist;
 pub mod event;
 pub mod metrics;

@@ -25,6 +25,49 @@ pub fn splitmix64_mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The one hasher of every hashed map in the protocol crates: a
+/// fixed-seed splitmix64 fold. The std `RandomState` seeds differently
+/// per process, so iterating such a map would break the same-seed pins;
+/// this one makes every map a pure function of what was inserted — its
+/// iteration order included, though no result may depend on that order
+/// (the maps that feed a result sort first).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DetBuildHasher;
+
+/// The [`Hasher`](std::hash::Hasher) [`DetBuildHasher`] builds.
+#[derive(Debug)]
+pub struct DetHasher(u64);
+
+impl std::hash::Hasher for DetHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64_mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64_mix(self.0 ^ v);
+    }
+
+    // Narrower integers are one mix each too (not one per byte): a
+    // prefix key hashes as `u64` + two `u32`s.
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+}
+
+impl std::hash::BuildHasher for DetBuildHasher {
+    type Hasher = DetHasher;
+
+    fn build_hasher(&self) -> DetHasher {
+        DetHasher(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 /// Derives a 64-bit stream seed from a root seed and a label.
 pub fn derive_seed(root: u64, label: &str) -> u64 {
     let mut h = splitmix64_mix(root ^ 0xA076_1D64_78BD_642F);

@@ -1,49 +1,13 @@
 //! The full latency/loss/partition transport.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::BTreeMap;
 
+use clash_simkernel::collections::ShardedMap;
 use clash_simkernel::rng::{splitmix64_mix, DetRng};
 use clash_simkernel::time::SimDuration;
 
 use crate::policy::LinkPolicy;
 use crate::{Delivery, MessageClass, NodeAddr, SendSpec, Transport, TransportStats};
-
-/// A fixed-seed splitmix64 hasher for the link map: the per-send link
-/// lookup is on the simulation hot path, and the std `RandomState`
-/// would seed differently per process — the map is never iterated, so
-/// that could not change results, but a deterministic hasher keeps the
-/// whole transport a pure function of its construction seed by
-/// inspection rather than by argument.
-#[derive(Debug, Clone, Default)]
-struct DetBuildHasher;
-
-#[derive(Debug)]
-struct DetHasher(u64);
-
-impl Hasher for DetHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64_mix(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64_mix(self.0 ^ v);
-    }
-}
-
-impl BuildHasher for DetBuildHasher {
-    type Hasher = DetHasher;
-
-    fn build_hasher(&self) -> DetHasher {
-        DetHasher(0x9E37_79B9_7F4A_7C15)
-    }
-}
 
 /// Lazily created per-directed-link state: an independent RNG substream
 /// plus the link's sampled base propagation delay.
@@ -87,9 +51,6 @@ impl PartitionMatrix {
     }
 }
 
-/// One sub-map of per-directed-link state (see [`LinkTransport::links`]).
-type LinkMap = HashMap<(NodeAddr, NodeAddr), LinkState, DetBuildHasher>;
-
 /// A deterministic transport applying one [`LinkPolicy`] to every directed
 /// link, with independent per-link randomness and a severable partition
 /// matrix.
@@ -108,25 +69,17 @@ type LinkMap = HashMap<(NodeAddr, NodeAddr), LinkState, DetBuildHasher>;
 pub struct LinkTransport {
     policy: LinkPolicy,
     root: DetRng,
-    /// Per-directed-link state, hashed (not ordered): the maps are
-    /// looked up once per send and never iterated, so an O(1)
-    /// deterministic hash beats the tree walk on large rings. The state
-    /// is split into [`LINK_SHARDS`] sub-maps by a pure function of the
-    /// (src, dst) pair because that bounds the rehash peak: a growing
-    /// map briefly holds its old and new tables, and one map for every
-    /// link measured `peak_rss_mb` 34.5 → 47.5 on the benchmark's
-    /// `churn_wan_seq` and 27.1 → 33.3 on `storm_lossy`, with no time
-    /// change. Which sub-map a link lands in is invisible to callers (a
-    /// link's state and draw order depend only on its pair), so the
-    /// split cannot change any delivery.
-    links: Vec<LinkMap>,
+    /// Per-directed-link state, hashed (not ordered): looked up once
+    /// per send and never iterated, so an O(1) deterministic hash beats
+    /// the tree walk on large rings. Sharded by [`pair_mix`] to bound the
+    /// rehash peak (one map for every link measured `peak_rss_mb`
+    /// 34.5 → 47.5 on `churn_wan_seq` and 27.1 → 33.3 on `storm_lossy`,
+    /// with no time change); a link's state and draw order depend only
+    /// on its pair, so the split cannot change any delivery.
+    links: ShardedMap<(NodeAddr, NodeAddr), LinkState>,
     partition: PartitionMatrix,
     stats: TransportStats,
 }
-
-/// Fixed sub-map count for the link state (a power of two keeps the
-/// sub-map pick a mask).
-const LINK_SHARDS: usize = 32;
 
 /// Sends per cache-warming window in the batch path: lookups for a
 /// window are issued back-to-back (independent loads the CPU overlaps)
@@ -136,7 +89,7 @@ const LINK_SHARDS: usize = 32;
 const WARM_WINDOW: usize = 64;
 
 /// The derived 64-bit identity of a directed link: seeds the link's RNG
-/// substream and (by its low bits) picks the sub-map shard.
+/// substream and picks the link's sub-map.
 fn pair_mix(src: NodeAddr, dst: NodeAddr) -> u64 {
     splitmix64_mix(src.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dst)
 }
@@ -154,7 +107,7 @@ impl LinkTransport {
         LinkTransport {
             policy,
             root: DetRng::new(seed).substream("transport"),
-            links: (0..LINK_SHARDS).map(|_| HashMap::default()).collect(),
+            links: ShardedMap::new(),
             partition: PartitionMatrix::default(),
             stats: TransportStats::default(),
         }
@@ -178,7 +131,8 @@ impl LinkTransport {
         let policy = self.policy;
         let root = &self.root;
         let pair = pair_mix(src, dst);
-        self.links[pair as usize & (LINK_SHARDS - 1)]
+        self.links
+            .shard_mut(pair)
             .entry((src, dst))
             .or_insert_with(|| Self::make_link(&policy, root, pair))
     }
@@ -237,8 +191,8 @@ impl Transport for LinkTransport {
         for window in sends.chunks(WARM_WINDOW) {
             for s in window {
                 if s.src != s.dst {
-                    let shard = pair_mix(s.src, s.dst) as usize & (LINK_SHARDS - 1);
-                    if let Some(l) = self.links[shard].get(&(s.src, s.dst)) {
+                    let shard = self.links.shard(pair_mix(s.src, s.dst));
+                    if let Some(l) = shard.get(&(s.src, s.dst)) {
                         std::hint::black_box(l);
                     }
                 }
