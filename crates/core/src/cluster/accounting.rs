@@ -1,16 +1,16 @@
 //! Accounting and observation: what a protocol step charges and what it
 //! leaves behind for a reader — never anything a step decides on.
 //! [`Wire`] is the one way a message leaves a server (counted in
-//! [`MessageStats`], charged virtual time through the transport, its
-//! operation's latency observed); [`Obs`] is the flight recorder and the
-//! per-phase profiler.
+//! [`MessageStats`], charged virtual time through the transport — no
+//! other code in this crate sends — its operation's latency observed);
+//! [`Obs`] is the flight recorder and the per-phase profiler.
 
 use clash_chord::id::ChordId;
 use clash_obs::{
     CheckPhase, PhaseProfile, PhaseProfiler, Telemetry, TraceEvent, TraceEventKind, TraceSink,
 };
 use clash_simkernel::time::{SimDuration, SimTime};
-use clash_transport::{Delivery, LinkPolicy, MessageClass, Transport, TransportStats};
+use clash_transport::{Delivery, LinkPolicy, MessageClass, SendSpec, Transport, TransportStats};
 
 use super::data_plane::GroupLedger;
 use super::ClashCluster;
@@ -104,9 +104,13 @@ impl MessageStats {
     }
 }
 
-/// The message path. Every protocol message is charged virtual time (and
-/// may be refused by a partition) through `transport`, counted in `msgs`,
-/// and the end-to-end latency of its operation observed into `latency`.
+/// One leg of a chain: a `(from, to, class)` message.
+pub(super) type Leg = (ChordId, ChordId, MessageClass);
+
+/// The message path: [`open`](Wire::open) a dispatch, lay out its
+/// *chains* (legs a sender sends in turn, each once the last arrived),
+/// dispatch them in one `send_batch`, read each back in order. Callers
+/// count the messages in `msgs` and observe their operation's latency.
 pub(super) struct Wire {
     /// The default [`clash_transport::InstantTransport`] reproduces
     /// direct-call semantics exactly.
@@ -114,53 +118,110 @@ pub(super) struct Wire {
     pub(super) msgs: MessageStats,
     /// End-to-end per-operation latency recorders.
     pub(super) latency: LatencyMetrics,
-    /// The `(from, to)` hops of the route being charged: the ring writes
+    /// The `(from, to)` hops of the next chain's route: the ring writes
     /// each lookup's path here, so no probe or placement allocates one.
     pub(super) hops: Vec<(ChordId, ChordId)>,
+    /// The dispatch's legs, their deliveries index for index, and where
+    /// each chain starts (then where the last one ends).
+    legs: Vec<SendSpec>,
+    deliveries: Vec<Delivery>,
+    bounds: Vec<usize>,
+    /// Chains read back so far.
+    read: usize,
+    /// Partitioned? Read once per dispatch: a lookup per probe is measurable.
+    severed: bool,
 }
 
 impl Wire {
-    /// Sends one protocol message through the transport, accumulating the
-    /// delivered latency into `total`. Returns false (leaving `total`
-    /// untouched) when the destination is unreachable.
-    pub(super) fn send(
-        &mut self,
-        from: ChordId,
-        to: ChordId,
-        class: MessageClass,
-        total: &mut SimDuration,
-    ) -> bool {
-        match self.transport.send(from.value(), to.value(), class) {
-            Delivery::Delivered { latency, .. } => {
-                *total += latency;
-                true
-            }
-            Delivery::Unreachable { .. } => false,
+    pub(super) fn new(transport: Box<dyn Transport>) -> Self {
+        Wire {
+            transport,
+            msgs: MessageStats::default(),
+            latency: LatencyMetrics::new(),
+            hops: Vec::new(),
+            legs: Vec::new(),
+            deliveries: Vec::new(),
+            bounds: vec![0],
+            read: 0,
+            severed: false,
         }
     }
 
-    /// Sends a `Probe` along every routing hop in `self.hops`, in order.
-    /// Returns the first severed hop, if any (latency accumulated up to
-    /// it stands).
-    pub(super) fn send_hops(&mut self, total: &mut SimDuration) -> Option<(ChordId, ChordId)> {
-        (0..self.hops.len()).find_map(|i| {
-            let (from, to) = self.hops[i];
-            (!self.send(from, to, MessageClass::Probe, total)).then_some((from, to))
-        })
+    /// Opens a dispatch, forgetting the last one.
+    pub(super) fn open(&mut self) {
+        self.legs.clear();
+        self.bounds.truncate(1);
+        self.read = 0;
+        self.severed = self.transport.is_partitioned();
+    }
+
+    /// Lays out one chain: a `Probe` per hop in `self.hops` (emptied), then
+    /// `legs`. **The cut rule:** a sender stops at the first leg a partition
+    /// refuses — while the transport is partitioned, the chain ends at its
+    /// first leg [`Transport::reachable`] refuses.
+    #[inline]
+    pub(super) fn lay_out(&mut self, legs: &[Leg]) {
+        let first = self.legs.len();
+        let route = self
+            .hops
+            .drain(..)
+            .map(|(from, to)| (from, to, MessageClass::Probe));
+        let chain = route.chain(legs.iter().copied());
+        self.legs.extend(chain.map(|(from, to, class)| SendSpec {
+            src: from.value(),
+            dst: to.value(),
+            class,
+        }));
+        if self.severed {
+            let transport = &self.transport;
+            let refused = |leg: &SendSpec| !transport.reachable(leg.src, leg.dst);
+            if let Some(cut) = self.legs[first..].iter().position(refused) {
+                self.legs.truncate(first + cut + 1);
+            }
+        }
+        self.bounds.push(self.legs.len());
+    }
+
+    /// Sends every leg laid out since [`Wire::open`] in one `send_batch`.
+    pub(super) fn dispatch(&mut self) {
+        self.transport.send_batch(&self.legs, &mut self.deliveries);
+    }
+
+    /// Reads the next chain back: adds each delivered leg's latency to
+    /// `total` (a cut chain's too) and names a cut chain's refused leg.
+    #[inline]
+    pub(super) fn next_chain(&mut self, total: &mut SimDuration) -> Result<(), SendSpec> {
+        let chain = self.bounds[self.read]..self.bounds[self.read + 1];
+        self.read += 1;
+        for (leg, delivery) in self.legs[chain.clone()].iter().zip(&self.deliveries[chain]) {
+            *total += delivery.latency().ok_or(*leg)?;
+        }
+        Ok(())
+    }
+
+    /// One chain on its own; its latency if every leg arrived.
+    pub(super) fn send_chain(&mut self, legs: &[Leg]) -> Option<SimDuration> {
+        self.open();
+        self.lay_out(legs);
+        self.dispatch();
+        let mut total = SimDuration::ZERO;
+        self.next_chain(&mut total).ok().map(|()| total)
     }
 
     /// One charged `REPLICATE_KEYGROUP` + `ACK_REPLICA` exchange (a
     /// replica seed, or a recovery's state fetch). Returns false, with
     /// nothing counted, when either leg is undeliverable.
     pub(super) fn replica_round_trip(&mut self, from: ChordId, to: ChordId) -> bool {
-        let mut lat = SimDuration::ZERO;
-        let delivered = self.send(from, to, MessageClass::ReplicateKeygroup, &mut lat)
-            && self.send(to, from, MessageClass::AckReplica, &mut lat);
-        if delivered {
+        let legs = [
+            (from, to, MessageClass::ReplicateKeygroup),
+            (to, from, MessageClass::AckReplica),
+        ];
+        let delivered = self.send_chain(&legs);
+        if let Some(lat) = delivered {
             self.msgs.replication_messages += 2;
             self.latency.replication.observe(ms(lat));
         }
-        delivered
+        delivered.is_some()
     }
 
     /// Counts a group's state changing servers: one state-transfer
@@ -431,5 +492,145 @@ impl ClashCluster {
     pub fn heal_partition(&mut self) {
         // Nothing to flush: a partition closes every probe's window.
         self.wire.transport.heal();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clash_keyspace::hash::HashSpace;
+    use clash_transport::LinkTransport;
+    use proptest::prelude::*;
+
+    /// The reference for [`Wire`]'s routine: each chain sent one
+    /// [`Transport::send`] at a time, stopping at its first
+    /// `Unreachable`. Per chain: the deliveries made and the latency of
+    /// the delivered ones.
+    fn send_leg_by_leg(
+        transport: &mut dyn Transport,
+        chains: &[Vec<Leg>],
+    ) -> Vec<(Vec<Delivery>, SimDuration)> {
+        chains
+            .iter()
+            .map(|chain| {
+                let mut sent = Vec::new();
+                let mut total = SimDuration::ZERO;
+                for &(from, to, class) in chain {
+                    let delivery = transport.send(from.value(), to.value(), class);
+                    sent.push(delivery);
+                    match delivery {
+                        Delivery::Delivered { latency, .. } => total += latency,
+                        Delivery::Unreachable { .. } => break,
+                    }
+                }
+                (sent, total)
+            })
+            .collect()
+    }
+
+    fn spec((from, to, class): Leg) -> SendSpec {
+        SendSpec {
+            src: from.value(),
+            dst: to.value(),
+            class,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Steps over 8 nodes: kind 0 partitions them into up to four
+        /// islands, kind 1 heals, any other kind dispatches its chains
+        /// (1–12 legs each, self-sends included; a routed chain sends
+        /// all but its last leg as route hops).
+        #[test]
+        fn one_dispatch_matches_sending_each_chain_leg_by_leg(
+            seed in 0u64..u64::MAX,
+            steps in prop::collection::vec(
+                (
+                    0u8..8,
+                    0u64..u64::MAX,
+                    prop::collection::vec(
+                        (0u8..2, prop::collection::vec((0u64..8, 0u64..8, 0usize..8), 1..13)),
+                        1..6,
+                    ),
+                ),
+                1..24,
+            ),
+        ) {
+            let space = HashSpace::new(8).unwrap();
+            let policy = LinkPolicy::lossy_wan(0.2);
+            let mut wire = Wire::new(Box::new(LinkTransport::new(policy, seed)));
+            let mut reference = LinkTransport::new(policy, seed);
+            for (kind, island_bits, drawn) in steps {
+                if kind == 0 {
+                    let mut islands = vec![Vec::new(); 4];
+                    for node in 0..8u64 {
+                        islands[((island_bits >> (2 * node)) & 3) as usize].push(node);
+                    }
+                    wire.transport.partition(&islands);
+                    reference.partition(&islands);
+                    continue;
+                }
+                if kind == 1 {
+                    wire.transport.heal();
+                    reference.heal();
+                    continue;
+                }
+                let chains: Vec<(bool, Vec<Leg>)> = drawn
+                    .into_iter()
+                    .map(|(routed, legs)| {
+                        let hops = if routed == 1 { legs.len() - 1 } else { 0 };
+                        let legs = legs.into_iter().enumerate().map(|(i, (from, to, class))| {
+                            let class = if i < hops {
+                                MessageClass::Probe
+                            } else {
+                                MessageClass::ALL[class]
+                            };
+                            (ChordId::new(from, space), ChordId::new(to, space), class)
+                        });
+                        (routed == 1, legs.collect())
+                    })
+                    .collect();
+                wire.open();
+                for (routed, legs) in &chains {
+                    if *routed {
+                        let (hops, tail) = legs.split_at(legs.len() - 1);
+                        wire.hops = hops.iter().map(|&(from, to, _)| (from, to)).collect();
+                        wire.lay_out(tail);
+                    } else {
+                        wire.lay_out(legs);
+                    }
+                }
+                wire.dispatch();
+                let chains: Vec<Vec<Leg>> = chains.into_iter().map(|(_, legs)| legs).collect();
+                let expected = send_leg_by_leg(&mut reference, &chains);
+                for (i, (sent, total)) in expected.iter().enumerate() {
+                    let mut got = SimDuration::ZERO;
+                    let outcome = wire.next_chain(&mut got);
+                    let laid_out = wire.bounds[i]..wire.bounds[i + 1];
+                    let reached: Vec<SendSpec> =
+                        chains[i][..sent.len()].iter().copied().map(spec).collect();
+                    prop_assert_eq!(&wire.legs[laid_out.clone()], &reached[..], "chain {} legs", i);
+                    prop_assert_eq!(&wire.deliveries[laid_out], &sent[..], "chain {} sent", i);
+                    let cut = sent
+                        .last()
+                        .filter(|d| !d.is_delivered())
+                        .map(|_| reached[sent.len() - 1]);
+                    prop_assert_eq!(outcome.err(), cut, "chain {} cut", i);
+                    prop_assert_eq!(got, *total, "chain {} latency", i);
+                }
+                prop_assert_eq!(wire.transport.stats(), reference.stats());
+                // Per-link draw order: the next 64 sends over the same
+                // links must see the same link states.
+                let links = wire.legs.clone();
+                for leg in links.iter().cycle().take(64) {
+                    prop_assert_eq!(
+                        wire.transport.send(leg.src, leg.dst, leg.class),
+                        reference.send(leg.src, leg.dst, leg.class)
+                    );
+                }
+            }
+        }
     }
 }

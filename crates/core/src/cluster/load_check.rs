@@ -11,7 +11,6 @@ use clash_obs::{CheckPhase, TraceEventKind};
 use clash_simkernel::time::SimDuration;
 use clash_transport::MessageClass;
 
-use super::accounting::Wire;
 use super::ClashCluster;
 use crate::arena::ServerArena;
 use crate::error::ClashError;
@@ -262,9 +261,6 @@ impl ClashCluster {
         self.obs.phase_begin(CheckPhase::Reports);
         self.deliver_load_reports();
         self.obs.phase_end(CheckPhase::Reports);
-        self.obs.phase_begin(CheckPhase::SplitSpeculate);
-        self.candidates.refresh(&self.servers);
-        self.obs.phase_end(CheckPhase::SplitSpeculate);
         self.obs.phase_begin(CheckPhase::Splits);
         // Split phase. The historical sweep walked every server in
         // ascending id order, splitting while overloaded; walking the
@@ -360,13 +356,17 @@ impl ClashCluster {
                 deliveries.push((own_id, dest, group, load, is_leaf));
             });
         }
+        // All remote reports in one dispatch, then each applied in order:
+        // applying a report sends nothing, so no delivery depends on it.
+        self.wire.open();
+        for &(src, dest, ..) in deliveries.iter().filter(|(src, dest, ..)| src != dest) {
+            self.wire.lay_out(&[(src, dest, MessageClass::LoadReport)]);
+        }
+        self.wire.dispatch();
         for (src, dest, group, load, is_leaf) in deliveries {
             if dest != src {
                 let mut latency = SimDuration::ZERO;
-                if !self
-                    .wire
-                    .send(src, dest, MessageClass::LoadReport, &mut latency)
-                {
+                if self.wire.next_chain(&mut latency).is_err() {
                     // Reports are soft state: one lost to a partition is
                     // simply re-sent (and re-counted) next check period.
                     continue;
@@ -406,15 +406,7 @@ impl ClashCluster {
         let mut group = hot;
         let mut op_latency = SimDuration::ZERO;
         let mut committed_splits = false;
-        let finish = |wire: &mut Wire, lat: SimDuration, right_child_server: ServerId| {
-            wire.latency.split.observe(ms(lat));
-            Ok(Some(SplitRecord {
-                server: server_id,
-                group: hot,
-                right_child_server,
-            }))
-        };
-        loop {
+        let right_child_server = loop {
             // Resolve the right child's placement via the DHT *first* (§5)
             // and require every hop plus the eventual ACCEPT_KEYGROUP to be
             // deliverable before this iteration mutates any state. An
@@ -426,22 +418,17 @@ impl ClashCluster {
             let lookup = (self.net).find_successor_path(server_id, h, &mut wire.hops);
             let target = lookup.owner;
             let self_mapped = target == server_id;
-            let deliverable = wire.send_hops(&mut op_latency).is_none()
-                && (self_mapped
-                    || wire.send(
-                        server_id,
-                        target,
-                        MessageClass::AcceptKeygroup,
-                        &mut op_latency,
-                    ));
-            if !deliverable {
+            let accept = [(server_id, target, MessageClass::AcceptKeygroup)];
+            wire.open();
+            wire.lay_out(if self_mapped { &[] } else { &accept });
+            wire.dispatch();
+            if wire.next_chain(&mut op_latency).is_err() {
                 // If self-mapped iterations already committed, the last
                 // right child is active locally: a valid terminal state.
-                return if committed_splits {
-                    finish(wire, op_latency, server_id)
-                } else {
-                    Ok(None)
-                };
+                if !committed_splits {
+                    return Ok(None);
+                }
+                break server_id;
             }
 
             let splitter = self.servers.live_mut(sid_value);
@@ -502,8 +489,14 @@ impl ClashCluster {
                 self.oracle.insert(right, target);
             }
             self.ensure_replicas(right, target);
-            return finish(&mut self.wire, op_latency, target);
-        }
+            break target;
+        };
+        self.wire.latency.split.observe(ms(op_latency));
+        Ok(Some(SplitRecord {
+            server: server_id,
+            group: hot,
+            right_child_server,
+        }))
     }
 
     fn try_merge(&mut self, sid_value: u64) -> Result<MergeOutcome, ClashError> {
@@ -526,20 +519,13 @@ impl ClashCluster {
             // The RELEASE_KEYGROUP round trip must be deliverable before
             // anything mutates; a partitioned child simply defers the
             // merge to a post-heal load check.
-            let mut op_latency = SimDuration::ZERO;
-            if !self.wire.send(
-                server_id,
-                right_holder,
-                MessageClass::ReleaseKeygroup,
-                &mut op_latency,
-            ) || !self.wire.send(
-                right_holder,
-                server_id,
-                MessageClass::ReleaseKeygroup,
-                &mut op_latency,
-            ) {
+            let release = [
+                (server_id, right_holder, MessageClass::ReleaseKeygroup),
+                (right_holder, server_id, MessageClass::ReleaseKeygroup),
+            ];
+            let Some(op_latency) = self.wire.send_chain(&release) else {
                 return Ok(MergeOutcome::NoCandidate);
-            }
+            };
             self.wire.latency.merge.observe(ms(op_latency));
             self.wire.msgs.merge_messages += 2; // RELEASE_KEYGROUP + response
             let response = self

@@ -11,7 +11,7 @@ use clash_keyspace::prefix::Prefix;
 use clash_obs::{CheckPhase, TraceEventKind};
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::SimDuration;
-use clash_transport::{Delivery, MessageClass, SendSpec};
+use clash_transport::MessageClass;
 
 use super::accounting::{Obs, Wire};
 use super::ClashCluster;
@@ -77,10 +77,10 @@ struct PlannedProbe {
 /// A power of two, so `probes` doubles onto exactly this capacity.
 const WINDOW_PROBES: usize = 8192;
 
-/// Probes the flush routes, sends and replays per pass through its two
-/// reused buffers (≈ 100 KB whatever the window holds). 256 cost
-/// `churn_wan_sharded` 4 %; 1 024 bought no time and put `fig4_static`
-/// `peak_rss_mb` at +10 % (512: +9 %, bound 15 %).
+/// Probes the flush routes, sends and replays per pass, one
+/// [`Wire::dispatch`] each (≈ 100 KB of buffers whatever the window
+/// holds). 256 cost `churn_wan_sharded` 4 %; 1 024 bought no time and
+/// put `fig4_static` `peak_rss_mb` at +10 % (512: +9 %, bound 15 %).
 const FLUSH_CHUNK: usize = 512;
 
 /// The locate window. A client probe is priced in two steps. **Plan**
@@ -90,19 +90,16 @@ const FLUSH_CHUNK: usize = 512;
 /// coalesce into `touched`. **Flush** (`flush_batch_probes`, the only
 /// code that routes a client probe, sends its hops or counts it): route
 /// each probe in plan order against the live ring — frozen in effect,
-/// every ring mutation being a barrier that flushes first — resolve the
-/// messages in `send_batch` passes, replay the accounting. Only *when*
-/// the window closes varies: at a barrier ([`ClashCluster::flush_batch`]),
-/// at [`WINDOW_PROBES`], or per probe (`window_may_stay_open`) —
-/// unobservably: `tests/shard_equivalence.rs` and the
-/// `sharded_batching_matches_sequential` proptest pin it bit for bit.
+/// every ring mutation being a barrier that flushes first — lay out one
+/// [`Wire`] chain per probe, dispatch a pass at a time, replay the
+/// accounting. Only *when* the window closes varies: at a barrier
+/// ([`ClashCluster::flush_batch`]), at [`WINDOW_PROBES`], or per probe
+/// (`window_may_stay_open`) — unobservably: `tests/shard_equivalence.rs`
+/// and the `sharded_batching_matches_sequential` proptest pin it bit for bit.
 #[derive(Default)]
 pub(super) struct LocateBatch {
     /// Probes planned but not yet routed/charged.
     probes: Vec<PlannedProbe>,
-    /// The flush's per-pass buffers ([`FLUSH_CHUNK`] bounds them).
-    specs: Vec<SendSpec>,
-    deliveries: Vec<Delivery>,
     /// Latency and probe ordinal of the op being replayed: its probes
     /// may be charged by several flushes.
     op_latency: SimDuration,
@@ -133,7 +130,6 @@ impl LocateBatch {
         rng: &DetRng,
     ) -> Result<(), ClashError> {
         let planned = self.probes.len();
-        let severed = wire.transport.is_partitioned();
         let this_flush = self.flush_seq;
         self.flush_seq += 1;
         self.window_probes_max = self.window_probes_max.max(planned as u64);
@@ -150,10 +146,9 @@ impl LocateBatch {
             // results depend on window timing.
             #[cfg(debug_assertions)]
             let draws_at_freeze = rng.draw_count();
-            // Route phase: in plan order, lay out each probe's routing
-            // hops, then its owner→start response.
-            let specs = &mut self.specs;
-            specs.clear();
+            // Route phase: in plan order, lay out each probe's chain —
+            // its routing hops, then its owner→start response.
+            wire.open();
             for plan in &mut self.probes[chunk.clone()] {
                 let lookup = net.route_path(plan.start, plan.target, &mut wire.hops);
                 debug_assert_eq!(
@@ -161,25 +156,7 @@ impl LocateBatch {
                     "locate window spanned a ring change: routed owner diverged from plan"
                 );
                 plan.hops = lookup.hops;
-                let first = specs.len();
-                specs.extend(wire.hops.iter().map(|&(from, to)| SendSpec {
-                    src: from.value(),
-                    dst: to.value(),
-                    class: MessageClass::Probe,
-                }));
-                specs.push(SendSpec {
-                    src: plan.owner.value(),
-                    dst: plan.start.value(),
-                    class: MessageClass::ProbeResponse,
-                });
-                if severed {
-                    // A sender stops at the cut: nothing past the first
-                    // severed hop is ever sent.
-                    let cut = specs[first..]
-                        .iter()
-                        .position(|s| !wire.transport.reachable(s.src, s.dst));
-                    specs.truncate(cut.map_or(specs.len(), |cut| first + cut + 1));
-                }
+                wire.lay_out(&[(plan.owner, plan.start, MessageClass::ProbeResponse)]);
             }
             #[cfg(debug_assertions)]
             {
@@ -192,27 +169,18 @@ impl LocateBatch {
             }
             obs.phase_end(CheckPhase::FlushRoute);
             obs.phase_begin(CheckPhase::FlushMerge);
-            // Charge phase: one [`Transport::send_batch`] (by contract
-            // the same deliveries, stats and per-link draw order as the
-            // `send` loop)...
-            wire.transport.send_batch(&self.specs, &mut self.deliveries);
-            // ...then replay the accounting in plan order: hop stats,
-            // probe counters, and each op's latency at its final probe.
-            let mut sent = self.specs.iter().zip(&self.deliveries);
-            'replay: for plan in &self.probes[chunk] {
+            // Charge phase: one dispatch, then the accounting replayed in
+            // plan order: hop stats, probe counters, each op's latency.
+            wire.dispatch();
+            for plan in &self.probes[chunk] {
                 net.record_routed_lookup(plan.hops);
-                for _ in 0..=plan.hops {
-                    match sent.next().expect("one delivery per planned message") {
-                        (_, Delivery::Delivered { latency, .. }) => self.op_latency += *latency,
-                        (spec, Delivery::Unreachable { .. }) => {
-                            let space = plan.start.space();
-                            charged = Err(ClashError::NetworkUnreachable {
-                                from: ChordId::new(spec.src, space),
-                                to: ChordId::new(spec.dst, space),
-                            });
-                            break 'replay;
-                        }
-                    }
+                if let Err(cut) = wire.next_chain(&mut self.op_latency) {
+                    let space = plan.start.space();
+                    charged = Err(ClashError::NetworkUnreachable {
+                        from: ChordId::new(cut.src, space),
+                        to: ChordId::new(cut.dst, space),
+                    });
+                    break;
                 }
                 wire.msgs.probes += 1;
                 wire.msgs.probe_messages += u64::from(plan.hops) + 1;
@@ -231,10 +199,6 @@ impl LocateBatch {
                     self.op_hop = 0;
                 }
             }
-            debug_assert!(
-                charged.is_err() || sent.next().is_none(),
-                "charge replay must consume every delivery"
-            );
             obs.phase_end(CheckPhase::FlushMerge);
             if charged.is_err() {
                 // The op died at the cut: its latency dies with it.

@@ -6,7 +6,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use clash_keyspace::prefix::Prefix;
 use clash_obs::TraceEventKind;
-use clash_simkernel::time::SimDuration;
 use clash_transport::MessageClass;
 
 use super::ClashCluster;
@@ -265,11 +264,8 @@ impl ClashCluster {
             // One direct ACCEPT_KEYGROUP per migrated entry — sender and
             // receiver are ring neighbours, so no DHT routing is charged.
             self.wire.msgs.handoff_messages += 1;
-            let mut latency = SimDuration::ZERO;
-            if self
-                .wire
-                .send(from, dest, MessageClass::Handoff, &mut latency)
-            {
+            let handoff = [(from, dest, MessageClass::Handoff)];
+            if let Some(latency) = self.wire.send_chain(&handoff) {
                 self.wire.latency.handoff.observe(ms(latency));
             }
             let active = entry.active;

@@ -8,7 +8,8 @@
 //!    [`ClashServer`]s, routing through the simulated Chord ring and
 //!    counting every message and hop ([`MessageStats`]). Every message is
 //!    charged virtual time through a [`clash_transport::Transport`]
-//!    (hop-by-hop for routed probes) into [`LatencyMetrics`]; a lossy or
+//!    (hop-by-hop for routed probes) into
+//!    [`LatencyMetrics`](crate::latency::LatencyMetrics); a lossy or
 //!    partitioned transport makes deliveries time out or fail, which the
 //!    protocol paths survive by deferring work (see the per-method docs).
 //! 2. **Data plane** — it tracks which streaming sources and continuous
@@ -46,7 +47,6 @@ use clash_transport::{InstantTransport, Transport};
 use crate::arena::ServerArena;
 use crate::config::ClashConfig;
 use crate::error::ClashError;
-use crate::latency::LatencyMetrics;
 use crate::server::ClashServer;
 use crate::ServerId;
 
@@ -145,12 +145,7 @@ impl ClashCluster {
             oracle: verify::Oracle::new(config.key_width),
             data: DataPlane::default(),
             rng: root_rng.substream("cluster"),
-            wire: accounting::Wire {
-                transport,
-                msgs: MessageStats::default(),
-                latency: LatencyMetrics::new(),
-                hops: Vec::new(),
-            },
+            wire: accounting::Wire::new(transport),
             recovery: Default::default(),
             candidates,
             replica_work: Default::default(),

@@ -15,7 +15,6 @@
 use std::collections::BTreeSet;
 
 use clash_keyspace::prefix::Prefix;
-use clash_simkernel::time::SimDuration;
 use clash_transport::MessageClass;
 
 use super::ClashCluster;
@@ -115,11 +114,8 @@ impl ClashCluster {
     /// One charged invalidation from `owner` to the live `holder`. An
     /// unreachable holder keeps its record.
     fn invalidate_holder(&mut self, group: Prefix, owner: ServerId, holder: ServerId) {
-        let mut lat = SimDuration::ZERO;
-        if self
-            .wire
-            .send(owner, holder, MessageClass::ReplicateKeygroup, &mut lat)
-        {
+        let invalidation = [(owner, holder, MessageClass::ReplicateKeygroup)];
+        if self.wire.send_chain(&invalidation).is_some() {
             self.wire.msgs.replication_messages += 1;
             self.servers
                 .live_mut(holder.value())

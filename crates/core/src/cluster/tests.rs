@@ -1,6 +1,8 @@
 use super::*;
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_obs::{CheckPhase, PhaseProfile, PhaseProfiler, TraceEventKind, TraceMode};
+use clash_simkernel::metrics::SummarySnapshot;
+use clash_transport::TransportStats;
 
 fn key(bits: u64) -> Key {
     Key::from_bits_truncated(bits, KeyWidth::new(8).unwrap())
@@ -834,6 +836,81 @@ fn committed_splits_under_partition_are_always_reported() {
         c.verify_consistency();
         assert!(c.global_cover().is_partition());
     }
+    // Four servers, one cut off: the hot server commits a self-mapped
+    // split, then routes its next right child through a reachable hop
+    // before the cut. The latency of that hop still reaches the split's
+    // observation. Constants recorded from one-`send`-per-message code.
+    let mut c = ClashCluster::with_transport(
+        ClashConfig::small_test(),
+        4,
+        19,
+        Box::new(LinkTransport::new(LinkPolicy::lan(), 19)),
+    )
+    .unwrap();
+    for i in 0..100 {
+        c.attach_source(i, key(i % 64), 2.0).unwrap();
+    }
+    let ids = c.server_ids();
+    c.partition_network(&[vec![], vec![ids[2]]]);
+    let report = c.run_load_check().unwrap();
+    assert_eq!(report.splits.len(), 1);
+    assert_eq!(report.splits[0].right_child_server, report.splits[0].server);
+    assert_eq!(c.message_stats().self_mapped_retries, 1);
+    let partial = 2.573_000_000_000_000_4;
+    assert_eq!(
+        c.latency_metrics().split.summary().snapshot(),
+        SummarySnapshot {
+            count: 1,
+            mean: partial,
+            stddev: 0.0,
+            min: partial,
+            max: partial,
+        }
+    );
+    assert_eq!(
+        c.transport_stats(),
+        TransportStats {
+            messages: 446,
+            retransmissions: 0,
+            unreachable: 2,
+            total_latency_us: 454_775,
+            per_class: [298, 148, 0, 0, 0, 0, 0, 0],
+        }
+    );
+}
+
+#[test]
+fn each_report_observes_its_own_delivery() {
+    use clash_transport::{LinkPolicy, LinkTransport};
+    // A check's reports leave in one dispatch and are read back in
+    // order. A report read back with another link's delivery keeps the
+    // latency multiset but reorders the observations, which moves the
+    // summary's last bits. Constants recorded from one-`send`-per-message
+    // code.
+    let mut c = ClashCluster::with_transport(
+        ClashConfig::small_test(),
+        4,
+        0,
+        Box::new(LinkTransport::new(LinkPolicy::wan(), 0)),
+    )
+    .unwrap();
+    for i in 0..1000 {
+        c.attach_source(i, key(i % 256), 2.0).unwrap();
+    }
+    for _ in 0..6 {
+        c.run_load_check().unwrap();
+    }
+    assert_eq!(c.message_stats().report_messages, 618);
+    assert_eq!(
+        c.latency_metrics().report.summary().snapshot(),
+        SummarySnapshot {
+            count: 618,
+            mean: 100.172_103_559_870_5,
+            stddev: 27.276_239_706_500_817,
+            min: 25.697_000_000_000_003,
+            max: 195.869,
+        }
+    );
 }
 
 #[test]

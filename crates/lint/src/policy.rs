@@ -53,6 +53,9 @@ pub const ENV_ENTRY_BASENAMES: &[&str] = &["config.rs", "report.rs"];
 /// sites from under the second.
 pub const MESSAGE_CLASS_DEF: &str = "crates/transport/src/lib.rs";
 pub const CHARGING_ROOT: &str = "crates/core/src/";
+/// The one file under [`CHARGING_ROOT`] that may call a transport's
+/// `send` / `send_batch`: `Wire`'s dispatch routine lives there.
+pub const SEND_SITE: &str = "crates/core/src/cluster/accounting.rs";
 
 /// True for files inside one of the protocol crates' `src/` trees, or the
 /// root facade `src/`.

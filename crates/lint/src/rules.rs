@@ -54,7 +54,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         EXHAUSTIVE_CHARGING,
-        "every MessageClass variant must be charged at a clash-core transport call site",
+        "every MessageClass variant must be charged in clash-core, and a transport's \
+         send/send_batch called only from cluster/accounting.rs",
     ),
     (
         ALLOW_DIRECTIVE,
@@ -297,6 +298,23 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 i += 4;
                 continue;
             }
+            // ---- exhaustive-charging: the one send site --------------
+            "." if path.starts_with(policy::CHARGING_ROOT)
+                && path != policy::SEND_SITE
+                && (seq(toks, i + 1, &["send", "("]) || seq(toks, i + 1, &["send_batch", "("])) =>
+            {
+                diag(
+                    out,
+                    EXHAUSTIVE_CHARGING,
+                    line,
+                    format!(
+                        "`.{}(` outside {}: a protocol message must be laid out as a Wire \
+                         chain so the partition cut rule and latency accounting apply to it",
+                        toks[i + 1].text,
+                        policy::SEND_SITE
+                    ),
+                );
+            }
             _ => {}
         }
         i += 1;
@@ -304,7 +322,9 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// `exhaustive-charging`: every `MessageClass` variant must appear at a
-/// charge site under `crates/core/src/`. Variants are read from the enum
+/// charge site under `crates/core/src/` (that the charge goes through
+/// [`policy::SEND_SITE`] is the per-file half of the rule, in
+/// [`check_file`]). Variants are read from the enum
 /// definition in `crates/transport/src/lib.rs`; if that file is part of
 /// the run but holds no such enum, that is itself a finding (the rule has
 /// lost its anchor).
@@ -349,7 +369,7 @@ pub fn check_charging(files: &[(String, Lexed)], out: &mut Vec<Diagnostic>) {
                 rule: EXHAUSTIVE_CHARGING,
                 message: format!(
                     "`MessageClass::{variant}` is never charged in clash-core; new message \
-                     types must go through Wire::send so latency accounting stays honest"
+                     types must be laid out as a Wire chain so latency accounting stays honest"
                 ),
             });
         }

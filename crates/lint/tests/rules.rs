@@ -391,7 +391,7 @@ fn uncharged_variant_fires_at_its_definition_line() {
         SourceFile::new("crates/transport/src/lib.rs", MINI_TRANSPORT),
         SourceFile::new(
             "crates/core/src/cluster/mod.rs",
-            "fn f(t: &mut T) { t.send(1, 2, MessageClass::Probe); }",
+            "fn f(w: &mut Wire) { w.lay_out(&[(a, b, MessageClass::Probe)]); }",
         ),
     ]);
     assert_eq!(fired(&diags), vec!["exhaustive-charging"]);
@@ -406,12 +406,42 @@ fn fully_charged_enum_is_clean() {
         SourceFile::new("crates/transport/src/lib.rs", MINI_TRANSPORT),
         SourceFile::new(
             "crates/core/src/cluster/mod.rs",
-            "fn f(t: &mut T) {\n\
-             t.send(1, 2, MessageClass::Probe);\n\
-             t.send(1, 2, MessageClass::Handoff);\n}",
+            "fn f(w: &mut Wire) {\n\
+             w.lay_out(&[(a, b, MessageClass::Probe)]);\n\
+             w.send_chain(&[(a, b, MessageClass::Handoff)], &mut lat);\n}",
         ),
     ]);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn transport_send_outside_the_send_site_fires() {
+    let diags = lint_one(
+        "crates/core/src/cluster/load_check.rs",
+        "fn f(w: &mut Wire) {\n\
+         w.transport.send(1, 2, MessageClass::LoadReport);\n\
+         w.transport.send_batch(&specs, &mut out);\n}",
+    );
+    assert_eq!(
+        fired(&diags),
+        vec!["exhaustive-charging", "exhaustive-charging"]
+    );
+    assert_eq!((diags[0].line, diags[1].line), (2, 3));
+    assert!(diags[0].message.contains("`.send(`"), "{diags:?}");
+    assert!(diags[1].message.contains("`.send_batch(`"), "{diags:?}");
+}
+
+#[test]
+fn transport_send_at_the_send_site_or_outside_core_is_clean() {
+    let src = "fn f(t: &mut T) { t.send(1, 2, c); t.send_batch(&specs, &mut out); }";
+    for path in [
+        "crates/core/src/cluster/accounting.rs",
+        "crates/transport/src/link.rs",
+        "crates/sim/src/driver.rs",
+    ] {
+        let diags = lint_one(path, src);
+        assert!(diags.is_empty(), "{path}: {diags:?}");
+    }
 }
 
 #[test]

@@ -22,10 +22,10 @@ pub enum CheckPhase {
     CandidateRefresh,
     /// LOAD_REPORT delivery to parent-group owners.
     Reports,
-    /// The candidate refresh between report delivery and the split
-    /// cursor walk. (The split-route speculation the phase was named for
-    /// is gone; the variant stays because `clash-benchmark` iterates
-    /// [`CheckPhase::ALL`] and declares `core.phase.split_speculate_ms`.)
+    /// Never entered: nothing runs between report delivery and the split
+    /// cursor walk, which refreshes the candidates itself. (The variant
+    /// stays because `clash-benchmark` iterates [`CheckPhase::ALL`] and
+    /// declares `core.phase.split_speculate_ms`.)
     SplitSpeculate,
     /// The split cursor walk (hot groups, one binary level each).
     Splits,

@@ -213,8 +213,10 @@ pub trait Transport: Send {
     /// same final [`TransportStats`], same internal state afterwards.
     /// The default implementation is exactly that loop; implementations
     /// may override it with a faster schedule (batched lookups) as long
-    /// as the equivalence holds. The flush charge path hands its whole
-    /// plan-ordered window to this method.
+    /// as the equivalence holds. It is the only send `clash-core` makes:
+    /// its one dispatch routine hands it a locate flush's probes a pass at
+    /// a time, a load check's reports all at once, and every other
+    /// protocol operation's messages as one chain.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
