@@ -17,7 +17,7 @@ use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
 use crate::driver::RunResult;
-use crate::experiments::run_variants;
+use crate::experiments::{paper_spec, run_variants};
 use crate::report;
 
 /// Results of all ablation sweeps.
@@ -33,21 +33,13 @@ pub struct AblationOutput {
     pub virtual_servers: Vec<(usize, f64)>,
 }
 
-fn base_spec(scale: f64, seed: Option<u64>) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::paper().scaled(scale);
-    if let Some(seed) = seed {
-        spec.seed = seed;
-    }
-    spec
-}
-
 fn hot_spec(scale: f64, seed: Option<u64>) -> ScenarioSpec {
     ScenarioSpec {
         phases: vec![Phase {
             workload: WorkloadKind::C,
             duration: SimDuration::from_mins(30),
         }],
-        ..base_spec(scale, seed)
+        ..paper_spec(scale, seed)
     }
 }
 
@@ -64,26 +56,17 @@ fn cycle_spec(scale: f64, seed: Option<u64>) -> ScenarioSpec {
                 duration: SimDuration::from_mins(25),
             },
         ],
-        ..base_spec(scale, seed)
+        ..paper_spec(scale, seed)
     }
 }
 
-/// Runs all sweeps at the given population scale.
+/// Runs all sweeps at the given population scale (`seed: None` keeps
+/// every hard-coded default seed).
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<AblationOutput, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps every
-/// hard-coded default seed).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<AblationOutput, ClashError> {
+pub fn run(scale: f64, seed: Option<u64>) -> Result<AblationOutput, ClashError> {
     // 1. Split policy.
     let split_policy = run_variants(
         [SplitPolicy::Hottest, SplitPolicy::FirstLoaded]
@@ -232,7 +215,7 @@ mod tests {
 
     #[test]
     fn sweeps_produce_expected_orderings() {
-        let out = run(0.01).unwrap();
+        let out = run(0.01, None).unwrap();
         // Finer initial depth spreads over more servers.
         let servers: Vec<f64> = out
             .initial_depth

@@ -134,22 +134,13 @@ fn run_one(r: usize, scale: f64, seed: u64) -> Result<AvailabilityRow, ClashErro
     })
 }
 
-/// Runs the `r` sweep at the paper populations scaled by `scale`.
+/// Runs the `r` sweep at the paper populations scaled by `scale`
+/// (`seed: None` uses the paper scenario's seed).
 ///
 /// # Errors
 ///
 /// Propagates cluster and scenario errors.
-pub fn run(scale: f64) -> Result<AvailabilityOutput, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` uses the paper
-/// scenario's seed).
-///
-/// # Errors
-///
-/// Propagates cluster and scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<AvailabilityOutput, ClashError> {
+pub fn run(scale: f64, seed: Option<u64>) -> Result<AvailabilityOutput, ClashError> {
     let seed = seed.unwrap_or_else(|| ScenarioSpec::paper().seed);
     let mut rows = Vec::new();
     for r in [0usize, 1, 2, 3] {
@@ -279,7 +270,7 @@ mod tests {
     /// the availability gradient visible.
     #[test]
     fn availability_small_scale_end_to_end() {
-        let out = run(0.02).unwrap();
+        let out = run(0.02, None).unwrap();
         assert_eq!(out.rows.len(), 4);
 
         let r0 = &out.rows[0];

@@ -37,7 +37,7 @@ pub struct ChaosOutput {
 /// Runs a campaign of `schedules` schedules against a cell scaled by
 /// `scale` (1.0 = the default 16-server/96-source cell).
 #[must_use]
-pub fn run_seeded(scale: f64, schedules: u64, seed: Option<u64>) -> ChaosOutput {
+pub fn run(scale: f64, schedules: u64, seed: Option<u64>) -> ChaosOutput {
     let options = ChaosOptions::scaled(scale);
     let campaign_seed = seed.unwrap_or(DEFAULT_CAMPAIGN_SEED);
     let report = run_campaign(&options, campaign_seed, schedules);

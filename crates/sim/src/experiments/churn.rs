@@ -29,6 +29,7 @@ use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
 use crate::driver::{RunResult, SimDriver};
+use crate::experiments::paper_spec;
 use crate::report;
 
 /// Post-run oracle sweep over the final cluster state.
@@ -96,17 +97,13 @@ pub(crate) fn oracle_sweep(cluster: &mut ClashCluster, n: u64, seed: u64) -> Ora
     }
 }
 
-fn run_one(
-    config: ClashConfig,
-    spec: ScenarioSpec,
-    label: String,
-    trace: TraceMode,
-) -> Result<ChurnRun, ClashError> {
+fn run_one(spec: ScenarioSpec, label: &str, trace: TraceMode) -> Result<ChurnRun, ClashError> {
     // Churn runs ride a WAN transport so the latency-percentile columns
     // carry real numbers; the transport draws from its own substream, so
     // the protocol behaves exactly as it would over the instant one.
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
-    let mut driver = SimDriver::with_transport(config, spec, label, transport)?;
+    let config = ClashConfig::paper();
+    let mut driver = SimDriver::with_transport(config, spec, label.to_owned(), transport)?;
     // The flight recorder is passive: any mode yields the same RunResult
     // bit-for-bit (pinned by tests/trace_equivalence.rs).
     driver.cluster_mut().set_trace_sink(trace.make_sink());
@@ -125,40 +122,15 @@ fn run_one(
 }
 
 /// Runs both churn scenarios at the paper populations scaled by `scale`.
+/// `seed` overrides the paper scenario's hard-coded root seed; both
+/// scenarios run with a flight-recorder sink in `trace` mode and each
+/// [`ChurnRun`] carries its collected events (for `--trace <path>`).
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<ChurnOutput, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the paper
-/// scenario's hard-coded seed).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<ChurnOutput, ClashError> {
-    run_seeded_traced(scale, seed, TraceMode::Off)
-}
-
-/// [`run_seeded`] with the flight recorder on: both scenarios run with a
-/// sink in `trace` mode and each [`ChurnRun`] carries its collected
-/// events (for `--trace <path>` Chrome export).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded_traced(
-    scale: f64,
-    seed: Option<u64>,
-    trace: TraceMode,
-) -> Result<ChurnOutput, ClashError> {
-    let mut base = ScenarioSpec::paper().scaled(scale);
-    if let Some(seed) = seed {
-        base.seed = seed;
-    }
+pub fn run(scale: f64, seed: Option<u64>, trace: TraceMode) -> Result<ChurnOutput, ClashError> {
+    let base = paper_spec(scale, seed);
     let servers = base.servers;
 
     // Sustained: a join roughly every 10 virtual minutes, a drain every
@@ -172,12 +144,7 @@ pub fn run_seeded_traced(
         )
         .with_crashes(SimDuration::from_mins(45)),
     );
-    let sustained = run_one(
-        ClashConfig::paper(),
-        sustained_spec,
-        "CLASH+churn".to_owned(),
-        trace,
-    )?;
+    let sustained = run_one(sustained_spec, "CLASH+churn", trace)?;
 
     // Flash crowd: one hot hour; +50% capacity joins back-to-back
     // starting at t = 20 min.
@@ -193,12 +160,7 @@ pub fn run_seeded_traced(
         (servers / 2).max(1),
         SimDuration::from_secs(30),
     ));
-    let flash = run_one(
-        ClashConfig::paper(),
-        flash_spec,
-        "CLASH+flash".to_owned(),
-        trace,
-    )?;
+    let flash = run_one(flash_spec, "CLASH+flash", trace)?;
 
     Ok(ChurnOutput {
         sustained,
@@ -344,7 +306,7 @@ mod tests {
     /// events, and the flash crowd actually grows the fleet.
     #[test]
     fn churn_small_scale_end_to_end() {
-        let out = run(0.02).unwrap();
+        let out = run(0.02, None, TraceMode::Off).unwrap();
         for run in [&out.sustained, &out.flash] {
             assert_eq!(
                 run.sweep.agreed, run.sweep.checked,

@@ -41,22 +41,13 @@ pub struct DepthConvOutput {
     pub lookups: usize,
 }
 
-/// Heats a cluster with workload C and measures `lookups` searches.
+/// Heats a cluster with workload C and measures `lookups` searches
+/// (`seed: None` keeps the hard-coded default seeds).
 ///
 /// # Errors
 ///
 /// Propagates cluster errors.
-pub fn run(servers: usize, sources: usize, lookups: usize) -> Result<DepthConvOutput, ClashError> {
-    run_seeded(servers, sources, lookups, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the
-/// hard-coded default seeds).
-///
-/// # Errors
-///
-/// Propagates cluster errors.
-pub fn run_seeded(
+pub fn run(
     servers: usize,
     sources: usize,
     lookups: usize,
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn converges_below_binary_search_bound() {
-        let out = run(40, 2000, 400).unwrap();
+        let out = run(40, 2000, 400, None).unwrap();
         assert!(
             out.tree_depth.2 > 6,
             "tree must deepen: {:?}",

@@ -7,7 +7,7 @@ use clash_workload::scenario::ScenarioSpec;
 use clash_workload::skew::WorkloadKind;
 
 use crate::driver::RunResult;
-use crate::experiments::{figure4_variants, run_variants};
+use crate::experiments::{figure4_variants, paper_spec, run_variants};
 use crate::report;
 
 /// The regenerated Figure 4 data: one run per variant.
@@ -20,35 +20,14 @@ pub struct Fig4Output {
 }
 
 /// Runs the four variants (in parallel) over the paper scenario scaled by
-/// `scale`.
+/// `scale`. `seed` overrides the scenario's root seed (`None` keeps the
+/// hard-coded one, reproducing historical outputs exactly).
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<Fig4Output, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the paper
-/// scenario's hard-coded seed, reproducing historical outputs exactly).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<Fig4Output, ClashError> {
-    let mut spec = ScenarioSpec::paper().scaled(scale);
-    if let Some(seed) = seed {
-        spec.seed = seed;
-    }
-    run_spec(spec)
-}
-
-/// Runs the four variants over an explicit scenario.
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_spec(spec: ScenarioSpec) -> Result<Fig4Output, ClashError> {
+pub fn run(scale: f64, seed: Option<u64>) -> Result<Fig4Output, ClashError> {
+    let spec = paper_spec(scale, seed);
     let variants = figure4_variants()
         .into_iter()
         .map(|(config, label)| (config, spec.clone(), label))

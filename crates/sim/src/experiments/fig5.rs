@@ -11,8 +11,8 @@ use clash_simkernel::time::SimDuration;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
-use crate::driver::RunResult;
-use crate::experiments::run_variants;
+use crate::driver::{RunResult, SampleRow};
+use crate::experiments::{paper_spec, run_variants};
 use crate::report;
 
 /// One bar of Figure 5.
@@ -47,48 +47,25 @@ fn steady_state_rates(run: &RunResult, warmup_hours: f64) -> (f64, f64, f64) {
         .iter()
         .filter(|r| r.time_hours >= warmup_hours)
         .collect();
-    if rows.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let n = rows.len() as f64;
+    // Zero (not NaN) when the run never left its warm-up.
+    let n = rows.len().max(1) as f64;
+    let mean = |rate: fn(&SampleRow) -> f64| rows.iter().map(|r| rate(r)).sum::<f64>() / n;
     (
-        rows.iter()
-            .map(|r| r.ctrl_msgs_per_sec_per_server)
-            .sum::<f64>()
-            / n,
-        rows.iter()
-            .map(|r| r.proto_msgs_per_sec_per_server)
-            .sum::<f64>()
-            / n,
-        rows.iter()
-            .map(|r| r.total_msgs_per_sec_per_server)
-            .sum::<f64>()
-            / n,
+        mean(|r| r.ctrl_msgs_per_sec_per_server),
+        mean(|r| r.proto_msgs_per_sec_per_server),
+        mean(|r| r.total_msgs_per_sec_per_server),
     )
 }
 
 /// Runs all 12 bars (in parallel) at the paper populations scaled by
 /// `scale`. Each bar is a 40-minute steady-state run with a 10-minute
-/// warm-up.
+/// warm-up. `seed` overrides the paper scenario's hard-coded seed.
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<Fig5Output, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the paper
-/// scenario's hard-coded seed).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<Fig5Output, ClashError> {
-    let mut base = ScenarioSpec::paper().scaled(scale);
-    if let Some(seed) = seed {
-        base.seed = seed;
-    }
+pub fn run(scale: f64, seed: Option<u64>) -> Result<Fig5Output, ClashError> {
+    let base = paper_spec(scale, seed);
     let query_population = (50_000.0 * scale).round().max(1.0) as usize;
     let mut variants = Vec::new();
     let mut meta = Vec::new();
@@ -207,7 +184,7 @@ mod tests {
     /// query clients add state-transfer overhead on top.
     #[test]
     fn overhead_shape_small_scale() {
-        let out = run(0.01).unwrap(); // 10 servers, 1000 sources
+        let out = run(0.01, None).unwrap(); // 10 servers, 1000 sources
         assert_eq!(out.bars.len(), 12);
         let get = |wl: WorkloadKind, ld: f64, q: bool| -> &OverheadBar {
             out.bars

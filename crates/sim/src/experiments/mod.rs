@@ -1,8 +1,8 @@
 //! Experiment drivers, one per figure/claim of the paper's evaluation.
 //!
-//! Each submodule exposes `run(...) -> …Output` plus `render` (ASCII
-//! tables mirroring the figure) and `write_csvs` where applicable. The
-//! binaries in `src/bin/` are thin wrappers.
+//! Each submodule exposes one entry point, `run(...) -> …Output`, plus
+//! `render` (ASCII tables mirroring the figure) and `write_csvs` where
+//! applicable; the `clash-sim` binary makes each a subcommand.
 
 pub mod ablation;
 pub mod availability;
@@ -51,6 +51,14 @@ pub fn run_variants(
             .collect();
     });
     results.into_iter().collect()
+}
+
+/// The paper scenario scaled by `scale`; `seed` overrides its root seed
+/// (`None` keeps the hard-coded one, reproducing historical outputs).
+pub fn paper_spec(scale: f64, seed: Option<u64>) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::paper().scaled(scale);
+    spec.seed = seed.unwrap_or(spec.seed);
+    spec
 }
 
 /// The four Figure 4 protocol variants: CLASH and the fixed-depth

@@ -19,6 +19,7 @@
 use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
+use clash_obs::{TraceEvent, TraceMode};
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::SimDuration;
 use clash_transport::{LinkPolicy, LinkTransport};
@@ -28,12 +29,6 @@ use clash_workload::skew::{Workload, WorkloadKind};
 use crate::driver::SimDriver;
 use crate::experiments::churn::{oracle_sweep, OracleSweep};
 use crate::report;
-
-/// Default root seed (the paper scenario's seed, so `--seed`-less runs
-/// line up with the other experiments).
-fn default_seed() -> u64 {
-    ScenarioSpec::paper().seed
-}
 
 /// One latency-CDF measurement: a link policy at a ring size.
 #[derive(Debug, Clone)]
@@ -110,7 +105,7 @@ pub struct NetfaultOutput {
     /// unless the run was traced) — the deferral/recovery timeline is
     /// this experiment's most opaque phase, so it is the one that gets
     /// the recorder.
-    pub partition_trace: Vec<clash_obs::TraceEvent>,
+    pub partition_trace: Vec<TraceEvent>,
     /// Scale factor applied to the paper populations.
     pub scale: f64,
 }
@@ -250,8 +245,8 @@ fn loss_sweep(scale: f64, seed: u64) -> Result<Vec<LossRow>, ClashError> {
 fn partition_heal(
     scale: f64,
     seed: u64,
-    trace: clash_obs::TraceMode,
-) -> Result<(PartitionReport, Vec<clash_obs::TraceEvent>), ClashError> {
+    trace: TraceMode,
+) -> Result<(PartitionReport, Vec<TraceEvent>), ClashError> {
     let servers = ((1000.0 * scale) as usize).max(8);
     let mut cluster = heated_cluster(LinkPolicy::lan(), servers, seed ^ 0xFA17)?;
     // Record from the partition onward: the heating phase is routine,
@@ -299,37 +294,15 @@ fn partition_heal(
 }
 
 /// Runs all three parts at the paper populations scaled by `scale`.
+/// `seed` overrides the paper scenario's seed; the flight recorder runs
+/// in `trace` mode for the partition/heal scenario only (the other parts
+/// are summary statistics, not timelines).
 ///
 /// # Errors
 ///
 /// Propagates cluster and scenario errors.
-pub fn run(scale: f64) -> Result<NetfaultOutput, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` uses the paper
-/// scenario's seed).
-///
-/// # Errors
-///
-/// Propagates cluster and scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<NetfaultOutput, ClashError> {
-    run_seeded_traced(scale, seed, clash_obs::TraceMode::Off)
-}
-
-/// [`run_seeded`] with the flight recorder on for the partition/heal
-/// scenario (the other parts run untraced — their outputs are summary
-/// statistics, not timelines).
-///
-/// # Errors
-///
-/// Propagates cluster and scenario errors.
-pub fn run_seeded_traced(
-    scale: f64,
-    seed: Option<u64>,
-    trace: clash_obs::TraceMode,
-) -> Result<NetfaultOutput, ClashError> {
-    let seed = seed.unwrap_or_else(default_seed);
+pub fn run(scale: f64, seed: Option<u64>, trace: TraceMode) -> Result<NetfaultOutput, ClashError> {
+    let seed = seed.unwrap_or_else(|| ScenarioSpec::paper().seed);
     let (partition, partition_trace) = partition_heal(scale, seed, trace)?;
     Ok(NetfaultOutput {
         latency: latency_cdfs(scale, seed)?,
@@ -497,7 +470,7 @@ mod tests {
     /// agreement.
     #[test]
     fn netfault_small_scale_end_to_end() {
-        let out = run(0.02).unwrap();
+        let out = run(0.02, None, TraceMode::Off).unwrap();
 
         // (a) latency: WAN ≫ LAN at every ring size; percentiles ordered.
         for r in &out.latency {

@@ -52,18 +52,23 @@ pub struct RangeOutput {
     pub queries: usize,
 }
 
-fn heated(config: ClashConfig, servers: usize, sources: usize, seed: u64) -> ClashCluster {
-    let mut cluster = ClashCluster::new(config, servers, seed).expect("valid config");
+fn heated(
+    config: ClashConfig,
+    servers: usize,
+    sources: usize,
+    seed: u64,
+) -> Result<ClashCluster, ClashError> {
+    let mut cluster = ClashCluster::new(config, servers, seed)?;
     let workload = Workload::paper(WorkloadKind::C);
     let mut rng = DetRng::new(seed ^ 0xFEED);
     for i in 0..sources as u64 {
         let key = workload.sample_key(config.key_width, &mut rng);
-        cluster.attach_source(i, key, 2.0).expect("attach");
+        cluster.attach_source(i, key, 2.0)?;
     }
     for _ in 0..6 {
-        cluster.run_load_check().expect("load check");
+        cluster.run_load_check()?;
     }
-    cluster
+    Ok(cluster)
 }
 
 fn measure(
@@ -99,26 +104,13 @@ fn measure(
     })
 }
 
-/// Runs the comparison at the given population scale.
+/// Runs the comparison at the given population scale (`seed: None`
+/// keeps the hard-coded default seed).
 ///
 /// # Errors
 ///
 /// Propagates cluster errors.
-pub fn run(scale: f64, queries: usize) -> Result<RangeOutput, ClashError> {
-    run_seeded(scale, queries, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the
-/// hard-coded default seed).
-///
-/// # Errors
-///
-/// Propagates cluster errors.
-pub fn run_seeded(
-    scale: f64,
-    queries: usize,
-    seed: Option<u64>,
-) -> Result<RangeOutput, ClashError> {
+pub fn run(scale: f64, queries: usize, seed: Option<u64>) -> Result<RangeOutput, ClashError> {
     let cluster_seed = seed.unwrap_or(31);
     let servers = ((1000.0 * scale) as usize).max(16);
     let sources = ((100_000.0 * scale) as usize).max(1000);
@@ -132,16 +124,13 @@ pub fn run_seeded(
         capacity: clash_config.capacity,
         ..ClashConfig::dht_baseline(12)
     };
-    let mut clash = heated(clash_config, servers, sources, cluster_seed);
-    let mut dht12 = heated(dht12_config, servers, sources, cluster_seed);
+    let mut clash = heated(clash_config, servers, sources, cluster_seed)?;
+    let mut dht12 = heated(dht12_config, servers, sources, cluster_seed)?;
     let mut rows = Vec::new();
     for range_depth in [4u32, 6, 8, 10] {
         // Without an override the historical per-depth query seeds are
         // kept verbatim; an override salts them so sweeps stay distinct.
-        let query_seed = match seed {
-            None => 101 + u64::from(range_depth),
-            Some(s) => s ^ (101 + u64::from(range_depth)),
-        };
+        let query_seed = seed.unwrap_or(0) ^ (101 + u64::from(range_depth));
         let clash_cost = measure(&mut clash, range_depth, queries, query_seed)?;
         let dht12_cost = measure(&mut dht12, range_depth, queries, query_seed)?;
         rows.push(RangeRow {
@@ -195,7 +184,7 @@ mod tests {
 
     #[test]
     fn clash_clusters_ranges_on_fewer_servers() {
-        let out = run(0.03, 40).unwrap(); // 30 servers, 3000 sources
+        let out = run(0.03, 40, None).unwrap(); // 30 servers, 3000 sources
         for row in &out.rows {
             assert!(
                 row.clash.mean_servers <= row.dht12.mean_servers,

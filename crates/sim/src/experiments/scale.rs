@@ -119,25 +119,15 @@ pub struct ScaleOutput {
 }
 
 impl ScaleOutput {
-    /// The smallest `events_per_sec` across load-check cells — the number
-    /// the CI perf-smoke floor is checked against (the load-check cells
-    /// are the regime this repo's perf work targets, and the least noisy:
-    /// no population build-up in the measured section).
-    pub fn min_loadcheck_events_per_sec(&self) -> Option<f64> {
+    /// The smallest `events_per_sec` across the cells of `kind` — the
+    /// number a CI perf floor is checked against: the load-check cells
+    /// (the regime this repo's perf work targets, and the least noisy: no
+    /// population build-up in the measured section) and the churn smoke
+    /// (a single filtered cell, e.g. `churn_1000000` at `--scale 0.02`).
+    pub fn min_events_per_sec(&self, kind: CellKind) -> Option<f64> {
         self.cells
             .iter()
-            .filter(|c| c.kind == CellKind::LoadCheck)
-            .map(|c| c.events_per_sec)
-            .min_by(f64::total_cmp)
-    }
-
-    /// The smallest `events_per_sec` across churn cells — the number the
-    /// CI churn smoke (a single filtered cell, e.g. `churn_1000000` at
-    /// `--scale 0.02`) checks its floor against.
-    pub fn min_churn_events_per_sec(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .filter(|c| c.kind == CellKind::Churn)
+            .filter(|c| c.kind == kind)
             .map(|c| c.events_per_sec)
             .min_by(f64::total_cmp)
     }
@@ -153,7 +143,7 @@ pub const DEFAULT_SEED: u64 = 0xC1A5_5CA1;
 /// shrink so the cells measure ring mechanics at two and three orders
 /// of magnitude past the paper's evaluation without the population cost
 /// swamping the sweep). Check cadence and churn rate scale with each
-/// cell's minutes (see [`churn_cell`]), so every cell observes a
+/// cell's minutes (see `churn_cell`), so every cell observes a
 /// comparable number of checks and membership events per run.
 pub const CHURN_CELLS: [(usize, usize, u64); 5] = [
     (1000, 10, 30),
@@ -346,27 +336,10 @@ fn loadcheck_cell(servers: usize, seed: u64) -> Result<ScaleCell, ClashError> {
     })
 }
 
-/// Runs the full sweep at `scale` with the default seed.
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<ScaleOutput, ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override.
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<ScaleOutput, ClashError> {
-    run_filtered(scale, seed, None)
-}
-
-/// [`run_seeded`] restricted to a comma-separated list of exact cell
-/// names (e.g. `churn_1000000` or `churn_1000,loadcheck_4000`). `None`
-/// runs the full sweep. Matching is exact, not substring — the churn
+/// Runs the sweep at `scale` (`seed` overrides the default root seed),
+/// restricted to `filter`, a comma-separated list of exact cell names
+/// (e.g. `churn_1000000` or `churn_1000,loadcheck_4000`). `None` runs
+/// the full sweep. Matching is exact, not substring — the churn
 /// column's names are prefixes of each other (`churn_1000` …
 /// `churn_1000000`), so a substring filter would silently drag the
 /// 100k/1M cells into what looks like a quick small-cell run. Names are
@@ -377,11 +350,7 @@ pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<ScaleOutput, ClashErr
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run_filtered(
-    scale: f64,
-    seed: Option<u64>,
-    filter: Option<&str>,
-) -> Result<ScaleOutput, ClashError> {
+pub fn run(scale: f64, seed: Option<u64>, filter: Option<&str>) -> Result<ScaleOutput, ClashError> {
     let seed = seed.unwrap_or(DEFAULT_SEED);
     let wanted = |name: &str| filter.is_none_or(|f| f.split(',').any(|tok| tok.trim() == name));
     let mut cells = Vec::new();
@@ -547,7 +516,7 @@ pub fn to_bench_json(out: &ScaleOutput) -> String {
     s.push_str(&format!("  \"seed\": {},\n", out.seed));
     s.push_str(&format!(
         "  \"min_loadcheck_events_per_sec\": {:.1},\n",
-        out.min_loadcheck_events_per_sec().unwrap_or(0.0)
+        out.min_events_per_sec(CellKind::LoadCheck).unwrap_or(0.0)
     ));
     s.push_str("  \"cells\": [\n");
     for (i, c) in out.cells.iter().enumerate() {
@@ -601,7 +570,7 @@ mod tests {
     /// floor number.
     #[test]
     fn scale_smoke_end_to_end() {
-        let out = run_seeded(0.005, Some(7)).unwrap();
+        let out = run(0.005, Some(7), None).unwrap();
         assert_eq!(
             out.cells.len(),
             CHURN_CELLS.len() + LOADCHECK_RING_SIZES.len()
@@ -621,7 +590,7 @@ mod tests {
             .unwrap();
         assert_eq!(lc.load_checks, LOADCHECK_CHECKS);
         assert!(lc.mean_check_ms > 0.0);
-        let floor = out.min_loadcheck_events_per_sec().unwrap();
+        let floor = out.min_events_per_sec(CellKind::LoadCheck).unwrap();
         let json = to_bench_json(&out);
         assert!(json.contains("\"bench\": \"scale\""));
         assert!(json.contains(&format!("{floor:.1}")));
@@ -634,8 +603,8 @@ mod tests {
     /// differ between runs of the same build).
     #[test]
     fn scale_cells_are_deterministic_for_a_seed() {
-        let a = run_seeded(0.005, Some(11)).unwrap();
-        let b = run_seeded(0.005, Some(11)).unwrap();
+        let a = run(0.005, Some(11), None).unwrap();
+        let b = run(0.005, Some(11), None).unwrap();
         for (x, y) in a.cells.iter().zip(&b.cells) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.events, y.events);
@@ -653,7 +622,7 @@ mod tests {
     /// must now carry non-degenerate timing fields.
     #[test]
     fn every_cell_reports_nondegenerate_timing() {
-        let out = run_seeded(0.002, Some(13)).unwrap();
+        let out = run(0.002, Some(13), None).unwrap();
         for c in &out.cells {
             assert!(c.wall_ms > 0.0, "{}: zero wall_ms", c.name);
             assert!(c.events_per_sec > 0.0, "{}: zero throughput", c.name);
@@ -701,8 +670,8 @@ mod tests {
     /// independent).
     #[test]
     fn cell_filter_selects_and_matches_full_sweep() {
-        let full = run_seeded(0.005, Some(11)).unwrap();
-        let only = run_filtered(0.005, Some(11), Some("churn_4000")).unwrap();
+        let full = run(0.005, Some(11), None).unwrap();
+        let only = run(0.005, Some(11), Some("churn_4000")).unwrap();
         assert_eq!(only.cells.len(), 1);
         let a = &only.cells[0];
         let b = full.cells.iter().find(|c| c.name == a.name).unwrap();
@@ -710,20 +679,20 @@ mod tests {
         assert_eq!((a.splits, a.merges), (b.splits, b.merges));
         assert_eq!(a.membership_events, b.membership_events);
         assert_eq!(a.locate_p95_ms, b.locate_p95_ms);
-        let none = run_filtered(0.005, Some(11), Some("no_such_cell")).unwrap();
+        let none = run(0.005, Some(11), Some("no_such_cell")).unwrap();
         assert!(none.cells.is_empty());
-        assert!(none.min_churn_events_per_sec().is_none());
-        assert!(only.min_churn_events_per_sec().is_some());
+        assert!(none.min_events_per_sec(CellKind::Churn).is_none());
+        assert!(only.min_events_per_sec(CellKind::Churn).is_some());
         // Exact matching: the canonical churn names are prefixes of each
         // other, so `churn_1000` must select exactly the 1000-server
         // cell and never drag the 10k/100k/1M cells along. (Reported
         // names carry the scaled server count; only the count and kind
         // identify the cell here.)
-        let prefix = run_filtered(0.005, Some(11), Some("churn_1000")).unwrap();
+        let prefix = run(0.005, Some(11), Some("churn_1000")).unwrap();
         assert_eq!(prefix.cells.len(), 1);
         assert_eq!(prefix.cells[0].servers, 16, "scaled churn_1000 cell");
         // Comma lists select each named cell once.
-        let pair = run_filtered(0.005, Some(11), Some("churn_4000, loadcheck_4000")).unwrap();
+        let pair = run(0.005, Some(11), Some("churn_4000, loadcheck_4000")).unwrap();
         assert_eq!(pair.cells.len(), 2);
         assert_eq!(pair.cells[0].kind, CellKind::Churn);
         assert_eq!(pair.cells[1].kind, CellKind::LoadCheck);
@@ -737,7 +706,7 @@ mod tests {
     /// the 30-minute cells).
     #[test]
     fn churn_cells_observe_comparable_checks_and_events() {
-        let out = run_seeded(0.005, Some(19)).unwrap();
+        let out = run(0.005, Some(19), None).unwrap();
         let churn: Vec<_> = out
             .cells
             .iter()

@@ -48,25 +48,14 @@ pub fn from_fig4(out: &Fig4Output) -> SaversOutput {
     SaversOutput { rows }
 }
 
-/// Runs Figure 4 at `scale` and derives the savings table.
+/// Runs Figure 4 at `scale` and derives the savings table (`seed: None`
+/// keeps the paper scenario's hard-coded seed).
 ///
 /// # Errors
 ///
 /// Propagates scenario errors.
-pub fn run(scale: f64) -> Result<(Fig4Output, SaversOutput), ClashError> {
-    run_seeded(scale, None)
-}
-
-/// [`run`] with an optional root seed override (`None` keeps the paper
-/// scenario's hard-coded seed).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_seeded(scale: f64, seed: Option<u64>) -> Result<(Fig4Output, SaversOutput), ClashError> {
-    let fig4_out = fig4::run_seeded(scale, seed)?;
-    let savings = from_fig4(&fig4_out);
-    Ok((fig4_out, savings))
+pub fn run(scale: f64, seed: Option<u64>) -> Result<SaversOutput, ClashError> {
+    Ok(from_fig4(&fig4::run(scale, seed)?))
 }
 
 /// Renders the savings table.
@@ -108,8 +97,8 @@ mod tests {
     #[test]
     fn clash_saves_servers_vs_fine_grained_dht() {
         // At 24 servers the ceiling is low (the full 80% claim needs the
-        // paper's 1000-server scale, checked by the fig4 binary); here we
-        // assert savings exist and point the right way.
+        // paper's 1000-server scale, checked by the `servers_saved`
+        // subcommand); here we assert savings exist and point the right way.
         let (spec, variants) = pressured_test_variants();
         let runs = run_variants(
             variants

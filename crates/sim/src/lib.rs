@@ -4,9 +4,10 @@
 //! ([`clash_core`]), the Chord substrate ([`clash_chord`]), the workload
 //! generators ([`clash_workload`]) and the discrete-event kernel
 //! ([`clash_simkernel`]) — into the experiment drivers that regenerate
-//! every figure of the paper's evaluation (§6):
+//! every figure of the paper's evaluation (§6), each a subcommand of the
+//! `clash-sim` binary (`all_experiments` runs them all):
 //!
-//! | figure | binary | module |
+//! | figure | subcommand | module |
 //! |---|---|---|
 //! | Fig. 1 (splitting tree example) | `fig1_tree_demo` | [`experiments::demos`] |
 //! | Fig. 2 (server work table) | `fig2_server_table` | [`experiments::demos`] |
@@ -15,11 +16,13 @@
 //! | Fig. 5 (communication overhead) | `fig5_overhead` | [`experiments::fig5`] |
 //! | §5 claim (depth search < log₂ N) | `depth_convergence` | [`experiments::depth_conv`] |
 //! | §7 claim (~80% fewer servers) | `servers_saved` | [`experiments::servers_saved`] |
+//! | §7 extension (range queries) | `range_queries` | [`experiments::range_queries`] |
 //! | design-choice ablations | `ablation` | [`experiments::ablation`] |
 //! | live membership under churn | `churn` | [`experiments::churn`] |
 //! | latency / loss / partitions | `netfault` | [`experiments::netfault`] |
 //! | crash recovery vs replication factor | `availability` | [`experiments::availability`] |
 //! | mechanical cost to 10× the paper's ring | `scale` | [`experiments::scale`] |
+//! | fault-injection campaigns | `chaos` | [`experiments::chaos`] |
 //!
 //! The central type is [`driver::SimDriver`]: it plays a
 //! [`clash_workload::scenario::ScenarioSpec`] against a

@@ -1,9 +1,11 @@
-//! ASCII-table and CSV output for the experiment binaries.
+//! ASCII-table and CSV output for the experiments, and the flag parser
+//! of the `clash-sim` front door.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Renders a boxed ASCII table.
 ///
@@ -80,15 +82,8 @@ pub fn write_csv<P: AsRef<Path>>(
         }
     }
     let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| field(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
+    let header: Vec<String> = headers.iter().map(|h| (*h).to_owned()).collect();
+    for row in std::iter::once(&header).chain(rows) {
         out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
         out.push('\n');
     }
@@ -169,52 +164,8 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Parses `--key value` style flags from `std::env::args`-like input.
-/// Returns the value following the flag, if present.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Reads `--scale` (default 1.0), validating the range `(0, 1]`.
-pub fn scale_arg(args: &[String]) -> f64 {
-    let scale = flag_value(args, "--scale")
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    assert!(
-        scale > 0.0 && scale <= 1.0,
-        "--scale must be in (0, 1], got {scale}"
-    );
-    scale
-}
-
-/// Reads `--out` (default `results/`).
-pub fn out_dir_arg(args: &[String]) -> String {
-    flag_value(args, "--out").unwrap_or_else(|| "results".to_owned())
-}
-
-/// Reads `--trace <path>`: when present, the experiment runs with the
-/// flight recorder in full-export mode and writes a Perfetto-loadable
-/// Chrome trace to the path afterwards.
-pub fn trace_arg(args: &[String]) -> Option<String> {
-    flag_value(args, "--trace")
-}
-
-/// The [`clash_obs::TraceMode`] a `--trace` flag implies: full export
-/// when the flag is present, off otherwise.
-#[must_use]
-pub fn trace_mode(trace_path: Option<&String>) -> clash_obs::TraceMode {
-    if trace_path.is_some() {
-        clash_obs::TraceMode::Full
-    } else {
-        clash_obs::TraceMode::Off
-    }
-}
-
 /// Writes `events` to `path` as a Chrome trace and reports where it
-/// went on stderr (experiment bins keep stdout for the tables).
+/// went on stderr (stdout is kept for the tables).
 ///
 /// # Errors
 ///
@@ -225,22 +176,103 @@ pub fn write_trace(path: &str, events: &[clash_obs::TraceEvent]) -> io::Result<(
     Ok(())
 }
 
-/// Reads `--seed` as a root random seed (decimal or `0x`-prefixed hex).
-/// `None` means the experiment keeps its hard-coded default seed, so runs
-/// without the flag reproduce historical outputs exactly.
-///
-/// # Panics
-///
-/// Panics if the flag is present but unparsable (silently falling back to
-/// the default would corrupt a seed sweep).
-pub fn seed_arg(args: &[String]) -> Option<u64> {
-    flag_value(args, "--seed").map(|s| {
-        let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
+/// Why an experiment command did not finish: its command line could not
+/// be read (exit 2, with usage), or it ran and failed (exit 1).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// An unknown or repeated flag, a missing value, or a value that does
+    /// not parse or is out of range.
+    Usage(String),
+    /// A scenario, I/O or invariant error.
+    Run(String),
+}
+
+impl<E: std::error::Error> From<E> for Failure {
+    fn from(e: E) -> Self {
+        Self::Run(e.to_string())
+    }
+}
+
+/// An experiment command's `--flag value` pairs, each flag one the
+/// command declares. Nothing falls back to a default silently: a value
+/// that does not parse is a [`Failure::Usage`].
+#[derive(Debug)]
+pub struct Args(Vec<(String, String)>);
+
+impl Args {
+    /// Pairs `argv` up as `--flag value`, accepting at most once each
+    /// flag the command declares in `flags`, its usage string
+    /// (`[--scale F] [--seed S] …`).
+    ///
+    /// # Errors
+    ///
+    /// [`Failure::Usage`] for an unknown or repeated flag, or a flag
+    /// without a value.
+    pub fn parse(argv: &[String], flags: &str) -> Result<Self, Failure> {
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(flag) = argv.next() {
+            let problem = if !flag.starts_with("--") || !flags.contains(&format!("[{flag} ")) {
+                "is not a flag of this experiment"
+            } else if pairs.iter().any(|(seen, _)| seen == flag) {
+                "is given twice"
+            } else if let Some(value) = argv.next() {
+                pairs.push((flag.clone(), value.clone()));
+                continue;
+            } else {
+                "needs a value"
+            };
+            return Err(Failure::Usage(format!("{flag:?} {problem}")));
+        }
+        Ok(Self(pairs))
+    }
+
+    /// The raw value of `flag`, if given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        let pair = self.0.iter().find(|(f, _)| f == flag);
+        pair.map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` parsed as a number, `None` when absent; a
+    /// value that does not parse is a [`Failure::Usage`].
+    pub fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Failure> {
+        let parse = |v: &str| v.parse().ok().ok_or_else(|| bad(flag, "a number", v));
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// `--scale` (default 1.0); a value that does not parse or lies
+    /// outside `(0, 1]` is a [`Failure::Usage`].
+    pub fn scale(&self) -> Result<f64, Failure> {
+        match self.number("--scale")? {
+            None => Ok(1.0),
+            Some(s) if s > 0.0 && s <= 1.0 => Ok(s),
+            Some(s) => Err(bad("--scale", "in (0, 1]", &s.to_string())),
+        }
+    }
+
+    /// `--seed` as a root random seed (decimal or `0x`-prefixed hex).
+    /// `None` means the experiment keeps its hard-coded default seed, so
+    /// runs without the flag reproduce historical outputs exactly. A value
+    /// that is not a `u64` is a [`Failure::Usage`].
+    pub fn seed(&self) -> Result<Option<u64>, Failure> {
+        let parse = |s: &str| {
+            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => s.parse(),
+            }
+            .map_err(|_| bad("--seed", "a u64 (decimal or 0x hex)", s))
         };
-        parsed.unwrap_or_else(|_| panic!("--seed must be a u64 (decimal or 0x hex), got {s:?}"))
-    })
+        self.get("--seed").map(parse).transpose()
+    }
+
+    /// `--out` (default `results`).
+    pub fn out_dir(&self) -> String {
+        self.get("--out").unwrap_or("results").to_owned()
+    }
+}
+
+fn bad(flag: &str, expected: &str, got: &str) -> Failure {
+    Failure::Usage(format!("{flag} must be {expected}, got {got:?}"))
 }
 
 #[cfg(test)]
@@ -285,45 +317,57 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["--scale", "0.5", "--out", "x"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(scale_arg(&args), 0.5);
-        assert_eq!(out_dir_arg(&args), "x");
-        assert_eq!(scale_arg(&[]), 1.0);
-        assert_eq!(out_dir_arg(&[]), "results");
+    fn parse(argv: &[&str]) -> Result<Args, Failure> {
+        let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+        Args::parse(&argv, "[--scale F] [--seed S] [--out DIR] [--campaigns N]")
     }
 
     #[test]
-    fn seed_parsing() {
-        let args: Vec<String> = ["--seed", "42"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(seed_arg(&args), Some(42));
-        let hex: Vec<String> = ["--seed", "0xC1A5"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(seed_arg(&hex), Some(0xC1A5));
-        assert_eq!(seed_arg(&[]), None);
+    fn parser_reads_values_hex_seeds_and_defaults() {
+        let args = parse(&["--scale", "0.5", "--out", "x", "--seed", "42"]).unwrap();
+        assert_eq!((args.scale(), args.seed()), (Ok(0.5), Ok(Some(42))));
+        assert_eq!(args.out_dir(), "x");
+        let none = parse(&[]).unwrap();
+        assert_eq!((none.scale(), none.seed()), (Ok(1.0), Ok(None)));
+        assert_eq!(none.out_dir(), "results");
+        assert_eq!(none.number::<u64>("--campaigns"), Ok(None));
+        let eight = parse(&["--campaigns", "8", "--seed", "0xC1A5"]).unwrap();
+        let read = (eight.number("--campaigns"), eight.seed());
+        assert_eq!(read, (Ok(Some(8u64)), Ok(Some(0xC1A5))));
+        assert_eq!(parse(&["--seed", "0XFF"]).unwrap().seed(), Ok(Some(255)));
+    }
+
+    fn usage_error<T: std::fmt::Debug>(r: Result<T, Failure>, why: &str) {
+        match r {
+            Err(Failure::Usage(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected a usage error about {why:?}, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "--seed must be a u64")]
-    fn bad_seed_panics() {
-        let args: Vec<String> = ["--seed", "banana"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        seed_arg(&args);
-    }
-
-    #[test]
-    #[should_panic(expected = "--scale must be in")]
-    fn bad_scale_panics() {
-        let args: Vec<String> = ["--scale", "2.0"].iter().map(|s| (*s).to_owned()).collect();
-        scale_arg(&args);
+    fn parser_rejects_what_it_cannot_read() {
+        for argv in [
+            &["--sead", "7"][..],
+            &["0.1"],
+            &["--scale=0.1"],
+            &["--", "F"],
+        ] {
+            usage_error(parse(argv), "is not a flag");
+        }
+        usage_error(parse(&["--seed", "1", "--seed", "2"]), "given twice");
+        usage_error(parse(&["--out"]), "needs a value");
+        let given = |flag: &str, v: &str| parse(&[flag, v]).unwrap();
+        for v in ["abc", "0,02"] {
+            usage_error(given("--scale", v).scale(), "--scale must be a number");
+        }
+        for v in ["2.0", "0", "-0.5", "NaN", "inf"] {
+            usage_error(given("--scale", v).scale(), "--scale must be in (0, 1]");
+        }
+        for v in ["banana", "-1", "0xZZ", "18446744073709551616"] {
+            usage_error(given("--seed", v).seed(), "--seed must be a u64");
+        }
+        let eight = given("--campaigns", "eight").number::<u64>("--campaigns");
+        usage_error(eight, "--campaigns must be a number");
     }
 
     #[test]
