@@ -323,18 +323,38 @@ mod tests {
     }
 
     #[test]
-    fn parser_reads_values_hex_seeds_and_defaults() {
-        let args = parse(&["--scale", "0.5", "--out", "x", "--seed", "42"]).unwrap();
-        assert_eq!((args.scale(), args.seed()), (Ok(0.5), Ok(Some(42))));
+    fn flag_parsing() {
+        let args = parse(&["--scale", "0.5", "--out", "x"]).unwrap();
+        assert_eq!(args.scale(), Ok(0.5));
         assert_eq!(args.out_dir(), "x");
         let none = parse(&[]).unwrap();
-        assert_eq!((none.scale(), none.seed()), (Ok(1.0), Ok(None)));
+        assert_eq!(none.scale(), Ok(1.0));
         assert_eq!(none.out_dir(), "results");
         assert_eq!(none.number::<u64>("--campaigns"), Ok(None));
-        let eight = parse(&["--campaigns", "8", "--seed", "0xC1A5"]).unwrap();
-        let read = (eight.number("--campaigns"), eight.seed());
-        assert_eq!(read, (Ok(Some(8u64)), Ok(Some(0xC1A5))));
+        let eight = parse(&["--campaigns", "8"]).unwrap();
+        assert_eq!(eight.number("--campaigns"), Ok(Some(8u64)));
+    }
+
+    #[test]
+    fn seed_parsing() {
+        assert_eq!(parse(&["--seed", "42"]).unwrap().seed(), Ok(Some(42)));
+        let hex = parse(&["--campaigns", "8", "--seed", "0xC1A5"]).unwrap();
+        assert_eq!(hex.seed(), Ok(Some(0xC1A5)));
         assert_eq!(parse(&["--seed", "0XFF"]).unwrap().seed(), Ok(Some(255)));
+        assert_eq!(parse(&[]).unwrap().seed(), Ok(None));
+    }
+
+    // A caller that unwraps a bad value panics with the usage message.
+    #[test]
+    #[should_panic(expected = "--seed must be a u64")]
+    fn bad_seed_panics() {
+        parse(&["--seed", "banana"]).unwrap().seed().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be in")]
+    fn bad_scale_panics() {
+        parse(&["--scale", "2.0"]).unwrap().scale().unwrap();
     }
 
     fn usage_error<T: std::fmt::Debug>(r: Result<T, Failure>, why: &str) {
