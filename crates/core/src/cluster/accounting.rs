@@ -225,7 +225,8 @@ impl Wire {
     }
 
     /// Counts a group's state changing servers: one state-transfer
-    /// message per query object, one client redirect per source.
+    /// message per live query object, one client redirect per live
+    /// source.
     pub(super) fn count_group_move(&mut self, ledger: &GroupLedger) {
         self.msgs.state_transfer_messages += ledger.queries.len() as u64;
         self.msgs.redirect_messages += ledger.sources.len() as u64;

@@ -7,11 +7,22 @@
 //! hashed ([`DetHashMap`] / [`ShardedMap`]) — an ordered map's tree walk
 //! was a third of a key change's wall. Order survives only where it
 //! reaches a result: a ledger's member order (it feeds `split`'s rate
-//! sums, replica payloads and recovered ledgers, so members leave by an
-//! order-preserving `remove`, never `swap_remove`), the ascending id
+//! sums, replica payloads and recovered ledgers), the ascending id
 //! lists [`DataPlane::membership`] sorts, and the ascending push order
-//! [`DataPlane::unqueue`] sorts. The `BTreeMap` layout this replaced is
-//! kept below as the differential reference.
+//! [`DataPlane::unqueue`] sorts.
+//!
+//! A member leaves its list in O(1) and the order holds: each record
+//! keeps its `slot` in its ledger's [`Members`], a departure overwrites
+//! that slot with a tombstone, and once tombstones outnumber the live
+//! members the list is compacted in order and the survivors' slots are
+//! rewritten. Live iteration sees exactly what an order-preserving
+//! `Vec::remove` would have left — never `swap_remove`'s order.
+//! Tombstones never leave this module: `verify_consistency`,
+//! `count_group_move` and replica payloads see live members only.
+//!
+//! The `BTreeMap` layout the hashed maps replaced, and the scan-and-shift
+//! exit the tombstones replaced, are kept below as differential
+//! references.
 
 use std::sync::Arc;
 
@@ -23,15 +34,112 @@ use crate::load::GroupLoad;
 use crate::replication::ReplicaRecord;
 use crate::ServerId;
 
-/// Per-group data-plane state. The member lists live behind `Arc`s so
-/// replica payloads are O(1) snapshots: seeding `r` holders shares one
-/// allocation, and a later ledger mutation copies-on-write only if a
-/// replica still holds the old snapshot (at `r = 0` the `Arc`s are never
-/// shared, so `make_mut` never copies).
+/// What a member list writes over a departed member's slot. No record
+/// ever carries it: [`DataPlane::source_refusal`] and
+/// [`DataPlane::query_refusal`] refuse it as a new id, so every other
+/// `u64` stays attachable.
+const TOMBSTONE: u64 = u64::MAX;
+
+/// A member list compacts once it holds at least this many tombstones
+/// *and* more tombstones than live members, so it never holds more than
+/// `max(2 × live, live + 15)` slots. The floor spares small groups a
+/// compaction every few exits. Measured against the bare `dead > live`
+/// rule on the benchmark's default seed: on `fig4_static` (a departed
+/// group holds 765 members on average) it never binds, and on
+/// `storm_lossy` (77) it cuts compactions from 447 to 151.
+const COMPACT_MIN_DEAD: usize = 16;
+
+/// A ledger's member ids in attach order, with O(1) exits (see the
+/// module docs). The slots live behind an `Arc` so a tombstone-free list
+/// is a replica payload as it stands: seeding `r` holders shares one
+/// allocation, and a later mutation copies-on-write only if a replica
+/// still holds the old snapshot (at `r = 0` the `Arc` is never shared,
+/// so `make_mut` never copies).
+#[derive(Debug, Clone, Default)]
+pub(super) struct Members {
+    slots: Arc<Vec<u64>>,
+    dead: usize,
+}
+
+impl Members {
+    /// The number of live members.
+    pub(super) fn len(&self) -> usize {
+        self.slots.len() - self.dead
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The live members, in order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().copied().filter(|&id| id != TOMBSTONE)
+    }
+
+    /// The live member at `slot`, if there is one.
+    pub(super) fn at(&self, slot: u32) -> Option<u64> {
+        let id = *self.slots.get(slot as usize)?;
+        (id != TOMBSTONE).then_some(id)
+    }
+
+    /// Appends `id`. Returns its slot.
+    fn push(&mut self, id: u64) -> u32 {
+        debug_assert_ne!(id, TOMBSTONE, "the tombstone is never attached");
+        let slots = Arc::make_mut(&mut self.slots);
+        let slot = u32::try_from(slots.len()).expect("a member list holds under 2^32 slots");
+        slots.push(id);
+        slot
+    }
+
+    /// Takes `id` out of its `slot`. If that leaves the list due for
+    /// compaction, `moved(id, slot)` hears of every survivor whose slot
+    /// changed.
+    fn remove(&mut self, slot: u32, id: u64, moved: impl FnMut(u64, u32)) {
+        let slots = Arc::make_mut(&mut self.slots);
+        debug_assert_eq!(
+            slots.get(slot as usize),
+            Some(&id),
+            "{id} is not at its slot"
+        );
+        slots[slot as usize] = TOMBSTONE;
+        self.dead += 1;
+        if self.dead >= COMPACT_MIN_DEAD && self.dead > self.len() {
+            self.compact(moved);
+        }
+    }
+
+    /// Drops the tombstones, keeping the survivors' order.
+    fn compact(&mut self, mut moved: impl FnMut(u64, u32)) {
+        let slots = Arc::make_mut(&mut self.slots);
+        let first_dead = slots
+            .iter()
+            .position(|&id| id == TOMBSTONE)
+            .unwrap_or(slots.len());
+        slots.retain(|&id| id != TOMBSTONE);
+        for (slot, &id) in slots.iter().enumerate().skip(first_dead) {
+            moved(id, slot as u32);
+        }
+        self.dead = 0;
+    }
+
+    /// The live members as a replica payload: the shared slots themselves
+    /// while they hold no tombstone (O(1)), otherwise a copy in order.
+    fn snapshot(&self) -> Arc<Vec<u64>> {
+        if self.dead == 0 {
+            Arc::clone(&self.slots)
+        } else {
+            let mut live = Vec::with_capacity(self.len());
+            live.extend(self.iter());
+            Arc::new(live)
+        }
+    }
+}
+
+/// Per-group data-plane state.
 #[derive(Debug, Clone, Default)]
 pub(super) struct GroupLedger {
-    pub(super) sources: Arc<Vec<u64>>,
-    pub(super) queries: Arc<Vec<u64>>,
+    pub(super) sources: Members,
+    pub(super) queries: Members,
     rate: f64,
     /// The group sits in the locate window's deferred-push list
     /// ([`DataPlane::queue_push`]): a second op on it adds nothing.
@@ -47,30 +155,41 @@ impl GroupLedger {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A source's record. Its key is kept as bits alone — the width is the
+/// group's — which holds the record at 40 bytes with the slot added.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct SourceRec {
-    key: Key,
+    key_bits: u64,
     rate: f64,
     pub(super) group: Prefix,
+    /// Where the source sits in its group's member list.
+    pub(super) slot: u32,
 }
 
-#[derive(Debug, Clone)]
+impl SourceRec {
+    fn key(&self) -> Key {
+        Key::from_bits_truncated(self.key_bits, self.group.width())
+    }
+}
+
+/// A query's record: 32 bytes, laid out like [`SourceRec`].
+#[derive(Debug, Clone, Copy)]
 pub(super) struct QueryRec {
-    key: Key,
+    key_bits: u64,
     pub(super) group: Prefix,
+    /// Where the query sits in its group's member list.
+    pub(super) slot: u32,
+}
+
+impl QueryRec {
+    fn key(&self) -> Key {
+        Key::from_bits_truncated(self.key_bits, self.group.width())
+    }
 }
 
 /// The surviving client registry for a set of groups: per group, the
 /// source ids and query ids still pointing at it, each list ascending.
 pub(super) type ClientMembership = DetHashMap<Prefix, (Vec<u64>, Vec<u64>)>;
-
-/// Takes `id` out of a member list, keeping the others' order.
-fn remove_member(members: &mut Arc<Vec<u64>>, id: u64) {
-    let members = Arc::make_mut(members);
-    if let Some(at) = members.iter().position(|&m| m == id) {
-        members.remove(at);
-    }
-}
 
 /// The ledgers and member records (see the module docs).
 #[derive(Debug, Default)]
@@ -109,16 +228,44 @@ impl DataPlane {
         empty
     }
 
+    /// Why `id` cannot be attached as a new source, if it cannot.
+    pub(super) fn source_refusal(&self, id: u64) -> Option<&'static str> {
+        if id == TOMBSTONE {
+            Some("source id u64::MAX is reserved")
+        } else if self.sources.contains_key(id) {
+            Some("source id already attached")
+        } else {
+            None
+        }
+    }
+
+    /// Why `id` cannot be attached as a new query, if it cannot.
+    pub(super) fn query_refusal(&self, id: u64) -> Option<&'static str> {
+        if id == TOMBSTONE {
+            Some("query id u64::MAX is reserved")
+        } else if self.queries.contains_key(id) {
+            Some("query id already attached")
+        } else {
+            None
+        }
+    }
+
     /// Adds source `id` to `group` at `rate`.
     pub(super) fn attach_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
-        self.link_source(id, rate, group);
-        self.sources.insert(id, SourceRec { key, rate, group });
+        let slot = self.link_source(id, rate, group);
+        let rec = SourceRec {
+            key_bits: key.bits(),
+            rate,
+            group,
+            slot,
+        };
+        self.sources.insert(id, rec);
     }
 
     /// Removes source `id`. Returns the group it left.
     pub(super) fn detach_source(&mut self, id: u64) -> Option<Prefix> {
         let rec = self.sources.remove(id)?;
-        self.unlink(rec.group, id, rec.rate);
+        self.unlink(id, rec);
         Some(rec.group)
     }
 
@@ -127,19 +274,24 @@ impl DataPlane {
     /// [`DataPlane::forget_source`] if the re-locate fails). Returns the
     /// group it left and its rate.
     pub(super) fn unlink_source(&mut self, id: u64) -> Option<(Prefix, f64)> {
-        let &SourceRec { group, rate, .. } = self.sources.get(id)?;
-        self.unlink(group, id, rate);
-        Some((group, rate))
+        let rec = *self.sources.get(id)?;
+        self.unlink(id, rec);
+        Some((rec.group, rec.rate))
     }
 
     /// Puts an unlinked source on `group`'s ledger, rewriting its record
     /// in place.
     pub(super) fn relink_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
-        self.link_source(id, rate, group);
+        let slot = self.link_source(id, rate, group);
         *self
             .sources
             .get_mut(id)
-            .expect("an unlinked source keeps its record") = SourceRec { key, rate, group };
+            .expect("an unlinked source keeps its record") = SourceRec {
+            key_bits: key.bits(),
+            rate,
+            group,
+            slot,
+        };
     }
 
     /// Drops the record of an unlinked source.
@@ -147,26 +299,34 @@ impl DataPlane {
         self.sources.remove(id);
     }
 
-    fn link_source(&mut self, id: u64, rate: f64, group: Prefix) {
+    fn link_source(&mut self, id: u64, rate: f64, group: Prefix) -> u32 {
         let ledger = self.ledgers.entry(group).or_default();
-        Arc::make_mut(&mut ledger.sources).push(id);
         ledger.rate += rate;
+        ledger.sources.push(id)
     }
 
-    fn unlink(&mut self, group: Prefix, id: u64, rate: f64) {
+    /// Takes source `id`, recorded as `rec`, off its group's ledger.
+    fn unlink(&mut self, id: u64, rec: SourceRec) {
         let ledger = self
             .ledgers
-            .get_mut(&group)
+            .get_mut(&rec.group)
             .expect("attached source has a ledger");
-        remove_member(&mut ledger.sources, id);
-        ledger.rate = (ledger.rate - rate).max(0.0);
+        let sources = &mut self.sources;
+        ledger.sources.remove(rec.slot, id, |moved, slot| {
+            sources.get_mut(moved).expect("ledger member exists").slot = slot;
+        });
+        ledger.rate = (ledger.rate - rec.rate).max(0.0);
     }
 
     /// Adds query `id` to `group`.
     pub(super) fn attach_query(&mut self, id: u64, key: Key, group: Prefix) {
-        let ledger = self.ledgers.entry(group).or_default();
-        Arc::make_mut(&mut ledger.queries).push(id);
-        self.queries.insert(id, QueryRec { key, group });
+        let slot = self.ledgers.entry(group).or_default().queries.push(id);
+        let rec = QueryRec {
+            key_bits: key.bits(),
+            group,
+            slot,
+        };
+        self.queries.insert(id, rec);
     }
 
     /// Removes query `id`. Returns the group it left.
@@ -176,7 +336,10 @@ impl DataPlane {
             .ledgers
             .get_mut(&rec.group)
             .expect("attached query has a ledger");
-        remove_member(&mut ledger.queries, id);
+        let queries = &mut self.queries;
+        ledger.queries.remove(rec.slot, id, |moved, slot| {
+            queries.get_mut(moved).expect("ledger member exists").slot = slot;
+        });
         Some(rec.group)
     }
 
@@ -204,16 +367,17 @@ impl DataPlane {
         }
     }
 
-    /// The current ledger of `group` as a replica payload. O(1): the
-    /// member lists are shared `Arc` snapshots, cloned per holder by
-    /// reference count only — the write-through path copies-on-write at
-    /// the *next* ledger mutation instead of deep-cloning per seed.
+    /// The current ledger of `group` as a replica payload, live members
+    /// only. O(1) while the member lists hold no tombstone: they are
+    /// shared `Arc` snapshots, cloned per holder by reference count only
+    /// — the write-through path copies-on-write at the *next* ledger
+    /// mutation instead of deep-cloning per seed.
     pub(super) fn replica_payload(&self, group: Prefix, owner: ServerId) -> ReplicaRecord {
         let ledger = self.ledgers.get(&group);
         ReplicaRecord {
             owner,
-            sources: ledger.map(|l| Arc::clone(&l.sources)).unwrap_or_default(),
-            queries: ledger.map(|l| Arc::clone(&l.queries)).unwrap_or_default(),
+            sources: ledger.map(|l| l.sources.snapshot()).unwrap_or_default(),
+            queries: ledger.map(|l| l.queries.snapshot()).unwrap_or_default(),
         }
     }
 
@@ -228,46 +392,21 @@ impl DataPlane {
     ) -> (GroupLoad, GroupLoad) {
         let ledger = self.ledgers.remove(&group).unwrap_or_default();
         let bit_index = group.depth();
-        let mut left_rate = 0.0;
-        let mut right_rate = 0.0;
-        let mut left_sources = Vec::new();
-        let mut right_sources = Vec::new();
-        let mut left_queries = Vec::new();
-        let mut right_queries = Vec::new();
-        for &sid in ledger.sources.iter() {
+        let mut children = [GroupLedger::default(), GroupLedger::default()];
+        for sid in ledger.sources.iter() {
             let rec = self.sources.get_mut(sid).expect("ledger member exists");
-            if rec.key.bit(bit_index) == 0 {
-                rec.group = left;
-                left_rate += rec.rate;
-                left_sources.push(sid);
-            } else {
-                rec.group = right;
-                right_rate += rec.rate;
-                right_sources.push(sid);
-            }
+            let side = usize::from(rec.key().bit(bit_index));
+            rec.group = [left, right][side];
+            children[side].rate += rec.rate;
+            rec.slot = children[side].sources.push(sid);
         }
-        for &qid in ledger.queries.iter() {
+        for qid in ledger.queries.iter() {
             let rec = self.queries.get_mut(qid).expect("ledger member exists");
-            if rec.key.bit(bit_index) == 0 {
-                rec.group = left;
-                left_queries.push(qid);
-            } else {
-                rec.group = right;
-                right_queries.push(qid);
-            }
+            let side = usize::from(rec.key().bit(bit_index));
+            rec.group = [left, right][side];
+            rec.slot = children[side].queries.push(qid);
         }
-        let left_ledger = GroupLedger {
-            sources: Arc::new(left_sources),
-            queries: Arc::new(left_queries),
-            rate: left_rate,
-            queued: false,
-        };
-        let right_ledger = GroupLedger {
-            sources: Arc::new(right_sources),
-            queries: Arc::new(right_queries),
-            rate: right_rate,
-            queued: false,
-        };
+        let [left_ledger, right_ledger] = children;
         let loads = (left_ledger.load(), right_ledger.load());
         self.ledgers.insert(left, left_ledger);
         self.ledgers.insert(right, right_ledger);
@@ -275,24 +414,33 @@ impl DataPlane {
     }
 
     /// Folds the ledgers of `left` and `right` back into `parent`'s,
-    /// left members first.
+    /// left members first: the left list stays as it is, and the right
+    /// child's members append after it at new slots.
     pub(super) fn merge(&mut self, left: Prefix, right: Prefix, parent: Prefix) {
         let mut merged = self.ledgers.remove(&left).unwrap_or_default();
         let right_ledger = self.ledgers.remove(&right).unwrap_or_default();
-        Arc::make_mut(&mut merged.sources).extend_from_slice(&right_ledger.sources);
-        Arc::make_mut(&mut merged.queries).extend_from_slice(&right_ledger.queries);
         merged.rate += right_ledger.rate;
-        for &sid in merged.sources.iter() {
+        for sid in merged.sources.iter() {
             self.sources
                 .get_mut(sid)
                 .expect("ledger member exists")
                 .group = parent;
         }
-        for &qid in merged.queries.iter() {
+        for qid in merged.queries.iter() {
             self.queries
                 .get_mut(qid)
                 .expect("ledger member exists")
                 .group = parent;
+        }
+        for sid in right_ledger.sources.iter() {
+            let rec = self.sources.get_mut(sid).expect("ledger member exists");
+            rec.group = parent;
+            rec.slot = merged.sources.push(sid);
+        }
+        for qid in right_ledger.queries.iter() {
+            let rec = self.queries.get_mut(qid).expect("ledger member exists");
+            rec.group = parent;
+            rec.slot = merged.queries.push(qid);
         }
         self.ledgers.insert(parent, merged);
     }
@@ -368,25 +516,40 @@ impl DataPlane {
                 .sum(),
             None => 0.0,
         };
-        let ledger = GroupLedger {
-            sources: Arc::new(sources),
-            queries: Arc::new(queries),
+        let mut ledger = GroupLedger {
             rate,
-            queued: false,
+            ..GroupLedger::default()
         };
+        for s in sources {
+            let rec = self.sources.get_mut(s).expect("survivors are attached");
+            rec.slot = ledger.sources.push(s);
+        }
+        for q in queries {
+            let rec = self.queries.get_mut(q).expect("survivors are attached");
+            rec.slot = ledger.queries.push(q);
+        }
         self.ledgers.insert(group, ledger);
         lost
     }
 }
 
-/// The ordered layout the hashed one replaced, kept verbatim as the
-/// differential reference: `BTreeMap` registry and ledger map, members
-/// leaving by `retain`, deferred pushes in a `BTreeSet`.
+/// The ordered layout the hashed one replaced, kept as the differential
+/// reference: `BTreeMap` registry and ledger map, plain `Vec` member
+/// lists that members leave by [`reference::remove_member`], deferred
+/// pushes in a `BTreeSet`.
 #[cfg(test)]
 mod reference {
     use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
+
+    /// The exit [`Members`] replaced, kept as its differential target:
+    /// find the id, then shift every later member down over it.
+    pub(super) fn remove_member(members: &mut Vec<u64>, id: u64) {
+        if let Some(at) = members.iter().position(|&m| m == id) {
+            members.remove(at);
+        }
+    }
 
     #[derive(Debug, Clone, Default)]
     pub(super) struct RefLedger {
@@ -395,11 +558,24 @@ mod reference {
         pub(super) rate: f64,
     }
 
+    #[derive(Debug, Clone)]
+    pub(super) struct RefSource {
+        pub(super) key: Key,
+        pub(super) rate: f64,
+        pub(super) group: Prefix,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct RefQuery {
+        pub(super) key: Key,
+        pub(super) group: Prefix,
+    }
+
     #[derive(Debug, Default)]
     pub(super) struct RefDataPlane {
         pub(super) ledgers: BTreeMap<Prefix, RefLedger>,
-        pub(super) sources: BTreeMap<u64, SourceRec>,
-        pub(super) queries: BTreeMap<u64, QueryRec>,
+        pub(super) sources: BTreeMap<u64, RefSource>,
+        pub(super) queries: BTreeMap<u64, RefQuery>,
         pub(super) touched: BTreeSet<Prefix>,
     }
 
@@ -412,26 +588,26 @@ mod reference {
             let ledger = self.ledgers.entry(group).or_default();
             ledger.sources.push(id);
             ledger.rate += rate;
-            self.sources.insert(id, SourceRec { key, rate, group });
+            self.sources.insert(id, RefSource { key, rate, group });
         }
 
         pub(super) fn detach_source(&mut self, id: u64) -> Option<Prefix> {
             let rec = self.sources.remove(&id)?;
             let ledger = self.ledgers.get_mut(&rec.group).unwrap();
-            ledger.sources.retain(|&s| s != id);
+            remove_member(&mut ledger.sources, id);
             ledger.rate = (ledger.rate - rec.rate).max(0.0);
             Some(rec.group)
         }
 
         pub(super) fn attach_query(&mut self, id: u64, key: Key, group: Prefix) {
             self.ledgers.entry(group).or_default().queries.push(id);
-            self.queries.insert(id, QueryRec { key, group });
+            self.queries.insert(id, RefQuery { key, group });
         }
 
         pub(super) fn detach_query(&mut self, id: u64) -> Option<Prefix> {
             let rec = self.queries.remove(&id)?;
             let ledger = self.ledgers.get_mut(&rec.group).unwrap();
-            ledger.queries.retain(|&q| q != id);
+            remove_member(&mut ledger.queries, id);
             Some(rec.group)
         }
 
@@ -563,21 +739,26 @@ mod reference {
 
 /// Drives [`DataPlane`] and the ordered reference through the same random
 /// op sequences over a live split/merge cover, comparing everything a
-/// caller can observe after every op.
+/// caller can observe after every op; and [`Members`] against the
+/// scan-and-shift exit it replaced.
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use clash_keyspace::key::KeyWidth;
     use proptest::prelude::*;
 
-    use super::reference::RefDataPlane;
+    use super::reference::{remove_member, RefDataPlane};
     use super::*;
 
     const WIDTH: u32 = 8;
 
     fn width() -> KeyWidth {
         KeyWidth::new(WIDTH).unwrap()
+    }
+
+    fn owner() -> ServerId {
+        ServerId::new(1, crate::config::ClashConfig::small_test().hash_space)
     }
 
     /// The cover group holding `key`.
@@ -588,26 +769,40 @@ mod tests {
             .expect("the cover partitions the key space")
     }
 
+    /// A key inside `group`, its free low bits taken from `bits`.
+    fn key_in(group: Prefix, bits: u64) -> Key {
+        let free = (1u64 << (WIDTH - group.depth())) - 1;
+        Key::from_bits_truncated(group.virtual_key().bits() | (bits & free), width())
+    }
+
     fn pick<T: Copy>(items: impl ExactSizeIterator<Item = T>, arg: u64) -> Option<T> {
         let mut items = items;
         let n = items.len();
         (n > 0).then(|| items.nth(arg as usize % n).unwrap())
     }
 
+    /// A list's live members, its slack within the compaction bound.
+    fn live(members: &Members) -> Vec<u64> {
+        assert!(
+            members.dead < COMPACT_MIN_DEAD || members.dead <= members.len(),
+            "{} tombstones beside {} live members",
+            members.dead,
+            members.len()
+        );
+        members.iter().collect()
+    }
+
     fn assert_same(dp: &DataPlane, reference: &RefDataPlane) {
         assert_eq!(dp.ledgers.len(), reference.ledgers.len(), "ledger count");
         for (group, r) in &reference.ledgers {
             let l = dp.ledger(*group).unwrap_or_else(|| panic!("{group} lost"));
-            assert_eq!(
-                l.sources.as_slice(),
-                r.sources.as_slice(),
-                "{group} sources"
-            );
-            assert_eq!(
-                l.queries.as_slice(),
-                r.queries.as_slice(),
-                "{group} queries"
-            );
+            assert_eq!(live(&l.sources), r.sources, "{group} sources");
+            assert_eq!(live(&l.queries), r.queries, "{group} queries");
+            assert_eq!(l.sources.len(), r.sources.len(), "{group} source count");
+            assert_eq!(l.queries.len(), r.queries.len(), "{group} query count");
+            let payload = dp.replica_payload(*group, owner());
+            assert_eq!(*payload.sources, r.sources, "{group} replica sources");
+            assert_eq!(*payload.queries, r.queries, "{group} replica queries");
             assert_eq!(l.rate.to_bits(), r.rate.to_bits(), "{group} rate");
         }
         assert_eq!(dp.sources.len(), reference.sources.len(), "source count");
@@ -616,8 +811,10 @@ mod tests {
                 .sources
                 .get(id)
                 .unwrap_or_else(|| panic!("source {id} lost"));
-            assert_eq!((s.key, s.group), (r.key, r.group), "source {id}");
+            assert_eq!((s.key(), s.group), (r.key, r.group), "source {id}");
             assert_eq!(s.rate.to_bits(), r.rate.to_bits(), "source {id} rate");
+            let at = dp.ledgers[&s.group].sources.at(s.slot);
+            assert_eq!(at, Some(id), "source {id} is not at its slot {}", s.slot);
         }
         assert_eq!(dp.queries.len(), reference.queries.len(), "query count");
         for (&id, r) in &reference.queries {
@@ -625,7 +822,9 @@ mod tests {
                 .queries
                 .get(id)
                 .unwrap_or_else(|| panic!("query {id} lost"));
-            assert_eq!((q.key, q.group), (r.key, r.group), "query {id}");
+            assert_eq!((q.key(), q.group), (r.key, r.group), "query {id}");
+            let at = dp.ledgers[&q.group].queries.at(q.slot);
+            assert_eq!(at, Some(id), "query {id} is not at its slot {}", q.slot);
         }
     }
 
@@ -646,12 +845,50 @@ mod tests {
         assert_eq!(std::mem::take(touched), expected, "deferred push order");
     }
 
+    #[test]
+    fn member_records_keep_their_size() {
+        assert_eq!(std::mem::size_of::<SourceRec>(), 40);
+        assert_eq!(std::mem::size_of::<QueryRec>(), 32);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
+        fn members_match_order_preserving_remove(
+            ops in prop::collection::vec((0u8..3, 0u64..u64::MAX), 1..400),
+        ) {
+            let mut members = Members::default();
+            let mut expected: Vec<u64> = Vec::new();
+            let mut slots: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut next_id = 0u64;
+            for (op, arg) in ops {
+                if op == 0 || expected.is_empty() {
+                    slots.insert(next_id, members.push(next_id));
+                    expected.push(next_id);
+                    next_id += 1;
+                } else {
+                    // Two exits per entry: the list keeps crossing the
+                    // compaction threshold.
+                    let id = expected[arg as usize % expected.len()];
+                    remove_member(&mut expected, id);
+                    let slot = slots.remove(&id).unwrap();
+                    members.remove(slot, id, |moved, slot| {
+                        *slots.get_mut(&moved).expect("a survivor has a slot") = slot;
+                    });
+                }
+                prop_assert_eq!(live(&members), expected.clone());
+                prop_assert_eq!(members.len(), expected.len());
+                prop_assert_eq!(&*members.snapshot(), &expected);
+                for (&id, &slot) in &slots {
+                    prop_assert_eq!(members.at(slot), Some(id));
+                }
+            }
+        }
+
+        #[test]
         fn hashed_data_plane_matches_ordered_reference(
-            ops in prop::collection::vec((0u8..12, 0u64..u64::MAX, 0u64..u64::MAX), 1..160),
+            ops in prop::collection::vec((0u8..13, 0u64..u64::MAX, 0u64..u64::MAX), 1..160),
         ) {
             let mut dp = DataPlane::default();
             let mut reference = RefDataPlane::default();
@@ -768,7 +1005,7 @@ mod tests {
                                 v.iter().enumerate().filter(|&(i, _)| Some(i) != skip).map(|(_, &x)| x).chain([u64::MAX]).collect()
                             };
                             ReplicaRecord {
-                                owner: ServerId::new(1, crate::config::ClashConfig::small_test().hash_space),
+                                owner: owner(),
                                 sources: Arc::new(drop_one(&l.sources)),
                                 queries: Arc::new(drop_one(&l.queries)),
                             }
@@ -784,6 +1021,35 @@ mod tests {
                             let group = pick(cover.iter().copied(), a >> shift).unwrap();
                             dp.queue_push(group, &mut touched);
                             reference.touched.insert(group);
+                        }
+                    }
+                    12 => {
+                        // Churns one group past the compaction threshold:
+                        // a burst of attaches, then each of the group's
+                        // sources stays, leaves, or changes key within the
+                        // group (re-joining at the end), as `b` draws.
+                        let group = pick(cover.iter().copied(), a).unwrap();
+                        let burst = 2 * COMPACT_MIN_DEAD as u64 + a % 32;
+                        for i in 0..burst {
+                            let key = key_in(group, b.rotate_left(i as u32));
+                            dp.attach_source(next_id, key, rate, group);
+                            reference.attach_source(next_id, key, rate, group);
+                            next_id += 1;
+                        }
+                        let members = reference.ledgers[&group].sources.clone();
+                        for (i, id) in members.into_iter().enumerate() {
+                            let draw = (b ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                            match draw % 8 {
+                                0 | 1 => {}
+                                2 => {
+                                    let key = key_in(group, draw >> 3);
+                                    let (left, _) = dp.unlink_source(id).unwrap();
+                                    prop_assert_eq!(Some(left), reference.detach_source(id));
+                                    dp.relink_source(id, key, rate, group);
+                                    reference.attach_source(id, key, rate, group);
+                                }
+                                _ => prop_assert_eq!(dp.detach_source(id), reference.detach_source(id)),
+                            }
                         }
                     }
                     _ => close_window(&mut dp, &mut reference, &mut touched),

@@ -390,7 +390,8 @@ impl ClashCluster {
     /// # Errors
     ///
     /// Returns [`ClashError::InvalidConfig`] if the source id is already
-    /// attached; propagates locate errors.
+    /// attached or is `u64::MAX` (reserved; every other id is
+    /// attachable); propagates locate errors.
     pub fn attach_source(
         &mut self,
         source_id: u64,
@@ -412,10 +413,8 @@ impl ClashCluster {
         rate: f64,
         hint: Option<u32>,
     ) -> Result<Placement, ClashError> {
-        if self.data.sources.contains_key(source_id) {
-            return Err(ClashError::InvalidConfig {
-                reason: "source id already attached",
-            });
+        if let Some(reason) = self.data.source_refusal(source_id) {
+            return Err(ClashError::InvalidConfig { reason });
         }
         let placement = self.locate_hinted(key, hint)?;
         self.data
@@ -522,12 +521,11 @@ impl ClashCluster {
     /// # Errors
     ///
     /// Returns [`ClashError::InvalidConfig`] if the query id is already
-    /// attached; propagates locate errors.
+    /// attached or is `u64::MAX` (reserved; every other id is
+    /// attachable); propagates locate errors.
     pub fn attach_query(&mut self, query_id: u64, key: Key) -> Result<Placement, ClashError> {
-        if self.data.queries.contains_key(query_id) {
-            return Err(ClashError::InvalidConfig {
-                reason: "query id already attached",
-            });
+        if let Some(reason) = self.data.query_refusal(query_id) {
+            return Err(ClashError::InvalidConfig { reason });
         }
         let placement = self.locate(key)?;
         self.data.attach_query(query_id, key, placement.group);

@@ -83,6 +83,50 @@ fn duplicate_source_id_rejected() {
 }
 
 #[test]
+fn reserved_client_id_rejected() {
+    let mut c = cluster(8);
+    let refused =
+        |r: Result<Placement, ClashError>| matches!(r, Err(ClashError::InvalidConfig { .. }));
+    assert!(refused(c.attach_source(u64::MAX, key(3), 1.0)));
+    assert!(refused(c.attach_query(u64::MAX, key(3))));
+    assert_eq!((c.source_count(), c.query_count()), (0, 0));
+    c.attach_source(u64::MAX - 1, key(3), 1.0).unwrap();
+    c.attach_query(u64::MAX - 1, key(3)).unwrap();
+    c.detach_source(u64::MAX - 1).unwrap();
+    c.flush_batch().unwrap();
+    c.verify_consistency();
+}
+
+#[test]
+fn group_moves_count_live_members_only() {
+    let mut c = cluster(8);
+    // One group, half of whose members have left (too few exits for the
+    // member lists to compact).
+    let p = c.attach_source(0, key(0), 0.1).unwrap();
+    for i in 1..20 {
+        c.attach_source(i, key(i), 0.1).unwrap();
+    }
+    for q in 0..4 {
+        c.attach_query(100 + q, key(q)).unwrap();
+    }
+    for i in (0..20).step_by(2) {
+        c.detach_source(i).unwrap();
+    }
+    c.detach_query(100).unwrap();
+    c.flush_batch().unwrap();
+    let before = c.message_stats();
+    c.fail_server(p.server).unwrap();
+    c.flush_batch().unwrap();
+    let after = c.message_stats();
+    assert_eq!(after.redirect_messages - before.redirect_messages, 10);
+    assert_eq!(
+        after.state_transfer_messages - before.state_transfer_messages,
+        3
+    );
+    c.verify_consistency();
+}
+
+#[test]
 fn overload_triggers_split_and_redistribution() {
     let mut c = cluster(8);
     // Pour 200 units of rate into one group (capacity 100, overload 90).

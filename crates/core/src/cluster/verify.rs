@@ -6,6 +6,7 @@
 use clash_keyspace::cover::{PrefixCover, PrefixMap};
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
+use clash_simkernel::collections::DetHashMap;
 
 use super::ClashCluster;
 use crate::ServerId;
@@ -225,14 +226,28 @@ impl ClashCluster {
                 "active groups (plus deferred recoveries) do not partition the key space"
             );
         }
-        // 4. Ledger membership matches member records.
-        for (group, ledger) in &self.data.ledgers {
-            for &sid in ledger.sources.iter() {
-                assert_eq!(self.data.sources.get(sid).map(|r| r.group), Some(*group));
-            }
-            for &qid in ledger.queries.iter() {
-                assert_eq!(self.data.queries.get(qid).map(|r| r.group), Some(*group));
-            }
+        // 4. Ledger membership matches member records both ways: every
+        // record sits on its group's ledger at its slot, and each ledger
+        // holds as many live members as records name its group — so no
+        // ledger lists a member twice or one whose record points elsewhere.
+        let data = &self.data;
+        let mut records: DetHashMap<Prefix, (usize, usize)> = DetHashMap::default();
+        for (&sid, rec) in data.sources.iter() {
+            let at = data.ledger(rec.group).and_then(|l| l.sources.at(rec.slot));
+            assert_eq!(at, Some(sid), "source {sid} is not on {}", rec.group);
+            records.entry(rec.group).or_default().0 += 1;
+        }
+        for (&qid, rec) in data.queries.iter() {
+            let at = data.ledger(rec.group).and_then(|l| l.queries.at(rec.slot));
+            assert_eq!(at, Some(qid), "query {qid} is not on {}", rec.group);
+            records.entry(rec.group).or_default().1 += 1;
+        }
+        for (group, ledger) in &data.ledgers {
+            assert_eq!(
+                (ledger.sources.len(), ledger.queries.len()),
+                records.get(group).copied().unwrap_or_default(),
+                "{group}'s ledger and its member records disagree"
+            );
         }
         // 5. Every table entry sits on its group's current Map() owner —
         // the placement invariant that membership handoffs (join/leave)
@@ -289,19 +304,11 @@ impl ClashCluster {
                         .held(group)
                         .unwrap_or_else(|| panic!("{holder} lost its replica of {group}"));
                     assert_eq!(rec.owner, owner, "replica of {group} names a stale owner");
-                    let (sources, queries) = ledger
-                        .map(|l| (l.sources.as_slice(), l.queries.as_slice()))
-                        .unwrap_or((&[], &[]));
-                    assert_eq!(
-                        rec.sources.as_slice(),
-                        sources,
-                        "stale replica ledger for {group}"
-                    );
-                    assert_eq!(
-                        rec.queries.as_slice(),
-                        queries,
-                        "stale replica ledger for {group}"
-                    );
+                    let (sources, queries): (Vec<u64>, Vec<u64>) = ledger
+                        .map(|l| (l.sources.iter().collect(), l.queries.iter().collect()))
+                        .unwrap_or_default();
+                    assert_eq!(*rec.sources, sources, "stale replica ledger for {group}");
+                    assert_eq!(*rec.queries, queries, "stale replica ledger for {group}");
                 }
             }
             for server in self.servers.iter() {
