@@ -87,8 +87,8 @@ pub struct ClashConfig {
 }
 
 impl ClashConfig {
-    /// The paper's simulation configuration (§6.1), with the capacity
-    /// calibration documented in `DESIGN.md` §5.
+    /// The paper's simulation configuration (§6.1), with this
+    /// reproduction's capacity calibration.
     pub fn paper() -> Self {
         ClashConfig {
             key_width: KeyWidth::PAPER,

@@ -37,8 +37,8 @@ impl GroupLoad {
 /// query_weight · log₂(1 + queries)`.
 ///
 /// The weights are calibration constants (the paper reports only relative
-/// loads as % of capacity); `DESIGN.md` §5 records the values used for the
-/// figure reproductions.
+/// loads as % of capacity); [`ClashConfig::paper`](crate::config::ClashConfig::paper)
+/// holds the values used for the figure reproductions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryStreamLoadModel {
     /// Load units per packet/sec of data rate.

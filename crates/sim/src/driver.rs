@@ -1,9 +1,9 @@
 //! The event-driven scenario runner.
 //!
-//! Per `DESIGN.md` §2, per-packet work is aggregated analytically: a
-//! source contributes its rate to its current key group between key
-//! changes, which is exact for the paper's constant-rate sources. The
-//! discrete events are therefore only:
+//! Per-packet work is aggregated analytically: a source contributes its
+//! rate to its current key group between key changes, which is exact for
+//! the paper's constant-rate sources. The discrete events are therefore
+//! only:
 //!
 //! * **key changes** (end of a virtual stream, mean every `Ld` packets),
 //! * **query client deaths** (with immediate renewal, keeping the

@@ -1,4 +1,4 @@
-//! Ablations over the design choices `DESIGN.md` calls out:
+//! Ablations over four design choices:
 //!
 //! 1. **Split policy** — hottest-first (the paper) vs first-loaded;
 //! 2. **Initial depth** — 3 / 6 / 9 bootstrap groups;

@@ -1,8 +1,8 @@
 //! Hashed maps over the deterministic hasher ([`DetBuildHasher`]).
 //!
-//! For point lookups on hot paths — the transport's link table, the
-//! cluster's client registry and group ledgers — where an ordered map's
-//! tree walk is the cost and its order buys nothing.
+//! For point lookups on hot paths — the cluster's client registry and
+//! group ledgers — where an ordered map's tree walk is the cost and its
+//! order buys nothing.
 
 use std::collections::HashMap;
 
@@ -16,13 +16,12 @@ const SHARDS: usize = 32;
 
 /// A [`DetHashMap`] split into a fixed number of sub-maps by key bits
 /// the caller supplies. The split bounds the rehash peak: a growing map
-/// briefly holds its old and new tables, so one map of every link or
-/// every source record puts a whole second table on top of the resident
-/// set (measured: `LinkTransport`'s links `peak_rss_mb` 34.5 → 47.5 on
-/// `churn_wan_seq`; one map of `fig4_static`'s 50 000 source records
-/// +13 % in a prototype), while a sub-map doubles at 1/32 of that. Which
-/// sub-map holds a key is invisible to lookups, so the bits only have to
-/// be a pure function of the key.
+/// briefly holds its old and new tables, so one map of every source
+/// record puts a whole second table on top of the resident set
+/// (measured: one map of `fig4_static`'s 50 000 source records, +13 %
+/// `peak_rss_mb` in a prototype), while a sub-map doubles at 1/32 of
+/// that. Which sub-map holds a key is invisible to lookups, so the bits
+/// only have to be a pure function of the key.
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
     shards: Box<[DetHashMap<K, V>]>,

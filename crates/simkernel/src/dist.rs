@@ -9,6 +9,8 @@
 //!   Vose's alias method so a draw is O(1) regardless of skew.
 //! * **Zipf** — an alternative skew family used by the ablation experiments.
 
+use rand::{Rng, RngCore};
+
 use crate::rng::DetRng;
 
 /// Exponential distribution with a given mean, sampled by inverse transform.
@@ -48,10 +50,11 @@ impl Exponential {
         self.mean
     }
 
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut DetRng) -> f64 {
+    /// Draws one sample: one uniform `f64`, from a [`DetRng`] or a bare
+    /// generator alike.
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse CDF; (1 - u) avoids ln(0).
-        let u = rng.uniform_f64();
+        let u: f64 = rng.gen();
         -self.mean * (1.0 - u).ln()
     }
 }
@@ -243,6 +246,19 @@ mod tests {
         let exp = Exponential::with_mean(1.0);
         let mut r = rng();
         assert!((0..10_000).all(|_| exp.sample(&mut r) >= 0.0));
+    }
+
+    #[test]
+    fn exponential_draws_one_word_from_either_generator() {
+        // A bare generator resumed from a `DetRng` stream sees the same
+        // samples; the `DetRng` counts one draw per sample.
+        let exp = Exponential::with_mean(15.0);
+        let mut det = rng();
+        let mut bare = det.rng().clone();
+        for _ in 0..100 {
+            assert_eq!(exp.sample(&mut det), exp.sample(&mut bare));
+        }
+        assert_eq!(det.draw_count(), 101);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   queue breaks ties by insertion sequence, and all randomness flows from
 //!   [`rng::DetRng`] substreams derived by label.
 //! * **Speed** — the CLASH experiments aggregate per-packet work analytically
-//!   (see `DESIGN.md` §2), so the kernel optimizes for millions of small
-//!   events (key changes, query churn, load checks), not for generality.
+//!   (the `clash-sim` driver's module doc says how), so the kernel optimizes
+//!   for millions of small events (key changes, query churn, load checks),
+//!   not for generality.
 //! * **No global state** — a [`event::EventQueue`] is an ordinary value; the
 //!   driving loop is owned by the caller, which keeps borrows simple.
 //!

@@ -6,8 +6,11 @@
 //! components — a property the regression tests on the figure experiments
 //! rely on.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+// The generator every `DetRng` wraps and the traits samplers take,
+// re-exported so crates that store bare generators (the transport's link
+// table) draw through the same `rand` as everything else.
+pub use rand::rngs::SmallRng;
+pub use rand::{Rng, RngCore, SeedableRng};
 
 /// SplitMix64 step: advances the state and returns the next 64-bit output.
 ///
@@ -75,6 +78,13 @@ pub fn derive_seed(root: u64, label: &str) -> u64 {
         h = splitmix64_mix(h ^ u64::from(b).wrapping_mul(0x1000_0000_01B3));
     }
     h
+}
+
+/// The seed of stream `index` under a label whose [`derive_seed`] is
+/// `label_seed` — what [`DetRng::substream_indexed`] seeds, for callers
+/// that fork many indexed streams of one label and derive the label once.
+pub fn indexed_seed(label_seed: u64, index: u64) -> u64 {
+    splitmix64_mix(label_seed ^ index)
 }
 
 /// A deterministic random number generator with labelled substreams.
@@ -149,7 +159,7 @@ impl DetRng {
     /// Forks an independent substream identified by a label and an index
     /// (e.g. one stream per client).
     pub fn substream_indexed(&self, label: &str, index: u64) -> DetRng {
-        DetRng::new(splitmix64_mix(derive_seed(self.seed, label) ^ index))
+        DetRng::new(indexed_seed(derive_seed(self.seed, label), index))
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -194,7 +204,16 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.draws += 1;
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        self.inner.gen::<f64>() < p
+        self.inner.gen_bool(p)
+    }
+}
+
+/// A `DetRng` is a [`RngCore`], so samplers generic over one
+/// ([`Exponential`](crate::dist::Exponential)) take it or a bare
+/// [`SmallRng`] alike. Each word drawn counts one draw.
+impl RngCore for DetRng {
+    fn next_u64(&mut self) -> u64 {
+        DetRng::next_u64(self)
     }
 }
 
@@ -248,6 +267,17 @@ mod tests {
         let mut a = root.substream_indexed("client", 0);
         let mut b = root.substream_indexed("client", 1);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn indexed_substream_is_seeded_by_indexed_seed() {
+        let root = DetRng::new(5);
+        let label_seed = root.substream("link").seed();
+        for index in [0, 1, u64::MAX] {
+            let mut a = root.substream_indexed("link", index);
+            let mut b = SmallRng::seed_from_u64(indexed_seed(label_seed, index));
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Messages are logically synchronous RPCs: the *cluster* stays in charge
 //! of protocol state, the transport decides "how long did this take, and
 //! did it get through?". That keeps the harness's analytic-aggregation
-//! design (`DESIGN.md` §2) while making locate latency CDFs, retry
+//! design (the `clash-sim` driver's module doc) while making locate latency CDFs, retry
 //! overhead and partition behavior measurable — see the `netfault`
 //! experiment in `clash-sim`.
 

@@ -2,20 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use clash_simkernel::collections::ShardedMap;
-use clash_simkernel::rng::{splitmix64_mix, DetRng};
+use clash_simkernel::rng::{indexed_seed, splitmix64_mix, DetRng, Rng, SeedableRng, SmallRng};
 use clash_simkernel::time::SimDuration;
 
 use crate::policy::LinkPolicy;
 use crate::{Delivery, MessageClass, NodeAddr, SendSpec, Transport, TransportStats};
-
-/// Lazily created per-directed-link state: an independent RNG substream
-/// plus the link's sampled base propagation delay.
-#[derive(Debug)]
-struct LinkState {
-    rng: DetRng,
-    base: SimDuration,
-}
 
 /// The partition matrix: an assignment of nodes to islands. `None` means
 /// fully connected. Nodes not listed in any island belong to island 0.
@@ -51,6 +42,182 @@ impl PartitionMatrix {
     }
 }
 
+/// Words per link slot, `[src, dst, s0, s1, s2, s3, base_us, spare]`:
+/// the pair, the link's bare xoshiro256++ state ([`SmallRng::state`]) and
+/// its base propagation delay in µs — one 64-byte cache line.
+const SLOT_WORDS: usize = 8;
+
+/// One link's slot (layout at [`SLOT_WORDS`]).
+type Slot = [u64; SLOT_WORDS];
+
+/// Words per 64-byte cache line.
+const LINE_WORDS: usize = 64 / std::mem::size_of::<u64>();
+
+/// `log2` of the sub-tables per [`LinkTable`]; a pair's sub-table is the
+/// top bits of its [`pair_mix`], its home slot the low bits.
+const SUB_TABLE_BITS: u32 = 5;
+
+/// Slots a sub-table starts with (a power of two).
+const MIN_SLOTS: usize = 8;
+
+/// Packs a link into its slot.
+fn pack(src: NodeAddr, dst: NodeAddr, rng: &SmallRng, base: SimDuration) -> Slot {
+    let [s0, s1, s2, s3] = rng.state();
+    [src, dst, s0, s1, s2, s3, base.as_micros(), 0]
+}
+
+/// A link's generator and base delay, resumed from its slot.
+fn unpack(slot: &Slot) -> (SmallRng, SimDuration) {
+    let [_, _, s0, s1, s2, s3, base_us, _] = *slot;
+    (
+        SmallRng::from_state([s0, s1, s2, s3]),
+        SimDuration::from_micros(base_us),
+    )
+}
+
+/// One open-addressing sub-table: a power-of-two ring of line-aligned
+/// slots, probed linearly from a pair's home slot and at most 7/8 full.
+/// A slot with `src == dst` is empty — no link has equal endpoints,
+/// since a self-send returns before any link state exists — so a zeroed
+/// allocation is an empty table.
+#[derive(Debug)]
+struct SubTable {
+    /// The slots, from word `first` on. The words before it are the
+    /// lead-in skipped to start slot 0 on a line boundary.
+    words: Vec<u64>,
+    first: usize,
+    /// Slots − 1.
+    mask: usize,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl SubTable {
+    fn with_slots(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two());
+        // `vec![0; n]` allocates zeroed (calloc) memory: pages no link
+        // ever lands on stay out of the resident set.
+        let words = vec![0u64; slots * SLOT_WORDS + LINE_WORDS - 1];
+        let misaligned = words.as_ptr() as usize / std::mem::size_of::<u64>() % LINE_WORDS;
+        SubTable {
+            words,
+            first: (LINE_WORDS - misaligned) % LINE_WORDS,
+            mask: slots - 1,
+            len: 0,
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// The first word of slot `i`.
+    fn at(&self, i: usize) -> usize {
+        self.first + i * SLOT_WORDS
+    }
+
+    /// The home slot of the pair whose [`pair_mix`] is `hash`.
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & self.mask
+    }
+
+    /// The first word of the slot holding `src → dst`, or of the empty
+    /// slot where it belongs, probing on from the home slot of `hash`.
+    fn probe(&self, src: NodeAddr, dst: NodeAddr, hash: u64) -> usize {
+        let mut i = self.home(hash);
+        loop {
+            let w = self.at(i);
+            let (s, d) = (self.words[w], self.words[w + 1]);
+            if s == d || (s == src && d == dst) {
+                return w;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Doubles the slots, re-placing every link by its pair's hash.
+    fn grow(&mut self) {
+        let mut next = SubTable::with_slots(self.slots() * 2);
+        for i in 0..self.slots() {
+            let slot = &self.words[self.at(i)..self.at(i) + SLOT_WORDS];
+            let (src, dst) = (slot[0], slot[1]);
+            if src != dst {
+                let w = next.probe(src, dst, pair_mix(src, dst));
+                next.words[w..w + SLOT_WORDS].copy_from_slice(slot);
+            }
+        }
+        next.len = self.len;
+        *self = next;
+    }
+}
+
+/// Every directed link that ever carried a message: one [`Slot`] per
+/// link, so a lookup reads one cache line and hashes the pair once.
+/// Split into `2^SUB_TABLE_BITS` sub-tables, each growing on its own, to
+/// bound the rehash peak: a growing table briefly holds its old and new
+/// slots, and one table of every link put a whole second table on top
+/// of the resident set (`peak_rss_mb` 34.5 → 47.5 on `churn_wan_seq`,
+/// 27.1 → 33.3 on `storm_lossy`, measured on the hashed map this table
+/// replaced). A link's state and draws depend only on its pair, so
+/// where it sits cannot change any delivery.
+#[derive(Debug)]
+struct LinkTable {
+    subs: Box<[SubTable]>,
+}
+
+impl LinkTable {
+    fn new() -> Self {
+        LinkTable {
+            subs: (0..1 << SUB_TABLE_BITS)
+                .map(|_| SubTable::with_slots(MIN_SLOTS))
+                .collect(),
+        }
+    }
+
+    /// The sub-table of the pair whose [`pair_mix`] is `hash`.
+    fn sub_of(hash: u64) -> usize {
+        (hash >> (u64::BITS - SUB_TABLE_BITS)) as usize
+    }
+
+    /// Reads the first word of `hash`'s home slot: the line its lookup
+    /// starts on.
+    fn touch(&self, hash: u64) -> u64 {
+        let t = &self.subs[Self::sub_of(hash)];
+        t.words[t.at(t.home(hash))]
+    }
+
+    /// The slot of link `src → dst` (`hash` is its [`pair_mix`]), filled
+    /// from `make` on its first use.
+    fn slot_mut(
+        &mut self,
+        src: NodeAddr,
+        dst: NodeAddr,
+        hash: u64,
+        make: impl FnOnce() -> (SmallRng, SimDuration),
+    ) -> &mut Slot {
+        let t = &mut self.subs[Self::sub_of(hash)];
+        let mut w = t.probe(src, dst, hash);
+        if t.words[w] == t.words[w + 1] {
+            // An empty slot: the link's first use.
+            if (t.len + 1) * 8 > t.slots() * 7 {
+                t.grow();
+                w = t.probe(src, dst, hash);
+            }
+            t.len += 1;
+            let (rng, base) = make();
+            t.words[w..w + SLOT_WORDS].copy_from_slice(&pack(src, dst, &rng, base));
+        }
+        (&mut t.words[w..w + SLOT_WORDS])
+            .try_into()
+            .expect("a slot is SLOT_WORDS words")
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.subs.iter().map(|t| t.len).sum()
+    }
+}
+
 /// A deterministic transport applying one [`LinkPolicy`] to every directed
 /// link, with independent per-link randomness and a severable partition
 /// matrix.
@@ -68,28 +235,24 @@ impl PartitionMatrix {
 #[derive(Debug)]
 pub struct LinkTransport {
     policy: LinkPolicy,
-    root: DetRng,
-    /// Per-directed-link state, hashed (not ordered): looked up once
-    /// per send and never iterated, so an O(1) deterministic hash beats
-    /// the tree walk on large rings. Sharded by [`pair_mix`] to bound the
-    /// rehash peak (one map for every link measured `peak_rss_mb`
-    /// 34.5 → 47.5 on `churn_wan_seq` and 27.1 → 33.3 on `storm_lossy`,
-    /// with no time change); a link's state and draw order depend only
-    /// on its pair, so the split cannot change any delivery.
-    links: ShardedMap<(NodeAddr, NodeAddr), LinkState>,
+    /// The seed of the transport's `"link"` substreams, derived once:
+    /// link `src → dst` draws from the generator seeded
+    /// `indexed_seed(link_seed, pair_mix(src, dst))`.
+    link_seed: u64,
+    links: LinkTable,
     partition: PartitionMatrix,
     stats: TransportStats,
 }
 
-/// Sends per cache-warming window in the batch path: lookups for a
-/// window are issued back-to-back (independent loads the CPU overlaps)
+/// Sends per cache-warming window in the batch path: the window's home
+/// slots are read back-to-back (independent loads the CPU overlaps)
 /// before the window is charged, turning the per-send dependent-miss
-/// chain into memory-level-parallel misses. 64 windows × ~2 lines per
-/// link stay comfortably within L1.
+/// chain into memory-level-parallel misses. 64 lines stay well within
+/// L1.
 const WARM_WINDOW: usize = 64;
 
 /// The derived 64-bit identity of a directed link: seeds the link's RNG
-/// substream and picks the link's sub-map.
+/// substream and places the link in the [`LinkTable`].
 fn pair_mix(src: NodeAddr, dst: NodeAddr) -> u64 {
     splitmix64_mix(src.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dst)
 }
@@ -106,8 +269,11 @@ impl LinkTransport {
         policy.validate();
         LinkTransport {
             policy,
-            root: DetRng::new(seed).substream("transport"),
-            links: ShardedMap::new(),
+            link_seed: DetRng::new(seed)
+                .substream("transport")
+                .substream("link")
+                .seed(),
+            links: LinkTable::new(),
             partition: PartitionMatrix::default(),
             stats: TransportStats::default(),
         }
@@ -118,29 +284,16 @@ impl LinkTransport {
         self.policy
     }
 
-    /// Creates the per-link state for a first use: one independent RNG
-    /// substream per directed link, derived from the pair — stable no
-    /// matter in which order links first carry traffic.
-    fn make_link(policy: &LinkPolicy, root: &DetRng, pair: u64) -> LinkState {
-        let mut rng = root.substream_indexed("link", pair);
-        let base = policy.latency.sample_base(&mut rng);
-        LinkState { rng, base }
-    }
-
-    fn link_state(&mut self, src: NodeAddr, dst: NodeAddr) -> &mut LinkState {
-        let policy = self.policy;
-        let root = &self.root;
-        let pair = pair_mix(src, dst);
-        self.links
-            .shard_mut(pair)
-            .entry((src, dst))
-            .or_insert_with(|| Self::make_link(&policy, root, pair))
-    }
-
     /// The monomorphic single-send core shared by [`Transport::send`]
-    /// and [`Transport::send_batch`].
+    /// and [`Transport::send_batch`]; `hash` is the pair's [`pair_mix`].
     #[inline]
-    fn send_one(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery {
+    fn send_one(
+        &mut self,
+        src: NodeAddr,
+        dst: NodeAddr,
+        class: MessageClass,
+        hash: u64,
+    ) -> Delivery {
         if src == dst {
             // Local delivery: free, no randomness drawn.
             self.stats.messages += 1;
@@ -156,15 +309,25 @@ impl LinkTransport {
             return Delivery::Unreachable { attempts };
         }
         let policy = self.policy;
-        let link = self.link_state(src, dst);
+        let link_seed = self.link_seed;
+        // First use: one independent RNG substream per directed link,
+        // derived from the pair — stable no matter in which order links
+        // first carry traffic.
+        let slot = self.links.slot_mut(src, dst, hash, || {
+            let mut rng = SmallRng::seed_from_u64(indexed_seed(link_seed, hash));
+            let base = policy.latency.sample_base(&mut rng);
+            (rng, base)
+        });
+        let (mut rng, base) = unpack(slot);
         // Transient loss: each transmission drops independently; after
         // max_retries losses the final transmission goes through.
         let mut attempts = 1u32;
-        while attempts <= policy.max_retries && link.rng.chance(policy.drop_probability) {
+        while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
             attempts += 1;
         }
-        let latency = policy.retry_timeout * u64::from(attempts - 1)
-            + policy.latency.sample(link.base, &mut link.rng);
+        let latency =
+            policy.retry_timeout * u64::from(attempts - 1) + policy.latency.sample(base, &mut rng);
+        *slot = pack(src, dst, &rng, base);
         self.stats.messages += 1;
         self.stats.per_class[class.index()] += 1;
         self.stats.retransmissions += u64::from(attempts - 1);
@@ -175,30 +338,30 @@ impl LinkTransport {
 
 impl Transport for LinkTransport {
     fn send(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery {
-        self.send_one(src, dst, class)
+        self.send_one(src, dst, class, pair_mix(src, dst))
     }
 
-    /// Per [`WARM_WINDOW`] window, first touch every send's link entry
-    /// in a tight loop — the lookups are independent, so their cache
-    /// misses overlap — then charge the window in order against the
-    /// now-warm entries. Draw order per link and stats totals are
-    /// exactly the sequential loop's (same calls, same order). The warm
-    /// window is the transport's share of what charging probes in one
-    /// pass per flush saves over sending each on its own.
+    /// Per [`WARM_WINDOW`] window, first hash every send's pair and read
+    /// its home slot in a tight loop — the reads are independent, so
+    /// their cache misses overlap — then charge the window in order with
+    /// the hashes already computed, each lookup finding its line in L1.
+    /// Draw order per link and stats totals are exactly the sequential
+    /// loop's (same calls, same order). The warm window is the
+    /// transport's share of what charging probes in one pass per flush
+    /// saves over sending each on its own.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
+        let mut hashes = [0u64; WARM_WINDOW];
         for window in sends.chunks(WARM_WINDOW) {
-            for s in window {
+            for (s, hash) in window.iter().zip(&mut hashes) {
+                *hash = pair_mix(s.src, s.dst);
                 if s.src != s.dst {
-                    let shard = self.links.shard(pair_mix(s.src, s.dst));
-                    if let Some(l) = shard.get(&(s.src, s.dst)) {
-                        std::hint::black_box(l);
-                    }
+                    std::hint::black_box(self.links.touch(*hash));
                 }
             }
-            for s in window {
-                let d = self.send_one(s.src, s.dst, s.class);
+            for (s, &hash) in window.iter().zip(&hashes) {
+                let d = self.send_one(s.src, s.dst, s.class, hash);
                 out.push(d);
             }
         }
@@ -243,8 +406,105 @@ impl Transport for LinkTransport {
 
 #[cfg(test)]
 mod tests {
+    use clash_simkernel::collections::ShardedMap;
+    use proptest::prelude::*;
+
     use super::*;
     use crate::policy::LatencyModel;
+
+    /// The per-link state of the reference table.
+    #[derive(Debug)]
+    struct RefLinkState {
+        rng: DetRng,
+        base: SimDuration,
+    }
+
+    /// The link table [`LinkTable`] replaced, kept as the differential
+    /// reference: a sharded hashed map from `(src, dst)` to a `DetRng`
+    /// substream forked per link from the transport root, with every draw
+    /// made through the `DetRng` helpers.
+    #[derive(Debug)]
+    struct RefLinkTransport {
+        policy: LinkPolicy,
+        root: DetRng,
+        links: ShardedMap<(NodeAddr, NodeAddr), RefLinkState>,
+        partition: PartitionMatrix,
+        stats: TransportStats,
+    }
+
+    impl RefLinkTransport {
+        fn new(policy: LinkPolicy, seed: u64) -> Self {
+            RefLinkTransport {
+                policy,
+                root: DetRng::new(seed).substream("transport"),
+                links: ShardedMap::new(),
+                partition: PartitionMatrix::default(),
+                stats: TransportStats::default(),
+            }
+        }
+    }
+
+    impl Transport for RefLinkTransport {
+        fn send(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery {
+            if src == dst {
+                self.stats.messages += 1;
+                self.stats.per_class[class.index()] += 1;
+                return Delivery::Delivered {
+                    latency: SimDuration::ZERO,
+                    attempts: 1,
+                };
+            }
+            if !self.partition.connected(src, dst) {
+                self.stats.unreachable += 1;
+                return Delivery::Unreachable {
+                    attempts: self.policy.max_retries + 1,
+                };
+            }
+            let policy = self.policy;
+            let root = &self.root;
+            let pair = pair_mix(src, dst);
+            let link = self
+                .links
+                .shard_mut(pair)
+                .entry((src, dst))
+                .or_insert_with(|| {
+                    let mut rng = root.substream_indexed("link", pair);
+                    let base = policy.latency.sample_base(&mut rng);
+                    RefLinkState { rng, base }
+                });
+            let mut attempts = 1u32;
+            while attempts <= policy.max_retries && link.rng.chance(policy.drop_probability) {
+                attempts += 1;
+            }
+            let latency = policy.retry_timeout * u64::from(attempts - 1)
+                + policy.latency.sample(link.base, &mut link.rng);
+            self.stats.messages += 1;
+            self.stats.per_class[class.index()] += 1;
+            self.stats.retransmissions += u64::from(attempts - 1);
+            self.stats.total_latency_us += latency.as_micros();
+            Delivery::Delivered { latency, attempts }
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.stats
+        }
+
+        fn reset_stats(&mut self) {
+            self.stats = TransportStats::default();
+        }
+
+        fn partition(&mut self, islands: &[Vec<NodeAddr>]) {
+            self.partition.sever(islands);
+        }
+
+        fn heal(&mut self) {
+            self.partition.heal();
+        }
+
+        fn set_policy(&mut self, policy: LinkPolicy) {
+            self.policy = policy;
+        }
+    }
 
     fn drain(t: &mut LinkTransport, n: u64) -> Vec<Delivery> {
         (0..n)
@@ -281,6 +541,257 @@ mod tests {
             first, second,
             "per-link substream must be order-independent"
         );
+        // A link first used after every sub-table has doubled several
+        // times gets the base and the draws it gets on a fresh transport.
+        let lossy = LinkPolicy::lossy_wan(0.3);
+        let mut fresh = LinkTransport::new(lossy, 5);
+        let mut grown = LinkTransport::new(lossy, 5);
+        for i in 0..20_000u64 {
+            grown.send(i, i + 7, MessageClass::Probe);
+        }
+        assert!(grown.links.subs.iter().all(|t| t.slots() >= MIN_SLOTS << 4));
+        for _ in 0..50 {
+            assert_eq!(
+                fresh.send(100, 200, MessageClass::Probe),
+                grown.send(100, 200, MessageClass::Probe),
+                "a link's draws must not depend on when its table grew"
+            );
+        }
+    }
+
+    #[test]
+    fn slots_are_one_line_each() {
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+        let mut t = LinkTransport::new(LinkPolicy::wan(), 1);
+        for i in 0..5_000u64 {
+            t.send(i, i + 1, MessageClass::Probe);
+        }
+        for sub in t.links.subs.iter() {
+            assert!(sub.slots() > MIN_SLOTS, "every sub-table grew");
+            assert!(sub.at(sub.slots()) <= sub.words.len());
+            for i in 0..sub.slots() {
+                let addr = &sub.words[sub.at(i)] as *const u64 as usize;
+                assert_eq!(addr % 64, 0, "slot {i} starts mid-line");
+            }
+        }
+    }
+
+    /// Mean slots read per lookup over every stored link (1 = found in
+    /// its home slot).
+    fn mean_probes(table: &LinkTable) -> f64 {
+        let (mut probes, mut links) = (0, 0);
+        for t in table.subs.iter() {
+            for i in 0..t.slots() {
+                let (src, dst) = (t.words[t.at(i)], t.words[t.at(i) + 1]);
+                if src != dst {
+                    probes += (i.wrapping_sub(t.home(pair_mix(src, dst))) & t.mask) + 1;
+                    links += 1;
+                }
+            }
+        }
+        probes as f64 / links as f64
+    }
+
+    #[test]
+    fn fill_stays_under_seven_eighths_with_short_probes() {
+        // 200 099 pairs of small dense ids: the structured keys a weak
+        // hash would cluster worst.
+        let mut table = LinkTable::new();
+        let pairs = || (0..500u64).flat_map(|s| (0..401u64).map(move |d| (s, d)));
+        let mut n = 0;
+        for (src, dst) in pairs().filter(|(s, d)| s != d) {
+            table.slot_mut(src, dst, pair_mix(src, dst), || {
+                (SmallRng::seed_from_u64(src ^ dst), SimDuration::ZERO)
+            });
+            n += 1;
+        }
+        assert_eq!(table.len(), n);
+        for t in table.subs.iter() {
+            assert!(t.len * 8 <= t.slots() * 7, "over 7/8 full");
+            assert!(t.len * 16 > t.slots() * 7, "grew past 7/16 load");
+        }
+        // Linear probing expects ½(1 + 1/(1 − α)) reads per hit: 4.5 at
+        // the 7/8 cap, ≈ 2.6 at this fill's α ≈ 0.76.
+        let mean = mean_probes(&table);
+        assert!(mean <= 4.0, "mean probe length {mean}");
+        // Every link is found again, none re-created.
+        for (src, dst) in pairs().filter(|(s, d)| s != d) {
+            let slot = table.slot_mut(src, dst, pair_mix(src, dst), || unreachable!());
+            assert_eq!((slot[0], slot[1]), (src, dst));
+        }
+        assert_eq!(table.len(), n);
+    }
+
+    #[test]
+    fn self_and_refused_sends_create_no_slot() {
+        let mut t = LinkTransport::new(LinkPolicy::lossy_wan(0.2), 13);
+        t.partition(&[vec![1, 2], vec![3, 4]]);
+        for _ in 0..3 {
+            assert!(t.send(1, 1, MessageClass::Probe).is_delivered());
+            assert!(!t.send(1, 3, MessageClass::Probe).is_delivered());
+        }
+        let spec = |src, dst| SendSpec {
+            src,
+            dst,
+            class: MessageClass::Handoff,
+        };
+        let mut out = Vec::new();
+        t.send_batch(&[spec(5, 5), spec(4, 2), spec(0, 0)], &mut out);
+        assert_eq!(t.links.len(), 0);
+        assert_eq!(t.stats().unreachable, 4);
+        assert_eq!(t.stats().messages, 5);
+        t.send(1, 2, MessageClass::Probe);
+        assert_eq!(t.links.len(), 1);
+        t.heal();
+        t.send_batch(&[spec(1, 3), spec(1, 3), spec(3, 3)], &mut out);
+        assert_eq!(t.links.len(), 2);
+    }
+
+    /// Hot nodes of the differential run: `0..HOT`, partitioned and sent
+    /// between again and again. Cold nodes are never listed in an island.
+    const HOT: u64 = 64;
+
+    /// The `k`-th first-use pair of the differential run: even `k` two
+    /// random 64-bit ids, odd `k` a cell of a dense grid.
+    fn cold_pair(seed: u64, k: u64) -> (NodeAddr, NodeAddr) {
+        if k.is_multiple_of(2) {
+            (splitmix64_mix(seed ^ k), splitmix64_mix(!seed ^ k))
+        } else {
+            (1_000 + k / 2 % 1_000, 2_000_000 + k / 2 / 1_000)
+        }
+    }
+
+    /// Refills `sends` with `n` sends drawn from `r`: about three in four
+    /// on a fresh cold pair, the rest between hot nodes, self-sends
+    /// included.
+    fn fill(sends: &mut Vec<SendSpec>, seed: u64, mut r: u64, n: usize, cold: &mut u64) {
+        sends.clear();
+        for _ in 0..n {
+            r = splitmix64_mix(r);
+            let (src, dst) = if !r.is_multiple_of(4) {
+                *cold += 1;
+                cold_pair(seed, *cold - 1)
+            } else if r >> 60 == 0 {
+                (r >> 8 & (HOT - 1), r >> 8 & (HOT - 1))
+            } else {
+                (r >> 8 & (HOT - 1), r >> 16 & (HOT - 1))
+            };
+            let class = MessageClass::ALL[(r >> 32) as usize % MessageClass::ALL.len()];
+            sends.push(SendSpec { src, dst, class });
+        }
+    }
+
+    fn policy_of(r: u64) -> LinkPolicy {
+        match r % 6 {
+            0 => LinkPolicy::wan(),
+            1 => LinkPolicy::lossy_wan(0.3),
+            2 => LinkPolicy::lan(),
+            3 => LinkPolicy::instant(),
+            4 => LinkPolicy {
+                latency: LatencyModel::Constant(SimDuration::from_millis(3)),
+                drop_probability: 0.6,
+                retry_timeout: SimDuration::from_millis(50),
+                max_retries: 7,
+            },
+            _ => LinkPolicy {
+                latency: LatencyModel::Wan {
+                    base_lo: SimDuration::from_millis(1),
+                    base_hi: SimDuration::from_millis(900),
+                    jitter_mean: SimDuration::ZERO,
+                },
+                ..LinkPolicy::lossy_wan(0.05)
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The line-aligned table against the sharded-map reference it
+        /// replaced: random interleavings of `send`, `send_batch`,
+        /// `partition`, `heal` and `set_policy` over at least 100 000
+        /// first-use pairs (every sub-table doubles at least eight
+        /// times), with equal deliveries and stats after every call, equal
+        /// link counts, and equal draws on later traffic over the links.
+        #[test]
+        fn link_table_matches_sharded_reference(
+            seed in any::<u64>(),
+            ops in prop::collection::vec((0u8..13, any::<u64>()), 40..64),
+        ) {
+            let policy = policy_of(seed);
+            let mut table = LinkTransport::new(policy, seed);
+            let mut reference = RefLinkTransport::new(policy, seed);
+            let mut cold = 0u64;
+            let mut sends = Vec::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (op, r) in ops {
+                match op {
+                    0..=7 => {
+                        fill(&mut sends, seed, r, 1 + r as usize % 4096, &mut cold);
+                        table.send_batch(&sends, &mut got);
+                        reference.send_batch(&sends, &mut want);
+                        prop_assert_eq!(&got, &want);
+                    }
+                    8 | 9 => {
+                        fill(&mut sends, seed, r, 256, &mut cold);
+                        for s in &sends {
+                            prop_assert_eq!(
+                                table.send(s.src, s.dst, s.class),
+                                reference.send(s.src, s.dst, s.class)
+                            );
+                        }
+                    }
+                    10 => {
+                        let mut islands = vec![Vec::new(); 4];
+                        for node in 0..HOT {
+                            islands[(r >> (node % 32 * 2) & 3) as usize].push(node);
+                        }
+                        table.partition(&islands);
+                        reference.partition(&islands);
+                    }
+                    11 => {
+                        table.heal();
+                        reference.heal();
+                    }
+                    _ => {
+                        table.set_policy(policy_of(r));
+                        reference.set_policy(policy_of(r));
+                    }
+                }
+                prop_assert_eq!(table.stats(), reference.stats());
+            }
+            let mut r = seed;
+            while cold < 100_000 {
+                r = splitmix64_mix(r);
+                fill(&mut sends, seed, r, 4096, &mut cold);
+                table.send_batch(&sends, &mut got);
+                reference.send_batch(&sends, &mut want);
+                prop_assert_eq!(&got, &want);
+            }
+            prop_assert_eq!(table.stats(), reference.stats());
+            prop_assert_eq!(table.links.len(), reference.links.len());
+            prop_assert!(table.links.len() as u64 >= cold);
+            // Later traffic on every hot link and every seventh cold one.
+            table.heal();
+            reference.heal();
+            table.set_policy(LinkPolicy::lossy_wan(0.3));
+            reference.set_policy(LinkPolicy::lossy_wan(0.3));
+            sends.clear();
+            for k in (0..cold).step_by(7) {
+                let (src, dst) = cold_pair(seed, k);
+                sends.push(SendSpec { src, dst, class: MessageClass::Probe });
+            }
+            for src in 0..HOT {
+                for dst in 0..HOT {
+                    sends.push(SendSpec { src, dst, class: MessageClass::Probe });
+                }
+            }
+            table.send_batch(&sends, &mut got);
+            reference.send_batch(&sends, &mut want);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(table.stats(), reference.stats());
+            prop_assert_eq!(table.links.len(), reference.links.len());
+        }
     }
 
     #[test]

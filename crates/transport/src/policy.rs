@@ -2,7 +2,7 @@
 //! network.
 
 use clash_simkernel::dist::Exponential;
-use clash_simkernel::rng::DetRng;
+use clash_simkernel::rng::{Rng, RngCore};
 use clash_simkernel::time::SimDuration;
 
 /// How per-message latency is generated on a link.
@@ -39,7 +39,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Samples the per-link base delay (drawn once per link).
-    pub(crate) fn sample_base(&self, rng: &mut DetRng) -> SimDuration {
+    pub(crate) fn sample_base<R: RngCore>(&self, rng: &mut R) -> SimDuration {
         match *self {
             LatencyModel::Zero | LatencyModel::Constant(_) | LatencyModel::Uniform { .. } => {
                 SimDuration::ZERO
@@ -51,7 +51,7 @@ impl LatencyModel {
                 let extra = if span == 0 {
                     0
                 } else {
-                    rng.uniform_u64(span + 1)
+                    rng.gen_range(0..span + 1)
                 };
                 SimDuration::from_micros(base_lo.as_micros() + extra)
             }
@@ -59,7 +59,7 @@ impl LatencyModel {
     }
 
     /// Samples the per-message delay on top of `base`.
-    pub(crate) fn sample(&self, base: SimDuration, rng: &mut DetRng) -> SimDuration {
+    pub(crate) fn sample<R: RngCore>(&self, base: SimDuration, rng: &mut R) -> SimDuration {
         match *self {
             LatencyModel::Zero => SimDuration::ZERO,
             LatencyModel::Constant(d) => d,
@@ -68,7 +68,7 @@ impl LatencyModel {
                 let extra = if span == 0 {
                     0
                 } else {
-                    rng.uniform_u64(span + 1)
+                    rng.gen_range(0..span + 1)
                 };
                 SimDuration::from_micros(lo.as_micros() + extra)
             }
@@ -194,6 +194,8 @@ impl LinkPolicy {
 
 #[cfg(test)]
 mod tests {
+    use clash_simkernel::rng::DetRng;
+
     use super::*;
 
     #[test]

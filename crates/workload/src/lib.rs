@@ -17,7 +17,7 @@
 //! stochastic models ([`source`]), and the end-to-end scenario
 //! descriptions ([`scenario`]) consumed by the `clash-sim` experiment
 //! drivers. The absolute calibration constants (spike masses, bump
-//! widths) are documented in `DESIGN.md` §5; they are chosen so the
+//! widths) live in [`skew`]; they are chosen so the
 //! non-adaptive `DHT(6)` baseline peaks near the paper's ~25× capacity
 //! under workload C.
 //!

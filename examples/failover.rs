@@ -4,7 +4,7 @@
 //!
 //! (The paper leaves fault handling to the DHT layer's replication; this
 //! example exercises the crash-recovery extension documented in
-//! DESIGN.md §7.)
+//! docs/ARCHITECTURE.md § Membership.)
 //!
 //! Run with: `cargo run --release --example failover`
 

@@ -1,7 +1,8 @@
 //! Churn stress: membership changes *while* the workload runs and the
 //! protocol keeps every invariant. (The paper fixes membership during
 //! its experiments; this exercises the crash-recovery extension of
-//! DESIGN.md §7 and the live join/drain subsystem under sustained load.)
+//! docs/ARCHITECTURE.md § Membership and the live join/drain subsystem
+//! under sustained load.)
 
 use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
