@@ -129,6 +129,12 @@ impl ServerArena {
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut ClashServer> + '_ {
         self.slots.iter_mut().flatten()
     }
+
+    /// Shared [`ServerArena::iter_mut`]: live servers in slot order, for
+    /// scans whose result does not depend on visiting order.
+    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = &ClashServer> + '_ {
+        self.slots.iter().flatten()
+    }
 }
 
 impl Default for ServerArena {
@@ -183,5 +189,8 @@ mod tests {
         assert_eq!(slots_before, 4);
         let order: Vec<u64> = a.iter().map(|s| s.id().value()).collect();
         assert_eq!(order, vec![1, 2, 4, 9]);
+        // Slot order: 2 took the slot 7 left.
+        let slots: Vec<u64> = a.iter_slots().map(|s| s.id().value()).collect();
+        assert_eq!(slots, vec![9, 1, 2, 4]);
     }
 }

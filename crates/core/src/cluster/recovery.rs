@@ -366,11 +366,13 @@ impl ClashCluster {
         // server that actively held the group. The owner filter is what
         // makes stale records (a split's invalidation deferred behind a
         // partition, a handoff's old copies) unpromotable: their owner is
-        // never the crashed active holder.
+        // never the crashed active holder. Ring distances from the dead
+        // owner are distinct, so the sort fixes the order whatever order
+        // the slots are visited in.
         let mask = self.config.hash_space.mask();
         let mut candidates: Vec<ServerId> = self
             .servers
-            .iter()
+            .iter_slots()
             .filter(|s| {
                 s.replica_store()
                     .held(group)

@@ -63,7 +63,9 @@ impl ClashCluster {
             .net
             .alive_successors(owner, self.config.replication_factor);
         let desired_len = desired.len();
-        let payload = self.data.replica_payload(group, owner);
+        // Built at the first seed: most calls seed nobody, and nothing in
+        // the loop touches the ledger, so every holder gets the same copy.
+        let mut payload = None;
         let mut placed = Vec::with_capacity(desired.len());
         for holder in desired {
             let already = previous.contains(&holder)
@@ -77,10 +79,13 @@ impl ClashCluster {
                 continue;
             }
             if self.wire.replica_round_trip(owner, holder) {
+                let record = payload
+                    .get_or_insert_with(|| self.data.replica_payload(group, owner))
+                    .clone();
                 self.servers
                     .live_mut(holder.value())
                     .replica_store_mut()
-                    .store(group, payload.clone());
+                    .store(group, record);
                 placed.push(holder);
             }
         }

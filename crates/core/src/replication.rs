@@ -21,10 +21,21 @@
 //! Both structures are plain data; all message movement (and its
 //! accounting) lives in `ClashCluster`, keeping the server I/O-free like
 //! the rest of the protocol state.
+//!
+//! **Layout.** Each structure is one `Vec<(Prefix, V)>` kept sorted by
+//! [`Prefix`]'s `Ord` — binary-string order, which is exactly a pre-order
+//! walk of the binary trie, so every iteration visits groups in the order
+//! a `PrefixMap` would. Nothing here needs a prefix operation (no longest
+//! match, no range query): a lookup is a binary search over a few
+//! contiguous entries, an update an in-place overwrite, insert or remove,
+//! and the lease-expiry walk that every departure runs over every server
+//! is one `retain` per store instead of a descent through one heap node
+//! per key bit. A store holds a handful of groups (about `r × groups /
+//! servers`), so the shifts an insert or remove costs stay within a line
+//! or two.
 
 use std::sync::Arc;
 
-use clash_keyspace::cover::PrefixMap;
 use clash_keyspace::key::KeyWidth;
 use clash_keyspace::prefix::Prefix;
 
@@ -42,29 +53,72 @@ pub struct ReplicaRecord {
     /// crashed server that actively held the group — a stale record left
     /// behind by a deferred invalidation can never be promoted.
     pub owner: ServerId,
-    /// Source ids attached to the group. Shared-snapshot semantics: the
-    /// owner's write-through hands every holder the same `Arc`, so
-    /// seeding `r` replicas never deep-clones the ledger (the ledger
-    /// copies-on-write at its next mutation instead).
+    /// Source ids attached to the group, live members in ledger order.
+    /// While the group's member list holds no tombstone this is the
+    /// list's own shared `Arc`, so seeding `r` holders never deep-clones
+    /// the ledger (the ledger copies-on-write at its next mutation); a
+    /// payload taken while the list holds a tombstone is a fresh copy of
+    /// the live members, shared by every holder seeded from it.
     pub sources: Arc<Vec<u64>>,
-    /// Continuous-query ids attached to the group (same sharing).
+    /// Continuous-query ids attached to the group (same sharing rule).
     pub queries: Arc<Vec<u64>>,
+}
+
+/// Groups of one key width mapped to `V`, as a vector sorted by group.
+#[derive(Debug, Clone)]
+struct SortedGroups<V> {
+    width: KeyWidth,
+    entries: Vec<(Prefix, V)>,
+}
+
+impl<V> SortedGroups<V> {
+    fn new(width: KeyWidth) -> Self {
+        SortedGroups {
+            width,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Where `group` sits: `Ok` at its entry, `Err` where it would go.
+    fn find(&self, group: Prefix) -> Result<usize, usize> {
+        assert_eq!(group.width(), self.width, "prefix width mismatch");
+        self.entries.binary_search_by(|(g, _)| g.cmp(&group))
+    }
+
+    fn get(&self, group: Prefix) -> Option<&V> {
+        self.find(group).ok().map(|at| &self.entries[at].1)
+    }
+
+    fn insert(&mut self, group: Prefix, value: V) {
+        match self.find(group) {
+            Ok(at) => self.entries[at].1 = value,
+            Err(at) => self.entries.insert(at, (group, value)),
+        }
+    }
+
+    fn remove(&mut self, group: Prefix) -> Option<V> {
+        self.find(group).ok().map(|at| self.entries.remove(at).1)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        self.entries.iter().map(|(g, v)| (*g, v))
+    }
 }
 
 /// A server's replication state: replicas held for peers, plus the
 /// placement registry for its own groups (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReplicaStore {
-    held: PrefixMap<ReplicaRecord>,
-    placed: PrefixMap<Vec<ServerId>>,
+    held: SortedGroups<ReplicaRecord>,
+    placed: SortedGroups<Vec<ServerId>>,
 }
 
 impl ReplicaStore {
     /// Creates an empty store for groups of `width`-bit keys.
     pub fn new(width: KeyWidth) -> Self {
         ReplicaStore {
-            held: PrefixMap::new(width),
-            placed: PrefixMap::new(width),
+            held: SortedGroups::new(width),
+            placed: SortedGroups::new(width),
         }
     }
 
@@ -87,7 +141,7 @@ impl ReplicaStore {
 
     /// Number of replicas held for peers.
     pub fn held_count(&self) -> usize {
-        self.held.len()
+        self.held.entries.len()
     }
 
     /// Groups whose held replica names `owner` as its owner.
@@ -107,19 +161,9 @@ impl ReplicaStore {
     /// Drops held replicas failing `keep(group, owner)` — the local lease
     /// expiry run during periodic maintenance. Returns how many expired.
     pub fn expire_held<F: Fn(Prefix, ServerId) -> bool>(&mut self, keep: F) -> usize {
-        if self.held.is_empty() {
-            return 0;
-        }
-        let stale: Vec<Prefix> = self
-            .held
-            .iter()
-            .filter(|(g, r)| !keep(*g, r.owner))
-            .map(|(g, _)| g)
-            .collect();
-        for g in &stale {
-            self.held.remove(*g);
-        }
-        stale.len()
+        let before = self.held.entries.len();
+        self.held.entries.retain(|(g, r)| keep(*g, r.owner));
+        before - self.held.entries.len()
     }
 
     // ----- placement registry (this server as an owner) ----------------
@@ -145,14 +189,100 @@ impl ReplicaStore {
 
     /// Groups this owner currently has replicas placed for.
     pub fn placed_groups(&self) -> Vec<Prefix> {
-        self.placed.prefixes().collect()
+        self.placed.iter().map(|(g, _)| g).collect()
+    }
+}
+
+/// The trie-backed store the sorted vectors replaced, kept as the
+/// differential reference: one `PrefixMap` per structure.
+#[cfg(test)]
+mod reference {
+    use clash_keyspace::cover::PrefixMap;
+
+    use super::*;
+
+    pub(super) struct TrieReplicaStore {
+        held: PrefixMap<ReplicaRecord>,
+        placed: PrefixMap<Vec<ServerId>>,
+    }
+
+    impl TrieReplicaStore {
+        pub(super) fn new(width: KeyWidth) -> Self {
+            TrieReplicaStore {
+                held: PrefixMap::new(width),
+                placed: PrefixMap::new(width),
+            }
+        }
+
+        pub(super) fn held(&self, group: Prefix) -> Option<&ReplicaRecord> {
+            self.held.get(group)
+        }
+
+        pub(super) fn store(&mut self, group: Prefix, record: ReplicaRecord) {
+            self.held.insert(group, record);
+        }
+
+        pub(super) fn drop_held(&mut self, group: Prefix) -> Option<ReplicaRecord> {
+            self.held.remove(group)
+        }
+
+        pub(super) fn held_count(&self) -> usize {
+            self.held.len()
+        }
+
+        pub(super) fn held_owned_by(&self, owner: ServerId) -> Vec<Prefix> {
+            self.held
+                .iter()
+                .filter(|(_, r)| r.owner == owner)
+                .map(|(g, _)| g)
+                .collect()
+        }
+
+        pub(super) fn held_owners(&self) -> Vec<(Prefix, ServerId)> {
+            self.held.iter().map(|(g, r)| (g, r.owner)).collect()
+        }
+
+        pub(super) fn expire_held<F: Fn(Prefix, ServerId) -> bool>(&mut self, keep: F) -> usize {
+            let stale: Vec<Prefix> = self
+                .held
+                .iter()
+                .filter(|(g, r)| !keep(*g, r.owner))
+                .map(|(g, _)| g)
+                .collect();
+            for g in &stale {
+                self.held.remove(*g);
+            }
+            stale.len()
+        }
+
+        pub(super) fn placed(&self, group: Prefix) -> &[ServerId] {
+            self.placed.get(group).map(Vec::as_slice).unwrap_or(&[])
+        }
+
+        pub(super) fn set_placed(&mut self, group: Prefix, holders: Vec<ServerId>) {
+            if holders.is_empty() {
+                self.placed.remove(group);
+            } else {
+                self.placed.insert(group, holders);
+            }
+        }
+
+        pub(super) fn take_placed(&mut self, group: Prefix) -> Vec<ServerId> {
+            self.placed.remove(group).unwrap_or_default()
+        }
+
+        pub(super) fn placed_groups(&self) -> Vec<Prefix> {
+            self.placed.prefixes().collect()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::TrieReplicaStore;
     use super::*;
     use clash_keyspace::hash::HashSpace;
+    use proptest::prelude::*;
 
     fn sid(v: u64) -> ServerId {
         ServerId::new(v, HashSpace::new(16).unwrap())
@@ -201,6 +331,25 @@ mod tests {
     }
 
     #[test]
+    fn expire_held_keeps_ancestor_and_descendant_in_trie_order() {
+        // A split parent's deferred stale copy (`01*`) beside its child
+        // (`0110*`), stored out of order.
+        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        store.store(p("1*"), rec(7));
+        store.store(p("0110*"), rec(7));
+        store.store(p("0111*"), rec(5));
+        store.store(p("01*"), rec(7));
+        store.store(p("00*"), rec(5));
+        assert_eq!(store.expire_held(|_, owner| owner == sid(7)), 2);
+        let survivors: Vec<(Prefix, ServerId)> = store.held_owners().collect();
+        assert_eq!(
+            survivors,
+            vec![(p("01*"), sid(7)), (p("0110*"), sid(7)), (p("1*"), sid(7))]
+        );
+        assert_eq!(store.held_owned_by(sid(5)), Vec::<Prefix>::new());
+    }
+
+    #[test]
     fn placement_registry_roundtrip() {
         let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
         assert!(store.placed(p("01*")).is_empty());
@@ -213,5 +362,88 @@ mod tests {
         store.set_placed(p("01*"), vec![sid(3)]);
         store.set_placed(p("01*"), Vec::new());
         assert!(store.placed_groups().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix width mismatch")]
+    fn foreign_width_is_refused() {
+        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        store.store(Prefix::parse("01*", 16).unwrap(), rec(5));
+    }
+
+    /// Every group of depth ≤ 4 plus two full-width keys under `0110*`:
+    /// ancestors and descendants of one another at every depth.
+    fn groups() -> Vec<Prefix> {
+        let mut all: Vec<Prefix> = (0..=4u32)
+            .flat_map(|d| (0..1u64 << d).map(move |bits| (bits, d)))
+            .map(|(bits, d)| Prefix::new(bits, d, KeyWidth::new(8).unwrap()).unwrap())
+            .collect();
+        all.push(p("01100101"));
+        all.push(p("01101110"));
+        all
+    }
+
+    fn assert_same(store: &ReplicaStore, trie: &TrieReplicaStore, groups: &[Prefix]) {
+        assert_eq!(store.held_count(), trie.held_count(), "held count");
+        let owners: Vec<(Prefix, ServerId)> = store.held_owners().collect();
+        assert_eq!(owners, trie.held_owners(), "held order");
+        for owner in 0..4 {
+            assert_eq!(
+                store.held_owned_by(sid(owner)),
+                trie.held_owned_by(sid(owner))
+            );
+        }
+        assert_eq!(store.placed_groups(), trie.placed_groups(), "placed order");
+        for &g in groups {
+            assert_eq!(store.held(g), trie.held(g), "held {g}");
+            assert_eq!(store.placed(g), trie.placed(g), "placed {g}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn replica_store_matches_trie_reference(
+            ops in prop::collection::vec((0u8..7, 0u64..u64::MAX, 0u64..u64::MAX), 1..200),
+        ) {
+            let width = KeyWidth::new(8).unwrap();
+            let groups = groups();
+            let mut store = ReplicaStore::new(width);
+            let mut trie = TrieReplicaStore::new(width);
+            for (op, a, b) in ops {
+                let group = groups[a as usize % groups.len()];
+                match op {
+                    0 | 1 => {
+                        // A fresh or refreshed copy; four owners so the
+                        // per-owner filters and the lease predicate bite.
+                        let record = ReplicaRecord {
+                            owner: sid(b % 4),
+                            sources: Arc::new(vec![b, a]),
+                            queries: Arc::new(vec![b >> 8]),
+                        };
+                        store.store(group, record.clone());
+                        trie.store(group, record);
+                    }
+                    2 => prop_assert_eq!(store.drop_held(group), trie.drop_held(group)),
+                    3 => {
+                        // Expire by owner (a departed server) and by group
+                        // bits (a pending recovery keeps its lease).
+                        let keep = |g: Prefix, owner: ServerId| {
+                            owner.value() != b % 4 || (g.pattern() ^ (b >> 2)) & 1 == 0
+                        };
+                        prop_assert_eq!(store.expire_held(keep), trie.expire_held(keep));
+                    }
+                    4 | 5 => {
+                        // One in three sets clear the entry.
+                        let holders: Vec<ServerId> = (0..b % 3).map(|h| sid(h + a % 5)).collect();
+                        store.set_placed(group, holders.clone());
+                        trie.set_placed(group, holders);
+                    }
+                    _ => prop_assert_eq!(store.take_placed(group), trie.take_placed(group)),
+                }
+                assert_same(&store, &trie, &groups);
+            }
+        }
     }
 }
