@@ -398,25 +398,10 @@ impl ClashCluster {
         key: Key,
         rate: f64,
     ) -> Result<Placement, ClashError> {
-        self.attach_source_hinted(source_id, key, rate, None)
-    }
-
-    /// [`ClashCluster::attach_source`] with a depth hint.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClashCluster::attach_source`].
-    pub fn attach_source_hinted(
-        &mut self,
-        source_id: u64,
-        key: Key,
-        rate: f64,
-        hint: Option<u32>,
-    ) -> Result<Placement, ClashError> {
         if let Some(reason) = self.data.source_refusal(source_id) {
             return Err(ClashError::InvalidConfig { reason });
         }
-        let placement = self.locate_hinted(key, hint)?;
+        let placement = self.locate(key)?;
         self.data
             .attach_source(source_id, key, rate, placement.group);
         self.push_group_load_batched(placement.group)?;

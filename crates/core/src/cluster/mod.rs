@@ -83,13 +83,6 @@ pub struct ClashCluster {
     /// membership-triggered — is the whole-cluster sweep, reproducing
     /// the historical full-scan semantics from scratch.
     full_scan_checks: bool,
-    /// `CLASH_VERIFY_EVERY`: run the debug-build consistency sweep on
-    /// every Nth `debug_verify` call (default 1 = every call; 0 = never).
-    #[cfg(debug_assertions)]
-    verify_every: u32,
-    /// Calls remaining until the next debug-build consistency sweep.
-    #[cfg(debug_assertions)]
-    verify_countdown: u32,
 }
 
 impl ClashCluster {
@@ -153,10 +146,6 @@ impl ClashCluster {
             obs: Default::default(),
             chaos_skip_merge_reseed: false,
             full_scan_checks: false,
-            #[cfg(debug_assertions)]
-            verify_every: ClashConfig::verify_every_from_env(),
-            #[cfg(debug_assertions)]
-            verify_countdown: 1,
         };
         if cluster.config.splitting_enabled {
             cluster.bootstrap_initial_groups()?;

@@ -78,13 +78,6 @@ impl ClashCluster {
         cover
     }
 
-    /// The server currently homing `group`, if it is an active group of
-    /// the global index. Diagnostic/test accessor — the protocol itself
-    /// resolves owners through the DHT, never through this map.
-    pub fn group_owner(&self, group: Prefix) -> Option<ServerId> {
-        self.oracle.view().get(group).copied()
-    }
-
     /// Global depth statistics `(min, mean, max)` over active groups.
     pub fn depth_stats(&self) -> Option<(u32, f64, u32)> {
         let mut min = u32::MAX;
@@ -323,20 +316,9 @@ impl ClashCluster {
         }
     }
 
-    /// Debug-build consistency sweep, sampled by `CLASH_VERIFY_EVERY`:
-    /// with the default of 1 every call verifies (the historical
-    /// behavior); `N > 1` verifies every Nth call so debug-build runs at
-    /// thousands of servers stay feasible; `0` disables the sweep.
+    /// Debug-build consistency sweep, run on every call.
     #[cfg(debug_assertions)]
     pub(super) fn debug_verify(&mut self) {
-        if self.verify_every == 0 {
-            return;
-        }
-        if self.verify_countdown > 1 {
-            self.verify_countdown -= 1;
-            return;
-        }
-        self.verify_countdown = self.verify_every;
         self.verify_consistency();
         self.run_with_trace_dump(|c| c.verify_candidate_indices());
     }

@@ -150,28 +150,6 @@ impl ClashConfig {
         }
     }
 
-    /// The replication factor named by the `CLASH_REPLICATION` environment
-    /// variable, or 0 when unset/unparsable. The repo-level test suites
-    /// read this so CI can run the same scenarios with replication off
-    /// (the historical behavior) and on.
-    pub fn replication_factor_from_env() -> usize {
-        std::env::var("CLASH_REPLICATION")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
-    }
-
-    /// The debug-build `verify_consistency` sampling period named by the
-    /// `CLASH_VERIFY_EVERY` environment variable, or 1 (verify after every
-    /// load check — the historical behavior) when unset/unparsable. 0
-    /// disables the sweep entirely.
-    pub fn verify_every_from_env() -> u32 {
-        std::env::var("CLASH_VERIFY_EVERY")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1)
-    }
-
     /// A copy with the inert [`ClashConfig::shards`] field set.
     pub fn with_shards(self, shards: u32) -> Self {
         ClashConfig { shards, ..self }

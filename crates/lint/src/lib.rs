@@ -6,7 +6,7 @@
 //! substreams, never read the wall clock or OS entropy, never iterate a
 //! `RandomState`-hashed map, spawn threads only at the one registered
 //! `std::thread::scope` site, and read the process environment only in
-//! config/report entry points. This crate makes that contract
+//! `src/bin/` entry points. This crate makes that contract
 //! machine-checked: a small comment/string-stripping Rust tokenizer, a
 //! rule registry ([`rules::RULES`]), and per-crate path policies
 //! ([`policy`]).

@@ -9,7 +9,7 @@
 //!   `src/` carry the full contract — their behavior is pinned bit-for-bit
 //!   by the shard-equivalence harness and the transport pins, and the
 //!   chaos shrinker depends on replay determinism.
-//! * **Wall-clock crates** (`sim`, `bench`, `lint`, `obs`) may measure
+//! * **Wall-clock crates** (`sim`, `lint`, `obs`) may measure
 //!   wall-clock time — the harness crates because they time real runs,
 //!   `obs` because it is where the profiling clock reader
 //!   (`WallProfiler`) lives — but still may not draw ambient randomness
@@ -37,16 +37,12 @@ pub const PROTOCOL_CRATES: &[&str] = &[
 /// home of the only profiling clock reader (`WallProfiler`). Every
 /// other crate source — protocol crates and the root facade — must use
 /// virtual time.
-pub const WALL_CLOCK_CRATES: &[&str] = &["sim", "bench", "lint", "obs"];
+pub const WALL_CLOCK_CRATES: &[&str] = &["sim", "lint", "obs"];
 
 /// The only file allowed to use `std::thread`: the experiment harness
 /// runs independent scenario drivers side by side under
 /// `std::thread::scope` — no protocol state crosses a thread.
 pub const REGISTERED_THREAD_SITES: &[&str] = &["crates/sim/src/experiments/mod.rs"];
-
-/// File basenames allowed to read process environment variables: the
-/// config/report entry points, so experiment behavior stays flag-driven.
-pub const ENV_ENTRY_BASENAMES: &[&str] = &["config.rs", "report.rs"];
 
 /// Where the `MessageClass` enum lives and where its variants must be
 /// charged. `exhaustive-charging` reads variants from the first, call
@@ -86,14 +82,10 @@ pub fn is_registered_thread_site(path: &str) -> bool {
     REGISTERED_THREAD_SITES.contains(&path)
 }
 
-/// True if `path` may call `std::env::var`: config/report entry points and
-/// binary entry points (`src/bin/...`).
+/// True if `path` may read the process environment: only binary entry points
+/// (`src/bin/...`), so experiment behavior stays flag-driven.
 pub fn is_env_entry_point(path: &str) -> bool {
-    if path.contains("/bin/") {
-        return true;
-    }
-    let base = path.rsplit('/').next().unwrap_or(path);
-    ENV_ENTRY_BASENAMES.contains(&base)
+    path.contains("/bin/")
 }
 
 #[cfg(test)]
@@ -107,14 +99,14 @@ mod tests {
         assert!(is_protocol("crates/chaos/src/engine.rs"));
         assert!(is_protocol("src/lib.rs"));
         assert!(!is_protocol("crates/sim/src/driver.rs"));
-        assert!(!is_protocol("crates/bench/src/lib.rs"));
+        assert!(!is_protocol("crates/lint/src/lib.rs"));
         assert!(!is_protocol("tests/shard_equivalence.rs"));
     }
 
     #[test]
     fn wall_clock_classification() {
         assert!(may_read_wall_clock("crates/sim/src/driver.rs"));
-        assert!(may_read_wall_clock("crates/bench/src/lib.rs"));
+        assert!(!may_read_wall_clock("crates/bench/src/lib.rs"));
         assert!(may_read_wall_clock("crates/obs/src/profile.rs"));
         assert!(may_read_wall_clock("crates/lint/src/main.rs"));
         assert!(!may_read_wall_clock("crates/core/src/cluster/mod.rs"));
@@ -124,8 +116,8 @@ mod tests {
 
     #[test]
     fn env_entry_points() {
-        assert!(is_env_entry_point("crates/core/src/config.rs"));
-        assert!(is_env_entry_point("crates/sim/src/report.rs"));
+        assert!(!is_env_entry_point("crates/core/src/config.rs"));
+        assert!(!is_env_entry_point("crates/sim/src/report.rs"));
         assert!(is_env_entry_point("crates/sim/src/bin/scale.rs"));
         assert!(!is_env_entry_point("crates/core/src/cluster/mod.rs"));
     }

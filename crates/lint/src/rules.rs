@@ -50,7 +50,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         ENV_DISCIPLINE,
-        "std::env::var only in config.rs/report.rs entry points",
+        "process environment reads/writes only in src/bin/ entry points",
     ),
     (
         EXHAUSTIVE_CHARGING,
@@ -290,7 +290,7 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                     ENV_DISCIPLINE,
                     line,
                     format!(
-                        "`env::{}` outside a config.rs/report.rs/bin entry point; thread \
+                        "`env::{}` outside a src/bin/ entry point; thread \
                          environment through ClashConfig so runs stay reproducible",
                         toks[i + 3].text
                     ),

@@ -13,16 +13,24 @@ fn key(bits: u64) -> Key {
     Key::from_bits_truncated(bits, ClashConfig::small_test().key_width)
 }
 
-/// The suite honors `CLASH_REPLICATION` (CI runs it at 0 and 2): every
-/// scenario here must hold both with the oracle crutch and with real
-/// successor-list replication.
-fn test_config() -> ClashConfig {
-    ClashConfig::small_test().with_replication(ClashConfig::replication_factor_from_env())
+/// Every scenario here must hold both with the oracle crutch (r = 0)
+/// and with real successor-list replication (r = 2), so each runs once
+/// per factor.
+const REPLICATION_FACTORS: [usize; 2] = [0, 2];
+
+fn test_config(r: usize) -> ClashConfig {
+    ClashConfig::small_test().with_replication(r)
 }
 
 #[test]
 fn interleaved_crashes_and_workload() {
-    let mut cluster = ClashCluster::new(test_config(), 20, 77).unwrap();
+    for r in REPLICATION_FACTORS {
+        interleaved_crashes_and_workload_at(r);
+    }
+}
+
+fn interleaved_crashes_and_workload_at(r: usize) {
+    let mut cluster = ClashCluster::new(test_config(r), 20, 77).unwrap();
     let mut rng = DetRng::new(42);
     let mut next_source = 0u64;
     let mut live: Vec<u64> = Vec::new();
@@ -79,12 +87,18 @@ fn interleaved_crashes_and_workload() {
 
 #[test]
 fn crash_during_deep_split_state() {
+    for r in REPLICATION_FACTORS {
+        crash_during_deep_split_state_at(r);
+    }
+}
+
+fn crash_during_deep_split_state_at(r: usize) {
     // Crash the server holding the deepest group while the tree is deep,
     // then verify merges still work afterwards (pointers were repaired).
     let mut cluster = ClashCluster::new(
         ClashConfig {
             capacity: 60.0,
-            ..test_config()
+            ..test_config(r)
         },
         10,
         5,
@@ -135,10 +149,16 @@ fn crash_during_deep_split_state() {
 
 #[test]
 fn elastic_capacity_under_sustained_load() {
+    for r in REPLICATION_FACTORS {
+        elastic_capacity_under_sustained_load_at(r);
+    }
+}
+
+fn elastic_capacity_under_sustained_load_at(r: usize) {
     // The utility-computing loop: scale out under pressure (joins), scale
     // back in as demand fades (graceful drains), with crashes sprinkled
     // in — all while the workload keeps moving keys.
-    let mut cluster = ClashCluster::new(test_config(), 8, 99).unwrap();
+    let mut cluster = ClashCluster::new(test_config(r), 8, 99).unwrap();
     let mut rng = DetRng::new(7);
     let mut next_source = 0u64;
 
@@ -204,7 +224,13 @@ fn elastic_capacity_under_sustained_load() {
 
 #[test]
 fn sequential_crashes_preserve_all_data_plane_state() {
-    let mut cluster = ClashCluster::new(test_config(), 12, 123).unwrap();
+    for r in REPLICATION_FACTORS {
+        sequential_crashes_preserve_all_data_plane_state_at(r);
+    }
+}
+
+fn sequential_crashes_preserve_all_data_plane_state_at(r: usize) {
+    let mut cluster = ClashCluster::new(test_config(r), 12, 123).unwrap();
     for i in 0..60u64 {
         cluster.attach_source(i, key(i * 4), 1.5).unwrap();
     }

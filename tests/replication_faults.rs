@@ -396,12 +396,16 @@ fn range_query_matches_oracle_after_join_crash_heal() {
     assert_eq!(walk(false), sequential);
 }
 
-/// The repo-level suites honor `CLASH_REPLICATION` (the CI matrix runs
-/// them at 0 and 2); whatever the environment says, a loaded cluster
-/// with that factor crashes and recovers consistently.
+/// A loaded cluster crashes and recovers consistently with replication
+/// off (recovery reads the oracle) and on (recovery promotes replicas).
 #[test]
-fn env_selected_replication_factor_survives_a_crash() {
-    let r = ClashConfig::replication_factor_from_env();
+fn each_replication_factor_survives_a_crash() {
+    for r in [0, 2] {
+        crash_and_recover_at(r);
+    }
+}
+
+fn crash_and_recover_at(r: usize) {
     let config = ClashConfig::small_test().with_replication(r);
     let mut c = ClashCluster::new(config, 8, 3).unwrap();
     for i in 0..60 {
