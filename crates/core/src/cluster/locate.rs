@@ -469,21 +469,41 @@ impl ClashCluster {
     ///
     /// # Errors
     ///
-    /// Propagates detach/attach errors.
+    /// Returns [`ClashError::InvalidConfig`] for unknown ids; propagates
+    /// detach/attach errors.
     pub fn move_source_with_rate(
         &mut self,
         source_id: u64,
         new_key: Key,
         new_rate: Option<f64>,
     ) -> Result<Placement, ClashError> {
+        self.rekey_source(source_id, new_rate, || new_key)?
+            .ok_or(ClashError::InvalidConfig {
+                reason: "unknown source id",
+            })
+    }
+
+    /// [`ClashCluster::move_source_with_rate`] for a stream that may have
+    /// ended: `Ok(None)` if `source_id` is not attached (its group was
+    /// lost in an unrecoverable crash). `draw_key` is called only for a
+    /// live source, so a driver that draws keys from its own random
+    /// stream draws exactly as often as it re-keys.
+    ///
+    /// # Errors
+    ///
+    /// Propagates detach/attach errors.
+    pub fn rekey_source(
+        &mut self,
+        source_id: u64,
+        new_rate: Option<f64>,
+        draw_key: impl FnOnce() -> Key,
+    ) -> Result<Option<Placement>, ClashError> {
         // The record stays in the registry (nothing reads it before the
         // re-locate ends) and is rewritten in place.
-        let (group, rate) =
-            self.data
-                .unlink_source(source_id)
-                .ok_or(ClashError::InvalidConfig {
-                    reason: "unknown source id",
-                })?;
+        let Some((group, rate)) = self.data.unlink_source(source_id) else {
+            return Ok(None);
+        };
+        let new_key = draw_key();
         let rate = new_rate.unwrap_or(rate);
         let placed = self
             .left_group(group)
@@ -498,7 +518,7 @@ impl ClashCluster {
         self.data
             .relink_source(source_id, new_key, rate, placement.group);
         self.push_group_load_batched(placement.group)?;
-        Ok(placement)
+        Ok(Some(placement))
     }
 
     /// Attaches a continuous query object to its key's group.
@@ -518,19 +538,18 @@ impl ClashCluster {
         Ok(placement)
     }
 
-    /// Detaches a query (e.g. its client's lifetime expired).
+    /// Detaches a query (e.g. its client's lifetime expired). Returns
+    /// `false` if `query_id` was not attached (it died with a group lost
+    /// in an unrecoverable crash).
     ///
     /// # Errors
     ///
-    /// Returns [`ClashError::InvalidConfig`] for unknown ids.
-    pub fn detach_query(&mut self, query_id: u64) -> Result<(), ClashError> {
-        let group = self
-            .data
-            .detach_query(query_id)
-            .ok_or(ClashError::InvalidConfig {
-                reason: "unknown query id",
-            })?;
-        self.left_group(group)
+    /// Propagates the release of a group the query leaves empty.
+    pub fn detach_query(&mut self, query_id: u64) -> Result<bool, ClashError> {
+        let Some(group) = self.data.detach_query(query_id) else {
+            return Ok(false);
+        };
+        self.left_group(group).map(|()| true)
     }
 
     /// Defers the load report while the window may stay open (last write

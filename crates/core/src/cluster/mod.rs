@@ -188,8 +188,8 @@ impl ClashCluster {
     }
 
     /// True if `source_id` is currently attached. Sources die when their
-    /// group is lost in an unrecoverable crash, so long-running drivers
-    /// check before re-keying a stream.
+    /// group is lost in an unrecoverable crash
+    /// ([`ClashCluster::rekey_source`] reports that itself).
     pub fn has_source(&self, source_id: u64) -> bool {
         self.data.sources.contains_key(source_id)
     }

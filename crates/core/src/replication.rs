@@ -22,23 +22,21 @@
 //! accounting) lives in `ClashCluster`, keeping the server I/O-free like
 //! the rest of the protocol state.
 //!
-//! **Layout.** Each structure is one `Vec<(Prefix, V)>` kept sorted by
-//! [`Prefix`]'s `Ord` — binary-string order, which is exactly a pre-order
-//! walk of the binary trie, so every iteration visits groups in the order
-//! a `PrefixMap` would. Nothing here needs a prefix operation (no longest
-//! match, no range query): a lookup is a binary search over a few
-//! contiguous entries, an update an in-place overwrite, insert or remove,
-//! and the lease-expiry walk that every departure runs over every server
-//! is one `retain` per store instead of a descent through one heap node
-//! per key bit. A store holds a handful of groups (about `r × groups /
-//! servers`), so the shifts an insert or remove costs stay within a line
-//! or two.
+//! **Layout.** Each structure is a `SortedGroups` (the module
+//! `crate::groups`): one vector kept sorted by [`Prefix`]'s `Ord`, so
+//! every iteration visits groups in trie pre-order. Nothing here needs a
+//! prefix operation: a lookup is a binary search over a few contiguous
+//! entries, and the lease-expiry walk that every departure runs over
+//! every server is one `retain` per store. A store holds about `r ×
+//! groups / servers` groups, so the shifts an insert or remove costs
+//! stay within a line or two.
 
 use std::sync::Arc;
 
 use clash_keyspace::key::KeyWidth;
 use clash_keyspace::prefix::Prefix;
 
+use crate::groups::SortedGroups;
 use crate::ServerId;
 
 /// One replicated key-group: the owner it was seeded by plus the ledger
@@ -62,47 +60,6 @@ pub struct ReplicaRecord {
     pub sources: Arc<Vec<u64>>,
     /// Continuous-query ids attached to the group (same sharing rule).
     pub queries: Arc<Vec<u64>>,
-}
-
-/// Groups of one key width mapped to `V`, as a vector sorted by group.
-#[derive(Debug, Clone)]
-struct SortedGroups<V> {
-    width: KeyWidth,
-    entries: Vec<(Prefix, V)>,
-}
-
-impl<V> SortedGroups<V> {
-    fn new(width: KeyWidth) -> Self {
-        SortedGroups {
-            width,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Where `group` sits: `Ok` at its entry, `Err` where it would go.
-    fn find(&self, group: Prefix) -> Result<usize, usize> {
-        assert_eq!(group.width(), self.width, "prefix width mismatch");
-        self.entries.binary_search_by(|(g, _)| g.cmp(&group))
-    }
-
-    fn get(&self, group: Prefix) -> Option<&V> {
-        self.find(group).ok().map(|at| &self.entries[at].1)
-    }
-
-    fn insert(&mut self, group: Prefix, value: V) {
-        match self.find(group) {
-            Ok(at) => self.entries[at].1 = value,
-            Err(at) => self.entries.insert(at, (group, value)),
-        }
-    }
-
-    fn remove(&mut self, group: Prefix) -> Option<V> {
-        self.find(group).ok().map(|at| self.entries.remove(at).1)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
-        self.entries.iter().map(|(g, v)| (*g, v))
-    }
 }
 
 /// A server's replication state: replicas held for peers, plus the
@@ -141,7 +98,7 @@ impl ReplicaStore {
 
     /// Number of replicas held for peers.
     pub fn held_count(&self) -> usize {
-        self.held.entries.len()
+        self.held.len()
     }
 
     /// Groups whose held replica names `owner` as its owner.
@@ -161,9 +118,9 @@ impl ReplicaStore {
     /// Drops held replicas failing `keep(group, owner)` — the local lease
     /// expiry run during periodic maintenance. Returns how many expired.
     pub fn expire_held<F: Fn(Prefix, ServerId) -> bool>(&mut self, keep: F) -> usize {
-        let before = self.held.entries.len();
-        self.held.entries.retain(|(g, r)| keep(*g, r.owner));
-        before - self.held.entries.len()
+        let before = self.held.len();
+        self.held.retain(|g, r| keep(g, r.owner));
+        before - self.held.len()
     }
 
     // ----- placement registry (this server as an owner) ----------------

@@ -17,11 +17,11 @@
 
 use std::fmt;
 
-use clash_keyspace::cover::PrefixMap;
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
 
 use crate::error::ClashError;
+use crate::groups::SortedGroups;
 use crate::load::GroupLoad;
 use crate::messages::AcceptObjectResponse;
 use crate::ServerId;
@@ -109,7 +109,7 @@ impl TableEntry {
 #[derive(Clone)]
 pub struct ServerTable {
     owner: ServerId,
-    map: PrefixMap<TableEntry>,
+    map: SortedGroups<TableEntry>,
 }
 
 impl ServerTable {
@@ -117,7 +117,7 @@ impl ServerTable {
     pub fn new(owner: ServerId, width: KeyWidth) -> Self {
         ServerTable {
             owner,
-            map: PrefixMap::new(width),
+            map: SortedGroups::new(width),
         }
     }
 
@@ -143,7 +143,7 @@ impl ServerTable {
 
     /// Number of active (leaf) entries.
     pub fn active_count(&self) -> usize {
-        self.map.iter().filter(|(_, e)| e.active).count()
+        self.entries().filter(|e| e.active).count()
     }
 
     /// True if the table holds at least one inactive (split) entry —
@@ -151,12 +151,12 @@ impl ServerTable {
     /// all. The cluster's load check uses this to skip underloaded
     /// servers that trivially cannot consolidate.
     pub fn has_split_entries(&self) -> bool {
-        self.map.iter().any(|(_, e)| !e.active)
+        self.entries().any(|e| !e.active)
     }
 
     /// Iterates over all entries in binary-string order.
     pub fn entries(&self) -> impl Iterator<Item = &TableEntry> {
-        self.map.iter().map(|(_, e)| e)
+        self.map.values()
     }
 
     /// Iterates over the active groups.
@@ -216,10 +216,7 @@ impl ServerTable {
 
     /// The active group containing `key`, if this server manages it.
     pub fn owning_group(&self, key: Key) -> Option<&TableEntry> {
-        self.map
-            .longest_prefix_match(key)
-            .map(|(_, e)| e)
-            .filter(|e| e.active)
+        self.map.longest_match(key).filter(|e| e.active)
     }
 
     /// Handles an `ACCEPT_OBJECT` probe: the three cases of §5.
@@ -252,7 +249,7 @@ impl ServerTable {
     pub fn split(&mut self, group: Prefix) -> Result<(Prefix, Prefix), ClashError> {
         let entry = self
             .map
-            .get(group)
+            .get_mut(group)
             .ok_or(ClashError::UnknownGroup { group })?;
         if !entry.active {
             return Err(ClashError::WrongActivity {
@@ -265,12 +262,9 @@ impl ServerTable {
         }
         let load = entry.load;
         let (left, right) = group.split().expect("depth checked above");
-        {
-            let entry = self.map.get_mut(group).expect("entry exists");
-            entry.active = false;
-            entry.load = GroupLoad::zero();
-            entry.last_child_report = None;
-        }
+        entry.active = false;
+        entry.load = GroupLoad::zero();
+        entry.last_child_report = None;
         self.map.insert(
             left,
             TableEntry::new_active(left, ParentRef::Server(self.owner), load),
@@ -422,22 +416,24 @@ impl ServerTable {
     /// Returns the group adjusted, or `None` if this server does not own
     /// the key.
     pub fn adjust_rate_for_key(&mut self, key: Key, delta: f64) -> Option<Prefix> {
-        let group = self.owning_group(key)?.group;
-        let entry = self.map.get_mut(group).expect("entry exists");
+        let entry = self.owning_group_mut(key)?;
         entry.load.data_rate = (entry.load.data_rate + delta).max(0.0);
-        Some(group)
+        Some(entry.group)
     }
 
     /// Adjusts the query count of the active group containing `key`.
     pub fn adjust_queries_for_key(&mut self, key: Key, delta: i64) -> Option<Prefix> {
-        let group = self.owning_group(key)?.group;
-        let entry = self.map.get_mut(group).expect("entry exists");
+        let entry = self.owning_group_mut(key)?;
         entry.load.queries = if delta >= 0 {
             entry.load.queries.saturating_add(delta as u64)
         } else {
             entry.load.queries.saturating_sub(delta.unsigned_abs())
         };
-        Some(group)
+        Some(entry.group)
+    }
+
+    fn owning_group_mut(&mut self, key: Key) -> Option<&mut TableEntry> {
+        self.map.longest_match_mut(key).filter(|e| e.active)
     }
 
     /// Loads of all active groups (for the server-level load computation).
@@ -484,11 +480,9 @@ impl ServerTable {
         &mut self,
         moved_to: impl Fn(Prefix) -> Option<ServerId>,
     ) -> (usize, usize) {
-        let groups: Vec<Prefix> = self.map.prefixes().collect();
         let mut parents = 0;
         let mut rights = 0;
-        for group in groups {
-            let entry = self.map.get_mut(group).expect("snapshotted entry");
+        for (group, entry) in self.map.iter_mut() {
             if let ParentRef::Server(cur) = entry.parent {
                 if let Some(new_holder) = group.parent().and_then(&moved_to) {
                     if cur != new_holder {
@@ -513,9 +507,8 @@ impl ServerTable {
     /// True if some entry's parent or right-child pointer names `server`
     /// — what [`ServerTable::repair_after_peer_failure`] would act on.
     pub(crate) fn names_server(&self, server: ServerId) -> bool {
-        self.map
-            .iter()
-            .any(|(_, e)| e.parent == ParentRef::Server(server) || e.right_child == Some(server))
+        self.entries()
+            .any(|e| e.parent == ParentRef::Server(server) || e.right_child == Some(server))
     }
 
     /// Repairs this table after a peer server failed: entries whose
@@ -529,11 +522,9 @@ impl ServerTable {
         dead: ServerId,
         mut resolve: impl FnMut(Prefix) -> Option<ServerId>,
     ) -> (usize, usize) {
-        let groups: Vec<Prefix> = self.map.prefixes().collect();
         let mut orphaned = 0;
         let mut repaired = 0;
-        for group in groups {
-            let entry = self.map.get_mut(group).expect("snapshotted entry");
+        for (group, entry) in self.map.iter_mut() {
             if entry.parent == ParentRef::Server(dead) {
                 entry.parent = ParentRef::Root;
                 orphaned += 1;
@@ -569,10 +560,15 @@ impl ServerTable {
     /// 2. every inactive entry has its left child present locally;
     /// 3. active entries have no `right_child`.
     pub fn check_invariants(&self) -> Result<(), ClashError> {
-        let mut actives: PrefixMap<()> = PrefixMap::new(self.width());
+        // In binary-string order an entry's descendants directly follow
+        // it, so if any active entry contains another, some active entry
+        // contains the next active one.
+        let mut prefix_free = true;
+        let mut last_active: Option<Prefix> = None;
         for (p, e) in self.map.iter() {
             if e.active {
-                actives.insert(p, ());
+                prefix_free &= !last_active.is_some_and(|prev| prev.is_prefix_of(p));
+                last_active = Some(p);
                 if e.right_child.is_some() {
                     return Err(ClashError::WrongActivity {
                         group: p,
@@ -586,7 +582,7 @@ impl ServerTable {
                 }
             }
         }
-        if !actives.is_prefix_free() {
+        if !prefix_free {
             return Err(ClashError::InvalidConfig {
                 reason: "active entries are not prefix-free",
             });
@@ -628,10 +624,102 @@ impl fmt::Debug for ServerTable {
     }
 }
 
+/// The trie-backed table the sorted vector replaced, kept as the
+/// differential reference: the storage operations and prefix queries of
+/// the old `ServerTable`, over one `PrefixMap`.
+#[cfg(test)]
+mod reference {
+    use clash_keyspace::cover::PrefixMap;
+
+    use super::*;
+
+    pub(super) struct TrieTable {
+        map: PrefixMap<TableEntry>,
+    }
+
+    impl TrieTable {
+        pub(super) fn new(width: KeyWidth) -> Self {
+            TrieTable {
+                map: PrefixMap::new(width),
+            }
+        }
+
+        pub(super) fn entries(&self) -> Vec<TableEntry> {
+            self.map.iter().map(|(_, e)| e.clone()).collect()
+        }
+
+        pub(super) fn entry(&self, group: Prefix) -> Option<&TableEntry> {
+            self.map.get(group)
+        }
+
+        pub(super) fn install_entry(&mut self, entry: TableEntry) -> bool {
+            if self.map.contains(entry.group) {
+                return false;
+            }
+            self.map.insert(entry.group, entry);
+            true
+        }
+
+        pub(super) fn extract_entry(&mut self, group: Prefix) -> Option<TableEntry> {
+            self.map.remove(group)
+        }
+
+        pub(super) fn set_load(&mut self, group: Prefix, load: GroupLoad) -> bool {
+            match self.map.get_mut(group) {
+                Some(entry) if entry.active => {
+                    entry.load = load;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        pub(super) fn owning_group(&self, key: Key) -> Option<&TableEntry> {
+            self.map
+                .longest_prefix_match(key)
+                .map(|(_, e)| e)
+                .filter(|e| e.active)
+        }
+
+        pub(super) fn adjust_rate_for_key(&mut self, key: Key, delta: f64) -> Option<Prefix> {
+            let group = self.owning_group(key)?.group;
+            let entry = self.map.get_mut(group).expect("entry exists");
+            entry.load.data_rate = (entry.load.data_rate + delta).max(0.0);
+            Some(group)
+        }
+
+        /// `d_min` by its definition: the most bits any entry shares with
+        /// the key.
+        pub(super) fn classify_object(
+            &self,
+            key: Key,
+            estimated_depth: u32,
+        ) -> AcceptObjectResponse {
+            match self.owning_group(key) {
+                Some(e) if e.group.depth() == estimated_depth => AcceptObjectResponse::Ok {
+                    depth: estimated_depth,
+                },
+                Some(e) => AcceptObjectResponse::OkCorrected {
+                    depth: e.group.depth(),
+                },
+                None => AcceptObjectResponse::IncorrectDepth {
+                    d_min: self
+                        .map
+                        .prefixes()
+                        .map(|g| g.common_prefix_len_with_key(key))
+                        .max(),
+                },
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::TrieTable;
     use super::*;
     use clash_keyspace::hash::HashSpace;
+    use proptest::prelude::*;
 
     fn sid(v: u64) -> ServerId {
         ServerId::new(v, HashSpace::new(16).unwrap())
@@ -928,6 +1016,30 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_rejects_nested_active_entries() {
+        let active = |g: &str| TableEntry::new_active(p(g), ParentRef::Root, GroupLoad::zero());
+        let inactive = |g: &str| TableEntry {
+            active: false,
+            ..active(g)
+        };
+        let mut t = ServerTable::new(sid(1), w7());
+        // 01* contains 0110*; the inactive 011* between them and the
+        // unrelated 00* before them do not hide it.
+        for e in [active("00*"), active("01*"), inactive("011*")] {
+            t.install_entry(e).unwrap();
+        }
+        t.install_entry(active("0110*")).unwrap();
+        assert!(matches!(
+            t.check_invariants(),
+            Err(ClashError::InvalidConfig { .. })
+        ));
+        // Siblings and cousins are prefix-free.
+        t.extract_entry(p("01*")).unwrap();
+        t.install_entry(active("0111*")).unwrap();
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
     fn repoint_moved_entries_updates_both_pointer_kinds() {
         let mut t = figure2_table();
         // Pretend 0111* (right child of 011*, held by s45) and 01011*'s
@@ -958,5 +1070,95 @@ mod tests {
         assert!(out.contains("parent=self"));
         assert!(out.contains("active=Y"));
         assert!(out.contains("active=N"));
+    }
+
+    /// Nested groups over `width`-bit keys: the prefixes of three keys at
+    /// a spread of depths, plus each one's sibling.
+    fn nested_groups(width: KeyWidth, seeds: [u64; 3]) -> Vec<Prefix> {
+        let mut groups = Vec::new();
+        for seed in seeds {
+            let key = Key::from_bits_truncated(seed, width);
+            let w = width.get();
+            for depth in [0, 1, 2, 3, 5, w / 2, w - 1, w] {
+                let g = Prefix::of_key(key, depth);
+                groups.push(g);
+                groups.extend(g.sibling());
+            }
+        }
+        groups.sort();
+        groups.dedup();
+        groups
+    }
+
+    /// Keys on and just past every group's boundary, plus `extra`.
+    fn boundary_keys(groups: &[Prefix], extra: u64) -> Vec<Key> {
+        let width = groups[0].width();
+        let mask = (1u64 << width.get()) - 1;
+        let mut keys = vec![Key::from_bits_truncated(extra & mask, width)];
+        for g in groups {
+            let (lo, hi) = (g.min_key().bits(), g.max_key().bits());
+            for bits in [lo, hi, lo.wrapping_sub(1) & mask, hi.wrapping_add(1) & mask] {
+                keys.push(Key::from_bits_truncated(bits, width));
+            }
+        }
+        keys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The flat table against the trie table at widths 7 and 24, over
+        /// nested active and inactive entries: random installs, extracts
+        /// and in-place updates (`set_load`, `adjust_rate_for_key`), then
+        /// iteration order, exact lookups, the owning group and the
+        /// `ACCEPT_OBJECT` answer with its `d_min` on every boundary key.
+        #[test]
+        fn flat_table_matches_trie_reference(
+            wide in 0u8..2,
+            seeds in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            ops in prop::collection::vec((0u8..5, 0u64..u64::MAX), 0..48),
+        ) {
+            let width = KeyWidth::new(if wide == 1 { 24 } else { 7 }).unwrap();
+            let groups = nested_groups(width, [seeds.0, seeds.1, seeds.2]);
+            let mut table = ServerTable::new(sid(1), width);
+            let mut trie = TrieTable::new(width);
+            for (op, a) in ops {
+                let group = groups[a as usize % groups.len()];
+                let keys = boundary_keys(&groups, a);
+                match op {
+                    0 | 1 => {
+                        let entry = TableEntry {
+                            group,
+                            parent: if a & 1 == 0 { ParentRef::Root } else { ParentRef::Server(sid(a >> 60)) },
+                            right_child: (a & 2 != 0).then(|| sid(a >> 56)),
+                            active: a & 4 == 0,
+                            load: rate((a >> 8) as f64 % 97.0),
+                            last_child_report: None,
+                        };
+                        prop_assert_eq!(table.install_entry(entry.clone()).is_ok(), trie.install_entry(entry));
+                    }
+                    2 => prop_assert_eq!(table.extract_entry(group), trie.extract_entry(group)),
+                    3 => prop_assert_eq!(
+                        table.set_load(group, rate((a >> 4) as f64 % 13.0)).is_ok(),
+                        trie.set_load(group, rate((a >> 4) as f64 % 13.0))
+                    ),
+                    _ => {
+                        let key = keys[(a >> 32) as usize % keys.len()];
+                        let delta = (a >> 12) as f64 % 7.0 - 3.0;
+                        prop_assert_eq!(table.adjust_rate_for_key(key, delta), trie.adjust_rate_for_key(key, delta));
+                    }
+                }
+                let entries: Vec<TableEntry> = table.entries().cloned().collect();
+                prop_assert_eq!(entries, trie.entries());
+                for &g in &groups {
+                    prop_assert_eq!(table.entry(g), trie.entry(g));
+                }
+                for key in keys {
+                    prop_assert_eq!(table.owning_group(key), trie.owning_group(key));
+                    let depth = (a % u64::from(width.get() + 1)) as u32;
+                    prop_assert_eq!(table.classify_object(key, depth), trie.classify_object(key, depth));
+                }
+            }
+        }
     }
 }

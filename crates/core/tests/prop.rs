@@ -6,9 +6,13 @@
 
 use clash_core::cluster::{ClashCluster, LoadCheckReport, Placement};
 use clash_core::config::ClashConfig;
+use clash_core::load::GroupLoad;
 use clash_core::messages::AcceptObjectResponse;
+use clash_core::table::{ParentRef, ServerTable, TableEntry};
 use clash_core::ServerId;
-use clash_keyspace::key::Key;
+use clash_keyspace::hash::HashSpace;
+use clash_keyspace::key::{Key, KeyWidth};
+use clash_keyspace::prefix::Prefix;
 use clash_transport::{LinkPolicy, LinkTransport};
 use proptest::prelude::*;
 
@@ -230,6 +234,37 @@ proptest! {
             }
         }
         let _ = c;
+    }
+
+    /// A server's `d_min` equals the brute-force maximum over its entries
+    /// of the per-entry common prefix length, on 24-bit keys.
+    #[test]
+    fn dmin_matches_bruteforce(
+        groups in prop::collection::vec((0u32..=24, 0u64..1 << 24), 1..20),
+        probe in 0u64..1 << 24,
+    ) {
+        let width = KeyWidth::new(24).unwrap();
+        let mut table = ServerTable::new(ServerId::new(1, HashSpace::new(16).unwrap()), width);
+        let mut entries = Vec::new();
+        for (depth, bits) in groups {
+            let group = Prefix::of_key(Key::from_bits_truncated(bits, width), depth);
+            entries.push(group);
+            // Inactive entries own no key, so every probe gets a d_min.
+            let _ = table.install_entry(TableEntry {
+                group,
+                parent: ParentRef::Root,
+                right_child: None,
+                active: false,
+                load: GroupLoad::zero(),
+                last_child_report: None,
+            });
+        }
+        let key = Key::from_bits_truncated(probe, width);
+        let expected = entries.iter().map(|g| g.common_prefix_len_with_key(key)).max();
+        prop_assert_eq!(
+            table.classify_object(key, 0),
+            AcceptObjectResponse::IncorrectDepth { d_min: expected }
+        );
     }
 
     /// Property 1 of the search: probing at d ≤ d_c through the protocol's

@@ -1,11 +1,13 @@
-//! Prefix-keyed tries: the data structures behind the CLASH `ServerTable`.
+//! Prefix-keyed tries for maps that hold every group of a run.
 //!
 //! * [`PrefixMap`] — a binary trie mapping [`Prefix`]es to values. Entries
-//!   may be nested (an entry at `011*` can coexist with one at `0110*`),
-//!   which is exactly what a `ServerTable` needs: inactive ancestor entries
-//!   live alongside active leaves. Supports longest-prefix-match and the
-//!   paper's `d_min` ("longest possible prefix match between a key and the
-//!   current server entries", §5).
+//!   may be nested (an entry at `011*` can coexist with one at `0110*`).
+//!   Supports longest-prefix match and range intersection. It backs the
+//!   cluster-wide group index and [`PrefixCover`]: with tens of thousands
+//!   of groups changing per run, an insert or remove is a walk down one
+//!   path, not a shift of a sorted array. A server's own table holds only
+//!   its few groups, so `clash-core` keeps those in a sorted vector and
+//!   answers the paper's `d_min` there.
 //! * [`PrefixCover`] — a *prefix-free* set of groups with split/merge
 //!   operations, used as the global oracle in tests and for client-side
 //!   caching: the set of all active key groups in a CLASH system always
@@ -181,33 +183,6 @@ impl<V> PrefixMap<V> {
             }
         }
         best.map(|(depth, v)| (Prefix::of_key(key, depth), v))
-    }
-
-    /// The paper's `d_min`: the longest common prefix length between `key`
-    /// and *any* stored entry (0 if the map is empty).
-    ///
-    /// Note this is not the same as the depth of the longest-prefix match:
-    /// the entry achieving `d_min` need not contain the key (e.g. entry
-    /// `01011*` and key `0101010` share 4 bits).
-    pub fn max_common_prefix_len(&self, key: Key) -> u32 {
-        assert_eq!(key.width(), self.width, "key width mismatch");
-        // Because removal prunes empty nodes, every existing trie node has
-        // at least one entry in its subtree; the deepest node reachable
-        // along the key's bit path therefore witnesses the longest common
-        // prefix with some entry.
-        let mut node = &self.root;
-        let mut depth = 0;
-        for i in 0..self.width.get() {
-            let bit = key.bit(i) as usize;
-            match node.children[bit].as_deref() {
-                Some(child) => {
-                    node = child;
-                    depth = i + 1;
-                }
-                None => break,
-            }
-        }
-        depth
     }
 
     /// Iterates over `(prefix, value)` pairs in binary-string order
@@ -594,39 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn dmin_matches_paper_figure2_example() {
-        // Figure 2's server table for s25: entries 011*, 01011*, 010110*,
-        // 0110*, 01100*. Client sends "0101010": longest match is 4.
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
-        for (i, s) in ["011*", "01011*", "010110*", "0110*", "01100*"]
-            .iter()
-            .enumerate()
-        {
-            m.insert(p(s), i as u32);
-        }
-        assert_eq!(m.max_common_prefix_len(k("0101010")), 4);
-        // A key inside an entry: match equals that entry's depth (6).
-        assert_eq!(m.max_common_prefix_len(k("0101100")), 6);
-        // Entirely outside: shares just the leading 0 with the 01... entries.
-        assert_eq!(m.max_common_prefix_len(k("1000000")), 0);
-    }
-
-    #[test]
-    fn dmin_on_empty_map_is_zero() {
-        let m: PrefixMap<u32> = PrefixMap::new(w(7));
-        assert_eq!(m.max_common_prefix_len(k("0101010")), 0);
-    }
-
-    #[test]
-    fn dmin_exceeds_lpm_depth_when_entry_diverges_late() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
-        m.insert(p("01011*"), 0);
-        // Key 0101010 is NOT contained in 01011*, so lpm is None, but dmin=4.
-        assert!(m.longest_prefix_match(k("0101010")).is_none());
-        assert_eq!(m.max_common_prefix_len(k("0101010")), 4);
-    }
-
-    #[test]
     fn iteration_is_binary_string_ordered() {
         let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
         for s in ["1*", "0110*", "011*", "00*", "0111111"] {
@@ -634,16 +576,6 @@ mod tests {
         }
         let order: Vec<String> = m.prefixes().map(|g| g.to_string()).collect();
         assert_eq!(order, vec!["00*", "011*", "0110*", "0111111", "1*"]);
-    }
-
-    #[test]
-    fn removal_prunes_nodes_for_dmin() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
-        m.insert(p("0101010"), 0);
-        assert_eq!(m.max_common_prefix_len(k("0101011")), 6);
-        m.remove(p("0101010"));
-        // After pruning, no phantom path should remain.
-        assert_eq!(m.max_common_prefix_len(k("0101011")), 0);
     }
 
     #[test]

@@ -112,25 +112,6 @@ proptest! {
         }
     }
 
-    /// In a PrefixMap, max_common_prefix_len equals the brute-force maximum
-    /// over entries of per-entry common prefix length.
-    #[test]
-    fn dmin_matches_bruteforce(
-        entries in prop::collection::vec(arb_prefix(), 1..20),
-        probe in arb_key(),
-    ) {
-        let mut map = PrefixMap::new(w());
-        for (i, e) in entries.iter().enumerate() {
-            map.insert(*e, i);
-        }
-        let expected = entries
-            .iter()
-            .map(|e| e.common_prefix_len_with_key(probe))
-            .max()
-            .unwrap();
-        prop_assert_eq!(map.max_common_prefix_len(probe), expected);
-    }
-
     /// Longest-prefix-match agrees with a brute-force scan.
     #[test]
     fn lpm_matches_bruteforce(

@@ -470,26 +470,24 @@ impl SimDriver {
             self.cluster.set_now(at);
             match ev {
                 Ev::KeyChange { source } => {
-                    if !self.cluster.has_source(source) {
+                    let kind = self.current_workload();
+                    let model = self.source_model(kind);
+                    let moved = self.cluster.rekey_source(source, Some(model.rate()), || {
+                        self.workloads[Self::workload_index(kind)]
+                            .sample_key(self.config.key_width, &mut self.rng)
+                    })?;
+                    if moved.is_none() {
                         // The source's group was lost in an unrecoverable
                         // crash: its client is gone and its stream ends.
                         continue;
                     }
-                    let kind = self.current_workload();
-                    let key = self.workloads[Self::workload_index(kind)]
-                        .sample_key(self.config.key_width, &mut self.rng);
-                    let model = self.source_model(kind);
-                    self.cluster
-                        .move_source_with_rate(source, key, Some(model.rate()))?;
                     let next = model.sample_stream_duration(&mut self.rng);
                     self.queue.schedule(at + next, Ev::KeyChange { source });
                 }
                 Ev::QueryDeath { query } => {
-                    if self.cluster.has_query(query) {
-                        self.cluster.detach_query(query)?;
-                    }
-                    // Renewal keeps the population constant even when the
-                    // query itself died with a lost group.
+                    // A query that died with a lost group is already gone;
+                    // renewal keeps the population constant either way.
+                    self.cluster.detach_query(query)?;
                     self.spawn_query(at)?;
                 }
                 Ev::LoadCheck => {

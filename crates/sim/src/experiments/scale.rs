@@ -295,9 +295,8 @@ fn loadcheck_cell(servers: usize, seed: u64) -> Result<ScaleCell, ClashError> {
     for _ in 0..LOADCHECK_CHECKS {
         for _ in 0..LOADCHECK_MOVES_PER_CHECK {
             let source = rng.next_u64() % sources as u64;
-            if cluster.has_source(source) {
-                let key = workload.sample_key(config.key_width, &mut rng);
-                cluster.move_source(source, key)?;
+            let draw_key = || workload.sample_key(config.key_width, &mut rng);
+            if cluster.rekey_source(source, None, draw_key)?.is_some() {
                 moves += 1;
             }
         }
