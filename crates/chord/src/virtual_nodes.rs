@@ -13,7 +13,7 @@ use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
 
 use crate::id::ChordId;
-use crate::net::{LookupResult, SimNet};
+use crate::net::SimNet;
 
 /// Identifier of a physical server hosting one or more virtual nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,11 +80,6 @@ impl VirtualRing {
         &self.net
     }
 
-    /// Mutable access to the underlying ring (for failure injection).
-    pub fn net_mut(&mut self) -> &mut SimNet {
-        &mut self.net
-    }
-
     /// The physical server owning a virtual node identifier.
     pub fn physical_of(&self, virt: ChordId) -> Option<PhysicalId> {
         self.virt_to_phys.get(&virt.value()).copied()
@@ -93,28 +88,6 @@ impl VirtualRing {
     /// Ground-truth physical owner of hash `h`.
     pub fn physical_owner_of(&self, h: u64) -> Option<PhysicalId> {
         self.net.owner_of(h).and_then(|virt| self.physical_of(virt))
-    }
-
-    /// Routed lookup returning the physical owner and hop count.
-    pub fn lookup_physical(&mut self, start: ChordId, h: u64) -> (PhysicalId, LookupResult) {
-        let result = self.net.find_successor(start, h);
-        let phys = self
-            .physical_of(result.owner)
-            .expect("owner is a registered virtual node");
-        (phys, result)
-    }
-
-    /// Fails every virtual node of a physical server (whole-machine crash).
-    pub fn fail_physical(&mut self, p: PhysicalId) {
-        let victims: Vec<ChordId> = self
-            .virt_to_phys
-            .iter()
-            .filter(|&(_, &owner)| owner == p)
-            .map(|(&v, _)| ChordId::new(v, self.net.space()))
-            .collect();
-        for v in victims {
-            self.net.fail(v);
-        }
     }
 
     /// Fraction of the hash space owned by each physical server — the
@@ -164,19 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_physical_matches_ground_truth() {
-        let mut r = ring(8, 4, 3);
-        let start = r.net().node_ids()[0];
-        let mut rng = DetRng::new(4);
-        for _ in 0..100 {
-            let h = rng.next_u64() & 0xFF_FFFF;
-            let expected = r.physical_owner_of(h).unwrap();
-            let (got, _) = r.lookup_physical(start, h);
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
     fn more_vnodes_balance_ownership() {
         // Variance of per-physical ownership must drop with vnode count.
         let few = ring(16, 1, 5).ownership_fractions();
@@ -189,22 +149,6 @@ mod tests {
             stats::stddev(&many),
             stats::stddev(&few)
         );
-    }
-
-    #[test]
-    fn physical_failure_removes_all_vnodes() {
-        let mut r = ring(4, 8, 6);
-        let before = r.net().alive_count();
-        r.fail_physical(PhysicalId(2));
-        assert_eq!(r.net().alive_count(), before - 8);
-        r.net_mut().stabilize_until_converged(64);
-        // Remaining hashes all land on surviving servers.
-        let mut rng = DetRng::new(7);
-        for _ in 0..100 {
-            let h = rng.next_u64() & 0xFF_FFFF;
-            let p = r.physical_owner_of(h).unwrap();
-            assert_ne!(p, PhysicalId(2));
-        }
     }
 
     #[test]

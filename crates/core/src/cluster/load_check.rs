@@ -86,8 +86,10 @@ enum MergeOutcome {
 /// indices using the *same* classification a full sweep would — so
 /// candidate membership (and therefore every protocol decision) is
 /// bit-for-bit identical to a from-scratch scan. [`Candidates::verify`]
-/// asserts exactly that in debug builds, and a differential proptest
-/// pins it against the full-scan reference mode.
+/// asserts exactly that in debug builds, and the test twins pin it
+/// against a from-scratch reference after every call (under
+/// `#[cfg(test)]`, `ClashCluster::sweep_all_next` marks every server
+/// dirty before a call).
 #[derive(Debug, Default)]
 pub(super) struct Candidates {
     /// Servers whose load/table state changed since their last
@@ -105,8 +107,8 @@ pub(super) struct Candidates {
 impl Candidates {
     /// Marks a server's classification stale. Every cluster path that
     /// mutates a server's table or load calls this; missing a site is a
-    /// bug that [`Candidates::verify`] (debug builds) and the full-scan
-    /// differential proptest catch.
+    /// bug that [`Candidates::verify`] (debug builds) and the
+    /// from-scratch reference twins catch.
     pub(super) fn mark_dirty(&mut self, sid_value: u64) {
         self.dirty.insert(sid_value);
     }
@@ -196,14 +198,17 @@ impl ClashCluster {
         self.candidates.verify(&self.servers);
     }
 
-    /// Reference mode for differential tests: when enabled, every load
-    /// check reclassifies *all* servers and full-syncs every replica
-    /// group from scratch — the historical O(cluster) sweep semantics.
-    /// The optimized dirty-tracked path must be bit-for-bit identical to
-    /// this mode on every seed; `tests/perf_equivalence.rs` and the
-    /// `dirty_tracked_load_checks_match_full_scan` proptest pin that.
-    pub fn set_full_scan_load_checks(&mut self, on: bool) {
-        self.full_scan_checks = on;
+    /// Test reference: the next load check reclassifies *all* servers
+    /// and the next replica sync — the check's or a membership call's —
+    /// is the whole lease-expiry + placement sweep, the historical
+    /// O(cluster) semantics. A twin that calls this before every load
+    /// check and membership call must match the dirty-tracked path bit
+    /// for bit; the reference twins of the cluster tests pin that after
+    /// every call.
+    #[cfg(test)]
+    pub(super) fn sweep_all_next(&mut self) {
+        self.candidates.dirty.extend(self.servers.ids());
+        self.replica_work.full_sync = true;
     }
 
     /// Chaos-only fault hook: when enabled, merges skip the parent
@@ -231,12 +236,6 @@ impl ClashCluster {
             ordinal,
             dirty_servers: self.candidates.dirty.len() as u64,
         });
-        if self.full_scan_checks {
-            // Reference mode: reclassify everything from scratch, exactly
-            // like the historical per-period sweep.
-            self.candidates.dirty.extend(self.servers.ids());
-            self.replica_work.full_sync = true;
-        }
         let mut report = LoadCheckReport::default();
         if self.replication_enabled() {
             self.obs.phase_begin(CheckPhase::Recovery);
@@ -424,10 +423,12 @@ impl ClashCluster {
             wire.dispatch();
             if wire.next_chain(&mut op_latency).is_err() {
                 // If self-mapped iterations already committed, the last
-                // right child is active locally: a valid terminal state.
+                // right child is active locally: a valid terminal state,
+                // seeded like every other terminal placement.
                 if !committed_splits {
                     return Ok(None);
                 }
+                self.ensure_replicas(group, server_id);
                 break server_id;
             }
 

@@ -78,11 +78,6 @@ pub struct ClashCluster {
     /// [`ClashCluster::set_chaos_skip_merge_reseed`]). Never set outside
     /// fault-injection tests.
     chaos_skip_merge_reseed: bool,
-    /// Reference mode for differential tests: every load check marks all
-    /// servers dirty, and every replica sync — periodic or
-    /// membership-triggered — is the whole-cluster sweep, reproducing
-    /// the historical full-scan semantics from scratch.
-    full_scan_checks: bool,
 }
 
 impl ClashCluster {
@@ -145,7 +140,6 @@ impl ClashCluster {
             batch: Default::default(),
             obs: Default::default(),
             chaos_skip_merge_reseed: false,
-            full_scan_checks: false,
         };
         if cluster.config.splitting_enabled {
             cluster.bootstrap_initial_groups()?;
@@ -192,12 +186,6 @@ impl ClashCluster {
     /// ([`ClashCluster::rekey_source`] reports that itself).
     pub fn has_source(&self, source_id: u64) -> bool {
         self.data.sources.contains_key(source_id)
-    }
-
-    /// True if `query_id` is currently attached (see
-    /// [`ClashCluster::has_source`]).
-    pub fn has_query(&self, query_id: u64) -> bool {
-        self.data.queries.contains_key(query_id)
     }
 
     /// Number of currently attached sources.

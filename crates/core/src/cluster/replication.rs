@@ -25,17 +25,17 @@ use crate::ServerId;
 pub(super) struct ReplicaWork {
     /// Groups whose replica placement needs (re-)ensuring: payload
     /// under-replicated after a partition skip, or holders dropped by a
-    /// failed write-through. Steady-state groups whose placement is
-    /// complete are never touched by `sync_replicas`.
+    /// failed write-through. The next sync re-ensures every group of
+    /// these groups' owners; for a complete placement that is a no-op.
     pub(super) dirty: BTreeSet<Prefix>,
     /// Ring positions that joined, left or crashed since the last
     /// `sync_replicas`: the successor sets of their `r` alive ring
     /// predecessors changed, so the next sync re-ensures those owners'
     /// groups (and expires leases if a position is now empty).
     pub(super) resync_at: Vec<ServerId>,
-    /// A deferred-recovery retry changed the pending set, or the
-    /// reference mode is on: the next `sync_replicas` runs the whole
-    /// lease-expiry + placement sweep over every server.
+    /// A deferred-recovery retry changed the pending set (or a test
+    /// asked for the from-scratch reference): the next `sync_replicas`
+    /// runs the whole lease-expiry + placement sweep over every server.
     pub(super) full_sync: bool,
 }
 
@@ -206,35 +206,19 @@ impl ClashCluster {
     /// Which sets: a group outside `ReplicaWork::dirty` has exactly its
     /// owner's `alive_successors` placed (checked by
     /// `verify_consistency`), so its `ensure_replicas` sends nothing
-    /// and changes nothing. That leaves the dirty groups in steady
-    /// state, and after a membership event additionally the groups
-    /// owned by the `r` alive ring predecessors of each changed
-    /// position — the only owners whose successor set moved. Transport
-    /// loss and jitter are drawn per send, so the membership branch
-    /// issues its calls in the whole sweep's own order (owner id, then
-    /// table order): it is that sweep minus provable no-ops.
+    /// and changes nothing. That leaves the owners of dirty groups, and
+    /// after a membership event additionally the `r` alive ring
+    /// predecessors of each changed position — the only owners whose
+    /// successor set moved. Transport loss and jitter are drawn per
+    /// send, so the sync issues its calls in the whole sweep's own order
+    /// (owner id, then table order): it is that sweep minus provable
+    /// no-ops.
     pub(super) fn sync_replicas(&mut self) {
         if !self.replication_enabled() {
             return;
         }
         let changed = std::mem::take(&mut self.replica_work.resync_at);
-        let whole = self.replica_work.full_sync || (self.full_scan_checks && !changed.is_empty());
-        if !whole && changed.is_empty() {
-            // Steady state: no owner died and no membership changed since
-            // the last sync, so lease expiry would be a no-op. Only the
-            // groups whose placement is actually incomplete need work.
-            for group in std::mem::take(&mut self.replica_work.dirty) {
-                // The group may have been split/merged away (its replicas
-                // were invalidated inline) or be awaiting a deferred
-                // recovery; only currently active groups re-ensure.
-                let Some(owner) = self.oracle.view().get(group).copied() else {
-                    continue;
-                };
-                self.ensure_replicas(group, owner);
-            }
-            return;
-        }
-        self.replica_work.full_sync = false;
+        let whole = std::mem::take(&mut self.replica_work.full_sync);
         let dirty = std::mem::take(&mut self.replica_work.dirty);
         let owners: BTreeSet<u64> = if whole {
             self.servers.ids().collect()

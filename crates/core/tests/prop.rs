@@ -471,109 +471,6 @@ proptest! {
         }
     }
 
-    /// The dirty-tracked candidate sets find exactly the same splits and
-    /// merges as a from-scratch full scan: two clusters play the same
-    /// random interleaving of workload bursts, detach waves, joins,
-    /// graceful leaves, crashes and load checks — one on the optimized
-    /// dirty-tracked path, one in the full-scan reference mode — and
-    /// every load check must return the identical report, with identical
-    /// message accounting and identical global state throughout.
-    #[test]
-    fn dirty_tracked_load_checks_match_full_scan(
-        servers in 2usize..10,
-        seed in 0u64..500,
-        replication in 0usize..3,
-        ops in prop::collection::vec((0u8..8, 0u64..u64::MAX), 1..14),
-    ) {
-        let config = ClashConfig::small_test().with_replication(replication);
-        let mut dirty = ClashCluster::new(config, servers, seed).unwrap();
-        let mut full = ClashCluster::new(config, servers, seed).unwrap();
-        full.set_full_scan_load_checks(true);
-        let mut next_source = 0u64;
-        let mut attached: Vec<u64> = Vec::new();
-        for &(op, arg) in &ops {
-            match op {
-                // Workload burst: heat a quadrant chosen by `arg`.
-                0 | 1 => {
-                    let quadrant = (arg % 4) << 6;
-                    for j in 0..12 {
-                        let bits = quadrant | ((arg.wrapping_add(j * 17)) % 64);
-                        dirty.attach_source(next_source, key(bits), 2.0).unwrap();
-                        full.attach_source(next_source, key(bits), 2.0).unwrap();
-                        attached.push(next_source);
-                        next_source += 1;
-                    }
-                }
-                // Detach wave: cool half the attached sources (drives
-                // the merge path's candidate maintenance).
-                2 => {
-                    let drop_n = attached.len() / 2;
-                    for sid in attached.drain(..drop_n) {
-                        if dirty.has_source(sid) {
-                            dirty.detach_source(sid).unwrap();
-                        }
-                        if full.has_source(sid) {
-                            full.detach_source(sid).unwrap();
-                        }
-                    }
-                }
-                // Join a fresh server with an arbitrary ring id.
-                3 => {
-                    let id = ServerId::new(arg, config.hash_space);
-                    if dirty.net().node(id).is_none() {
-                        dirty.join_server(id).unwrap();
-                        full.join_server(id).unwrap();
-                    }
-                }
-                // Graceful drain of an arbitrary server.
-                4 => {
-                    if dirty.server_count() > 1 {
-                        let ids = dirty.server_ids();
-                        let victim = ids[(arg as usize) % ids.len()];
-                        dirty.leave_server(victim).unwrap();
-                        full.leave_server(victim).unwrap();
-                    }
-                }
-                // Crash an arbitrary server.
-                5 => {
-                    if dirty.server_count() > 1 {
-                        let ids = dirty.server_ids();
-                        let victim = ids[(arg as usize) % ids.len()];
-                        let ra = dirty.fail_server(victim).unwrap();
-                        let rb = full.fail_server(victim).unwrap();
-                        prop_assert_eq!(ra, rb, "failure reports diverged");
-                    }
-                }
-                // A load-check period elapses on both.
-                _ => {
-                    let ra = dirty.run_load_check().unwrap();
-                    let rb = full.run_load_check().unwrap();
-                    prop_assert_eq!(
-                        &ra.splits, &rb.splits,
-                        "split decisions diverged"
-                    );
-                    prop_assert_eq!(
-                        &ra.merges, &rb.merges,
-                        "merge decisions diverged"
-                    );
-                    prop_assert_eq!(ra.refusals, rb.refusals, "refusals diverged");
-                }
-            }
-            // Identical message accounting and identical global state
-            // after *every* operation, not just load checks.
-            dirty.flush_batch().unwrap();
-            full.flush_batch().unwrap();
-            prop_assert_eq!(dirty.message_stats(), full.message_stats());
-            prop_assert_eq!(
-                dirty.global_cover().iter().collect::<Vec<_>>(),
-                full.global_cover().iter().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(dirty.server_loads(), full.server_loads());
-            dirty.verify_consistency();
-            dirty.verify_candidate_indices();
-        }
-    }
-
     /// When a locate window closes is unobservable: three clusters play
     /// the same random interleaving of workload bursts, detach waves,
     /// joins, graceful leaves, crashes, load checks and whole

@@ -2,8 +2,10 @@
 //!
 //! * [`PrefixMap`] — a binary trie mapping [`Prefix`]es to values. Entries
 //!   may be nested (an entry at `011*` can coexist with one at `0110*`).
-//!   Supports longest-prefix match and range intersection. It backs the
-//!   cluster-wide group index and [`PrefixCover`]: with tens of thousands
+//!   Supports longest-prefix match, the walk over every entry containing
+//!   a key, and range intersection. It backs the cluster-wide group
+//!   index, [`PrefixCover`] and the continuous-query subscriptions of
+//!   `clash-streamquery`: with tens of thousands
 //!   of groups changing per run, an insert or remove is a walk down one
 //!   path, not a shift of a sorted array. A server's own table holds only
 //!   its few groups, so `clash-core` keeps those in a sorted vector and
@@ -167,22 +169,34 @@ impl<V> PrefixMap<V> {
     ///
     /// Panics if the key width differs from the map width.
     pub fn longest_prefix_match(&self, key: Key) -> Option<(Prefix, &V)> {
+        let mut deepest = None;
+        self.for_each_containing(key, |prefix, value| deepest = Some((prefix, value)));
+        deepest
+    }
+
+    /// Visits every entry whose prefix contains `key`, root to leaf: one
+    /// descent along the key's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the map width.
+    pub fn for_each_containing<'a>(&'a self, key: Key, mut f: impl FnMut(Prefix, &'a V)) {
         assert_eq!(key.width(), self.width, "key width mismatch");
         let mut node = &self.root;
-        let mut best: Option<(u32, &V)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..self.width.get() {
-            let bit = key.bit(i) as usize;
-            match node.children[bit].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
+        let mut depth = 0;
+        loop {
+            if let Some(v) = node.value.as_ref() {
+                f(Prefix::of_key(key, depth), v);
             }
+            if depth == self.width.get() {
+                return;
+            }
+            match node.children[key.bit(depth) as usize].as_deref() {
+                Some(child) => node = child,
+                None => return,
+            }
+            depth += 1;
         }
-        best.map(|(depth, v)| (Prefix::of_key(key, depth), v))
     }
 
     /// Iterates over `(prefix, value)` pairs in binary-string order

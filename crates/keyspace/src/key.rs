@@ -222,19 +222,6 @@ impl Key {
         // The highest differing bit, counted from the key's MSB.
         Ok(w - (64 - diff.leading_zeros()))
     }
-
-    /// Returns this key with the bit at index `i` (from the MSB) flipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= width`.
-    pub fn with_bit_flipped(self, i: u32) -> Key {
-        assert!(i < self.width.get(), "bit index {i} out of range");
-        Key {
-            bits: self.bits ^ (1u64 << (self.width.get() - 1 - i)),
-            width: self.width,
-        }
-    }
 }
 
 impl fmt::Display for Key {
@@ -345,13 +332,6 @@ mod tests {
             a.common_prefix_len(b),
             Err(KeyError::WidthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn flip_bit() {
-        let k = Key::parse("0000", 4).unwrap();
-        assert_eq!(k.with_bit_flipped(1).to_string(), "0100");
-        assert_eq!(k.with_bit_flipped(3).to_string(), "0001");
     }
 
     #[test]

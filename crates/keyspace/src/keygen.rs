@@ -13,7 +13,6 @@
 
 use crate::error::KeyError;
 use crate::key::{Key, KeyWidth};
-use crate::prefix::Prefix;
 
 /// A function producing identifier keys from application inputs — the
 /// paper's `KeyGen()`.
@@ -112,44 +111,6 @@ impl QuadTreeEncoder {
             x = (x << 1) | x_bit;
         }
         GridPoint { x, y }
-    }
-
-    /// Encodes normalized coordinates in `[0, 1)` (e.g. scaled longitude/
-    /// latitude) by snapping to the enclosing grid cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError::CoordinateOutOfRange`] if either coordinate is
-    /// outside `[0, 1)`.
-    pub fn encode_norm(&self, fx: f64, fy: f64) -> Result<Key, KeyError> {
-        let size = self.grid_size();
-        let to_cell = |f: f64| -> Result<u64, KeyError> {
-            if !(0.0..1.0).contains(&f) {
-                return Err(KeyError::CoordinateOutOfRange {
-                    value: f as u64,
-                    bound: 1,
-                });
-            }
-            Ok(((f * size as f64) as u64).min(size - 1))
-        };
-        self.encode(&GridPoint::new(to_cell(fx)?, to_cell(fy)?))
-    }
-
-    /// The rectangular region covered by a key-group prefix, as
-    /// `(x0, y0, width, height)` in grid cells. Odd-depth prefixes cover a
-    /// half-cell split in y first (the paper's 2-bit labels split y then x).
-    pub fn region_of(&self, prefix: Prefix) -> (u64, u64, u64, u64) {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
-        // The virtual key has zeros in all unspecified bits, so decoding it
-        // lands on the region origin. A depth-d prefix fixes d/2 complete
-        // levels of both coordinates, plus one extra y bit when d is odd
-        // (each 2-bit label is y-bit-then-x-bit).
-        let origin = self.decode(prefix.min_key());
-        let full_levels = prefix.depth() / 2;
-        let extra_y_bit = prefix.depth() % 2;
-        let w = 1u64 << (self.levels - full_levels);
-        let h = 1u64 << (self.levels - full_levels - extra_y_bit);
-        (origin.x, origin.y, w, h)
     }
 }
 
@@ -322,35 +283,6 @@ mod tests {
         let enc = QuadTreeEncoder::new(12).unwrap();
         assert_eq!(enc.key_width(), KeyWidth::PAPER);
         assert_eq!(enc.grid_size(), 4096);
-    }
-
-    #[test]
-    fn quadtree_norm_encoding() {
-        let enc = QuadTreeEncoder::new(4).unwrap();
-        let k = enc.encode_norm(0.0, 0.0).unwrap();
-        assert_eq!(enc.decode(k), GridPoint::new(0, 0));
-        let k = enc.encode_norm(0.999, 0.999).unwrap();
-        assert_eq!(enc.decode(k), GridPoint::new(15, 15));
-        assert!(enc.encode_norm(1.0, 0.5).is_err());
-        assert!(enc.encode_norm(-0.1, 0.5).is_err());
-    }
-
-    #[test]
-    fn quadtree_region_of_whole_space() {
-        let enc = QuadTreeEncoder::new(3).unwrap();
-        let root = Prefix::root(enc.key_width());
-        assert_eq!(enc.region_of(root), (0, 0, 8, 8));
-    }
-
-    #[test]
-    fn quadtree_region_of_quadrant() {
-        let enc = QuadTreeEncoder::new(3).unwrap();
-        // Prefix "11*" = south-east quadrant.
-        let se = Prefix::parse("11*", 6).unwrap();
-        assert_eq!(enc.region_of(se), (4, 4, 4, 4));
-        // Odd depth: "1*" = southern half (y split first).
-        let south = Prefix::parse("1*", 6).unwrap();
-        assert_eq!(enc.region_of(south), (0, 4, 8, 4));
     }
 
     #[test]

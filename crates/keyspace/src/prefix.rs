@@ -280,13 +280,6 @@ impl Prefix {
         }
     }
 
-    /// True if this group's virtual key equals its parent's virtual key —
-    /// exactly the left children (the "stays on the same server" half of a
-    /// split).
-    pub fn shares_virtual_key_with_parent(self) -> bool {
-        self.last_bit() == Some(0)
-    }
-
     /// An arbitrary representative key in this group (the virtual key
     /// itself).
     pub fn min_key(self) -> Key {
@@ -425,8 +418,6 @@ mod tests {
         assert_eq!(r.sibling(), Some(l));
         assert_eq!(l.last_bit(), Some(0));
         assert_eq!(r.last_bit(), Some(1));
-        assert!(l.shares_virtual_key_with_parent());
-        assert!(!r.shares_virtual_key_with_parent());
     }
 
     #[test]

@@ -131,6 +131,30 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// The containing-entries walk visits exactly the entries whose
+    /// prefix contains the key, each once, root to leaf.
+    #[test]
+    fn containing_walk_matches_bruteforce(
+        entries in prop::collection::vec(arb_prefix(), 0..20),
+        probe in arb_key(),
+    ) {
+        let mut map = PrefixMap::new(w());
+        // The entries containing one key are nested, so depth orders them.
+        let mut latest = std::collections::BTreeMap::new();
+        for (i, e) in entries.iter().enumerate() {
+            map.insert(*e, i);
+            latest.insert((e.depth(), *e), i);
+        }
+        let expected: Vec<(Prefix, usize)> = latest
+            .into_iter()
+            .filter(|((_, p), _)| p.contains(probe))
+            .map(|((_, p), i)| (p, i))
+            .collect();
+        let mut got = Vec::new();
+        map.for_each_containing(probe, |p, &i| got.push((p, i)));
+        prop_assert_eq!(got, expected);
+    }
+
     /// Random split/merge sequences on a cover keep it a partition, and
     /// every key keeps exactly one group.
     #[test]

@@ -12,7 +12,7 @@
 //!   recording never reads a clock and never draws RNG, so traced and
 //!   untraced runs are bit-for-bit identical.
 //! * [`telemetry`] — a unified [`Telemetry`] registry of labeled
-//!   counters/gauges/summaries with snapshot/delta semantics, replacing
+//!   counters/gauges/summaries with snapshot semantics, replacing
 //!   per-experiment field picking.
 //! * [`profile`] — per-phase wall-clock profiling of the load check and
 //!   batch flush. Protocol crates name [`CheckPhase`]s; the only clock

@@ -4,7 +4,7 @@
 //! message totals from `MessageStats`, latency quantiles from
 //! `LatencyMetrics`, recovery totals from driver-private counters. The
 //! [`Telemetry`] registry gives all of them one namespace of labeled
-//! metrics with snapshot/delta semantics, so a status surface (ROADMAP
+//! metrics with snapshot semantics, so a status surface (ROADMAP
 //! item 2) or a cost ledger (item 5) can enumerate what exists instead
 //! of knowing where each number lives.
 //!
@@ -28,7 +28,7 @@ pub enum MetricValue {
     Summary(SummarySnapshot),
 }
 
-/// A labeled bag of metrics with snapshot and delta support.
+/// A labeled bag of metrics with snapshot support.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     metrics: BTreeMap<String, MetricValue>,
@@ -121,24 +121,6 @@ impl Telemetry {
         self.clone()
     }
 
-    /// Counter movement since `earlier`: every counter present in both,
-    /// with `self - earlier` (saturating), in deterministic order.
-    /// Gauges and summaries are level readings, not flows, so they are
-    /// excluded from deltas by design.
-    #[must_use]
-    pub fn counter_delta(&self, earlier: &Telemetry) -> Vec<(String, u64)> {
-        self.metrics
-            .iter()
-            .filter_map(|(k, v)| {
-                let MetricValue::Counter(now) = v else {
-                    return None;
-                };
-                let before = earlier.counter_value(k).unwrap_or(0);
-                Some((k.clone(), now.saturating_sub(before)))
-            })
-            .collect()
-    }
-
     /// Render as aligned `name value` lines, one metric per line, in
     /// deterministic order — the quick-look format for status output.
     #[must_use]
@@ -171,15 +153,11 @@ mod tests {
         let before = t.snapshot();
         t.add("messages.accept_object", 7);
         t.add("merges", 1);
-        let delta = t.counter_delta(&before);
-        assert_eq!(
-            delta,
-            vec![
-                ("merges".to_owned(), 1),
-                ("messages.accept_object".to_owned(), 7),
-                ("splits".to_owned(), 0),
-            ]
-        );
+        let delta = |k: &str| t.counter_value(k).unwrap() - before.counter_value(k).unwrap_or(0);
+        assert_eq!(t.counter_value("messages.accept_object"), Some(22));
+        assert_eq!(delta("merges"), 1);
+        assert_eq!(delta("messages.accept_object"), 7);
+        assert_eq!(delta("splits"), 0);
     }
 
     #[test]

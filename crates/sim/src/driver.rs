@@ -825,10 +825,9 @@ impl SimDriver {
         &self.cluster
     }
 
-    /// Mutable access to the cluster *before* the run starts — used by
-    /// the equivalence suites to flip test-only knobs (e.g.
-    /// [`ClashCluster::set_full_scan_load_checks`]) on an otherwise
-    /// identical scenario.
+    /// Mutable access to the cluster *before* the run starts — used to
+    /// attach a trace sink or a profiler, and by the equivalence suites
+    /// to set up the reference twin of an otherwise identical scenario.
     pub fn cluster_mut(&mut self) -> &mut ClashCluster {
         &mut self.cluster
     }

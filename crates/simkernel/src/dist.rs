@@ -1,13 +1,12 @@
 //! Sampling distributions used by the CLASH workloads.
 //!
-//! The paper's workloads need three distribution families (§6.1):
+//! The paper's workloads need two distribution families (§6.1):
 //!
 //! * **Exponential** — virtual stream lengths (`Ld`, mean 1000 packets) and
 //!   query-client lifetimes (`Lq`, mean 30 minutes).
 //! * **Discrete weighted** — the skewed distributions over the 8-bit base
 //!   portion of the identifier key (workloads A, B, C of Figure 3). We use
 //!   Vose's alias method so a draw is O(1) regardless of skew.
-//! * **Zipf** — an alternative skew family used by the ablation experiments.
 
 use rand::{Rng, RngCore};
 
@@ -162,67 +161,6 @@ impl DiscreteDist {
     }
 }
 
-/// Zipf distribution over ranks `0..n` with exponent `s`, sampled via a
-/// precomputed CDF and binary search (O(log n) per draw).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution with `n` ranks and exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative or non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be >= 0");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if there are no ranks (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws one rank (0 is the most popular).
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.uniform_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-
-    /// Probability mass of rank `i`.
-    pub fn mass(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[i] - self.cdf[i - 1]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,32 +261,5 @@ mod tests {
     #[should_panic(expected = "must not all be zero")]
     fn discrete_rejects_all_zero() {
         DiscreteDist::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_popular() {
-        let z = Zipf::new(100, 1.0);
-        let mut r = rng();
-        let mut counts = vec![0u32; 100];
-        for _ in 0..100_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[99]);
-    }
-
-    #[test]
-    fn zipf_masses_sum_to_one() {
-        let z = Zipf::new(50, 1.2);
-        let total: f64 = (0..50).map(|i| z.mass(i)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zipf_exponent_zero_is_uniform() {
-        let z = Zipf::new(10, 0.0);
-        for i in 0..10 {
-            assert!((z.mass(i) - 0.1).abs() < 1e-9);
-        }
     }
 }

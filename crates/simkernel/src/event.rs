@@ -7,7 +7,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A pending event of payload type `E`.
 struct Scheduled<E> {
@@ -52,8 +52,8 @@ impl<E> PartialOrd for Scheduled<E> {
 /// use clash_simkernel::time::{SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule_after(SimDuration::from_secs(1), "later");
-/// q.schedule_after(SimDuration::from_millis(10), "soon");
+/// q.schedule(SimTime::ZERO + SimDuration::from_secs(1), "later");
+/// q.schedule(SimTime::ZERO + SimDuration::from_millis(10), "soon");
 /// assert_eq!(q.pop().map(|(_, e)| e), Some("soon"));
 /// assert_eq!(q.pop().map(|(_, e)| e), Some("later"));
 /// assert!(q.pop().is_none());
@@ -113,11 +113,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, payload });
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -137,28 +132,6 @@ impl<E> EventQueue<E> {
             Some(ev) if ev.at < deadline => self.pop(),
             _ => None,
         }
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|ev| ev.at)
-    }
-
-    /// Advances the clock to `at` without firing anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or earlier than a pending event
-    /// (skipping events would corrupt the simulation).
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "cannot advance into the past");
-        if let Some(next) = self.peek_time() {
-            assert!(
-                at <= next,
-                "advance_to({at:?}) would skip a pending event at {next:?}"
-            );
-        }
-        self.now = at;
     }
 }
 
@@ -232,31 +205,6 @@ mod tests {
         );
         assert_eq!(q.pop_before(SimTime::from_secs(5)), None);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_to(SimTime::from_secs(42));
-        assert_eq!(q.now(), SimTime::from_secs(42));
-    }
-
-    #[test]
-    #[should_panic(expected = "would skip a pending event")]
-    fn advance_past_pending_event_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.advance_to(SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "first");
-        q.pop();
-        q.schedule_after(SimDuration::from_secs(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15));
     }
 
     #[test]

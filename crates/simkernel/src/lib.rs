@@ -5,7 +5,7 @@
 //! is the equivalent substrate for the Rust reproduction: a small,
 //! fully-deterministic discrete-event kernel plus the statistical machinery
 //! the experiments need (seeded RNG streams, the distributions used by the
-//! workloads, and metric recorders for the time series reported in Figures
+//! workloads, and the latency summaries and histograms behind Figures
 //! 4–5).
 //!
 //! Design goals:

@@ -1,134 +1,7 @@
-//! Metric recorders for the experiment harness.
-//!
-//! The Figure 4 panels are time series (max/avg server load, depth min/avg/
-//! max, active servers); Figure 5 is per-category message counters. These
-//! recorders are intentionally simple values — the experiment drivers own
-//! them directly, no global registry.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A timestamped series of samples — one panel line in Figure 4.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the previous sample (series must be
-    /// chronological).
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(at >= last, "time series must be recorded chronologically");
-        }
-        self.points.push((at, value));
-    }
-
-    /// The recorded samples in order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Largest sample value, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(m) => m.max(v),
-            })
-        })
-    }
-
-    /// Mean of the sample values, if any.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-    }
-
-    /// Mean over the samples with `lo <= t < hi` (e.g. one workload phase).
-    pub fn mean_in(&self, lo: SimTime, hi: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= lo && t < hi)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
-    /// Maximum over the samples with `lo <= t < hi`.
-    pub fn max_in(&self, lo: SimTime, hi: SimTime) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|&&(t, _)| t >= lo && t < hi)
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| {
-                Some(match acc {
-                    None => v,
-                    Some(m) => m.max(v),
-                })
-            })
-    }
-}
+//! Metric recorders: streaming summaries ([`Summary`]) and fixed-bucket
+//! histograms ([`Histogram`]), e.g. of message latencies. These
+//! recorders are intentionally simple values — their owners hold them
+//! directly, no global registry.
 
 /// Streaming summary statistics (Welford's algorithm): count, mean,
 /// variance, min, max — without storing samples.
@@ -441,86 +314,9 @@ fn quantile_over(
     Some(lo + width * buckets.len() as f64)
 }
 
-/// A keyed family of counters (Figure 5's per-message-category counts).
-#[derive(Debug, Clone, Default)]
-pub struct CounterFamily {
-    counters: BTreeMap<String, Counter>,
-}
-
-impl CounterFamily {
-    /// Creates an empty family.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter for `key`, creating it if needed.
-    pub fn add(&mut self, key: &str, n: u64) {
-        self.counters.entry(key.to_owned()).or_default().add(n);
-    }
-
-    /// Current value for `key` (0 if never touched).
-    pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).map_or(0, |c| c.get())
-    }
-
-    /// Iterates over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, c)| (k.as_str(), c.get()))
-    }
-
-    /// Sum over all counters.
-    pub fn total(&self) -> u64 {
-        self.counters.values().map(|c| c.get()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn time_series_stats() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs(0), 1.0);
-        ts.record(SimTime::from_secs(10), 3.0);
-        ts.record(SimTime::from_secs(20), 2.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.max(), Some(3.0));
-        assert_eq!(ts.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn time_series_windows() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.record(SimTime::from_secs(i), i as f64);
-        }
-        let lo = SimTime::from_secs(2);
-        let hi = SimTime::from_secs(5);
-        assert_eq!(ts.mean_in(lo, hi), Some(3.0)); // samples 2,3,4
-        assert_eq!(ts.max_in(lo, hi), Some(4.0));
-        assert_eq!(
-            ts.mean_in(SimTime::from_secs(50), SimTime::from_secs(60)),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "chronologically")]
-    fn time_series_rejects_out_of_order() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs(5), 1.0);
-        ts.record(SimTime::from_secs(1), 2.0);
-    }
 
     #[test]
     fn summary_mean_and_stddev() {
@@ -666,19 +462,5 @@ mod tests {
         let a = Histogram::new(0.0, 100.0, 100);
         let b = Histogram::new(0.0, 100.0, 50);
         a.quantile_since(&b, 0.5);
-    }
-
-    #[test]
-    fn counter_family() {
-        let mut f = CounterFamily::new();
-        f.add("lookup", 3);
-        f.add("split", 1);
-        f.add("lookup", 2);
-        assert_eq!(f.get("lookup"), 5);
-        assert_eq!(f.get("split"), 1);
-        assert_eq!(f.get("missing"), 0);
-        assert_eq!(f.total(), 6);
-        let keys: Vec<&str> = f.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["lookup", "split"]);
     }
 }

@@ -12,15 +12,6 @@
 pub use rand::rngs::SmallRng;
 pub use rand::{Rng, RngCore, SeedableRng};
 
-/// SplitMix64 step: advances the state and returns the next 64-bit output.
-///
-/// Used both for seed derivation here and for the identifier-key hash in
-/// `clash-keyspace` (independent implementation there; the two are
-/// cross-checked in the integration tests).
-pub fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-}
-
 /// Finalizes a SplitMix64 state into a well-mixed 64-bit value.
 pub fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -42,26 +42,6 @@ pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
     }
 }
 
-/// Ordinary least squares fit `y = a + b·x`; returns `(a, b)`.
-/// Returns `None` when fewer than two points or when x has no variance.
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|&(x, _)| x).sum();
-    let sy: f64 = points.iter().map(|&(_, y)| y).sum();
-    let sxx: f64 = points.iter().map(|&(x, _)| x * x).sum();
-    let sxy: f64 = points.iter().map(|&(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    let b = (n * sxy - sx * sy) / denom;
-    let a = (sy - b * sx) / n;
-    Some((a, b))
-}
-
 /// Maximum over a slice (None for an empty slice).
 pub fn max(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().fold(None, |acc, v| {
@@ -100,21 +80,6 @@ mod tests {
         let xs = [0.0, 10.0];
         assert_eq!(percentile(&xs, 50.0), Some(5.0));
         assert_eq!(percentile(&xs, 75.0), Some(7.5));
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let pts: Vec<(f64, f64)> = (0..20).map(|i| (i as f64, 3.0 + 2.0 * i as f64)).collect();
-        let (a, b) = linear_fit(&pts).unwrap();
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_fit_degenerate_cases() {
-        assert_eq!(linear_fit(&[]), None);
-        assert_eq!(linear_fit(&[(1.0, 1.0)]), None);
-        assert_eq!(linear_fit(&[(1.0, 1.0), (1.0, 2.0)]), None);
     }
 
     #[test]

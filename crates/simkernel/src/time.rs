@@ -137,13 +137,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Checked integer division of two durations (how many `rhs` fit in
-    /// `self`).
-    pub fn div_duration(self, rhs: SimDuration) -> u64 {
-        assert!(!rhs.is_zero(), "division by zero duration");
-        self.0 / rhs.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -289,13 +282,6 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn div_duration_counts_periods() {
-        let six_hours = SimDuration::from_hours(6);
-        let five_minutes = SimDuration::from_mins(5);
-        assert_eq!(six_hours.div_duration(five_minutes), 72);
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //!
 //! * [`query::ContinuousQuery`] — a long-lived subscription to a key-space
 //!   region (a [`clash_keyspace::prefix::Prefix`]);
-//! * [`index::QueryIndex`] — a binary trie matching a packet key to every
-//!   query region containing it in O(N);
-//! * [`engine::QueryEngine`] — the per-server engine: ingest packets,
-//!   deliver matches, and hand whole key groups of queries over for CLASH
-//!   state migration ([`engine::QueryEngine::extract_group`]).
+//! * [`engine::QueryEngine`] — the per-server engine: subscriptions in a
+//!   [`clash_keyspace::cover::PrefixMap`] keyed by region, so a packet key
+//!   reaches every query region containing it in O(N); it ingests
+//!   packets, delivers matches, and hands whole key groups of queries
+//!   over for CLASH state migration
+//!   ([`engine::QueryEngine::extract_group`]).
 //!
 //! The paper's load model ("linear in the data rate, and logarithmic in
 //! the number of queries") is exactly the cost shape of
 //! [`engine::QueryEngine::ingest`]: one trie descent per packet,
-//! depth-bounded, over an index whose size grows with the query count.
+//! depth-bounded, over subscriptions whose number grows with the query
+//! count.
 //!
 //! # Example
 //!
@@ -45,9 +47,7 @@
 // lock that in — determinism reasoning assumes no aliasing backdoors.
 #![forbid(unsafe_code)]
 pub mod engine;
-pub mod index;
 pub mod query;
 
 pub use engine::QueryEngine;
-pub use index::QueryIndex;
 pub use query::ContinuousQuery;

@@ -1,9 +1,9 @@
-//! Property tests: the query index agrees with brute-force matching, and
-//! migration conserves queries.
+//! Property tests: the query engine's matching agrees with brute force,
+//! and migration conserves queries.
 
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
-use clash_streamquery::index::QueryIndex;
+use clash_streamquery::engine::QueryEngine;
 use clash_streamquery::query::ContinuousQuery;
 use proptest::prelude::*;
 
@@ -27,30 +27,25 @@ fn arb_key() -> impl Strategy<Value = Key> {
 }
 
 proptest! {
-    /// Trie matching equals the brute-force scan over all queries.
+    /// Matching equals the brute-force scan over all queries, coarsest
+    /// region first.
     #[test]
     fn matches_equal_bruteforce(
         regions in prop::collection::vec(arb_prefix(), 0..40),
         probe in arb_key(),
     ) {
-        let mut index = QueryIndex::new(w());
+        let mut engine = QueryEngine::new(w());
         let queries: Vec<ContinuousQuery> = regions
             .iter()
             .enumerate()
             .map(|(i, &r)| ContinuousQuery::new(i as u64, r))
             .collect();
-        for q in &queries {
-            index.insert(*q);
-        }
-        let mut got: Vec<u64> = index.matches(probe).iter().map(|q| q.id()).collect();
-        got.sort_unstable();
-        let mut expected: Vec<u64> = queries
-            .iter()
-            .filter(|q| q.matches(probe))
-            .map(|q| q.id())
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        engine.register_all(queries.iter().copied());
+        let got = engine.ingest(probe);
+        let mut expected: Vec<ContinuousQuery> =
+            queries.into_iter().filter(|q| q.matches(probe)).collect();
+        expected.sort_by_key(|q| q.region().depth());
+        prop_assert_eq!(got, expected.iter().map(|q| q.id()).collect::<Vec<_>>());
     }
 
     /// extract_group removes exactly the queries whose identifier key is
@@ -62,28 +57,23 @@ proptest! {
         group in arb_prefix(),
         probes in prop::collection::vec(arb_key(), 1..10),
     ) {
-        let mut index = QueryIndex::new(w());
+        let mut engine = QueryEngine::new(w());
         for (i, &r) in regions.iter().enumerate() {
-            index.insert(ContinuousQuery::new(i as u64, r));
+            engine.register(ContinuousQuery::new(i as u64, r));
         }
-        let before = index.len();
-        let mut rest_counts = Vec::new();
-        let moved = index.extract_group(group);
-        prop_assert_eq!(index.len() + moved.len(), before);
+        let before = engine.query_count();
+        let moved = engine.extract_group(group);
+        prop_assert_eq!(engine.query_count() + moved.len(), before);
         for q in &moved {
             prop_assert!(group.contains(q.identifier_key()));
         }
-        for q in index.iter() {
-            prop_assert!(!group.contains(q.identifier_key()));
-        }
+        let in_group = regions.iter().filter(|r| group.contains(r.virtual_key())).count();
+        prop_assert_eq!(moved.len(), in_group);
         // Matching is conserved across the two sides.
-        let mut other = QueryIndex::new(w());
-        for q in moved {
-            other.insert(q);
-        }
+        let mut other = QueryEngine::new(w());
+        other.register_all(moved);
         for probe in probes {
-            let total = index.count_matches(probe) + other.count_matches(probe);
-            rest_counts.push(total);
+            let total = engine.ingest(probe).len() + other.ingest(probe).len();
             let expected = regions
                 .iter()
                 .filter(|r| r.contains(probe))
@@ -92,18 +82,19 @@ proptest! {
         }
     }
 
-    /// Insert/remove round-trips leave no residue.
+    /// Register/deregister round-trips leave no residue.
     #[test]
     fn insert_remove_roundtrip(regions in prop::collection::vec(arb_prefix(), 1..30)) {
-        let mut index = QueryIndex::new(w());
+        let mut engine = QueryEngine::new(w());
         for (i, &r) in regions.iter().enumerate() {
-            index.insert(ContinuousQuery::new(i as u64, r));
+            engine.register(ContinuousQuery::new(i as u64, r));
         }
         for (i, &r) in regions.iter().enumerate() {
-            prop_assert!(index.remove(r, i as u64));
+            prop_assert!(engine.contains(r, i as u64));
+            prop_assert!(engine.deregister(r, i as u64));
         }
-        prop_assert!(index.is_empty());
-        // The trie is fully pruned: nothing matches anywhere.
-        prop_assert_eq!(index.count_matches(Key::new(0, w()).unwrap()), 0);
+        prop_assert_eq!(engine.query_count(), 0);
+        // Nothing matches anywhere.
+        prop_assert!(engine.ingest(Key::new(0, w()).unwrap()).is_empty());
     }
 }

@@ -136,15 +136,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// A copy with a different mean virtual-stream length (Figure 5
-    /// sweeps `Ld ∈ {50, 1000}`).
-    pub fn with_stream_packets(&self, packets: f64) -> Self {
-        ScenarioSpec {
-            mean_stream_packets: packets,
-            ..self.clone()
-        }
-    }
-
     /// A copy with a membership-churn schedule layered over the run.
     pub fn with_churn(&self, churn: ChurnSpec) -> Self {
         ScenarioSpec {
@@ -213,12 +204,6 @@ mod tests {
     fn phase_duration_override() {
         let s = ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(10));
         assert_eq!(s.total_duration(), SimDuration::from_mins(30));
-    }
-
-    #[test]
-    fn stream_packets_override() {
-        let s = ScenarioSpec::paper().with_stream_packets(50.0);
-        assert_eq!(s.mean_stream_packets, 50.0);
     }
 
     #[test]

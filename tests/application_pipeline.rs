@@ -19,6 +19,8 @@ use clash_streamquery::query::ContinuousQuery;
 struct Deployment {
     cluster: ClashCluster,
     engines: BTreeMap<u64, QueryEngine>,
+    /// Every query registered, once each.
+    registered: Vec<ContinuousQuery>,
 }
 
 impl Deployment {
@@ -29,16 +31,22 @@ impl Deployment {
             .into_iter()
             .map(|id| (id.value(), QueryEngine::new(config.key_width)))
             .collect();
-        Deployment { cluster, engines }
+        Deployment {
+            cluster,
+            engines,
+            registered: Vec::new(),
+        }
     }
 
     fn register_query(&mut self, id: u64, region: Prefix) {
         let key = region.virtual_key();
         let placement = self.cluster.attach_query(id, key).unwrap();
+        let query = ContinuousQuery::new(id, region);
         self.engines
             .get_mut(&placement.server.value())
             .unwrap()
-            .register(ContinuousQuery::new(id, region));
+            .register(query);
+        self.registered.push(query);
     }
 
     fn run_load_check(&mut self) {
@@ -79,14 +87,11 @@ impl Deployment {
             }
         }
         // Replicate ancestor-region queries whose copy lives elsewhere.
-        let mut replicas: Vec<ContinuousQuery> = Vec::new();
-        for engine in self.engines.values() {
-            for q in engine.index().iter() {
-                if q.region().is_prefix_of(group) && q.region() != group {
-                    replicas.push(*q);
-                }
-            }
-        }
+        let replicas = self
+            .registered
+            .iter()
+            .filter(|q| q.region().is_prefix_of(group) && q.region() != group)
+            .copied();
         let target_engine = self.engines.get_mut(&target.value()).unwrap();
         for q in to_target.into_iter().chain(replicas) {
             if !target_engine.contains(q.region(), q.id()) {

@@ -18,9 +18,7 @@
 //!
 //! Plus the `range_query`-under-churn coverage gap: after a join, a
 //! crash and a partition heal, `range_query` must still walk exactly the
-//! oracle's cover — and a differential pin of the membership-scoped
-//! replica re-sync against the whole-cluster reference sweep on a lossy
-//! WAN, through a partition window.
+//! oracle's cover.
 
 use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
@@ -28,7 +26,6 @@ use clash_core::error::ClashError;
 use clash_core::ServerId;
 use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
-use clash_simkernel::rng::DetRng;
 use clash_transport::{LinkPolicy, LinkTransport};
 
 fn key(bits: u64) -> Key {
@@ -606,151 +603,6 @@ fn burst_api_rejects_degenerate_input() {
     ));
     assert_eq!(c.server_count(), 8, "rejected calls must not mutate");
     c.verify_consistency();
-}
-
-/// Everything a replica sync can move: message and transport counters
-/// (a send more, fewer, or in another order shifts the transport's loss
-/// and jitter draws), the protocol RNG, and every server's held replicas
-/// and placement registry. `known` lists every id that ever owned
-/// anything, alive or not.
-fn assert_same_replica_state(a: &ClashCluster, b: &ClashCluster, known: &[ServerId], at: &str) {
-    assert_eq!(a.message_stats(), b.message_stats(), "{at}: MessageStats");
-    assert_eq!(
-        a.transport_stats(),
-        b.transport_stats(),
-        "{at}: TransportStats"
-    );
-    assert_eq!(a.rng_draws(), b.rng_draws(), "{at}: protocol RNG draws");
-    assert_eq!(a.server_ids(), b.server_ids(), "{at}: membership");
-    assert_eq!(
-        a.pending_recovery_groups(),
-        b.pending_recovery_groups(),
-        "{at}: pending recoveries"
-    );
-    for id in a.server_ids() {
-        let sa = a.server(id).unwrap().replica_store();
-        let sb = b.server(id).unwrap().replica_store();
-        assert_eq!(
-            sa.placed_groups(),
-            sb.placed_groups(),
-            "{at}: registry of {id}"
-        );
-        for g in sa.placed_groups() {
-            assert_eq!(sa.placed(g), sb.placed(g), "{at}: holders of {g} on {id}");
-        }
-        assert_eq!(sa.held_count(), sb.held_count(), "{at}: leases on {id}");
-        for &owner in known {
-            let held = sa.held_owned_by(owner);
-            assert_eq!(
-                held,
-                sb.held_owned_by(owner),
-                "{at}: leases from {owner} on {id}"
-            );
-            for g in held {
-                assert_eq!(sa.held(g), sb.held(g), "{at}: replica of {g} on {id}");
-            }
-        }
-    }
-}
-
-/// A membership call re-syncs only the replica sets of the ring
-/// neighbourhood it changed; `set_full_scan_load_checks` keeps the
-/// whole-cluster sweep as the reference. Transport loss and jitter are
-/// drawn per send, so the two agree only if the scoped sync issues
-/// exactly the sweep's sends in the sweep's order: after every join,
-/// drain, single crash and 3-victim ring burst — before, inside and
-/// after a two-island partition — counters, RNG positions and every
-/// server's replica store must be identical.
-#[test]
-fn scoped_membership_resync_matches_the_whole_sweep_on_a_lossy_wan() {
-    for r in [1usize, 2, 3] {
-        for seed in [3u64, 17] {
-            let config = ClashConfig::small_test().with_replication(r);
-            let build = |reference: bool| {
-                let transport = Box::new(LinkTransport::new(LinkPolicy::lossy_wan(0.05), seed));
-                let mut c = ClashCluster::with_transport(config, 32, seed, transport).unwrap();
-                c.set_full_scan_load_checks(reference);
-                for i in 0..192 {
-                    c.attach_source(i, key((i * 7) % 256), 1.5).unwrap();
-                }
-                c.run_load_check().unwrap();
-                c
-            };
-            let (mut scoped, mut whole) = (build(false), build(true));
-            let mut known = scoped.server_ids();
-            let mut pick = DetRng::new(seed).substream("resync-test");
-            for step in 0..45u64 {
-                let at = format!("r={r} seed={seed} step={step}");
-                let ids = scoped.server_ids();
-                let victim = ids[pick.uniform_index(ids.len())];
-                let roomy = ids.len() > 12;
-                match step {
-                    15 => {
-                        let islands: Vec<Vec<ServerId>> =
-                            ids.chunks(ids.len() / 2 + 1).map(<[_]>::to_vec).collect();
-                        scoped.partition_network(&islands);
-                        whole.partition_network(&islands);
-                    }
-                    30 => {
-                        scoped.heal_partition();
-                        whole.heal_partition();
-                    }
-                    _ => {}
-                }
-                match step % 5 {
-                    0 | 1 => {
-                        let id = ServerId::new(pick.next_u64(), config.hash_space);
-                        if scoped.net().node(id).is_none() {
-                            known.push(id);
-                            assert_eq!(scoped.join_server(id), whole.join_server(id), "{at}");
-                        }
-                    }
-                    2 if roomy => {
-                        assert_eq!(
-                            scoped.leave_server(victim),
-                            whole.leave_server(victim),
-                            "{at}"
-                        );
-                    }
-                    3 if roomy && step % 2 == 0 => {
-                        assert_eq!(
-                            scoped.fail_server(victim),
-                            whole.fail_server(victim),
-                            "{at}"
-                        );
-                    }
-                    3 if roomy => {
-                        let mut burst = vec![victim];
-                        burst.extend(scoped.net().alive_successors(victim, 2));
-                        assert_eq!(
-                            scoped.fail_servers(&burst),
-                            whole.fail_servers(&burst),
-                            "{at}"
-                        );
-                    }
-                    _ => {
-                        let key = key(pick.next_u64() % 256);
-                        let moved = pick.uniform_index(192) as u64;
-                        if scoped.has_source(moved) {
-                            assert_eq!(
-                                scoped.move_source(moved, key),
-                                whole.move_source(moved, key),
-                                "{at}"
-                            );
-                        }
-                        let (a, b) = (scoped.run_load_check(), whole.run_load_check());
-                        assert_eq!(
-                            a.map(|c| (c.splits, c.merges, c.recoveries_completed)),
-                            b.map(|c| (c.splits, c.merges, c.recoveries_completed)),
-                            "{at}"
-                        );
-                    }
-                }
-                assert_same_replica_state(&scoped, &whole, &known, &at);
-                scoped.verify_consistency();
-            }
-        }
-    }
 }
 
 /// The fixed-depth baseline materializes a group on its first attach and
