@@ -130,7 +130,7 @@ impl ClashCluster {
             hasher: SplitMixHasher::new(config.hash_space, config.hash_seed),
             net,
             servers,
-            oracle: verify::Oracle::new(config.key_width),
+            oracle: verify::Oracle::new(),
             data: DataPlane::default(),
             rng: root_rng.substream("cluster"),
             wire: accounting::Wire::new(transport),

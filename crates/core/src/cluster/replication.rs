@@ -225,7 +225,7 @@ impl ClashCluster {
         } else {
             let mut owners: BTreeSet<u64> = dirty
                 .iter()
-                .filter_map(|&g| self.oracle.view().get(g))
+                .filter_map(|g| self.oracle.view().get(g))
                 .map(|owner| owner.value())
                 .collect();
             for at in &changed {

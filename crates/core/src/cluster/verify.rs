@@ -3,8 +3,10 @@
 //! against, and `verify_consistency`, which cross-checks the oracle, the
 //! server tables, the ledgers and the replica bookkeeping.
 
-use clash_keyspace::cover::{PrefixCover, PrefixMap};
-use clash_keyspace::key::{Key, KeyWidth};
+use std::collections::BTreeMap;
+
+use clash_keyspace::cover::{self, PrefixCover};
+use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
 use clash_simkernel::collections::DetHashMap;
 
@@ -18,7 +20,11 @@ use crate::ServerId;
 /// [`Oracle::view`] is for verification, diagnostics and bookkeeping
 /// outside recovery.
 pub(super) struct Oracle {
-    index: PrefixMap<ServerId>,
+    /// Every active group and its owner. The groups are prefix-free and
+    /// change on every split and merge, so a plain ordered map serves:
+    /// exact reads and writes in O(log n), and each prefix query a
+    /// ground-truth accessor needs is one floor lookup.
+    index: BTreeMap<Prefix, ServerId>,
     /// True while crash recovery runs — any [`Oracle::owner`] read in
     /// that window is counted below. With replication enabled the
     /// replica-promotion path must keep the counter at zero; tests and
@@ -29,9 +35,9 @@ pub(super) struct Oracle {
 }
 
 impl Oracle {
-    pub(super) fn new(width: KeyWidth) -> Self {
+    pub(super) fn new() -> Self {
         Oracle {
-            index: PrefixMap::new(width),
+            index: BTreeMap::new(),
             recovery_active: false,
             reads_in_recovery: 0,
         }
@@ -43,11 +49,11 @@ impl Oracle {
         if self.recovery_active {
             self.reads_in_recovery += 1;
         }
-        self.index.get(group).copied()
+        self.index.get(&group).copied()
     }
 
     /// The whole index, uncounted — never for crash recovery.
-    pub(super) fn view(&self) -> &PrefixMap<ServerId> {
+    pub(super) fn view(&self) -> &BTreeMap<Prefix, ServerId> {
         debug_assert!(
             !self.recovery_active,
             "crash recovery read the oracle past its read counter"
@@ -60,7 +66,7 @@ impl Oracle {
     }
 
     pub(super) fn remove(&mut self, group: Prefix) {
-        self.index.remove(group);
+        self.index.remove(&group);
     }
 
     pub(super) fn reads_in_recovery(&self) -> u64 {
@@ -72,7 +78,7 @@ impl ClashCluster {
     /// The global set of active groups as a prefix cover (the oracle).
     pub fn global_cover(&self) -> PrefixCover {
         let mut cover = PrefixCover::new(self.config.key_width);
-        for p in self.oracle.view().prefixes() {
+        for &p in self.oracle.view().keys() {
             cover.insert(p).expect("global index must be prefix-free");
         }
         cover
@@ -80,35 +86,35 @@ impl ClashCluster {
 
     /// Global depth statistics `(min, mean, max)` over active groups.
     pub fn depth_stats(&self) -> Option<(u32, f64, u32)> {
-        let mut min = u32::MAX;
-        let mut max = 0;
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for p in self.oracle.view().prefixes() {
-            min = min.min(p.depth());
-            max = max.max(p.depth());
-            sum += u64::from(p.depth());
-            n += 1;
-        }
-        (n > 0).then(|| (min, sum as f64 / n as f64, max))
+        cover::depth_stats(self.oracle.view().keys().copied())
     }
 
-    /// Ground-truth owner of a key (oracle; no messages).
+    /// Ground-truth owner of a key (oracle; no messages). The groups are
+    /// prefix-free, so the only one that can contain the key is the last
+    /// at or before the key's full-depth group.
     pub fn oracle_locate(&self, key: Key) -> Option<(ServerId, Prefix)> {
-        self.oracle
-            .view()
-            .longest_prefix_match(key)
-            .map(|(p, &s)| (s, p))
+        let leaf = Prefix::of_key(key, self.config.key_width.get());
+        let (&group, &owner) = self.oracle.view().range(..=leaf).next_back()?;
+        group.contains(key).then_some((owner, group))
     }
 
     /// Ground-truth range scan: every active group intersecting `range`
-    /// and its owner, in key order (no messages).
+    /// and its owner, in key order (no messages). With prefix-free groups
+    /// that is the one strict ancestor, which would be the last group
+    /// before `range`, or else the run of groups inside `range`.
     pub fn oracle_range(&self, range: Prefix) -> Vec<(Prefix, ServerId)> {
-        self.oracle
-            .view()
-            .intersecting(range)
+        let index = self.oracle.view();
+        let ancestor = index
+            .range(..range)
+            .next_back()
+            .filter(|(g, _)| g.is_prefix_of(range));
+        let inside = index
+            .range(range..)
+            .take_while(|(g, _)| range.is_prefix_of(**g));
+        ancestor
             .into_iter()
-            .map(|(p, &s)| (p, s))
+            .chain(inside)
+            .map(|(&g, &s)| (g, s))
             .collect()
     }
 
@@ -124,7 +130,7 @@ impl ClashCluster {
             return Vec::new();
         }
         let mut deficit = Vec::new();
-        for (group, &owner) in self.oracle.view().iter() {
+        for (&group, &owner) in self.oracle.view() {
             if self.replica_work.dirty.contains(&group)
                 || self.recovery.pending.contains_key(&group)
             {
@@ -180,7 +186,7 @@ impl ClashCluster {
 
     fn verify_consistency_inner(&self) {
         // 1. Global index entries are active on their owners.
-        for (group, &owner) in self.oracle.view().iter() {
+        for (&group, &owner) in self.oracle.view() {
             let server = self.server(owner).expect("owner exists");
             let entry = server
                 .table()
@@ -195,7 +201,7 @@ impl ClashCluster {
             for e in server.table().active_groups() {
                 total_active += 1;
                 assert_eq!(
-                    self.oracle.view().get(e.group),
+                    self.oracle.view().get(&e.group),
                     Some(&server.id()),
                     "active {} on {} missing from oracle",
                     e.group,
@@ -273,7 +279,7 @@ impl ClashCluster {
         // group's recovery is pending, which is why a join need not
         // expire any.
         if self.replication_enabled() {
-            for (group, &owner) in self.oracle.view().iter() {
+            for (&group, &owner) in self.oracle.view() {
                 let owner_server = self.server(owner).expect("owner exists");
                 assert!(
                     owner_server.replica_store().held(group).is_none(),

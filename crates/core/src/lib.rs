@@ -57,7 +57,6 @@ pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod error;
-mod groups;
 pub mod latency;
 pub mod load;
 pub mod messages;

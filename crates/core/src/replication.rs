@@ -22,10 +22,9 @@
 //! accounting) lives in `ClashCluster`, keeping the server I/O-free like
 //! the rest of the protocol state.
 //!
-//! **Layout.** Each structure is a `SortedGroups` (the module
-//! `crate::groups`): one vector kept sorted by [`Prefix`]'s `Ord`, so
-//! every iteration visits groups in trie pre-order. Nothing here needs a
-//! prefix operation: a lookup is a binary search over a few contiguous
+//! **Layout.** Each structure is a [`PrefixMap`]: one vector kept sorted
+//! by [`Prefix`]'s `Ord`, so every iteration visits groups in
+//! binary-string order. Nothing here needs a prefix operation: a lookup is a binary search over a few contiguous
 //! entries, and the lease-expiry walk that every departure runs over
 //! every server is one `retain` per store. A store holds about `r ×
 //! groups / servers` groups, so the shifts an insert or remove costs
@@ -33,10 +32,10 @@
 
 use std::sync::Arc;
 
+use clash_keyspace::cover::PrefixMap;
 use clash_keyspace::key::KeyWidth;
 use clash_keyspace::prefix::Prefix;
 
-use crate::groups::SortedGroups;
 use crate::ServerId;
 
 /// One replicated key-group: the owner it was seeded by plus the ledger
@@ -66,16 +65,16 @@ pub struct ReplicaRecord {
 /// placement registry for its own groups (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReplicaStore {
-    held: SortedGroups<ReplicaRecord>,
-    placed: SortedGroups<Vec<ServerId>>,
+    held: PrefixMap<ReplicaRecord>,
+    placed: PrefixMap<Vec<ServerId>>,
 }
 
 impl ReplicaStore {
     /// Creates an empty store for groups of `width`-bit keys.
     pub fn new(width: KeyWidth) -> Self {
         ReplicaStore {
-            held: SortedGroups::new(width),
-            placed: SortedGroups::new(width),
+            held: PrefixMap::new(width),
+            placed: PrefixMap::new(width),
         }
     }
 
@@ -150,29 +149,23 @@ impl ReplicaStore {
     }
 }
 
-/// The trie-backed store the sorted vectors replaced, kept as the
-/// differential reference: one `PrefixMap` per structure.
+/// A model of the store, correct by definition and sharing no code with
+/// the sorted vectors: one `BTreeMap` per structure.
 #[cfg(test)]
 mod reference {
-    use clash_keyspace::cover::PrefixMap;
+    use std::collections::BTreeMap;
 
     use super::*;
 
-    pub(super) struct TrieReplicaStore {
-        held: PrefixMap<ReplicaRecord>,
-        placed: PrefixMap<Vec<ServerId>>,
+    #[derive(Default)]
+    pub(super) struct ModelReplicaStore {
+        held: BTreeMap<Prefix, ReplicaRecord>,
+        placed: BTreeMap<Prefix, Vec<ServerId>>,
     }
 
-    impl TrieReplicaStore {
-        pub(super) fn new(width: KeyWidth) -> Self {
-            TrieReplicaStore {
-                held: PrefixMap::new(width),
-                placed: PrefixMap::new(width),
-            }
-        }
-
+    impl ModelReplicaStore {
         pub(super) fn held(&self, group: Prefix) -> Option<&ReplicaRecord> {
-            self.held.get(group)
+            self.held.get(&group)
         }
 
         pub(super) fn store(&mut self, group: Prefix, record: ReplicaRecord) {
@@ -180,7 +173,7 @@ mod reference {
         }
 
         pub(super) fn drop_held(&mut self, group: Prefix) -> Option<ReplicaRecord> {
-            self.held.remove(group)
+            self.held.remove(&group)
         }
 
         pub(super) fn held_count(&self) -> usize {
@@ -191,52 +184,45 @@ mod reference {
             self.held
                 .iter()
                 .filter(|(_, r)| r.owner == owner)
-                .map(|(g, _)| g)
+                .map(|(&g, _)| g)
                 .collect()
         }
 
         pub(super) fn held_owners(&self) -> Vec<(Prefix, ServerId)> {
-            self.held.iter().map(|(g, r)| (g, r.owner)).collect()
+            self.held.iter().map(|(&g, r)| (g, r.owner)).collect()
         }
 
         pub(super) fn expire_held<F: Fn(Prefix, ServerId) -> bool>(&mut self, keep: F) -> usize {
-            let stale: Vec<Prefix> = self
-                .held
-                .iter()
-                .filter(|(g, r)| !keep(*g, r.owner))
-                .map(|(g, _)| g)
-                .collect();
-            for g in &stale {
-                self.held.remove(*g);
-            }
-            stale.len()
+            let before = self.held.len();
+            self.held.retain(|&g, r| keep(g, r.owner));
+            before - self.held.len()
         }
 
         pub(super) fn placed(&self, group: Prefix) -> &[ServerId] {
-            self.placed.get(group).map(Vec::as_slice).unwrap_or(&[])
+            self.placed.get(&group).map(Vec::as_slice).unwrap_or(&[])
         }
 
         pub(super) fn set_placed(&mut self, group: Prefix, holders: Vec<ServerId>) {
             if holders.is_empty() {
-                self.placed.remove(group);
+                self.placed.remove(&group);
             } else {
                 self.placed.insert(group, holders);
             }
         }
 
         pub(super) fn take_placed(&mut self, group: Prefix) -> Vec<ServerId> {
-            self.placed.remove(group).unwrap_or_default()
+            self.placed.remove(&group).unwrap_or_default()
         }
 
         pub(super) fn placed_groups(&self) -> Vec<Prefix> {
-            self.placed.prefixes().collect()
+            self.placed.keys().copied().collect()
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::reference::TrieReplicaStore;
+    use super::reference::ModelReplicaStore;
     use super::*;
     use clash_keyspace::hash::HashSpace;
     use proptest::prelude::*;
@@ -340,20 +326,20 @@ mod tests {
         all
     }
 
-    fn assert_same(store: &ReplicaStore, trie: &TrieReplicaStore, groups: &[Prefix]) {
-        assert_eq!(store.held_count(), trie.held_count(), "held count");
+    fn assert_same(store: &ReplicaStore, model: &ModelReplicaStore, groups: &[Prefix]) {
+        assert_eq!(store.held_count(), model.held_count(), "held count");
         let owners: Vec<(Prefix, ServerId)> = store.held_owners().collect();
-        assert_eq!(owners, trie.held_owners(), "held order");
+        assert_eq!(owners, model.held_owners(), "held order");
         for owner in 0..4 {
             assert_eq!(
                 store.held_owned_by(sid(owner)),
-                trie.held_owned_by(sid(owner))
+                model.held_owned_by(sid(owner))
             );
         }
-        assert_eq!(store.placed_groups(), trie.placed_groups(), "placed order");
+        assert_eq!(store.placed_groups(), model.placed_groups(), "placed order");
         for &g in groups {
-            assert_eq!(store.held(g), trie.held(g), "held {g}");
-            assert_eq!(store.placed(g), trie.placed(g), "placed {g}");
+            assert_eq!(store.held(g), model.held(g), "held {g}");
+            assert_eq!(store.placed(g), model.placed(g), "placed {g}");
         }
     }
 
@@ -361,13 +347,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn replica_store_matches_trie_reference(
+        fn replica_store_matches_model(
             ops in prop::collection::vec((0u8..7, 0u64..u64::MAX, 0u64..u64::MAX), 1..200),
         ) {
             let width = KeyWidth::new(8).unwrap();
             let groups = groups();
             let mut store = ReplicaStore::new(width);
-            let mut trie = TrieReplicaStore::new(width);
+            let mut model = ModelReplicaStore::default();
             for (op, a, b) in ops {
                 let group = groups[a as usize % groups.len()];
                 match op {
@@ -380,26 +366,26 @@ mod tests {
                             queries: Arc::new(vec![b >> 8]),
                         };
                         store.store(group, record.clone());
-                        trie.store(group, record);
+                        model.store(group, record);
                     }
-                    2 => prop_assert_eq!(store.drop_held(group), trie.drop_held(group)),
+                    2 => prop_assert_eq!(store.drop_held(group), model.drop_held(group)),
                     3 => {
                         // Expire by owner (a departed server) and by group
                         // bits (a pending recovery keeps its lease).
                         let keep = |g: Prefix, owner: ServerId| {
                             owner.value() != b % 4 || (g.pattern() ^ (b >> 2)) & 1 == 0
                         };
-                        prop_assert_eq!(store.expire_held(keep), trie.expire_held(keep));
+                        prop_assert_eq!(store.expire_held(keep), model.expire_held(keep));
                     }
                     4 | 5 => {
                         // One in three sets clear the entry.
                         let holders: Vec<ServerId> = (0..b % 3).map(|h| sid(h + a % 5)).collect();
                         store.set_placed(group, holders.clone());
-                        trie.set_placed(group, holders);
+                        model.set_placed(group, holders);
                     }
-                    _ => prop_assert_eq!(store.take_placed(group), trie.take_placed(group)),
+                    _ => prop_assert_eq!(store.take_placed(group), model.take_placed(group)),
                 }
-                assert_same(&store, &trie, &groups);
+                assert_same(&store, &model, &groups);
             }
         }
     }

@@ -8,6 +8,7 @@
 //! group to shed ("hottest"), the choice to consolidate ("coldest eligible
 //! parent"), and the three-way `ACCEPT_OBJECT` case analysis.
 
+use clash_keyspace::cover;
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
 
@@ -376,18 +377,7 @@ impl ClashServer {
     /// Depth statistics over this server's active groups:
     /// `(min, mean, max)`.
     pub fn depth_stats(&self) -> Option<(u32, f64, u32)> {
-        let mut min = u32::MAX;
-        let mut max = 0;
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for e in self.table.active_groups() {
-            let d = e.group.depth();
-            min = min.min(d);
-            max = max.max(d);
-            sum += u64::from(d);
-            n += 1;
-        }
-        (n > 0).then(|| (min, sum as f64 / n as f64, max))
+        cover::depth_stats(self.table.active_groups().map(|e| e.group))
     }
 }
 

@@ -17,11 +17,11 @@
 
 use std::fmt;
 
+use clash_keyspace::cover::PrefixMap;
 use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
 
 use crate::error::ClashError;
-use crate::groups::SortedGroups;
 use crate::load::GroupLoad;
 use crate::messages::AcceptObjectResponse;
 use crate::ServerId;
@@ -109,7 +109,7 @@ impl TableEntry {
 #[derive(Clone)]
 pub struct ServerTable {
     owner: ServerId,
-    map: SortedGroups<TableEntry>,
+    map: PrefixMap<TableEntry>,
 }
 
 impl ServerTable {
@@ -117,7 +117,7 @@ impl ServerTable {
     pub fn new(owner: ServerId, width: KeyWidth) -> Self {
         ServerTable {
             owner,
-            map: SortedGroups::new(width),
+            map: PrefixMap::new(width),
         }
     }
 
@@ -216,7 +216,10 @@ impl ServerTable {
 
     /// The active group containing `key`, if this server manages it.
     pub fn owning_group(&self, key: Key) -> Option<&TableEntry> {
-        self.map.longest_match(key).filter(|e| e.active)
+        self.map
+            .longest_prefix_match(key)
+            .map(|(_, e)| e)
+            .filter(|e| e.active)
     }
 
     /// Handles an `ACCEPT_OBJECT` probe: the three cases of §5.
@@ -433,7 +436,10 @@ impl ServerTable {
     }
 
     fn owning_group_mut(&mut self, key: Key) -> Option<&mut TableEntry> {
-        self.map.longest_match_mut(key).filter(|e| e.active)
+        self.map
+            .longest_prefix_match_mut(key)
+            .map(|(_, e)| e)
+            .filter(|e| e.active)
     }
 
     /// Loads of all active groups (for the server-level load computation).
@@ -624,36 +630,31 @@ impl fmt::Debug for ServerTable {
     }
 }
 
-/// The trie-backed table the sorted vector replaced, kept as the
-/// differential reference: the storage operations and prefix queries of
-/// the old `ServerTable`, over one `PrefixMap`.
+/// A model of the table's storage and prefix queries, correct by
+/// definition and sharing no code with the sorted-vector search: a
+/// `BTreeMap` for the entries, brute-force scans for both prefix queries.
 #[cfg(test)]
 mod reference {
-    use clash_keyspace::cover::PrefixMap;
+    use std::collections::BTreeMap;
 
     use super::*;
 
-    pub(super) struct TrieTable {
-        map: PrefixMap<TableEntry>,
+    #[derive(Default)]
+    pub(super) struct ModelTable {
+        map: BTreeMap<Prefix, TableEntry>,
     }
 
-    impl TrieTable {
-        pub(super) fn new(width: KeyWidth) -> Self {
-            TrieTable {
-                map: PrefixMap::new(width),
-            }
-        }
-
+    impl ModelTable {
         pub(super) fn entries(&self) -> Vec<TableEntry> {
-            self.map.iter().map(|(_, e)| e.clone()).collect()
+            self.map.values().cloned().collect()
         }
 
         pub(super) fn entry(&self, group: Prefix) -> Option<&TableEntry> {
-            self.map.get(group)
+            self.map.get(&group)
         }
 
         pub(super) fn install_entry(&mut self, entry: TableEntry) -> bool {
-            if self.map.contains(entry.group) {
+            if self.map.contains_key(&entry.group) {
                 return false;
             }
             self.map.insert(entry.group, entry);
@@ -661,11 +662,11 @@ mod reference {
         }
 
         pub(super) fn extract_entry(&mut self, group: Prefix) -> Option<TableEntry> {
-            self.map.remove(group)
+            self.map.remove(&group)
         }
 
         pub(super) fn set_load(&mut self, group: Prefix, load: GroupLoad) -> bool {
-            match self.map.get_mut(group) {
+            match self.map.get_mut(&group) {
                 Some(entry) if entry.active => {
                     entry.load = load;
                     true
@@ -674,16 +675,18 @@ mod reference {
             }
         }
 
+        /// The deepest entry containing `key`, if it is active.
         pub(super) fn owning_group(&self, key: Key) -> Option<&TableEntry> {
             self.map
-                .longest_prefix_match(key)
-                .map(|(_, e)| e)
+                .values()
+                .filter(|e| e.group.contains(key))
+                .max_by_key(|e| e.group.depth())
                 .filter(|e| e.active)
         }
 
         pub(super) fn adjust_rate_for_key(&mut self, key: Key, delta: f64) -> Option<Prefix> {
             let group = self.owning_group(key)?.group;
-            let entry = self.map.get_mut(group).expect("entry exists");
+            let entry = self.map.get_mut(&group).expect("entry exists");
             entry.load.data_rate = (entry.load.data_rate + delta).max(0.0);
             Some(group)
         }
@@ -705,7 +708,7 @@ mod reference {
                 None => AcceptObjectResponse::IncorrectDepth {
                     d_min: self
                         .map
-                        .prefixes()
+                        .keys()
                         .map(|g| g.common_prefix_len_with_key(key))
                         .max(),
                 },
@@ -716,7 +719,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::TrieTable;
+    use super::reference::ModelTable;
     use super::*;
     use clash_keyspace::hash::HashSpace;
     use proptest::prelude::*;
@@ -1107,13 +1110,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The flat table against the trie table at widths 7 and 24, over
+        /// The flat table against the model table at widths 7 and 24, over
         /// nested active and inactive entries: random installs, extracts
         /// and in-place updates (`set_load`, `adjust_rate_for_key`), then
         /// iteration order, exact lookups, the owning group and the
         /// `ACCEPT_OBJECT` answer with its `d_min` on every boundary key.
         #[test]
-        fn flat_table_matches_trie_reference(
+        fn flat_table_matches_model(
             wide in 0u8..2,
             seeds in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
             ops in prop::collection::vec((0u8..5, 0u64..u64::MAX), 0..48),
@@ -1121,7 +1124,7 @@ mod tests {
             let width = KeyWidth::new(if wide == 1 { 24 } else { 7 }).unwrap();
             let groups = nested_groups(width, [seeds.0, seeds.1, seeds.2]);
             let mut table = ServerTable::new(sid(1), width);
-            let mut trie = TrieTable::new(width);
+            let mut model = ModelTable::default();
             for (op, a) in ops {
                 let group = groups[a as usize % groups.len()];
                 let keys = boundary_keys(&groups, a);
@@ -1135,28 +1138,28 @@ mod tests {
                             load: rate((a >> 8) as f64 % 97.0),
                             last_child_report: None,
                         };
-                        prop_assert_eq!(table.install_entry(entry.clone()).is_ok(), trie.install_entry(entry));
+                        prop_assert_eq!(table.install_entry(entry.clone()).is_ok(), model.install_entry(entry));
                     }
-                    2 => prop_assert_eq!(table.extract_entry(group), trie.extract_entry(group)),
+                    2 => prop_assert_eq!(table.extract_entry(group), model.extract_entry(group)),
                     3 => prop_assert_eq!(
                         table.set_load(group, rate((a >> 4) as f64 % 13.0)).is_ok(),
-                        trie.set_load(group, rate((a >> 4) as f64 % 13.0))
+                        model.set_load(group, rate((a >> 4) as f64 % 13.0))
                     ),
                     _ => {
                         let key = keys[(a >> 32) as usize % keys.len()];
                         let delta = (a >> 12) as f64 % 7.0 - 3.0;
-                        prop_assert_eq!(table.adjust_rate_for_key(key, delta), trie.adjust_rate_for_key(key, delta));
+                        prop_assert_eq!(table.adjust_rate_for_key(key, delta), model.adjust_rate_for_key(key, delta));
                     }
                 }
                 let entries: Vec<TableEntry> = table.entries().cloned().collect();
-                prop_assert_eq!(entries, trie.entries());
+                prop_assert_eq!(entries, model.entries());
                 for &g in &groups {
-                    prop_assert_eq!(table.entry(g), trie.entry(g));
+                    prop_assert_eq!(table.entry(g), model.entry(g));
                 }
                 for key in keys {
-                    prop_assert_eq!(table.owning_group(key), trie.owning_group(key));
+                    prop_assert_eq!(table.owning_group(key), model.owning_group(key));
                     let depth = (a % u64::from(width.get() + 1)) as u32;
-                    prop_assert_eq!(table.classify_object(key, depth), trie.classify_object(key, depth));
+                    prop_assert_eq!(table.classify_object(key, depth), model.classify_object(key, depth));
                 }
             }
         }

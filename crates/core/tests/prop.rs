@@ -560,4 +560,74 @@ proptest! {
         prop_assert_eq!(max_d, 2, "cold system fully consolidates");
         prop_assert!(c.global_cover().is_partition());
     }
+
+    /// The oracle's ground-truth queries against brute-force scans of
+    /// `global_cover()`: after random splits and merges (a region heated
+    /// and then partly cooled), and over the sparse cover a fixed-depth
+    /// DHT baseline leaves, where some keys have no group. Every key and
+    /// every range of the 8-bit key space is checked.
+    #[test]
+    fn oracle_queries_match_cover_scan(
+        sparse in any::<bool>(),
+        servers in 2usize..12,
+        seed in 0u64..1000,
+        hot_region in 0u64..4,
+        attachments in prop::collection::vec((0u64..256, 0.5f64..4.0), 1..80),
+        cooled in 0usize..80,
+    ) {
+        let config = if sparse {
+            ClashConfig {
+                initial_depth: 5,
+                max_depth: 5,
+                splitting_enabled: false,
+                ..ClashConfig::small_test()
+            }
+        } else {
+            ClashConfig::small_test()
+        };
+        let mut c = ClashCluster::new(config, servers, seed).unwrap();
+        for (i, &(bits, rate)) in attachments.iter().enumerate() {
+            // With splitting on, heat one quadrant so it splits.
+            let bits = if sparse { bits } else { (hot_region << 6) | (bits % 64) };
+            c.attach_source(i as u64, key(bits), 2.0 * rate).unwrap();
+        }
+        for _ in 0..3 {
+            c.run_load_check().unwrap();
+        }
+        for i in 0..cooled.min(attachments.len()) {
+            c.detach_source(i as u64).unwrap();
+        }
+        for _ in 0..3 {
+            c.run_load_check().unwrap();
+        }
+        c.flush_batch().unwrap();
+        let ids = c.server_ids();
+        let owned: Vec<(Prefix, ServerId)> = c
+            .global_cover()
+            .iter()
+            .map(|g| {
+                let owner = ids.iter().copied().find(|&s| {
+                    c.server(s).unwrap().table().entry(g).is_some_and(|e| e.active)
+                });
+                (g, owner.expect("every active group has an owner"))
+            })
+            .collect();
+        for bits in 0..256 {
+            let k = key(bits);
+            let expected = owned.iter().find(|(g, _)| g.contains(k)).map(|&(g, s)| (s, g));
+            prop_assert_eq!(c.oracle_locate(k), expected);
+        }
+        let width = c.config().key_width;
+        for depth in 0..=width.get() {
+            for pattern in 0..1u64 << depth {
+                let range = Prefix::new(pattern, depth, width).unwrap();
+                let expected: Vec<(Prefix, ServerId)> = owned
+                    .iter()
+                    .copied()
+                    .filter(|(g, _)| g.is_prefix_of(range) || range.is_prefix_of(*g))
+                    .collect();
+                prop_assert_eq!(c.oracle_range(range), expected);
+            }
+        }
+    }
 }

@@ -1,15 +1,16 @@
-//! Prefix-keyed tries for maps that hold every group of a run.
+//! Prefix-keyed maps and prefix-free covers of the key space.
 //!
-//! * [`PrefixMap`] — a binary trie mapping [`Prefix`]es to values. Entries
-//!   may be nested (an entry at `011*` can coexist with one at `0110*`).
-//!   Supports longest-prefix match, the walk over every entry containing
-//!   a key, and range intersection. It backs the cluster-wide group
-//!   index, [`PrefixCover`] and the continuous-query subscriptions of
-//!   `clash-streamquery`: with tens of thousands
-//!   of groups changing per run, an insert or remove is a walk down one
-//!   path, not a shift of a sorted array. A server's own table holds only
-//!   its few groups, so `clash-core` keeps those in a sorted vector and
-//!   answers the paper's `d_min` there.
+//! * [`PrefixMap`] — [`Prefix`]es mapped to values, as one vector kept
+//!   sorted by [`Prefix`]'s `Ord`. Entries may be nested (an entry at
+//!   `011*` can coexist with one at `0110*`). Binary-string order is a
+//!   pre-order walk of the logical binary tree, so a group's subtree is
+//!   the run of entries right after it, and every prefix query is a
+//!   binary search: longest-prefix match, the paper's `d_min`, the walk
+//!   over every entry containing a key, and range intersection. It backs
+//!   every CLASH `ServerTable` and replica store, [`PrefixCover`] and
+//!   the continuous-query subscriptions of `clash-streamquery`. Each of
+//!   those holds a few to a few hundred groups or is built once, so the
+//!   shift an insert or remove costs stays small.
 //! * [`PrefixCover`] — a *prefix-free* set of groups with split/merge
 //!   operations, used as the global oracle in tests and for client-side
 //!   caching: the set of all active key groups in a CLASH system always
@@ -21,26 +22,8 @@ use crate::error::KeyError;
 use crate::key::{Key, KeyWidth};
 use crate::prefix::Prefix;
 
-#[derive(Debug, Clone)]
-struct Node<V> {
-    value: Option<V>,
-    children: [Option<Box<Node<V>>>; 2],
-}
-
-impl<V> Node<V> {
-    fn new() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-
-    fn is_leaf_shell(&self) -> bool {
-        self.value.is_none() && self.children[0].is_none() && self.children[1].is_none()
-    }
-}
-
-/// A binary trie keyed by [`Prefix`], allowing nested entries.
+/// [`Prefix`]es of one key width mapped to values, kept in binary-string
+/// order; nested entries are allowed.
 ///
 /// # Example
 ///
@@ -61,18 +44,16 @@ impl<V> Node<V> {
 /// ```
 #[derive(Clone)]
 pub struct PrefixMap<V> {
-    root: Node<V>,
     width: KeyWidth,
-    len: usize,
+    entries: Vec<(Prefix, V)>,
 }
 
 impl<V> PrefixMap<V> {
     /// Creates an empty map over keys of the given width.
     pub fn new(width: KeyWidth) -> Self {
         PrefixMap {
-            root: Node::new(),
             width,
-            len: 0,
+            entries: Vec::new(),
         }
     }
 
@@ -83,21 +64,18 @@ impl<V> PrefixMap<V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True if the map has no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    fn node_for(&self, prefix: Prefix) -> Option<&Node<V>> {
-        let mut node = &self.root;
-        for i in 0..prefix.depth() {
-            let bit = ((prefix.pattern() >> (prefix.depth() - 1 - i)) & 1) as usize;
-            node = node.children[bit].as_deref()?;
-        }
-        Some(node)
+    /// Where `prefix` sits: `Ok` at its entry, `Err` where it would go.
+    fn find(&self, prefix: Prefix) -> Result<usize, usize> {
+        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
+        self.entries.binary_search_by(|(p, _)| p.cmp(&prefix))
     }
 
     /// Inserts `value` at `prefix`, returning the previous value if any.
@@ -106,61 +84,109 @@ impl<V> PrefixMap<V> {
     ///
     /// Panics if the prefix width differs from the map width.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
-        let mut node = &mut self.root;
-        for i in 0..prefix.depth() {
-            let bit = ((prefix.pattern() >> (prefix.depth() - 1 - i)) & 1) as usize;
-            node = node.children[bit].get_or_insert_with(|| Box::new(Node::new()));
+        match self.find(prefix) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (prefix, value));
+                None
+            }
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
     }
 
     /// Returns the value stored exactly at `prefix`.
     pub fn get(&self, prefix: Prefix) -> Option<&V> {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
-        self.node_for(prefix)?.value.as_ref()
+        self.find(prefix).ok().map(|at| &self.entries[at].1)
     }
 
     /// Mutable access to the value stored exactly at `prefix`.
     pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
-        let mut node = &mut self.root;
-        for i in 0..prefix.depth() {
-            let bit = ((prefix.pattern() >> (prefix.depth() - 1 - i)) & 1) as usize;
-            node = node.children[bit].as_deref_mut()?;
-        }
-        node.value.as_mut()
+        self.find(prefix).ok().map(|at| &mut self.entries[at].1)
     }
 
     /// True if an entry exists exactly at `prefix`.
     pub fn contains(&self, prefix: Prefix) -> bool {
-        self.get(prefix).is_some()
+        self.find(prefix).is_ok()
     }
 
-    /// Removes and returns the value at `prefix`, pruning empty trie nodes.
+    /// Removes and returns the value at `prefix`.
     pub fn remove(&mut self, prefix: Prefix) -> Option<V> {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
-        fn rec<V>(node: &mut Node<V>, prefix: Prefix, i: u32) -> Option<V> {
-            if i == prefix.depth() {
-                return node.value.take();
+        self.find(prefix).ok().map(|at| self.entries.remove(at).1)
+    }
+
+    /// Keeps the entries for which `keep` holds, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(Prefix, &V) -> bool) {
+        self.entries.retain(|(p, v)| keep(*p, v));
+    }
+
+    /// Iterates over `(prefix, value)` pairs in binary-string order
+    /// (parents before children).
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        self.entries.iter().map(|(p, v)| (*p, v))
+    }
+
+    /// [`PrefixMap::iter`] with mutable values.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Prefix, &mut V)> + '_ {
+        self.entries.iter_mut().map(|(p, v)| (*p, v))
+    }
+
+    /// Iterates over the stored prefixes in binary-string order.
+    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.entries.iter().map(|(p, _)| *p)
+    }
+
+    /// Iterates over the values in binary-string order.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Index of the deepest entry in `entries[..end]` that contains `key`
+    /// and is at most `depth` deep, given that every such entry lies
+    /// before `end`.
+    ///
+    /// Take the last entry at or before `key`'s depth-`depth` group.
+    /// Every group containing the key at that depth or above precedes that
+    /// group, and nothing but a deeper container can sit between a
+    /// container and it, so if that entry contains the key it is the
+    /// deepest that does. If it does not, it shares some `c < depth` bits
+    /// with the key and every container is at most `c` deep: search
+    /// again, below it, for the key's depth-`c` group. Each retry lowers
+    /// the depth, so the loop ends.
+    fn deepest_container(&self, key: Key, mut depth: u32, mut end: usize) -> Option<usize> {
+        loop {
+            let probe = Prefix::of_key(key, depth);
+            let at = match self.entries[..end].binary_search_by(|(p, _)| p.cmp(&probe)) {
+                Ok(at) => return Some(at),
+                Err(0) => return None,
+                Err(after) => after - 1,
+            };
+            let prefix = self.entries[at].0;
+            let common = prefix.common_prefix_len_with_key(key);
+            if common == prefix.depth() {
+                return Some(at);
             }
-            let bit = ((prefix.pattern() >> (prefix.depth() - 1 - i)) & 1) as usize;
-            let child = node.children[bit].as_deref_mut()?;
-            let out = rec(child, prefix, i + 1);
-            if out.is_some() && child.is_leaf_shell() {
-                node.children[bit] = None;
+            depth = common;
+            end = at;
+        }
+    }
+
+    /// Calls `f` with the index of every entry in `entries[..end]` that
+    /// contains `key` and is at most `depth` deep, deepest first: each
+    /// container's ancestors precede it, so the search repeats below the
+    /// last hit.
+    fn containers(&self, key: Key, mut depth: u32, mut end: usize, mut f: impl FnMut(usize)) {
+        assert_eq!(key.width(), self.width, "key width mismatch");
+        while let Some(at) = self.deepest_container(key, depth, end) {
+            f(at);
+            match self.entries[at].0.depth().checked_sub(1) {
+                Some(above) => (depth, end) = (above, at),
+                None => return,
             }
-            out
         }
-        let out = rec(&mut self.root, prefix, 0);
-        if out.is_some() {
-            self.len -= 1;
-        }
-        out
+    }
+
+    fn longest_match_at(&self, key: Key) -> Option<usize> {
+        assert_eq!(key.width(), self.width, "key width mismatch");
+        self.deepest_container(key, self.width.get(), self.entries.len())
     }
 
     /// Finds the deepest entry whose prefix contains `key`.
@@ -169,42 +195,67 @@ impl<V> PrefixMap<V> {
     ///
     /// Panics if the key width differs from the map width.
     pub fn longest_prefix_match(&self, key: Key) -> Option<(Prefix, &V)> {
-        let mut deepest = None;
-        self.for_each_containing(key, |prefix, value| deepest = Some((prefix, value)));
-        deepest
+        let at = self.longest_match_at(key)?;
+        let (prefix, value) = &self.entries[at];
+        Some((*prefix, value))
     }
 
-    /// Visits every entry whose prefix contains `key`, root to leaf: one
-    /// descent along the key's bits.
+    /// [`PrefixMap::longest_prefix_match`] with a mutable value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the map width.
+    pub fn longest_prefix_match_mut(&mut self, key: Key) -> Option<(Prefix, &mut V)> {
+        let at = self.longest_match_at(key)?;
+        let (prefix, value) = &mut self.entries[at];
+        Some((*prefix, value))
+    }
+
+    /// Visits every entry whose prefix contains `key`, root to leaf.
     ///
     /// # Panics
     ///
     /// Panics if the key width differs from the map width.
     pub fn for_each_containing<'a>(&'a self, key: Key, mut f: impl FnMut(Prefix, &'a V)) {
-        assert_eq!(key.width(), self.width, "key width mismatch");
-        let mut node = &self.root;
-        let mut depth = 0;
-        loop {
-            if let Some(v) = node.value.as_ref() {
-                f(Prefix::of_key(key, depth), v);
-            }
-            if depth == self.width.get() {
-                return;
-            }
-            match node.children[key.bit(depth) as usize].as_deref() {
-                Some(child) => node = child,
-                None => return,
-            }
-            depth += 1;
+        // At most one container per depth, 0 to 64.
+        let mut hits = [0usize; 65];
+        let mut n = 0;
+        self.containers(key, self.width.get(), self.entries.len(), |at| {
+            hits[n] = at;
+            n += 1;
+        });
+        for &at in hits[..n].iter().rev() {
+            let (prefix, value) = &self.entries[at];
+            f(*prefix, value);
         }
     }
 
-    /// Iterates over `(prefix, value)` pairs in binary-string order
-    /// (parents before children).
-    pub fn iter(&self) -> Iter<'_, V> {
-        Iter {
-            stack: vec![(&self.root, Prefix::root(self.width))],
-        }
+    /// The paper's `d_min`: the longest common prefix between `key` and
+    /// *any* entry (0 if the map is empty). The entry achieving it need
+    /// not contain the key (entry `01011*` and key `0101010` share 4
+    /// bits).
+    ///
+    /// In sorted order the entry sharing the most bits with the key is a
+    /// neighbour of the key's full-depth group: for `a ≤ b ≤ c`,
+    /// `lcp(a, c) = min(lcp(a, b), lcp(b, c))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the map width.
+    pub fn max_common_prefix_len(&self, key: Key) -> u32 {
+        assert_eq!(key.width(), self.width, "key width mismatch");
+        let at = match self.find(Prefix::of_key(key, self.width.get())) {
+            Ok(_) => return self.width.get(),
+            Err(at) => at,
+        };
+        let shared = |i: usize| self.entries[i].0.common_prefix_len_with_key(key);
+        let before = at.checked_sub(1).map_or(0, shared);
+        let after = if at < self.entries.len() {
+            shared(at)
+        } else {
+            0
+        };
+        before.max(after)
     }
 
     /// All entries whose prefix *intersects* `range`: the ancestors
@@ -213,99 +264,29 @@ impl<V> PrefixMap<V> {
     /// range query over `range` must visit (the paper's §7 range-query
     /// extension).
     pub fn intersecting(&self, range: Prefix) -> Vec<(Prefix, &V)> {
-        assert_eq!(range.width(), self.width, "range width mismatch");
+        let start = self.find(range).unwrap_or_else(|at| at);
         let mut out = Vec::new();
-        let mut node = &self.root;
-        // Walk down the range's own bit path, collecting ancestors.
-        if let Some(v) = node.value.as_ref() {
-            out.push((Prefix::root(self.width), v));
+        if let Some(above) = range.depth().checked_sub(1) {
+            self.containers(range.min_key(), above, start, |at| {
+                let (prefix, value) = &self.entries[at];
+                out.push((*prefix, value));
+            });
+            out.reverse();
         }
-        for i in 0..range.depth() {
-            let bit = ((range.pattern() >> (range.depth() - 1 - i)) & 1) as usize;
-            match node.children[bit].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = child.value.as_ref() {
-                        let p = Prefix::new(
-                            range.pattern() >> (range.depth() - 1 - i),
-                            i + 1,
-                            self.width,
-                        )
-                        .expect("trie path is a valid prefix");
-                        out.push((p, v));
-                    }
-                }
-                None => return out,
-            }
-        }
-        // Collect the entire subtree at the range node (excluding the
-        // range entry itself, already collected above).
-        let mut stack: Vec<(&Node<V>, Prefix)> = Vec::new();
-        for bit in [1u8, 0u8] {
-            if let Some(child) = node.children[bit as usize].as_deref() {
-                stack.push((child, range.child(bit).expect("below range depth")));
-            }
-        }
-        while let Some((n, p)) = stack.pop() {
-            for bit in [1u8, 0u8] {
-                if let Some(child) = n.children[bit as usize].as_deref() {
-                    stack.push((child, p.child(bit).expect("trie depth bounded")));
-                }
-            }
-            if let Some(v) = n.value.as_ref() {
-                out.push((p, v));
-            }
-        }
+        let subtree = self.entries[start..]
+            .iter()
+            .take_while(|(p, _)| range.is_prefix_of(*p));
+        out.extend(subtree.map(|(p, v)| (*p, v)));
         out
     }
 
-    /// Iterates over the stored prefixes in binary-string order.
-    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.iter().map(|(p, _)| p)
-    }
-
     /// True if no entry's prefix strictly contains another entry's prefix.
+    /// An entry's subtree starts right after it, so only neighbours need
+    /// comparing.
     pub fn is_prefix_free(&self) -> bool {
-        fn rec<V>(node: &Node<V>, seen_value_above: bool) -> bool {
-            if seen_value_above && node.value.is_some() {
-                return false;
-            }
-            let seen = seen_value_above || node.value.is_some();
-            node.children.iter().flatten().all(|child| rec(child, seen))
-        }
-        rec(&self.root, false)
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.root = Node::new();
-        self.len = 0;
-    }
-}
-
-/// Iterator over `(Prefix, &V)` pairs of a [`PrefixMap`] in binary-string
-/// order.
-pub struct Iter<'a, V> {
-    stack: Vec<(&'a Node<V>, Prefix)>,
-}
-
-impl<'a, V> Iterator for Iter<'a, V> {
-    type Item = (Prefix, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, prefix)) = self.stack.pop() {
-            // Push right first so left pops first (binary-string order).
-            for bit in [1u8, 0u8] {
-                if let Some(child) = node.children[bit as usize].as_deref() {
-                    let child_prefix = prefix.child(bit).expect("trie depth bounded by width");
-                    self.stack.push((child, child_prefix));
-                }
-            }
-            if let Some(v) = node.value.as_ref() {
-                return Some((prefix, v));
-            }
-        }
-        None
+        self.entries
+            .windows(2)
+            .all(|pair| !pair[0].0.is_prefix_of(pair[1].0))
     }
 }
 
@@ -315,12 +296,20 @@ impl<V: fmt::Debug> fmt::Debug for PrefixMap<V> {
     }
 }
 
-impl<V> Extend<(Prefix, V)> for PrefixMap<V> {
-    fn extend<T: IntoIterator<Item = (Prefix, V)>>(&mut self, iter: T) {
-        for (p, v) in iter {
-            self.insert(p, v);
-        }
+/// Depth statistics `(min, mean, max)` over `groups`; `None` if there are
+/// none. This feeds the Figure 4 "depth variation" panel.
+pub fn depth_stats(groups: impl IntoIterator<Item = Prefix>) -> Option<(u32, f64, u32)> {
+    let mut min = u32::MAX;
+    let mut max = 0u32;
+    let mut sum = 0u64;
+    let mut n = 0u64;
+    for p in groups {
+        min = min.min(p.depth());
+        max = max.max(p.depth());
+        sum += u64::from(p.depth());
+        n += 1;
     }
+    (n > 0).then(|| (min, sum as f64 / n as f64, max))
 }
 
 /// A prefix-free set of key groups with split/merge operations.
@@ -416,13 +405,7 @@ impl PrefixCover {
     /// Returns [`KeyError::DepthOutOfRange`] if the group overlaps an
     /// existing member (would break prefix-freeness).
     pub fn insert(&mut self, group: Prefix) -> Result<(), KeyError> {
-        let overlaps = self
-            .map
-            .longest_prefix_match(group.min_key())
-            .map(|(p, _)| p.is_prefix_of(group) || group.is_prefix_of(p))
-            .unwrap_or(false)
-            || self.any_descendant(group);
-        if overlaps {
+        if !self.map.intersecting(group).is_empty() {
             return Err(KeyError::DepthOutOfRange {
                 depth: group.depth(),
                 width: group.width().get(),
@@ -430,14 +413,6 @@ impl PrefixCover {
         }
         self.map.insert(group, ());
         Ok(())
-    }
-
-    /// True if a member lies strictly below `group`. Removal prunes
-    /// empty trie nodes, so one does iff `group`'s node has a child.
-    fn any_descendant(&self, group: Prefix) -> bool {
-        self.map
-            .node_for(group)
-            .is_some_and(|n| n.children.iter().any(Option::is_some))
     }
 
     /// Replaces `group` with its two children; returns them.
@@ -505,17 +480,7 @@ impl PrefixCover {
     /// Depth statistics over the groups: `(min, mean, max)`. `None` if
     /// empty. This feeds the Figure 4 "depth variation" panel.
     pub fn depth_stats(&self) -> Option<(u32, f64, u32)> {
-        let mut min = u32::MAX;
-        let mut max = 0u32;
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for p in self.map.prefixes() {
-            min = min.min(p.depth());
-            max = max.max(p.depth());
-            sum += u64::from(p.depth());
-            n += 1;
-        }
-        (n > 0).then(|| (min, sum as f64 / n as f64, max))
+        depth_stats(self.map.prefixes())
     }
 }
 
@@ -630,11 +595,70 @@ mod tests {
         assert_eq!(hits[0].0, p("011*"));
     }
 
+    /// Each group mapped to itself.
+    fn map_of(groups: &[&str]) -> PrefixMap<Prefix> {
+        let mut m = PrefixMap::new(w(7));
+        for s in groups {
+            m.insert(p(s), p(s));
+        }
+        m
+    }
+
+    /// The deepest group of `m` containing `key`.
+    fn deepest(m: &PrefixMap<Prefix>, key: &str) -> Option<Prefix> {
+        m.longest_prefix_match(k(key)).map(|(g, _)| g)
+    }
+
     #[test]
-    fn extend_collects_pairs() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
-        m.extend([(p("0*"), 1), (p("1*"), 2)]);
-        assert_eq!(m.len(), 2);
+    fn dmin_matches_paper_figure2_example() {
+        // Figure 2's server table for s25: entries 011*, 01011*, 010110*,
+        // 0110*, 01100*. Client sends "0101010": longest match is 4.
+        let m = map_of(&["011*", "01011*", "010110*", "0110*", "01100*"]);
+        assert_eq!(m.max_common_prefix_len(k("0101010")), 4);
+        // A key inside an entry: match equals that entry's depth (6).
+        assert_eq!(m.max_common_prefix_len(k("0101100")), 6);
+        // Entirely outside: shares just the leading 0 with the 01... entries.
+        assert_eq!(m.max_common_prefix_len(k("1000000")), 0);
+    }
+
+    #[test]
+    fn dmin_on_empty_map_is_zero() {
+        let m: PrefixMap<Prefix> = PrefixMap::new(w(7));
+        assert_eq!(m.max_common_prefix_len(k("0101010")), 0);
+        assert!(deepest(&m, "0101010").is_none());
+    }
+
+    #[test]
+    fn dmin_exceeds_lpm_depth_when_entry_diverges_late() {
+        let m = map_of(&["01011*"]);
+        // Key 0101010 is NOT contained in 01011*, so lpm is None, but dmin=4.
+        assert!(deepest(&m, "0101010").is_none());
+        assert_eq!(m.max_common_prefix_len(k("0101010")), 4);
+    }
+
+    #[test]
+    fn removal_leaves_no_phantom_dmin() {
+        let mut m = map_of(&["0101010"]);
+        assert_eq!(m.max_common_prefix_len(k("0101011")), 6);
+        assert_eq!(m.max_common_prefix_len(k("0101010")), 7);
+        m.remove(p("0101010"));
+        assert_eq!(m.max_common_prefix_len(k("0101011")), 0);
+    }
+
+    #[test]
+    fn longest_match_retries_past_a_predecessor_that_is_not_an_ancestor() {
+        // Key 0111000's predecessor in order is 01101*, which does not
+        // contain it; the retry from their shared 3 bits finds 011*.
+        let m = map_of(&["0*", "011*", "0110*", "01101*", "1*"]);
+        assert_eq!(deepest(&m, "0111000"), Some(p("011*")));
+        // Two retries: 01011* shares 2 bits, then 0011* shares 1.
+        let m = map_of(&["0*", "00*", "0011*", "01011*"]);
+        assert_eq!(deepest(&m, "0110000"), Some(p("0*")));
+        assert!(deepest(&map_of(&["01*", "001*"]), "0000000").is_none());
+        // A full-depth entry is an exact hit.
+        let m = map_of(&["0*", "0101010"]);
+        assert_eq!(deepest(&m, "0101010"), Some(p("0101010")));
+        assert_eq!(deepest(&m, "0101011"), Some(p("0*")));
     }
 
     #[test]

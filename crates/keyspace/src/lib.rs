@@ -9,9 +9,13 @@
 //! * [`key::Key`] — an N-bit identifier key (N ≤ 64);
 //! * [`prefix::Prefix`] — a key group `(virtual key, depth)`, printed with
 //!   the paper's wildcard notation (`0110*`);
+//! * [`cover::PrefixMap`] — groups mapped to values in one sorted vector,
+//!   nested entries allowed, with longest-prefix match, the paper's
+//!   `d_min` and range intersection — the storage of every CLASH
+//!   `ServerTable`;
 //! * [`cover::PrefixCover`] — a prefix-free set of groups partitioning a
-//!   subtree of the key space, with longest-prefix-match, split and merge —
-//!   the data structure underlying the CLASH `ServerTable`;
+//!   subtree of the key space, with split and merge — the shape of a
+//!   CLASH system's active groups;
 //! * [`keygen`] — `KeyGen` implementations: [`keygen::QuadTreeEncoder`] for
 //!   2-D grids (the paper's geographic example) and
 //!   [`keygen::PathEncoder`] for hierarchical attribute paths;

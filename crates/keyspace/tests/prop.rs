@@ -1,5 +1,7 @@
 //! Property-based tests for the key-space laws CLASH depends on.
 
+use std::collections::BTreeMap;
+
 use clash_keyspace::cover::{PrefixCover, PrefixMap};
 use clash_keyspace::hash::{HashSpace, KeyHasher, SplitMixHasher};
 use clash_keyspace::key::{Key, KeyWidth};
@@ -24,6 +26,55 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
             (Just(depth), 0..bound)
         })
         .prop_map(|(depth, pattern)| Prefix::new(pattern, depth, w()).unwrap())
+}
+
+/// Every prefix of 2–3 random keys, plus each one's sibling, at width 7
+/// or 24: a pool of groups that nest in one another at every depth.
+fn arb_nested_pool() -> impl Strategy<Value = Vec<Prefix>> {
+    (any::<bool>(), prop::collection::vec(0u64..u64::MAX, 2..4)).prop_map(|(wide, seeds)| {
+        let width = KeyWidth::new(if wide { 24 } else { 7 }).unwrap();
+        let mut pool = Vec::new();
+        for seed in seeds {
+            let key = Key::from_bits_truncated(seed, width);
+            for depth in 0..=width.get() {
+                let group = Prefix::of_key(key, depth);
+                pool.push(group);
+                pool.extend(group.sibling());
+            }
+        }
+        pool.sort();
+        pool.dedup();
+        pool
+    })
+}
+
+/// The first and last key of `group` and the keys just outside it.
+fn boundary_keys(group: Prefix) -> [Key; 4] {
+    let width = group.width();
+    let mask = u64::MAX >> (64 - width.get());
+    let (lo, hi) = (group.min_key().bits(), group.max_key().bits());
+    [lo, hi, lo.wrapping_sub(1), hi.wrapping_add(1)]
+        .map(|bits| Key::from_bits_truncated(bits & mask, width))
+}
+
+/// The entries of `model` containing `key`, root to leaf.
+fn model_containing(model: &BTreeMap<Prefix, u64>, key: Key) -> Vec<(Prefix, u64)> {
+    let mut hits: Vec<(Prefix, u64)> = model
+        .iter()
+        .filter(|(p, _)| p.contains(key))
+        .map(|(&p, &v)| (p, v))
+        .collect();
+    hits.sort_by_key(|(p, _)| p.depth());
+    hits
+}
+
+/// The entries of `model` that are ancestors or descendants of `range`.
+fn model_intersecting(model: &BTreeMap<Prefix, u64>, range: Prefix) -> Vec<(Prefix, u64)> {
+    model
+        .iter()
+        .filter(|(p, _)| p.is_prefix_of(range) || range.is_prefix_of(**p))
+        .map(|(&p, &v)| (p, v))
+        .collect()
 }
 
 proptest! {
@@ -112,47 +163,113 @@ proptest! {
         }
     }
 
-    /// Longest-prefix-match agrees with a brute-force scan.
+    /// Longest-prefix-match agrees with a brute-force scan over nested
+    /// entries.
     #[test]
     fn lpm_matches_bruteforce(
-        entries in prop::collection::vec(arb_prefix(), 1..20),
-        probe in arb_key(),
+        pool in arb_nested_pool(),
+        picks in prop::collection::vec(0usize..usize::MAX, 1..20),
+        probe in 0usize..usize::MAX,
     ) {
-        let mut map = PrefixMap::new(w());
+        let entries: Vec<Prefix> = picks.iter().map(|i| pool[i % pool.len()]).collect();
+        let mut map = PrefixMap::new(pool[0].width());
         for (i, e) in entries.iter().enumerate() {
             map.insert(*e, i);
         }
-        let expected = entries
-            .iter()
-            .filter(|e| e.contains(probe))
-            .map(|e| e.depth())
-            .max();
-        let got = map.longest_prefix_match(probe).map(|(p, _)| p.depth());
-        prop_assert_eq!(got, expected);
+        for probe in boundary_keys(pool[probe % pool.len()]) {
+            let expected = entries
+                .iter()
+                .filter(|e| e.contains(probe))
+                .map(|e| e.depth())
+                .max();
+            let got = map.longest_prefix_match(probe).map(|(p, _)| p.depth());
+            prop_assert_eq!(got, expected);
+        }
     }
 
     /// The containing-entries walk visits exactly the entries whose
     /// prefix contains the key, each once, root to leaf.
     #[test]
     fn containing_walk_matches_bruteforce(
-        entries in prop::collection::vec(arb_prefix(), 0..20),
-        probe in arb_key(),
+        pool in arb_nested_pool(),
+        picks in prop::collection::vec(0usize..usize::MAX, 0..20),
+        probe in 0usize..usize::MAX,
     ) {
-        let mut map = PrefixMap::new(w());
-        // The entries containing one key are nested, so depth orders them.
-        let mut latest = std::collections::BTreeMap::new();
-        for (i, e) in entries.iter().enumerate() {
-            map.insert(*e, i);
-            latest.insert((e.depth(), *e), i);
+        let mut map = PrefixMap::new(pool[0].width());
+        let mut latest = BTreeMap::new();
+        for (i, pick) in picks.iter().enumerate() {
+            let e = pool[pick % pool.len()];
+            map.insert(e, i as u64);
+            latest.insert(e, i as u64);
         }
-        let expected: Vec<(Prefix, usize)> = latest
-            .into_iter()
-            .filter(|((_, p), _)| p.contains(probe))
-            .map(|((_, p), i)| (p, i))
-            .collect();
-        let mut got = Vec::new();
-        map.for_each_containing(probe, |p, &i| got.push((p, i)));
-        prop_assert_eq!(got, expected);
+        for probe in boundary_keys(pool[probe % pool.len()]) {
+            let mut got = Vec::new();
+            map.for_each_containing(probe, |p, &i| got.push((p, i)));
+            prop_assert_eq!(got, model_containing(&latest, probe));
+        }
+    }
+
+    /// `PrefixMap` against its model — a `BTreeMap` answered by
+    /// brute-force scans — over random inserts, removes, retains and
+    /// in-place updates of nested entries. After every op: iteration
+    /// order, exact lookups, longest match, the containing walk, `d_min`,
+    /// range intersection and prefix-freeness.
+    #[test]
+    fn prefix_map_matches_model(
+        pool in arb_nested_pool(),
+        ops in prop::collection::vec((0u8..5, 0usize..usize::MAX, 0u64..u64::MAX), 1..40),
+    ) {
+        let width = pool[0].width();
+        let mut map = PrefixMap::new(width);
+        let mut model: BTreeMap<Prefix, u64> = BTreeMap::new();
+        for (op, pick, v) in ops {
+            let group = pool[pick % pool.len()];
+            match op {
+                0 | 1 => prop_assert_eq!(map.insert(group, v), model.insert(group, v)),
+                2 => prop_assert_eq!(map.remove(group), model.remove(&group)),
+                3 => {
+                    let keep = |p: Prefix, x: &u64| !(p.pattern() ^ x ^ v).is_multiple_of(3);
+                    map.retain(keep);
+                    model.retain(|&p, x| keep(p, x));
+                }
+                _ => {
+                    let got = map.get_mut(group).map(|x| { *x = x.wrapping_add(v); *x });
+                    let want = model.get_mut(&group).map(|x| { *x = x.wrapping_add(v); *x });
+                    prop_assert_eq!(got, want);
+                }
+            }
+            let entries: Vec<(Prefix, u64)> = map.iter().map(|(p, &x)| (p, x)).collect();
+            let expected: Vec<(Prefix, u64)> = model.iter().map(|(&p, &x)| (p, x)).collect();
+            prop_assert_eq!(entries, expected);
+            prop_assert_eq!(map.len(), model.len());
+            for g in &pool {
+                prop_assert_eq!(map.get(*g), model.get(g));
+            }
+            let mut ranges = vec![Prefix::root(width), group];
+            ranges.extend(group.parent());
+            ranges.extend(group.split().ok().map(|(l, r)| [l, r]).into_iter().flatten());
+            for &range in &ranges {
+                let got: Vec<(Prefix, u64)> =
+                    map.intersecting(range).into_iter().map(|(p, &x)| (p, x)).collect();
+                prop_assert_eq!(got, model_intersecting(&model, range));
+                for key in boundary_keys(range) {
+                    let containing = model_containing(&model, key);
+                    let mut walk = Vec::new();
+                    map.for_each_containing(key, |p, &x| walk.push((p, x)));
+                    prop_assert_eq!(&walk, &containing);
+                    prop_assert_eq!(
+                        map.longest_prefix_match(key).map(|(p, &x)| (p, x)),
+                        containing.last().copied()
+                    );
+                    let dmin = model.keys().map(|p| p.common_prefix_len_with_key(key)).max();
+                    prop_assert_eq!(map.max_common_prefix_len(key), dmin.unwrap_or(0));
+                }
+            }
+            let prefix_free = model
+                .keys()
+                .all(|a| model.keys().all(|b| a == b || !a.is_prefix_of(*b)));
+            prop_assert_eq!(map.is_prefix_free(), prefix_free);
+        }
     }
 
     /// Random split/merge sequences on a cover keep it a partition, and

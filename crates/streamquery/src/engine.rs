@@ -25,8 +25,9 @@ pub struct EngineStats {
 /// XFilter — the systems the paper's §1 cites for "efficient indices
 /// over streams and queries with intersecting attribute values"): one
 /// packet fans out to every query whose region contains its key. The
-/// subscriptions sit in a [`PrefixMap`], so that is one descent along
-/// the key's bits, independent of the number of queries.
+/// subscriptions sit in a [`PrefixMap`], so that is a few binary
+/// searches over the regions per matching region, however many queries
+/// each region holds.
 ///
 /// # Example
 ///

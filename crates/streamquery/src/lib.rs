@@ -14,16 +14,15 @@
 //!   region (a [`clash_keyspace::prefix::Prefix`]);
 //! * [`engine::QueryEngine`] — the per-server engine: subscriptions in a
 //!   [`clash_keyspace::cover::PrefixMap`] keyed by region, so a packet key
-//!   reaches every query region containing it in O(N); it ingests
-//!   packets, delivers matches, and hands whole key groups of queries
-//!   over for CLASH state migration
+//!   reaches every query region containing it with a few binary searches
+//!   per matching region; it ingests packets, delivers matches, and hands
+//!   whole key groups of queries over for CLASH state migration
 //!   ([`engine::QueryEngine::extract_group`]).
 //!
 //! The paper's load model ("linear in the data rate, and logarithmic in
 //! the number of queries") is exactly the cost shape of
-//! [`engine::QueryEngine::ingest`]: one trie descent per packet,
-//! depth-bounded, over subscriptions whose number grows with the query
-//! count.
+//! [`engine::QueryEngine::ingest`]: binary searches over the sorted
+//! subscription regions, whose number grows with the query count.
 //!
 //! # Example
 //!
