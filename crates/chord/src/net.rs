@@ -1,9 +1,10 @@
 //! The in-process Chord network: routing, membership and maintenance.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use clash_keyspace::hash::HashSpace;
+use clash_simkernel::collections::DetHashSet;
 use clash_simkernel::rng::DetRng;
 
 use crate::id::ChordId;
@@ -213,10 +214,12 @@ impl SimNet {
             (n as u128) <= space.size(),
             "cannot place {n} nodes in a {space} hash space"
         );
-        let mut ids = BTreeSet::new();
-        while ids.len() < n {
-            ids.insert(ChordId::new(rng.next_u64(), space));
+        let mut seen = DetHashSet::default();
+        while seen.len() < n {
+            seen.insert(ChordId::new(rng.next_u64(), space).value());
         }
+        let mut ids: Vec<u64> = seen.into_iter().collect();
+        ids.sort_unstable();
         let mut net = SimNet::new(space);
         net.ring.reserve_exact(n);
         net.ids.reserve_exact(n);
@@ -227,7 +230,7 @@ impl SimNet {
         net.succs.reserve_exact(n * net.succ_stride);
         // Ascending ids append to `ring`: no insertion shifts anything.
         for id in ids {
-            net.insert_solitary(id);
+            net.insert_solitary(ChordId::new(id, space));
         }
         net
     }
@@ -407,7 +410,7 @@ impl SimNet {
 
     /// Installs exact routing state on every alive node: perfect fingers,
     /// successor lists and predecessors. Equivalent to running the
-    /// maintenance protocol to convergence, in O(S·M·log S) time.
+    /// maintenance protocol to convergence, in O(S·M) time.
     pub fn build_stable(&mut self) {
         self.install_tables(self.succ_list_len.min(self.ring.len()));
         // Rings no larger than the successor-list length get lists
@@ -436,18 +439,35 @@ impl SimNet {
     }
 
     /// Writes every alive node's ground-truth tables, successor lists of
-    /// length `r`, into its row.
+    /// length `r`, into its row, in O(S·M) time.
+    ///
+    /// Finger `k`'s owner is found by a cursor swept along `ring` rather
+    /// than a search per entry ([`SimNet::true_finger`]): the targets
+    /// `id + 2^k` rise with the node's ring position and wrap past zero
+    /// at most once, where the cursor restarts from the first node. Each
+    /// cursor is `ring`'s first position at or after its current target,
+    /// `ring.len()` standing for the wrap to position 0.
     fn install_tables(&mut self, r: usize) {
-        let m = self.bits();
-        for pos in 0..self.ring.len() {
-            let row = self.ring[pos].row as usize;
+        let (m, n, mask) = (self.bits(), self.ring.len(), self.space.mask());
+        let mut cursors = vec![(0usize, false); m];
+        for pos in 0..n {
+            let Entry { id, row } = self.ring[pos];
+            let row = row as usize;
             for k in 0..r {
                 self.succs[row * self.succ_stride + k] = self.true_succ(pos, k);
             }
             self.succ_lens[row] = r as u32;
             self.preds[row] = self.true_pred(pos);
-            for k in 0..m {
-                self.fingers[row * m + k] = self.true_finger(pos, k);
+            for (k, (at, wrapped)) in cursors.iter_mut().enumerate() {
+                let start = id.wrapping_add(1u64 << k) & mask;
+                if start < id && !*wrapped {
+                    *wrapped = true;
+                    *at = 0;
+                }
+                while *at < n && self.ring[*at].id < start {
+                    *at += 1;
+                }
+                self.fingers[row * m + k] = self.ring[if *at == n { 0 } else { *at }];
             }
         }
     }
@@ -831,7 +851,7 @@ impl SimNet {
     /// slots and ≈ M fingers that move. Otherwise — the state is not a
     /// known fixpoint, the delta mixes joins with removals, or fewer
     /// than `r + 2` nodes are alive — every alive row is rewritten by
-    /// binary search over `ring`: O(S·M·log S).
+    /// one sweep over `ring` per finger index: O(S·M).
     ///
     /// The fixpoint differs from [`SimNet::build_stable`] only on rings
     /// smaller than the successor-list length: stabilization's list
@@ -990,6 +1010,8 @@ impl fmt::Debug for SimNet {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn space() -> HashSpace {
@@ -1001,6 +1023,71 @@ mod tests {
         let mut net = SimNet::with_random_nodes(space(), n, &mut rng);
         net.build_stable();
         net
+    }
+
+    /// Asserts every alive row's fingers are what a binary search per
+    /// finger ([`SimNet::true_finger`]) gives.
+    fn assert_fingers_are_ground_truth(net: &SimNet) {
+        for (pos, e) in net.ring.iter().enumerate() {
+            for (k, &f) in net.fingers_of(e.row as usize).iter().enumerate() {
+                assert_eq!(f, net.true_finger(pos, k), "node {} finger {k}", e.id);
+            }
+        }
+    }
+
+    proptest! {
+        /// The finger sweep of `install_tables` against a search per
+        /// finger, on random rings of 1–300 nodes (up to all 256 ids of
+        /// the 8-bit space). Each ring's upper nodes have fingers that
+        /// wrap past zero.
+        #[test]
+        fn finger_sweep_matches_true_finger(
+            wide in any::<bool>(),
+            n in 1usize..=300,
+            seed in any::<u64>(),
+        ) {
+            let space = HashSpace::new(if wide { 24 } else { 8 }).unwrap();
+            let n = n.min(space.size() as usize);
+            let mut net = SimNet::with_random_nodes(space, n, &mut DetRng::new(seed));
+            net.build_stable();
+            assert_fingers_are_ground_truth(&net);
+        }
+    }
+
+    #[test]
+    fn finger_sweep_covers_edge_rings() {
+        let eight = HashSpace::new(8).unwrap();
+        let ring = |space: HashSpace, ids: &[u64]| {
+            let mut net = SimNet::new(space);
+            for &id in ids {
+                net.add_node(ChordId::new(id, space));
+            }
+            net.build_stable();
+            assert_fingers_are_ground_truth(&net);
+            net
+        };
+        // One node: every finger names itself.
+        for space in [eight, HashSpace::new(24).unwrap()] {
+            let net = ring(space, &[5]);
+            assert!(net.fingers_of(0).iter().all(|f| f.id == 5));
+        }
+        // Every id taken: finger k of `id` is `id + 2^k`, wrapping.
+        let all: Vec<u64> = (0..256).collect();
+        let net = ring(eight, &all);
+        for (pos, e) in net.ring.iter().enumerate() {
+            for (k, f) in net.fingers_of(e.row as usize).iter().enumerate() {
+                assert_eq!(f.id, (pos as u64 + (1 << k)) % 256);
+            }
+        }
+        // Nodes bunched at the top of the space, one past zero.
+        let net = ring(eight, &[250, 253, 255, 3]);
+        let top = net.ring_pos(253).unwrap();
+        let fingers: Vec<u64> = net
+            .fingers_of(net.ring[top].row as usize)
+            .iter()
+            .map(|f| f.id)
+            .collect();
+        assert_eq!(fingers, [255, 255, 3, 250, 250, 250, 250, 250]);
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Hashed maps over the deterministic hasher ([`DetBuildHasher`]).
+//! Hashed maps and sets over the deterministic hasher
+//! ([`DetBuildHasher`]).
 //!
 //! For point lookups on hot paths — the cluster's client registry and
-//! group ledgers — where an ordered map's tree walk is the cost and its
-//! order buys nothing.
+//! group ledgers, the ring builder's id dedup — where an ordered map's
+//! tree walk is the cost and its order buys nothing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::rng::DetBuildHasher;
 
 /// A `HashMap` over [`DetBuildHasher`].
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
+
+/// A `HashSet` over [`DetBuildHasher`].
+pub type DetHashSet<K> = HashSet<K, DetBuildHasher>;
 
 /// Sub-maps per [`ShardedMap`] (a power of two: the pick is a mask).
 const SHARDS: usize = 32;

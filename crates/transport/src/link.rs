@@ -1,8 +1,16 @@
 //! The full latency/loss/partition transport.
+//!
+//! Every directed link draws from its own generator, seeded from the
+//! pair. The link table keeps each link in a 32-byte slot, two to a
+//! cache line: a link that has drawn little is replayed from its seed on
+//! each send, and only links that carry traffic store their generator
+//! state.
 
 use std::collections::BTreeMap;
 
-use clash_simkernel::rng::{indexed_seed, splitmix64_mix, DetRng, Rng, SeedableRng, SmallRng};
+use clash_simkernel::rng::{
+    indexed_seed, splitmix64_mix, DetRng, Rng, RngCore, SeedableRng, SmallRng,
+};
 use clash_simkernel::time::SimDuration;
 
 use crate::policy::LinkPolicy;
@@ -42,10 +50,11 @@ impl PartitionMatrix {
     }
 }
 
-/// Words per link slot, `[src, dst, s0, s1, s2, s3, base_us, spare]`:
-/// the pair, the link's bare xoshiro256++ state ([`SmallRng::state`]) and
-/// its base propagation delay in µs — one 64-byte cache line.
-const SLOT_WORDS: usize = 8;
+/// Words per link slot, `[src, dst, meta, base_us]`: the pair, the
+/// link's generator as a draw count or a [`HOT_TAG`]ged index into
+/// [`SubTable::hot`], and its base propagation delay in µs. Two slots
+/// share a 64-byte cache line.
+const SLOT_WORDS: usize = 4;
 
 /// One link's slot (layout at [`SLOT_WORDS`]).
 type Slot = [u64; SLOT_WORDS];
@@ -60,26 +69,71 @@ const SUB_TABLE_BITS: u32 = 5;
 /// Slots a sub-table starts with (a power of two).
 const MIN_SLOTS: usize = 8;
 
-/// Packs a link into its slot.
-fn pack(src: NodeAddr, dst: NodeAddr, rng: &SmallRng, base: SimDuration) -> Slot {
-    let [s0, s1, s2, s3] = rng.state();
-    [src, dst, s0, s1, s2, s3, base.as_micros(), 0]
+/// Raw draws a link makes before its generator state is stored instead
+/// of replayed. A **cold** link (at most this many draws so far) keeps
+/// only its draw count; each send re-seeds its generator and steps it
+/// that many times. A send that takes a link past this count promotes
+/// it, once, to a **hot** link with its 32-byte state in
+/// [`SubTable::hot`]. A `wan()` link draws its base on first use and
+/// two words per send, so it turns hot on its eighth send.
+///
+/// Chosen from measurements: medians of ten runs per value (default
+/// seed, default reps, copies of the three binaries run in turn, 2-vCPU
+/// Xeon). The counts are per repetition, of the 1 745 846
+/// (`churn_wan_seq`) and 438 872 (`storm_lossy`) sends that reach a
+/// link; replay steps are the generator steps cold sends re-run.
+///
+/// | `HOT_DRAWS` | workload | `peak_rss_mb` | events/s | hot links | cold sends | replay steps |
+/// |---:|---|---:|---:|---:|---:|---:|
+/// | 8 | `churn_wan_seq` | 22.47 | 173 k | 24 829 | 103 290 | 467 950 |
+/// | 16 | `churn_wan_seq` | 21.38 | 176 k | 19 325 | 186 497 | 1 455 527 |
+/// | 32 | `churn_wan_seq` | 21.49 | 180 k | 15 219 | 320 422 | 4 628 740 |
+/// | 8 | `storm_lossy` | 17.84 | 90 k | 25 427 | 93 392 | 445 561 |
+/// | 16 | `storm_lossy` | 16.71 | 94 k | 13 751 | 163 292 | 1 264 414 |
+/// | 32 | `storm_lossy` | 17.51 | 90 k | 5 269 | 226 717 | 2 721 399 |
+///
+/// 16 has the lowest peak on both workloads. Events/s did not separate
+/// the three beyond run-to-run noise (quartiles ≈ 10 % apart), and 32
+/// re-runs 2–3× the replay steps of 16.
+const HOT_DRAWS: u64 = 16;
+
+/// Set in a hot link's `meta`; the other bits index [`SubTable::hot`].
+/// A cold link's `meta` is its draw count, at most [`HOT_DRAWS`].
+const HOT_TAG: u64 = 1 << 63;
+
+/// A link's generator for the length of one send, counting its raw
+/// draws. Every sampler draws through [`RngCore::next_u64`], so the
+/// count is exactly the steps the bare generator took.
+#[derive(Debug)]
+struct LinkRng {
+    rng: SmallRng,
+    draws: u64,
 }
 
-/// A link's generator and base delay, resumed from its slot.
-fn unpack(slot: &Slot) -> (SmallRng, SimDuration) {
-    let [_, _, s0, s1, s2, s3, base_us, _] = *slot;
-    (
-        SmallRng::from_state([s0, s1, s2, s3]),
-        SimDuration::from_micros(base_us),
-    )
+impl LinkRng {
+    /// The generator of the link whose seed is `seed`, `draws` raw
+    /// draws in.
+    fn replay(seed: u64, draws: u64) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..draws {
+            rng.next_u64();
+        }
+        LinkRng { rng, draws }
+    }
 }
 
-/// One open-addressing sub-table: a power-of-two ring of line-aligned
-/// slots, probed linearly from a pair's home slot and at most 7/8 full.
-/// A slot with `src == dst` is empty — no link has equal endpoints,
-/// since a self-send returns before any link state exists — so a zeroed
-/// allocation is an empty table.
+impl RngCore for LinkRng {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+}
+
+/// One open-addressing sub-table: a power-of-two ring of slots starting
+/// on a line boundary, two to a line, probed linearly from a pair's home
+/// slot and at most 7/8 full. A slot with `src == dst` is empty — no
+/// link has equal endpoints, since a self-send returns before any link
+/// state exists — so a zeroed allocation is an empty table.
 #[derive(Debug)]
 struct SubTable {
     /// The slots, from word `first` on. The words before it are the
@@ -90,6 +144,11 @@ struct SubTable {
     mask: usize,
     /// Occupied slots.
     len: usize,
+    /// The xoshiro256++ state ([`SmallRng::state`]) of every hot link
+    /// of this sub-table, in promotion order; a hot slot's `meta` is its
+    /// index here under [`HOT_TAG`]. Kept per sub-table so that, like
+    /// the slots, it grows in small steps.
+    hot: Vec<[u64; 4]>,
 }
 
 impl SubTable {
@@ -104,6 +163,7 @@ impl SubTable {
             first: (LINE_WORDS - misaligned) % LINE_WORDS,
             mask: slots - 1,
             len: 0,
+            hot: Vec::new(),
         }
     }
 
@@ -147,12 +207,19 @@ impl SubTable {
             }
         }
         next.len = self.len;
+        next.hot = std::mem::take(&mut self.hot);
         *self = next;
     }
 }
 
-/// Every directed link that ever carried a message: one [`Slot`] per
-/// link, so a lookup reads one cache line and hashes the pair once.
+/// Every directed link that ever carried a message: one 32-byte [`Slot`]
+/// per link, so a lookup hashes the pair once and reads one line, plus
+/// the generator state of the few links that carry traffic
+/// ([`HOT_DRAWS`]). Most links carry one or two messages (owner → entry
+/// responses); storing each one's 32-byte generator state doubled the
+/// table, while replaying it costs a seed and at most [`HOT_DRAWS`]
+/// generator steps per send.
+///
 /// Split into `2^SUB_TABLE_BITS` sub-tables, each growing on its own, to
 /// bound the rehash peak: a growing table briefly holds its old and new
 /// slots, and one table of every link put a whole second table on top
@@ -186,35 +253,77 @@ impl LinkTable {
         t.words[t.at(t.home(hash))]
     }
 
-    /// The slot of link `src → dst` (`hash` is its [`pair_mix`]), filled
-    /// from `make` on its first use.
-    fn slot_mut(
+    /// Runs `send` on link `src → dst`'s generator and base delay and
+    /// stores the generator back. `hash` is the pair's [`pair_mix`]; the
+    /// link's generator is seeded `indexed_seed(link_seed, hash)`, the
+    /// generator `DetRng::substream_indexed` builds. On the link's first
+    /// use its base is drawn by `make_base` from the fresh generator.
+    fn with_link<T>(
         &mut self,
         src: NodeAddr,
         dst: NodeAddr,
         hash: u64,
-        make: impl FnOnce() -> (SmallRng, SimDuration),
-    ) -> &mut Slot {
+        link_seed: u64,
+        make_base: impl FnOnce(&mut LinkRng) -> SimDuration,
+        send: impl FnOnce(&mut LinkRng, SimDuration) -> T,
+    ) -> T {
         let t = &mut self.subs[Self::sub_of(hash)];
         let mut w = t.probe(src, dst, hash);
-        if t.words[w] == t.words[w + 1] {
+        let (mut rng, base) = if t.words[w] == t.words[w + 1] {
             // An empty slot: the link's first use.
             if (t.len + 1) * 8 > t.slots() * 7 {
                 t.grow();
                 w = t.probe(src, dst, hash);
             }
             t.len += 1;
-            let (rng, base) = make();
-            t.words[w..w + SLOT_WORDS].copy_from_slice(&pack(src, dst, &rng, base));
+            let mut rng = LinkRng::replay(indexed_seed(link_seed, hash), 0);
+            let base = make_base(&mut rng);
+            let slot: Slot = [src, dst, 0, base.as_micros()];
+            t.words[w..w + SLOT_WORDS].copy_from_slice(&slot);
+            (rng, base)
+        } else {
+            let meta = t.words[w + 2];
+            let rng = if meta & HOT_TAG == 0 {
+                LinkRng::replay(indexed_seed(link_seed, hash), meta)
+            } else {
+                // A hot link's draws are no longer counted.
+                LinkRng {
+                    rng: SmallRng::from_state(t.hot[(meta & !HOT_TAG) as usize]),
+                    draws: 0,
+                }
+            };
+            (rng, SimDuration::from_micros(t.words[w + 3]))
+        };
+        let out = send(&mut rng, base);
+        let meta = &mut t.words[w + 2];
+        if *meta & HOT_TAG != 0 {
+            t.hot[(*meta & !HOT_TAG) as usize] = rng.rng.state();
+        } else if rng.draws > HOT_DRAWS {
+            *meta = HOT_TAG | t.hot.len() as u64;
+            t.hot.push(rng.rng.state());
+        } else {
+            *meta = rng.draws;
         }
-        (&mut t.words[w..w + SLOT_WORDS])
-            .try_into()
-            .expect("a slot is SLOT_WORDS words")
+        out
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
         self.subs.iter().map(|t| t.len).sum()
+    }
+
+    #[cfg(test)]
+    fn hot_links(&self) -> usize {
+        self.subs.iter().map(|t| t.hot.len()).sum()
+    }
+
+    /// The table's size in bytes: 32 per slot and 32 per hot link. It
+    /// leaves out each sub-table's line-alignment lead-in (< 64 bytes)
+    /// and the spare capacity of its [`SubTable::hot`].
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        let slots: usize = self.subs.iter().map(SubTable::slots).sum();
+        std::mem::size_of::<Slot>() * slots + std::mem::size_of::<[u64; 4]>() * self.hot_links()
     }
 }
 
@@ -309,25 +418,28 @@ impl LinkTransport {
             return Delivery::Unreachable { attempts };
         }
         let policy = self.policy;
-        let link_seed = self.link_seed;
-        // First use: one independent RNG substream per directed link,
-        // derived from the pair — stable no matter in which order links
-        // first carry traffic.
-        let slot = self.links.slot_mut(src, dst, hash, || {
-            let mut rng = SmallRng::seed_from_u64(indexed_seed(link_seed, hash));
-            let base = policy.latency.sample_base(&mut rng);
-            (rng, base)
-        });
-        let (mut rng, base) = unpack(slot);
-        // Transient loss: each transmission drops independently; after
-        // max_retries losses the final transmission goes through.
-        let mut attempts = 1u32;
-        while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
-            attempts += 1;
-        }
-        let latency =
-            policy.retry_timeout * u64::from(attempts - 1) + policy.latency.sample(base, &mut rng);
-        *slot = pack(src, dst, &rng, base);
+        // One independent generator per directed link, seeded from the
+        // pair — stable no matter in which order links first carry
+        // traffic.
+        let (latency, attempts) = self.links.with_link(
+            src,
+            dst,
+            hash,
+            self.link_seed,
+            |rng| policy.latency.sample_base(rng),
+            |rng, base| {
+                // Transient loss: each transmission drops independently;
+                // after max_retries losses the final transmission goes
+                // through.
+                let mut attempts = 1u32;
+                while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
+                    attempts += 1;
+                }
+                let latency = policy.retry_timeout * u64::from(attempts - 1)
+                    + policy.latency.sample(base, rng);
+                (latency, attempts)
+            },
+        );
         self.stats.messages += 1;
         self.stats.per_class[class.index()] += 1;
         self.stats.retransmissions += u64::from(attempts - 1);
@@ -560,8 +672,8 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_one_line_each() {
-        assert_eq!(std::mem::size_of::<Slot>(), 64);
+    fn slots_are_two_per_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
         let mut t = LinkTransport::new(LinkPolicy::wan(), 1);
         for i in 0..5_000u64 {
             t.send(i, i + 1, MessageClass::Probe);
@@ -571,25 +683,37 @@ mod tests {
             assert!(sub.at(sub.slots()) <= sub.words.len());
             for i in 0..sub.slots() {
                 let addr = &sub.words[sub.at(i)] as *const u64 as usize;
-                assert_eq!(addr % 64, 0, "slot {i} starts mid-line");
+                let last = &sub.words[sub.at(i) + SLOT_WORDS - 1] as *const u64 as usize;
+                assert_eq!(addr / 64, last / 64, "slot {i} straddles a line");
+                assert_eq!(
+                    addr % 64,
+                    i % 2 * 32,
+                    "slot {i} is not half {} of a line",
+                    i % 2
+                );
             }
         }
     }
 
-    /// Mean slots read per lookup over every stored link (1 = found in
-    /// its home slot).
-    fn mean_probes(table: &LinkTable) -> f64 {
-        let (mut probes, mut links) = (0, 0);
+    /// Mean slots and mean 64-byte lines read per lookup over every
+    /// stored link (1 = found in its home slot, on its home line).
+    fn mean_probes(table: &LinkTable) -> (f64, f64) {
+        let slots_per_line = LINE_WORDS / SLOT_WORDS;
+        let (mut probes, mut lines, mut links) = (0, 0, 0);
         for t in table.subs.iter() {
             for i in 0..t.slots() {
                 let (src, dst) = (t.words[t.at(i)], t.words[t.at(i) + 1]);
                 if src != dst {
-                    probes += (i.wrapping_sub(t.home(pair_mix(src, dst))) & t.mask) + 1;
+                    let home = t.home(pair_mix(src, dst));
+                    probes += (i.wrapping_sub(home) & t.mask) + 1;
+                    let line_mask = t.slots() / slots_per_line - 1;
+                    lines +=
+                        ((i / slots_per_line).wrapping_sub(home / slots_per_line) & line_mask) + 1;
                     links += 1;
                 }
             }
         }
-        probes as f64 / links as f64
+        (probes as f64 / links as f64, lines as f64 / links as f64)
     }
 
     #[test]
@@ -600,9 +724,14 @@ mod tests {
         let pairs = || (0..500u64).flat_map(|s| (0..401u64).map(move |d| (s, d)));
         let mut n = 0;
         for (src, dst) in pairs().filter(|(s, d)| s != d) {
-            table.slot_mut(src, dst, pair_mix(src, dst), || {
-                (SmallRng::seed_from_u64(src ^ dst), SimDuration::ZERO)
-            });
+            table.with_link(
+                src,
+                dst,
+                pair_mix(src, dst),
+                0,
+                |_| SimDuration::ZERO,
+                |_, _| (),
+            );
             n += 1;
         }
         assert_eq!(table.len(), n);
@@ -610,14 +739,20 @@ mod tests {
             assert!(t.len * 8 <= t.slots() * 7, "over 7/8 full");
             assert!(t.len * 16 > t.slots() * 7, "grew past 7/16 load");
         }
-        // Linear probing expects ½(1 + 1/(1 − α)) reads per hit: 4.5 at
-        // the 7/8 cap, ≈ 2.6 at this fill's α ≈ 0.76.
-        let mean = mean_probes(&table);
-        assert!(mean <= 4.0, "mean probe length {mean}");
+        // Linear probing expects ½(1 + 1/(1 − α)) slots read per hit:
+        // 4.5 at the 7/8 cap, ≈ 2.6 at this fill's α ≈ 0.76. Two slots
+        // share a line and a probe starts on either half, so a hit of L
+        // slots reads (L + 1)/2 lines on average: 1.81 measured.
+        let (slots, lines) = mean_probes(&table);
+        assert!(slots <= 4.0, "mean probe length {slots} slots");
+        assert!(lines <= 2.5, "mean probe length {lines} lines");
         // Every link is found again, none re-created.
         for (src, dst) in pairs().filter(|(s, d)| s != d) {
-            let slot = table.slot_mut(src, dst, pair_mix(src, dst), || unreachable!());
-            assert_eq!((slot[0], slot[1]), (src, dst));
+            let hash = pair_mix(src, dst);
+            let t = &table.subs[LinkTable::sub_of(hash)];
+            let w = t.probe(src, dst, hash);
+            assert_eq!((t.words[w], t.words[w + 1]), (src, dst));
+            table.with_link(src, dst, hash, 0, |_| unreachable!(), |_, _| ());
         }
         assert_eq!(table.len(), n);
     }
@@ -647,9 +782,92 @@ mod tests {
         assert_eq!(t.links.len(), 2);
     }
 
-    /// Hot nodes of the differential run: `0..HOT`, partitioned and sent
-    /// between again and again. Cold nodes are never listed in an island.
-    const HOT: u64 = 64;
+    /// The `meta` word of link `src → dst`'s slot.
+    fn meta_of(t: &LinkTransport, src: NodeAddr, dst: NodeAddr) -> u64 {
+        let hash = pair_mix(src, dst);
+        let sub = &t.links.subs[LinkTable::sub_of(hash)];
+        let w = sub.probe(src, dst, hash);
+        assert_eq!((sub.words[w], sub.words[w + 1]), (src, dst), "no such link");
+        sub.words[w + 2]
+    }
+
+    #[test]
+    fn promotion_boundary_matches_reference() {
+        // Exactly one raw draw per send and none on first use: a uniform
+        // per-message delay and no retries.
+        let one_draw = LinkPolicy {
+            latency: LatencyModel::Uniform {
+                lo: SimDuration::from_millis(1),
+                hi: SimDuration::from_millis(9),
+            },
+            drop_probability: 0.0,
+            retry_timeout: SimDuration::ZERO,
+            max_retries: 0,
+        };
+        let mut table = LinkTransport::new(one_draw, 19);
+        let mut reference = RefLinkTransport::new(one_draw, 19);
+        // Links 1, 2 and 3 → 100 end at HOT_DRAWS − 1, HOT_DRAWS and
+        // HOT_DRAWS + 1 raw draws.
+        for (src, draws) in [(1, HOT_DRAWS - 1), (2, HOT_DRAWS), (3, HOT_DRAWS + 1)] {
+            for _ in 0..draws {
+                assert_eq!(
+                    table.send(src, 100, MessageClass::Probe),
+                    reference.send(src, 100, MessageClass::Probe)
+                );
+            }
+        }
+        assert_eq!(
+            meta_of(&table, 1, 100),
+            HOT_DRAWS - 1,
+            "cold, one draw short"
+        );
+        assert_eq!(meta_of(&table, 2, 100), HOT_DRAWS, "cold at the boundary");
+        assert_eq!(meta_of(&table, 3, 100), HOT_TAG, "hot link 0");
+        assert_eq!(table.links.hot_links(), 1);
+        // 50 more sends each with loss and jitter: every link resumes
+        // exactly where the reference's generator stands.
+        let lossy = LinkPolicy::lossy_wan(0.3);
+        table.set_policy(lossy);
+        reference.set_policy(lossy);
+        for _ in 0..50 {
+            for src in 1..=3 {
+                assert_eq!(
+                    table.send(src, 100, MessageClass::Probe),
+                    reference.send(src, 100, MessageClass::Probe)
+                );
+            }
+        }
+        assert_eq!(table.links.hot_links(), 3, "each link promoted once");
+        assert_eq!(table.stats(), reference.stats());
+    }
+
+    #[test]
+    fn table_bytes_are_pinned() {
+        // 1 000 `wan()` links sent on once (3 raw draws each, cold), of
+        // which 100 are sent on eight more times (19 draws, hot).
+        let mut t = LinkTransport::new(LinkPolicy::wan(), 7);
+        for i in 0..1_000u64 {
+            t.send(i, i + 1, MessageClass::Probe);
+        }
+        for _ in 0..8 {
+            for i in 0..100u64 {
+                t.send(i, i + 1, MessageClass::Probe);
+            }
+        }
+        assert_eq!(t.links.len(), 1_000);
+        assert_eq!(t.links.hot_links(), 100);
+        let slots: usize = t.links.subs.iter().map(SubTable::slots).sum();
+        assert_eq!(t.links.bytes(), 32 * slots + 32 * 100);
+        // 1 664 slots and 100 hot links: 53 248 + 3 200 bytes, where a
+        // slot holding every generator's state took 106 496.
+        assert_eq!(slots, 1_664);
+        assert_eq!(t.links.bytes(), 56_448);
+    }
+
+    /// Busy nodes of the differential run: `0..BUSY`, partitioned and
+    /// sent between again and again. Other nodes are never listed in an
+    /// island.
+    const BUSY: u64 = 64;
 
     /// The `k`-th first-use pair of the differential run: even `k` two
     /// random 64-bit ids, odd `k` a cell of a dense grid.
@@ -662,7 +880,7 @@ mod tests {
     }
 
     /// Refills `sends` with `n` sends drawn from `r`: about three in four
-    /// on a fresh cold pair, the rest between hot nodes, self-sends
+    /// on a fresh cold pair, the rest between busy nodes, self-sends
     /// included.
     fn fill(sends: &mut Vec<SendSpec>, seed: u64, mut r: u64, n: usize, cold: &mut u64) {
         sends.clear();
@@ -672,9 +890,9 @@ mod tests {
                 *cold += 1;
                 cold_pair(seed, *cold - 1)
             } else if r >> 60 == 0 {
-                (r >> 8 & (HOT - 1), r >> 8 & (HOT - 1))
+                (r >> 8 & (BUSY - 1), r >> 8 & (BUSY - 1))
             } else {
-                (r >> 8 & (HOT - 1), r >> 16 & (HOT - 1))
+                (r >> 8 & (BUSY - 1), r >> 16 & (BUSY - 1))
             };
             let class = MessageClass::ALL[(r >> 32) as usize % MessageClass::ALL.len()];
             sends.push(SendSpec { src, dst, class });
@@ -707,12 +925,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// The line-aligned table against the sharded-map reference it
-        /// replaced: random interleavings of `send`, `send_batch`,
-        /// `partition`, `heal` and `set_policy` over at least 100 000
-        /// first-use pairs (every sub-table doubles at least eight
-        /// times), with equal deliveries and stats after every call, equal
-        /// link counts, and equal draws on later traffic over the links.
+        /// The link table against the sharded-map reference it replaced:
+        /// random interleavings of `send`, `send_batch`, `partition`,
+        /// `heal` and `set_policy` over at least 100 000 first-use pairs
+        /// (every sub-table doubles at least eight times), with equal
+        /// deliveries and stats after every call, equal link counts, and
+        /// equal draws on later traffic over the links — cold and hot,
+        /// and links promoted under each policy variant after a
+        /// `set_policy` that followed their creation.
         #[test]
         fn link_table_matches_sharded_reference(
             seed in any::<u64>(),
@@ -743,7 +963,7 @@ mod tests {
                     }
                     10 => {
                         let mut islands = vec![Vec::new(); 4];
-                        for node in 0..HOT {
+                        for node in 0..BUSY {
                             islands[(r >> (node % 32 * 2) & 3) as usize].push(node);
                         }
                         table.partition(&islands);
@@ -771,7 +991,7 @@ mod tests {
             prop_assert_eq!(table.stats(), reference.stats());
             prop_assert_eq!(table.links.len(), reference.links.len());
             prop_assert!(table.links.len() as u64 >= cold);
-            // Later traffic on every hot link and every seventh cold one.
+            // Later traffic on every busy link and every seventh cold one.
             table.heal();
             reference.heal();
             table.set_policy(LinkPolicy::lossy_wan(0.3));
@@ -781,14 +1001,51 @@ mod tests {
                 let (src, dst) = cold_pair(seed, k);
                 sends.push(SendSpec { src, dst, class: MessageClass::Probe });
             }
-            for src in 0..HOT {
-                for dst in 0..HOT {
+            for src in 0..BUSY {
+                for dst in 0..BUSY {
                     sends.push(SendSpec { src, dst, class: MessageClass::Probe });
                 }
             }
             table.send_batch(&sends, &mut got);
             reference.send_batch(&sends, &mut want);
             prop_assert_eq!(&got, &want);
+            // Under each policy variant in turn, a band of 256 fresh
+            // links — created under the policy in force before the
+            // switch — is driven past HOT_DRAWS. Every variant but
+            // `instant()` draws at least once per send; `instant()`
+            // draws nothing and promotes nothing.
+            let mut bands = Vec::new();
+            for v in 0..6u64 {
+                let band: Vec<SendSpec> = (0..256)
+                    .map(|i| SendSpec {
+                        src: (v + 1) << 40 | i,
+                        dst: (v + 1) << 40 | (1_000 + i),
+                        class: MessageClass::Probe,
+                    })
+                    .collect();
+                table.send_batch(&band, &mut got);
+                reference.send_batch(&band, &mut want);
+                prop_assert_eq!(&got, &want);
+                table.set_policy(policy_of(v));
+                reference.set_policy(policy_of(v));
+                let hot = table.links.hot_links();
+                for _ in 0..=HOT_DRAWS {
+                    table.send_batch(&band, &mut got);
+                    reference.send_batch(&band, &mut want);
+                    prop_assert_eq!(&got, &want);
+                }
+                let promoted = table.links.hot_links() - hot;
+                prop_assert_eq!(promoted, if v == 3 { 0 } else { band.len() });
+                bands.extend(band);
+            }
+            // Each band link resumes from its stored state.
+            table.set_policy(LinkPolicy::lossy_wan(0.3));
+            reference.set_policy(LinkPolicy::lossy_wan(0.3));
+            for _ in 0..3 {
+                table.send_batch(&bands, &mut got);
+                reference.send_batch(&bands, &mut want);
+                prop_assert_eq!(&got, &want);
+            }
             prop_assert_eq!(table.stats(), reference.stats());
             prop_assert_eq!(table.links.len(), reference.links.len());
         }
