@@ -11,12 +11,13 @@
 //! * [`id::ChordId`] — M-bit ring identifiers with wrapping interval
 //!   arithmetic;
 //! * [`net::SimNet`] — the in-process network: iterative
-//!   `find_successor` with per-hop counting, node join/leave/fail,
-//!   stabilization and finger repair. Every node's successor list,
-//!   predecessor and finger table is one row of a dense arena, each
-//!   entry carrying the row it names, so a routing hop is array
-//!   indexing; membership and maintenance write the rows in place and
-//!   one engine routes every lookup over them;
+//!   `find_successor` with per-hop counting and node join/leave/fail.
+//!   Every alive node's successor list, predecessor and finger table sit
+//!   at the fixpoint of Chord's maintenance protocol between any two
+//!   calls: construction installs it and each membership call repairs
+//!   the neighbourhood it changed, so no lookup ever routes over a stale
+//!   entry. The tables are rows of a dense arena, each entry carrying
+//!   the row it names, so a routing hop is array indexing;
 //! * [`node::ChordNode`] — a read-only view of one node's row;
 //! * [`virtual_nodes::VirtualRing`] — CFS-style virtual servers (used by
 //!   the ablation experiments).
@@ -30,7 +31,6 @@
 //!
 //! let mut rng = DetRng::new(7);
 //! let mut net = SimNet::with_random_nodes(HashSpace::PAPER, 64, &mut rng);
-//! net.build_stable();
 //!
 //! // Look up an arbitrary hash from an arbitrary node: the result is the
 //! // ring successor, reached in O(log S) hops.
@@ -50,7 +50,7 @@ pub mod snapshot;
 pub mod virtual_nodes;
 
 pub use id::ChordId;
-pub use net::{LookupResult, SimNet};
+pub use net::{LookupResult, SimNet, SUCCESSOR_LIST_LEN};
 pub use node::ChordNode;
 pub use snapshot::RouteSnapshot;
 pub use virtual_nodes::VirtualRing;

@@ -1,4 +1,5 @@
-//! The in-process Chord network: routing, membership and maintenance.
+//! The in-process Chord network: routing over tables that every
+//! membership call leaves at the maintenance fixpoint.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -10,6 +11,11 @@ use clash_simkernel::rng::DetRng;
 use crate::id::ChordId;
 use crate::node::ChordNode;
 use crate::snapshot::RouteSnapshot;
+
+/// Successor-list length of every node — Chord's fault-tolerance depth
+/// (`⌈log₂ S⌉` is typical). Lists are shorter only on rings of at most
+/// this many nodes, where they hold every other node.
+pub const SUCCESSOR_LIST_LEN: usize = 8;
 
 /// Result of one `find_successor` lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +51,8 @@ impl NetStats {
 }
 
 /// One table entry — a finger, a successor-list slot, a ring position:
-/// the id it names and the arena row that held that id when the entry
-/// was written. The row makes a hop an array index instead of a search;
-/// [`SimNet::live`] is the check that it still holds that id.
+/// the id it names and the arena row holding that id. Alive rows only
+/// ever name alive nodes, so the row makes a hop an array index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Entry {
     pub(crate) id: u64,
@@ -84,56 +89,40 @@ fn in_half_open(x: u64, a: u64, b: u64, mask: u64) -> bool {
 /// A simulated Chord ring.
 ///
 /// All nodes live in one process; "messages" are method calls with hop
-/// counting. Failed nodes keep their (stale) state but are invisible to
-/// routing, exactly as a crashed host would be; [`SimNet::stabilize_round`]
-/// and [`SimNet::fix_fingers_round`] implement the Chord maintenance
-/// protocol that repairs pointers around failures and joins.
+/// counting. Between any two public calls every alive node holds the
+/// state Chord's maintenance protocol (stabilize + fix fingers)
+/// converges to: construction installs it, and [`SimNet::join`],
+/// [`SimNet::fail`] and [`SimNet::remove_node`] each repair the
+/// neighbourhood they changed before returning
+/// ([`SimNet::is_converged`]). The round-based protocol itself lives on
+/// as the independent model in this crate's tests that the fixpoint is
+/// pinned against. A crashed node keeps its last tables for inspection;
+/// nothing routes through them.
 ///
 /// Layout. Every node's tables are one row of a dense arena: `M` finger
-/// entries in `fingers`, up to `succ_stride` successor entries in
-/// `succs`, its id, liveness byte and predecessor in `ids` / `alive` /
-/// `preds`. Membership and maintenance write those rows in place, so
-/// routing never consults anything that could be out of date: a crash
-/// flips `alive[row]`, a departure also returns the row to `free`, and a
-/// join takes a row from there. A stale entry naming a departed id whose
-/// row has since been reused fails the usability test's id comparison
-/// and is resolved by id instead — unusable unless that id re-joined.
-/// `ring` lists the alive nodes in id order; ground truth
-/// ([`SimNet::owner_of`], [`SimNet::random_alive`], the fixpoint
-/// installer) is an index or a binary search into it.
+/// entries in `fingers`, [`SUCCESSOR_LIST_LEN`] successor slots in
+/// `succs`, its id and predecessor in `ids` / `preds`. A crash moves the
+/// row from `ring` to `corpses`, a departure returns it to `free`, and a
+/// join takes a row from there. `ring` lists the alive nodes in id
+/// order; ground truth ([`SimNet::owner_of`], [`SimNet::random_alive`],
+/// the fixpoint itself) is an index or a binary search into it.
 pub struct SimNet {
     space: HashSpace,
-    succ_list_len: usize,
     stats: NetStats,
     /// Alive nodes in ring order, each with its row.
     ring: Vec<Entry>,
-    /// Crashed nodes (id → row): the row keeps the corpse's stale tables.
+    /// Crashed nodes (id → row): the row keeps the corpse's last tables.
     corpses: BTreeMap<u64, u32>,
     /// Rows of removed nodes, reused last-freed-first.
     free: Vec<u32>,
     ids: Vec<u64>,
-    alive: Vec<bool>,
     preds: Vec<Option<u64>>,
     /// `space.bits()` entries per row; entry `k` routes toward `id + 2^k`.
     fingers: Vec<Entry>,
-    /// `succ_stride` slots per row, the first `succ_lens[row]` in use.
+    /// [`SUCCESSOR_LIST_LEN`] slots per row, the first `succ_lens[row]`
+    /// in use.
     succs: Vec<Entry>,
     succ_lens: Vec<u32>,
-    /// Only grows: a shorter `succ_list_len` leaves existing lists their
-    /// length until maintenance rewrites them.
-    succ_stride: usize,
-    /// True while every alive node's tables are the maintenance fixpoint
-    /// [`SimNet::stabilize_direct`] last installed, except for what
-    /// `joined` / `removed` record — the precondition of its incremental
-    /// repair. Anything else that writes tables (construction,
-    /// `add_node`, the round-based protocol, `build_stable`, a
-    /// successor-list length change) clears it.
-    fixpoint: bool,
-    /// Ids [`SimNet::join`] added since the fixpoint.
-    joined: Vec<ChordId>,
-    /// Ids [`SimNet::fail`] / [`SimNet::remove_node`] took out of the
-    /// alive set since the fixpoint.
-    removed: Vec<ChordId>,
 }
 
 // The route phase of a locate flush routes through `&SimNet` and must
@@ -145,66 +134,13 @@ const _: fn() = || {
 };
 
 impl SimNet {
-    /// Creates an empty ring over the given hash space with the Chord
-    /// default successor-list length (`⌈log₂ expected-nodes⌉` is typical;
-    /// we default to 8).
-    pub fn new(space: HashSpace) -> Self {
-        SimNet {
-            space,
-            succ_list_len: 8,
-            stats: NetStats::default(),
-            ring: Vec::new(),
-            corpses: BTreeMap::new(),
-            free: Vec::new(),
-            ids: Vec::new(),
-            alive: Vec::new(),
-            preds: Vec::new(),
-            fingers: Vec::new(),
-            succs: Vec::new(),
-            succ_lens: Vec::new(),
-            succ_stride: 8,
-            fixpoint: false,
-            joined: Vec::new(),
-            removed: Vec::new(),
-        }
-    }
-
-    /// The tables are no longer a known fixpoint plus a recorded delta:
-    /// the next [`SimNet::stabilize_direct`] recomputes the whole ring.
-    fn forget_fixpoint(&mut self) {
-        self.fixpoint = false;
-        self.joined.clear();
-        self.removed.clear();
-    }
-
-    /// Sets the successor-list length (fault-tolerance depth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn set_successor_list_len(&mut self, len: usize) {
-        assert!(len > 0, "successor list length must be positive");
-        self.succ_list_len = len;
-        if len > self.succ_stride {
-            let mut succs = vec![Entry::default(); self.ids.len() * len];
-            for row in 0..self.ids.len() {
-                let list = self.succs_of(row);
-                succs[row * len..][..list.len()].copy_from_slice(list);
-            }
-            self.succs = succs;
-            self.succ_stride = len;
-        }
-        self.forget_fixpoint();
-    }
-
-    /// No-op: stabilization is single-threaded. Kept only because
+    /// No-op: the ring is single-threaded. Kept only because
     /// `clash-benchmark/src/micro.rs` calls it; the next
     /// `benchmark`-archetype PR drops the call and this method.
     pub fn set_stabilize_workers(&mut self, _workers: usize) {}
 
-    /// Creates a ring with `n` distinct random node identifiers (not yet
-    /// stabilized — call [`SimNet::build_stable`] or run the maintenance
-    /// protocol).
+    /// Creates a ring with `n` distinct random node identifiers, every
+    /// node's tables at the maintenance fixpoint.
     ///
     /// # Panics
     ///
@@ -218,20 +154,37 @@ impl SimNet {
         while seen.len() < n {
             seen.insert(ChordId::new(rng.next_u64(), space).value());
         }
-        let mut ids: Vec<u64> = seen.into_iter().collect();
+        SimNet::from_ids(space, seen.into_iter().collect())
+    }
+
+    /// A converged ring of the distinct identifiers `ids`, in any order;
+    /// row `i` holds the `i`-th smallest.
+    pub(crate) fn from_ids(space: HashSpace, mut ids: Vec<u64>) -> Self {
         ids.sort_unstable();
-        let mut net = SimNet::new(space);
-        net.ring.reserve_exact(n);
-        net.ids.reserve_exact(n);
-        net.alive.reserve_exact(n);
-        net.preds.reserve_exact(n);
-        net.succ_lens.reserve_exact(n);
-        net.fingers.reserve_exact(n * space.bits() as usize);
-        net.succs.reserve_exact(n * net.succ_stride);
-        // Ascending ids append to `ring`: no insertion shifts anything.
-        for id in ids {
-            net.insert_solitary(ChordId::new(id, space));
-        }
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be distinct");
+        debug_assert!(ids.last().is_none_or(|&id| id <= space.mask()));
+        let n = ids.len();
+        let ring = ids
+            .iter()
+            .enumerate()
+            .map(|(row, &id)| Entry {
+                id,
+                row: row as u32,
+            })
+            .collect();
+        let mut net = SimNet {
+            space,
+            stats: NetStats::default(),
+            ring,
+            corpses: BTreeMap::new(),
+            free: Vec::new(),
+            ids,
+            preds: vec![None; n],
+            fingers: vec![Entry::default(); n * space.bits() as usize],
+            succs: vec![Entry::default(); n * SUCCESSOR_LIST_LEN],
+            succ_lens: vec![0; n],
+        };
+        net.install_tables();
         net
     }
 
@@ -261,19 +214,13 @@ impl SimNet {
         }
     }
 
-    /// The ring entry of an alive node.
-    fn entry_of(&self, id: ChordId) -> Entry {
-        let pos = self.ring_pos(id.value()).expect("id names an alive node");
-        self.ring[pos]
-    }
-
     pub(crate) fn fingers_of(&self, row: usize) -> &[Entry] {
         let m = self.bits();
         &self.fingers[row * m..(row + 1) * m]
     }
 
     pub(crate) fn succs_of(&self, row: usize) -> &[Entry] {
-        &self.succs[row * self.succ_stride..][..self.succ_lens[row] as usize]
+        &self.succs[row * SUCCESSOR_LIST_LEN..][..self.succ_lens[row] as usize]
     }
 
     /// Replaces a row's successor list.
@@ -284,7 +231,7 @@ impl SimNet {
     /// successor (possibly itself).
     pub(crate) fn set_succs(&mut self, row: usize, list: &[Entry]) {
         assert!(!list.is_empty(), "successor list must be non-empty");
-        self.succs[row * self.succ_stride..][..list.len()].copy_from_slice(list);
+        self.succs[row * SUCCESSOR_LIST_LEN..][..list.len()].copy_from_slice(list);
         self.succ_lens[row] = list.len() as u32;
     }
 
@@ -292,68 +239,8 @@ impl SimNet {
         self.id(self.ids[row])
     }
 
-    pub(crate) fn row_alive(&self, row: usize) -> bool {
-        self.alive[row]
-    }
-
     pub(crate) fn row_pred(&self, row: usize) -> Option<ChordId> {
         self.preds[row].map(|p| self.id(p))
-    }
-
-    /// `e` with its current row if the node it names is alive — the
-    /// "usable" test of routing. The row an entry carries still holds
-    /// its id unless that node departed and the row was reused; only
-    /// then (or for a dead id) is the id searched for.
-    #[inline]
-    fn live(&self, e: Entry) -> Option<Entry> {
-        let row = e.row as usize;
-        if self.alive[row] && self.ids[row] == e.id {
-            Some(e)
-        } else {
-            self.ring_pos(e.id).ok().map(|pos| self.ring[pos])
-        }
-    }
-
-    /// Adds a solitary (unwired) node. Returns false if the identifier is
-    /// already taken.
-    pub fn add_node(&mut self, id: ChordId) -> bool {
-        let added = self.insert_solitary(id).is_some();
-        if added {
-            self.forget_fixpoint();
-        }
-        added
-    }
-
-    /// Gives `id` a row whose every pointer names `id` itself; `None` if
-    /// the identifier is taken, by an alive node or a corpse.
-    fn insert_solitary(&mut self, id: ChordId) -> Option<Entry> {
-        debug_assert_eq!(id.space(), self.space);
-        let value = id.value();
-        let pos = self.ring_pos(value).err()?;
-        if self.corpses.contains_key(&value) {
-            return None;
-        }
-        let m = self.bits();
-        let row = self.free.pop().unwrap_or_else(|| {
-            self.ids.push(0);
-            self.alive.push(false);
-            self.preds.push(None);
-            self.succ_lens.push(0);
-            self.fingers
-                .resize(self.fingers.len() + m, Entry::default());
-            self.succs
-                .resize(self.succs.len() + self.succ_stride, Entry::default());
-            (self.ids.len() - 1) as u32
-        });
-        let me = Entry { id: value, row };
-        let row = row as usize;
-        self.ids[row] = value;
-        self.alive[row] = true;
-        self.preds[row] = None;
-        self.fingers[row * m..(row + 1) * m].fill(me);
-        self.set_succs(row, &[me]);
-        self.ring.insert(pos, me);
-        Some(me)
     }
 
     /// Number of alive nodes.
@@ -408,15 +295,17 @@ impl SimNet {
         (n > 0).then(|| self.id(self.ring[(i + n - 1) % n].id))
     }
 
-    /// Installs exact routing state on every alive node: perfect fingers,
-    /// successor lists and predecessors. Equivalent to running the
-    /// maintenance protocol to convergence, in O(S·M) time.
-    pub fn build_stable(&mut self) {
-        self.install_tables(self.succ_list_len.min(self.ring.len()));
-        // Rings no larger than the successor-list length get lists
-        // padded with `self` here, which the maintenance fixpoint never
-        // holds.
-        self.forget_fixpoint();
+    /// No-op: the tables are always converged. Kept only because
+    /// `clash-benchmark/src/micro.rs` calls it; the next
+    /// `benchmark`-archetype PR drops the call and this method.
+    pub fn build_stable(&mut self) {}
+
+    /// No-op returning 1, the maintenance round count it used to report:
+    /// every membership call repairs its own neighbourhood. Kept only
+    /// because `clash-benchmark/src/micro.rs` calls it; the next
+    /// `benchmark`-archetype PR drops the call and this method.
+    pub fn stabilize_direct(&mut self) -> usize {
+        1
     }
 
     /// Ground truth for the node at ring position `pos`: entry `k` of
@@ -438,8 +327,23 @@ impl SimNet {
         self.owner_entry(start)
     }
 
-    /// Writes every alive node's ground-truth tables, successor lists of
-    /// length `r`, into its row, in O(S·M) time.
+    /// Writes the first `r` ground-truth successors of the node at ring
+    /// position `pos` as its successor list.
+    fn set_true_succs(&mut self, pos: usize, r: usize) {
+        let list: [Entry; SUCCESSOR_LIST_LEN] = std::array::from_fn(|k| self.true_succ(pos, k));
+        self.set_succs(self.ring[pos].row as usize, &list[..r]);
+    }
+
+    /// Successor-list length at the maintenance fixpoint: the list never
+    /// reaches its own node, except `[self]` on a one-node ring.
+    fn fixpoint_list_len(&self) -> usize {
+        SUCCESSOR_LIST_LEN
+            .min(self.ring.len().saturating_sub(1))
+            .max(1)
+    }
+
+    /// Writes every alive node's fixpoint tables into its row, in O(S·M)
+    /// time.
     ///
     /// Finger `k`'s owner is found by a cursor swept along `ring` rather
     /// than a search per entry ([`SimNet::true_finger`]): the targets
@@ -447,16 +351,14 @@ impl SimNet {
     /// at most once, where the cursor restarts from the first node. Each
     /// cursor is `ring`'s first position at or after its current target,
     /// `ring.len()` standing for the wrap to position 0.
-    fn install_tables(&mut self, r: usize) {
+    fn install_tables(&mut self) {
+        let r = self.fixpoint_list_len();
         let (m, n, mask) = (self.bits(), self.ring.len(), self.space.mask());
         let mut cursors = vec![(0usize, false); m];
         for pos in 0..n {
             let Entry { id, row } = self.ring[pos];
             let row = row as usize;
-            for k in 0..r {
-                self.succs[row * self.succ_stride + k] = self.true_succ(pos, k);
-            }
-            self.succ_lens[row] = r as u32;
+            self.set_true_succs(pos, r);
             self.preds[row] = self.true_pred(pos);
             for (k, (at, wrapped)) in cursors.iter_mut().enumerate() {
                 let start = id.wrapping_add(1u64 << k) & mask;
@@ -478,9 +380,9 @@ impl SimNet {
     ///
     /// # Panics
     ///
-    /// Panics if `start` is not an alive node, or if routing degenerates
-    /// into a cycle (only possible when maintenance has never run after
-    /// severe membership changes).
+    /// Panics if `start` is not an alive node, or if routing exceeds its
+    /// hop limit (a safety check: converged tables need at most `M + 1`
+    /// hops).
     pub fn route(&self, start: ChordId, h: u64) -> LookupResult {
         self.route_visit(start, h, |_, _| ())
     }
@@ -515,7 +417,7 @@ impl SimNet {
         };
         let mask = self.space.mask();
         let target = h & mask;
-        let hop_limit = 4 * self.space.bits() + (self.ring.len() + self.corpses.len()) as u32 + 8;
+        let hop_limit = 4 * self.space.bits() + self.ring.len() as u32 + 8;
         let done = |owner: Entry, hops: u32| LookupResult {
             owner: self.id(owner.id),
             hops,
@@ -524,9 +426,8 @@ impl SimNet {
         let mut hops = 0u32;
         loop {
             let row = current.row as usize;
-            let succ = self.first_alive_successor(row);
-            // At the target — or a solitary (fully isolated) node, which
-            // owns everything.
+            let succ = self.succs[row * SUCCESSOR_LIST_LEN];
+            // At the target — or alone on the ring, owning everything.
             if target == current.id || succ.id == current.id {
                 return done(current, hops);
             }
@@ -534,22 +435,15 @@ impl SimNet {
                 visit(self.id(current.id), self.id(succ.id));
                 return done(succ, hops + 1);
             }
-            // Closest preceding node: the farthest usable finger strictly
-            // between here and the target, else the farthest such
-            // successor-list entry (closer than any usable finger after
-            // failures), else the first alive successor.
-            let preceding = |e: &Entry| {
-                in_open(e.id, current.id, target, mask)
-                    .then(|| self.live(*e))
-                    .flatten()
-            };
-            let next = self
+            // Closest preceding node: the farthest finger strictly
+            // between here and the target. One always exists — finger 0
+            // is the successor, which precedes the target.
+            let next = *self
                 .fingers_of(row)
                 .iter()
                 .rev()
-                .find_map(preceding)
-                .or_else(|| self.succs_of(row).iter().rev().find_map(preceding))
-                .unwrap_or(succ);
+                .find(|f| in_open(f.id, current.id, target, mask))
+                .expect("finger 0 is the successor");
             visit(self.id(current.id), self.id(next.id));
             current = next;
             hops += 1;
@@ -560,41 +454,19 @@ impl SimNet {
         }
     }
 
-    /// The first alive entry of `row`'s successor list (the node itself
-    /// when none is).
-    fn first_alive_successor(&self, row: usize) -> Entry {
-        self.succs_of(row)
-            .iter()
-            .find_map(|&s| self.live(s))
-            .unwrap_or(Entry {
-                id: self.ids[row],
-                row: row as u32,
-            })
-    }
-
-    /// The first `r` distinct *alive* ring successors of `id`, in
-    /// successor-list order (nearest first), excluding `id` itself. This
-    /// is the node's own routing state — the replica set CLASH's
-    /// successor-list replication places key-group state on — so it can
-    /// lag ground truth between maintenance rounds, exactly as a real
-    /// deployment's would. Returns fewer than `r` entries on small rings
-    /// and an empty vector for unknown nodes.
+    /// The first `r` ring successors of the alive node `id`, nearest
+    /// first: its successor list — the replica set CLASH's
+    /// successor-list replication places key-group state on. Returns at
+    /// most [`SUCCESSOR_LIST_LEN`] ids, fewer on rings of at most that
+    /// many nodes, and nothing for `r = 0` or an id that is not alive.
     pub fn alive_successors(&self, id: ChordId, r: usize) -> Vec<ChordId> {
-        let Some(row) = self.row_of(id.value()).filter(|_| r > 0) else {
+        let Ok(pos) = self.ring_pos(id.value()) else {
             return Vec::new();
         };
-        let mut out: Vec<ChordId> = Vec::with_capacity(r);
-        for &s in self.succs_of(row) {
-            let alive = self.live(s).is_some();
-            let s = self.id(s.id);
-            if s != id && alive && !out.contains(&s) {
-                out.push(s);
-                if out.len() == r {
-                    break;
-                }
-            }
-        }
-        out
+        let list = self.succs_of(self.ring[pos].row as usize);
+        // A one-node ring's list is the node itself.
+        let others = list.iter().filter(|s| s.id != id.value());
+        others.take(r).map(|s| self.id(s.id)).collect()
     }
 
     /// Routed lookup with statistics recording — the `Map()` operation
@@ -639,88 +511,80 @@ impl SimNet {
         self.stats = NetStats::default();
     }
 
-    /// Joins a new node through `bootstrap`: routes a lookup for its own
-    /// identifier to find its successor, then seeds the new node's routing
-    /// state *from that successor* — its successor list is inherited and
-    /// every finger is resolved by routing from the successor — so that
-    /// lookups starting at the freshly joined node are O(log S)
-    /// immediately instead of successor-walking until the first
-    /// [`SimNet::fix_fingers_round`]. Fingers covering the arc the new
-    /// node takes over still name the old owner until stabilization runs,
-    /// which is exactly Chord's transient.
+    /// Joins a new node through `bootstrap`. The join protocol's lookups
+    /// are routed on the ring as it stands: one for the new identifier
+    /// from `bootstrap`, which finds its successor, then one per finger
+    /// `new_id + 2^k`, routed from that successor, to seed its finger
+    /// table. The new node's tables, and every entry its arrival
+    /// changed, are then repaired to the fixpoint.
     ///
-    /// Returns the total inter-node messages spent (the join lookup plus
-    /// the finger-seeding lookups), or `None` if the identifier is already
-    /// taken.
+    /// Returns the total inter-node messages those lookups spent, or
+    /// `None` if the identifier is already taken (by an alive or a
+    /// crashed node).
     ///
     /// # Panics
     ///
     /// Panics if `bootstrap` is not alive.
     pub fn join(&mut self, new_id: ChordId, bootstrap: ChordId) -> Option<u32> {
         assert!(self.is_alive(bootstrap), "bootstrap node must be alive");
-        let row = self.insert_solitary(new_id)?.row as usize;
-        self.joined.push(new_id);
-        let lookup = self.route(bootstrap, new_id.value());
-        let succ = self.entry_of(lookup.owner);
-        let mut messages = lookup.hops;
-        // Seeded while the new row is still solitary, written after.
-        let mut fingers = Vec::with_capacity(self.bits());
-        for k in 0..self.space.bits() {
-            let target = new_id.add_power_of_two(k);
-            let r = self.route(lookup.owner, target.value());
-            fingers.push(self.entry_of(r.owner));
-            messages = messages.saturating_add(r.hops);
+        debug_assert_eq!(new_id.space(), self.space);
+        let value = new_id.value();
+        if self.row_of(value).is_some() {
+            return None;
         }
-        let mut succ_list = vec![succ];
-        succ_list.extend(
-            self.succs_of(succ.row as usize)
-                .iter()
-                .filter(|s| s.id != new_id.value() && s.id != succ.id)
-                .filter_map(|&s| self.live(s)),
-        );
-        succ_list.truncate(self.succ_list_len);
-        let m = self.bits();
-        self.set_succs(row, &succ_list);
-        self.preds[row] = None;
-        self.fingers[row * m..(row + 1) * m].copy_from_slice(&fingers);
+        let lookup = self.route(bootstrap, value);
+        let mut messages = lookup.hops;
+        for k in 0..self.space.bits() {
+            let target = new_id.add_power_of_two(k).value();
+            messages = messages.saturating_add(self.route(lookup.owner, target).hops);
+        }
+        let row = self.free.pop().unwrap_or_else(|| {
+            self.ids.push(0);
+            self.preds.push(None);
+            self.succ_lens.push(0);
+            let m = self.bits();
+            self.fingers
+                .resize(self.fingers.len() + m, Entry::default());
+            self.succs
+                .resize(self.succs.len() + SUCCESSOR_LIST_LEN, Entry::default());
+            (self.ids.len() - 1) as u32
+        });
+        self.ids[row as usize] = value;
+        let pos = self.ring_pos(value).expect_err("id checked free");
+        self.ring.insert(pos, Entry { id: value, row });
+        self.repair(value, true);
         Some(messages)
     }
 
-    /// Takes `ring[pos]` out of the alive set.
-    fn unlist(&mut self, pos: usize) -> Entry {
-        let e = self.ring.remove(pos);
-        self.alive[e.row as usize] = false;
-        self.removed.push(self.id(e.id));
-        e
-    }
-
-    /// Marks a node failed (crash model: no goodbye messages).
+    /// Marks a node failed (crash model: no goodbye messages). Its row
+    /// keeps its last tables; every alive entry that named it is
+    /// repaired.
     ///
     /// Returns false if the node was missing or already dead.
     pub fn fail(&mut self, id: ChordId) -> bool {
         let Ok(pos) = self.ring_pos(id.value()) else {
             return false;
         };
-        let e = self.unlist(pos);
+        let e = self.ring.remove(pos);
         self.corpses.insert(e.id, e.row);
+        self.repair(e.id, false);
         true
-    }
-
-    /// Removes failed nodes' state entirely (garbage collection).
-    pub fn remove_failed(&mut self) {
-        self.free.extend(self.corpses.values());
-        self.corpses.clear();
     }
 
     /// Removes a node's state entirely — the graceful-departure model: the
     /// node announced, handed its keys off, and left, so no corpse remains
-    /// (contrast with [`SimNet::fail`], which leaves stale state behind the
-    /// way a crashed host would). Survivors' pointers to it are repaired by
-    /// the maintenance protocol. Returns false if the id is unknown.
+    /// (contrast with [`SimNet::fail`]); every alive entry that named it
+    /// is repaired. Removing a crashed node collects its corpse. Returns
+    /// false if the id is unknown.
     pub fn remove_node(&mut self, id: ChordId) -> bool {
-        let row = match self.ring_pos(id.value()) {
-            Ok(pos) => self.unlist(pos).row,
-            Err(_) => match self.corpses.remove(&id.value()) {
+        let value = id.value();
+        let row = match self.ring_pos(value) {
+            Ok(pos) => {
+                let row = self.ring.remove(pos).row;
+                self.repair(value, false);
+                row
+            }
+            Err(_) => match self.corpses.remove(&value) {
                 Some(row) => row,
                 None => return false,
             },
@@ -729,167 +593,17 @@ impl SimNet {
         true
     }
 
-    /// One round of Chord stabilization over every alive node (in ring
-    /// order): repair successor pointers, notify successors, refresh
-    /// successor lists. Returns true if any state changed.
-    pub fn stabilize_round(&mut self) -> bool {
-        self.forget_fixpoint();
-        let mut changed = false;
-        for pos in 0..self.ring.len() {
-            changed |= self.stabilize_one(pos);
-        }
-        changed
-    }
-
-    /// Stabilizes the node at ring position `pos` (no step of it moves a
-    /// ring position).
-    fn stabilize_one(&mut self, pos: usize) -> bool {
-        let mask = self.space.mask();
-        let me = self.ring[pos];
-        let (id, row) = (me.id, me.row as usize);
-        let mut changed = false;
-        let mut succ = self.first_alive_successor(row);
-        if succ == me && self.alive_count() > 1 {
-            // Lost all successors: re-discover via ground truth (models
-            // out-of-band rejoin, needed only after catastrophic failures).
-            succ = self.owner_entry(id.wrapping_add(1) & mask);
-        }
-        // successor's predecessor may be a closer successor for us.
-        if succ != me {
-            if let Some(Ok(x)) = self.preds[succ.row as usize].map(|x| self.ring_pos(x)) {
-                if in_open(self.ring[x].id, id, succ.id, mask) {
-                    succ = self.ring[x];
-                }
-            }
-        }
-        // Refresh our successor list from succ's list.
-        let mut list = vec![succ];
-        if succ != me {
-            list.extend(
-                self.succs_of(succ.row as usize)
-                    .iter()
-                    .filter_map(|&s| self.live(s))
-                    .filter(|&s| s != me),
-            );
-        }
-        list.dedup();
-        list.truncate(self.succ_list_len);
-        changed |= !self
-            .succs_of(row)
-            .iter()
-            .map(|s| s.id)
-            .eq(list.iter().map(|s| s.id));
-        self.set_succs(row, &list);
-        // Drop a dead predecessor.
-        if self.preds[row].is_some_and(|p| self.ring_pos(p).is_err()) {
-            self.preds[row] = None;
-            changed = true;
-        }
-        // Notify: tell succ about us.
-        if succ != me {
-            let current_pred = self.preds[succ.row as usize];
-            let adopt = match current_pred {
-                None => true,
-                Some(p) => self.ring_pos(p).is_err() || in_open(id, p, succ.id, mask),
-            };
-            if adopt && current_pred != Some(id) {
-                self.preds[succ.row as usize] = Some(id);
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// One round of finger repair on every alive node: recompute each
-    /// finger by routing from the node itself. Returns true if any finger
-    /// changed.
-    pub fn fix_fingers_round(&mut self) -> bool {
-        self.forget_fixpoint();
-        let m = self.bits();
-        let mut changed = false;
-        for pos in 0..self.ring.len() {
-            let id = self.id(self.ring[pos].id);
-            let row = self.ring[pos].row as usize;
-            for k in 0..m {
-                let target = id.add_power_of_two(k as u32);
-                let owner = self.entry_of(self.route(id, target.value()).owner);
-                changed |= self.fingers[row * m + k].id != owner.id;
-                self.fingers[row * m + k] = owner;
-            }
-        }
-        changed
-    }
-
-    /// Runs stabilization and finger repair until quiescent or the round
-    /// budget is exhausted. Returns the number of rounds used.
-    pub fn stabilize_until_converged(&mut self, max_rounds: usize) -> usize {
-        for round in 1..=max_rounds {
-            let a = self.stabilize_round();
-            let b = self.fix_fingers_round();
-            if !a && !b {
-                return round;
-            }
-        }
-        max_rounds
-    }
-
-    /// Installs the maintenance protocol's convergence fixpoint directly:
-    /// every alive node gets the successor list, predecessor and fingers
-    /// that iterating [`SimNet::stabilize_round`] +
-    /// [`SimNet::fix_fingers_round`] to quiescence produces (pinned
-    /// state-for-state by the `stabilize_direct_*` differential tests and
-    /// the `stabilize_direct_repair_matches_whole_ring` proptest). Dead
-    /// nodes keep their stale state untouched, exactly as the round-based
-    /// protocol leaves them. Returns the round count to report (always 1
-    /// — one logical maintenance round).
-    ///
-    /// Cost. When the tables were this fixpoint at the previous call and
-    /// only [`SimNet::join`]s, or only [`SimNet::fail`] /
-    /// [`SimNet::remove_node`]s, happened since, only what names a
-    /// changed arc is rewritten ([`SimNet::repair_around`]):
-    /// O(M·log S) search steps per changed node plus the `r²` successor
-    /// slots and ≈ M fingers that move. Otherwise — the state is not a
-    /// known fixpoint, the delta mixes joins with removals, or fewer
-    /// than `r + 2` nodes are alive — every alive row is rewritten by
-    /// one sweep over `ring` per finger index: O(S·M).
-    ///
-    /// The fixpoint differs from [`SimNet::build_stable`] only on rings
-    /// smaller than the successor-list length: stabilization's list
-    /// refresh excludes the node itself, so lists hold
-    /// `min(r, S − 1)` entries (`[self]` on a one-node ring), while
-    /// `build_stable` pads with `self` — which is why the membership path
-    /// must use this method, not `build_stable`.
-    pub fn stabilize_direct(&mut self) -> usize {
-        if self.ring.is_empty() {
-            return 1;
-        }
-        let joined = std::mem::take(&mut self.joined);
-        let removed = std::mem::take(&mut self.removed);
-        if self.fixpoint
-            && self.ring.len() >= self.succ_list_len + 2
-            && (joined.is_empty() || removed.is_empty())
-        {
-            for &id in &joined {
-                self.repair_around(id.value(), true);
-            }
-            for &id in &removed {
-                self.repair_around(id.value(), false);
-            }
-            debug_assert!(
-                self.tables_are_fixpoint(),
-                "incremental repair diverged from the whole-ring fixpoint"
-            );
+    /// Restores the fixpoint after `at` joined, or stopped being alive:
+    /// [`SimNet::repair_around`] when at least `r + 2` nodes are alive,
+    /// else the whole-ring install (successor lists shorter than `r`, or
+    /// long enough to reach their own node).
+    fn repair(&mut self, at: u64, joined: bool) {
+        if self.ring.len() >= SUCCESSOR_LIST_LEN + 2 {
+            self.repair_around(at, joined);
         } else {
-            self.install_tables(self.fixpoint_list_len());
+            self.install_tables();
         }
-        self.fixpoint = true;
-        1
-    }
-
-    /// Successor-list length at the maintenance fixpoint: the list never
-    /// reaches its own node, except `[self]` on a one-node ring.
-    fn fixpoint_list_len(&self) -> usize {
-        self.succ_list_len.min(self.ring.len() - 1).max(1)
+        debug_assert!(self.is_converged(), "membership repair left stale tables");
     }
 
     /// Repairs the fixpoint around one changed ring position: `at`
@@ -906,9 +620,10 @@ impl SimNet {
     ///
     /// Requires at least `r + 2` alive nodes (full-length successor
     /// lists that never reach their own node) and every alive node not
-    /// named above to hold fixpoint tables already.
+    /// named above to hold fixpoint tables already. O(M·log S) search
+    /// steps plus the `r²` successor slots and ≈ M fingers that move.
     fn repair_around(&mut self, at: u64, joined: bool) {
-        let r = self.succ_list_len;
+        let r = SUCCESSOR_LIST_LEN;
         let (m, n, mask) = (self.bits(), self.ring.len(), self.space.mask());
         // r alive predecessors (ring order), then the r + 1 alive nodes
         // from `at` on: every node whose list changes, followed by every
@@ -921,11 +636,7 @@ impl SimNet {
         debug_assert_eq!(owner.id == at, joined);
         let rewritten = if joined { r + 1 } else { r };
         for j in 0..rewritten {
-            let row = self.ring[window(j)].row as usize;
-            for k in 0..r {
-                self.succs[row * self.succ_stride + k] = self.true_succ(window(j), k);
-            }
-            self.succ_lens[row] = r as u32;
+            self.set_true_succs(window(j), r);
         }
         if joined {
             self.preds[self.ring[window(r + 1)].row as usize] = Some(at);
@@ -952,10 +663,11 @@ impl SimNet {
         }
     }
 
-    /// True if every alive row holds exactly the ground truth
-    /// [`SimNet::install_tables`] writes — the whole-ring reference the
-    /// incremental repair is checked against in debug builds.
-    fn tables_are_fixpoint(&self) -> bool {
+    /// True if every alive node's successor list, predecessor and
+    /// fingers are the maintenance fixpoint, checked entry by entry
+    /// against the sorted alive ids. Holds between any two public calls;
+    /// debug builds assert it after every membership call.
+    pub fn is_converged(&self) -> bool {
         let r = self.fixpoint_list_len();
         (0..self.ring.len()).all(|pos| {
             let row = self.ring[pos].row as usize;
@@ -977,23 +689,6 @@ impl SimNet {
     /// `benchmark`-archetype PR drops the call and this method.
     pub fn snapshot(&self) -> RouteSnapshot<'_> {
         RouteSnapshot { net: self }
-    }
-
-    /// True if every alive node's successor, predecessor and fingers match
-    /// ground truth — the post-condition of successful maintenance.
-    pub fn is_fully_stabilized(&self) -> bool {
-        let n = self.ring.len();
-        (0..n).all(|pos| {
-            let row = self.ring[pos].row as usize;
-            (n == 1
-                || (self.first_alive_successor(row) == self.true_succ(pos, 0)
-                    && self.preds[row] == self.true_pred(pos)))
-                && self
-                    .fingers_of(row)
-                    .iter()
-                    .enumerate()
-                    .all(|(k, f)| f.id == self.true_finger(pos, k).id)
-        })
     }
 }
 
@@ -1020,9 +715,7 @@ mod tests {
 
     fn stable_net(n: usize, seed: u64) -> SimNet {
         let mut rng = DetRng::new(seed);
-        let mut net = SimNet::with_random_nodes(space(), n, &mut rng);
-        net.build_stable();
-        net
+        SimNet::with_random_nodes(space(), n, &mut rng)
     }
 
     /// Asserts every alive row's fingers are what a binary search per
@@ -1048,8 +741,7 @@ mod tests {
         ) {
             let space = HashSpace::new(if wide { 24 } else { 8 }).unwrap();
             let n = n.min(space.size() as usize);
-            let mut net = SimNet::with_random_nodes(space, n, &mut DetRng::new(seed));
-            net.build_stable();
+            let net = SimNet::with_random_nodes(space, n, &mut DetRng::new(seed));
             assert_fingers_are_ground_truth(&net);
         }
     }
@@ -1058,11 +750,7 @@ mod tests {
     fn finger_sweep_covers_edge_rings() {
         let eight = HashSpace::new(8).unwrap();
         let ring = |space: HashSpace, ids: &[u64]| {
-            let mut net = SimNet::new(space);
-            for &id in ids {
-                net.add_node(ChordId::new(id, space));
-            }
-            net.build_stable();
+            let net = SimNet::from_ids(space, ids.to_vec());
             assert_fingers_are_ground_truth(&net);
             net
         };
@@ -1092,10 +780,7 @@ mod tests {
 
     #[test]
     fn owner_of_matches_sorted_order() {
-        let mut net = SimNet::new(space());
-        for v in [100u64, 200, 300] {
-            net.add_node(ChordId::new(v, space()));
-        }
+        let net = SimNet::from_ids(space(), vec![300, 100, 200]);
         assert_eq!(net.owner_of(150).unwrap().value(), 200);
         assert_eq!(net.owner_of(200).unwrap().value(), 200);
         assert_eq!(net.owner_of(301).unwrap().value(), 100); // wraps
@@ -1104,18 +789,16 @@ mod tests {
 
     #[test]
     fn predecessor_of_matches_sorted_order() {
-        let mut net = SimNet::new(space());
-        for v in [100u64, 200, 300] {
-            net.add_node(ChordId::new(v, space()));
-        }
+        let net = SimNet::from_ids(space(), vec![100, 200, 300]);
         assert_eq!(net.predecessor_of(150).unwrap().value(), 100);
         assert_eq!(net.predecessor_of(100).unwrap().value(), 300); // wraps
     }
 
     #[test]
     fn empty_ring_owner_is_none() {
-        let net = SimNet::new(space());
+        let net = SimNet::from_ids(space(), Vec::new());
         assert_eq!(net.owner_of(1), None);
+        assert!(net.is_converged());
     }
 
     #[test]
@@ -1172,10 +855,8 @@ mod tests {
 
     #[test]
     fn single_node_owns_everything() {
-        let mut net = SimNet::new(space());
         let id = ChordId::new(42, space());
-        net.add_node(id);
-        net.build_stable();
+        let mut net = SimNet::from_ids(space(), vec![42]);
         let r = net.find_successor(id, 9999);
         assert_eq!(r.owner, id);
         assert_eq!(r.hops, 0);
@@ -1190,12 +871,17 @@ mod tests {
         assert_eq!(r.hops, 0);
     }
 
+    /// A crashed node keeps its id: joining it again is rejected like an
+    /// alive node's, until the corpse is removed.
     #[test]
     fn duplicate_add_rejected() {
-        let mut net = SimNet::new(space());
-        let id = ChordId::new(1, space());
-        assert!(net.add_node(id));
-        assert!(!net.add_node(id));
+        let mut net = stable_net(5, 31);
+        let ids = net.node_ids();
+        net.fail(ids[1]);
+        assert_eq!(net.join(ids[1], ids[0]), None);
+        assert!(net.remove_node(ids[1]));
+        assert!(net.join(ids[1], ids[0]).is_some());
+        assert!(net.is_alive(ids[1]));
     }
 
     #[test]
@@ -1206,10 +892,8 @@ mod tests {
         for _ in 0..10 {
             let id = ChordId::new(rng.next_u64(), space());
             net.join(id, bootstrap);
+            assert!(net.is_converged());
         }
-        let rounds = net.stabilize_until_converged(64);
-        assert!(rounds < 64, "did not converge");
-        assert!(net.is_fully_stabilized());
         assert_eq!(net.alive_count(), 30);
     }
 
@@ -1218,7 +902,6 @@ mod tests {
         let mut net = stable_net(20, 10);
         let bootstrap = net.node_ids()[0];
         net.join(ChordId::new(0xBEEF, space()), bootstrap);
-        net.stabilize_until_converged(64);
         let start = net.node_ids()[3];
         let r = net.find_successor(start, 0xBEEF);
         assert_eq!(r.owner.value(), 0xBEEF);
@@ -1232,8 +915,7 @@ mod tests {
         for &id in ids.iter().step_by(6).take(10) {
             net.fail(id);
         }
-        net.stabilize_until_converged(64);
-        assert!(net.is_fully_stabilized());
+        assert!(net.is_converged());
         let starts = net.node_ids();
         let mut rng = DetRng::new(12);
         for _ in 0..300 {
@@ -1246,44 +928,23 @@ mod tests {
     }
 
     #[test]
-    fn routing_survives_failures_even_before_stabilization() {
-        // Successor lists give immediate fault tolerance: kill nodes and
-        // look up *without* running maintenance; owners must still be
-        // alive nodes (possibly not the exact ground-truth successor for
-        // keys owned by the dead node's range — but never a dead one).
-        let mut net = stable_net(64, 13);
-        let ids = net.node_ids();
-        for &id in ids.iter().take(5) {
-            net.fail(id);
-        }
-        let starts = net.node_ids();
-        let mut rng = DetRng::new(14);
-        for _ in 0..200 {
-            let h = rng.next_u64() & space().mask();
-            let start = starts[rng.uniform_index(starts.len())];
-            let r = net.find_successor(start, h);
-            assert!(net.is_alive(r.owner), "routed to a dead node");
-        }
-    }
-
-    #[test]
     fn mass_failure_recovery() {
         let mut net = stable_net(40, 15);
         let ids = net.node_ids();
         for &id in ids.iter().take(20) {
             net.fail(id);
         }
-        net.stabilize_until_converged(128);
-        assert!(net.is_fully_stabilized());
+        assert!(net.is_converged());
         assert_eq!(net.alive_count(), 20);
+        // Corpses keep their last tables for inspection.
+        assert!(ids.iter().take(20).all(|&id| net.node(id).is_some()));
     }
 
     #[test]
     fn join_seeds_fingers_from_successor() {
-        // A freshly joined node must route at full Chord efficiency
-        // *before* any fix_fingers_round: its fingers were seeded from its
-        // successor at join time, so no lookup degenerates into a
-        // successor walk around the 256-node ring.
+        // A freshly joined node routes at full Chord efficiency: no
+        // lookup from it degenerates into a successor walk around the
+        // 256-node ring.
         let mut net = stable_net(256, 20);
         let bootstrap = net.node_ids()[0];
         let new_id = ChordId::new(0xF00D, space());
@@ -1321,8 +982,7 @@ mod tests {
         assert!(net.remove_node(leaver));
         assert!(!net.remove_node(leaver), "already gone");
         assert!(net.node(leaver).is_none());
-        net.stabilize_until_converged(64);
-        assert!(net.is_fully_stabilized());
+        assert!(net.is_converged());
         assert_eq!(net.alive_count(), 29);
         // Lookups route around the departed node.
         let starts = net.node_ids();
@@ -1347,6 +1007,8 @@ mod tests {
         net.fail(ids[5]);
         let succs = net.alive_successors(id, 3);
         assert_eq!(succs, vec![ids[6], ids[7], ids[8]]);
+        // A corpse has no successors to offer.
+        assert!(net.alive_successors(ids[5], 3).is_empty());
         // r = 0 asks for nothing and gets nothing.
         assert!(net.alive_successors(id, 0).is_empty());
         // Small rings cap the list; unknown nodes get nothing.
@@ -1357,31 +1019,54 @@ mod tests {
         assert!(tiny.alive_successors(a, 4).is_empty());
     }
 
-    #[test]
-    fn remove_failed_garbage_collects() {
-        let mut net = stable_net(10, 16);
-        let victim = net.node_ids()[0];
-        net.fail(victim);
-        net.remove_failed();
-        assert_eq!(net.alive_count(), 9);
-        assert!(net.node(victim).is_none());
+    /// Asserts both nets hold identical per-node routing state (fingers,
+    /// successor lists, predecessors) for every alive node.
+    fn assert_same_routing_state(a: &SimNet, b: &SimNet, label: &str) {
+        let ids_a = a.node_ids();
+        assert_eq!(ids_a, b.node_ids(), "{label}: membership diverged");
+        for id in ids_a {
+            let na = a.node(id).unwrap();
+            let nb = b.node(id).unwrap();
+            assert_eq!(na.fingers(), nb.fingers(), "{label}: fingers of {id}");
+            assert_eq!(
+                na.successor_list(),
+                nb.successor_list(),
+                "{label}: successor list of {id}"
+            );
+            assert_eq!(
+                na.predecessor(),
+                nb.predecessor(),
+                "{label}: predecessor of {id}"
+            );
+        }
     }
 
+    /// A ring grown one join at a time from a single node — whole-ring
+    /// installs while it is small, neighbourhood repairs once it holds
+    /// `r + 2` nodes — ends in exactly the tables construction installs.
     #[test]
     fn build_stable_matches_maintenance_protocol() {
-        // Starting from solitary nodes, pure maintenance must reach the
-        // same state build_stable computes directly.
         let mut rng = DetRng::new(17);
-        let net = SimNet::with_random_nodes(space(), 12, &mut rng);
-        let ids = net.node_ids();
-        // Build a second ring by joining everyone through ids[0].
-        let mut net2 = SimNet::new(space());
-        net2.add_node(ids[0]);
+        let built = SimNet::with_random_nodes(space(), 24, &mut rng);
+        let ids = built.node_ids();
+        let mut grown = SimNet::from_ids(space(), vec![ids[0].value()]);
         for &id in &ids[1..] {
-            net2.join(id, ids[0]);
-            net2.stabilize_until_converged(32);
+            grown.join(id, ids[0]);
         }
-        assert!(net2.is_fully_stabilized());
+        assert_same_routing_state(&built, &grown, "grown by joins");
+    }
+
+    /// `is_converged` is a real check, not a constant: one stale finger
+    /// breaks it.
+    #[test]
+    fn is_converged_detects_a_stale_finger() {
+        let mut net = stable_net(16, 32);
+        assert!(net.is_converged());
+        let m = net.bits();
+        // On a ring of more than one node no finger names its own node.
+        let me = net.ring[3];
+        net.fingers[me.row as usize * m + m - 1] = me;
+        assert!(!net.is_converged());
     }
 
     #[test]
@@ -1440,98 +1125,13 @@ mod tests {
         net.route(id, 1);
     }
 
-    /// Asserts both nets hold identical per-node routing state (fingers,
-    /// successor lists, predecessors) for every node, alive or dead.
-    fn assert_same_routing_state(a: &SimNet, b: &SimNet, label: &str) {
-        let ids_a = a.node_ids();
-        assert_eq!(ids_a, b.node_ids(), "{label}: membership diverged");
-        for id in ids_a {
-            let na = a.node(id).unwrap();
-            let nb = b.node(id).unwrap();
-            assert_eq!(na.fingers(), nb.fingers(), "{label}: fingers of {id}");
-            assert_eq!(
-                na.successor_list(),
-                nb.successor_list(),
-                "{label}: successor list of {id}"
-            );
-            assert_eq!(
-                na.predecessor(),
-                nb.predecessor(),
-                "{label}: predecessor of {id}"
-            );
-        }
-    }
-
-    /// `stabilize_direct` must land on exactly the state the round-based
-    /// maintenance protocol converges to — across ring sizes, fresh
-    /// joins, graceful departures and unrepaired failures.
-    #[test]
-    fn stabilize_direct_matches_converged_protocol() {
-        for (n, seed) in [(1usize, 40u64), (2, 41), (3, 42), (9, 43), (64, 44)] {
-            let mut rng = DetRng::new(seed);
-            let proto = SimNet::with_random_nodes(space(), n, &mut rng);
-            let mut direct = SimNet::new(space());
-            for id in proto.node_ids() {
-                direct.add_node(id);
-            }
-            let mut proto = proto;
-            // Perturb both identically: joins, a departure, failures.
-            let bootstrap_pool = proto.node_ids();
-            let bootstrap = bootstrap_pool[0];
-            proto.build_stable();
-            direct.build_stable();
-            for j in 0..3u64 {
-                let id = ChordId::new(rng.next_u64().wrapping_add(j), space());
-                proto.join(id, bootstrap);
-                direct.join(id, bootstrap);
-            }
-            if n > 4 {
-                let leaver = proto.node_ids()[2];
-                proto.remove_node(leaver);
-                direct.remove_node(leaver);
-                let victim = proto.node_ids()[4];
-                proto.fail(victim);
-                direct.fail(victim);
-            }
-            let rounds = proto.stabilize_until_converged(256);
-            assert!(rounds < 256, "protocol did not converge");
-            direct.stabilize_direct();
-            assert_same_routing_state(&proto, &direct, &format!("n={n}"));
-            assert!(direct.is_fully_stabilized());
-        }
-    }
-
-    #[test]
-    fn stabilize_direct_matches_protocol_after_mass_failure() {
-        let mut rng = DetRng::new(55);
-        let mut proto = SimNet::with_random_nodes(space(), 40, &mut rng);
-        proto.build_stable();
-        let mut direct = SimNet::new(space());
-        for id in proto.node_ids() {
-            direct.add_node(id);
-        }
-        direct.build_stable();
-        let ids = proto.node_ids();
-        for &id in ids.iter().take(20) {
-            proto.fail(id);
-            direct.fail(id);
-        }
-        proto.stabilize_until_converged(256);
-        direct.stabilize_direct();
-        assert_same_routing_state(&proto, &direct, "mass failure");
-        // Dead nodes keep stale state in both worlds.
-        for &id in ids.iter().take(20) {
-            assert!(proto.node(id).is_some() && direct.node(id).is_some());
-        }
-    }
-
     #[test]
     fn stabilize_direct_reports_one_round_and_routes_correctly() {
         let mut net = stable_net(30, 60);
         let bootstrap = net.node_ids()[0];
         net.join(ChordId::new(0xABCD, space()), bootstrap);
         assert_eq!(net.stabilize_direct(), 1);
-        assert!(net.is_fully_stabilized());
+        assert!(net.is_converged());
         let starts = net.node_ids();
         let mut rng = DetRng::new(61);
         for _ in 0..200 {

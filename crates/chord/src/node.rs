@@ -10,9 +10,9 @@ use crate::net::SimNet;
 /// sized exactly as in the Chord paper — M fingers and an r-entry
 /// successor list.
 ///
-/// The state itself is one row of [`SimNet`]'s table arena, which drives
-/// the protocol and writes it in place; this view names the row and
-/// copies out what is asked for.
+/// The state itself is one row of [`SimNet`]'s table arena, which keeps
+/// it at the maintenance fixpoint and writes it in place; this view names
+/// the row and copies out what is asked for.
 #[derive(Clone, Copy)]
 pub struct ChordNode<'a> {
     net: &'a SimNet,
@@ -29,8 +29,7 @@ impl<'a> ChordNode<'a> {
         self.net.row_id(self.row)
     }
 
-    /// The immediate successor (first live entry of the successor list
-    /// falls to [`SimNet`]; this returns the raw head).
+    /// The immediate successor (the node itself on a one-node ring).
     pub fn successor(&self) -> ChordId {
         self.successor_list()[0]
     }
@@ -53,10 +52,10 @@ impl<'a> ChordNode<'a> {
         fingers.iter().map(|f| self.net.id(f.id)).collect()
     }
 
-    /// Whether the node is alive (failed nodes keep their state for
-    /// post-mortem inspection but are skipped by routing).
+    /// Whether the node is alive (failed nodes keep their last state for
+    /// post-mortem inspection; nothing routes through it).
     pub fn is_alive(&self) -> bool {
-        self.net.row_alive(self.row)
+        self.net.is_alive(self.id())
     }
 }
 
@@ -81,12 +80,7 @@ mod tests {
     }
 
     fn stable_ring(ids: &[u64]) -> SimNet {
-        let mut net = SimNet::new(HashSpace::new(8).unwrap());
-        for &v in ids {
-            net.add_node(id(v));
-        }
-        net.build_stable();
-        net
+        SimNet::from_ids(HashSpace::new(8).unwrap(), ids.to_vec())
     }
 
     /// The node a lookup from `from` toward `target` is forwarded to
@@ -99,8 +93,7 @@ mod tests {
 
     #[test]
     fn solitary_points_to_self() {
-        let mut net = SimNet::new(HashSpace::new(8).unwrap());
-        net.add_node(id(42));
+        let net = stable_ring(&[42]);
         let n = net.node(id(42)).unwrap();
         assert_eq!(n.successor(), id(42));
         assert_eq!(n.fingers().len(), 8);

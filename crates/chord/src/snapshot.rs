@@ -43,10 +43,8 @@ mod tests {
     #[test]
     fn snapshot_single_node_ring() {
         let space = HashSpace::new(16).unwrap();
-        let mut net = SimNet::new(space);
+        let net = SimNet::from_ids(space, vec![42]);
         let id = ChordId::new(42, space);
-        net.add_node(id);
-        net.build_stable();
         let snap = net.snapshot();
         let (r, path) = snap.route_with_path(id, 9999);
         assert_eq!(r.owner, id);

@@ -7,6 +7,7 @@
 //! processing capacity". This module provides that layer for the ablation
 //! experiments, mapping virtual ring identifiers back to physical servers.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use clash_keyspace::hash::HashSpace;
@@ -50,21 +51,19 @@ impl VirtualRing {
     pub fn new(space: HashSpace, physical: usize, vnodes_per: usize, rng: &mut DetRng) -> Self {
         assert!(physical > 0, "need at least one physical server");
         assert!(vnodes_per > 0, "need at least one virtual node each");
-        let mut net = SimNet::new(space);
         let mut virt_to_phys = BTreeMap::new();
         for p in 0..physical {
             let mut placed = 0;
             while placed < vnodes_per {
-                let id = ChordId::new(rng.next_u64(), space);
-                if net.add_node(id) {
-                    virt_to_phys.insert(id.value(), PhysicalId(p));
+                let id = ChordId::new(rng.next_u64(), space).value();
+                if let Entry::Vacant(slot) = virt_to_phys.entry(id) {
+                    slot.insert(PhysicalId(p));
                     placed += 1;
                 }
             }
         }
-        net.build_stable();
         VirtualRing {
-            net,
+            net: SimNet::from_ids(space, virt_to_phys.keys().copied().collect()),
             virt_to_phys,
             physical_count: physical,
         }

@@ -29,8 +29,6 @@ pub struct JoinReport {
     pub parents_repointed: usize,
     /// Right-child pointers cluster-wide re-pointed at the new server.
     pub right_children_repointed: usize,
-    /// Maintenance rounds until the ring re-converged.
-    pub stabilization_rounds: usize,
 }
 
 /// Outcome of a graceful drain ([`ClashCluster::leave_server`]).
@@ -47,8 +45,6 @@ pub struct LeaveReport {
     pub parents_repointed: usize,
     /// Right-child pointers cluster-wide re-pointed away from the leaver.
     pub right_children_repointed: usize,
-    /// Maintenance rounds until the ring re-converged.
-    pub stabilization_rounds: usize,
 }
 
 /// Internal tally of one entry-migration batch.
@@ -62,15 +58,15 @@ struct MigrationTally {
 impl ClashCluster {
     /// Adds a new server to the *running* cluster: the node joins the
     /// Chord ring through a random bootstrap (its fingers seeded from its
-    /// successor), the ring re-stabilizes, and every table entry whose
-    /// `Map()` owner is now the new node — its slice of the successor's
-    /// arc — is handed off with an `ACCEPT_KEYGROUP` carrying full tree
-    /// state. Ledgers stay keyed by group; migrated queries are charged
-    /// as state transfer and migrated sources as redirects, and every
-    /// parent/right-child pointer naming a migrated entry's old holder is
-    /// re-pointed. Left-child spines move wholesale (they share the
-    /// parent entry's virtual key, hence its hash), so merge-ability is
-    /// fully preserved — the membership contrast to
+    /// successor, the ring's tables repaired around it), and every table
+    /// entry whose `Map()` owner is now the new node — its slice of the
+    /// successor's arc — is handed off with an `ACCEPT_KEYGROUP` carrying
+    /// full tree state. Ledgers stay keyed by group; migrated queries are
+    /// charged as state transfer and migrated sources as redirects, and
+    /// every parent/right-child pointer naming a migrated entry's old
+    /// holder is re-pointed. Left-child spines move wholesale (they share
+    /// the parent entry's virtual key, hence its hash), so merge-ability
+    /// is fully preserved — the membership contrast to
     /// [`ClashCluster::fail_server`]'s orphaning recovery.
     ///
     /// # Errors
@@ -94,7 +90,6 @@ impl ClashCluster {
             })?;
         // Join lookup + finger seeding, plus the announcement itself.
         self.wire.msgs.handoff_messages += u64::from(join_msgs) + 1;
-        let rounds = self.net.stabilize_direct();
         self.servers.insert(ClashServer::new(new_id, self.config));
         self.candidates.mark_dirty(new_id.value());
         self.wire.msgs.joins += 1;
@@ -144,7 +139,6 @@ impl ClashCluster {
             entries_received: tally.entries,
             parents_repointed: tally.parents_repointed,
             right_children_repointed: tally.right_children_repointed,
-            stabilization_rounds: rounds,
         })
     }
 
@@ -200,7 +194,6 @@ impl ClashCluster {
             server: victim.value(),
         });
         self.net.remove_node(victim);
-        let rounds = self.net.stabilize_direct();
         let tally = self.migrate_entries(victim, entries)?;
         // The leaver's held replicas vanished with it: re-replicate
         // immediately so no group waits out a load-check period
@@ -214,7 +207,6 @@ impl ClashCluster {
             entries_transferred: tally.entries,
             parents_repointed: tally.parents_repointed,
             right_children_repointed: tally.right_children_repointed,
-            stabilization_rounds: rounds,
         })
     }
 

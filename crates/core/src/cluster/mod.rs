@@ -117,8 +117,7 @@ impl ClashCluster {
         }
         let root_rng = DetRng::new(seed);
         let mut ring_rng = root_rng.substream("ring");
-        let mut net = SimNet::with_random_nodes(config.hash_space, n_servers, &mut ring_rng);
-        net.build_stable();
+        let net = SimNet::with_random_nodes(config.hash_space, n_servers, &mut ring_rng);
         let mut servers = ServerArena::new();
         let mut candidates = load_check::Candidates::default();
         for id in net.node_ids() {

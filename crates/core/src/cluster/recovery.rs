@@ -212,7 +212,6 @@ impl ClashCluster {
             self.obs
                 .trace(|| TraceEventKind::ServerCrashed { server: v.value() });
         }
-        self.net.stabilize_direct();
 
         let mut report = FailureReport::new(victims[0], victims.len());
         self.oracle.recovery_active = true;

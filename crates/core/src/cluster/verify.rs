@@ -320,6 +320,13 @@ impl ClashCluster {
                 }
             }
         }
+        // 7. The ring every `Map()` lookup and replica placement reads is
+        // at the Chord maintenance fixpoint: no alive table names a
+        // departed node or misses a joined one.
+        assert!(
+            self.net.is_converged(),
+            "Chord ring tables are not converged"
+        );
     }
 
     /// Debug-build consistency sweep, run on every call.

@@ -1,5 +1,6 @@
 //! CLASH protocol configuration.
 
+use clash_chord::SUCCESSOR_LIST_LEN;
 use clash_keyspace::hash::HashSpace;
 use clash_keyspace::key::KeyWidth;
 
@@ -77,7 +78,7 @@ pub struct ClashConfig {
     /// instead of reading the simulation oracle. `0` (the default, and the
     /// paper's implicit setting — it delegates fault handling to the DHT)
     /// disables replication entirely and preserves the pre-replication
-    /// behavior bit for bit.
+    /// behavior bit for bit. At most [`SUCCESSOR_LIST_LEN`].
     pub replication_factor: usize,
     /// Inert: read by nothing in this workspace (one locate path; CI
     /// greps for readers). Kept, with [`ClashConfig::with_shards`], only
@@ -175,8 +176,9 @@ impl ClashConfig {
     /// # Errors
     ///
     /// Returns [`ClashError::InvalidConfig`] when thresholds are
-    /// inconsistent, depths exceed the key width, or the capacity is not
-    /// positive.
+    /// inconsistent, depths exceed the key width, the capacity is not
+    /// positive, or the replication factor exceeds the successor-list
+    /// length its replicas are placed along.
     pub fn validate(&self) -> Result<(), ClashError> {
         if self.initial_depth > self.key_width.get() {
             return Err(ClashError::InvalidConfig {
@@ -216,6 +218,11 @@ impl ClashConfig {
         if self.underload_fraction >= self.overload_fraction {
             return Err(ClashError::InvalidConfig {
                 reason: "underload fraction must be below overload fraction",
+            });
+        }
+        if self.replication_factor > SUCCESSOR_LIST_LEN {
+            return Err(ClashError::InvalidConfig {
+                reason: "replication factor exceeds the Chord successor-list length",
             });
         }
         Ok(())
@@ -294,5 +301,18 @@ mod tests {
         let cfg = ClashConfig::small_test().with_replication(3);
         assert_eq!(cfg.replication_factor, 3);
         cfg.validate().unwrap();
+    }
+
+    /// Replicas sit on the owner's successor list, so a factor beyond
+    /// its length could never be placed.
+    #[test]
+    fn replication_is_capped_at_the_successor_list_length() {
+        let cfg = ClashConfig::small_test();
+        cfg.with_replication(SUCCESSOR_LIST_LEN).validate().unwrap();
+        assert_eq!(SUCCESSOR_LIST_LEN, 8);
+        assert!(matches!(
+            cfg.with_replication(9).validate(),
+            Err(ClashError::InvalidConfig { .. })
+        ));
     }
 }

@@ -170,8 +170,7 @@ fn elastic_capacity_under_sustained_load_at(r: usize) {
     }
     cluster.run_load_check().unwrap();
     for _ in 0..4 {
-        let report = cluster.join_random_server().unwrap();
-        assert!(report.stabilization_rounds > 0);
+        cluster.join_random_server().unwrap();
         cluster.verify_consistency();
     }
     assert_eq!(cluster.server_count(), 12);
