@@ -161,6 +161,10 @@ fn transport_swap_preserves_protocol_behavior() {
     assert!(lossy.transport_stats().retransmissions > 0);
     assert_eq!(instant.latency_metrics().locate.summary().max(), Some(0.0));
     assert!(lossy.latency_metrics().locate.summary().mean() > 0.0);
+    // Only the link transport keeps per-link state.
+    let bytes = |c: &ClashCluster| c.telemetry().counter_value("mem.link_table_bytes");
+    assert_eq!(bytes(&instant), Some(0));
+    assert!(bytes(&lossy) > Some(0));
     lossy.verify_consistency();
 }
 

@@ -284,6 +284,14 @@ pub trait Transport: Send {
     fn is_instant(&self) -> bool {
         false
     }
+
+    /// The bytes of per-link state the transport holds on the heap,
+    /// computed from lengths and capacities, so the same calls always
+    /// give the same count. Default: 0 (the instant transport keeps no
+    /// per-link state).
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// The zero-cost transport: every message is delivered instantly, nothing

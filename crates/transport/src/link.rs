@@ -1,10 +1,11 @@
 //! The full latency/loss/partition transport.
 //!
 //! Every directed link draws from its own generator, seeded from the
-//! pair. The link table keeps each link in a 32-byte slot, two to a
-//! cache line: a link that has drawn little is replayed from its seed on
-//! each send, and only links that carry traffic store their generator
-//! state.
+//! pair. The link table gives every address a dense index on first sight
+//! and keeps each sender's links in a small table of its own, one 8-byte
+//! slot per link keyed by the receiver's index. A link that has drawn
+//! little is replayed from its seed on each send, its base delay
+//! included; only links that carry traffic store their generator state.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +14,7 @@ use clash_simkernel::rng::{
 };
 use clash_simkernel::time::SimDuration;
 
-use crate::policy::LinkPolicy;
+use crate::policy::{LatencyModel, LinkPolicy};
 use crate::{Delivery, MessageClass, NodeAddr, SendSpec, Transport, TransportStats};
 
 /// The partition matrix: an assignment of nodes to islands. `None` means
@@ -50,38 +51,27 @@ impl PartitionMatrix {
     }
 }
 
-/// Words per link slot, `[src, dst, meta, base_us]`: the pair, the
-/// link's generator as a draw count or a [`HOT_TAG`]ged index into
-/// [`SubTable::hot`], and its base propagation delay in µs. Two slots
-/// share a 64-byte cache line.
-const SLOT_WORDS: usize = 4;
-
-/// One link's slot (layout at [`SLOT_WORDS`]).
-type Slot = [u64; SLOT_WORDS];
-
-/// Words per 64-byte cache line.
-const LINE_WORDS: usize = 64 / std::mem::size_of::<u64>();
-
-/// `log2` of the sub-tables per [`LinkTable`]; a pair's sub-table is the
-/// top bits of its [`pair_mix`], its home slot the low bits.
-const SUB_TABLE_BITS: u32 = 5;
-
-/// Slots a sub-table starts with (a power of two).
+/// Slots a table starts with (a power of two): for a sender's table, one
+/// 64-byte line of 8-byte slots.
 const MIN_SLOTS: usize = 8;
 
 /// Raw draws a link makes before its generator state is stored instead
 /// of replayed. A **cold** link (at most this many draws so far) keeps
-/// only its draw count; each send re-seeds its generator and steps it
-/// that many times. A send that takes a link past this count promotes
-/// it, once, to a **hot** link with its 32-byte state in
-/// [`SubTable::hot`]. A `wan()` link draws its base on first use and
+/// only its draw count and the index of its base's latency model; each
+/// send re-seeds its generator, re-draws its base and steps on to the
+/// count. A send that takes a link past this count promotes it, once, to
+/// a **hot** link with its 32-byte state and its base in
+/// [`LinkTable::hot`]. A `wan()` link draws its base on first use and
 /// two words per send, so it turns hot on its eighth send.
 ///
-/// Chosen from measurements: medians of ten runs per value (default
-/// seed, default reps, copies of the three binaries run in turn, 2-vCPU
-/// Xeon). The counts are per repetition, of the 1 745 846
-/// (`churn_wan_seq`) and 438 872 (`storm_lossy`) sends that reach a
-/// link; replay steps are the generator steps cold sends re-run.
+/// Chosen from measurements taken on the earlier layout of 32-byte
+/// address-keyed slots that stored every link's base (medians of ten runs
+/// per value, default seed, default reps, copies of the three binaries
+/// run in turn, 2-vCPU Xeon). The counts are per repetition, of the
+/// 1 745 846 (`churn_wan_seq`) and 438 872 (`storm_lossy`) sends that
+/// reach a link; replay steps are the generator steps cold sends re-run.
+/// The hot-link and replay counts depend only on the traffic, so they
+/// hold for every layout; the peaks do not.
 ///
 /// | `HOT_DRAWS` | workload | `peak_rss_mb` | events/s | hot links | cold sends | replay steps |
 /// |---:|---|---:|---:|---:|---:|---:|
@@ -92,14 +82,31 @@ const MIN_SLOTS: usize = 8;
 /// | 16 | `storm_lossy` | 16.71 | 94 k | 13 751 | 163 292 | 1 264 414 |
 /// | 32 | `storm_lossy` | 17.51 | 90 k | 5 269 | 226 717 | 2 721 399 |
 ///
-/// 16 has the lowest peak on both workloads. Events/s did not separate
+/// 16 had the lowest peak on both workloads. Events/s did not separate
 /// the three beyond run-to-run noise (quartiles ≈ 10 % apart), and 32
 /// re-runs 2–3× the replay steps of 16.
+///
+/// Re-run on the per-sender layout (medians of ten rounds of the three
+/// builds in turn, `--reps 3`, same host), `peak_rss_mb` for 8 / 16 / 32
+/// read 14.84 / 14.58 / 15.18 on `churn_wan_seq` and 16.94 / 16.20 /
+/// 15.22 on `storm_lossy`, and events/s again stayed inside each other's
+/// quartiles. 16 stays: it is lowest on the workload with the most
+/// links, and 32 still re-runs 2–3× its replay steps.
 const HOT_DRAWS: u64 = 16;
 
-/// Set in a hot link's `meta`; the other bits index [`SubTable::hot`].
-/// A cold link's `meta` is its draw count, at most [`HOT_DRAWS`].
-const HOT_TAG: u64 = 1 << 63;
+/// Set in a hot link's `meta`; the other bits index [`LinkTable::hot`].
+const HOT_TAG: u32 = 1 << 31;
+
+/// The low bits of a cold link's `meta`, which hold its raw draw count
+/// (at most [`HOT_DRAWS`]). The bits above them, up to [`HOT_TAG`], hold
+/// the index in [`LinkTable::models`] of the latency model in force at
+/// the link's first send.
+const DRAW_BITS: u32 = 5;
+const _: () = assert!(HOT_DRAWS < 1 << DRAW_BITS);
+
+/// Distinct latency models a transport can run under: the indices a cold
+/// link's `meta` has room for.
+const MAX_MODELS: usize = (HOT_TAG >> DRAW_BITS) as usize;
 
 /// A link's generator for the length of one send, counting its raw
 /// draws. Every sampler draws through [`RngCore::next_u64`], so the
@@ -111,14 +118,19 @@ struct LinkRng {
 }
 
 impl LinkRng {
-    /// The generator of the link whose seed is `seed`, `draws` raw
-    /// draws in.
-    fn replay(seed: u64, draws: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            rng.next_u64();
+    /// The fresh generator of the link whose seed is `seed`.
+    fn new(seed: u64) -> Self {
+        LinkRng {
+            rng: SmallRng::seed_from_u64(seed),
+            draws: 0,
         }
-        LinkRng { rng, draws }
+    }
+
+    /// Steps on until `draws` raw draws in.
+    fn skip_to(&mut self, draws: u64) {
+        while self.draws < draws {
+            self.next_u64();
+        }
     }
 }
 
@@ -129,201 +141,308 @@ impl RngCore for LinkRng {
     }
 }
 
-/// One open-addressing sub-table: a power-of-two ring of slots starting
-/// on a line boundary, two to a line, probed linearly from a pair's home
-/// slot and at most 7/8 full. A slot with `src == dst` is empty — no
-/// link has equal endpoints, since a self-send returns before any link
-/// state exists — so a zeroed allocation is an empty table.
+/// The home slot of `key` in a table of `slots` slots (a power of two):
+/// the top bits of its Fibonacci product, which spread dense keys evenly.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - slots.trailing_zeros())) as usize
+}
+
+/// The endpoint interner: gives every address the next dense index on
+/// first sight. Open addressing over `(addr, index + 1)` pairs, probed
+/// linearly from the address's [`home`] and at most ½ full; a pair
+/// `(_, 0)` is an empty slot, so every address, 0 included, can be
+/// stored. An index is never reused or forgotten: an address that
+/// departs and later sends again resumes its links' streams.
 #[derive(Debug)]
-struct SubTable {
-    /// The slots, from word `first` on. The words before it are the
-    /// lead-in skipped to start slot 0 on a line boundary.
-    words: Vec<u64>,
-    first: usize,
-    /// Slots − 1.
-    mask: usize,
-    /// Occupied slots.
-    len: usize,
-    /// The xoshiro256++ state ([`SmallRng::state`]) of every hot link
-    /// of this sub-table, in promotion order; a hot slot's `meta` is its
-    /// index here under [`HOT_TAG`]. Kept per sub-table so that, like
-    /// the slots, it grows in small steps.
-    hot: Vec<[u64; 4]>,
+struct Endpoints {
+    /// A power of two of slots.
+    slots: Vec<(NodeAddr, u32)>,
+    /// Addresses interned, which is the next index.
+    len: u32,
 }
 
-impl SubTable {
-    fn with_slots(slots: usize) -> Self {
-        debug_assert!(slots.is_power_of_two());
-        // `vec![0; n]` allocates zeroed (calloc) memory: pages no link
-        // ever lands on stay out of the resident set.
-        let words = vec![0u64; slots * SLOT_WORDS + LINE_WORDS - 1];
-        let misaligned = words.as_ptr() as usize / std::mem::size_of::<u64>() % LINE_WORDS;
-        SubTable {
-            words,
-            first: (LINE_WORDS - misaligned) % LINE_WORDS,
-            mask: slots - 1,
+impl Endpoints {
+    fn new() -> Self {
+        Endpoints {
+            slots: vec![(0, 0); MIN_SLOTS],
             len: 0,
-            hot: Vec::new(),
         }
     }
 
-    fn slots(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// The first word of slot `i`.
-    fn at(&self, i: usize) -> usize {
-        self.first + i * SLOT_WORDS
-    }
-
-    /// The home slot of the pair whose [`pair_mix`] is `hash`.
-    fn home(&self, hash: u64) -> usize {
-        hash as usize & self.mask
-    }
-
-    /// The first word of the slot holding `src → dst`, or of the empty
-    /// slot where it belongs, probing on from the home slot of `hash`.
-    fn probe(&self, src: NodeAddr, dst: NodeAddr, hash: u64) -> usize {
-        let mut i = self.home(hash);
+    /// The slot holding `addr`, or the empty slot where it belongs.
+    fn probe(&self, addr: NodeAddr) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = home(addr, self.slots.len());
         loop {
-            let w = self.at(i);
-            let (s, d) = (self.words[w], self.words[w + 1]);
-            if s == d || (s == src && d == dst) {
-                return w;
+            let (a, key) = self.slots[i];
+            if key == 0 || a == addr {
+                return i;
             }
-            i = (i + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
-    /// Doubles the slots, re-placing every link by its pair's hash.
-    fn grow(&mut self) {
-        let mut next = SubTable::with_slots(self.slots() * 2);
-        for i in 0..self.slots() {
-            let slot = &self.words[self.at(i)..self.at(i) + SLOT_WORDS];
-            let (src, dst) = (slot[0], slot[1]);
-            if src != dst {
-                let w = next.probe(src, dst, pair_mix(src, dst));
-                next.words[w..w + SLOT_WORDS].copy_from_slice(slot);
-            }
+    /// `addr`'s index, assigning the next one on its first sight.
+    #[inline]
+    fn intern(&mut self, addr: NodeAddr) -> u32 {
+        let i = self.probe(addr);
+        match self.slots[i].1.checked_sub(1) {
+            Some(index) => index,
+            None => self.insert(addr),
         }
-        next.len = self.len;
-        next.hot = std::mem::take(&mut self.hot);
-        *self = next;
+    }
+
+    /// Gives `addr`, seen for the first time, the next index.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2³²-th address, whose index + 1 would not fit 32
+    /// bits; the interner would hold 128 GiB by then.
+    #[cold]
+    fn insert(&mut self, addr: NodeAddr) -> u32 {
+        if (self.len as usize + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let i = self.probe(addr);
+        let index = self.len;
+        self.len = self
+            .len
+            .checked_add(1)
+            .expect("an address index + 1 fits 32 bits: 2^32 addresses take a 128 GiB interner");
+        self.slots[i] = (addr, self.len);
+        index
+    }
+
+    /// Doubles the slots, re-placing every address by its hash.
+    fn grow(&mut self) {
+        let slots = vec![(0, 0); self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, slots);
+        for (addr, key) in old.into_iter().filter(|&(_, key)| key != 0) {
+            let i = self.probe(addr);
+            self.slots[i] = (addr, key);
+        }
+    }
+
+    /// `addr`'s index, if interned.
+    #[cfg(test)]
+    fn get(&self, addr: NodeAddr) -> Option<u32> {
+        self.slots[self.probe(addr)].1.checked_sub(1)
     }
 }
 
-/// Every directed link that ever carried a message: one 32-byte [`Slot`]
-/// per link, so a lookup hashes the pair once and reads one line, plus
-/// the generator state of the few links that carry traffic
-/// ([`HOT_DRAWS`]). Most links carry one or two messages (owner → entry
-/// responses); storing each one's 32-byte generator state doubled the
-/// table, while replaying it costs a seed and at most [`HOT_DRAWS`]
-/// generator steps per send.
+/// One sender's links: open addressing over 8-byte slots keyed by the
+/// receiver's index, probed linearly from its [`home`], a power of two of at least [`MIN_SLOTS`] slots and at most ¾ full. A
+/// slot is the receiver's index + 1 in its low half and the link's `meta`
+/// in its high half, so no slot stores an address and 0 is an empty
+/// slot. A table holds no slots until its address first sends.
+#[derive(Debug, Default)]
+struct SenderTable {
+    slots: Box<[u64]>,
+    /// Occupied slots.
+    len: u32,
+}
+
+impl SenderTable {
+    /// The home slot of receiver key `key` (its index + 1). The table
+    /// must hold slots.
+    fn home(&self, key: u32) -> usize {
+        home(u64::from(key), self.slots.len())
+    }
+
+    /// The slot holding the link to receiver key `key`, or the empty slot
+    /// where it belongs. The table must hold slots.
+    fn probe(&self, key: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 || slot as u32 == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the slots, or allocates the first line, re-placing every
+    /// link by its key.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![0; slots].into_boxed_slice());
+        for &slot in old.iter().filter(|&&slot| slot != 0) {
+            let i = self.probe(slot as u32);
+            self.slots[i] = slot;
+        }
+    }
+}
+
+/// Every directed link that ever carried a message. A link is one 8-byte
+/// slot in its sender's [`SenderTable`], plus, for the few links that
+/// carry traffic ([`HOT_DRAWS`]), 40 bytes of generator state and base
+/// delay in [`LinkTable::hot`]. Most links carry one or two messages
+/// (owner → entry responses): storing each one's 32-byte generator state
+/// doubled the table, while replaying it costs a seed and at most
+/// [`HOT_DRAWS`] generator steps per send.
 ///
-/// Split into `2^SUB_TABLE_BITS` sub-tables, each growing on its own, to
-/// bound the rehash peak: a growing table briefly holds its old and new
-/// slots, and one table of every link put a whole second table on top
-/// of the resident set (`peak_rss_mb` 34.5 → 47.5 on `churn_wan_seq`,
-/// 27.1 → 33.3 on `storm_lossy`, measured on the hashed map this table
-/// replaced). A link's state and draws depend only on its pair, so
-/// where it sits cannot change any delivery.
+/// A sender is implicit in which table holds a slot, and a cold link's
+/// base is re-drawn from its seed under the model its first send ran
+/// under, so no slot stores an address or a base. Each sender's table
+/// grows on its own, so the rehash peak is one sender's table. A link's
+/// draws depend only on its pair and that model, so where its slot sits
+/// cannot change any delivery.
 #[derive(Debug)]
 struct LinkTable {
-    subs: Box<[SubTable]>,
+    endpoints: Endpoints,
+    /// Every interned address's table, by index.
+    senders: Vec<SenderTable>,
+    /// `[s0, s1, s2, s3, base_us]`: the xoshiro256++ state
+    /// ([`SmallRng::state`]) and base delay in µs of every hot link, in
+    /// promotion order; a hot slot's `meta` is its index here under
+    /// [`HOT_TAG`].
+    hot: Vec<[u64; 5]>,
+    /// Every distinct latency model the transport has run under, in order
+    /// of first use: `new`'s, then each new one `set_policy` brings.
+    models: Vec<LatencyModel>,
+    /// The index in `models` of the one in force.
+    model: u32,
 }
 
 impl LinkTable {
-    fn new() -> Self {
+    fn new(latency: LatencyModel) -> Self {
         LinkTable {
-            subs: (0..1 << SUB_TABLE_BITS)
-                .map(|_| SubTable::with_slots(MIN_SLOTS))
-                .collect(),
+            endpoints: Endpoints::new(),
+            senders: Vec::new(),
+            hot: Vec::new(),
+            models: vec![latency],
+            model: 0,
         }
     }
 
-    /// The sub-table of the pair whose [`pair_mix`] is `hash`.
-    fn sub_of(hash: u64) -> usize {
-        (hash >> (u64::BITS - SUB_TABLE_BITS)) as usize
+    /// Puts `latency` in force for the links first used from now on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_MODELS`] distinct models.
+    fn set_model(&mut self, latency: LatencyModel) {
+        let index = match self.models.iter().position(|&m| m == latency) {
+            Some(index) => index,
+            None => {
+                assert!(
+                    self.models.len() < MAX_MODELS,
+                    "a cold link's meta indexes at most 2^26 distinct latency models"
+                );
+                self.models.push(latency);
+                self.models.len() - 1
+            }
+        };
+        self.model = index as u32;
     }
 
-    /// Reads the first word of `hash`'s home slot: the line its lookup
-    /// starts on.
-    fn touch(&self, hash: u64) -> u64 {
-        let t = &self.subs[Self::sub_of(hash)];
-        t.words[t.at(t.home(hash))]
+    /// `addr`'s index, interning it (with an empty table) on first sight.
+    #[inline]
+    fn intern(&mut self, addr: NodeAddr) -> u32 {
+        let index = self.endpoints.intern(addr);
+        if index as usize == self.senders.len() {
+            self.senders.push(SenderTable::default());
+        }
+        index
     }
 
-    /// Runs `send` on link `src → dst`'s generator and base delay and
-    /// stores the generator back. `hash` is the pair's [`pair_mix`]; the
-    /// link's generator is seeded `indexed_seed(link_seed, hash)`, the
-    /// generator `DetRng::substream_indexed` builds. On the link's first
-    /// use its base is drawn by `make_base` from the fresh generator.
+    /// Reads the home slot of link `src → dst` (interned indices): the
+    /// line its lookup starts on.
+    fn touch(&self, src: u32, dst: u32) -> u64 {
+        let t = &self.senders[src as usize];
+        if t.slots.is_empty() {
+            0
+        } else {
+            t.slots[t.home(dst + 1)]
+        }
+    }
+
+    /// Runs `send` on link `src → dst`'s generator and base delay, its
+    /// ends given as interned indices, and stores the generator back.
+    /// `seed` gives the link's generator seed; a hot link never calls it.
+    /// On the link's first use its base is drawn from the fresh generator
+    /// by the model in force, and each cold send re-draws it with that
+    /// same model, so a later model change cannot move it.
     fn with_link<T>(
         &mut self,
-        src: NodeAddr,
-        dst: NodeAddr,
-        hash: u64,
-        link_seed: u64,
-        make_base: impl FnOnce(&mut LinkRng) -> SimDuration,
+        src: u32,
+        dst: u32,
+        seed: impl FnOnce() -> u64,
         send: impl FnOnce(&mut LinkRng, SimDuration) -> T,
     ) -> T {
-        let t = &mut self.subs[Self::sub_of(hash)];
-        let mut w = t.probe(src, dst, hash);
-        let (mut rng, base) = if t.words[w] == t.words[w + 1] {
+        let t = &mut self.senders[src as usize];
+        if t.slots.is_empty() {
+            t.grow();
+        }
+        let key = dst + 1;
+        let mut i = t.probe(key);
+        let meta = (t.slots[i] >> 32) as u32;
+        let (mut rng, base, model) = if t.slots[i] == 0 {
             // An empty slot: the link's first use.
-            if (t.len + 1) * 8 > t.slots() * 7 {
+            if (t.len as usize + 1) * 4 > t.slots.len() * 3 {
                 t.grow();
-                w = t.probe(src, dst, hash);
+                i = t.probe(key);
             }
             t.len += 1;
-            let mut rng = LinkRng::replay(indexed_seed(link_seed, hash), 0);
-            let base = make_base(&mut rng);
-            let slot: Slot = [src, dst, 0, base.as_micros()];
-            t.words[w..w + SLOT_WORDS].copy_from_slice(&slot);
-            (rng, base)
+            let mut rng = LinkRng::new(seed());
+            let base = self.models[self.model as usize].sample_base(&mut rng);
+            (rng, base, self.model)
+        } else if meta & HOT_TAG == 0 {
+            let model = meta >> DRAW_BITS;
+            let mut rng = LinkRng::new(seed());
+            let base = self.models[model as usize].sample_base(&mut rng);
+            rng.skip_to(u64::from(meta & ((1 << DRAW_BITS) - 1)));
+            (rng, base, model)
         } else {
-            let meta = t.words[w + 2];
-            let rng = if meta & HOT_TAG == 0 {
-                LinkRng::replay(indexed_seed(link_seed, hash), meta)
-            } else {
-                // A hot link's draws are no longer counted.
-                LinkRng {
-                    rng: SmallRng::from_state(t.hot[(meta & !HOT_TAG) as usize]),
-                    draws: 0,
-                }
+            // A hot link's draws are no longer counted.
+            let h = self.hot[(meta & !HOT_TAG) as usize];
+            let rng = LinkRng {
+                rng: SmallRng::from_state([h[0], h[1], h[2], h[3]]),
+                draws: 0,
             };
-            (rng, SimDuration::from_micros(t.words[w + 3]))
+            (rng, SimDuration::from_micros(h[4]), 0)
         };
         let out = send(&mut rng, base);
-        let meta = &mut t.words[w + 2];
-        if *meta & HOT_TAG != 0 {
-            t.hot[(*meta & !HOT_TAG) as usize] = rng.rng.state();
+        let [s0, s1, s2, s3] = rng.rng.state();
+        let meta = if meta & HOT_TAG != 0 {
+            self.hot[(meta & !HOT_TAG) as usize] = [s0, s1, s2, s3, base.as_micros()];
+            meta
         } else if rng.draws > HOT_DRAWS {
-            *meta = HOT_TAG | t.hot.len() as u64;
-            t.hot.push(rng.rng.state());
+            let index = u32::try_from(self.hot.len())
+                .ok()
+                .filter(|&index| index < HOT_TAG)
+                .expect("a hot index fits 31 bits: 2^31 hot links take 80 GiB");
+            self.hot.push([s0, s1, s2, s3, base.as_micros()]);
+            HOT_TAG | index
         } else {
-            *meta = rng.draws;
-        }
+            model << DRAW_BITS | rng.draws as u32
+        };
+        t.slots[i] = u64::from(key) | u64::from(meta) << 32;
         out
+    }
+
+    /// The table's heap bytes, from lengths and capacities: the
+    /// interner's slots, a [`SenderTable`] per address, 8 per slot, 40
+    /// per hot link and the model list, spare `Vec` capacity included.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slots: usize = self.senders.iter().map(|t| t.slots.len()).sum();
+        size_of::<(NodeAddr, u32)>() * self.endpoints.slots.capacity()
+            + size_of::<SenderTable>() * self.senders.capacity()
+            + size_of::<u64>() * slots
+            + size_of::<[u64; 5]>() * self.hot.capacity()
+            + size_of::<LatencyModel>() * self.models.capacity()
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.subs.iter().map(|t| t.len).sum()
+        self.senders.iter().map(|t| t.len as usize).sum()
     }
 
     #[cfg(test)]
     fn hot_links(&self) -> usize {
-        self.subs.iter().map(|t| t.hot.len()).sum()
-    }
-
-    /// The table's size in bytes: 32 per slot and 32 per hot link. It
-    /// leaves out each sub-table's line-alignment lead-in (< 64 bytes)
-    /// and the spare capacity of its [`SubTable::hot`].
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        let slots: usize = self.subs.iter().map(SubTable::slots).sum();
-        std::mem::size_of::<Slot>() * slots + std::mem::size_of::<[u64; 4]>() * self.hot_links()
+        self.hot.len()
     }
 }
 
@@ -361,7 +480,7 @@ pub struct LinkTransport {
 const WARM_WINDOW: usize = 64;
 
 /// The derived 64-bit identity of a directed link: seeds the link's RNG
-/// substream and places the link in the [`LinkTable`].
+/// substream.
 fn pair_mix(src: NodeAddr, dst: NodeAddr) -> u64 {
     splitmix64_mix(src.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dst)
 }
@@ -382,7 +501,7 @@ impl LinkTransport {
                 .substream("transport")
                 .substream("link")
                 .seed(),
-            links: LinkTable::new(),
+            links: LinkTable::new(policy.latency),
             partition: PartitionMatrix::default(),
             stats: TransportStats::default(),
         }
@@ -394,14 +513,15 @@ impl LinkTransport {
     }
 
     /// The monomorphic single-send core shared by [`Transport::send`]
-    /// and [`Transport::send_batch`]; `hash` is the pair's [`pair_mix`].
+    /// and [`Transport::send_batch`]; `ends` are the interned indices of
+    /// `src` and `dst`, unread for a self-send.
     #[inline]
     fn send_one(
         &mut self,
         src: NodeAddr,
         dst: NodeAddr,
         class: MessageClass,
-        hash: u64,
+        ends: (u32, u32),
     ) -> Delivery {
         if src == dst {
             // Local delivery: free, no randomness drawn.
@@ -418,15 +538,14 @@ impl LinkTransport {
             return Delivery::Unreachable { attempts };
         }
         let policy = self.policy;
+        let link_seed = self.link_seed;
         // One independent generator per directed link, seeded from the
         // pair — stable no matter in which order links first carry
         // traffic.
         let (latency, attempts) = self.links.with_link(
-            src,
-            dst,
-            hash,
-            self.link_seed,
-            |rng| policy.latency.sample_base(rng),
+            ends.0,
+            ends.1,
+            || indexed_seed(link_seed, pair_mix(src, dst)),
             |rng, base| {
                 // Transient loss: each transmission drops independently;
                 // after max_retries losses the final transmission goes
@@ -450,13 +569,20 @@ impl LinkTransport {
 
 impl Transport for LinkTransport {
     fn send(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery {
-        self.send_one(src, dst, class, pair_mix(src, dst))
+        let ends = if src == dst {
+            (0, 0)
+        } else {
+            (self.links.intern(src), self.links.intern(dst))
+        };
+        self.send_one(src, dst, class, ends)
     }
 
-    /// Per [`WARM_WINDOW`] window, first hash every send's pair and read
-    /// its home slot in a tight loop — the reads are independent, so
-    /// their cache misses overlap — then charge the window in order with
-    /// the hashes already computed, each lookup finding its line in L1.
+    /// Per [`WARM_WINDOW`] window, first intern every send's endpoints
+    /// and read its home slot in its sender's table in a tight loop — the
+    /// reads are independent, so their cache misses overlap — then charge
+    /// the window in order with the indices already found, each lookup
+    /// finding its line in L1. A leg of a routed chain starts where the
+    /// last one ended, so its sender's index is the last receiver's.
     /// Draw order per link and stats totals are exactly the sequential
     /// loop's (same calls, same order). The warm window is the
     /// transport's share of what charging probes in one pass per flush
@@ -464,16 +590,25 @@ impl Transport for LinkTransport {
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
-        let mut hashes = [0u64; WARM_WINDOW];
+        let mut ends = [(0u32, 0u32); WARM_WINDOW];
+        // The last receiver interned: its address and index.
+        let mut last: Option<(NodeAddr, u32)> = None;
         for window in sends.chunks(WARM_WINDOW) {
-            for (s, hash) in window.iter().zip(&mut hashes) {
-                *hash = pair_mix(s.src, s.dst);
-                if s.src != s.dst {
-                    std::hint::black_box(self.links.touch(*hash));
+            for (s, e) in window.iter().zip(&mut ends) {
+                if s.src == s.dst {
+                    continue;
                 }
+                let src = match last {
+                    Some((addr, index)) if addr == s.src => index,
+                    _ => self.links.intern(s.src),
+                };
+                let dst = self.links.intern(s.dst);
+                last = Some((s.dst, dst));
+                *e = (src, dst);
+                std::hint::black_box(self.links.touch(src, dst));
             }
-            for (s, &hash) in window.iter().zip(&hashes) {
-                let d = self.send_one(s.src, s.dst, s.class, hash);
+            for (s, &e) in window.iter().zip(&ends) {
+                let d = self.send_one(s.src, s.dst, s.class, e);
                 out.push(d);
             }
         }
@@ -505,6 +640,7 @@ impl Transport for LinkTransport {
 
     fn set_policy(&mut self, policy: LinkPolicy) {
         policy.validate();
+        self.links.set_model(policy.latency);
         self.policy = policy;
     }
 
@@ -513,6 +649,10 @@ impl Transport for LinkTransport {
             .islands
             .as_ref()
             .map(|map| map.get(&addr).copied().unwrap_or(0))
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        self.links.bytes() as u64
     }
 }
 
@@ -653,15 +793,19 @@ mod tests {
             first, second,
             "per-link substream must be order-independent"
         );
-        // A link first used after every sub-table has doubled several
-        // times gets the base and the draws it gets on a fresh transport.
+        // A link first used after the interner and its sender's table
+        // have doubled several times gets the base and the draws it gets
+        // on a fresh transport.
         let lossy = LinkPolicy::lossy_wan(0.3);
         let mut fresh = LinkTransport::new(lossy, 5);
         let mut grown = LinkTransport::new(lossy, 5);
         for i in 0..20_000u64 {
-            grown.send(i, i + 7, MessageClass::Probe);
+            grown.send(i % 200, i + 7, MessageClass::Probe);
         }
-        assert!(grown.links.subs.iter().all(|t| t.slots() >= MIN_SLOTS << 4));
+        let links = &grown.links;
+        assert!(links.endpoints.slots.len() >= MIN_SLOTS << 8);
+        let sender = links.endpoints.get(100).expect("100 sent");
+        assert!(links.senders[sender as usize].slots.len() >= MIN_SLOTS << 4);
         for _ in 0..50 {
             assert_eq!(
                 fresh.send(100, 200, MessageClass::Probe),
@@ -672,87 +816,90 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_two_per_line() {
-        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    fn slots_are_eight_per_line() {
+        // 50 senders with 100 links each, every receiver a 64-bit id.
         let mut t = LinkTransport::new(LinkPolicy::wan(), 1);
         for i in 0..5_000u64 {
-            t.send(i, i + 1, MessageClass::Probe);
+            t.send(i % 50, u64::MAX - i, MessageClass::Probe);
         }
-        for sub in t.links.subs.iter() {
-            assert!(sub.slots() > MIN_SLOTS, "every sub-table grew");
-            assert!(sub.at(sub.slots()) <= sub.words.len());
-            for i in 0..sub.slots() {
-                let addr = &sub.words[sub.at(i)] as *const u64 as usize;
-                let last = &sub.words[sub.at(i) + SLOT_WORDS - 1] as *const u64 as usize;
-                assert_eq!(addr / 64, last / 64, "slot {i} straddles a line");
-                assert_eq!(
-                    addr % 64,
-                    i % 2 * 32,
-                    "slot {i} is not half {} of a line",
-                    i % 2
-                );
+        let links = &t.links;
+        assert_eq!(std::mem::size_of_val(&links.senders[0].slots[0]), 8);
+        let receivers = links.endpoints.len;
+        let mut sending = 0;
+        for table in &links.senders {
+            if table.slots.is_empty() {
+                assert_eq!(table.len, 0, "a table holds slots once it sends");
+                continue;
             }
+            sending += 1;
+            let slots = table.slots.len();
+            assert!(
+                slots.is_power_of_two() && slots > MIN_SLOTS,
+                "{slots} slots"
+            );
+            assert!(table.len as usize * 4 <= slots * 3, "over 3/4 full");
+            let occupied = table.slots.iter().filter(|&&slot| slot != 0);
+            for &slot in occupied.clone() {
+                // A receiver's index + 1 and a cold `meta`: no address.
+                assert!((1..=receivers).contains(&(slot as u32)), "{slot:#x}");
+                assert_eq!((slot >> 32) as u32 & HOT_TAG, 0);
+            }
+            assert_eq!(occupied.count(), table.len as usize);
         }
+        assert_eq!(sending, 50);
+        assert_eq!(links.len(), 5_000);
+        // A sender of one link takes one line.
+        t.send(70_000, 8, MessageClass::Probe);
+        let sender = t.links.endpoints.get(70_000).expect("sent");
+        assert_eq!(t.links.senders[sender as usize].slots.len() * 8, 64);
     }
 
-    /// Mean slots and mean 64-byte lines read per lookup over every
-    /// stored link (1 = found in its home slot, on its home line).
-    fn mean_probes(table: &LinkTable) -> (f64, f64) {
-        let slots_per_line = LINE_WORDS / SLOT_WORDS;
-        let (mut probes, mut lines, mut links) = (0, 0, 0);
-        for t in table.subs.iter() {
-            for i in 0..t.slots() {
-                let (src, dst) = (t.words[t.at(i)], t.words[t.at(i) + 1]);
-                if src != dst {
-                    let home = t.home(pair_mix(src, dst));
-                    probes += (i.wrapping_sub(home) & t.mask) + 1;
-                    let line_mask = t.slots() / slots_per_line - 1;
-                    lines +=
-                        ((i / slots_per_line).wrapping_sub(home / slots_per_line) & line_mask) + 1;
+    /// Mean slots read per lookup over every stored link (1 = found in
+    /// its home slot).
+    fn mean_probes(table: &LinkTable) -> f64 {
+        let (mut probes, mut links) = (0, 0);
+        for t in &table.senders {
+            let mask = t.slots.len().wrapping_sub(1);
+            for (i, &slot) in t.slots.iter().enumerate() {
+                if slot != 0 {
+                    probes += (i.wrapping_sub(t.home(slot as u32)) & mask) + 1;
                     links += 1;
                 }
             }
         }
-        (probes as f64 / links as f64, lines as f64 / links as f64)
+        probes as f64 / links as f64
     }
 
     #[test]
-    fn fill_stays_under_seven_eighths_with_short_probes() {
+    fn fill_stays_under_three_quarters_with_short_probes() {
         // 200 099 pairs of small dense ids: the structured keys a weak
         // hash would cluster worst.
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::new(LatencyModel::Zero);
         let pairs = || (0..500u64).flat_map(|s| (0..401u64).map(move |d| (s, d)));
         let mut n = 0;
         for (src, dst) in pairs().filter(|(s, d)| s != d) {
-            table.with_link(
-                src,
-                dst,
-                pair_mix(src, dst),
-                0,
-                |_| SimDuration::ZERO,
-                |_, _| (),
-            );
+            let (s, d) = (table.intern(src), table.intern(dst));
+            table.with_link(s, d, || 0, |_, _| ());
             n += 1;
         }
         assert_eq!(table.len(), n);
-        for t in table.subs.iter() {
-            assert!(t.len * 8 <= t.slots() * 7, "over 7/8 full");
-            assert!(t.len * 16 > t.slots() * 7, "grew past 7/16 load");
+        assert_eq!(table.endpoints.len, 500);
+        assert_eq!(table.endpoints.slots.len(), 1_024, "at most 1/2 full");
+        for t in &table.senders {
+            assert!(t.len as usize * 4 <= t.slots.len() * 3, "over 3/4 full");
+            assert!(t.len as usize * 8 > t.slots.len() * 3, "grew past 3/8 load");
         }
         // Linear probing expects ½(1 + 1/(1 − α)) slots read per hit:
-        // 4.5 at the 7/8 cap, ≈ 2.6 at this fill's α ≈ 0.76. Two slots
-        // share a line and a probe starts on either half, so a hit of L
-        // slots reads (L + 1)/2 lines on average: 1.81 measured.
-        let (slots, lines) = mean_probes(&table);
-        assert!(slots <= 4.0, "mean probe length {slots} slots");
-        assert!(lines <= 2.5, "mean probe length {lines} lines");
+        // 2.5 at the ¾ cap, ≈ 1.3 at this fill's α ≈ 0.39.
+        let slots = mean_probes(&table);
+        assert!(slots <= 1.5, "mean probe length {slots} slots");
         // Every link is found again, none re-created.
         for (src, dst) in pairs().filter(|(s, d)| s != d) {
-            let hash = pair_mix(src, dst);
-            let t = &table.subs[LinkTable::sub_of(hash)];
-            let w = t.probe(src, dst, hash);
-            assert_eq!((t.words[w], t.words[w + 1]), (src, dst));
-            table.with_link(src, dst, hash, 0, |_| unreachable!(), |_, _| ());
+            let s = table.endpoints.get(src).expect("interned");
+            let d = table.endpoints.get(dst).expect("interned");
+            let t = &table.senders[s as usize];
+            assert_eq!(t.slots[t.probe(d + 1)] as u32, d + 1);
+            table.with_link(s, d, || 0, |_, _| ());
         }
         assert_eq!(table.len(), n);
     }
@@ -782,13 +929,15 @@ mod tests {
         assert_eq!(t.links.len(), 2);
     }
 
-    /// The `meta` word of link `src → dst`'s slot.
-    fn meta_of(t: &LinkTransport, src: NodeAddr, dst: NodeAddr) -> u64 {
-        let hash = pair_mix(src, dst);
-        let sub = &t.links.subs[LinkTable::sub_of(hash)];
-        let w = sub.probe(src, dst, hash);
-        assert_eq!((sub.words[w], sub.words[w + 1]), (src, dst), "no such link");
-        sub.words[w + 2]
+    /// The `meta` half of link `src → dst`'s slot.
+    fn meta_of(t: &LinkTransport, src: NodeAddr, dst: NodeAddr) -> u32 {
+        let links = &t.links;
+        let s = links.endpoints.get(src).expect("src interned");
+        let d = links.endpoints.get(dst).expect("dst interned");
+        let table = &links.senders[s as usize];
+        let slot = table.slots[table.probe(d + 1)];
+        assert_eq!(slot as u32, d + 1, "no such link");
+        (slot >> 32) as u32
     }
 
     #[test]
@@ -817,11 +966,15 @@ mod tests {
             }
         }
         assert_eq!(
-            meta_of(&table, 1, 100),
+            u64::from(meta_of(&table, 1, 100)),
             HOT_DRAWS - 1,
             "cold, one draw short"
         );
-        assert_eq!(meta_of(&table, 2, 100), HOT_DRAWS, "cold at the boundary");
+        assert_eq!(
+            u64::from(meta_of(&table, 2, 100)),
+            HOT_DRAWS,
+            "cold at the boundary"
+        );
         assert_eq!(meta_of(&table, 3, 100), HOT_TAG, "hot link 0");
         assert_eq!(table.links.hot_links(), 1);
         // 50 more sends each with loss and jitter: every link resumes
@@ -843,25 +996,39 @@ mod tests {
 
     #[test]
     fn table_bytes_are_pinned() {
-        // 1 000 `wan()` links sent on once (3 raw draws each, cold), of
-        // which 100 are sent on eight more times (19 draws, hot).
+        // 1 000 `wan()` links, 40 senders × 25 receivers, sent on once (3
+        // raw draws each, cold), of which 100 are sent on eight more
+        // times (19 draws, hot).
         let mut t = LinkTransport::new(LinkPolicy::wan(), 7);
-        for i in 0..1_000u64 {
-            t.send(i, i + 1, MessageClass::Probe);
+        let pair = |i: u64| (i % 40, 1_000 + i / 40);
+        for i in 0..1_000 {
+            let (src, dst) = pair(i);
+            t.send(src, dst, MessageClass::Probe);
         }
         for _ in 0..8 {
-            for i in 0..100u64 {
-                t.send(i, i + 1, MessageClass::Probe);
+            for i in 0..100 {
+                let (src, dst) = pair(i);
+                t.send(src, dst, MessageClass::Probe);
             }
         }
-        assert_eq!(t.links.len(), 1_000);
-        assert_eq!(t.links.hot_links(), 100);
-        let slots: usize = t.links.subs.iter().map(SubTable::slots).sum();
-        assert_eq!(t.links.bytes(), 32 * slots + 32 * 100);
-        // 1 664 slots and 100 hot links: 53 248 + 3 200 bytes, where a
-        // slot holding every generator's state took 106 496.
-        assert_eq!(slots, 1_664);
-        assert_eq!(t.links.bytes(), 56_448);
+        let links = &t.links;
+        assert_eq!(links.len(), 1_000);
+        assert_eq!(links.hot_links(), 100);
+        // 65 addresses in 256 interner slots (at most ½ full) and 65 table
+        // headers; 40 tables of 25 links in 64 slots (at most ¾ full).
+        assert_eq!(links.endpoints.slots.len(), 256);
+        assert_eq!(links.senders.len(), 65);
+        let slots: usize = links.senders.iter().map(|t| t.slots.len()).sum();
+        assert_eq!(slots, 40 * 64);
+        let bytes = 16 * links.endpoints.slots.capacity()
+            + 24 * links.senders.capacity()
+            + 8 * slots
+            + 40 * links.hot.capacity()
+            + 32 * links.models.capacity();
+        assert_eq!(t.heap_bytes(), bytes as u64);
+        // 4 096 + 3 072 + 20 480 + 5 120 + 32: 32.8 bytes per link, where
+        // 32-byte address-keyed slots took 56 448 for this traffic.
+        assert_eq!(t.heap_bytes(), 32_800);
     }
 
     /// Busy nodes of the differential run: `0..BUSY`, partitioned and
@@ -928,7 +1095,7 @@ mod tests {
         /// The link table against the sharded-map reference it replaced:
         /// random interleavings of `send`, `send_batch`, `partition`,
         /// `heal` and `set_policy` over at least 100 000 first-use pairs
-        /// (every sub-table doubles at least eight times), with equal
+        /// (the interner doubles at least fifteen times), with equal
         /// deliveries and stats after every call, equal link counts, and
         /// equal draws on later traffic over the links — cold and hot,
         /// and links promoted under each policy variant after a
@@ -1302,6 +1469,105 @@ mod tests {
         t.set_policy(wan);
         let with_jitter = t.send(1, 2, MessageClass::Probe).latency().unwrap();
         assert!(with_jitter >= first, "same base, jitter only adds");
+    }
+
+    #[test]
+    fn cold_link_keeps_its_first_use_base_across_a_base_range_change() {
+        // Links first sent on under `Wan` 20–120 ms, then under `Wan`
+        // 1–900 ms with zero jitter: still cold, each re-draws its base
+        // on the next send, under the model of its first send.
+        let wan = LinkPolicy::wan();
+        let wide = LinkPolicy {
+            latency: LatencyModel::Wan {
+                base_lo: SimDuration::from_millis(1),
+                base_hi: SimDuration::from_millis(900),
+                jitter_mean: SimDuration::ZERO,
+            },
+            ..wan
+        };
+        let mut t = LinkTransport::new(wan, 61);
+        let mut reference = RefLinkTransport::new(wan, 61);
+        for src in 1..=20 {
+            assert_eq!(
+                t.send(src, 100, MessageClass::Probe),
+                reference.send(src, 100, MessageClass::Probe)
+            );
+        }
+        t.set_policy(wide);
+        reference.set_policy(wide);
+        for src in 1..=20 {
+            assert_eq!(meta_of(&t, src, 100) & HOT_TAG, 0, "cold");
+            let base = t.send(src, 100, MessageClass::Probe);
+            assert_eq!(base, reference.send(src, 100, MessageClass::Probe));
+            let base = base.latency().expect("no partition");
+            let first_range = SimDuration::from_millis(20)..=SimDuration::from_millis(120);
+            assert!(first_range.contains(&base), "{base} outside 20–120 ms");
+        }
+        // A link first used under the wide model draws its base there.
+        let mut wide_bases = (101..=120).map(|src| t.send(src, 100, MessageClass::Probe));
+        assert!(wide_bases.any(|d| d.latency() > Some(SimDuration::from_millis(120))));
+        assert_eq!(t.links.models, [wan.latency, wide.latency]);
+        t.set_policy(wan);
+        assert_eq!(
+            t.links.models.len(),
+            2,
+            "a model seen before is not appended"
+        );
+    }
+
+    #[test]
+    fn interner_indices_are_dense_and_stable_across_growth() {
+        // Dense ids and 64-bit ids, interleaved; 0 and u64::MAX are
+        // addresses like any other.
+        let addr = |k: u64| match k {
+            0 => 0,
+            1 => u64::MAX,
+            _ if k.is_multiple_of(2) => k / 2,
+            _ => splitmix64_mix(k),
+        };
+        let mut e = Endpoints::new();
+        for k in 0..10_000u64 {
+            assert_eq!(e.intern(addr(k)), k as u32, "the next index on first sight");
+        }
+        assert_eq!(e.slots.len(), 1 << 15, "at most 1/2 full");
+        for k in 0..10_000u64 {
+            assert_eq!(e.get(addr(k)), Some(k as u32), "stable across growth");
+            assert_eq!(e.intern(addr(k)), k as u32);
+        }
+        assert_eq!(e.len, 10_000);
+        assert_eq!(e.get(1 << 40), None);
+    }
+
+    #[test]
+    fn receiver_that_later_sends_keeps_its_index() {
+        let lossy = LinkPolicy::lossy_wan(0.3);
+        let mut t = LinkTransport::new(lossy, 9);
+        let mut reference = RefLinkTransport::new(lossy, 9);
+        // 7 is first seen as a receiver: indexed, with no slots.
+        assert_eq!(
+            t.send(3, 7, MessageClass::Probe),
+            reference.send(3, 7, MessageClass::Probe)
+        );
+        assert_eq!(t.links.endpoints.get(7), Some(1));
+        assert!(t.links.senders[1].slots.is_empty());
+        let spec = |src, dst| SendSpec {
+            src,
+            dst,
+            class: MessageClass::Probe,
+        };
+        // A chain on from it, then back: 7 sends under its first index.
+        let chain = [spec(7, 5), spec(5, 3), spec(3, 7), spec(7, 3)];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for _ in 0..20 {
+            t.send_batch(&chain, &mut got);
+            reference.send_batch(&chain, &mut want);
+            assert_eq!(got, want);
+        }
+        assert_eq!(t.links.endpoints.get(7), Some(1));
+        assert_eq!(t.links.endpoints.len, 3);
+        assert_eq!(t.links.senders[1].len, 2, "7 → 5 and 7 → 3");
+        assert_eq!(t.links.len(), 4);
+        assert_eq!(t.stats(), reference.stats());
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl LatencyModel {
                 let extra = if span == 0 {
                     0
                 } else {
-                    rng.gen_range(0..span + 1)
+                    rng.gen_range(0..=span)
                 };
                 SimDuration::from_micros(base_lo.as_micros() + extra)
             }
@@ -68,7 +68,7 @@ impl LatencyModel {
                 let extra = if span == 0 {
                     0
                 } else {
-                    rng.gen_range(0..span + 1)
+                    rng.gen_range(0..=span)
                 };
                 SimDuration::from_micros(lo.as_micros() + extra)
             }
@@ -227,6 +227,34 @@ mod tests {
             assert!(base <= SimDuration::from_millis(120));
             let d = model.sample(base, &mut rng);
             assert!(d >= base, "jitter only adds");
+        }
+    }
+
+    #[test]
+    fn full_width_bounds_draw_one_word_without_overflow() {
+        let widest = SimDuration::from_micros(u64::MAX);
+        let uniform = LatencyModel::Uniform {
+            lo: SimDuration::ZERO,
+            hi: widest,
+        };
+        let wan = LatencyModel::Wan {
+            base_lo: SimDuration::ZERO,
+            base_hi: widest,
+            jitter_mean: SimDuration::ZERO,
+        };
+        for latency in [uniform, wan] {
+            LinkPolicy {
+                latency,
+                ..LinkPolicy::wan()
+            }
+            .validate();
+        }
+        let mut rng = DetRng::new(5);
+        for n in 1..=100 {
+            uniform.sample(SimDuration::ZERO, &mut rng);
+            let base = wan.sample_base(&mut rng);
+            assert_eq!(wan.sample(base, &mut rng), base, "zero jitter");
+            assert_eq!(rng.draw_count(), 2 * n, "one word per ranged draw");
         }
     }
 
