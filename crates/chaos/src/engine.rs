@@ -13,9 +13,8 @@
 //!
 //! 1. **Structural consistency** — [`ClashCluster::verify_consistency`]:
 //!    the global index, active tables, replica registries, the
-//!    active-cover ∪ pending-recovery partition of the key space and the
-//!    Chord ring's convergence. Its panics are caught and reported as
-//!    violations.
+//!    active-cover ∪ pending-recovery partition of the key space. Its
+//!    panics are caught and reported as violations.
 //! 2. **Retry conservation** — every deferred-recovery retry either
 //!    stays blocked, completes, or abandons:
 //!    `retries == retries_blocked + Σ completed + Σ lost`.

@@ -12,13 +12,13 @@
 //!   arithmetic;
 //! * [`net::SimNet`] — the in-process network: iterative
 //!   `find_successor` with per-hop counting and node join/leave/fail.
-//!   Every alive node's successor list, predecessor and finger table sit
-//!   at the fixpoint of Chord's maintenance protocol between any two
-//!   calls: construction installs it and each membership call repairs
-//!   the neighbourhood it changed, so no lookup ever routes over a stale
-//!   entry. The tables are rows of a dense arena, each entry carrying
-//!   the row it names, so a routing hop is array indexing;
-//! * [`node::ChordNode`] — a read-only view of one node's row;
+//!   Every alive node's successor list, predecessor and finger table are
+//!   the fixpoint of Chord's maintenance protocol, a function of the
+//!   sorted alive ids, so the ring stores those ids (with a bucket
+//!   directory for owner searches) and computes every entry; no lookup
+//!   can route over a stale one. A routing hop is one owner search;
+//! * [`node::ChordNode`] — a read-only view of one node's tables,
+//!   computed on demand;
 //! * [`virtual_nodes::VirtualRing`] — CFS-style virtual servers (used by
 //!   the ablation experiments).
 //!

@@ -10,52 +10,60 @@ use crate::net::SimNet;
 /// sized exactly as in the Chord paper — M fingers and an r-entry
 /// successor list.
 ///
-/// The state itself is one row of [`SimNet`]'s table arena, which keeps
-/// it at the maintenance fixpoint and writes it in place; this view names
-/// the row and copies out what is asked for.
+/// [`SimNet`] stores no per-node rows: an alive node's state is the
+/// maintenance fixpoint, a function of the sorted alive ids, and this
+/// view computes what is asked for from them. A crashed node has no
+/// tables: its lists are empty and it knows no predecessor.
 #[derive(Clone, Copy)]
 pub struct ChordNode<'a> {
     net: &'a SimNet,
-    row: usize,
+    id: u64,
 }
 
 impl<'a> ChordNode<'a> {
-    pub(crate) fn new(net: &'a SimNet, row: usize) -> Self {
-        ChordNode { net, row }
+    pub(crate) fn new(net: &'a SimNet, id: u64) -> Self {
+        ChordNode { net, id }
     }
 
     /// This node's ring identifier.
     pub fn id(&self) -> ChordId {
-        self.net.row_id(self.row)
+        self.net.id(self.id)
     }
 
-    /// The immediate successor (the node itself on a one-node ring).
+    /// The immediate successor (the node itself on a one-node ring, or
+    /// when it has no tables).
     pub fn successor(&self) -> ChordId {
-        self.successor_list()[0]
+        self.successor_list().first().copied().unwrap_or(self.id())
     }
 
     /// The successor list, nearest first.
     pub fn successor_list(&self) -> Vec<ChordId> {
-        let list = self.net.succs_of(self.row);
-        list.iter().map(|s| self.net.id(s.id)).collect()
+        let pos = self.net.alive_pos(self.id);
+        pos.map_or_else(Vec::new, |pos| self.net.successor_list_at(pos))
     }
 
     /// The predecessor, if known.
     pub fn predecessor(&self) -> Option<ChordId> {
-        self.net.row_pred(self.row)
+        let pos = self.net.alive_pos(self.id)?;
+        self.net.predecessor_at(pos)
     }
 
-    /// The finger table; entry `k` is the node this one believes succeeds
-    /// `id + 2^k`.
+    /// The finger table; entry `k` is the node that succeeds `id + 2^k`.
     pub fn fingers(&self) -> Vec<ChordId> {
-        let fingers = self.net.fingers_of(self.row);
-        fingers.iter().map(|f| self.net.id(f.id)).collect()
+        if !self.is_alive() {
+            return Vec::new();
+        }
+        let bits = self.net.space().bits();
+        let starts = (0..bits).map(|k| self.id().add_power_of_two(k).value());
+        starts
+            .filter_map(|start| self.net.owner_of(start))
+            .collect()
     }
 
-    /// Whether the node is alive (failed nodes keep their last state for
-    /// post-mortem inspection; nothing routes through it).
+    /// Whether the node is alive (a failed node's id stays known, but it
+    /// has no tables and nothing routes through it).
     pub fn is_alive(&self) -> bool {
-        self.net.is_alive(self.id())
+        self.net.alive_pos(self.id).is_some()
     }
 }
 
@@ -63,7 +71,7 @@ impl fmt::Debug for ChordNode<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ChordNode")
             .field("id", &self.id())
-            .field("successor", &self.successor())
+            .field("successor", &self.successor_list().first())
             .field("predecessor", &self.predecessor())
             .field("alive", &self.is_alive())
             .finish()
@@ -125,17 +133,18 @@ mod tests {
         assert_eq!(first_hop(&net, 10, 12), id(20));
     }
 
+    /// A crashed node's view reports no tables, and neither it nor its
+    /// `Debug` panics.
     #[test]
     fn mark_failed() {
         let mut net = stable_ring(&[1, 2]);
         net.fail(id(1));
-        assert!(!net.node(id(1)).unwrap().is_alive());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_successor_list_rejected() {
-        let mut net = stable_ring(&[1]);
-        net.set_succs(0, &[]);
+        let corpse = net.node(id(1)).unwrap();
+        assert!(!corpse.is_alive());
+        assert!(corpse.successor_list().is_empty());
+        assert!(corpse.fingers().is_empty());
+        assert_eq!(corpse.predecessor(), None);
+        assert_eq!(corpse.successor(), id(1));
+        assert!(format!("{corpse:?}").contains("alive: false"));
     }
 }

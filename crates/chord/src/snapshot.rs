@@ -1,9 +1,9 @@
 //! [`RouteSnapshot`]: the routing interface of the frozen table copy
 //! this crate used to build for batched lookups.
 //!
-//! [`SimNet`]'s live tables are the dense rows that copy flattened them
-//! into, so there is nothing left to freeze: this is a borrow of the
-//! ring, routed by the ring's one engine. It exists only because
+//! [`SimNet`] computes every table entry from its sorted alive ids, so
+//! there is nothing to freeze: this is a borrow of the ring, routed by
+//! the ring's one engine. It exists only because
 //! `clash-benchmark/src/micro.rs` times `snapshot()` and
 //! `route_with_path`; the next `benchmark`-archetype PR drops those
 //! calls and this module.

@@ -449,6 +449,7 @@ impl ClashCluster {
         t.counter("trace.dropped", self.trace_dropped());
         t.counter("rng.draws", self.rng.draw_count());
         t.counter("mem.link_table_bytes", self.wire.transport.heap_bytes());
+        t.counter("mem.ring_bytes", self.net.heap_bytes());
         let l = &self.wire.latency;
         t.summary("latency.locate_ms", l.locate.summary().snapshot());
         t.summary("latency.report_ms", l.report.summary().snapshot());

@@ -57,8 +57,8 @@ struct MigrationTally {
 
 impl ClashCluster {
     /// Adds a new server to the *running* cluster: the node joins the
-    /// Chord ring through a random bootstrap (its fingers seeded from its
-    /// successor, the ring's tables repaired around it), and every table
+    /// Chord ring through a random bootstrap (its fingers seeded by
+    /// lookups routed from its successor), and every table
     /// entry whose `Map()` owner is now the new node — its slice of the
     /// successor's arc — is handed off with an `ACCEPT_KEYGROUP` carrying
     /// full tree state. Ledgers stay keyed by group; migrated queries are
@@ -71,9 +71,15 @@ impl ClashCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`ClashError::InvalidConfig`] if the identifier is already
-    /// present in the ring (alive or crashed).
+    /// Returns [`ClashError::InvalidConfig`] if the identifier is from
+    /// another hash space than the cluster's, or is already present in
+    /// the ring (alive or crashed).
     pub fn join_server(&mut self, new_id: ServerId) -> Result<JoinReport, ClashError> {
+        if new_id.space() != self.config.hash_space {
+            return Err(ClashError::InvalidConfig {
+                reason: "server id is from another hash space",
+            });
+        }
         // Barrier: planned probes are charged on the ring they were planned on.
         self.flush_batch()?;
         if self.net.node(new_id).is_some() {

@@ -53,6 +53,37 @@ fn join_rejects_duplicate_id() {
     ));
 }
 
+/// An id from another hash space can sit above the ring's mask: the
+/// join is refused before it reaches the ring.
+#[test]
+fn join_rejects_id_from_another_hash_space() {
+    let mut c = cluster(4);
+    let bits = ClashConfig::small_test().hash_space.bits() + 8;
+    let wider = clash_keyspace::hash::HashSpace::new(bits).unwrap();
+    let foreign = ServerId::new(u64::MAX, wider);
+    assert!(matches!(
+        c.join_server(foreign),
+        Err(ClashError::InvalidConfig { .. })
+    ));
+    assert_eq!(c.server_count(), 4);
+    c.verify_consistency();
+}
+
+/// `mem.ring_bytes` is the ring's sorted ids, its directory and its
+/// crashed ids: 6 ids and a 9-slot directory at construction, room for
+/// 12 ids after the first join, and 4 crashed slots after a crash.
+#[test]
+fn ring_bytes_are_pinned() {
+    let mut c = cluster(6);
+    let bytes = |c: &ClashCluster| c.telemetry().counter_value("mem.ring_bytes");
+    assert_eq!(bytes(&c), Some(8 * 6 + 4 * 9));
+    c.join_random_server().unwrap();
+    assert_eq!(bytes(&c), Some(8 * 12 + 4 * 9));
+    c.fail_server(c.server_ids()[0]).unwrap();
+    assert_eq!(bytes(&c), Some(8 * (12 + 4) + 4 * 9));
+    assert_eq!(bytes(&c), Some(c.net().heap_bytes()));
+}
+
 #[test]
 fn leave_server_drains_gracefully() {
     let mut c = cluster(8);
