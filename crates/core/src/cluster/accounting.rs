@@ -10,7 +10,9 @@ use clash_obs::{
     CheckPhase, PhaseProfile, PhaseProfiler, Telemetry, TraceEvent, TraceEventKind, TraceSink,
 };
 use clash_simkernel::time::{SimDuration, SimTime};
-use clash_transport::{Delivery, LinkPolicy, MessageClass, SendSpec, Transport, TransportStats};
+use clash_transport::{
+    message_key, Delivery, LinkPolicy, MessageClass, SendSpec, Transport, TransportStats,
+};
 
 use super::data_plane::GroupLedger;
 use super::ClashCluster;
@@ -109,8 +111,15 @@ pub(super) type Leg = (ChordId, ChordId, MessageClass);
 
 /// The message path: [`open`](Wire::open) a dispatch, lay out its
 /// *chains* (legs a sender sends in turn, each once the last arrived),
-/// dispatch them in one `send_batch`, read each back in order. Callers
+/// dispatch them in one `send_keyed`, read each back in order. Callers
 /// count the messages in `msgs` and observe their operation's latency.
+///
+/// Every chain has an **ordinal**, counted here: a probe takes the next
+/// one when `locate_hinted` plans it and carries it to the flush that
+/// lays it out; every other chain takes one when it is laid out. So
+/// ordinals follow op order whenever a window closes. Leg `i` of chain
+/// `c` is sent under key [`message_key`]`(c, i)`: its loss and jitter
+/// are a function of its link and that key alone.
 pub(super) struct Wire {
     /// The default [`clash_transport::InstantTransport`] reproduces
     /// direct-call semantics exactly.
@@ -121,15 +130,18 @@ pub(super) struct Wire {
     /// The `(from, to)` hops of the next chain's route: the ring writes
     /// each lookup's path here, so no probe or placement allocates one.
     pub(super) hops: Vec<(ChordId, ChordId)>,
-    /// The dispatch's legs, their deliveries index for index, and where
-    /// each chain starts (then where the last one ends).
+    /// The dispatch's legs, their keys and their deliveries index for
+    /// index, and where each chain starts (then where the last one ends).
     legs: Vec<SendSpec>,
+    keys: Vec<u64>,
     deliveries: Vec<Delivery>,
     bounds: Vec<usize>,
     /// Chains read back so far.
     read: usize,
     /// Partitioned? Read once per dispatch: a lookup per probe is measurable.
     severed: bool,
+    /// Ordinals handed out so far: the next chain's ordinal.
+    chains: u64,
 }
 
 impl Wire {
@@ -140,27 +152,45 @@ impl Wire {
             latency: LatencyMetrics::new(),
             hops: Vec::new(),
             legs: Vec::new(),
+            keys: Vec::new(),
             deliveries: Vec::new(),
             bounds: vec![0],
             read: 0,
             severed: false,
+            chains: 0,
         }
     }
 
     /// Opens a dispatch, forgetting the last one.
     pub(super) fn open(&mut self) {
         self.legs.clear();
+        self.keys.clear();
         self.bounds.truncate(1);
         self.read = 0;
         self.severed = self.transport.is_partitioned();
     }
 
-    /// Lays out one chain: a `Probe` per hop in `self.hops` (emptied), then
-    /// `legs`. **The cut rule:** a sender stops at the first leg a partition
-    /// refuses — while the transport is partitioned, the chain ends at its
-    /// first leg [`Transport::reachable`] refuses.
+    /// The next chain ordinal, taken.
+    pub(super) fn take_ordinal(&mut self) -> u64 {
+        let ordinal = self.chains;
+        self.chains += 1;
+        ordinal
+    }
+
+    /// Lays out one chain under the next ordinal (see
+    /// [`Wire::lay_out_as`]).
     #[inline]
     pub(super) fn lay_out(&mut self, legs: &[Leg]) {
+        let ordinal = self.take_ordinal();
+        self.lay_out_as(ordinal, legs);
+    }
+
+    /// Lays out chain `ordinal`: a `Probe` per hop in `self.hops`
+    /// (emptied), then `legs`. **The cut rule:** a sender stops at the
+    /// first leg a partition refuses — while the transport is partitioned,
+    /// the chain ends at its first leg [`Transport::reachable`] refuses.
+    #[inline]
+    pub(super) fn lay_out_as(&mut self, ordinal: u64, legs: &[Leg]) {
         let first = self.legs.len();
         let route = self
             .hops
@@ -179,12 +209,16 @@ impl Wire {
                 self.legs.truncate(first + cut + 1);
             }
         }
+        let laid_out = (self.legs.len() - first) as u64;
+        self.keys
+            .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
         self.bounds.push(self.legs.len());
     }
 
-    /// Sends every leg laid out since [`Wire::open`] in one `send_batch`.
+    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`.
     pub(super) fn dispatch(&mut self) {
-        self.transport.send_batch(&self.legs, &mut self.deliveries);
+        self.transport
+            .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
     }
 
     /// Reads the next chain back: adds each delivered leg's latency to
@@ -448,7 +482,6 @@ impl ClashCluster {
         t.counter("recovery.oracle_reads", self.recovery_oracle_reads());
         t.counter("trace.dropped", self.trace_dropped());
         t.counter("rng.draws", self.rng.draw_count());
-        t.counter("mem.link_table_bytes", self.wire.transport.heap_bytes());
         t.counter("mem.ring_bytes", self.net.heap_bytes());
         let l = &self.wire.latency;
         t.summary("latency.locate_ms", l.locate.summary().snapshot());
@@ -479,8 +512,8 @@ impl ClashCluster {
 
     /// Replaces the transport's link policy for all future messages —
     /// the gray-failure knob: latency/loss degrade (or recover) at
-    /// runtime without rebuilding the transport. Existing links keep
-    /// their sampled base propagation delay (see
+    /// runtime without rebuilding the transport. Links keep no state, so
+    /// every link's base delay follows the new policy too (see
     /// [`Transport::set_policy`]). No-op on the instant transport.
     pub fn set_link_policy(&mut self, policy: LinkPolicy) {
         // Close the locate window first: ops planned under the old policy
@@ -505,27 +538,32 @@ mod tests {
     use clash_transport::LinkTransport;
     use proptest::prelude::*;
 
-    /// The reference for [`Wire`]'s routine: each chain sent one
-    /// [`Transport::send`] at a time, stopping at its first
-    /// `Unreachable`. Per chain: the deliveries made and the latency of
-    /// the delivered ones.
+    /// The reference for [`Wire`]'s routine: each chain sent one leg at
+    /// a time, stopping at its first `Unreachable`, leg `i` of the
+    /// chain numbered `ordinal` under key `message_key(ordinal, i)`, the
+    /// chains numbered on from `*ordinal`. Per chain: the deliveries made
+    /// and the latency of the delivered ones.
     fn send_leg_by_leg(
         transport: &mut dyn Transport,
+        ordinal: &mut u64,
         chains: &[Vec<Leg>],
     ) -> Vec<(Vec<Delivery>, SimDuration)> {
+        let mut out = Vec::new();
         chains
             .iter()
             .map(|chain| {
                 let mut sent = Vec::new();
                 let mut total = SimDuration::ZERO;
-                for &(from, to, class) in chain {
-                    let delivery = transport.send(from.value(), to.value(), class);
-                    sent.push(delivery);
-                    match delivery {
+                for (leg, &(from, to, class)) in chain.iter().enumerate() {
+                    let key = message_key(*ordinal, leg as u64);
+                    transport.send_keyed(&[spec((from, to, class))], &[key], &mut out);
+                    sent.push(out[0]);
+                    match out[0] {
                         Delivery::Delivered { latency, .. } => total += latency,
                         Delivery::Unreachable { .. } => break,
                     }
                 }
+                *ordinal += 1;
                 (sent, total)
             })
             .collect()
@@ -565,6 +603,7 @@ mod tests {
             let policy = LinkPolicy::lossy_wan(0.2);
             let mut wire = Wire::new(Box::new(LinkTransport::new(policy, seed)));
             let mut reference = LinkTransport::new(policy, seed);
+            let mut ordinal = 0;
             for (kind, island_bits, drawn) in steps {
                 if kind == 0 {
                     let mut islands = vec![Vec::new(); 4];
@@ -607,7 +646,7 @@ mod tests {
                 }
                 wire.dispatch();
                 let chains: Vec<Vec<Leg>> = chains.into_iter().map(|(_, legs)| legs).collect();
-                let expected = send_leg_by_leg(&mut reference, &chains);
+                let expected = send_leg_by_leg(&mut reference, &mut ordinal, &chains);
                 for (i, (sent, total)) in expected.iter().enumerate() {
                     let mut got = SimDuration::ZERO;
                     let outcome = wire.next_chain(&mut got);
@@ -624,15 +663,6 @@ mod tests {
                     prop_assert_eq!(got, *total, "chain {} latency", i);
                 }
                 prop_assert_eq!(wire.transport.stats(), reference.stats());
-                // Per-link draw order: the next 64 sends over the same
-                // links must see the same link states.
-                let links = wire.legs.clone();
-                for leg in links.iter().cycle().take(64) {
-                    prop_assert_eq!(
-                        wire.transport.send(leg.src, leg.dst, leg.class),
-                        reference.send(leg.src, leg.dst, leg.class)
-                    );
-                }
             }
         }
     }

@@ -68,6 +68,9 @@ struct PlannedProbe {
     depth: u32,
     /// Routed hop count: 0 until the flush's route phase fills it in.
     hops: u32,
+    /// The probe's chain ordinal, taken at plan time so ordinals follow
+    /// op order however the window closes (see [`Wire`]).
+    ordinal: u64,
 }
 
 /// Probes a window holds before it closes itself. Measured (table in
@@ -156,7 +159,8 @@ impl LocateBatch {
                     "locate window spanned a ring change: routed owner diverged from plan"
                 );
                 plan.hops = lookup.hops;
-                wire.lay_out(&[(plan.owner, plan.start, MessageClass::ProbeResponse)]);
+                let response = (plan.owner, plan.start, MessageClass::ProbeResponse);
+                wire.lay_out_as(plan.ordinal, &[response]);
             }
             #[cfg(debug_assertions)]
             {
@@ -279,6 +283,7 @@ impl ClashCluster {
                 key_bits: key.bits(),
                 depth: guess,
                 hops: 0,
+                ordinal: self.wire.take_ordinal(),
             });
             if per_probe || self.batch.probes.len() >= WINDOW_PROBES {
                 self.batch.flush_batch_probes(

@@ -209,10 +209,10 @@ impl ClashCluster {
     /// and changes nothing. That leaves the owners of dirty groups, and
     /// after a membership event additionally the `r` alive ring
     /// predecessors of each changed position — the only owners whose
-    /// successor set moved. Transport loss and jitter are drawn per
-    /// send, so the sync issues its calls in the whole sweep's own order
-    /// (owner id, then table order): it is that sweep minus provable
-    /// no-ops.
+    /// successor set moved. Transport loss and jitter are keyed by each
+    /// chain's ordinal, so the sync issues its calls in the whole sweep's
+    /// own order (owner id, then table order): it is that sweep minus
+    /// provable no-ops.
     pub(super) fn sync_replicas(&mut self) {
         if !self.replication_enabled() {
             return;

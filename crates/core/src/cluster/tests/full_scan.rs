@@ -259,10 +259,10 @@ proptest! {
 
 /// A membership call re-syncs only the replica sets of the ring
 /// neighbourhood it changed; the reference sweeps the whole cluster.
-/// Transport loss and jitter are drawn per send, so the two agree only
-/// if the scoped sync issues exactly the sweep's sends in the sweep's
-/// order: after every join, drain, single crash and 3-victim ring burst
-/// — before, inside and after a two-island partition.
+/// Transport loss and jitter are keyed by each chain's ordinal, so the
+/// two agree only if the scoped sync lays out exactly the sweep's chains
+/// in the sweep's order: after every join, drain, single crash and
+/// 3-victim ring burst — before, inside and after a two-island partition.
 #[test]
 fn scoped_membership_resync_matches_the_whole_sweep_on_a_lossy_wan() {
     for r in [1usize, 2, 3] {

@@ -161,10 +161,6 @@ fn transport_swap_preserves_protocol_behavior() {
     assert!(lossy.transport_stats().retransmissions > 0);
     assert_eq!(instant.latency_metrics().locate.summary().max(), Some(0.0));
     assert!(lossy.latency_metrics().locate.summary().mean() > 0.0);
-    // Only the link transport keeps per-link state.
-    let bytes = |c: &ClashCluster| c.telemetry().counter_value("mem.link_table_bytes");
-    assert_eq!(bytes(&instant), Some(0));
-    assert!(bytes(&lossy) > Some(0));
     lossy.verify_consistency();
 }
 
@@ -277,7 +273,8 @@ fn committed_splits_under_partition_are_always_reported() {
     // Four servers, one cut off: the hot server commits a self-mapped
     // split, then routes its next right child through a reachable hop
     // before the cut. The latency of that hop still reaches the split's
-    // observation. Constants recorded from one-`send`-per-message code.
+    // observation. Constants recorded with each message's draws keyed by
+    // its link and chain ordinal.
     let mut c = ClashCluster::with_transport(
         ClashConfig::small_test(),
         4,
@@ -294,7 +291,7 @@ fn committed_splits_under_partition_are_always_reported() {
     assert_eq!(report.splits.len(), 1);
     assert_eq!(report.splits[0].right_child_server, report.splits[0].server);
     assert_eq!(c.message_stats().self_mapped_retries, 1);
-    let partial = 2.573_000_000_000_000_4;
+    let partial = 3.383;
     assert_eq!(
         c.latency_metrics().split.summary().snapshot(),
         SummarySnapshot {
@@ -311,7 +308,7 @@ fn committed_splits_under_partition_are_always_reported() {
             messages: 446,
             retransmissions: 0,
             unreachable: 2,
-            total_latency_us: 454_775,
+            total_latency_us: 479_644,
             per_class: [298, 148, 0, 0, 0, 0, 0, 0],
         }
     );
@@ -323,8 +320,8 @@ fn each_report_observes_its_own_delivery() {
     // A check's reports leave in one dispatch and are read back in
     // order. A report read back with another link's delivery keeps the
     // latency multiset but reorders the observations, which moves the
-    // summary's last bits. Constants recorded from one-`send`-per-message
-    // code.
+    // summary's last bits. Constants recorded with each message's draws
+    // keyed by its link and chain ordinal.
     let mut c = ClashCluster::with_transport(
         ClashConfig::small_test(),
         4,
@@ -343,10 +340,10 @@ fn each_report_observes_its_own_delivery() {
         c.latency_metrics().report.summary().snapshot(),
         SummarySnapshot {
             count: 618,
-            mean: 100.172_103_559_870_5,
-            stddev: 27.276_239_706_500_817,
-            min: 25.697_000_000_000_003,
-            max: 195.869,
+            mean: 97.397_881_877_022_6,
+            stddev: 19.976_925_341_526_75,
+            min: 61.406,
+            max: 210.251_999_999_999_98,
         }
     );
 }

@@ -55,7 +55,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         EXHAUSTIVE_CHARGING,
         "every MessageClass variant must be charged in clash-core, and a transport's \
-         send/send_batch called only from cluster/accounting.rs",
+         send/send_batch/send_keyed called only from cluster/accounting.rs",
     ),
     (
         ALLOW_DIRECTIVE,
@@ -301,7 +301,9 @@ pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             // ---- exhaustive-charging: the one send site --------------
             "." if path.starts_with(policy::CHARGING_ROOT)
                 && path != policy::SEND_SITE
-                && (seq(toks, i + 1, &["send", "("]) || seq(toks, i + 1, &["send_batch", "("])) =>
+                && ["send", "send_batch", "send_keyed"]
+                    .iter()
+                    .any(|send| seq(toks, i + 1, &[send, "("])) =>
             {
                 diag(
                     out,

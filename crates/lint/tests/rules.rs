@@ -428,15 +428,21 @@ fn transport_send_outside_the_send_site_fires() {
         "crates/core/src/cluster/load_check.rs",
         "fn f(w: &mut Wire) {\n\
          w.transport.send(1, 2, MessageClass::LoadReport);\n\
-         w.transport.send_batch(&specs, &mut out);\n}",
+         w.transport.send_batch(&specs, &mut out);\n\
+         w.transport.send_keyed(&specs, &keys, &mut out);\n}",
     );
     assert_eq!(
         fired(&diags),
-        vec!["exhaustive-charging", "exhaustive-charging"]
+        vec![
+            "exhaustive-charging",
+            "exhaustive-charging",
+            "exhaustive-charging"
+        ]
     );
-    assert_eq!((diags[0].line, diags[1].line), (2, 3));
+    assert_eq!((diags[0].line, diags[1].line, diags[2].line), (2, 3, 4));
     assert!(diags[0].message.contains("`.send(`"), "{diags:?}");
     assert!(diags[1].message.contains("`.send_batch(`"), "{diags:?}");
+    assert!(diags[2].message.contains("`.send_keyed(`"), "{diags:?}");
 }
 
 #[test]

@@ -99,7 +99,7 @@ pub(crate) fn oracle_sweep(cluster: &mut ClashCluster, n: u64, seed: u64) -> Ora
 
 fn run_one(spec: ScenarioSpec, label: &str, trace: TraceMode) -> Result<ChurnRun, ClashError> {
     // Churn runs ride a WAN transport so the latency-percentile columns
-    // carry real numbers; the transport draws from its own substream, so
+    // carry real numbers; the transport draws from its own keys, so
     // the protocol behaves exactly as it would over the instant one.
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
     let config = ClashConfig::paper();

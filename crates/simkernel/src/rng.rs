@@ -6,11 +6,12 @@
 //! components — a property the regression tests on the figure experiments
 //! rely on.
 
-// The generator every `DetRng` wraps and the traits samplers take,
-// re-exported so crates that store bare generators (the transport's link
-// table) draw through the same `rand` as everything else.
-pub use rand::rngs::SmallRng;
-pub use rand::{Rng, RngCore, SeedableRng};
+// The traits samplers take, re-exported so crates that draw through
+// their own generators (the transport's `KeyedRng` draws) use the same
+// `rand` as everything else.
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+pub use rand::{Rng, RngCore};
 
 /// Finalizes a SplitMix64 state into a well-mixed 64-bit value.
 pub fn splitmix64_mix(mut z: u64) -> u64 {
@@ -76,6 +77,43 @@ pub fn derive_seed(root: u64, label: &str) -> u64 {
 /// that fork many indexed streams of one label and derive the label once.
 pub fn indexed_seed(label_seed: u64, index: u64) -> u64 {
     splitmix64_mix(label_seed ^ index)
+}
+
+/// The golden-ratio increment of SplitMix64: [`KeyedRng`]'s stride.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A counter-based generator: draw `i` is `splitmix64_mix(key + i·γ)`,
+/// a pure function of the key and the index (Salmon et al., "Parallel
+/// Random Numbers: As Easy as 1, 2, 3", SC '11). Nothing is stored
+/// between uses, so a key names its whole stream: two generators built
+/// from one key draw the same words whatever was drawn elsewhere.
+///
+/// ```
+/// use clash_simkernel::rng::{splitmix64_mix, KeyedRng, RngCore};
+///
+/// let mut rng = KeyedRng::new(7);
+/// assert_eq!(rng.next_u64(), splitmix64_mix(7));
+/// assert_eq!(KeyedRng::new(7).next_u64(), splitmix64_mix(7));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct KeyedRng {
+    key: u64,
+    index: u64,
+}
+
+impl KeyedRng {
+    /// The stream of `key`, at its first draw.
+    pub fn new(key: u64) -> Self {
+        KeyedRng { key, index: 0 }
+    }
+}
+
+impl RngCore for KeyedRng {
+    fn next_u64(&mut self) -> u64 {
+        let word = splitmix64_mix(self.key.wrapping_add(self.index.wrapping_mul(GAMMA)));
+        self.index += 1;
+        word
+    }
 }
 
 /// A deterministic random number generator with labelled substreams.
@@ -269,6 +307,29 @@ mod tests {
             let mut b = SmallRng::seed_from_u64(indexed_seed(label_seed, index));
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn keyed_draws_are_a_function_of_key_and_index() {
+        for key in [0, 1, 42, u64::MAX] {
+            let mut a = KeyedRng::new(key);
+            for i in 0..64u64 {
+                let want = splitmix64_mix(key.wrapping_add(i.wrapping_mul(GAMMA)));
+                assert_eq!(a.next_u64(), want, "key {key} draw {i}");
+            }
+        }
+        // Adjacent keys start unrelated streams, and a stream's words
+        // are uniform: the mean of 10⁵ unit draws within 5 standard
+        // errors of ½.
+        let mut a = KeyedRng::new(7);
+        let mut b = KeyedRng::new(8);
+        assert_eq!((0..64).filter(|_| a.next_u64() == b.next_u64()).count(), 0);
+        let mut r = KeyedRng::new(3);
+        let mean = (0..100_000).map(|_| r.gen::<f64>()).sum::<f64>() / 1e5;
+        assert!(
+            (mean - 0.5).abs() < 5.0 * (1.0 / 12.0f64 / 1e5).sqrt(),
+            "{mean}"
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! [`Transport`] abstraction that charges each message a deterministic
 //! virtual-time cost drawn from a per-link [`LinkPolicy`]:
 //!
-//! * **latency** — a per-link base delay plus per-message jitter, sampled
-//!   from [`clash_simkernel::dist`] substreams derived from the transport
-//!   seed, so enabling latency never perturbs the protocol's own RNG draws;
+//! * **latency** — a per-link base delay plus per-message jitter, each a
+//!   pure function of the transport seed, the link and the message's key
+//!   ([`message_key`]), so enabling latency never perturbs the protocol's
+//!   own RNG draws and no link keeps any state;
 //! * **loss** — transient drops repaired by timeout + retransmission, with
 //!   a bounded retry count (the transport is *reliable*, like TCP over a
 //!   lossy path: loss inflates latency and retransmission counts, it never
@@ -40,6 +41,7 @@ pub mod policy;
 pub use link::LinkTransport;
 pub use policy::{LatencyModel, LinkPolicy};
 
+use clash_simkernel::rng::{indexed_seed, splitmix64_mix};
 use clash_simkernel::time::SimDuration;
 
 /// A node address on the transport: the raw ring-identifier value.
@@ -157,7 +159,8 @@ pub struct TransportStats {
     pub retransmissions: u64,
     /// Sends refused because source and destination were partitioned.
     pub unreachable: u64,
-    /// Sum of delivered end-to-end latency, in microseconds.
+    /// Sum of delivered end-to-end latency, in microseconds (saturating:
+    /// a valid policy's single delivery may take most of `u64`).
     pub total_latency_us: u64,
     /// Envelopes delivered, per [`MessageClass::index`].
     pub per_class: [u64; 8],
@@ -194,11 +197,21 @@ pub struct SendSpec {
     pub class: MessageClass,
 }
 
+/// The key of leg `leg` of chain `chain`: what a caller of
+/// [`Transport::send_keyed`] passes beside each send. Distinct
+/// `(chain, leg)` pairs give distinct keys, so two messages on one link
+/// draw apart even when they belong to one chain.
+pub fn message_key(chain: u64, leg: u64) -> u64 {
+    indexed_seed(splitmix64_mix(chain), leg)
+}
+
 /// A virtual-time message transport.
 ///
-/// Implementations must be deterministic: the outcome of a `send` may
-/// depend only on the construction seed, the policy, and the sequence of
-/// previous calls — never on wall-clock time or global state.
+/// Implementations must be deterministic: the outcome of a send may
+/// depend only on the construction seed, the policy, the partition in
+/// force, and the message — its link and its key — or, for the unkeyed
+/// [`Transport::send`], on the sequence of previous calls; never on
+/// wall-clock time or global state.
 pub trait Transport: Send {
     /// Attempts to deliver one message from `src` to `dst`.
     ///
@@ -206,17 +219,8 @@ pub trait Transport: Send {
     fn send(&mut self, src: NodeAddr, dst: NodeAddr, class: MessageClass) -> Delivery;
 
     /// Delivers a pre-planned batch, writing one [`Delivery`] per spec
-    /// into `out` (cleared first), in spec order.
-    ///
-    /// The contract is strict bit-for-bit equivalence with calling
-    /// [`Transport::send`] once per spec in order — same deliveries,
-    /// same final [`TransportStats`], same internal state afterwards.
-    /// The default implementation is exactly that loop; implementations
-    /// may override it with a faster schedule (batched lookups) as long
-    /// as the equivalence holds. It is the only send `clash-core` makes:
-    /// its one dispatch routine hands it a locate flush's probes a pass at
-    /// a time, a load check's reports all at once, and every other
-    /// protocol operation's messages as one chain.
+    /// into `out` (cleared first), in spec order: exactly
+    /// [`Transport::send`] once per spec, in order.
     fn send_batch(&mut self, sends: &[SendSpec], out: &mut Vec<Delivery>) {
         out.clear();
         out.reserve(sends.len());
@@ -224,6 +228,25 @@ pub trait Transport: Send {
             let d = self.send(s.src, s.dst, s.class);
             out.push(d);
         }
+    }
+
+    /// Delivers a batch whose every send carries its key
+    /// ([`message_key`]), writing one [`Delivery`] per spec into `out`
+    /// (cleared first), in spec order. A send's delivery is a function
+    /// of its link, its key, the policy and the partition in force, so
+    /// how the batch is cut and in which order its sends are charged
+    /// cannot change any delivery. It is the only send `clash-core`
+    /// makes: its one dispatch routine hands it a locate flush's probes
+    /// a pass at a time, a load check's reports all at once, and every
+    /// other protocol operation's messages as one chain. The default
+    /// ignores the keys: right for a transport that draws nothing.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic unless `keys` has one key per send.
+    fn send_keyed(&mut self, sends: &[SendSpec], keys: &[u64], out: &mut Vec<Delivery>) {
+        assert_eq!(sends.len(), keys.len(), "one key per send");
+        self.send_batch(sends, out);
     }
 
     /// No-op: `send_batch` is single-threaded. Kept only because
@@ -248,12 +271,12 @@ pub trait Transport: Send {
 
     /// Replaces the link policy in force for all *future* sends — the
     /// gray-failure knob: a chaos schedule degrades latency/loss at
-    /// runtime without rebuilding the transport. Links that already
-    /// carried traffic keep their sampled per-link base delay (a link's
-    /// propagation path does not move when queueing conditions change);
-    /// the new policy governs jitter, loss, retries, and the bases of
-    /// links created afterwards. Default: no-op (the instant transport
-    /// has no policy to mutate).
+    /// runtime without rebuilding the transport. The new policy governs
+    /// every later send's jitter, loss and retries, and its base delay
+    /// too: a link keeps no state, so its base is drawn from the link's
+    /// own key under the model in force, and a link that carried
+    /// traffic before the change takes the new model's base after it.
+    /// Default: no-op (the instant transport has no policy to mutate).
     fn set_policy(&mut self, _policy: LinkPolicy) {}
 
     /// The partition island `addr` currently belongs to, or `None` while
@@ -283,14 +306,6 @@ pub trait Transport: Send {
     /// latency bookkeeping they know will be all zeros).
     fn is_instant(&self) -> bool {
         false
-    }
-
-    /// The bytes of per-link state the transport holds on the heap,
-    /// computed from lengths and capacities, so the same calls always
-    /// give the same count. Default: 0 (the instant transport keeps no
-    /// per-link state).
-    fn heap_bytes(&self) -> u64 {
-        0
     }
 }
 

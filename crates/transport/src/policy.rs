@@ -7,9 +7,10 @@ use clash_simkernel::time::SimDuration;
 
 /// How per-message latency is generated on a link.
 ///
-/// Every variant is sampled from the link's own deterministic RNG
-/// substream, so two links never share draws and adding traffic on one
-/// link never changes the latencies seen on another.
+/// A link's base is drawn from the link's own key and each message's
+/// delay from the message's key, so two links never share draws and
+/// adding traffic on one link never changes the latencies seen on
+/// another.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// No latency at all (useful to isolate loss effects).
@@ -23,8 +24,8 @@ pub enum LatencyModel {
         /// Maximum one-way delay.
         hi: SimDuration,
     },
-    /// A heterogeneous WAN: each link draws a *base* propagation delay
-    /// uniform in `[base_lo, base_hi]` once (lazily, on first use), and
+    /// A heterogeneous WAN: each link has a *base* propagation delay
+    /// uniform in `[base_lo, base_hi]`, drawn from the link's key, and
     /// every message adds exponential queueing jitter with the given
     /// mean. This is the model the `netfault` experiment labels "wan".
     Wan {
@@ -38,7 +39,7 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// Samples the per-link base delay (drawn once per link).
+    /// Samples a link's base delay from the link's own stream.
     pub(crate) fn sample_base<R: RngCore>(&self, rng: &mut R) -> SimDuration {
         match *self {
             LatencyModel::Zero | LatencyModel::Constant(_) | LatencyModel::Uniform { .. } => {
@@ -85,6 +86,11 @@ impl LatencyModel {
         }
     }
 }
+
+/// Exponential means the largest jitter draw can reach: the draw is
+/// `−mean · ln(1 − u)` with `u` a 53-bit uniform, so at most
+/// `53 · ln 2 ≈ 36.74` means.
+const MAX_JITTER_MEANS: f64 = 36.8;
 
 /// The full behavior of every link in a [`crate::LinkTransport`].
 ///
@@ -162,13 +168,39 @@ impl LinkPolicy {
         policy
     }
 
+    /// The most one delivery can be charged, in µs, or `None` if that
+    /// overflows `u64`: the top base or per-message delay, plus the
+    /// largest jitter, plus a timeout for every retry.
+    fn worst_latency_us(&self) -> Option<u64> {
+        let (top, jitter_mean) = match self.latency {
+            LatencyModel::Zero => (SimDuration::ZERO, SimDuration::ZERO),
+            LatencyModel::Constant(d) => (d, SimDuration::ZERO),
+            LatencyModel::Uniform { hi, .. } => (hi, SimDuration::ZERO),
+            LatencyModel::Wan {
+                base_hi,
+                jitter_mean,
+                ..
+            } => (base_hi, jitter_mean),
+        };
+        let jitter = (MAX_JITTER_MEANS * jitter_mean.as_micros() as f64).ceil();
+        // `u64::MAX as f64` is 2⁶⁴: anything below it fits.
+        let jitter = (jitter < u64::MAX as f64).then_some(jitter as u64)?;
+        let retries = self
+            .retry_timeout
+            .as_micros()
+            .checked_mul(u64::from(self.max_retries))?;
+        top.as_micros().checked_add(jitter)?.checked_add(retries)
+    }
+
     /// Checks the policy's numeric ranges.
     ///
     /// # Panics
     ///
-    /// Panics if `drop_probability` is outside `[0, 1)` or non-finite, or
-    /// if a latency model's bounds are inverted (`hi < lo`) — which would
-    /// otherwise silently collapse to a constant delay via saturation.
+    /// Panics if `drop_probability` is outside `[0, 1)` or non-finite, if
+    /// a latency model's bounds are inverted (`hi < lo`) — which would
+    /// otherwise silently collapse to a constant delay via saturation —
+    /// or if a delivery's worst-case latency overflows `u64` µs, which
+    /// would make a send panic.
     pub fn validate(&self) {
         assert!(
             self.drop_probability.is_finite() && (0.0..1.0).contains(&self.drop_probability),
@@ -189,6 +221,10 @@ impl LinkPolicy {
                 );
             }
         }
+        assert!(
+            self.worst_latency_us().is_some(),
+            "worst-case latency overflows u64 µs: {self:?}"
+        );
     }
 }
 
@@ -245,7 +281,7 @@ mod tests {
         for latency in [uniform, wan] {
             LinkPolicy {
                 latency,
-                ..LinkPolicy::wan()
+                ..LinkPolicy::instant()
             }
             .validate();
         }
@@ -256,6 +292,81 @@ mod tests {
             assert_eq!(wan.sample(base, &mut rng), base, "zero jitter");
             assert_eq!(rng.draw_count(), 2 * n, "one word per ranged draw");
         }
+    }
+
+    #[test]
+    fn policies_whose_sends_could_overflow_are_rejected() {
+        let widest = SimDuration::from_micros(u64::MAX);
+        let overflowing = [
+            // Three retries of u64::MAX / 2 µs overflow on their own.
+            LinkPolicy {
+                retry_timeout: SimDuration::from_micros(u64::MAX / 2),
+                drop_probability: 0.5,
+                ..LinkPolicy::wan()
+            },
+            // A full-width bound plus any retry ...
+            LinkPolicy {
+                latency: LatencyModel::Uniform {
+                    lo: SimDuration::ZERO,
+                    hi: widest,
+                },
+                ..LinkPolicy::wan()
+            },
+            // ... or any jitter.
+            LinkPolicy {
+                latency: LatencyModel::Wan {
+                    base_lo: SimDuration::ZERO,
+                    base_hi: SimDuration::from_micros(u64::MAX - 36),
+                    jitter_mean: SimDuration::from_micros(1),
+                },
+                ..LinkPolicy::instant()
+            },
+            // A jitter mean whose largest draw passes 2⁶⁴ µs.
+            LinkPolicy {
+                latency: LatencyModel::Wan {
+                    base_lo: SimDuration::ZERO,
+                    base_hi: SimDuration::ZERO,
+                    jitter_mean: SimDuration::from_micros(u64::MAX / 30),
+                },
+                ..LinkPolicy::instant()
+            },
+        ];
+        for policy in overflowing {
+            assert_eq!(policy.worst_latency_us(), None, "{policy:?}");
+            let rejected = std::panic::catch_unwind(|| policy.validate());
+            assert!(rejected.is_err(), "accepted {policy:?}");
+        }
+        assert_eq!(
+            LinkPolicy::wan().worst_latency_us(),
+            Some(120_000 + 552_000 + 5 * 500_000)
+        );
+    }
+
+    #[test]
+    fn a_policy_at_the_worst_case_bound_sends_without_panicking() {
+        // Bases, jitter and retries together just inside u64 µs: a
+        // lossy link whose every send retries to the budget's end.
+        let retry = u64::MAX / 8;
+        let jitter_mean = u64::MAX / 400;
+        let jitter = (MAX_JITTER_MEANS * jitter_mean as f64).ceil() as u64;
+        let base_hi = u64::MAX - 3 * retry - jitter;
+        let policy = LinkPolicy {
+            latency: LatencyModel::Wan {
+                base_lo: SimDuration::from_micros(base_hi / 2),
+                base_hi: SimDuration::from_micros(base_hi),
+                jitter_mean: SimDuration::from_micros(jitter_mean),
+            },
+            drop_probability: 0.9,
+            retry_timeout: SimDuration::from_micros(retry),
+            max_retries: 3,
+        };
+        policy.validate();
+        use crate::Transport;
+        let mut t = crate::LinkTransport::new(policy, 1);
+        for i in 0..10_000u64 {
+            t.send(i % 64, 1_000 + i % 61, crate::MessageClass::Probe);
+        }
+        assert!(t.stats().retransmissions > 20_000);
     }
 
     #[test]

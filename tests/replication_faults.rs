@@ -640,7 +640,7 @@ fn baseline_churn_materializes_and_dematerializes_like_the_sequential_path() {
     assert_eq!(msgs.control_messages(), 752 + 1262);
     let transport = c.transport_stats();
     assert_eq!(transport.messages, 2014);
-    assert_eq!(transport.total_latency_us, 2_203_545);
+    assert_eq!(transport.total_latency_us, 2_202_851);
     assert_eq!(transport.per_class, [512, 240, 0, 0, 0, 0, 788, 474]);
     assert_eq!(c.rng_draws(), 240);
 }

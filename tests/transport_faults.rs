@@ -244,7 +244,7 @@ fn refused_attaches_under_a_partition_leave_what_the_sequential_path_left() {
             messages: 872,
             retransmissions: 0,
             unreachable: 157,
-            total_latency_us: 938_412,
+            total_latency_us: 951_122,
             per_class: [579, 241, 3, 3, 0, 0, 26, 20],
         }
     );
