@@ -142,11 +142,15 @@ pub(super) struct Wire {
     severed: bool,
     /// Ordinals handed out so far: the next chain's ordinal.
     chains: u64,
+    /// False on the instant transport, which draws nothing: its legs
+    /// are sent unkeyed, and no key is computed or stored.
+    keyed: bool,
 }
 
 impl Wire {
     pub(super) fn new(transport: Box<dyn Transport>) -> Self {
         Wire {
+            keyed: !transport.is_instant(),
             transport,
             msgs: MessageStats::default(),
             latency: LatencyMetrics::new(),
@@ -209,16 +213,23 @@ impl Wire {
                 self.legs.truncate(first + cut + 1);
             }
         }
-        let laid_out = (self.legs.len() - first) as u64;
-        self.keys
-            .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
+        if self.keyed {
+            let laid_out = (self.legs.len() - first) as u64;
+            self.keys
+                .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
+        }
         self.bounds.push(self.legs.len());
     }
 
-    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`.
+    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`
+    /// (one `send_batch` on the instant transport).
     pub(super) fn dispatch(&mut self) {
-        self.transport
-            .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
+        if self.keyed {
+            self.transport
+                .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
+        } else {
+            self.transport.send_batch(&self.legs, &mut self.deliveries);
+        }
     }
 
     /// Reads the next chain back: adds each delivered leg's latency to

@@ -65,13 +65,18 @@ struct PlannedProbe {
     /// The located key's bits and the depth guessed, for the
     /// flight-recorder probe event the flush emits in plan order.
     key_bits: u64,
-    depth: u32,
+    depth: u16,
     /// Routed hop count: 0 until the flush's route phase fills it in.
-    hops: u32,
+    hops: u16,
     /// The probe's chain ordinal, taken at plan time so ordinals follow
     /// op order however the window closes (see [`Wire`]).
     ordinal: u64,
 }
+
+// A depth is at most the key width and a route at most the ring's bits,
+// both ≤ 64, so two `u16`s hold them and a probe, its ordinal included,
+// keeps the one-line size the window's peak was measured at.
+const _: () = assert!(std::mem::size_of::<PlannedProbe>() == 64);
 
 /// Probes a window holds before it closes itself. Measured (table in
 /// ARCHITECTURE.md § Locate windows): unbounded held `churn_wan_sharded`
@@ -158,7 +163,7 @@ impl LocateBatch {
                     lookup.owner, plan.owner,
                     "locate window spanned a ring change: routed owner diverged from plan"
                 );
-                plan.hops = lookup.hops;
+                plan.hops = u16::try_from(lookup.hops).expect("a route has at most 64 hops");
                 let response = (plan.owner, plan.start, MessageClass::ProbeResponse);
                 wire.lay_out_as(plan.ordinal, &[response]);
             }
@@ -177,7 +182,7 @@ impl LocateBatch {
             // plan order: hop stats, probe counters, each op's latency.
             wire.dispatch();
             for plan in &self.probes[chunk] {
-                net.record_routed_lookup(plan.hops);
+                net.record_routed_lookup(u32::from(plan.hops));
                 if let Err(cut) = wire.next_chain(&mut self.op_latency) {
                     let space = plan.start.space();
                     charged = Err(ClashError::NetworkUnreachable {
@@ -191,7 +196,7 @@ impl LocateBatch {
                 self.op_hop += 1;
                 obs.trace(|| TraceEventKind::LocateProbe {
                     key: plan.key_bits,
-                    depth: plan.depth,
+                    depth: u32::from(plan.depth),
                     server: plan.owner.value(),
                     accepted: plan.op_end,
                     hop: self.op_hop,
@@ -281,7 +286,7 @@ impl ClashCluster {
                 owner,
                 op_end: found.is_some(),
                 key_bits: key.bits(),
-                depth: guess,
+                depth: u16::try_from(guess).expect("a depth is at most the key width"),
                 hops: 0,
                 ordinal: self.wire.take_ordinal(),
             });

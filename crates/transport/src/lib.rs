@@ -235,11 +235,14 @@ pub trait Transport: Send {
     /// (cleared first), in spec order. A send's delivery is a function
     /// of its link, its key, the policy and the partition in force, so
     /// how the batch is cut and in which order its sends are charged
-    /// cannot change any delivery. It is the only send `clash-core`
-    /// makes: its one dispatch routine hands it a locate flush's probes
-    /// a pass at a time, a load check's reports all at once, and every
-    /// other protocol operation's messages as one chain. The default
-    /// ignores the keys: right for a transport that draws nothing.
+    /// cannot change any delivery. `clash-core`'s one dispatch routine
+    /// sends through it: a locate flush's probes a pass at a time, a
+    /// load check's reports all at once, and every other protocol
+    /// operation's messages as one chain (on a transport whose
+    /// [`Transport::is_instant`] holds, which draws nothing, it sends the
+    /// same legs through [`Transport::send_batch`] and computes no key).
+    /// The default ignores the keys: right for a transport that draws
+    /// nothing.
     ///
     /// # Panics
     ///
