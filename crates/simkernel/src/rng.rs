@@ -6,9 +6,8 @@
 //! components — a property the regression tests on the figure experiments
 //! rely on.
 
-// The traits samplers take, re-exported so crates that draw through
-// their own generators (the transport's `KeyedRng` draws) use the same
-// `rand` as everything else.
+// The traits samplers take, re-exported so every crate draws through
+// the same `rand`.
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 pub use rand::{Rng, RngCore};
