@@ -1,30 +1,24 @@
 //! A slot arena for the cluster's servers.
 //!
 //! The servers sit in a dense `Vec` of slots (freed slots are recycled,
-//! keeping the vector dense under churn) with two `u64 → slot` indexes:
-//!
-//! * a hashed one answers every per-id access — one probe plus one slot;
-//!   every client probe looks its responder up here;
-//! * an ordered one answers iteration, which stays **deterministic in
-//!   ring-id order** — the order the same-seed bit-for-bit
-//!   reproducibility of the whole simulator depends on.
-
-use std::collections::BTreeMap;
+//! keeping the vector dense under churn) behind one hashed `u64 → slot`
+//! index that answers every per-id access — one probe plus one slot;
+//! every client probe looks its responder up here. The arena keeps no
+//! order: a walk whose order matters reads the ring's alive ids
+//! (`SimNet::node_ids`, ascending), which name exactly the arena's
+//! servers, and looks each up here.
 
 use clash_simkernel::collections::DetHashMap;
 
 use crate::server::ClashServer;
 
-/// Dense storage for the cluster's servers, indexed by ring id, iterated
-/// in ring-id order (see the module docs).
+/// Dense storage for the cluster's servers, indexed by ring id (see the
+/// module docs).
 #[derive(Debug)]
 pub struct ServerArena {
     slots: Vec<Option<ClashServer>>,
     free: Vec<usize>,
-    /// Point lookups.
     slot_of: DetHashMap<u64, usize>,
-    /// Iteration in ring-id order; holds the same pairs as `slot_of`.
-    index: BTreeMap<u64, usize>,
 }
 
 impl ServerArena {
@@ -34,18 +28,17 @@ impl ServerArena {
             slots: Vec::new(),
             free: Vec::new(),
             slot_of: DetHashMap::default(),
-            index: BTreeMap::new(),
         }
     }
 
     /// Number of live servers.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slot_of.len()
     }
 
     /// True if no servers are stored.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// True if `sid` names a live server.
@@ -98,7 +91,6 @@ impl ServerArena {
             }
         };
         self.slot_of.insert(sid, slot);
-        self.index.insert(sid, slot);
         true
     }
 
@@ -106,26 +98,12 @@ impl ServerArena {
     /// slot.
     pub fn remove(&mut self, sid: u64) -> Option<ClashServer> {
         let slot = self.slot_of.remove(&sid)?;
-        self.index.remove(&sid);
         self.free.push(slot);
         self.slots[slot].take()
     }
 
-    /// Live ring ids, in ascending order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.index.keys().copied()
-    }
-
-    /// Live servers, in ascending ring-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &ClashServer> + '_ {
-        self.index
-            .values()
-            .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
-    }
-
     /// Live servers in slot order — for passes whose per-server work is
-    /// independent of every other server's, where the id-ordered index
-    /// walk buys nothing.
+    /// independent of every other server's.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut ClashServer> + '_ {
         self.slots.iter_mut().flatten()
     }
@@ -173,23 +151,17 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_in_id_order_and_slots_recycle() {
+    fn freed_slots_are_recycled() {
         let mut a = ServerArena::new();
         for v in [9u64, 1, 7, 4] {
             a.insert(server(v));
         }
-        let order: Vec<u64> = a.ids().collect();
-        assert_eq!(order, vec![1, 4, 7, 9]);
-        let slots_before = {
-            a.remove(7);
-            a.insert(server(2));
-            // The freed slot was reused: no growth.
-            a.iter().count()
-        };
-        assert_eq!(slots_before, 4);
-        let order: Vec<u64> = a.iter().map(|s| s.id().value()).collect();
-        assert_eq!(order, vec![1, 2, 4, 9]);
-        // Slot order: 2 took the slot 7 left.
+        let slots: Vec<u64> = a.iter_slots().map(|s| s.id().value()).collect();
+        assert_eq!(slots, vec![9, 1, 7, 4]);
+        a.remove(7);
+        a.insert(server(2));
+        // 2 took the slot 7 left: no growth.
+        assert_eq!(a.slots.len(), 4);
         let slots: Vec<u64> = a.iter_slots().map(|s| s.id().value()).collect();
         assert_eq!(slots, vec![9, 1, 2, 4]);
     }

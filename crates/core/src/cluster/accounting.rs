@@ -142,15 +142,11 @@ pub(super) struct Wire {
     severed: bool,
     /// Ordinals handed out so far: the next chain's ordinal.
     chains: u64,
-    /// False on the instant transport, which draws nothing: its legs
-    /// are sent unkeyed, and no key is computed or stored.
-    keyed: bool,
 }
 
 impl Wire {
     pub(super) fn new(transport: Box<dyn Transport>) -> Self {
         Wire {
-            keyed: !transport.is_instant(),
             transport,
             msgs: MessageStats::default(),
             latency: LatencyMetrics::new(),
@@ -213,23 +209,16 @@ impl Wire {
                 self.legs.truncate(first + cut + 1);
             }
         }
-        if self.keyed {
-            let laid_out = (self.legs.len() - first) as u64;
-            self.keys
-                .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
-        }
+        let laid_out = (self.legs.len() - first) as u64;
+        self.keys
+            .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
         self.bounds.push(self.legs.len());
     }
 
-    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`
-    /// (one `send_batch` on the instant transport).
+    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`.
     pub(super) fn dispatch(&mut self) {
-        if self.keyed {
-            self.transport
-                .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
-        } else {
-            self.transport.send_batch(&self.legs, &mut self.deliveries);
-        }
+        self.transport
+            .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
     }
 
     /// Reads the next chain back: adds each delivered leg's latency to
@@ -546,7 +535,7 @@ impl ClashCluster {
 mod tests {
     use super::*;
     use clash_keyspace::hash::HashSpace;
-    use clash_transport::LinkTransport;
+    use clash_transport::{InstantTransport, LinkTransport};
     use proptest::prelude::*;
 
     /// The reference for [`Wire`]'s routine: each chain sent one leg at
@@ -591,12 +580,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Steps over 8 nodes: kind 0 partitions them into up to four
-        /// islands, kind 1 heals, any other kind dispatches its chains
-        /// (1–12 legs each, self-sends included; a routed chain sends
-        /// all but its last leg as route hops).
+        /// Steps over 8 nodes, on the instant transport or a lossy WAN:
+        /// kind 0 partitions them into up to four islands, kind 1 heals,
+        /// any other kind dispatches its chains (1–12 legs each,
+        /// self-sends included; a routed chain sends all but its last leg
+        /// as route hops).
         #[test]
         fn one_dispatch_matches_sending_each_chain_leg_by_leg(
+            instant in any::<bool>(),
             seed in 0u64..u64::MAX,
             steps in prop::collection::vec(
                 (
@@ -611,9 +602,15 @@ mod tests {
             ),
         ) {
             let space = HashSpace::new(8).unwrap();
-            let policy = LinkPolicy::lossy_wan(0.2);
-            let mut wire = Wire::new(Box::new(LinkTransport::new(policy, seed)));
-            let mut reference = LinkTransport::new(policy, seed);
+            let transport = || -> Box<dyn Transport> {
+                if instant {
+                    Box::new(InstantTransport::new())
+                } else {
+                    Box::new(LinkTransport::new(LinkPolicy::lossy_wan(0.2), seed))
+                }
+            };
+            let mut wire = Wire::new(transport());
+            let mut reference = transport();
             let mut ordinal = 0;
             for (kind, island_bits, drawn) in steps {
                 if kind == 0 {
@@ -657,7 +654,7 @@ mod tests {
                 }
                 wire.dispatch();
                 let chains: Vec<Vec<Leg>> = chains.into_iter().map(|(_, legs)| legs).collect();
-                let expected = send_leg_by_leg(&mut reference, &mut ordinal, &chains);
+                let expected = send_leg_by_leg(&mut *reference, &mut ordinal, &chains);
                 for (i, (sent, total)) in expected.iter().enumerate() {
                     let mut got = SimDuration::ZERO;
                     let outcome = wire.next_chain(&mut got);

@@ -162,7 +162,7 @@ impl Candidates {
             (&self.mergeable, "mergeable"),
             (&self.reporters, "reporter"),
         ];
-        for server in servers.iter() {
+        for server in servers.iter_slots() {
             let sid = server.id().value();
             if self.dirty.contains(&sid) {
                 continue;
@@ -207,7 +207,8 @@ impl ClashCluster {
     /// every call.
     #[cfg(test)]
     pub(super) fn sweep_all_next(&mut self) {
-        self.candidates.dirty.extend(self.servers.ids());
+        let ids = self.net.node_ids().into_iter().map(|id| id.value());
+        self.candidates.dirty.extend(ids);
         self.replica_work.full_sync = true;
     }
 

@@ -65,31 +65,21 @@ struct PlannedProbe {
     /// The located key's bits and the depth guessed, for the
     /// flight-recorder probe event the flush emits in plan order.
     key_bits: u64,
-    depth: u16,
+    depth: u32,
     /// Routed hop count: 0 until the flush's route phase fills it in.
-    hops: u16,
+    hops: u32,
     /// The probe's chain ordinal, taken at plan time so ordinals follow
     /// op order however the window closes (see [`Wire`]).
     ordinal: u64,
 }
 
-// A depth is at most the key width and a route at most the ring's bits,
-// both ≤ 64, so two `u16`s hold them and a probe, its ordinal included,
-// keeps the one-line size the window's peak was measured at.
-const _: () = assert!(std::mem::size_of::<PlannedProbe>() == 64);
-
-/// Probes a window holds before it closes itself. Measured (table in
-/// ARCHITECTURE.md § Locate windows): unbounded held `churn_wan_sharded`
-/// 20 % above its twin's `peak_rss_mb`, 4 096 cost it 8 % of its
-/// events/s, 8 192 is at parity, 16 384 buys no time for 0.2 MiB more.
-/// A power of two, so `probes` doubles onto exactly this capacity.
-const WINDOW_PROBES: usize = 8192;
-
-/// Probes the flush routes, sends and replays per pass, one
-/// [`Wire::dispatch`] each (≈ 100 KB of buffers whatever the window
-/// holds). 256 cost `churn_wan_sharded` 4 %; 1 024 bought no time and
-/// put `fig4_static` `peak_rss_mb` at +10 % (512: +9 %, bound 15 %).
-const FLUSH_CHUNK: usize = 512;
+/// Probes a window holds before it closes itself: one
+/// [`Wire::dispatch`]'s worth. Unbounded, a window held
+/// `churn_wan_sharded` 20 % above its twin's `peak_rss_mb`; 512 reads
+/// 4–8 % below 8 192-probe windows at events/s inside their spread
+/// (ARCHITECTURE.md § Locate windows). A power of two, so `probes`
+/// doubles onto exactly this capacity.
+const WINDOW_PROBES: usize = 512;
 
 /// The locate window. A client probe is priced in two steps. **Plan**
 /// (at the op): draw the entry node, resolve the owner by ground truth,
@@ -99,7 +89,7 @@ const FLUSH_CHUNK: usize = 512;
 /// code that routes a client probe, sends its hops or counts it): route
 /// each probe in plan order against the live ring — frozen in effect,
 /// every ring mutation being a barrier that flushes first — lay out one
-/// [`Wire`] chain per probe, dispatch a pass at a time, replay the
+/// [`Wire`] chain per probe, send them in one dispatch, replay the
 /// accounting. Only *when* the window closes varies: at a barrier
 /// ([`ClashCluster::flush_batch`]), at [`WINDOW_PROBES`], or per probe
 /// (`window_may_stay_open`) — unobservably: `tests/shard_equivalence.rs`
@@ -126,9 +116,10 @@ pub(super) struct LocateBatch {
 }
 
 impl LocateBatch {
-    /// Routes and charges the window's probes, a [`FLUSH_CHUNK`] at a
-    /// time. On every return, the first severed hop's `NetworkUnreachable`
-    /// included, the window is empty and every span opened here closed.
+    /// Routes the window's probes, sends them in one [`Wire::dispatch`]
+    /// and charges them. On every return, the first severed hop's
+    /// `NetworkUnreachable` included, the window is empty and every span
+    /// opened here closed.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn flush_batch_probes(
         &mut self,
@@ -145,77 +136,71 @@ impl LocateBatch {
             flush_seq: this_flush,
             probes: planned as u64,
         });
+        obs.phase_begin(CheckPhase::FlushRoute);
+        // Runtime mirror of the clash-lint static rules: routing is pure,
+        // so a cluster RNG draw before it finishes would make results
+        // depend on window timing.
+        #[cfg(debug_assertions)]
+        let draws_at_freeze = rng.draw_count();
+        // Route phase: in plan order, lay out each probe's chain — its
+        // routing hops, then its owner→start response.
+        wire.open();
+        for plan in &mut self.probes {
+            let lookup = net.route_path(plan.start, plan.target, &mut wire.hops);
+            debug_assert_eq!(
+                lookup.owner, plan.owner,
+                "locate window spanned a ring change: routed owner diverged from plan"
+            );
+            plan.hops = lookup.hops;
+            let response = (plan.owner, plan.start, MessageClass::ProbeResponse);
+            wire.lay_out_as(plan.ordinal, &[response]);
+        }
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(
+                rng.draw_count(),
+                draws_at_freeze,
+                "route phase drew from the cluster RNG; results would depend on window timing"
+            );
+            self.route_draw_checks += 1;
+        }
+        obs.phase_end(CheckPhase::FlushRoute);
+        obs.phase_begin(CheckPhase::FlushMerge);
+        // Charge phase: one dispatch, then the accounting replayed in plan
+        // order: hop stats, probe counters, each op's latency.
+        wire.dispatch();
         let mut charged = Ok(());
-        for chunk in (0..planned).step_by(FLUSH_CHUNK) {
-            let chunk = chunk..planned.min(chunk + FLUSH_CHUNK);
-            obs.phase_begin(CheckPhase::FlushRoute);
-            // Runtime mirror of the clash-lint static rules: routing is
-            // pure, so a cluster RNG draw before it finishes would make
-            // results depend on window timing.
-            #[cfg(debug_assertions)]
-            let draws_at_freeze = rng.draw_count();
-            // Route phase: in plan order, lay out each probe's chain —
-            // its routing hops, then its owner→start response.
-            wire.open();
-            for plan in &mut self.probes[chunk.clone()] {
-                let lookup = net.route_path(plan.start, plan.target, &mut wire.hops);
-                debug_assert_eq!(
-                    lookup.owner, plan.owner,
-                    "locate window spanned a ring change: routed owner diverged from plan"
-                );
-                plan.hops = u16::try_from(lookup.hops).expect("a route has at most 64 hops");
-                let response = (plan.owner, plan.start, MessageClass::ProbeResponse);
-                wire.lay_out_as(plan.ordinal, &[response]);
-            }
-            #[cfg(debug_assertions)]
-            {
-                assert_eq!(
-                    rng.draw_count(),
-                    draws_at_freeze,
-                    "route phase drew from the cluster RNG; results would depend on window timing"
-                );
-                self.route_draw_checks += 1;
-            }
-            obs.phase_end(CheckPhase::FlushRoute);
-            obs.phase_begin(CheckPhase::FlushMerge);
-            // Charge phase: one dispatch, then the accounting replayed in
-            // plan order: hop stats, probe counters, each op's latency.
-            wire.dispatch();
-            for plan in &self.probes[chunk] {
-                net.record_routed_lookup(u32::from(plan.hops));
-                if let Err(cut) = wire.next_chain(&mut self.op_latency) {
-                    let space = plan.start.space();
-                    charged = Err(ClashError::NetworkUnreachable {
-                        from: ChordId::new(cut.src, space),
-                        to: ChordId::new(cut.dst, space),
-                    });
-                    break;
-                }
-                wire.msgs.probes += 1;
-                wire.msgs.probe_messages += u64::from(plan.hops) + 1;
-                self.op_hop += 1;
-                obs.trace(|| TraceEventKind::LocateProbe {
-                    key: plan.key_bits,
-                    depth: u32::from(plan.depth),
-                    server: plan.owner.value(),
-                    accepted: plan.op_end,
-                    hop: self.op_hop,
+        for plan in &self.probes {
+            net.record_routed_lookup(plan.hops);
+            if let Err(cut) = wire.next_chain(&mut self.op_latency) {
+                let space = plan.start.space();
+                charged = Err(ClashError::NetworkUnreachable {
+                    from: ChordId::new(cut.src, space),
+                    to: ChordId::new(cut.dst, space),
                 });
-                if plan.op_end {
-                    wire.msgs.locates += 1;
-                    let op_latency = std::mem::take(&mut self.op_latency);
-                    wire.latency.locate.observe(ms(op_latency));
-                    self.op_hop = 0;
-                }
-            }
-            obs.phase_end(CheckPhase::FlushMerge);
-            if charged.is_err() {
                 // The op died at the cut: its latency dies with it.
                 self.op_latency = SimDuration::ZERO;
                 self.op_hop = 0;
                 break;
             }
+            wire.msgs.probes += 1;
+            wire.msgs.probe_messages += u64::from(plan.hops) + 1;
+            self.op_hop += 1;
+            obs.trace(|| TraceEventKind::LocateProbe {
+                key: plan.key_bits,
+                depth: plan.depth,
+                server: plan.owner.value(),
+                accepted: plan.op_end,
+                hop: self.op_hop,
+            });
+            if plan.op_end {
+                wire.msgs.locates += 1;
+                let op_latency = std::mem::take(&mut self.op_latency);
+                wire.latency.locate.observe(ms(op_latency));
+                self.op_hop = 0;
+            }
         }
+        obs.phase_end(CheckPhase::FlushMerge);
         self.probes.clear();
         obs.trace(|| TraceEventKind::FlushEnd {
             flush_seq: this_flush,
@@ -286,7 +271,7 @@ impl ClashCluster {
                 owner,
                 op_end: found.is_some(),
                 key_bits: key.bits(),
-                depth: u16::try_from(guess).expect("a depth is at most the key width"),
+                depth: guess,
                 hops: 0,
                 ordinal: self.wire.take_ordinal(),
             });

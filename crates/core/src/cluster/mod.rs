@@ -197,9 +197,9 @@ impl ClashCluster {
         self.data.queries.len()
     }
 
-    /// All server identifiers.
+    /// All server identifiers, in ascending ring order.
     pub fn server_ids(&self) -> Vec<ServerId> {
-        self.servers.iter().map(ClashServer::id).collect()
+        self.net.node_ids()
     }
 
     /// A server by identifier.
@@ -215,16 +215,17 @@ impl ClashCluster {
     /// `(server, load)` for every server.
     pub fn server_loads(&self) -> Vec<(ServerId, f64)> {
         self.debug_assert_window_closed();
-        self.servers
-            .iter()
-            .map(|s| (s.id(), s.current_load()))
+        self.net
+            .node_ids()
+            .into_iter()
+            .map(|id| (id, self.servers.live(id.value()).current_load()))
             .collect()
     }
 
     /// Servers currently holding at least one active group.
     pub fn servers_with_groups(&self) -> usize {
         self.servers
-            .iter()
+            .iter_slots()
             .filter(|s| s.table().active_count() > 0)
             .count()
     }

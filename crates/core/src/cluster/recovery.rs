@@ -319,7 +319,7 @@ impl ClashCluster {
             let namers = self.pointer_holders(corpse.table().entries().map(|e| e.group));
             debug_assert!(
                 self.servers
-                    .iter()
+                    .iter_slots()
                     .all(|s| namers.contains(&s.id().value()) || !s.table().names_server(victim)),
                 "a table outside the corpse's tree neighbourhood names {victim}"
             );

@@ -221,7 +221,7 @@ impl ClashCluster {
         let whole = std::mem::take(&mut self.replica_work.full_sync);
         let dirty = std::mem::take(&mut self.replica_work.dirty);
         let owners: BTreeSet<u64> = if whole {
-            self.servers.ids().collect()
+            self.net.node_ids().iter().map(|id| id.value()).collect()
         } else {
             let mut owners: BTreeSet<u64> = dirty
                 .iter()

@@ -213,6 +213,16 @@ fn interleaved_joins_and_leaves_under_load() {
     c.flush_batch().unwrap();
     let total: f64 = c.server_loads().iter().map(|&(_, l)| l).sum();
     assert!((total - 120.0 * 1.5).abs() < 1e-6);
+    // After joins, drains and a crash burst the servers are still listed
+    // in ascending ring order, one per alive ring node.
+    let ids = c.server_ids();
+    c.fail_servers(&[ids[0], ids[ids.len() / 2]]).unwrap();
+    c.verify_consistency();
+    let ids = c.server_ids();
+    assert_eq!(ids, c.net().node_ids());
+    assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(ids.len(), c.server_count());
+    assert!(ids.iter().all(|&id| c.server(id).is_some()));
 }
 
 #[test]

@@ -11,6 +11,7 @@ use clash_keyspace::prefix::Prefix;
 use clash_simkernel::collections::DetHashMap;
 
 use super::ClashCluster;
+use crate::server::ClashServer;
 use crate::ServerId;
 
 /// The global index of active groups and their owners, with the guard
@@ -185,6 +186,24 @@ impl ClashCluster {
     }
 
     fn verify_consistency_inner(&self) {
+        // 0. The arena holds exactly the ring's alive ids, one server per
+        // alive node: the ordered walks below (and `server_ids`,
+        // `server_loads`, the full replica sync) read the ring's list and
+        // look each id up in the arena.
+        let ring = self.net.node_ids();
+        assert_eq!(
+            self.servers.len(),
+            ring.len(),
+            "the arena and the ring disagree on how many servers are alive"
+        );
+        let servers: Vec<&ClashServer> = ring
+            .iter()
+            .map(|&id| {
+                self.servers
+                    .get(id.value())
+                    .unwrap_or_else(|| panic!("alive ring node {id} has no server"))
+            })
+            .collect();
         // 1. Global index entries are active on their owners.
         for (&group, &owner) in self.oracle.view() {
             let server = self.server(owner).expect("owner exists");
@@ -196,7 +215,7 @@ impl ClashCluster {
         }
         // 2. Every active entry is in the global index.
         let mut total_active = 0;
-        for server in self.servers.iter() {
+        for &server in &servers {
             server.table().check_invariants().expect("table invariants");
             for e in server.table().active_groups() {
                 total_active += 1;
@@ -251,7 +270,7 @@ impl ClashCluster {
         // 5. Every table entry sits on its group's current Map() owner —
         // the placement invariant that membership handoffs (join/leave)
         // and crash recovery must all preserve.
-        for server in self.servers.iter() {
+        for &server in &servers {
             for e in server.table().entries() {
                 assert_eq!(
                     self.map_group(e.group),
@@ -310,7 +329,7 @@ impl ClashCluster {
                     assert_eq!(*rec.queries, queries, "stale replica ledger for {group}");
                 }
             }
-            for server in self.servers.iter() {
+            for &server in &servers {
                 for (group, owner) in server.replica_store().held_owners() {
                     assert!(
                         self.net.is_alive(owner) || self.recovery.pending.contains_key(&group),

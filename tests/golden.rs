@@ -238,6 +238,47 @@ fn partition_row(r: usize, transport: &str) -> Row {
         }
     }
     c.run_load_check().unwrap();
+    let name = format!("partition/{transport}/r{r}");
+    cluster_row(name, &mut c, &format!("{refused}|{crashed:?}"))
+}
+
+/// A split cut after a committed self-mapped retry: four servers over
+/// a LAN at r = 2, one server cut off from the rest, so the hot server
+/// keeps its last right child locally when the partition refuses the
+/// next placement. That child must be replicated like any other; the
+/// cut heals and sources move on.
+fn split_cut_row() -> Row {
+    let seed = 19;
+    let config = ClashConfig::small_test().with_replication(2);
+    let key = |bits: u64| Key::from_bits_truncated(bits, config.key_width);
+    let mut c =
+        ClashCluster::with_transport(config, 4, seed, self::transport("lan", seed)).unwrap();
+    for i in 0..100u64 {
+        c.attach_source(i, key(i % 64), 2.0).unwrap();
+    }
+    let ids = c.server_ids();
+    c.partition_network(&[vec![], vec![ids[2]]]);
+    let cut = c.run_load_check().unwrap();
+    c.verify_consistency();
+    c.heal_partition();
+    for _ in 0..2 {
+        c.run_load_check().unwrap();
+    }
+    for i in 0..40u64 {
+        c.move_source(i, key((i * 13 + 5) % 256)).unwrap();
+    }
+    c.run_load_check().unwrap();
+    let splits: Vec<_> = cut
+        .splits
+        .iter()
+        .map(|s| (s.server, s.right_child_server))
+        .collect();
+    cluster_row("splitcut/lan/r2".to_owned(), &mut c, &format!("{splits:?}"))
+}
+
+/// A cluster-API run's row: `head` and the cluster's counters, owners
+/// and latency, read on a closed window.
+fn cluster_row(name: String, c: &mut ClashCluster, head: &str) -> Row {
     c.flush_batch().unwrap();
     c.verify_consistency();
     let m = c.message_stats();
@@ -251,7 +292,7 @@ fn partition_row(r: usize, transport: &str) -> Row {
         })
         .collect();
     let protocol = format!(
-        "{refused}|{crashed:?}|{m:?}|{:?}|{}|{}|{owners:?}|{}|{:?}|{}",
+        "{head}|{m:?}|{:?}|{}|{}|{owners:?}|{}|{:?}|{}",
         c.net().stats(),
         c.source_count(),
         c.rng_draws(),
@@ -275,7 +316,7 @@ fn partition_row(r: usize, transport: &str) -> Row {
         .count();
     let p95 = l.locate.quantile(0.95).unwrap_or(0.0);
     Row {
-        name: format!("partition/{transport}/r{r}"),
+        name,
         proto: fnv(&protocol),
         paper: format!(
             "{:>6.3} {:>6.3} {:>2} {:>2} {:>8}",
@@ -341,6 +382,7 @@ fn table() -> String {
             rows.push(partition_row(r, transport));
         }
     }
+    rows.push(split_cut_row());
     for transport in TRANSPORTS {
         let config = capacity_60(ClashConfig::dht_baseline(8));
         rows.push(driver_row(
