@@ -92,8 +92,9 @@ const WINDOW_PROBES: usize = 512;
 /// [`Wire`] chain per probe, send them in one dispatch, replay the
 /// accounting. Only *when* the window closes varies: at a barrier
 /// ([`ClashCluster::flush_batch`]), at [`WINDOW_PROBES`], or per probe
-/// (`window_may_stay_open`) — unobservably: `tests/shard_equivalence.rs`
-/// and the `sharded_batching_matches_sequential` proptest pin it bit for bit.
+/// (`window_may_stay_open`) — unobservably: `tests/window_equivalence.rs`
+/// and the `windowed_locates_match_probe_by_probe` proptest pin it bit
+/// for bit.
 #[derive(Default)]
 pub(super) struct LocateBatch {
     /// Probes planned but not yet routed/charged.

@@ -70,7 +70,7 @@ pub use config::ClashConfig;
 pub use error::ClashError;
 pub use latency::LatencyMetrics;
 pub use load::{LoadLevel, QueryStreamLoadModel};
-pub use messages::{AcceptObjectResponse, ClashRequest};
+pub use messages::AcceptObjectResponse;
 pub use replication::{ReplicaRecord, ReplicaStore};
 pub use server::ClashServer;
 pub use table::{ServerTable, TableEntry};

@@ -13,47 +13,7 @@
 //! * `LOAD_REPORT` — leaf groups periodically report load to the server
 //!   holding their parent entry.
 
-use clash_keyspace::key::Key;
-use clash_keyspace::prefix::Prefix;
-
 use crate::load::GroupLoad;
-use crate::ServerId;
-
-/// A request message addressed to a CLASH server.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ClashRequest {
-    /// Probe/insert an object with an estimated depth.
-    AcceptObject {
-        /// The object's identifier key.
-        key: Key,
-        /// The client's estimated depth.
-        depth: u32,
-    },
-    /// Transfer responsibility for a key group to the receiver.
-    AcceptKeygroup {
-        /// The key group being transferred.
-        group: Prefix,
-        /// The server that keeps the parent entry (for load reports).
-        parent: ServerId,
-        /// Load state transferred with the group.
-        load: GroupLoad,
-    },
-    /// Reclaim a cold right-child key group from the receiver.
-    ReleaseKeygroup {
-        /// The key group being reclaimed.
-        group: Prefix,
-    },
-    /// Periodic leaf-to-parent load report.
-    LoadReport {
-        /// The reporting (child) group.
-        group: Prefix,
-        /// Its current load.
-        load: GroupLoad,
-        /// True if the reporting entry is still a leaf (mergeable).
-        is_leaf: bool,
-    },
-}
 
 /// Server responses to `ACCEPT_OBJECT` (§5 cases a–c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

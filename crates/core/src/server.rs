@@ -2,8 +2,7 @@
 //! [`ServerTable`].
 //!
 //! The server owns no I/O — the cluster harness (or the full simulator)
-//! delivers [`crate::messages::ClashRequest`]s and routes the responses.
-//! This keeps every
+//! calls its handlers and routes the responses. This keeps every
 //! protocol decision unit-testable: overload detection, the choice of the
 //! group to shed ("hottest"), the choice to consolidate ("coldest eligible
 //! parent"), and the three-way `ACCEPT_OBJECT` case analysis.

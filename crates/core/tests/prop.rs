@@ -38,7 +38,7 @@ fn loaded_cluster(
     c
 }
 
-/// What one call of `sharded_batching_matches_sequential` reported.
+/// What one call of `windowed_locates_match_probe_by_probe` reported.
 #[derive(Debug, PartialEq)]
 enum Seen {
     Placed(Placement),
@@ -47,7 +47,7 @@ enum Seen {
     Checked(LoadCheckReport),
 }
 
-/// Plays one op of `sharded_batching_matches_sequential` on `c`:
+/// Plays one op of `windowed_locates_match_probe_by_probe` on `c`:
 /// `first` is the op's first fresh source id, `wave` the sources a
 /// detach wave drops, and `flush_at` closes the window by hand after
 /// that many of the op's client calls.
@@ -482,7 +482,7 @@ proptest! {
     /// accounting, transport counters, global cover and per-server loads
     /// must equal the reference's.
     #[test]
-    fn sharded_batching_matches_sequential(
+    fn windowed_locates_match_probe_by_probe(
         servers in 2usize..10,
         seed in 0u64..500,
         replication in 0usize..3,

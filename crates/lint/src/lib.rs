@@ -1,6 +1,6 @@
 //! `clash-lint`: determinism & concurrency static analysis for this repo.
 //!
-//! Every safety rail in the workspace — the shard-equivalence harness, the
+//! Every safety rail in the workspace — the window-equivalence harness, the
 //! transport pins, the `BENCH_scale.json` trajectory — rests on one
 //! contract: protocol crates draw randomness only from `DetRng`
 //! substreams, never read the wall clock or OS entropy, never iterate a

@@ -7,7 +7,7 @@
 //! * **Protocol crates** (`core`, `chord`, `keyspace`, `transport`,
 //!   `streamquery`, `workload`, `simkernel`, `chaos`) and the root facade
 //!   `src/` carry the full contract — their behavior is pinned bit-for-bit
-//!   by the shard-equivalence harness and the transport pins, and the
+//!   by the window-equivalence harness and the transport pins, and the
 //!   chaos shrinker depends on replay determinism.
 //! * **Wall-clock crates** (`sim`, `lint`, `obs`) may measure
 //!   wall-clock time — the harness crates because they time real runs,

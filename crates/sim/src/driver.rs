@@ -199,7 +199,7 @@ impl RunResult {
     /// A digest of every deterministic field of the result — everything
     /// except `check_wall_ms` (wall time). Two runs of the same scenario
     /// must produce equal fingerprints whatever the locate path or
-    /// machine; the shard-equivalence suite compares these directly so a
+    /// machine; the window-equivalence suite compares these directly so a
     /// divergence prints both complete states.
     pub fn deterministic_fingerprint(&self) -> String {
         format!(
@@ -836,33 +836,16 @@ impl SimDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{dht8, fig4, link, Scenario};
 
-    fn tiny_spec() -> ScenarioSpec {
-        ScenarioSpec {
-            servers: 16,
-            sources: 300,
-            query_clients: 0,
-            load_check_period: SimDuration::from_secs(60),
-            sample_period: SimDuration::from_secs(60),
-            ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(5))
-        }
-    }
-
-    fn tiny_config() -> ClashConfig {
-        // Capacity scaled so 300 sources over ~12 active servers bite:
-        // 300–600 pkt/s total → capacity 60 means splits will happen.
-        ClashConfig {
-            capacity: 60.0,
-            ..ClashConfig::paper()
-        }
+    /// A driver over `scenario`, on the instant transport.
+    fn driver(scenario: Scenario) -> SimDriver {
+        SimDriver::new(scenario.config, scenario.spec).unwrap()
     }
 
     #[test]
     fn clash_run_produces_samples_and_bounds_load() {
-        let result = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
+        let result = driver(fig4()).run().unwrap();
         assert_eq!(result.label, "CLASH");
         // 15 minutes, sampled each minute (+ final boundary sample).
         assert!(
@@ -884,27 +867,20 @@ mod tests {
 
     #[test]
     fn dht_baseline_run_never_splits() {
-        let config = ClashConfig {
-            capacity: 60.0,
-            ..ClashConfig::dht_baseline(6)
-        };
-        let result = SimDriver::new(config, tiny_spec()).unwrap().run().unwrap();
-        assert_eq!(result.label, "DHT(6)");
+        let result = driver(dht8()).run().unwrap();
+        assert_eq!(result.label, "DHT(8)");
         assert_eq!(result.splits, 0);
         assert_eq!(result.merges, 0);
-        // Depth is pinned at 6.
+        // Depth is pinned at 8.
         assert!(result
             .samples
             .iter()
-            .all(|r| r.depth_min == 6 && r.depth_max == 6));
+            .all(|r| r.depth_min == 8 && r.depth_max == 8));
     }
 
     #[test]
     fn depth_grows_with_skew_phases() {
-        let result = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
+        let result = driver(fig4()).run().unwrap();
         let a = result.phase(WorkloadKind::A).unwrap();
         let c = result.phase(WorkloadKind::C).unwrap();
         assert!(
@@ -917,14 +893,10 @@ mod tests {
 
     #[test]
     fn query_population_stays_constant() {
-        let spec = ScenarioSpec {
-            query_clients: 50,
-            mean_query_lifetime: SimDuration::from_secs(90),
-            ..tiny_spec()
-        };
-        let driver = SimDriver::new(tiny_config(), spec).unwrap();
-        // run() consumes; rebuild to inspect after.
-        let result_cluster = driver.run().unwrap();
+        let mut scenario = fig4();
+        scenario.spec.query_clients = 50;
+        scenario.spec.mean_query_lifetime = SimDuration::from_secs(90);
+        let result_cluster = driver(scenario).run().unwrap();
         assert!(result_cluster.final_messages.state_transfer_messages < u64::MAX);
         // Renewal means deaths occurred and were replaced: total query
         // locates strictly exceed the initial population.
@@ -933,14 +905,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let r1 = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
-        let r2 = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
+        let r1 = driver(fig4()).run().unwrap();
+        let r2 = driver(fig4()).run().unwrap();
         assert_eq!(r1.samples.len(), r2.samples.len());
         for (a, b) in r1.samples.iter().zip(&r2.samples) {
             assert_eq!(a, b);
@@ -953,14 +919,9 @@ mod tests {
         let churn =
             ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64)
                 .with_crashes(SimDuration::from_mins(6));
-        let spec = ScenarioSpec {
-            churn: Some(churn),
-            ..tiny_spec()
-        };
-        let (result, cluster) = SimDriver::new(tiny_config(), spec)
-            .unwrap()
-            .run_with_cluster()
-            .unwrap();
+        let mut scenario = fig4();
+        scenario.spec.churn = Some(churn);
+        let (result, cluster) = driver(scenario).run_with_cluster().unwrap();
         assert!(result.joins > 0, "sustained churn must join servers");
         assert!(result.leaves > 0, "sustained churn must drain servers");
         assert!(result.final_messages.handoff_messages > 0);
@@ -976,15 +937,10 @@ mod tests {
     fn churn_runs_are_deterministic() {
         let churn =
             ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64);
-        let spec = ScenarioSpec {
-            churn: Some(churn),
-            ..tiny_spec()
-        };
-        let r1 = SimDriver::new(tiny_config(), spec.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let r2 = SimDriver::new(tiny_config(), spec).unwrap().run().unwrap();
+        let mut scenario = fig4();
+        scenario.spec.churn = Some(churn);
+        let r1 = driver(scenario.clone()).run().unwrap();
+        let r2 = driver(scenario).run().unwrap();
         assert_eq!(r1.samples, r2.samples);
         assert_eq!(r1.final_messages, r2.final_messages);
         assert_eq!((r1.joins, r1.leaves), (r2.joins, r2.leaves));
@@ -994,14 +950,9 @@ mod tests {
     fn flash_crowd_ramps_capacity() {
         let churn =
             ChurnSpec::flash_crowd(SimDuration::from_mins(5), 6, SimDuration::from_secs(30));
-        let spec = ScenarioSpec {
-            churn: Some(churn),
-            ..tiny_spec()
-        };
-        let (result, cluster) = SimDriver::new(tiny_config(), spec)
-            .unwrap()
-            .run_with_cluster()
-            .unwrap();
+        let mut scenario = fig4();
+        scenario.spec.churn = Some(churn);
+        let (result, cluster) = driver(scenario).run_with_cluster().unwrap();
         assert_eq!(result.joins, 6);
         assert_eq!(result.leaves, 0);
         assert_eq!(cluster.server_count(), 22);
@@ -1024,11 +975,9 @@ mod tests {
             }),
             ..ChurnSpec::sustained(SimDuration::from_mins(5), SimDuration::from_mins(60), 8, 64)
         };
-        let spec = ScenarioSpec {
-            churn: Some(churn),
-            ..tiny_spec()
-        };
-        let result = SimDriver::new(tiny_config(), spec).unwrap().run().unwrap();
+        let mut scenario = fig4();
+        scenario.spec.churn = Some(churn);
+        let result = driver(scenario).run().unwrap();
         // 15 virtual minutes: 4 ramp joins + ~3 sustained joins. A
         // multiplied process would run away toward max_servers (48 joins).
         assert!(result.joins >= 4, "ramp joins must fire: {}", result.joins);
@@ -1049,19 +998,10 @@ mod tests {
             ChurnSpec::sustained(SimDuration::from_mins(4), SimDuration::from_mins(60), 8, 64)
                 .with_crashes(SimDuration::from_mins(4))
                 .with_crash_bursts(SimDuration::from_mins(5), 3);
-        let spec = ScenarioSpec {
-            churn: Some(churn),
-            query_clients: 20,
-            ..tiny_spec()
-        };
-        let config = ClashConfig {
-            replication_factor: 2,
-            ..tiny_config()
-        };
-        let (result, cluster) = SimDriver::new(config, spec)
-            .unwrap()
-            .run_with_cluster()
-            .unwrap();
+        let mut scenario = fig4();
+        scenario.spec.churn = Some(churn);
+        scenario.config = scenario.config.with_replication(2);
+        let (result, cluster) = driver(scenario).run_with_cluster().unwrap();
         assert!(result.crashes > 0, "crashes must fire");
         let r = &result.recovery;
         assert_eq!(
@@ -1084,14 +1024,10 @@ mod tests {
 
     #[test]
     fn wan_transport_changes_latency_not_protocol() {
-        use clash_transport::{LinkPolicy, LinkTransport};
-        let instant = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
-        let spec = tiny_spec();
-        let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
-        let wan = SimDriver::with_transport(tiny_config(), spec, "CLASH/wan".to_owned(), transport)
+        let instant = driver(fig4()).run().unwrap();
+        let Scenario { config, spec } = fig4();
+        let transport = link("wan", spec.seed);
+        let wan = SimDriver::with_transport(config, spec, "CLASH/wan".to_owned(), transport)
             .unwrap()
             .run()
             .unwrap();
@@ -1122,10 +1058,7 @@ mod tests {
 
     #[test]
     fn message_rates_are_positive_under_churn() {
-        let result = SimDriver::new(tiny_config(), tiny_spec())
-            .unwrap()
-            .run()
-            .unwrap();
+        let result = driver(fig4()).run().unwrap();
         let any_ctrl = result
             .samples
             .iter()

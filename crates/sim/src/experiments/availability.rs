@@ -24,7 +24,6 @@
 //! zero losses (the oracle resurrects everything), but every crash leans
 //! on global state no real deployment has.
 
-use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_simkernel::time::SimDuration;
 use clash_transport::{LinkPolicy, LinkTransport};
@@ -32,6 +31,7 @@ use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
+use crate::catalogue::{fault_config, paper_spec};
 use crate::driver::{RecoveryTotals, SimDriver};
 use crate::experiments::churn::{oracle_sweep, OracleSweep};
 use crate::report;
@@ -68,19 +68,8 @@ pub struct AvailabilityOutput {
     pub scale: f64,
 }
 
-/// The capacity calibration the fault experiments share (see
-/// `netfault`): the paper capacity never overloads at smoke populations,
-/// so the crash paths would run against a never-split tree.
-fn availability_config(r: usize) -> ClashConfig {
-    ClashConfig {
-        capacity: 1000.0,
-        replication_factor: r,
-        ..ClashConfig::paper()
-    }
-}
-
 fn availability_spec(scale: f64, seed: u64) -> ScenarioSpec {
-    let base = ScenarioSpec::paper().scaled(scale);
+    let base = paper_spec(scale, None);
     let servers = base.servers;
     let spec = ScenarioSpec {
         phases: vec![Phase {
@@ -111,7 +100,7 @@ fn run_one(r: usize, scale: f64, seed: u64) -> Result<AvailabilityRow, ClashErro
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), seed ^ r as u64));
     let label = format!("CLASH/r={r}");
     let (result, mut cluster) =
-        SimDriver::with_transport(availability_config(r), spec, label, transport)?
+        SimDriver::with_transport(fault_config().with_replication(r), spec, label, transport)?
             .run_with_cluster()?;
     cluster.verify_consistency();
     let sweep = oracle_sweep(&mut cluster, 512, seed ^ 0xA4A1);
@@ -141,7 +130,7 @@ fn run_one(r: usize, scale: f64, seed: u64) -> Result<AvailabilityRow, ClashErro
 ///
 /// Propagates cluster and scenario errors.
 pub fn run(scale: f64, seed: Option<u64>) -> Result<AvailabilityOutput, ClashError> {
-    let seed = seed.unwrap_or_else(|| ScenarioSpec::paper().seed);
+    let seed = paper_spec(scale, seed).seed;
     let mut rows = Vec::new();
     for r in [0usize, 1, 2, 3] {
         rows.push(run_one(r, scale, seed)?);

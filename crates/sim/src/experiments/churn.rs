@@ -28,8 +28,8 @@ use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
+use crate::catalogue::paper_spec;
 use crate::driver::{RunResult, SimDriver};
-use crate::experiments::paper_spec;
 use crate::report;
 
 /// Post-run oracle sweep over the final cluster state.

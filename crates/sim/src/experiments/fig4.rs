@@ -6,8 +6,9 @@ use clash_core::error::ClashError;
 use clash_workload::scenario::ScenarioSpec;
 use clash_workload::skew::WorkloadKind;
 
+use crate::catalogue::{figure4_variants, paper_spec};
 use crate::driver::RunResult;
-use crate::experiments::{figure4_variants, paper_spec, run_variants};
+use crate::experiments::run_variants;
 use crate::report;
 
 /// The regenerated Figure 4 data: one run per variant.
@@ -236,7 +237,7 @@ pub(crate) fn pressured_test_variants(
     let spec = ScenarioSpec {
         servers: 24,
         sources: 3000,
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(15))
+        ..paper_spec(1.0, None).with_phase_duration(SimDuration::from_mins(15))
     };
     let variants = figure4_variants()
         .into_iter()

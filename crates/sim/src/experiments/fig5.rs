@@ -11,8 +11,9 @@ use clash_simkernel::time::SimDuration;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::WorkloadKind;
 
+use crate::catalogue::paper_spec;
 use crate::driver::{RunResult, SampleRow};
-use crate::experiments::{paper_spec, run_variants};
+use crate::experiments::run_variants;
 use crate::report;
 
 /// One bar of Figure 5.

@@ -53,28 +53,10 @@ pub fn run_variants(
     results.into_iter().collect()
 }
 
-/// The paper scenario scaled by `scale`; `seed` overrides its root seed
-/// (`None` keeps the hard-coded one, reproducing historical outputs).
-pub fn paper_spec(scale: f64, seed: Option<u64>) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::paper().scaled(scale);
-    spec.seed = seed.unwrap_or(spec.seed);
-    spec
-}
-
-/// The four Figure 4 protocol variants: CLASH and the fixed-depth
-/// baselines DHT(6), DHT(12), DHT(24).
-pub fn figure4_variants() -> Vec<(ClashConfig, String)> {
-    vec![
-        (ClashConfig::paper(), "CLASH".to_owned()),
-        (ClashConfig::dht_baseline(6), "DHT(6)".to_owned()),
-        (ClashConfig::dht_baseline(12), "DHT(12)".to_owned()),
-        (ClashConfig::dht_baseline(24), "DHT(24)".to_owned()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{figure4_variants, paper_spec};
     use clash_simkernel::time::SimDuration;
 
     #[test]
@@ -82,7 +64,7 @@ mod tests {
         let spec = ScenarioSpec {
             servers: 8,
             sources: 100,
-            ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(2))
+            ..paper_spec(1.0, None).with_phase_duration(SimDuration::from_mins(2))
         };
         let cfg = ClashConfig {
             capacity: 50.0,

@@ -17,7 +17,6 @@
 //!   after healing every lookup re-agrees with the oracle.
 
 use clash_core::cluster::ClashCluster;
-use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_obs::{TraceEvent, TraceMode};
 use clash_simkernel::rng::DetRng;
@@ -26,6 +25,7 @@ use clash_transport::{LinkPolicy, LinkTransport};
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::{Workload, WorkloadKind};
 
+use crate::catalogue::{fault_config, paper_spec};
 use crate::driver::SimDriver;
 use crate::experiments::churn::{oracle_sweep, OracleSweep};
 use crate::report;
@@ -113,17 +113,6 @@ pub struct NetfaultOutput {
 /// Builds a heated cluster over the given transport policy: `servers`
 /// ring members, 100 workload-C sources per server (the paper's
 /// client/server ratio), two load-check rounds.
-/// The paper capacity (2500) never overloads at smoke populations; 1000
-/// keeps ~20% average utilization with a workload-C hot group several
-/// times over threshold, so the fault paths run against a *splitting*
-/// tree at every scale.
-fn fault_config() -> ClashConfig {
-    ClashConfig {
-        capacity: 1000.0,
-        ..ClashConfig::paper()
-    }
-}
-
 fn heated_cluster(
     policy: LinkPolicy,
     servers: usize,
@@ -207,7 +196,7 @@ fn loss_sweep(scale: f64, seed: u64) -> Result<Vec<LossRow>, ClashError> {
                 duration: SimDuration::from_mins(30),
             }],
             seed,
-            ..ScenarioSpec::paper().scaled(scale)
+            ..paper_spec(scale, None)
         };
         let policy = if p == 0.0 {
             LinkPolicy::wan()
@@ -302,7 +291,7 @@ fn partition_heal(
 ///
 /// Propagates cluster and scenario errors.
 pub fn run(scale: f64, seed: Option<u64>, trace: TraceMode) -> Result<NetfaultOutput, ClashError> {
-    let seed = seed.unwrap_or_else(|| ScenarioSpec::paper().seed);
+    let seed = paper_spec(scale, seed).seed;
     let (partition, partition_trace) = partition_heal(scale, seed, trace)?;
     Ok(NetfaultOutput {
         latency: latency_cdfs(scale, seed)?,

@@ -41,6 +41,7 @@ use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::{Workload, WorkloadKind};
 
+use crate::catalogue::paper_spec;
 use crate::driver::SimDriver;
 use crate::report;
 
@@ -226,7 +227,7 @@ fn churn_cell(
             )
             .with_crashes(cadence(20 * 60)),
         ),
-        ..ScenarioSpec::paper()
+        ..paper_spec(1.0, None)
     };
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), seed));
     let label = format!("scale/churn_{servers}");

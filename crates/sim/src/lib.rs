@@ -28,6 +28,9 @@
 //! [`clash_workload::scenario::ScenarioSpec`] against a
 //! [`clash_core::cluster::ClashCluster`] under simulated time, recording
 //! the Figure 4 time series and the Figure 5 message rates.
+//! [`catalogue`] builds every scenario that more than one test or
+//! experiment plays, and the paper-scale base the experiments start
+//! from.
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod catalogue;
 pub mod driver;
 pub mod experiments;
 pub mod report;

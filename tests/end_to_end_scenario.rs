@@ -2,6 +2,7 @@
 //! chord) playing a scaled copy of the paper's scenario.
 
 use clash_core::config::ClashConfig;
+use clash_sim::catalogue::paper_spec;
 use clash_sim::driver::SimDriver;
 use clash_simkernel::time::SimDuration;
 use clash_workload::scenario::ScenarioSpec;
@@ -13,7 +14,7 @@ fn test_spec() -> ScenarioSpec {
         sources: 4000,
         query_clients: 200,
         mean_query_lifetime: SimDuration::from_mins(5),
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(20))
+        ..paper_spec(1.0, None).with_phase_duration(SimDuration::from_mins(20))
     }
 }
 
@@ -84,7 +85,7 @@ fn dht24_baseline_stays_memory_bounded_under_churn() {
         servers: 20,
         sources: 1000,
         mean_stream_packets: 20.0, // very fast key churn
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(10))
+        ..paper_spec(1.0, None).with_phase_duration(SimDuration::from_mins(10))
     };
     let config = ClashConfig {
         capacity: 500.0,

@@ -2,8 +2,10 @@
 //! moves any run *across versions* shows up as a diff of
 //! `tests/golden/fingerprints.txt`.
 //!
-//! Every row runs a small (≤ 32 servers) configuration to completion and
-//! prints two halves, split by `|`:
+//! The driver rows are the scenario catalogue's (`clash_sim::catalogue`)
+//! over its four links at r ∈ {0, 2}; the cluster-API and virtual-ring
+//! rows are built here. Every row runs a small (≤ 32 servers)
+//! configuration to completion and prints two halves, split by `|`:
 //!
 //! * **protocol** — a 16-hex FNV digest of everything the run decided
 //!   with every latency reading zeroed, then the paper-level numbers:
@@ -27,13 +29,10 @@ use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_keyspace::hash::HashSpace;
 use clash_keyspace::key::Key;
+use clash_sim::catalogue::{self, link, Entry, Scenario, LINKS, SCENARIOS};
 use clash_sim::driver::{RunResult, SimDriver};
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::stats;
-use clash_simkernel::time::SimDuration;
-use clash_transport::{InstantTransport, LinkPolicy, LinkTransport, Transport};
-use clash_workload::churn::ChurnSpec;
-use clash_workload::scenario::ScenarioSpec;
 
 /// The committed table.
 const GOLDEN: &str = include_str!("golden/fingerprints.txt");
@@ -43,77 +42,6 @@ fn fnv(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// The four transports every scenario runs over.
-const TRANSPORTS: [&str; 4] = ["instant", "lan", "wan", "lossy"];
-
-fn transport(name: &str, seed: u64) -> Box<dyn Transport> {
-    let policy = match name {
-        "instant" => return Box::new(InstantTransport::new()),
-        "lan" => LinkPolicy::lan(),
-        "wan" => LinkPolicy::wan(),
-        "lossy" => LinkPolicy::lossy_wan(0.05),
-        other => unreachable!("no transport {other}"),
-    };
-    Box::new(LinkTransport::new(policy, seed))
-}
-
-/// The Figure-4 pin: 16 servers, three 5-minute workload phases, no
-/// churn (the scenario `transport_faults.rs` pins).
-fn fig4() -> ScenarioSpec {
-    ScenarioSpec {
-        servers: 16,
-        sources: 300,
-        query_clients: 20,
-        load_check_period: SimDuration::from_secs(60),
-        sample_period: SimDuration::from_secs(60),
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(5))
-    }
-}
-
-/// Sustained joins and drains plus single crashes, 8–32 servers.
-fn churn() -> ScenarioSpec {
-    fig4().with_churn(
-        ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 32)
-            .with_crashes(SimDuration::from_mins(4)),
-    )
-}
-
-/// The churn with correlated 3-server crash bursts instead of single
-/// crashes.
-fn burst() -> ScenarioSpec {
-    fig4().with_churn(
-        ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 32)
-            .with_crash_bursts(SimDuration::from_mins(6), 3),
-    )
-}
-
-/// A flash crowd: 16 joins 10 s apart from minute 3, 16 → 32 servers.
-fn flash() -> ScenarioSpec {
-    fig4().with_churn(ChurnSpec::flash_crowd(
-        SimDuration::from_mins(3),
-        16,
-        SimDuration::from_secs(10),
-    ))
-}
-
-/// A membership storm: a join, drain, crash or burst every few seconds.
-fn storm() -> ScenarioSpec {
-    fig4()
-        .with_phase_duration(SimDuration::from_mins(2))
-        .with_churn(
-            ChurnSpec::sustained(SimDuration::from_secs(4), SimDuration::from_secs(10), 8, 32)
-                .with_crashes(SimDuration::from_secs(12))
-                .with_crash_bursts(SimDuration::from_secs(45), 3),
-        )
-}
-
-fn capacity_60(config: ClashConfig) -> ClashConfig {
-    ClashConfig {
-        capacity: 60.0,
-        ..config
-    }
 }
 
 /// One line of the table.
@@ -134,16 +62,11 @@ impl Row {
     }
 }
 
-/// A driver run over `transport`, as a row.
-fn driver_row(name: String, config: ClashConfig, spec: ScenarioSpec, transport: &str) -> Row {
-    let seed = spec.seed;
-    let driver = SimDriver::with_transport(
-        config,
-        spec,
-        "golden".to_owned(),
-        self::transport(transport, seed),
-    )
-    .unwrap();
+/// A driver run of `scenario` over link `transport`, as a row.
+fn driver_row(name: String, scenario: Scenario, transport: &str) -> Row {
+    let Scenario { config, spec } = scenario;
+    let transport = link(transport, spec.seed);
+    let driver = SimDriver::with_transport(config, spec, "golden".to_owned(), transport).unwrap();
     let (result, cluster) = driver.run_with_cluster().unwrap();
     cluster.verify_consistency();
     let mut protocol = result.clone();
@@ -206,8 +129,7 @@ fn partition_row(r: usize, transport: &str) -> Row {
     let seed = 17;
     let config = ClashConfig::small_test().with_replication(r);
     let key = |bits: u64| Key::from_bits_truncated(bits, config.key_width);
-    let mut c =
-        ClashCluster::with_transport(config, 16, seed, self::transport(transport, seed)).unwrap();
+    let mut c = ClashCluster::with_transport(config, 16, seed, link(transport, seed)).unwrap();
     for i in 0..160u64 {
         c.attach_source(i, key((i * 7) % 256), 1.5).unwrap();
     }
@@ -251,8 +173,7 @@ fn split_cut_row() -> Row {
     let seed = 19;
     let config = ClashConfig::small_test().with_replication(2);
     let key = |bits: u64| Key::from_bits_truncated(bits, config.key_width);
-    let mut c =
-        ClashCluster::with_transport(config, 4, seed, self::transport("lan", seed)).unwrap();
+    let mut c = ClashCluster::with_transport(config, 4, seed, link("lan", seed)).unwrap();
     for i in 0..100u64 {
         c.attach_source(i, key(i % 64), 2.0).unwrap();
     }
@@ -359,39 +280,30 @@ fn vring_row(vnodes: usize) -> Row {
 }
 
 fn table() -> String {
-    type SpecFn = fn() -> ScenarioSpec;
-    let scenarios: [(&str, SpecFn); 5] = [
-        ("fig4", fig4),
-        ("churn", churn),
-        ("burst", burst),
-        ("flash", flash),
-        ("storm", storm),
-    ];
     let mut rows = Vec::new();
-    for (scenario, spec) in scenarios {
-        for transport in TRANSPORTS {
-            for r in [0, 2] {
-                let config = capacity_60(ClashConfig::paper()).with_replication(r);
+    let dht8: Entry = ("dht8", catalogue::dht8);
+    for (scenario, make) in SCENARIOS.into_iter().chain([dht8]) {
+        // The fixed-depth baseline runs unreplicated.
+        let factors: &[usize] = if scenario == "dht8" { &[0] } else { &[0, 2] };
+        for transport in LINKS {
+            for &r in factors {
+                let mut run = make();
+                run.config = run.config.with_replication(r);
                 let name = format!("{scenario}/{transport}/r{r}");
-                rows.push(driver_row(name, config, spec(), transport));
+                rows.push(driver_row(name, run, transport));
             }
         }
     }
-    for transport in TRANSPORTS {
+    // The committed table lists the cluster-API rows before the
+    // baseline's.
+    let baseline = rows.split_off(rows.len() - LINKS.len());
+    for transport in LINKS {
         for r in [0, 2] {
             rows.push(partition_row(r, transport));
         }
     }
     rows.push(split_cut_row());
-    for transport in TRANSPORTS {
-        let config = capacity_60(ClashConfig::dht_baseline(8));
-        rows.push(driver_row(
-            format!("dht8/{transport}/r0"),
-            config,
-            fig4(),
-            transport,
-        ));
-    }
+    rows.extend(baseline);
     for vnodes in [1, 4, 16] {
         rows.push(vring_row(vnodes));
     }

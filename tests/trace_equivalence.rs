@@ -6,44 +6,21 @@
 //! decisions bit-for-bit identical to the untraced run, across
 //! replication factors, and must draw *zero* RNG of its own.
 //!
-//! Each pin runs the same churn+crash scenario three ways (tracing off,
-//! ring, full) and compares `RunResult::deterministic_fingerprint()`
-//! strings plus the cluster's exact `DetRng` draw count.
+//! Each pin runs catalogue scenarios three ways (tracing off, ring,
+//! full) and compares `RunResult::deterministic_fingerprint()` strings
+//! plus the cluster's exact `DetRng` draw count. The capture checks
+//! run the churn scenario: splits under skew, sustained membership
+//! churn, and single crashes driving the recovery paths.
 
 use clash_core::cluster::ClashCluster;
-use clash_core::config::ClashConfig;
 use clash_obs::{TraceEventKind, TraceMode};
+use clash_sim::catalogue::{self, link, Scenario, SCENARIOS};
 use clash_sim::driver::{RunResult, SimDriver};
-use clash_simkernel::time::SimDuration;
-use clash_transport::{LinkPolicy, LinkTransport, Transport};
-use clash_workload::churn::ChurnSpec;
-use clash_workload::scenario::ScenarioSpec;
 
-/// A scenario dense in traceable moments: splits under skew, sustained
-/// membership churn, and single crashes driving the recovery paths.
-fn spec() -> ScenarioSpec {
-    ScenarioSpec {
-        servers: 16,
-        sources: 300,
-        query_clients: 20,
-        load_check_period: SimDuration::from_secs(60),
-        sample_period: SimDuration::from_secs(60),
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(5))
-    }
-    .with_churn(
-        ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64)
-            .with_crashes(SimDuration::from_mins(4)),
-    )
-}
-
-fn run(replication: usize, trace: TraceMode) -> (RunResult, ClashCluster) {
-    let config = ClashConfig {
-        capacity: 60.0,
-        ..ClashConfig::paper()
-    }
-    .with_replication(replication);
-    let spec = spec();
-    let transport: Box<dyn Transport> = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
+fn run(scenario: Scenario, replication: usize, trace: TraceMode) -> (RunResult, ClashCluster) {
+    let Scenario { config, spec } = scenario;
+    let config = config.with_replication(replication);
+    let transport = link("wan", spec.seed);
     let mut driver =
         SimDriver::with_transport(config, spec, "CLASH/trace-equiv".to_owned(), transport).unwrap();
     driver.cluster_mut().set_trace_sink(trace.make_sink());
@@ -53,36 +30,38 @@ fn run(replication: usize, trace: TraceMode) -> (RunResult, ClashCluster) {
 }
 
 /// Off vs ring vs full: identical fingerprints and identical RNG draw
-/// counts, with and without replication.
+/// counts on every catalogue scenario, with and without replication.
 #[test]
 fn tracing_mode_never_changes_the_run() {
-    for replication in [0usize, 2] {
-        let (off, off_cluster) = run(replication, TraceMode::Off);
-        let (ring, ring_cluster) = run(replication, TraceMode::Ring(256));
-        let (full, full_cluster) = run(replication, TraceMode::Full);
-        let label = format!("r={replication}");
-        assert_eq!(
-            off.deterministic_fingerprint(),
-            ring.deterministic_fingerprint(),
-            "{label}: ring tracing changed the run"
-        );
-        assert_eq!(
-            off.deterministic_fingerprint(),
-            full.deterministic_fingerprint(),
-            "{label}: full tracing changed the run"
-        );
-        // Tracing draws no RNG: the protocol stream's draw count is
-        // the strictest possible "no hidden behaviour" witness.
-        assert_eq!(
-            off_cluster.rng_draws(),
-            ring_cluster.rng_draws(),
-            "{label}: ring tracing drew RNG"
-        );
-        assert_eq!(
-            off_cluster.rng_draws(),
-            full_cluster.rng_draws(),
-            "{label}: full tracing drew RNG"
-        );
+    for (name, make) in SCENARIOS {
+        for replication in [0usize, 2] {
+            let (off, off_cluster) = run(make(), replication, TraceMode::Off);
+            let (ring, ring_cluster) = run(make(), replication, TraceMode::Ring(256));
+            let (full, full_cluster) = run(make(), replication, TraceMode::Full);
+            let label = format!("{name} r={replication}");
+            assert_eq!(
+                off.deterministic_fingerprint(),
+                ring.deterministic_fingerprint(),
+                "{label}: ring tracing changed the run"
+            );
+            assert_eq!(
+                off.deterministic_fingerprint(),
+                full.deterministic_fingerprint(),
+                "{label}: full tracing changed the run"
+            );
+            // Tracing draws no RNG: the protocol stream's draw count is
+            // the strictest possible "no hidden behaviour" witness.
+            assert_eq!(
+                off_cluster.rng_draws(),
+                ring_cluster.rng_draws(),
+                "{label}: ring tracing drew RNG"
+            );
+            assert_eq!(
+                off_cluster.rng_draws(),
+                full_cluster.rng_draws(),
+                "{label}: full tracing drew RNG"
+            );
+        }
     }
 }
 
@@ -91,7 +70,7 @@ fn tracing_mode_never_changes_the_run() {
 /// time and strictly increasing sequence numbers.
 #[test]
 fn full_trace_captures_the_expected_event_classes() {
-    let (result, mut cluster) = run(2, TraceMode::Full);
+    let (result, mut cluster) = run(catalogue::churn(), 2, TraceMode::Full);
     let events = cluster.take_trace_events();
     assert!(
         events.len() > 1000,
@@ -155,13 +134,13 @@ fn full_trace_captures_the_expected_event_classes() {
 /// tail it retains matches the end of the full capture.
 #[test]
 fn ring_sink_retains_the_newest_tail() {
-    let (_, mut full_cluster) = run(0, TraceMode::Full);
+    let (_, mut full_cluster) = run(catalogue::churn(), 0, TraceMode::Full);
     let full = full_cluster.take_trace_events();
     // Both sides of the panic dump's 64-event window: a ring smaller
     // than the window (the case the capacity accessor exists for) and
     // one larger than it.
     for cap in [16usize, 128] {
-        let (_, mut ring_cluster) = run(0, TraceMode::Ring(cap));
+        let (_, mut ring_cluster) = run(catalogue::churn(), 0, TraceMode::Ring(cap));
         let kept = ring_cluster.take_trace_events();
         assert_eq!(kept.len(), cap.min(full.len()), "cap={cap}");
         // Conservation: every emitted event is either kept or counted
@@ -180,7 +159,7 @@ fn ring_sink_retains_the_newest_tail() {
 /// counters it replaces, for both the cluster and driver namespaces.
 #[test]
 fn telemetry_registry_matches_legacy_counters() {
-    let (result, cluster) = run(2, TraceMode::Off);
+    let (result, cluster) = run(catalogue::churn(), 2, TraceMode::Off);
     let t = result.telemetry(&cluster);
     assert_eq!(
         t.counter_value("cluster.messages.total"),

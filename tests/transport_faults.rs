@@ -14,33 +14,14 @@ use clash_core::cluster::{ClashCluster, MessageStats};
 use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_keyspace::key::Key;
+use clash_sim::catalogue::{fig4, link, Scenario};
 use clash_sim::driver::SimDriver;
-use clash_simkernel::time::SimDuration;
 use clash_transport::{LinkPolicy, LinkTransport, TransportStats};
-use clash_workload::scenario::ScenarioSpec;
 
-/// The Figure-4-shaped scenario the equivalence constants were captured
-/// on: 16 servers, 300 sources, 20 query clients, 5-minute A/B/C phases,
-/// 60-second load checks and samples, capacity 60.
-fn pin_spec() -> ScenarioSpec {
-    ScenarioSpec {
-        servers: 16,
-        sources: 300,
-        query_clients: 20,
-        load_check_period: SimDuration::from_secs(60),
-        sample_period: SimDuration::from_secs(60),
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(5))
-    }
-}
-
-fn pin_config() -> ClashConfig {
-    ClashConfig {
-        capacity: 60.0,
-        ..ClashConfig::paper()
-    }
-}
-
-/// `MessageStats` of the pre-transport direct-call code on `pin_spec()`,
+/// `MessageStats` of the pre-transport direct-call code on the
+/// catalogue's `fig4` (16 servers, 300 sources, 20 query clients,
+/// 5-minute A/B/C phases, 60-second load checks and samples,
+/// capacity 60),
 /// captured verbatim from the seed implementation. The default
 /// (instant-transport, replication-factor-0) cluster must reproduce
 /// every field bit-for-bit — these are also the pre-*replication*
@@ -67,10 +48,8 @@ const PINNED: MessageStats = MessageStats {
 
 #[test]
 fn instant_transport_reproduces_direct_call_message_stats() {
-    let result = SimDriver::new(pin_config(), pin_spec())
-        .unwrap()
-        .run()
-        .unwrap();
+    let Scenario { config, spec } = fig4();
+    let result = SimDriver::new(config, spec).unwrap().run().unwrap();
     assert_eq!(
         result.final_messages, PINNED,
         "InstantTransport must be bit-for-bit equivalent to the \
@@ -88,9 +67,9 @@ fn instant_transport_reproduces_direct_call_message_stats() {
 #[test]
 fn same_seed_same_link_policy_same_run_result() {
     let run = || {
-        let spec = pin_spec();
-        let transport = Box::new(LinkTransport::new(LinkPolicy::lossy_wan(0.05), spec.seed));
-        SimDriver::with_transport(pin_config(), spec, "CLASH/faulty".to_owned(), transport)
+        let Scenario { config, spec } = fig4();
+        let transport = link("lossy", spec.seed);
+        SimDriver::with_transport(config, spec, "CLASH/faulty".to_owned(), transport)
             .unwrap()
             .run_with_cluster()
             .unwrap()
@@ -116,8 +95,11 @@ fn replication_zero_is_bit_for_bit_pre_replication() {
     // The regression pin for the replication subsystem: r = 0 on the
     // instant transport reproduces the pre-replication constants exactly
     // — same struct, same every-field equality, no masked counters.
-    let config = pin_config().with_replication(0);
-    let result = SimDriver::new(config, pin_spec()).unwrap().run().unwrap();
+    let Scenario { config, spec } = fig4();
+    let result = SimDriver::new(config.with_replication(0), spec)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(result.final_messages, PINNED);
     assert_eq!(result.recovery, clash_sim::RecoveryTotals::default());
 }
@@ -128,8 +110,11 @@ fn replication_adds_only_replication_messages() {
     // bit-for-bit at the pinned value (replication draws no randomness
     // and never perturbs protocol decisions); only the new
     // `replication_messages` counter moves.
-    let config = pin_config().with_replication(2);
-    let result = SimDriver::new(config, pin_spec()).unwrap().run().unwrap();
+    let Scenario { config, spec } = fig4();
+    let result = SimDriver::new(config.with_replication(2), spec)
+        .unwrap()
+        .run()
+        .unwrap();
     // The exact replication traffic is pinned too (captured from the
     // pre-optimization full-sweep code): the dirty-tracked sync must
     // send precisely the seeds and invalidations the per-period full
@@ -156,9 +141,9 @@ const PINNED_R2_REPLICATION: u64 = 2438;
 #[test]
 fn transport_seed_changes_latency_without_touching_protocol() {
     let run = |tseed: u64| {
-        let spec = pin_spec();
-        let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), tseed));
-        SimDriver::with_transport(pin_config(), spec, "CLASH/wan".to_owned(), transport)
+        let Scenario { config, spec } = fig4();
+        let transport = link("wan", tseed);
+        SimDriver::with_transport(config, spec, "CLASH/wan".to_owned(), transport)
             .unwrap()
             .run_with_cluster()
             .unwrap()

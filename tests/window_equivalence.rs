@@ -2,14 +2,15 @@
 //!
 //! Client locates are *planned* synchronously (every RNG draw and ledger
 //! mutation in op order) into a window; one flush routes the window's
-//! probes in plan order and charges them through `send_batch`. A window
-//! closes at the next barrier, at a fixed probe count, or — while the
-//! transport is partitioned — after every probe. The invariant is
+//! probes in plan order and charges them through one `send_keyed`. A
+//! window closes at the next barrier, at a fixed probe count, or — while
+//! the transport is partitioned — after every probe. The invariant is
 //! absolute: **when the window closes is unobservable** — same seed ⇒
 //! identical `RunResult`, bit for bit, at any replication factor, with
-//! or without churn and crash bursts. The reference run is the
+//! or without churn and crash bursts. The reference twin is the
 //! probe-by-probe one: a "partition" whose single island holds every
-//! server severs nothing but closes every window at its first probe.
+//! server severs nothing but closes every window at its first probe; the
+//! windowed twin closes its windows where they fall.
 //!
 //! `RunResult::deterministic_fingerprint()` digests every deterministic
 //! field (samples, phases, message stats, action and recovery totals);
@@ -19,67 +20,9 @@ use clash_core::cluster::{ClashCluster, Placement};
 use clash_core::config::ClashConfig;
 use clash_keyspace::key::Key;
 use clash_obs::MetricValue;
+use clash_sim::catalogue::{link, Scenario, SCENARIOS};
 use clash_sim::driver::{RunResult, SimDriver};
-use clash_simkernel::time::SimDuration;
-use clash_transport::{LinkPolicy, LinkTransport, Transport};
-use clash_workload::churn::ChurnSpec;
-use clash_workload::scenario::ScenarioSpec;
-
-/// The Figure-4-style pin scenario: three workload phases, no churn.
-fn pin_spec() -> ScenarioSpec {
-    ScenarioSpec {
-        servers: 16,
-        sources: 300,
-        query_clients: 20,
-        load_check_period: SimDuration::from_secs(60),
-        sample_period: SimDuration::from_secs(60),
-        ..ScenarioSpec::paper().with_phase_duration(SimDuration::from_mins(5))
-    }
-}
-
-/// Sustained joins/drains plus single crashes: every membership event
-/// is a flush barrier interleaving with open batch windows.
-fn churn_spec() -> ScenarioSpec {
-    pin_spec().with_churn(
-        ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64)
-            .with_crashes(SimDuration::from_mins(4)),
-    )
-}
-
-/// Correlated crash bursts layered on the churn: simultaneous
-/// multi-server failures hit the batched path's snapshot invalidation
-/// and the replication recovery machinery at once.
-fn burst_spec() -> ScenarioSpec {
-    pin_spec().with_churn(
-        ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64)
-            .with_crash_bursts(SimDuration::from_mins(6), 3),
-    )
-}
-
-/// A flash crowd: a rapid join ramp mid-run. Every joining server
-/// immediately participates in split placement and replica sweeps, and
-/// every join is a barrier that drops the route snapshot.
-fn flash_spec() -> ScenarioSpec {
-    pin_spec().with_churn(ChurnSpec::flash_crowd(
-        SimDuration::from_mins(3),
-        24,
-        SimDuration::from_secs(10),
-    ))
-}
-
-/// A membership storm: a join, drain, crash or 3-server burst every
-/// ≈ 2 s of virtual time, thirty-odd between consecutive load checks —
-/// the cadence at which the incremental ring repair and the scoped
-/// replica re-sync, not the load check, are the cluster's steady work.
-fn storm_spec() -> ScenarioSpec {
-    pin_spec()
-        .with_phase_duration(SimDuration::from_mins(2))
-        .with_churn(
-            ChurnSpec::sustained(SimDuration::from_secs(4), SimDuration::from_secs(10), 8, 64)
-                .with_crashes(SimDuration::from_secs(12))
-                .with_crash_bursts(SimDuration::from_secs(45), 3),
-        )
-}
+use clash_transport::{LinkPolicy, LinkTransport};
 
 /// Puts every server on one island: nothing is severed (servers that
 /// join later land on island 0 too), but the transport reports a
@@ -89,15 +32,13 @@ fn close_every_window_per_probe(cluster: &mut ClashCluster) {
     cluster.partition_network(&[everyone]);
 }
 
-fn run(spec: ScenarioSpec, replication: usize, reference: bool) -> RunResult {
-    let config = ClashConfig {
-        capacity: 60.0,
-        ..ClashConfig::paper()
-    }
-    .with_replication(replication);
-    let transport: Box<dyn Transport> = Box::new(LinkTransport::new(LinkPolicy::wan(), spec.seed));
+fn run(scenario: Scenario, replication: usize, reference: bool) -> RunResult {
+    let Scenario { config, spec } = scenario;
+    let config = config.with_replication(replication);
+    let transport = link("wan", spec.seed);
     let mut driver =
-        SimDriver::with_transport(config, spec, "CLASH/shard-equiv".to_owned(), transport).unwrap();
+        SimDriver::with_transport(config, spec, "CLASH/window-equiv".to_owned(), transport)
+            .unwrap();
     if reference {
         close_every_window_per_probe(driver.cluster_mut());
     }
@@ -109,7 +50,7 @@ fn run(spec: ScenarioSpec, replication: usize, reference: bool) -> RunResult {
 fn assert_equal_runs(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(
         a.final_messages, b.final_messages,
-        "{label}: MessageStats diverged between batched and sequential"
+        "{label}: MessageStats diverged between windowed and probe-by-probe"
     );
     assert_eq!(a.samples, b.samples, "{label}: sampled series diverged");
     assert_eq!(a.events, b.events, "{label}: event counts diverged");
@@ -131,36 +72,32 @@ fn assert_equal_runs(a: &RunResult, b: &RunResult, label: &str) {
 }
 
 /// The headline pin: windows closed by barriers and the window bound
-/// must reproduce the probe-by-probe run *bit for bit* — Figure-4,
-/// churn, crash-burst and flash-crowd and membership-storm scenarios,
-/// r = 0 and r = 2, three seeds each.
+/// must reproduce the probe-by-probe run *bit for bit* — every catalogue
+/// scenario (Figure-4, churn, crash-burst, flash-crowd and
+/// membership-storm), r = 0 and r = 2, three seeds each.
 #[test]
-fn single_shard_batching_matches_sequential_bit_for_bit() {
-    type SpecFn = fn() -> ScenarioSpec;
-    let scenarios: [(&str, SpecFn); 5] = [
-        ("fig4", pin_spec),
-        ("churn", churn_spec),
-        ("burst", burst_spec),
-        ("flash", flash_spec),
-        ("storm", storm_spec),
-    ];
-    for (name, make_spec) in scenarios {
+fn windowed_locates_match_probe_by_probe_bit_for_bit() {
+    for (name, make) in SCENARIOS {
         for replication in [0usize, 2] {
             for seed in [1u64, 42, 0xBEEF] {
-                let mut spec = make_spec();
-                spec.seed = seed;
-                let sequential = run(spec.clone(), replication, true);
-                let batched = run(spec, replication, false);
+                let mut scenario = make();
+                scenario.spec.seed = seed;
+                let crowd = scenario.spec.churn.and_then(|c| c.flash_crowd);
+                let reference = run(scenario.clone(), replication, true);
+                let windowed = run(scenario, replication, false);
                 assert_equal_runs(
-                    &sequential,
-                    &batched,
+                    &reference,
+                    &windowed,
                     &format!("{name} r={replication} seed={seed}"),
                 );
                 match name {
-                    "burst" => assert!(sequential.crashes > 0, "burst scenario must crash servers"),
-                    "flash" => assert!(sequential.joins >= 24, "flash crowd must join its servers"),
+                    "burst" => assert!(reference.crashes > 0, "burst scenario must crash servers"),
+                    "flash" => assert!(
+                        reference.joins >= crowd.map_or(0, |c| c.joins as u64),
+                        "flash crowd must join its servers"
+                    ),
                     "storm" => assert!(
-                        sequential.joins + sequential.leaves + sequential.crashes >= 100,
+                        reference.joins + reference.leaves + reference.crashes >= 100,
                         "storm must keep membership changing"
                     ),
                     _ => {}
