@@ -119,7 +119,8 @@ impl SimDuration {
             "duration seconds must be finite and non-negative, got {secs}"
         );
         let us = secs * 1e6;
-        assert!(us <= u64::MAX as f64, "duration overflows u64 microseconds");
+        // `u64::MAX as f64` rounds up to 2^64, which `as u64` would saturate.
+        assert!(us < u64::MAX as f64, "duration overflows u64 microseconds");
         SimDuration(us.round() as u64)
     }
 
@@ -282,6 +283,22 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 microseconds")]
+    fn from_secs_f64_rejects_two_to_the_64_micros() {
+        // 18446744073709.55 s × 1e6 rounds to exactly 2^64 µs.
+        let _ = SimDuration::from_secs_f64(18446744073709.55);
+    }
+
+    #[test]
+    fn from_secs_f64_converts_the_largest_input_below_the_limit() {
+        // The f64 just below 18446744073709.55: its product is 2^64 − 4096.
+        assert_eq!(
+            SimDuration::from_secs_f64(18446744073709.547).as_micros(),
+            u64::MAX - 4095
+        );
     }
 
     #[test]
