@@ -318,14 +318,13 @@ impl SimNet {
     /// hop limit (a safety check: converged tables need at most `M + 1`
     /// hops).
     pub fn route(&self, start: ChordId, h: u64) -> LookupResult {
-        self.route_visit(start, h, |_, _| ())
+        self.route_each(start, h, |_, _| ())
     }
 
     /// [`SimNet::route`], additionally writing the per-hop path into
     /// `path` (cleared first) as `(from, to)` pairs — one pair per
-    /// inter-node message — so callers can charge each hop its own link
-    /// cost (latency, loss) through a transport without a `Vec` per
-    /// lookup. `path.len()` always equals the returned hop count.
+    /// inter-node message. `path.len()` always equals the returned hop
+    /// count.
     pub fn route_path(
         &self,
         start: ChordId,
@@ -333,15 +332,19 @@ impl SimNet {
         path: &mut Vec<(ChordId, ChordId)>,
     ) -> LookupResult {
         path.clear();
-        let result = self.route_visit(start, h, |from, to| path.push((from, to)));
+        let result = self.route_each(start, h, |from, to| path.push((self.id(from), self.id(to))));
         debug_assert_eq!(path.len(), result.hops as usize);
         result
     }
 
-    /// The routing engine — the only hop loop there is: `visit(from, to)`
-    /// fires once per inter-node hop, in order.
+    /// [`SimNet::route`], calling `visit(from, to)` with the raw ids of
+    /// each inter-node hop, in order — so a caller can charge each hop
+    /// its own link cost (latency, loss) through a transport without
+    /// collecting a path. Does not touch statistics; replay them with
+    /// [`SimNet::record_routed_lookup`].
     ///
-    /// Each hop is Chord's: to the successor if it owns the target, else
+    /// This is the routing engine — the only hop loop there is. Each
+    /// hop is Chord's: to the successor if it owns the target, else
     /// to the farthest finger strictly between here and the target.
     /// With `before` the last alive id strictly before the target and
     /// `d = dist(current, before) ≥ 1`, that finger is finger
@@ -351,7 +354,11 @@ impl SimNet {
     /// target, and so lands at or past the target or wraps to `current`.
     /// Each finger hop leaves `d < 2^⌊log₂ d⌋`, so a lookup takes at most
     /// `M` finger hops and one successor hop.
-    fn route_visit<F: FnMut(ChordId, ChordId)>(
+    ///
+    /// # Panics
+    ///
+    /// As [`SimNet::route`].
+    pub fn route_each<F: FnMut(u64, u64)>(
         &self,
         start: ChordId,
         h: u64,
@@ -378,7 +385,7 @@ impl SimNet {
             }
             let succ = if at + 1 == n { 0 } else { at + 1 };
             if succ == owner {
-                visit(self.id(current), self.id(self.ring[succ]));
+                visit(current, self.ring[succ]);
                 return LookupResult {
                     owner: self.id(self.ring[succ]),
                     hops: hops + 1,
@@ -386,7 +393,7 @@ impl SimNet {
             }
             let k = dist(current, before, mask).ilog2();
             at = self.owner_pos(current.wrapping_add(1 << k) & mask);
-            visit(self.id(current), self.id(self.ring[at]));
+            visit(current, self.ring[at]);
             hops += 1;
             assert!(
                 hops <= hop_limit,
@@ -415,24 +422,12 @@ impl SimNet {
         result
     }
 
-    /// [`SimNet::find_successor`] writing the per-hop path into `path`
-    /// (see [`SimNet::route_path`]). Statistics are recorded identically.
-    pub fn find_successor_path(
-        &mut self,
-        start: ChordId,
-        h: u64,
-        path: &mut Vec<(ChordId, ChordId)>,
-    ) -> LookupResult {
-        let result = self.route_path(start, h, path);
-        self.record_routed_lookup(result.hops);
-        result
-    }
-
-    /// Records the statistics of one lookup that was already routed by
-    /// [`SimNet::route_path`] — the locate flush routes its probes
-    /// purely and replays the accounting here in plan order, so
-    /// [`SimNet::stats`] is bit-for-bit what a
-    /// [`SimNet::find_successor_path`] call per probe would have left.
+    /// Records the statistics of one lookup routed purely — by
+    /// [`SimNet::route_each`] or [`SimNet::route_path`] — so callers that
+    /// route first and account later (the locate flush replays its
+    /// probes' accounting in plan order) leave [`SimNet::stats`]
+    /// bit-for-bit what a [`SimNet::find_successor`] call per lookup
+    /// would have left.
     pub fn record_routed_lookup(&mut self, hops: u32) {
         self.stats.lookups += 1;
         self.stats.total_hops += u64::from(hops);
@@ -929,14 +924,26 @@ mod tests {
     }
 
     #[test]
-    fn find_successor_path_records_stats() {
+    fn route_each_visits_the_path_and_records_nothing() {
         let mut net = stable_net(32, 27);
-        let start = net.node_ids()[0];
+        let starts = net.node_ids();
+        let mut rng = DetRng::new(28);
         let mut path = Vec::new();
-        let r = net.find_successor_path(start, 0x1234, &mut path);
-        assert_eq!(net.stats().lookups, 1);
-        assert_eq!(net.stats().total_hops, u64::from(r.hops));
-        assert_eq!(path.len(), r.hops as usize);
+        let mut hops = 0;
+        for _ in 0..200 {
+            let h = rng.next_u64() & space().mask();
+            let start = starts[rng.uniform_index(starts.len())];
+            let mut visited = Vec::new();
+            let r = net.route_each(start, h, |from, to| visited.push((from, to)));
+            assert_eq!(r, net.route_path(start, h, &mut path));
+            let want: Vec<(u64, u64)> = path.iter().map(|(f, t)| (f.value(), t.value())).collect();
+            assert_eq!(visited, want);
+            hops += u64::from(r.hops);
+        }
+        assert_eq!(net.stats().lookups, 0, "routing is pure");
+        net.record_routed_lookup(3);
+        assert_eq!((net.stats().lookups, net.stats().total_hops), (1, 3));
+        assert!(hops > 0);
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! [`Obs`] is the flight recorder and the per-phase profiler.
 
 use clash_chord::id::ChordId;
+use clash_chord::net::{LookupResult, SimNet};
 use clash_obs::{
     CheckPhase, PhaseProfile, PhaseProfiler, Telemetry, TraceEvent, TraceEventKind, TraceSink,
 };
 use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::{
-    message_key, Delivery, LinkPolicy, MessageClass, SendSpec, Transport, TransportStats,
+    Chain, ChainOutcome, LinkPolicy, MessageClass, SendSpec, Transport, TransportStats,
 };
 
 use super::data_plane::GroupLedger;
+use super::locate::WINDOW_PROBES;
 use super::ClashCluster;
 use crate::latency::{ms, LatencyMetrics};
 use crate::ServerId;
@@ -109,17 +111,23 @@ impl MessageStats {
 /// One leg of a chain: a `(from, to, class)` message.
 pub(super) type Leg = (ChordId, ChordId, MessageClass);
 
+/// Legs a window's probe is reserved: a Chord lookup on up to 2¹⁴
+/// servers averages at most 7 hops, plus the probe's response.
+const LEGS_PER_PROBE: usize = 8;
+
 /// The message path: [`open`](Wire::open) a dispatch, lay out its
-/// *chains* (legs a sender sends in turn, each once the last arrived),
-/// dispatch them in one `send_keyed`, read each back in order. Callers
-/// count the messages in `msgs` and observe their operation's latency.
+/// *chains* (legs a sender sends in turn, each once the last arrived:
+/// a lookup's hops [`route`](Wire::route)d straight off the ring, then
+/// the legs [`lay_out`](Wire::lay_out) closes the chain with), send them
+/// in one [`Transport::send_chains`], read each outcome back in order.
+/// Callers count the messages in `msgs` and observe their latency.
 ///
 /// Every chain has an **ordinal**, counted here: a probe takes the next
 /// one when `locate_hinted` plans it and carries it to the flush that
 /// lays it out; every other chain takes one when it is laid out. So
-/// ordinals follow op order whenever a window closes. Leg `i` of chain
-/// `c` is sent under key [`message_key`]`(c, i)`: its loss and jitter
-/// are a function of its link and that key alone.
+/// ordinals follow op order whenever a window closes. The transport
+/// keys leg `i` of chain `c` [`clash_transport::message_key`]`(c, i)`
+/// and stops a chain at the first leg a partition refuses.
 pub(super) struct Wire {
     /// The default [`clash_transport::InstantTransport`] reproduces
     /// direct-call semantics exactly.
@@ -127,21 +135,16 @@ pub(super) struct Wire {
     pub(super) msgs: MessageStats,
     /// End-to-end per-operation latency recorders.
     pub(super) latency: LatencyMetrics,
-    /// The `(from, to)` hops of the next chain's route: the ring writes
-    /// each lookup's path here, so no probe or placement allocates one.
-    pub(super) hops: Vec<(ChordId, ChordId)>,
-    /// The dispatch's legs, their keys and their deliveries index for
-    /// index, and where each chain starts (then where the last one ends).
+    /// The dispatch's legs, each chain's `(ordinal, end)` and, once
+    /// sent, each chain's outcome. Reserved for a full locate window, so
+    /// a window reuses the last one's buffers.
     legs: Vec<SendSpec>,
-    keys: Vec<u64>,
-    deliveries: Vec<Delivery>,
-    bounds: Vec<usize>,
+    chains: Vec<Chain>,
+    outcomes: Vec<ChainOutcome>,
     /// Chains read back so far.
     read: usize,
-    /// Partitioned? Read once per dispatch: a lookup per probe is measurable.
-    severed: bool,
     /// Ordinals handed out so far: the next chain's ordinal.
-    chains: u64,
+    ordinals: u64,
 }
 
 impl Wire {
@@ -150,34 +153,39 @@ impl Wire {
             transport,
             msgs: MessageStats::default(),
             latency: LatencyMetrics::new(),
-            hops: Vec::new(),
-            legs: Vec::new(),
-            keys: Vec::new(),
-            deliveries: Vec::new(),
-            bounds: vec![0],
+            legs: Vec::with_capacity(WINDOW_PROBES * LEGS_PER_PROBE),
+            chains: Vec::with_capacity(WINDOW_PROBES),
+            outcomes: Vec::with_capacity(WINDOW_PROBES),
             read: 0,
-            severed: false,
-            chains: 0,
+            ordinals: 0,
         }
     }
 
     /// Opens a dispatch, forgetting the last one.
     pub(super) fn open(&mut self) {
         self.legs.clear();
-        self.keys.clear();
-        self.bounds.truncate(1);
+        self.chains.clear();
         self.read = 0;
-        self.severed = self.transport.is_partitioned();
     }
 
     /// The next chain ordinal, taken.
     pub(super) fn take_ordinal(&mut self) -> u64 {
-        let ordinal = self.chains;
-        self.chains += 1;
+        let ordinal = self.ordinals;
+        self.ordinals += 1;
         ordinal
     }
 
-    /// Lays out one chain under the next ordinal (see
+    /// Routes a lookup for `h` from `start` on `net`, laying out a
+    /// `Probe` leg per hop as the chain's first legs; the next
+    /// [`Wire::lay_out`] or [`Wire::lay_out_as`] closes the chain.
+    /// Records no lookup statistics.
+    #[inline]
+    pub(super) fn route(&mut self, net: &SimNet, start: ChordId, h: u64) -> LookupResult {
+        let (legs, class) = (&mut self.legs, MessageClass::Probe);
+        net.route_each(start, h, |src, dst| legs.push(SendSpec { src, dst, class }))
+    }
+
+    /// Closes a chain with `legs` under the next ordinal (see
     /// [`Wire::lay_out_as`]).
     #[inline]
     pub(super) fn lay_out(&mut self, legs: &[Leg]) {
@@ -185,52 +193,33 @@ impl Wire {
         self.lay_out_as(ordinal, legs);
     }
 
-    /// Lays out chain `ordinal`: a `Probe` per hop in `self.hops`
-    /// (emptied), then `legs`. **The cut rule:** a sender stops at the
-    /// first leg a partition refuses — while the transport is partitioned,
-    /// the chain ends at its first leg [`Transport::reachable`] refuses.
+    /// Closes chain `ordinal`: the legs [`Wire::route`] laid out since
+    /// the last chain closed, then `legs`.
     #[inline]
     pub(super) fn lay_out_as(&mut self, ordinal: u64, legs: &[Leg]) {
-        let first = self.legs.len();
-        let route = self
-            .hops
-            .drain(..)
-            .map(|(from, to)| (from, to, MessageClass::Probe));
-        let chain = route.chain(legs.iter().copied());
-        self.legs.extend(chain.map(|(from, to, class)| SendSpec {
-            src: from.value(),
-            dst: to.value(),
-            class,
-        }));
-        if self.severed {
-            let transport = &self.transport;
-            let refused = |leg: &SendSpec| !transport.reachable(leg.src, leg.dst);
-            if let Some(cut) = self.legs[first..].iter().position(refused) {
-                self.legs.truncate(first + cut + 1);
-            }
-        }
-        let laid_out = (self.legs.len() - first) as u64;
-        self.keys
-            .extend((0..laid_out).map(|leg| message_key(ordinal, leg)));
-        self.bounds.push(self.legs.len());
+        self.legs
+            .extend(legs.iter().map(|&(from, to, class)| SendSpec {
+                src: from.value(),
+                dst: to.value(),
+                class,
+            }));
+        self.chains.push((ordinal, self.legs.len()));
     }
 
-    /// Sends every leg laid out since [`Wire::open`] in one `send_keyed`.
+    /// Sends every chain laid out since [`Wire::open`] at once.
     pub(super) fn dispatch(&mut self) {
         self.transport
-            .send_keyed(&self.legs, &self.keys, &mut self.deliveries);
+            .send_chains(&self.legs, &self.chains, &mut self.outcomes);
     }
 
-    /// Reads the next chain back: adds each delivered leg's latency to
+    /// Reads the next chain back: adds its delivered legs' latency to
     /// `total` (a cut chain's too) and names a cut chain's refused leg.
     #[inline]
     pub(super) fn next_chain(&mut self, total: &mut SimDuration) -> Result<(), SendSpec> {
-        let chain = self.bounds[self.read]..self.bounds[self.read + 1];
+        let outcome = self.outcomes[self.read];
         self.read += 1;
-        for (leg, delivery) in self.legs[chain.clone()].iter().zip(&self.deliveries[chain]) {
-            *total += delivery.latency().ok_or(*leg)?;
-        }
-        Ok(())
+        *total += outcome.latency;
+        outcome.cut.map_or(Ok(()), |cut| Err(self.legs[cut]))
     }
 
     /// One chain on its own; its latency if every leg arrived.
@@ -535,38 +524,17 @@ impl ClashCluster {
 mod tests {
     use super::*;
     use clash_keyspace::hash::HashSpace;
+    use clash_keyspace::key::Key;
+    use clash_simkernel::rng::DetRng;
     use clash_transport::{InstantTransport, LinkTransport};
     use proptest::prelude::*;
 
-    /// The reference for [`Wire`]'s routine: each chain sent one leg at
-    /// a time, stopping at its first `Unreachable`, leg `i` of the
-    /// chain numbered `ordinal` under key `message_key(ordinal, i)`, the
-    /// chains numbered on from `*ordinal`. Per chain: the deliveries made
-    /// and the latency of the delivered ones.
-    fn send_leg_by_leg(
-        transport: &mut dyn Transport,
-        ordinal: &mut u64,
-        chains: &[Vec<Leg>],
-    ) -> Vec<(Vec<Delivery>, SimDuration)> {
+    /// The reference for [`Wire`]'s routine: one chain, its legs laid
+    /// out by hand, sent on its own under `ordinal`.
+    fn send_alone(transport: &mut dyn Transport, ordinal: u64, legs: &[SendSpec]) -> ChainOutcome {
         let mut out = Vec::new();
-        chains
-            .iter()
-            .map(|chain| {
-                let mut sent = Vec::new();
-                let mut total = SimDuration::ZERO;
-                for (leg, &(from, to, class)) in chain.iter().enumerate() {
-                    let key = message_key(*ordinal, leg as u64);
-                    transport.send_keyed(&[spec((from, to, class))], &[key], &mut out);
-                    sent.push(out[0]);
-                    match out[0] {
-                        Delivery::Delivered { latency, .. } => total += latency,
-                        Delivery::Unreachable { .. } => break,
-                    }
-                }
-                *ordinal += 1;
-                (sent, total)
-            })
-            .collect()
+        transport.send_chains(legs, &[(ordinal, legs.len())], &mut out);
+        out[0]
     }
 
     fn spec((from, to, class): Leg) -> SendSpec {
@@ -577,14 +545,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn locate_windows_keep_the_dispatch_buffers_they_reserved() {
+        // fig4's size: 16 servers under the paper's configuration, every
+        // window closed full by its 512th probe.
+        let mut c = ClashCluster::new(crate::ClashConfig::paper(), 16, 7).unwrap();
+        let capacities = |w: &Wire| {
+            [
+                w.legs.capacity(),
+                w.chains.capacity(),
+                w.outcomes.capacity(),
+            ]
+        };
+        let reserved = capacities(&c.wire);
+        let width = c.config.key_width;
+        let mut rng = DetRng::new(8);
+        while c.batch.flush_seq < 100 {
+            c.locate(Key::from_bits_truncated(rng.next_u64(), width))
+                .unwrap();
+            assert_eq!(capacities(&c.wire), reserved, "flush {}", c.batch.flush_seq);
+        }
+        assert_eq!(c.batch.window_probes_max, WINDOW_PROBES as u64);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Steps over 8 nodes, on the instant transport or a lossy WAN:
-        /// kind 0 partitions them into up to four islands, kind 1 heals,
-        /// any other kind dispatches its chains (1–12 legs each,
-        /// self-sends included; a routed chain sends all but its last leg
-        /// as route hops).
+        /// Steps over an 8-node ring, on the instant transport or a
+        /// lossy WAN: kind 0 partitions the nodes into up to four
+        /// islands, kind 1 heals, any other kind dispatches its chains —
+        /// 0–6 legs between ring nodes (self-sends included), after a
+        /// routed lookup's hops when drawn so. One dispatch gives each
+        /// chain the outcome the chain's legs, routed by
+        /// `SimNet::route_path` and laid out leg by leg, get when sent on
+        /// their own under the chain's ordinal, and leaves the same
+        /// counters. (`clash-transport` pins a chain against its legs
+        /// sent one at a time.)
         #[test]
         fn one_dispatch_matches_sending_each_chain_leg_by_leg(
             instant in any::<bool>(),
@@ -594,7 +590,11 @@ mod tests {
                     0u8..8,
                     0u64..u64::MAX,
                     prop::collection::vec(
-                        (0u8..2, prop::collection::vec((0u64..8, 0u64..8, 0usize..8), 1..13)),
+                        (
+                            0u8..2,
+                            (0usize..8, 0u64..256),
+                            prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..7),
+                        ),
                         1..6,
                     ),
                 ),
@@ -602,6 +602,8 @@ mod tests {
             ),
         ) {
             let space = HashSpace::new(8).unwrap();
+            let net = SimNet::with_random_nodes(space, 8, &mut DetRng::new(seed));
+            let nodes = net.node_ids();
             let transport = || -> Box<dyn Transport> {
                 if instant {
                     Box::new(InstantTransport::new())
@@ -612,11 +614,12 @@ mod tests {
             let mut wire = Wire::new(transport());
             let mut reference = transport();
             let mut ordinal = 0;
+            let mut path = Vec::new();
             for (kind, island_bits, drawn) in steps {
                 if kind == 0 {
                     let mut islands = vec![Vec::new(); 4];
-                    for node in 0..8u64 {
-                        islands[((island_bits >> (2 * node)) & 3) as usize].push(node);
+                    for (i, node) in nodes.iter().enumerate() {
+                        islands[((island_bits >> (2 * i)) & 3) as usize].push(node.value());
                     }
                     wire.transport.partition(&islands);
                     reference.partition(&islands);
@@ -627,48 +630,31 @@ mod tests {
                     reference.heal();
                     continue;
                 }
-                let chains: Vec<(bool, Vec<Leg>)> = drawn
-                    .into_iter()
-                    .map(|(routed, legs)| {
-                        let hops = if routed == 1 { legs.len() - 1 } else { 0 };
-                        let legs = legs.into_iter().enumerate().map(|(i, (from, to, class))| {
-                            let class = if i < hops {
-                                MessageClass::Probe
-                            } else {
-                                MessageClass::ALL[class]
-                            };
-                            (ChordId::new(from, space), ChordId::new(to, space), class)
-                        });
-                        (routed == 1, legs.collect())
-                    })
-                    .collect();
                 wire.open();
-                for (routed, legs) in &chains {
-                    if *routed {
-                        let (hops, tail) = legs.split_at(legs.len() - 1);
-                        wire.hops = hops.iter().map(|&(from, to, _)| (from, to)).collect();
-                        wire.lay_out(tail);
-                    } else {
-                        wire.lay_out(legs);
+                let mut by_hand = Vec::new();
+                for (routed, (start, h), tail) in &drawn {
+                    let tail: Vec<Leg> = tail
+                        .iter()
+                        .map(|&(from, to, class)| (nodes[from], nodes[to], MessageClass::ALL[class]))
+                        .collect();
+                    path.clear();
+                    if *routed == 1 {
+                        let lookup = wire.route(&net, nodes[*start], *h);
+                        prop_assert_eq!(lookup, net.route_path(nodes[*start], *h, &mut path));
                     }
+                    wire.lay_out(&tail);
+                    let hops = path.iter().map(|&(from, to)| (from, to, MessageClass::Probe));
+                    by_hand.push(hops.chain(tail).map(spec).collect::<Vec<_>>());
                 }
+                prop_assert_eq!(&wire.legs, &by_hand.concat());
                 wire.dispatch();
-                let chains: Vec<Vec<Leg>> = chains.into_iter().map(|(_, legs)| legs).collect();
-                let expected = send_leg_by_leg(&mut *reference, &mut ordinal, &chains);
-                for (i, (sent, total)) in expected.iter().enumerate() {
+                for (i, legs) in by_hand.iter().enumerate() {
+                    let want = send_alone(&mut *reference, ordinal, legs);
+                    ordinal += 1;
                     let mut got = SimDuration::ZERO;
                     let outcome = wire.next_chain(&mut got);
-                    let laid_out = wire.bounds[i]..wire.bounds[i + 1];
-                    let reached: Vec<SendSpec> =
-                        chains[i][..sent.len()].iter().copied().map(spec).collect();
-                    prop_assert_eq!(&wire.legs[laid_out.clone()], &reached[..], "chain {} legs", i);
-                    prop_assert_eq!(&wire.deliveries[laid_out], &sent[..], "chain {} sent", i);
-                    let cut = sent
-                        .last()
-                        .filter(|d| !d.is_delivered())
-                        .map(|_| reached[sent.len() - 1]);
-                    prop_assert_eq!(outcome.err(), cut, "chain {} cut", i);
-                    prop_assert_eq!(got, *total, "chain {} latency", i);
+                    prop_assert_eq!(outcome.err(), want.cut.map(|cut| legs[cut]), "chain {} cut", i);
+                    prop_assert_eq!(got, want.latency, "chain {} latency", i);
                 }
                 prop_assert_eq!(wire.transport.stats(), reference.stats());
             }

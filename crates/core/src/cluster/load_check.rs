@@ -415,11 +415,12 @@ impl ClashCluster {
             let (_, right_prefix) = group.split()?;
             let h = self.hasher.hash_key(right_prefix.virtual_key());
             let wire = &mut self.wire;
-            let lookup = (self.net).find_successor_path(server_id, h, &mut wire.hops);
+            wire.open();
+            let lookup = wire.route(&self.net, server_id, h);
+            self.net.record_routed_lookup(lookup.hops);
             let target = lookup.owner;
             let self_mapped = target == server_id;
             let accept = [(server_id, target, MessageClass::AcceptKeygroup)];
-            wire.open();
             wire.lay_out(if self_mapped { &[] } else { &accept });
             wire.dispatch();
             if wire.next_chain(&mut op_latency).is_err() {

@@ -78,8 +78,9 @@ struct PlannedProbe {
 /// `churn_wan_sharded` 20 % above its twin's `peak_rss_mb`; 512 reads
 /// 4–8 % below 8 192-probe windows at events/s inside their spread
 /// (ARCHITECTURE.md § Locate windows). A power of two, so `probes`
-/// doubles onto exactly this capacity.
-const WINDOW_PROBES: usize = 512;
+/// doubles onto exactly this capacity; [`Wire`] reserves its dispatch
+/// buffers for it once.
+pub(super) const WINDOW_PROBES: usize = 512;
 
 /// The locate window. A client probe is priced in two steps. **Plan**
 /// (at the op): draw the entry node, resolve the owner by ground truth,
@@ -88,9 +89,11 @@ const WINDOW_PROBES: usize = 512;
 /// coalesce into `touched`. **Flush** (`flush_batch_probes`, the only
 /// code that routes a client probe, sends its hops or counts it): route
 /// each probe in plan order against the live ring — frozen in effect,
-/// every ring mutation being a barrier that flushes first — lay out one
-/// [`Wire`] chain per probe, send them in one dispatch, replay the
-/// accounting. Only *when* the window closes varies: at a barrier
+/// every ring mutation being a barrier that flushes first — its hops
+/// going straight into the dispatch ([`Wire::route`]), close its
+/// [`Wire`] chain with its response, send the window in one dispatch,
+/// replay the accounting from each chain's outcome. Only *when* the
+/// window closes varies: at a barrier
 /// ([`ClashCluster::flush_batch`]), at [`WINDOW_PROBES`], or per probe
 /// (`window_may_stay_open`) — unobservably: `tests/window_equivalence.rs`
 /// and the `windowed_locates_match_probe_by_probe` proptest pin it bit
@@ -144,10 +147,11 @@ impl LocateBatch {
         #[cfg(debug_assertions)]
         let draws_at_freeze = rng.draw_count();
         // Route phase: in plan order, lay out each probe's chain — its
-        // routing hops, then its owner→start response.
+        // routing hops, as the ring finds them, then its owner→start
+        // response.
         wire.open();
         for plan in &mut self.probes {
-            let lookup = net.route_path(plan.start, plan.target, &mut wire.hops);
+            let lookup = wire.route(net, plan.start, plan.target);
             debug_assert_eq!(
                 lookup.owner, plan.owner,
                 "locate window spanned a ring change: routed owner diverged from plan"

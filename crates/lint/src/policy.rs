@@ -50,7 +50,7 @@ pub const REGISTERED_THREAD_SITES: &[&str] = &["crates/sim/src/experiments/mod.r
 pub const MESSAGE_CLASS_DEF: &str = "crates/transport/src/lib.rs";
 pub const CHARGING_ROOT: &str = "crates/core/src/";
 /// The one file under [`CHARGING_ROOT`] that may call a transport's
-/// `send` / `send_batch` / `send_keyed`: `Wire`'s dispatch routine lives
+/// `send` / `send_batch` / `send_chains`: `Wire`'s dispatch routine lives
 /// there.
 pub const SEND_SITE: &str = "crates/core/src/cluster/accounting.rs";
 

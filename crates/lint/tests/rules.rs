@@ -429,7 +429,7 @@ fn transport_send_outside_the_send_site_fires() {
         "fn f(w: &mut Wire) {\n\
          w.transport.send(1, 2, MessageClass::LoadReport);\n\
          w.transport.send_batch(&specs, &mut out);\n\
-         w.transport.send_keyed(&specs, &keys, &mut out);\n}",
+         w.transport.send_chains(&legs, &chains, &mut out);\n}",
     );
     assert_eq!(
         fired(&diags),
@@ -442,12 +442,15 @@ fn transport_send_outside_the_send_site_fires() {
     assert_eq!((diags[0].line, diags[1].line, diags[2].line), (2, 3, 4));
     assert!(diags[0].message.contains("`.send(`"), "{diags:?}");
     assert!(diags[1].message.contains("`.send_batch(`"), "{diags:?}");
-    assert!(diags[2].message.contains("`.send_keyed(`"), "{diags:?}");
+    assert!(diags[2].message.contains("`.send_chains(`"), "{diags:?}");
 }
 
 #[test]
 fn transport_send_at_the_send_site_or_outside_core_is_clean() {
-    let src = "fn f(t: &mut T) { t.send(1, 2, c); t.send_batch(&specs, &mut out); }";
+    let src = "fn f(t: &mut T) {\n\
+               t.send(1, 2, c);\n\
+               t.send_batch(&specs, &mut out);\n\
+               t.send_chains(&legs, &chains, &mut out);\n}";
     for path in [
         "crates/core/src/cluster/accounting.rs",
         "crates/transport/src/link.rs",

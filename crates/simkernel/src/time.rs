@@ -121,7 +121,7 @@ impl SimDuration {
         let us = secs * 1e6;
         // `u64::MAX as f64` rounds up to 2^64, which `as u64` would saturate.
         assert!(us < u64::MAX as f64, "duration overflows u64 microseconds");
-        SimDuration(us.round() as u64)
+        SimDuration(round_half_away(us))
     }
 
     /// Whole microseconds in this duration.
@@ -138,6 +138,17 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `us.round() as u64` for `0 ≤ us < 2⁶⁴`, without libm's `round`:
+/// the truncation plus one when the fraction is at least a half (ties
+/// away from zero). The fraction `us − ⌊us⌋` is exact for every such
+/// `us` — both terms lie within a factor of two of each other, or the
+/// floor is 0 — so the result is bit-identical to `f64::round`.
+#[inline]
+fn round_half_away(us: f64) -> u64 {
+    let whole = us as u64;
+    whole + u64::from(us - whole as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -277,6 +288,46 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert_eq!(SimDuration::from_secs_f64(1e-6).as_micros(), 1);
         assert_eq!(SimDuration::from_secs_f64(0.0).as_micros(), 0);
+    }
+
+    #[test]
+    fn round_half_away_matches_f64_round_at_the_ties_and_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let cases = [
+            (0.0, 0),
+            (0.5, 1),
+            (1.5, 2),
+            (2.5, 3),
+            (0.499_999_999_999_999_94, 0),
+            (two(52) - 0.5, 1 << 52),
+            (two(52) + 0.5, 1 << 52), // not representable: the literal is 2⁵²
+            (two(51) + 0.5, (1 << 51) + 1),
+            (two(53) - 1.0, (1 << 53) - 1),
+            (two(53) + 1.0, 1 << 53), // rounds to 2⁵³ as an f64
+            (two(53) + 2.0, (1 << 53) + 2),
+            (two(64) - 2048.0, u64::MAX - 2047),
+        ];
+        for (us, want) in cases {
+            assert_eq!(round_half_away(us), want, "{us}");
+            assert_eq!(round_half_away(us), us.round() as u64, "{us}");
+        }
+    }
+
+    #[test]
+    fn round_half_away_matches_f64_round_on_a_seeded_sweep() {
+        let mut rng = crate::rng::DetRng::new(46);
+        for _ in 0..200_000 {
+            let bits = rng.next_u64();
+            // A value of every magnitude below 2⁶⁴, an exact half, and a
+            // value near a half.
+            let scale = 2f64.powi((rng.next_u64() % 72) as i32 - 60);
+            let wide = (bits >> 11) as f64 * scale;
+            let half = (bits >> 10) as f64 + 0.5;
+            let near = (bits >> 12) as f64 * 1e-3;
+            for us in [wide, half, near] {
+                assert_eq!(round_half_away(us), us.round() as u64, "{us}");
+            }
+        }
     }
 
     #[test]

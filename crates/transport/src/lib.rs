@@ -27,10 +27,14 @@
 //!
 //! Messages are logically synchronous RPCs: the *cluster* stays in charge
 //! of protocol state, the transport decides "how long did this take, and
-//! did it get through?". That keeps the harness's analytic-aggregation
-//! design (the `clash-sim` driver's module doc) while making locate latency CDFs, retry
-//! overhead and partition behavior measurable — see the `netfault`
-//! experiment in `clash-sim`.
+//! did it get through?". The protocol sends *chains* — a routed lookup's
+//! hops, then the message they carry — through
+//! [`Transport::send_chains`]: the transport keys each leg from its
+//! chain's ordinal and its place in the chain, stops a chain at the
+//! first leg a partition refuses, and reports per chain. That keeps the
+//! harness's analytic-aggregation design (the `clash-sim` driver's module
+//! doc) while making locate latency CDFs, retry overhead and partition
+//! behavior measurable — see the `netfault` experiment in `clash-sim`.
 
 // The grep audit at PR 7 found zero `unsafe` in the protocol crates;
 // lock that in — determinism reasoning assumes no aliasing backdoors.
@@ -186,7 +190,8 @@ impl TransportStats {
     }
 }
 
-/// One pre-planned message of a batch (see [`Transport::send_batch`]).
+/// One pre-planned message of a batch (see [`Transport::send_batch`]) or
+/// one leg of a chain (see [`Transport::send_chains`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendSpec {
     /// Sender address.
@@ -197,10 +202,25 @@ pub struct SendSpec {
     pub class: MessageClass,
 }
 
-/// The key of leg `leg` of chain `chain`: what a caller of
-/// [`Transport::send_keyed`] passes beside each send. Distinct
-/// `(chain, leg)` pairs give distinct keys, so two messages on one link
-/// draw apart even when they belong to one chain.
+/// One chain of a [`Transport::send_chains`] dispatch: its ordinal and
+/// the end of its legs, exclusive. A chain's legs start where the
+/// previous chain's legs end.
+pub type Chain = (u64, usize);
+
+/// What became of one chain of a [`Transport::send_chains`] dispatch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainOutcome {
+    /// Summed latency of the chain's delivered legs.
+    pub latency: SimDuration,
+    /// The index, in the dispatch's legs, of the leg a partition refused:
+    /// the chain stopped there. `None` when every leg arrived.
+    pub cut: Option<usize>,
+}
+
+/// The key of leg `leg` of chain `chain`: what [`Transport::send_chains`]
+/// draws that leg's loss and jitter under. Distinct `(chain, leg)` pairs
+/// give distinct keys, so two messages on one link draw apart even when
+/// they belong to one chain.
 pub fn message_key(chain: u64, leg: u64) -> u64 {
     indexed_seed(splitmix64_mix(chain), leg)
 }
@@ -230,24 +250,26 @@ pub trait Transport: Send {
         }
     }
 
-    /// Delivers a batch whose every send carries its key
-    /// ([`message_key`]), writing one [`Delivery`] per spec into `out`
-    /// (cleared first), in spec order. A send's delivery is a function
-    /// of its link, its key, the policy and the partition in force, so
-    /// how the batch is cut and in which order its sends are charged
-    /// cannot change any delivery. `clash-core`'s one dispatch routine
-    /// sends through it: a locate window's probes at once, a load
-    /// check's reports at once, and every other protocol operation's
-    /// messages as one chain. The default ignores the keys: right for a
-    /// transport that draws nothing.
+    /// Sends a dispatch of chains — legs a sender sends in turn, each
+    /// once the last arrived — writing one [`ChainOutcome`] per chain
+    /// into `out` (cleared first), in chain order. Chain
+    /// `(ordinal, end)` is the legs from the previous chain's end (0 for
+    /// the first) up to `end`; its leg `i` is sent under key
+    /// [`message_key`]`(ordinal, i)`, and **the cut rule:** the chain
+    /// stops at its first leg a partition refuses, which is counted
+    /// unreachable and named in the outcome. A leg's delivery is a
+    /// function of its link, its key, the policy and the partition in
+    /// force, so how a dispatch is cut into calls and in which order its
+    /// chains are charged cannot change any outcome. `clash-core`'s one
+    /// dispatch routine sends through it: a locate window's probes at
+    /// once, a load check's reports at once, and every other protocol
+    /// operation's messages as one chain.
     ///
     /// # Panics
     ///
-    /// Implementations may panic unless `keys` has one key per send.
-    fn send_keyed(&mut self, sends: &[SendSpec], keys: &[u64], out: &mut Vec<Delivery>) {
-        assert_eq!(sends.len(), keys.len(), "one key per send");
-        self.send_batch(sends, out);
-    }
+    /// Implementations may panic unless the chains' ends are
+    /// nondecreasing and at most `legs.len()`.
+    fn send_chains(&mut self, legs: &[SendSpec], chains: &[Chain], out: &mut Vec<ChainOutcome>);
 
     /// No-op: `send_batch` is single-threaded. Kept only because
     /// `clash-benchmark/src/micro.rs` calls it; the next
@@ -332,6 +354,18 @@ impl Transport for InstantTransport {
             latency: SimDuration::ZERO,
             attempts: 1,
         }
+    }
+
+    /// Draws nothing, so derives no key: every leg arrives at once and
+    /// is only counted.
+    fn send_chains(&mut self, legs: &[SendSpec], chains: &[Chain], out: &mut Vec<ChainOutcome>) {
+        let sent = &legs[..chains.last().map_or(0, |&(_, end)| end)];
+        self.stats.messages += sent.len() as u64;
+        for leg in sent {
+            self.stats.per_class[leg.class.index()] += 1;
+        }
+        out.clear();
+        out.resize(chains.len(), ChainOutcome::default());
     }
 
     fn stats(&self) -> TransportStats {

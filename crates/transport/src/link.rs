@@ -19,7 +19,9 @@ use clash_simkernel::rng::{indexed_seed, splitmix64_mix, DetRng, KeyedRng, Rng};
 use clash_simkernel::time::SimDuration;
 
 use crate::policy::LinkPolicy;
-use crate::{Delivery, MessageClass, NodeAddr, SendSpec, Transport, TransportStats};
+use crate::{
+    Chain, ChainOutcome, Delivery, MessageClass, NodeAddr, SendSpec, Transport, TransportStats,
+};
 
 /// The partition matrix: an assignment of nodes to islands. `None` means
 /// fully connected. Nodes not listed in any island belong to island 0.
@@ -161,13 +163,26 @@ impl Transport for LinkTransport {
         self.send_one(&SendSpec { src, dst, class }, key)
     }
 
-    fn send_keyed(&mut self, sends: &[SendSpec], keys: &[u64], out: &mut Vec<Delivery>) {
-        assert_eq!(sends.len(), keys.len(), "one key per send");
+    /// Mixes each chain's ordinal once; leg `i`'s key is then that mix
+    /// indexed by `i`, which is [`crate::message_key`]`(ordinal, i)`.
+    fn send_chains(&mut self, legs: &[SendSpec], chains: &[Chain], out: &mut Vec<ChainOutcome>) {
         out.clear();
-        out.reserve(sends.len());
-        for (s, &key) in sends.iter().zip(keys) {
-            let d = self.send_one(s, key);
-            out.push(d);
+        out.reserve(chains.len());
+        let mut start = 0;
+        for &(ordinal, end) in chains {
+            let chain = splitmix64_mix(ordinal);
+            let mut outcome = ChainOutcome::default();
+            for (leg, spec) in legs[start..end].iter().enumerate() {
+                match self.send_one(spec, indexed_seed(chain, leg as u64)) {
+                    Delivery::Delivered { latency, .. } => outcome.latency += latency,
+                    Delivery::Unreachable { .. } => {
+                        outcome.cut = Some(start + leg);
+                        break;
+                    }
+                }
+            }
+            out.push(outcome);
+            start = end;
         }
     }
 
@@ -213,8 +228,8 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::message_key;
     use crate::policy::LatencyModel;
+    use crate::{message_key, InstantTransport};
 
     fn drain(t: &mut LinkTransport, n: u64) -> Vec<Delivery> {
         (0..n)
@@ -230,15 +245,16 @@ mod tests {
         }
     }
 
-    /// One keyed send on its own.
-    fn keyed(t: &mut LinkTransport, src: NodeAddr, dst: NodeAddr, key: u64) -> Delivery {
+    /// Chain `ordinal`, one leg `src → dst`, sent on its own.
+    fn keyed(t: &mut LinkTransport, src: NodeAddr, dst: NodeAddr, ordinal: u64) -> ChainOutcome {
         let mut out = Vec::new();
-        t.send_keyed(&[probe(src, dst)], &[key], &mut out);
+        t.send_chains(&[probe(src, dst)], &[(ordinal, 1)], &mut out);
         out[0]
     }
 
-    fn latency_us(d: Delivery) -> u64 {
-        d.latency().expect("delivered").as_micros()
+    fn latency_us(outcome: ChainOutcome) -> u64 {
+        assert_eq!(outcome.cut, None, "delivered");
+        outcome.latency.as_micros()
     }
 
     /// `wan()`'s base range with the jitter switched off: a delivery's
@@ -296,11 +312,10 @@ mod tests {
         }
     }
 
-    /// The `n` sends of the distribution tests: one per key, each on a
+    /// The `n` sends of the distribution tests: one per chain, each on a
     /// link of its own.
-    fn spread(n: u64) -> (Vec<SendSpec>, Vec<u64>) {
-        let sends = (0..n).map(|i| probe(i, splitmix64_mix(i + 1))).collect();
-        (sends, (0..n).map(|i| message_key(i, 0)).collect())
+    fn spread(n: u64) -> Vec<SendSpec> {
+        (0..n).map(|i| probe(i, splitmix64_mix(i + 1))).collect()
     }
 
     /// The `q`-quantile of sorted `xs`.
@@ -325,33 +340,35 @@ mod tests {
 
     #[test]
     fn preset_draws_fall_inside_their_distributions() {
-        let (sends, keys) = spread(DRAWS);
-        let run = |policy: LinkPolicy| {
+        // Each send is chain `i` on its own, so the retransmissions it
+        // adds are its attempts less one: `(latency µs, attempts)`.
+        let legs = spread(DRAWS);
+        let run = |policy: LinkPolicy| -> Vec<(u64, u32)> {
             let mut t = LinkTransport::new(policy, 3);
             let mut out = Vec::new();
-            t.send_keyed(&sends, &keys, &mut out);
-            out
+            (0..DRAWS)
+                .zip(&legs)
+                .map(|(i, leg)| {
+                    let retried = t.stats().retransmissions;
+                    t.send_chains(std::slice::from_ref(leg), &[(i, 1)], &mut out);
+                    let attempts = 1 + (t.stats().retransmissions - retried) as u32;
+                    (latency_us(out[0]), attempts)
+                })
+                .collect()
         };
-        let sorted = |out: &[Delivery]| {
-            let mut xs: Vec<u64> = out.iter().map(|&d| latency_us(d)).collect();
+        let sorted = |out: &[(u64, u32)]| {
+            let mut xs: Vec<u64> = out.iter().map(|&(us, _)| us).collect();
             xs.sort_unstable();
             xs
         };
         // instant(): nothing is charged.
-        assert!(run(LinkPolicy::instant())
-            .iter()
-            .all(|d| d.latency() == Some(SimDuration::ZERO)));
+        assert!(run(LinkPolicy::instant()).iter().all(|&(us, _)| us == 0));
         // lan(): each message uniform on 0.2–2 ms, never lost.
         let lan = run(LinkPolicy::lan());
-        assert!(lan
-            .iter()
-            .all(|d| matches!(d, Delivery::Delivered { attempts: 1, .. })));
+        assert!(lan.iter().all(|&(_, attempts)| attempts == 1));
         assert_uniform(&sorted(&lan), 200, 2_000);
         // wan(): each link's base uniform on 20–120 ms ...
-        let bases: Vec<u64> = run(wan_bases_only())
-            .iter()
-            .map(|&d| latency_us(d))
-            .collect();
+        let bases: Vec<u64> = run(wan_bases_only()).iter().map(|&(us, _)| us).collect();
         let mut sorted_bases = bases.clone();
         sorted_bases.sort_unstable();
         assert_uniform(&sorted_bases, 20_000, 120_000);
@@ -362,7 +379,7 @@ mod tests {
         let mut jitter: Vec<u64> = wan
             .iter()
             .zip(&bases)
-            .map(|(&d, &b)| latency_us(d) - b)
+            .map(|(&(us, _), &b)| us - b)
             .collect();
         jitter.sort_unstable();
         let mean = jitter.iter().sum::<u64>() as f64 / DRAWS as f64;
@@ -382,15 +399,12 @@ mod tests {
         let lossy = run(policy);
         let mut counts = vec![0u64; max as usize + 2];
         let (mut drops, mut trials) = (0u64, 0u64);
-        for (&d, &base) in lossy.iter().zip(&bases) {
-            let Delivery::Delivered { latency, attempts } = d else {
-                panic!("loss never destroys a message");
-            };
+        for (&(us, attempts), &base) in lossy.iter().zip(&bases) {
             counts[attempts as usize] += 1;
             drops += u64::from(attempts - 1);
             trials += u64::from(attempts.min(max));
             let timeouts = policy.retry_timeout * u64::from(attempts - 1);
-            assert!(latency >= timeouts + SimDuration::from_micros(base));
+            assert!(SimDuration::from_micros(us) >= timeouts + SimDuration::from_micros(base));
         }
         let rate = drops as f64 / trials as f64;
         assert!((rate - p).abs() < 0.01, "loss rate {rate}");
@@ -418,16 +432,14 @@ mod tests {
         let mut t = LinkTransport::new(LinkPolicy::wan(), 13);
         let n = 10_000u64;
         let mut pairs = Vec::new();
+        let mut out = Vec::new();
         for c in 0..n {
-            let first = latency_us(keyed(&mut t, 4, 9, message_key(c, 0))) as f64;
-            pairs.push((
-                first,
-                latency_us(keyed(&mut t, 4, 9, message_key(c, 1))) as f64,
-            ));
-            pairs.push((
-                first,
-                latency_us(keyed(&mut t, 4, 9, message_key(c + n, 0))) as f64,
-            ));
+            let first = latency_us(keyed(&mut t, 4, 9, c));
+            t.send_chains(&[probe(4, 9); 2], &[(c, 2)], &mut out);
+            let second = latency_us(out[0]) - first;
+            let other = latency_us(keyed(&mut t, 4, 9, c + n));
+            pairs.push((first as f64, second as f64));
+            pairs.push((first as f64, other as f64));
         }
         let equal = pairs.iter().filter(|(a, b)| a == b).count();
         assert!(equal < 20, "{equal} equal pairs");
@@ -442,26 +454,135 @@ mod tests {
         assert!(rho.abs() < 0.05, "correlation {rho}");
     }
 
+    /// A drawn chain: its ordinal and its `(src, dst, class index)` legs.
+    type Drawn = (u64, Vec<(u64, u64, usize)>);
+
+    /// Lays out `drawn` chains as one dispatch.
+    fn lay_out(drawn: &[Drawn]) -> (Vec<SendSpec>, Vec<Chain>) {
+        let mut legs = Vec::new();
+        let mut chains = Vec::new();
+        for (ordinal, chain) in drawn {
+            legs.extend(chain.iter().map(|&(src, dst, class)| SendSpec {
+                src,
+                dst,
+                class: MessageClass::ALL[class],
+            }));
+            chains.push((*ordinal, legs.len()));
+        }
+        (legs, chains)
+    }
+
+    /// The reference for `send_chains`: each chain's legs sent one at a
+    /// time through `send_leg(leg, key)`, leg `i` of chain `ordinal` under
+    /// key `message_key(ordinal, i)`, stopping at the first `Unreachable`.
+    fn leg_by_leg(
+        legs: &[SendSpec],
+        chains: &[Chain],
+        mut send_leg: impl FnMut(&SendSpec, u64) -> Delivery,
+    ) -> Vec<ChainOutcome> {
+        let mut start = 0;
+        chains
+            .iter()
+            .map(|&(ordinal, end)| {
+                let mut outcome = ChainOutcome::default();
+                for (i, leg) in legs.iter().enumerate().take(end).skip(start) {
+                    match send_leg(leg, message_key(ordinal, (i - start) as u64)) {
+                        Delivery::Delivered { latency, .. } => outcome.latency += latency,
+                        Delivery::Unreachable { .. } => {
+                            outcome.cut = Some(i);
+                            break;
+                        }
+                    }
+                }
+                start = end;
+                outcome
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Steps over 8 nodes: kind 0 partitions them into up to four
+        /// islands, kind 1 heals, any other kind dispatches its chains
+        /// (1–6 legs each, self-sends included). On a lossy WAN and on
+        /// the instant transport, `send_chains` gives every chain the
+        /// outcome, and leaves the counters, that its legs sent one by
+        /// one give: through the keyed per-leg send on the link
+        /// transport, through `send` on the instant one.
+        #[test]
+        fn send_chains_matches_sending_each_leg_alone(
+            seed in any::<u64>(),
+            steps in prop::collection::vec(
+                (
+                    0u8..6,
+                    any::<u64>(),
+                    prop::collection::vec(
+                        (any::<u64>(), prop::collection::vec((0u64..8, 0u64..8, 0usize..8), 1..7)),
+                        1..8,
+                    ),
+                ),
+                1..16,
+            ),
+        ) {
+            let policy = LinkPolicy::lossy_wan(0.2);
+            let (mut link, mut link_ref) =
+                (LinkTransport::new(policy, seed), LinkTransport::new(policy, seed));
+            let (mut instant, mut instant_ref) = (InstantTransport::new(), InstantTransport::new());
+            let mut out = Vec::new();
+            for (kind, island_bits, drawn) in steps {
+                if kind == 0 {
+                    let mut islands = vec![Vec::new(); 4];
+                    for node in 0..8u64 {
+                        islands[((island_bits >> (2 * node)) & 3) as usize].push(node);
+                    }
+                    link.partition(&islands);
+                    link_ref.partition(&islands);
+                    instant.partition(&islands);
+                    continue;
+                }
+                if kind == 1 {
+                    link.heal();
+                    link_ref.heal();
+                    continue;
+                }
+                let (legs, chains) = lay_out(&drawn);
+                link.send_chains(&legs, &chains, &mut out);
+                let want = leg_by_leg(&legs, &chains, |leg, key| link_ref.send_one(leg, key));
+                prop_assert_eq!(&out, &want);
+                prop_assert_eq!(link.stats(), link_ref.stats());
+                instant.send_chains(&legs, &chains, &mut out);
+                let want = leg_by_leg(&legs, &chains, |leg, _| {
+                    instant_ref.send(leg.src, leg.dst, leg.class)
+                });
+                prop_assert_eq!(&out, &want);
+                prop_assert_eq!(instant.stats(), instant_ref.stats());
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// A keyed send's delivery depends on its link and key alone: the
-        /// same batch charged in reverse, in pieces, after unrelated
+        /// A chain's outcome depends on its links and ordinal alone: the
+        /// same dispatch charged in reverse, in pieces, after unrelated
         /// traffic, a policy round trip and a sever/heal cycle, gives
-        /// every send the delivery it got first.
+        /// every chain the outcome it got first.
         #[test]
         fn keyed_deliveries_ignore_traffic_order(
             seed in any::<u64>(),
-            batch in prop::collection::vec((0u64..12, 0u64..12, 0u64..64), 1..200),
+            drawn in prop::collection::vec(
+                (0u64..64, prop::collection::vec((0u64..12, 0u64..12, 0usize..8), 1..5)),
+                1..100,
+            ),
             noise in prop::collection::vec((0u64..12, 0u64..12), 0..100),
             piece in 1usize..16,
         ) {
             let policy = LinkPolicy::lossy_wan(0.3);
-            let sends: Vec<SendSpec> = batch.iter().map(|&(s, d, _)| probe(s, d)).collect();
-            let keys: Vec<u64> = batch.iter().map(|&(_, _, k)| message_key(k, k % 3)).collect();
             let mut first = LinkTransport::new(policy, seed);
+            let (legs, chains) = lay_out(&drawn);
             let mut want = Vec::new();
-            first.send_keyed(&sends, &keys, &mut want);
+            first.send_chains(&legs, &chains, &mut want);
 
             let mut later = LinkTransport::new(policy, seed);
             for &(s, d) in &noise {
@@ -472,15 +593,15 @@ mod tests {
             keyed(&mut later, 0, 3, 0);
             later.heal();
             later.set_policy(policy);
-            let mut got = vec![Delivery::Unreachable { attempts: 0 }; sends.len()];
+            let mut got = vec![ChainOutcome::default(); drawn.len()];
             let mut out = Vec::new();
-            let order: Vec<usize> = (0..sends.len()).rev().collect();
+            let order: Vec<usize> = (0..drawn.len()).rev().collect();
             for idx in order.chunks(piece) {
-                let s: Vec<SendSpec> = idx.iter().map(|&i| sends[i]).collect();
-                let k: Vec<u64> = idx.iter().map(|&i| keys[i]).collect();
-                later.send_keyed(&s, &k, &mut out);
-                for (&i, &d) in idx.iter().zip(&out) {
-                    got[i] = d;
+                let piece: Vec<_> = idx.iter().map(|&i| drawn[i].clone()).collect();
+                let (legs, chains) = lay_out(&piece);
+                later.send_chains(&legs, &chains, &mut out);
+                for (&i, &outcome) in idx.iter().zip(&out) {
+                    got[i] = outcome;
                 }
             }
             prop_assert_eq!(got, want);
@@ -513,21 +634,17 @@ mod tests {
             assert_eq!(flappy.island_of(5), Some(1));
             assert_eq!(flappy.island_of(99), Some(0), "unlisted nodes → island 0");
             // Mid-flap: the cross-island send is refused.
-            let d = keyed(&mut flappy, src, dst, message_key(round, 0));
-            assert!(!d.is_delivered());
+            assert_eq!(keyed(&mut flappy, src, dst, round).cut, Some(0));
             unreachable += 1;
             flappy.heal();
             assert_eq!(flappy.island_of(1), None, "healed network has no islands");
             // Post-heal traffic on the very link that was refused,
-            // under the refused send's key too, matches the twin.
-            for leg in 0..3 {
-                let key = message_key(round, leg);
-                assert_eq!(
-                    keyed(&mut flappy, src, dst, key),
-                    keyed(&mut calm, src, dst, key),
-                    "flapping perturbed a delivery at round {round}"
-                );
-            }
+            // under the refused chain's ordinal too, matches the twin.
+            let chain = [probe(src, dst); 3];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            flappy.send_chains(&chain, &[(round, 3)], &mut got);
+            calm.send_chains(&chain, &[(round, 3)], &mut want);
+            assert_eq!(got, want, "flapping perturbed a delivery at round {round}");
         }
         let fs = flappy.stats();
         let cs = calm.stats();
@@ -755,7 +872,6 @@ mod tests {
 
     #[test]
     fn instant_policy_matches_instant_transport() {
-        use crate::InstantTransport;
         let mut link = LinkTransport::new(LinkPolicy::instant(), 7);
         let mut instant = InstantTransport::new();
         for i in 0..200u64 {
