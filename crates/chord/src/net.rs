@@ -276,15 +276,35 @@ impl SimNet {
     ///
     /// Panics if the ring has no alive nodes.
     pub fn random_alive(&self, rng: &mut DetRng) -> ChordId {
+        self.random_alive_pos(rng).0
+    }
+
+    /// [`SimNet::random_alive`], with the node's ring position: the same
+    /// draw, and a start [`SimNet::route_each_from`] can route from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring has no alive nodes.
+    pub fn random_alive_pos(&self, rng: &mut DetRng) -> (ChordId, u32) {
         assert!(!self.ring.is_empty(), "ring has no alive nodes");
-        self.id(self.ring[rng.uniform_index(self.ring.len())])
+        let pos = rng.uniform_index(self.ring.len());
+        (self.id(self.ring[pos]), pos as u32)
     }
 
     /// Ground truth: the alive node owning hash `h` (its ring successor),
     /// or `None` on an empty ring. A directory search; used for bootstrap
     /// and validation, not by the routed protocol.
     pub fn owner_of(&self, h: u64) -> Option<ChordId> {
-        (!self.ring.is_empty()).then(|| self.id(self.ring[self.owner_pos(h & self.space.mask())]))
+        self.owner_of_pos(h).map(|(owner, _)| owner)
+    }
+
+    /// [`SimNet::owner_of`], with the owner's ring position: the owner
+    /// [`SimNet::route_each_from`] routes a lookup for `h` to.
+    pub fn owner_of_pos(&self, h: u64) -> Option<(ChordId, u32)> {
+        (!self.ring.is_empty()).then(|| {
+            let pos = self.owner_pos(h & self.space.mask());
+            (self.id(self.ring[pos]), pos as u32)
+        })
     }
 
     /// Ground truth: the alive node strictly preceding `h` on the ring.
@@ -343,8 +363,31 @@ impl SimNet {
     /// collecting a path. Does not touch statistics; replay them with
     /// [`SimNet::record_routed_lookup`].
     ///
-    /// This is the routing engine — the only hop loop there is. Each
-    /// hop is Chord's: to the successor if it owns the target, else
+    /// Finds `start`'s and the owner's ring positions, then walks
+    /// [`SimNet::route_each_from`]. A caller that already holds both
+    /// positions (the locate window keeps them from the plan's draw and
+    /// owner search) calls that directly and saves the two searches.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimNet::route`].
+    pub fn route_each<F: FnMut(u64, u64)>(&self, start: ChordId, h: u64, visit: F) -> LookupResult {
+        let Some(at) = self.alive_pos(start.value()) else {
+            panic!("lookup must start at an alive node, not {start:?}");
+        };
+        let owner = self.owner_pos(h & self.space.mask());
+        self.route_each_from(at as u32, h, owner as u32, visit)
+    }
+
+    /// The routing engine — the only hop loop there is: routes a lookup
+    /// for `h` from the node at ring position `at`, whose owner sits at
+    /// ring position `owner`, calling `visit(from, to)` per hop like
+    /// [`SimNet::route_each`]. Both positions must be of the ring as it
+    /// stands — `at` from [`SimNet::random_alive_pos`] and `owner` from
+    /// [`SimNet::owner_of_pos`]`(h)`, with no membership call between
+    /// (debug-asserted).
+    ///
+    /// Each hop is Chord's: to the successor if it owns the target, else
     /// to the farthest finger strictly between here and the target.
     /// With `before` the last alive id strictly before the target and
     /// `d = dist(current, before) ≥ 1`, that finger is finger
@@ -357,21 +400,24 @@ impl SimNet {
     ///
     /// # Panics
     ///
-    /// As [`SimNet::route`].
-    pub fn route_each<F: FnMut(u64, u64)>(
+    /// Panics if `at` or `owner` is not a ring position, or if routing
+    /// exceeds its hop limit (a safety check: converged tables need at
+    /// most `M + 1` hops).
+    pub fn route_each_from<F: FnMut(u64, u64)>(
         &self,
-        start: ChordId,
+        at: u32,
         h: u64,
+        owner: u32,
         mut visit: F,
     ) -> LookupResult {
-        let Some(mut at) = self.alive_pos(start.value()) else {
-            panic!("lookup must start at an alive node, not {start:?}");
-        };
         let mask = self.space.mask();
         let target = h & mask;
         let n = self.ring.len();
+        let (mut at, owner) = (at as usize, owner as usize);
+        assert!(at < n && owner < n, "ring positions {at}, {owner} of {n}");
+        debug_assert_eq!(owner, self.owner_pos(target), "owner position of {h:#x}");
+        let start = self.ring[at];
         let hop_limit = self.space.bits();
-        let owner = self.owner_pos(target);
         let before = self.ring[self.prev(owner)];
         let mut hops = 0u32;
         loop {
@@ -397,7 +443,7 @@ impl SimNet {
             hops += 1;
             assert!(
                 hops <= hop_limit,
-                "routing cycle: {start:?} -> {h:#x} exceeded {hop_limit} finger hops"
+                "routing cycle: {start:#x} -> {h:#x} exceeded {hop_limit} finger hops"
             );
         }
     }

@@ -352,3 +352,59 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The hop loop routed from plan positions against the id-based
+    /// wrapper and the model's reference walk, on rings of 1–64 nodes
+    /// with a join, crash or departure between rounds of lookups. Each
+    /// lookup takes its start from `random_alive_pos` (the draw
+    /// `random_alive` makes) and its owner's position from
+    /// `owner_of_pos`; `route_each_from` must then visit the hops and
+    /// reach the owner that `route_each` and the model's walk give.
+    #[test]
+    fn route_each_from_matches_route_each(
+        seed in 0u64..10_000,
+        n in 1usize..=64,
+        rounds in prop::collection::vec(
+            (0u8..4, 0u64..65536, 0usize..1000, prop::collection::vec(0u64..65536, 1..12)),
+            1..10,
+        ),
+    ) {
+        let mut net = SimNet::with_random_nodes(sp(), n, &mut DetRng::new(seed));
+        let mut draws = DetRng::new(seed ^ 1);
+        for (kind, a, b, targets) in rounds {
+            let alive = net.node_ids();
+            let pick = alive[b % alive.len()];
+            match kind {
+                0 => {
+                    net.join(ChordId::new(a, sp()), pick);
+                }
+                1 if alive.len() > 1 => {
+                    net.fail(pick);
+                }
+                2 if alive.len() > 1 => {
+                    net.remove_node(pick);
+                }
+                _ => {}
+            }
+            let model = ChordModel::converged(sp(), SUCCESSOR_LIST_LEN, &net.node_ids());
+            for h in targets {
+                let mut same_draw = draws.clone();
+                let (start, at) = net.random_alive_pos(&mut draws);
+                prop_assert_eq!(start, net.random_alive(&mut same_draw));
+                let (owner, owner_pos) = net.owner_of_pos(h).unwrap();
+                prop_assert_eq!(Some(owner), net.owner_of(h));
+                let (mut from_pos, mut from_id) = (Vec::new(), Vec::new());
+                let routed = net.route_each_from(at, h, owner_pos, |f, t| from_pos.push((f, t)));
+                let by_id = net.route_each(start, h, |f, t| from_id.push((f, t)));
+                prop_assert_eq!(routed, by_id);
+                prop_assert_eq!(&from_pos, &from_id);
+                let (model_owner, model_path) = model.route(start, h);
+                let model_path: Vec<(u64, u64)> =
+                    model_path.iter().map(|(f, t)| (f.value(), t.value())).collect();
+                prop_assert_eq!(routed.owner, model_owner);
+                prop_assert_eq!(&from_pos, &model_path);
+            }
+        }
+    }
+}

@@ -31,6 +31,18 @@ impl ServerArena {
         }
     }
 
+    /// An empty arena with room for `n` servers: a cluster's servers
+    /// land in one allocation instead of a chain of doublings, each
+    /// copied and freed. The slots are rounded up to the power of two
+    /// those doublings end at, so the joins that fit before still fit.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        ServerArena {
+            slots: Vec::with_capacity(n.next_power_of_two()),
+            free: Vec::new(),
+            slot_of: DetHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
     /// Number of live servers.
     pub fn len(&self) -> usize {
         self.slot_of.len()
@@ -47,6 +59,7 @@ impl ServerArena {
     }
 
     /// The server with ring id `sid`.
+    #[inline]
     pub fn get(&self, sid: u64) -> Option<&ClashServer> {
         self.slot_of
             .get(&sid)
@@ -54,6 +67,7 @@ impl ServerArena {
     }
 
     /// Mutable access to the server with ring id `sid`.
+    #[inline]
     pub fn get_mut(&mut self, sid: u64) -> Option<&mut ClashServer> {
         let slot = *self.slot_of.get(&sid)?;
         Some(self.slots[slot].as_mut().expect("indexed slot is live"))
@@ -62,12 +76,14 @@ impl ServerArena {
     /// The server of ring member `sid`. The cluster keeps exactly one
     /// server per alive ring node, so a miss is a broken invariant and
     /// panics.
+    #[inline]
     pub(crate) fn live(&self, sid: u64) -> &ClashServer {
         self.get(sid)
             .unwrap_or_else(|| panic!("ring member {sid:#x} has no server"))
     }
 
     /// Mutable [`ServerArena::live`].
+    #[inline]
     pub(crate) fn live_mut(&mut self, sid: u64) -> &mut ClashServer {
         self.get_mut(sid)
             .unwrap_or_else(|| panic!("ring member {sid:#x} has no server"))

@@ -185,6 +185,16 @@ impl Wire {
         net.route_each(start, h, |src, dst| legs.push(SendSpec { src, dst, class }))
     }
 
+    /// [`Wire::route`] from the ring positions of the start and of the
+    /// owner of `h` (see [`SimNet::route_each_from`]).
+    #[inline]
+    pub(super) fn route_from(&mut self, net: &SimNet, at: u32, h: u64, owner: u32) -> LookupResult {
+        let (legs, class) = (&mut self.legs, MessageClass::Probe);
+        net.route_each_from(at, h, owner, |src, dst| {
+            legs.push(SendSpec { src, dst, class });
+        })
+    }
+
     /// Closes a chain with `legs` under the next ordinal (see
     /// [`Wire::lay_out_as`]).
     #[inline]

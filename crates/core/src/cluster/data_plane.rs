@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use clash_keyspace::key::Key;
+use clash_keyspace::key::{Key, KeyWidth};
 use clash_keyspace::prefix::Prefix;
 use clash_simkernel::collections::{DetHashMap, ShardedMap};
 
@@ -155,37 +155,60 @@ impl GroupLedger {
     }
 }
 
-/// A source's record. Its key is kept as bits alone — the width is the
-/// group's — which holds the record at 40 bytes with the slot added.
+/// Where a member sits: its key and its group, in 16 bytes. A member's
+/// group always holds its key — an attach puts the key on the group its
+/// locate found, and a split, merge or restore moves it only to the
+/// child, parent or group that holds it too — so the group is
+/// `Prefix::of_key(key, depth)` and the seat keeps the depth alone,
+/// where a 16-byte `Prefix` would repeat the key's bits and width.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Seat {
+    key_bits: u64,
+    /// Where the member sits in its group's member list.
+    pub(super) slot: u32,
+    /// The group's depth and the key's width.
+    depth: u8,
+    width: u8,
+}
+
+impl Seat {
+    fn new(key: Key, group: Prefix, slot: u32) -> Self {
+        let mut seat = Seat {
+            key_bits: key.bits(),
+            slot,
+            depth: 0,
+            width: key.width().get() as u8,
+        };
+        seat.move_to(group);
+        seat
+    }
+
+    pub(super) fn key(&self) -> Key {
+        let width = KeyWidth::new(u32::from(self.width)).expect("a seat holds a valid width");
+        Key::from_bits_truncated(self.key_bits, width)
+    }
+
+    /// The member's group.
+    pub(super) fn group(&self) -> Prefix {
+        Prefix::of_key(self.key(), u32::from(self.depth))
+    }
+
+    /// Moves the member to `group`, which must hold its key.
+    fn move_to(&mut self, group: Prefix) {
+        debug_assert!(group.contains(self.key()), "{group} does not hold the key");
+        self.depth = group.depth() as u8;
+    }
+}
+
+/// A source's record: its seat and its rate, 24 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct SourceRec {
-    key_bits: u64,
+    pub(super) seat: Seat,
     rate: f64,
-    pub(super) group: Prefix,
-    /// Where the source sits in its group's member list.
-    pub(super) slot: u32,
 }
 
-impl SourceRec {
-    fn key(&self) -> Key {
-        Key::from_bits_truncated(self.key_bits, self.group.width())
-    }
-}
-
-/// A query's record: 32 bytes, laid out like [`SourceRec`].
-#[derive(Debug, Clone, Copy)]
-pub(super) struct QueryRec {
-    key_bits: u64,
-    pub(super) group: Prefix,
-    /// Where the query sits in its group's member list.
-    pub(super) slot: u32,
-}
-
-impl QueryRec {
-    fn key(&self) -> Key {
-        Key::from_bits_truncated(self.key_bits, self.group.width())
-    }
-}
+/// A query's record: its seat alone.
+pub(super) type QueryRec = Seat;
 
 /// The surviving client registry for a set of groups: per group, the
 /// source ids and query ids still pointing at it, each list ascending.
@@ -254,10 +277,8 @@ impl DataPlane {
     pub(super) fn attach_source(&mut self, id: u64, key: Key, rate: f64, group: Prefix) {
         let slot = self.link_source(id, rate, group);
         let rec = SourceRec {
-            key_bits: key.bits(),
+            seat: Seat::new(key, group, slot),
             rate,
-            group,
-            slot,
         };
         self.sources.insert(id, rec);
     }
@@ -266,7 +287,7 @@ impl DataPlane {
     pub(super) fn detach_source(&mut self, id: u64) -> Option<Prefix> {
         let rec = self.sources.remove(id)?;
         self.unlink(id, rec);
-        Some(rec.group)
+        Some(rec.seat.group())
     }
 
     /// The first half of a key change: takes source `id` off its group's
@@ -276,7 +297,7 @@ impl DataPlane {
     pub(super) fn unlink_source(&mut self, id: u64) -> Option<(Prefix, f64)> {
         let rec = *self.sources.get(id)?;
         self.unlink(id, rec);
-        Some((rec.group, rec.rate))
+        Some((rec.seat.group(), rec.rate))
     }
 
     /// Puts an unlinked source on `group`'s ledger, rewriting its record
@@ -287,10 +308,8 @@ impl DataPlane {
             .sources
             .get_mut(id)
             .expect("an unlinked source keeps its record") = SourceRec {
-            key_bits: key.bits(),
+            seat: Seat::new(key, group, slot),
             rate,
-            group,
-            slot,
         };
     }
 
@@ -309,11 +328,15 @@ impl DataPlane {
     fn unlink(&mut self, id: u64, rec: SourceRec) {
         let ledger = self
             .ledgers
-            .get_mut(&rec.group)
+            .get_mut(&rec.seat.group())
             .expect("attached source has a ledger");
         let sources = &mut self.sources;
-        ledger.sources.remove(rec.slot, id, |moved, slot| {
-            sources.get_mut(moved).expect("ledger member exists").slot = slot;
+        ledger.sources.remove(rec.seat.slot, id, |moved, slot| {
+            sources
+                .get_mut(moved)
+                .expect("ledger member exists")
+                .seat
+                .slot = slot;
         });
         ledger.rate = (ledger.rate - rec.rate).max(0.0);
     }
@@ -321,26 +344,22 @@ impl DataPlane {
     /// Adds query `id` to `group`.
     pub(super) fn attach_query(&mut self, id: u64, key: Key, group: Prefix) {
         let slot = self.ledgers.entry(group).or_default().queries.push(id);
-        let rec = QueryRec {
-            key_bits: key.bits(),
-            group,
-            slot,
-        };
-        self.queries.insert(id, rec);
+        self.queries.insert(id, Seat::new(key, group, slot));
     }
 
     /// Removes query `id`. Returns the group it left.
     pub(super) fn detach_query(&mut self, id: u64) -> Option<Prefix> {
         let rec = self.queries.remove(id)?;
+        let group = rec.group();
         let ledger = self
             .ledgers
-            .get_mut(&rec.group)
+            .get_mut(&group)
             .expect("attached query has a ledger");
         let queries = &mut self.queries;
         ledger.queries.remove(rec.slot, id, |moved, slot| {
             queries.get_mut(moved).expect("ledger member exists").slot = slot;
         });
-        Some(rec.group)
+        Some(group)
     }
 
     /// Queues `group`'s deferred load push on `touched` unless it is
@@ -395,15 +414,15 @@ impl DataPlane {
         let mut children = [GroupLedger::default(), GroupLedger::default()];
         for sid in ledger.sources.iter() {
             let rec = self.sources.get_mut(sid).expect("ledger member exists");
-            let side = usize::from(rec.key().bit(bit_index));
-            rec.group = [left, right][side];
+            let side = usize::from(rec.seat.key().bit(bit_index));
+            rec.seat.move_to([left, right][side]);
             children[side].rate += rec.rate;
-            rec.slot = children[side].sources.push(sid);
+            rec.seat.slot = children[side].sources.push(sid);
         }
         for qid in ledger.queries.iter() {
             let rec = self.queries.get_mut(qid).expect("ledger member exists");
             let side = usize::from(rec.key().bit(bit_index));
-            rec.group = [left, right][side];
+            rec.move_to([left, right][side]);
             rec.slot = children[side].queries.push(qid);
         }
         let [left_ledger, right_ledger] = children;
@@ -424,22 +443,23 @@ impl DataPlane {
             self.sources
                 .get_mut(sid)
                 .expect("ledger member exists")
-                .group = parent;
+                .seat
+                .move_to(parent);
         }
         for qid in merged.queries.iter() {
             self.queries
                 .get_mut(qid)
                 .expect("ledger member exists")
-                .group = parent;
+                .move_to(parent);
         }
         for sid in right_ledger.sources.iter() {
             let rec = self.sources.get_mut(sid).expect("ledger member exists");
-            rec.group = parent;
-            rec.slot = merged.sources.push(sid);
+            rec.seat.move_to(parent);
+            rec.seat.slot = merged.sources.push(sid);
         }
         for qid in right_ledger.queries.iter() {
             let rec = self.queries.get_mut(qid).expect("ledger member exists");
-            rec.group = parent;
+            rec.move_to(parent);
             rec.slot = merged.queries.push(qid);
         }
         self.ledgers.insert(parent, merged);
@@ -455,12 +475,12 @@ impl DataPlane {
             return map;
         }
         for (&sid, rec) in self.sources.iter() {
-            if let Some(slot) = map.get_mut(&rec.group) {
+            if let Some(slot) = map.get_mut(&rec.seat.group()) {
                 slot.0.push(sid);
             }
         }
         for (&qid, rec) in self.queries.iter() {
-            if let Some(slot) = map.get_mut(&rec.group) {
+            if let Some(slot) = map.get_mut(&rec.group()) {
                 slot.1.push(qid);
             }
         }
@@ -522,7 +542,7 @@ impl DataPlane {
         };
         for s in sources {
             let rec = self.sources.get_mut(s).expect("survivors are attached");
-            rec.slot = ledger.sources.push(s);
+            rec.seat.slot = ledger.sources.push(s);
         }
         for q in queries {
             let rec = self.queries.get_mut(q).expect("survivors are attached");
@@ -811,10 +831,11 @@ mod tests {
                 .sources
                 .get(id)
                 .unwrap_or_else(|| panic!("source {id} lost"));
-            assert_eq!((s.key(), s.group), (r.key, r.group), "source {id}");
+            let seat = &s.seat;
+            assert_eq!((seat.key(), seat.group()), (r.key, r.group), "source {id}");
             assert_eq!(s.rate.to_bits(), r.rate.to_bits(), "source {id} rate");
-            let at = dp.ledgers[&s.group].sources.at(s.slot);
-            assert_eq!(at, Some(id), "source {id} is not at its slot {}", s.slot);
+            let at = dp.ledgers[&seat.group()].sources.at(seat.slot);
+            assert_eq!(at, Some(id), "source {id} is not at its slot {}", seat.slot);
         }
         assert_eq!(dp.queries.len(), reference.queries.len(), "query count");
         for (&id, r) in &reference.queries {
@@ -822,8 +843,8 @@ mod tests {
                 .queries
                 .get(id)
                 .unwrap_or_else(|| panic!("query {id} lost"));
-            assert_eq!((q.key(), q.group), (r.key, r.group), "query {id}");
-            let at = dp.ledgers[&q.group].queries.at(q.slot);
+            assert_eq!((q.key(), q.group()), (r.key, r.group), "query {id}");
+            let at = dp.ledgers[&q.group()].queries.at(q.slot);
             assert_eq!(at, Some(id), "query {id} is not at its slot {}", q.slot);
         }
     }
@@ -847,8 +868,9 @@ mod tests {
 
     #[test]
     fn member_records_keep_their_size() {
-        assert_eq!(std::mem::size_of::<SourceRec>(), 40);
-        assert_eq!(std::mem::size_of::<QueryRec>(), 32);
+        // A seat keeps its group as a depth, not a 16-byte `Prefix`.
+        assert_eq!(std::mem::size_of::<SourceRec>(), 24);
+        assert_eq!(std::mem::size_of::<QueryRec>(), 16);
     }
 
     proptest! {

@@ -48,6 +48,12 @@ pub struct RangeQueryResult {
 
 /// One planned locate probe — everything the flush needs to route it,
 /// send its hops and account it (see [`LocateBatch`]).
+///
+/// The plan already searched the ring twice, for the entry node's draw
+/// and for the owner; the probe keeps both ring positions, so the flush
+/// routes from them ([`SimNet::route_each_from`]) without searching
+/// again. A window never spans a membership event, so the positions
+/// still name the same nodes when it closes.
 #[derive(Debug, Clone, Copy)]
 struct PlannedProbe {
     /// Client entry node (the `random_alive` draw, made at plan time so
@@ -55,9 +61,12 @@ struct PlannedProbe {
     start: ServerId,
     /// Hashed probe target `f(virtual key)`.
     target: u64,
-    /// The owner by ground truth. A window never spans a membership
-    /// event, so the routed owner must agree (debug-asserted).
+    /// The owner by ground truth. The routed owner must agree
+    /// (debug-asserted).
     owner: ServerId,
+    /// The ring positions of `start` and `owner`.
+    start_pos: u32,
+    owner_pos: u32,
     /// True when this probe completed its locate (for the adaptive
     /// protocol, the accepting probe): the flush counts the locate and
     /// observes the op's accumulated latency here.
@@ -151,7 +160,7 @@ impl LocateBatch {
         // response.
         wire.open();
         for plan in &mut self.probes {
-            let lookup = wire.route(net, plan.start, plan.target);
+            let lookup = wire.route_from(net, plan.start_pos, plan.target, plan.owner_pos);
             debug_assert_eq!(
                 lookup.owner, plan.owner,
                 "locate window spanned a ring change: routed owner diverged from plan"
@@ -254,8 +263,8 @@ impl ClashCluster {
             };
             let group_guess = Prefix::of_key(key, guess);
             let h = self.hasher.hash_key(group_guess.virtual_key());
-            let start = self.net.random_alive(&mut self.rng);
-            let owner = self.net.owner_of(h).expect("ring is non-empty");
+            let (start, start_pos) = self.net.random_alive_pos(&mut self.rng);
+            let (owner, owner_pos) = self.net.owner_of_pos(h).expect("ring is non-empty");
             probes += 1;
             // Plan: the answer is read off the owner's live table (tables
             // only change at barriers); routing and charging wait.
@@ -274,6 +283,8 @@ impl ClashCluster {
                 start,
                 target: h,
                 owner,
+                start_pos,
+                owner_pos,
                 op_end: found.is_some(),
                 key_bits: key.bits(),
                 depth: guess,

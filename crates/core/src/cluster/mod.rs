@@ -118,7 +118,7 @@ impl ClashCluster {
         let root_rng = DetRng::new(seed);
         let mut ring_rng = root_rng.substream("ring");
         let net = SimNet::with_random_nodes(config.hash_space, n_servers, &mut ring_rng);
-        let mut servers = ServerArena::new();
+        let mut servers = ServerArena::with_capacity(n_servers);
         let mut candidates = load_check::Candidates::default();
         for id in net.node_ids() {
             servers.insert(ClashServer::new(id, config));

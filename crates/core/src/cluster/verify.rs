@@ -251,14 +251,24 @@ impl ClashCluster {
         let data = &self.data;
         let mut records: DetHashMap<Prefix, (usize, usize)> = DetHashMap::default();
         for (&sid, rec) in data.sources.iter() {
-            let at = data.ledger(rec.group).and_then(|l| l.sources.at(rec.slot));
-            assert_eq!(at, Some(sid), "source {sid} is not on {}", rec.group);
-            records.entry(rec.group).or_default().0 += 1;
+            let (group, slot) = (rec.seat.group(), rec.seat.slot);
+            assert!(
+                group.contains(rec.seat.key()),
+                "source {sid}'s key is off {group}"
+            );
+            let at = data.ledger(group).and_then(|l| l.sources.at(slot));
+            assert_eq!(at, Some(sid), "source {sid} is not on {group}");
+            records.entry(group).or_default().0 += 1;
         }
         for (&qid, rec) in data.queries.iter() {
-            let at = data.ledger(rec.group).and_then(|l| l.queries.at(rec.slot));
-            assert_eq!(at, Some(qid), "query {qid} is not on {}", rec.group);
-            records.entry(rec.group).or_default().1 += 1;
+            let group = rec.group();
+            assert!(
+                group.contains(rec.key()),
+                "query {qid}'s key is off {group}"
+            );
+            let at = data.ledger(group).and_then(|l| l.queries.at(rec.slot));
+            assert_eq!(at, Some(qid), "query {qid} is not on {group}");
+            records.entry(group).or_default().1 += 1;
         }
         for (group, ledger) in &data.ledgers {
             assert_eq!(

@@ -197,6 +197,7 @@ impl Key {
     /// # Panics
     ///
     /// Panics if `d > width`.
+    #[inline]
     pub fn top_bits(self, d: u32) -> u64 {
         assert!(d <= self.width.get(), "depth {d} exceeds width");
         shr64(self.bits, self.width.get() - d)

@@ -90,6 +90,7 @@ impl Prefix {
     /// # Panics
     ///
     /// Panics if `depth > key.width()`.
+    #[inline]
     pub fn of_key(key: Key, depth: u32) -> Self {
         Prefix {
             pattern: key.top_bits(depth),
@@ -200,6 +201,7 @@ impl Prefix {
     /// Length of the common prefix between this group's pattern and `key`
     /// (at most `depth`). This is the per-entry quantity behind the paper's
     /// `d_min` in the `INCORRECT_DEPTH` response.
+    #[inline]
     pub fn common_prefix_len_with_key(self, key: Key) -> u32 {
         debug_assert_eq!(key.width(), self.width);
         let key_top = key.top_bits(self.depth);
@@ -318,6 +320,7 @@ impl fmt::Debug for Prefix {
 }
 
 impl PartialOrd for Prefix {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -326,6 +329,7 @@ impl PartialOrd for Prefix {
 /// Prefixes order like their binary strings ("0" < "00" < "01" < "1"),
 /// which matches a pre-order walk of the logical binary tree.
 impl Ord for Prefix {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         let common = self.depth.min(other.depth);
         let a = shr64(self.pattern, self.depth - common);

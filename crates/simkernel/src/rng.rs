@@ -13,6 +13,7 @@ use rand::SeedableRng;
 pub use rand::{Rng, RngCore};
 
 /// Finalizes a SplitMix64 state into a well-mixed 64-bit value.
+#[inline]
 pub fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -74,6 +75,7 @@ pub fn derive_seed(root: u64, label: &str) -> u64 {
 /// The seed of stream `index` under a label whose [`derive_seed`] is
 /// `label_seed` — what [`DetRng::substream_indexed`] seeds, for callers
 /// that fork many indexed streams of one label and derive the label once.
+#[inline]
 pub fn indexed_seed(label_seed: u64, index: u64) -> u64 {
     splitmix64_mix(label_seed ^ index)
 }
@@ -102,12 +104,23 @@ pub struct KeyedRng {
 
 impl KeyedRng {
     /// The stream of `key`, at its first draw.
+    #[inline]
     pub fn new(key: u64) -> Self {
         KeyedRng { key, index: 0 }
+    }
+
+    /// Moves past the next `n` draws without computing them: the next
+    /// draw is the one `n` calls to `next_u64` would have reached. For a
+    /// caller that knows a word's outcome without reading it (a loss
+    /// test at probability 0 is never true).
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.index += n;
     }
 }
 
 impl RngCore for KeyedRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let word = splitmix64_mix(self.key.wrapping_add(self.index.wrapping_mul(GAMMA)));
         self.index += 1;
@@ -317,6 +330,17 @@ mod tests {
                 assert_eq!(a.next_u64(), want, "key {key} draw {i}");
             }
         }
+        // Skipping moves the index without drawing: the words after a
+        // skip are the words the skipped calls would have reached.
+        let mut skipped = KeyedRng::new(42);
+        skipped.skip(3);
+        let mut drawn = KeyedRng::new(42);
+        for _ in 0..3 {
+            drawn.next_u64();
+        }
+        assert_eq!(skipped.next_u64(), drawn.next_u64());
+        skipped.skip(0);
+        assert_eq!(skipped.next_u64(), drawn.next_u64());
         // Adjacent keys start unrelated streams, and a stream's words
         // are uniform: the mean of 10⁵ unit draws within 5 standard
         // errors of ½.

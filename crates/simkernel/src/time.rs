@@ -34,6 +34,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from whole microseconds since simulation start.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
@@ -44,11 +45,13 @@ impl SimTime {
     }
 
     /// Microseconds since simulation start.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Seconds since simulation start, as a float.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -63,6 +66,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self` (a simulation logic error).
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -83,11 +87,13 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration from whole microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 
     /// Creates a duration from whole milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
@@ -125,16 +131,19 @@ impl SimDuration {
     }
 
     /// Whole microseconds in this duration.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Seconds in this duration, as a float.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// True if this duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -145,20 +154,51 @@ impl SimDuration {
 /// away from zero). The fraction `us − ⌊us⌋` is exact for every such
 /// `us` — both terms lie within a factor of two of each other, or the
 /// floor is 0 — so the result is bit-identical to `f64::round`.
+///
+/// Below 2⁶³ the truncation goes through `i64`, one conversion
+/// instruction on x86-64, where `u64`'s takes a compare and a second
+/// conversion; every such `us` truncates to the same integer either
+/// way. At and above 2⁶³ an `i64` saturates, so those values take the
+/// unsigned conversion. This is the rounding of
+/// [`SimDuration::from_secs_f64`], and of a transport's per-message
+/// jitter, which computes its microseconds inline.
+///
+/// # Panics
+///
+/// Debug builds panic if `us` is NaN or outside `[0, 2⁶⁴)`. Release
+/// builds do not check: the caller keeps `us` in that domain, outside
+/// which the result is meaningless (−1.0 gives `u64::MAX`).
 #[inline]
-fn round_half_away(us: f64) -> u64 {
-    let whole = us as u64;
-    whole + u64::from(us - whole as f64 >= 0.5)
+pub fn round_half_away(us: f64) -> u64 {
+    debug_assert!(
+        (0.0..TWO_TO_THE_64).contains(&us),
+        "round_half_away takes 0 ≤ us < 2⁶⁴, got {us}"
+    );
+    if us < TWO_TO_THE_63 {
+        let whole = us as i64;
+        (whole + i64::from(us - whole as f64 >= 0.5)) as u64
+    } else {
+        let whole = us as u64;
+        whole + u64::from(us - whole as f64 >= 0.5)
+    }
 }
+
+/// 2⁶³, the first `f64` an `i64` cannot hold.
+const TWO_TO_THE_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// 2⁶⁴, the first `f64` a `u64` cannot hold.
+const TWO_TO_THE_64: f64 = 18_446_744_073_709_551_616.0;
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -166,6 +206,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -173,6 +214,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -180,12 +222,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -193,12 +237,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -206,6 +252,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
@@ -213,6 +260,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -311,6 +359,31 @@ mod tests {
             assert_eq!(round_half_away(us), want, "{us}");
             assert_eq!(round_half_away(us), us.round() as u64, "{us}");
         }
+    }
+
+    #[test]
+    fn round_half_away_crosses_the_signed_limit() {
+        // Either side of 2⁶³, where the signed fast path hands over to
+        // the unsigned conversion: the last f64 below it, 2⁶³ itself
+        // (which an `i64` would saturate to 2⁶³ − 1) and the first f64
+        // past it.
+        let two_63 = 2f64.powi(63);
+        let cases = [
+            (two_63 - 1024.0, (1u64 << 63) - 1024),
+            (two_63, 1u64 << 63),
+            (two_63 + 2048.0, (1u64 << 63) + 2048),
+        ];
+        for (us, want) in cases {
+            assert_eq!(round_half_away(us), want, "{us}");
+            assert_eq!(round_half_away(us), us.round() as u64, "{us}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "round_half_away takes 0 ≤ us < 2⁶⁴")]
+    fn round_half_away_rejects_a_negative_input() {
+        let _ = round_half_away(-1.0);
     }
 
     #[test]

@@ -357,12 +357,17 @@ impl Transport for InstantTransport {
     }
 
     /// Draws nothing, so derives no key: every leg arrives at once and
-    /// is only counted.
+    /// is only counted, per class into a local array added to the
+    /// running counters once per dispatch.
     fn send_chains(&mut self, legs: &[SendSpec], chains: &[Chain], out: &mut Vec<ChainOutcome>) {
         let sent = &legs[..chains.last().map_or(0, |&(_, end)| end)];
-        self.stats.messages += sent.len() as u64;
+        let mut per_class = [0u64; 8];
         for leg in sent {
-            self.stats.per_class[leg.class.index()] += 1;
+            per_class[leg.class.index()] += 1;
+        }
+        self.stats.messages += sent.len() as u64;
+        for (count, add) in self.stats.per_class.iter_mut().zip(per_class) {
+            *count += add;
         }
         out.clear();
         out.resize(chains.len(), ChainOutcome::default());

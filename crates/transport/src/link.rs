@@ -74,6 +74,8 @@ impl PartitionMatrix {
 #[derive(Debug)]
 pub struct LinkTransport {
     policy: LinkPolicy,
+    /// `policy`'s [`lossless_words`], worked out when it is set.
+    lossless_words: Option<u64>,
     /// The seed of the transport's `"link"` keys, derived once: link
     /// `src → dst` has key `indexed_seed(link_seed, pair_mix(src, dst))`.
     link_seed: u64,
@@ -81,6 +83,15 @@ pub struct LinkTransport {
     unkeyed: u64,
     partition: PartitionMatrix,
     stats: TransportStats,
+}
+
+/// The loss words a send under `policy` passes over when no
+/// transmission can be lost. At drop probability 0 the retry loop reads
+/// one word, which is never below 0, and stops — or reads none when
+/// `max_retries` is 0 — so the jitter's word is the one after those.
+/// `None`: the loop runs.
+fn lossless_words(policy: &LinkPolicy) -> Option<u64> {
+    (policy.drop_probability == 0.0).then_some(u64::from(policy.max_retries.min(1)))
 }
 
 /// The derived 64-bit identity of a directed link.
@@ -100,6 +111,7 @@ impl LinkTransport {
         policy.validate();
         LinkTransport {
             policy,
+            lossless_words: lossless_words(&policy),
             link_seed: DetRng::new(seed)
                 .substream("transport")
                 .substream("link")
@@ -139,8 +151,13 @@ impl LinkTransport {
         // Transient loss: each transmission drops independently; after
         // max_retries losses the final transmission goes through.
         let mut attempts = 1u32;
-        while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
-            attempts += 1;
+        match self.lossless_words {
+            Some(words) => rng.skip(words),
+            None => {
+                while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
+                    attempts += 1;
+                }
+            }
         }
         let latency =
             policy.retry_timeout * u64::from(attempts - 1) + policy.latency.sample(base, rng);
@@ -213,6 +230,7 @@ impl Transport for LinkTransport {
     fn set_policy(&mut self, policy: LinkPolicy) {
         policy.validate();
         self.policy = policy;
+        self.lossless_words = lossless_words(&policy);
     }
 
     fn island_of(&self, addr: NodeAddr) -> Option<u32> {
@@ -225,11 +243,54 @@ impl Transport for LinkTransport {
 
 #[cfg(test)]
 mod tests {
+    use clash_simkernel::dist::Exponential;
     use proptest::prelude::*;
 
     use super::*;
     use crate::policy::LatencyModel;
     use crate::{message_key, InstantTransport};
+
+    /// The per-leg send the skipped loss words and the inlined jitter
+    /// replaced, kept as their reference: the retry loop reads a loss
+    /// word per transmission whatever the probability, and the jitter
+    /// goes through `Exponential` and `SimDuration::from_secs_f64`.
+    fn reference_send(t: &mut LinkTransport, s: &SendSpec, key: u64) -> Delivery {
+        if s.src == s.dst {
+            t.stats.messages += 1;
+            t.stats.per_class[s.class.index()] += 1;
+            return Delivery::Delivered {
+                latency: SimDuration::ZERO,
+                attempts: 1,
+            };
+        }
+        if !t.partition.connected(s.src, s.dst) {
+            t.stats.unreachable += 1;
+            return Delivery::Unreachable {
+                attempts: t.policy.max_retries + 1,
+            };
+        }
+        let policy = t.policy;
+        let link = indexed_seed(t.link_seed, pair_mix(s.src, s.dst));
+        let base = policy.latency.sample_base(&mut KeyedRng::new(link));
+        let rng = &mut KeyedRng::new(indexed_seed(link, key));
+        let mut attempts = 1u32;
+        while attempts <= policy.max_retries && rng.gen_bool(policy.drop_probability) {
+            attempts += 1;
+        }
+        let delay = match policy.latency {
+            LatencyModel::Wan { jitter_mean, .. } if !jitter_mean.is_zero() => {
+                let jitter = Exponential::with_mean(jitter_mean.as_secs_f64()).sample(rng);
+                base + SimDuration::from_secs_f64(jitter)
+            }
+            model => model.sample(base, rng),
+        };
+        let latency = policy.retry_timeout * u64::from(attempts - 1) + delay;
+        t.stats.messages += 1;
+        t.stats.per_class[s.class.index()] += 1;
+        t.stats.retransmissions += u64::from(attempts - 1);
+        t.stats.total_latency_us = t.stats.total_latency_us.saturating_add(latency.as_micros());
+        Delivery::Delivered { latency, attempts }
+    }
 
     fn drain(t: &mut LinkTransport, n: u64) -> Vec<Delivery> {
         (0..n)
@@ -557,6 +618,67 @@ mod tests {
                 });
                 prop_assert_eq!(&out, &want);
                 prop_assert_eq!(instant.stats(), instant_ref.stats());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `send_one` against [`reference_send`], on WAN
+        /// policies with and without loss, every retry budget from 0 to
+        /// 5 and zero, preset and arbitrary jitter means, with partitions
+        /// coming and going: every send's `Delivery` and the counters
+        /// after it are the reference's.
+        #[test]
+        fn precomputed_draws_match_the_reference_send(
+            seed in any::<u64>(),
+            lossy in any::<bool>(),
+            p in 0.0f64..0.95,
+            max_retries in 0u32..=5,
+            jitter_kind in 0u8..3,
+            arbitrary_jitter in 1u64..10_000_000,
+            steps in prop::collection::vec(
+                (0u8..8, any::<u64>(), prop::collection::vec((0u64..8, 0u64..8, any::<u64>()), 1..24)),
+                1..12,
+            ),
+        ) {
+            let policy = LinkPolicy {
+                latency: LatencyModel::Wan {
+                    base_lo: SimDuration::from_millis(20),
+                    base_hi: SimDuration::from_millis(120),
+                    jitter_mean: SimDuration::from_micros(
+                        [0, 15_000, arbitrary_jitter][usize::from(jitter_kind)],
+                    ),
+                },
+                max_retries,
+                ..if lossy { LinkPolicy::lossy_wan(p) } else { LinkPolicy::wan() }
+            };
+            let mut t = LinkTransport::new(policy, seed);
+            let mut reference = LinkTransport::new(policy, seed);
+            for (kind, island_bits, sends) in steps {
+                match kind {
+                    0 => {
+                        let mut islands = vec![Vec::new(); 4];
+                        for node in 0..8u64 {
+                            islands[((island_bits >> (2 * node)) & 3) as usize].push(node);
+                        }
+                        t.partition(&islands);
+                        reference.partition(&islands);
+                    }
+                    1 => {
+                        t.heal();
+                        reference.heal();
+                    }
+                    _ => {
+                        for (src, dst, key) in sends {
+                            let leg = probe(src, dst);
+                            let got = t.send_one(&leg, key);
+                            prop_assert_eq!(got, reference_send(&mut reference, &leg, key));
+                            prop_assert_eq!(t.stats(), reference.stats());
+                        }
+                    }
+                }
             }
         }
     }

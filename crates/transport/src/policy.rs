@@ -1,9 +1,8 @@
 //! Link policies: the latency, loss and retry parameters of a simulated
 //! network.
 
-use clash_simkernel::dist::Exponential;
 use clash_simkernel::rng::{Rng, RngCore};
-use clash_simkernel::time::SimDuration;
+use clash_simkernel::time::{round_half_away, SimDuration};
 
 /// How per-message latency is generated on a link.
 ///
@@ -74,17 +73,26 @@ impl LatencyModel {
                 SimDuration::from_micros(lo.as_micros() + extra)
             }
             LatencyModel::Wan { jitter_mean, .. } => {
-                let jitter = if jitter_mean.is_zero() {
-                    SimDuration::ZERO
-                } else {
-                    SimDuration::from_secs_f64(
-                        Exponential::with_mean(jitter_mean.as_secs_f64()).sample(rng),
-                    )
-                };
-                base + jitter
+                base + wan_jitter(jitter_mean.as_secs_f64(), rng)
             }
         }
     }
+}
+
+/// One message's exponential queueing jitter of mean `mean_s` seconds,
+/// in whole µs: `round_half_away(−mean · ln(1 − u) · 10⁶)`, `u` the
+/// stream's next 53-bit uniform. That is the value
+/// `SimDuration::from_secs_f64(Exponential::with_mean(mean_s).sample(rng))`
+/// gives — the same operations in the same order — computed inline and
+/// without their checks: [`LinkPolicy::validate`] bounds every draw
+/// below 2⁶⁴ µs. A zero mean draws nothing.
+#[inline]
+fn wan_jitter<R: RngCore>(mean_s: f64, rng: &mut R) -> SimDuration {
+    if mean_s == 0.0 {
+        return SimDuration::ZERO;
+    }
+    let u: f64 = rng.gen();
+    SimDuration::from_micros(round_half_away(-mean_s * (1.0 - u).ln() * 1e6))
 }
 
 /// Exponential means the largest jitter draw can reach: the draw is

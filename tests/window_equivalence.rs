@@ -2,7 +2,8 @@
 //!
 //! Client locates are *planned* synchronously (every RNG draw and ledger
 //! mutation in op order) into a window; one flush routes the window's
-//! probes in plan order and charges them through one `send_keyed`. A
+//! probes in plan order and charges them through one `send_chains`
+//! dispatch. A
 //! window closes at the next barrier, at a fixed probe count, or — while
 //! the transport is partitioned — after every probe. The invariant is
 //! absolute: **when the window closes is unobservable** — same seed ⇒
