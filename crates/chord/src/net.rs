@@ -485,11 +485,6 @@ impl SimNet {
         self.stats
     }
 
-    /// Clears lookup statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
     /// Joins a new node through `bootstrap`. The join protocol's lookups
     /// are routed on the ring as it stands: one for the new identifier
     /// from `bootstrap`, which finds its successor, then one per finger
@@ -999,9 +994,6 @@ mod tests {
         net.find_successor(start, 1);
         net.find_successor(start, 2);
         assert_eq!(net.stats().lookups, 2);
-        net.reset_stats();
-        assert_eq!(net.stats().lookups, 0);
-        assert_eq!(net.stats().mean_hops(), 0.0);
     }
 
     #[test]

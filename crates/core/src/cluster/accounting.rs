@@ -351,21 +351,10 @@ impl Obs {
 }
 
 impl ClashCluster {
-    /// Message statistics since the last reset.
+    /// Message statistics since construction.
     pub fn message_stats(&self) -> MessageStats {
         self.debug_assert_window_closed();
         self.wire.msgs
-    }
-
-    /// Resets message statistics (per-measurement-window accounting).
-    /// Closes the locate window first: probes planned before the reset
-    /// belong to the measurement it ends.
-    pub fn reset_message_stats(&mut self) {
-        self.flush_batch()
-            .expect("a window that outlives its op never spans a partition");
-        self.wire.msgs = MessageStats::default();
-        self.net.reset_stats();
-        self.wire.transport.reset_stats();
     }
 
     /// The transport's delivery counters (retransmissions, unreachable

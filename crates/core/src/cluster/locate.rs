@@ -346,8 +346,8 @@ impl ClashCluster {
 
     /// Closes the locate window: routes and charges every planned probe
     /// and pushes every deferred group-load update. Every barrier (load
-    /// check, membership change, partition, policy change, stats reset,
-    /// driver sample) runs it; a no-op on a closed window.
+    /// check, membership change, partition, policy change, driver
+    /// sample) runs it; a no-op on a closed window.
     ///
     /// **The rule:** message stats, latency metrics, transport stats,
     /// telemetry, `net().stats()` and server loads are as of the last

@@ -9,16 +9,22 @@
 //! * [`LINKS`] / [`link`] — the four transports those runs go over;
 //! * [`paper_spec`] and [`figure4_variants`] — the paper-scale base
 //!   every experiment starts from;
-//! * [`fault_config`] — the capacity the fault experiments run at.
+//! * [`fault_config`] — the capacity the fault experiments run at;
+//! * `heat` — the workload-C load the cluster-level experiments split
+//!   under before they measure.
 //!
 //! A run picks its replication factor itself
 //! (`scenario.config.with_replication(r)`).
 
+use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
+use clash_core::error::ClashError;
+use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::SimDuration;
 use clash_transport::{InstantTransport, LinkPolicy, LinkTransport, Transport};
 use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::ScenarioSpec;
+use clash_workload::skew::{Workload, WorkloadKind};
 
 /// What a run plays: the protocol configuration and the scenario.
 #[derive(Debug, Clone)]
@@ -178,4 +184,26 @@ pub fn fault_config() -> ClashConfig {
         capacity: 1000.0,
         ..ClashConfig::paper()
     }
+}
+
+/// Heats `cluster`: attaches sources `0..sources` at workload-C keys
+/// drawn from `rng`, 2 pkt/s each (≈ the paper's workload-C rate), then
+/// runs `checks` load checks. Workload C piles most of that load onto
+/// one initial-depth group, so a cluster whose capacity the population
+/// overloads splits before the caller measures it.
+pub(crate) fn heat(
+    cluster: &mut ClashCluster,
+    sources: u64,
+    rng: &mut DetRng,
+    checks: usize,
+) -> Result<(), ClashError> {
+    let workload = Workload::paper(WorkloadKind::C);
+    let width = cluster.config().key_width;
+    for i in 0..sources {
+        cluster.attach_source(i, workload.sample_key(width, rng), 2.0)?;
+    }
+    for _ in 0..checks {
+        cluster.run_load_check()?;
+    }
+    Ok(())
 }

@@ -8,11 +8,23 @@
 //! * **key changes** (end of a virtual stream, mean every `Ld` packets),
 //! * **query client deaths** (with immediate renewal, keeping the
 //!   population constant),
-//! * **load checks** (every 5 minutes, §6.1) and metric samples.
+//! * **load checks** (every 5 minutes, §6.1) and metric samples,
+//! * under a [`ChurnSpec`], its four sustained membership processes —
+//!   joins, graceful leaves, crashes and correlated crash bursts — each
+//!   a Poisson process that re-arms itself,
+//! * and its flash-crowd ramp joins, which fire once each.
 //!
 //! This reduces a 6-hour, 100k-client, 200k-pkt/s run from billions of
 //! packet events to a few million — while producing the identical load
 //! series a per-packet simulation would sample.
+//!
+//! A run is `start`, a loop of `step` over the events due before its
+//! end, and `finish`; sampling and the per-phase summaries live in `sample`.
+
+mod sample;
+
+use sample::Sampler;
+pub use sample::{PhaseSummary, SampleRow};
 
 use clash_core::cluster::{ClashCluster, FailureReport, MessageStats};
 use clash_core::config::ClashConfig;
@@ -21,7 +33,6 @@ use clash_core::ServerId;
 use clash_obs::{PhaseProfile, Telemetry, WallProfiler};
 use clash_simkernel::dist::Exponential;
 use clash_simkernel::event::EventQueue;
-use clash_simkernel::metrics::Histogram;
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::Transport;
@@ -29,70 +40,6 @@ use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::ScenarioSpec;
 use clash_workload::skew::{Workload, WorkloadKind};
 use clash_workload::source::{QueryClientModel, SourceModel};
-
-/// One metric sample (a row of the Figure 4 panels).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleRow {
-    /// Sample time in hours (the paper's x-axis).
-    pub time_hours: f64,
-    /// Workload in force.
-    pub workload: WorkloadKind,
-    /// Maximum server load, % of capacity.
-    pub max_load_pct: f64,
-    /// Mean load over *active* servers, % of capacity.
-    pub avg_active_load_pct: f64,
-    /// Servers with load ≥ 1% of capacity.
-    pub active_servers: usize,
-    /// Minimum active-group depth.
-    pub depth_min: u32,
-    /// Mean active-group depth.
-    pub depth_avg: f64,
-    /// Maximum active-group depth.
-    pub depth_max: u32,
-    /// Control messages/sec/server in the last window (Figure 5 case A),
-    /// charging full DHT routing cost per probe.
-    pub ctrl_msgs_per_sec_per_server: f64,
-    /// Protocol-only control messages/sec/server (DHT routing treated as
-    /// substrate cost — the paper's most plausible accounting).
-    pub proto_msgs_per_sec_per_server: f64,
-    /// All messages/sec/server including state transfer (case B).
-    pub total_msgs_per_sec_per_server: f64,
-    /// Servers in the ring at sample time (varies only under churn).
-    pub server_count: usize,
-    /// Membership handoff messages/sec/server in the last window (0
-    /// without churn).
-    pub handoff_msgs_per_sec_per_server: f64,
-    /// Median end-to-end locate latency in the last window, virtual ms
-    /// (0 with the instant transport or when the window had no locates).
-    pub locate_p50_ms: f64,
-    /// 95th-percentile locate latency in the last window, virtual ms.
-    pub locate_p95_ms: f64,
-    /// 99th-percentile locate latency in the last window, virtual ms.
-    pub locate_p99_ms: f64,
-}
-
-/// Per-phase aggregates (the paper reports per-workload numbers).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseSummary {
-    /// The workload.
-    pub workload: WorkloadKind,
-    /// Peak of the max-load series in this phase, % of capacity.
-    pub peak_load_pct: f64,
-    /// Mean of the max-load series in this phase.
-    pub mean_max_load_pct: f64,
-    /// Mean of the avg-active-load series.
-    pub mean_avg_load_pct: f64,
-    /// Mean active servers.
-    pub mean_active_servers: f64,
-    /// Mean control messages/sec/server.
-    pub mean_ctrl_msgs: f64,
-    /// Mean protocol-only control messages/sec/server.
-    pub mean_proto_msgs: f64,
-    /// Mean total messages/sec/server.
-    pub mean_total_msgs: f64,
-    /// Maximum group depth observed in the phase.
-    pub max_depth: u32,
-}
 
 /// Crash-recovery aggregates over a run, accumulated from every
 /// [`FailureReport`] the membership events produced.
@@ -157,7 +104,7 @@ pub struct RunResult {
     pub phases: Vec<PhaseSummary>,
     /// Cumulative message statistics over the whole run.
     pub final_messages: MessageStats,
-    /// Total discrete events processed.
+    /// Discrete events scheduled over the run, pending ones included.
     pub events: u64,
     /// Splits performed over the run.
     pub splits: u64,
@@ -226,59 +173,74 @@ impl RunResult {
     #[must_use]
     pub fn telemetry(&self, cluster: &ClashCluster) -> Telemetry {
         let mut t = Telemetry::new();
-        t.counter("driver.events", self.events);
-        t.counter("driver.load_checks", self.load_checks);
-        t.counter("driver.splits", self.splits);
-        t.counter("driver.merges", self.merges);
-        t.counter("driver.joins", self.joins);
-        t.counter("driver.leaves", self.leaves);
-        t.counter("driver.crashes", self.crashes);
-        t.counter(
-            "driver.recovery.groups_recovered",
-            self.recovery.groups_recovered,
-        );
-        t.counter("driver.recovery.groups_lost", self.recovery.groups_lost);
-        t.counter(
-            "driver.recovery.groups_deferred",
-            self.recovery.groups_deferred,
-        );
-        t.counter("driver.recovery.sources_lost", self.recovery.sources_lost);
-        t.counter("driver.recovery.queries_lost", self.recovery.queries_lost);
+        let r = &self.recovery;
+        for (name, value) in [
+            ("events", self.events),
+            ("load_checks", self.load_checks),
+            ("splits", self.splits),
+            ("merges", self.merges),
+            ("joins", self.joins),
+            ("leaves", self.leaves),
+            ("crashes", self.crashes),
+            ("recovery.groups_recovered", r.groups_recovered),
+            ("recovery.groups_lost", r.groups_lost),
+            ("recovery.groups_deferred", r.groups_deferred),
+            ("recovery.sources_lost", r.sources_lost),
+            ("recovery.queries_lost", r.queries_lost),
+        ] {
+            t.counter(&format!("driver.{name}"), value);
+        }
         t.gauge("driver.check_wall_ms", self.check_wall_ms);
         t.gauge("driver.max_check_ms", self.max_check_ms);
         for phase in clash_obs::CheckPhase::ALL {
-            t.gauge(
-                &format!("driver.check_phase.{}_ms", phase.name()),
-                self.phase_profile.get(phase),
-            );
+            let name = format!("driver.check_phase.{}_ms", phase.name());
+            t.gauge(&name, self.phase_profile.get(phase));
         }
         t.absorb("cluster", &cluster.telemetry());
         t
     }
 }
 
+/// A discrete event. The queue holds one per source and query client,
+/// so the enum stays two words.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    KeyChange {
-        source: u64,
-    },
-    QueryDeath {
-        query: u64,
-    },
+    /// Source `.0`'s virtual stream ends: it re-keys.
+    KeyChange(u64),
+    /// Query client `.0` dies and is renewed.
+    QueryDeath(u64),
     LoadCheck,
     Sample,
-    /// A server joins. `sustained` joins re-arm the Poisson process;
-    /// flash-crowd ramp joins fire once.
-    Join {
-        sustained: bool,
-    },
-    /// A server drains gracefully.
+    /// A sustained membership process fires, then re-arms itself.
+    Churn(Churn),
+    /// A flash-crowd ramp join: fires once, never re-arms.
+    RampJoin,
+}
+
+/// The sustained membership processes of a [`ChurnSpec`], in the order
+/// the run arms them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Churn {
+    Join,
     Leave,
-    /// A server crashes.
     Crash,
-    /// A correlated burst: a server and its ring successors crash at
-    /// once.
-    CrashBurst,
+    /// A server and its ring successors crash at once: the correlated
+    /// rack failure replication is measured against.
+    Burst,
+}
+
+impl Churn {
+    const ALL: [Churn; 4] = [Churn::Join, Churn::Leave, Churn::Crash, Churn::Burst];
+
+    /// The process's mean interval; `None` when `spec` disables it.
+    fn mean(self, spec: &ChurnSpec) -> Option<SimDuration> {
+        match self {
+            Churn::Join => spec.mean_join_interval,
+            Churn::Leave => spec.mean_leave_interval,
+            Churn::Crash => spec.mean_crash_interval,
+            Churn::Burst => spec.mean_burst_interval,
+        }
+    }
 }
 
 /// Drives a [`ClashCluster`] through a [`ScenarioSpec`] under simulated
@@ -292,6 +254,7 @@ pub struct SimDriver {
     /// Dedicated substream for membership churn, so enabling churn never
     /// perturbs the workload's own draws.
     churn_rng: DetRng,
+    /// The three workloads, indexed by `WorkloadKind as usize`.
     workloads: [Workload; 3],
     next_query_id: u64,
     crashes: u64,
@@ -359,21 +322,14 @@ impl SimDriver {
         // deterministic state, so they are free to stay on. (Tracing, by
         // contrast, is opt-in via `cluster_mut().set_trace_sink`.)
         cluster.set_profiler(Box::new(WallProfiler::default()));
-        let rng = DetRng::new(spec.seed).substream("driver");
-        let churn_rng = DetRng::new(spec.seed).substream("churn");
-        let workloads = [
-            Workload::paper(WorkloadKind::A),
-            Workload::paper(WorkloadKind::B),
-            Workload::paper(WorkloadKind::C),
-        ];
         Ok(SimDriver {
             config,
-            spec,
             cluster,
             queue: EventQueue::new(),
-            rng,
-            churn_rng,
-            workloads,
+            rng: DetRng::new(spec.seed).substream("driver"),
+            churn_rng: DetRng::new(spec.seed).substream("churn"),
+            spec,
+            workloads: WorkloadKind::ALL.map(Workload::paper),
             next_query_id: 0,
             crashes: 0,
             recovery: RecoveryTotals::default(),
@@ -384,21 +340,9 @@ impl SimDriver {
         })
     }
 
-    fn workload_index(kind: WorkloadKind) -> usize {
-        match kind {
-            WorkloadKind::A => 0,
-            WorkloadKind::B => 1,
-            WorkloadKind::C => 2,
-        }
-    }
-
     fn current_workload(&self) -> WorkloadKind {
         self.spec
             .workload_at(self.queue.now().saturating_duration_since(SimTime::ZERO))
-    }
-
-    fn source_model(&self, kind: WorkloadKind) -> SourceModel {
-        SourceModel::new(kind.source_rate(), self.spec.mean_stream_packets)
     }
 
     /// Runs the scenario to completion.
@@ -419,168 +363,113 @@ impl SimDriver {
     /// See [`SimDriver::run`].
     pub fn run_with_cluster(mut self) -> Result<(RunResult, ClashCluster), ClashError> {
         let end = SimTime::ZERO + self.spec.total_duration();
+        let mut sampler = self.start()?;
+        while let Some((at, ev)) = self.queue.pop_before(end) {
+            self.step(at, ev, &mut sampler)?;
+        }
+        self.finish(end, sampler)
+    }
+
+    /// Attaches the population and arms every recurring event, then
+    /// baselines the sampler.
+    fn start(&mut self) -> Result<Sampler, ClashError> {
         self.populate()?;
-        // Periodic machinery.
         self.queue
             .schedule(SimTime::ZERO + self.spec.load_check_period, Ev::LoadCheck);
         self.queue
             .schedule(SimTime::ZERO + self.spec.sample_period, Ev::Sample);
-        let churn = self.spec.churn;
-        if let Some(churn) = &churn {
-            if let Some(mean) = churn.mean_join_interval {
-                let at = SimTime::ZERO + self.churn_interval(mean);
-                self.queue.schedule(at, Ev::Join { sustained: true });
-            }
-            if let Some(mean) = churn.mean_leave_interval {
-                let at = SimTime::ZERO + self.churn_interval(mean);
-                self.queue.schedule(at, Ev::Leave);
-            }
-            if let Some(mean) = churn.mean_crash_interval {
-                let at = SimTime::ZERO + self.churn_interval(mean);
-                self.queue.schedule(at, Ev::Crash);
-            }
-            if let Some(mean) = churn.mean_burst_interval {
-                let at = SimTime::ZERO + self.churn_interval(mean);
-                self.queue.schedule(at, Ev::CrashBurst);
-            }
-            if let Some(flash) = churn.flash_crowd {
-                for i in 0..flash.joins {
-                    let offset = SimDuration::from_micros(flash.spacing.as_micros() * i as u64);
-                    self.queue.schedule(
-                        SimTime::ZERO + flash.at + offset,
-                        Ev::Join { sustained: false },
-                    );
-                }
+        for churn in Churn::ALL {
+            self.arm(SimTime::ZERO, churn);
+        }
+        if let Some(flash) = self.spec.churn.and_then(|spec| spec.flash_crowd) {
+            for i in 0..flash.joins {
+                let offset = SimDuration::from_micros(flash.spacing.as_micros() * i as u64);
+                self.queue
+                    .schedule(SimTime::ZERO + flash.at + offset, Ev::RampJoin);
             }
         }
-
         // Close the populate batch window before baselining the message
         // counters for the first sample diff.
         self.cluster.flush_batch()?;
-        let mut samples: Vec<SampleRow> = Vec::new();
-        let mut last_msgs = self.cluster.message_stats();
-        let mut last_sample_time = SimTime::ZERO;
-        let mut last_servers = self.cluster.server_count();
-        let mut last_locate = self.cluster.latency_metrics().locate.clone();
+        Ok(Sampler::new(&self.cluster))
+    }
 
-        while let Some((at, ev)) = self.queue.pop_before(end) {
-            // Keep the cluster's trace clock on the event being
-            // dispatched, so every emitted TraceEvent carries the
-            // virtual time of the event that caused it.
-            self.cluster.set_now(at);
-            match ev {
-                Ev::KeyChange { source } => {
-                    let kind = self.current_workload();
-                    let model = self.source_model(kind);
-                    let moved = self.cluster.rekey_source(source, Some(model.rate()), || {
-                        self.workloads[Self::workload_index(kind)]
-                            .sample_key(self.config.key_width, &mut self.rng)
-                    })?;
-                    if moved.is_none() {
-                        // The source's group was lost in an unrecoverable
-                        // crash: its client is gone and its stream ends.
-                        continue;
-                    }
+    /// Dispatches one event at its virtual time `at`.
+    fn step(&mut self, at: SimTime, ev: Ev, sampler: &mut Sampler) -> Result<(), ClashError> {
+        // Keep the cluster's trace clock on the event being dispatched, so
+        // every emitted TraceEvent carries the virtual time of the event
+        // that caused it.
+        self.cluster.set_now(at);
+        match ev {
+            Ev::KeyChange(source) => {
+                let kind = self.current_workload();
+                let model = SourceModel::new(kind.source_rate(), self.spec.mean_stream_packets);
+                let moved = self.cluster.rekey_source(source, Some(model.rate()), || {
+                    self.workloads[kind as usize].sample_key(self.config.key_width, &mut self.rng)
+                })?;
+                // A source whose group was lost in an unrecoverable crash
+                // has no client any more: its stream ends.
+                if moved.is_some() {
                     let next = model.sample_stream_duration(&mut self.rng);
-                    self.queue.schedule(at + next, Ev::KeyChange { source });
-                }
-                Ev::QueryDeath { query } => {
-                    // A query that died with a lost group is already gone;
-                    // renewal keeps the population constant either way.
-                    self.cluster.detach_query(query)?;
-                    self.spawn_query(at)?;
-                }
-                Ev::LoadCheck => {
-                    // Flush *before* starting the timer: the batch holds
-                    // deferred locate work from the whole period, which
-                    // must not be billed as load-check time.
-                    self.cluster.flush_batch()?;
-                    let check_started = std::time::Instant::now();
-                    let check = self.cluster.run_load_check()?;
-                    let check_ms = check_started.elapsed().as_secs_f64() * 1e3;
-                    self.check_wall_ms += check_ms;
-                    self.max_check_ms = self.max_check_ms.max(check_ms);
-                    self.load_checks += 1;
-                    // A partition-deferred recovery resolves at some later
-                    // load check; fold its outcome into the totals so the
-                    // success rate (and the single-crash loss gate) counts
-                    // every crash-affected group and client.
-                    self.recovery.groups_recovered += check.recoveries_completed;
-                    self.recovery.groups_lost += check.recoveries_lost;
-                    self.recovery.single_crash_groups_lost += check.recoveries_lost_single;
-                    self.recovery.sources_lost += check.recovery_sources_lost;
-                    self.recovery.queries_lost += check.recovery_queries_lost;
-                    self.queue
-                        .schedule(at + self.spec.load_check_period, Ev::LoadCheck);
-                }
-                Ev::Sample => {
-                    // Samples read message/latency/load state: barrier.
-                    self.cluster.flush_batch()?;
-                    let window = at.duration_since(last_sample_time);
-                    samples.push(self.sample(
-                        at,
-                        window,
-                        &mut last_msgs,
-                        &mut last_servers,
-                        &mut last_locate,
-                    ));
-                    last_sample_time = at;
-                    self.queue
-                        .schedule(at + self.spec.sample_period, Ev::Sample);
-                }
-                Ev::Join { sustained } => {
-                    let churn = churn.as_ref().expect("join events require churn");
-                    self.membership_join(churn)?;
-                    // Only the sustained Poisson process re-arms; ramp
-                    // joins are one-shot, so layering a flash crowd on a
-                    // sustained schedule never multiplies the join rate.
-                    if sustained {
-                        if let Some(mean) = churn.mean_join_interval {
-                            let next = self.churn_interval(mean);
-                            self.queue.schedule(at + next, Ev::Join { sustained: true });
-                        }
-                    }
-                }
-                Ev::Leave => {
-                    let churn = churn.as_ref().expect("leave events require churn");
-                    self.membership_leave(churn)?;
-                    if let Some(mean) = churn.mean_leave_interval {
-                        let next = self.churn_interval(mean);
-                        self.queue.schedule(at + next, Ev::Leave);
-                    }
-                }
-                Ev::Crash => {
-                    let churn = churn.as_ref().expect("crash events require churn");
-                    self.membership_crash(churn)?;
-                    if let Some(mean) = churn.mean_crash_interval {
-                        let next = self.churn_interval(mean);
-                        self.queue.schedule(at + next, Ev::Crash);
-                    }
-                }
-                Ev::CrashBurst => {
-                    let churn = churn.as_ref().expect("burst events require churn");
-                    self.membership_crash_burst(churn)?;
-                    if let Some(mean) = churn.mean_burst_interval {
-                        let next = self.churn_interval(mean);
-                        self.queue.schedule(at + next, Ev::CrashBurst);
-                    }
+                    self.queue.schedule(at + next, Ev::KeyChange(source));
                 }
             }
+            Ev::QueryDeath(query) => {
+                // A query that died with a lost group is already gone;
+                // renewal keeps the population constant either way.
+                self.cluster.detach_query(query)?;
+                self.spawn_query(at)?;
+            }
+            Ev::LoadCheck => {
+                // Flush *before* starting the timer: the batch holds
+                // deferred locate work from the whole period, which must
+                // not be billed as load-check time.
+                self.cluster.flush_batch()?;
+                let check_started = std::time::Instant::now();
+                let check = self.cluster.run_load_check()?;
+                let check_ms = check_started.elapsed().as_secs_f64() * 1e3;
+                self.check_wall_ms += check_ms;
+                self.max_check_ms = self.max_check_ms.max(check_ms);
+                self.load_checks += 1;
+                // A partition-deferred recovery resolves at some later load
+                // check; fold its outcome into the totals so the success
+                // rate (and the single-crash loss gate) counts every
+                // crash-affected group and client.
+                self.recovery.groups_recovered += check.recoveries_completed;
+                self.recovery.groups_lost += check.recoveries_lost;
+                self.recovery.single_crash_groups_lost += check.recoveries_lost_single;
+                self.recovery.sources_lost += check.recovery_sources_lost;
+                self.recovery.queries_lost += check.recovery_queries_lost;
+                self.queue
+                    .schedule(at + self.spec.load_check_period, Ev::LoadCheck);
+            }
+            Ev::Sample => {
+                // Samples read message/latency/load state: barrier.
+                self.cluster.flush_batch()?;
+                sampler.record(at, &self.spec, &self.cluster);
+                self.queue
+                    .schedule(at + self.spec.sample_period, Ev::Sample);
+            }
+            Ev::Churn(churn) => {
+                self.membership(churn)?;
+                self.arm(at, churn);
+            }
+            // Ramp joins are one-shot, so layering a flash crowd on a
+            // sustained schedule never multiplies the join rate.
+            Ev::RampJoin => self.membership(Churn::Join)?,
         }
-        // Final sample at the end boundary.
-        self.cluster.flush_batch()?;
-        let window = end.saturating_duration_since(last_sample_time);
-        if !window.is_zero() {
-            samples.push(self.sample(
-                end,
-                window,
-                &mut last_msgs,
-                &mut last_servers,
-                &mut last_locate,
-            ));
-        }
+        Ok(())
+    }
 
-        let phases = self.summarize(&samples);
+    /// Takes the final sample at `end` and assembles the result.
+    fn finish(
+        mut self,
+        end: SimTime,
+        mut sampler: Sampler,
+    ) -> Result<(RunResult, ClashCluster), ClashError> {
+        self.cluster.flush_batch()?;
+        sampler.record(end, &self.spec, &self.cluster);
+        let (samples, phases) = sampler.finish(&self.spec.phases);
         let stats = self.cluster.message_stats();
         let result = RunResult {
             label: self.label,
@@ -602,81 +491,74 @@ impl SimDriver {
         Ok((result, self.cluster))
     }
 
-    /// Draws the next exponential inter-event time for a churn process.
-    fn churn_interval(&mut self, mean: SimDuration) -> SimDuration {
+    /// Schedules `churn`'s next event an exponential interval after `at`,
+    /// if the run's schedule enables that process. The only code that
+    /// draws a churn interval.
+    fn arm(&mut self, at: SimTime, churn: Churn) {
+        let Some(mean) = self.spec.churn.as_ref().and_then(|spec| churn.mean(spec)) else {
+            return;
+        };
         let secs = Exponential::with_mean(mean.as_secs_f64()).sample(&mut self.churn_rng);
-        SimDuration::from_secs_f64(secs.max(1.0))
+        let next = SimDuration::from_secs_f64(secs.max(1.0));
+        self.queue.schedule(at + next, Ev::Churn(churn));
     }
 
-    /// Joins a fresh server (sustained churn or flash-crowd ramp), unless
-    /// the cluster is already at the schedule's ceiling.
-    fn membership_join(&mut self, churn: &ChurnSpec) -> Result<(), ClashError> {
-        if self.cluster.server_count() >= churn.max_servers {
+    /// One `churn` action, skipped without a draw where it would cross
+    /// the schedule's server bounds. Leaves and crashes take a uniform
+    /// victim; a burst also takes its ring successors.
+    fn membership(&mut self, churn: Churn) -> Result<(), ClashError> {
+        let Some(spec) = self.spec.churn else {
             return Ok(());
-        }
-        loop {
-            let id = ServerId::new(self.churn_rng.next_u64(), self.config.hash_space);
-            if self.cluster.net().node(id).is_none() {
-                self.cluster.join_server(id)?;
+        };
+        let servers = self.cluster.server_count();
+        if churn == Churn::Join {
+            if servers >= spec.max_servers {
                 return Ok(());
             }
+            loop {
+                let id = ServerId::new(self.churn_rng.next_u64(), self.config.hash_space);
+                if self.cluster.net().node(id).is_none() {
+                    self.cluster.join_server(id)?;
+                    return Ok(());
+                }
+            }
         }
-    }
-
-    /// Gracefully drains a random server, respecting the schedule floor.
-    fn membership_leave(&mut self, churn: &ChurnSpec) -> Result<(), ClashError> {
-        if self.cluster.server_count() <= churn.min_servers.max(1) {
+        let burst = churn == Churn::Burst;
+        let size = if burst { spec.burst_size.max(1) } else { 1 };
+        if servers < spec.min_servers.max(1) + size {
             return Ok(());
         }
         let ids = self.cluster.server_ids();
         let victim = ids[self.churn_rng.uniform_index(ids.len())];
-        self.cluster.leave_server(victim)?;
-        Ok(())
-    }
-
-    /// Crashes a random server, respecting the schedule floor.
-    fn membership_crash(&mut self, churn: &ChurnSpec) -> Result<(), ClashError> {
-        if self.cluster.server_count() <= churn.min_servers.max(1) {
+        if churn == Churn::Leave {
+            self.cluster.leave_server(victim)?;
             return Ok(());
         }
-        let ids = self.cluster.server_ids();
-        let victim = ids[self.churn_rng.uniform_index(ids.len())];
-        let report = self.cluster.fail_server(victim)?;
-        self.crashes += 1;
-        self.recovery.absorb(&report, false);
-        Ok(())
-    }
-
-    /// Crashes a random server *and* its ring successors simultaneously —
-    /// the correlated rack-failure case replication is measured against.
-    /// Skipped when the burst would breach the schedule floor.
-    fn membership_crash_burst(&mut self, churn: &ChurnSpec) -> Result<(), ClashError> {
-        let size = churn.burst_size.max(1);
-        let floor = churn.min_servers.max(1);
-        if self.cluster.server_count() < floor + size {
-            return Ok(());
-        }
-        let ids = self.cluster.server_ids();
-        let start = ids[self.churn_rng.uniform_index(ids.len())];
-        let mut victims = vec![start];
-        victims.extend(self.cluster.net().alive_successors(start, size - 1));
-        let report = self.cluster.fail_servers(&victims)?;
-        self.crashes += victims.len() as u64;
-        self.recovery.absorb(&report, true);
+        // A single crash builds no victim list: an allocation per crash
+        // moves the heap layout that later set-ups are timed in.
+        let report = if burst {
+            let mut victims = vec![victim];
+            victims.extend(self.cluster.net().alive_successors(victim, size - 1));
+            self.cluster.fail_servers(&victims)?
+        } else {
+            self.cluster.fail_server(victim)?
+        };
+        self.crashes += report.servers_failed as u64;
+        self.recovery.absorb(&report, burst);
         Ok(())
     }
 
     /// Attaches the initial source and query populations at t = 0.
     fn populate(&mut self) -> Result<(), ClashError> {
-        let kind = self.spec.workload_at(SimDuration::ZERO);
-        let model = self.source_model(kind);
+        let kind = self.current_workload();
+        let model = SourceModel::new(kind.source_rate(), self.spec.mean_stream_packets);
         for source in 0..self.spec.sources as u64 {
-            let key = self.workloads[Self::workload_index(kind)]
-                .sample_key(self.config.key_width, &mut self.rng);
+            let key =
+                self.workloads[kind as usize].sample_key(self.config.key_width, &mut self.rng);
             self.cluster.attach_source(source, key, model.rate())?;
             let next = model.sample_stream_duration(&mut self.rng);
             self.queue
-                .schedule(SimTime::ZERO + next, Ev::KeyChange { source });
+                .schedule(SimTime::ZERO + next, Ev::KeyChange(source));
         }
         for _ in 0..self.spec.query_clients {
             self.spawn_query(SimTime::ZERO)?;
@@ -688,136 +570,12 @@ impl SimDriver {
         let kind = self.current_workload();
         let id = self.next_query_id;
         self.next_query_id += 1;
-        let key = self.workloads[Self::workload_index(kind)]
-            .sample_key(self.config.key_width, &mut self.rng);
+        let key = self.workloads[kind as usize].sample_key(self.config.key_width, &mut self.rng);
         self.cluster.attach_query(id, key)?;
         let lifetime =
             QueryClientModel::new(self.spec.mean_query_lifetime).sample_lifetime(&mut self.rng);
-        self.queue
-            .schedule(at + lifetime, Ev::QueryDeath { query: id });
+        self.queue.schedule(at + lifetime, Ev::QueryDeath(id));
         Ok(())
-    }
-
-    fn sample(
-        &self,
-        at: SimTime,
-        window: SimDuration,
-        last_msgs: &mut MessageStats,
-        last_servers: &mut usize,
-        last_locate: &mut Histogram,
-    ) -> SampleRow {
-        let capacity = self.config.capacity;
-        let active_eps = capacity * 0.01;
-        let mut max_load = 0.0f64;
-        let mut active = 0usize;
-        let mut active_sum = 0.0f64;
-        for (_, load) in self.cluster.server_loads() {
-            max_load = max_load.max(load);
-            if load >= active_eps {
-                active += 1;
-                active_sum += load;
-            }
-        }
-        let (depth_min, depth_avg, depth_max) = self.cluster.depth_stats().unwrap_or((0, 0.0, 0));
-        let msgs = self.cluster.message_stats();
-        let secs = window.as_secs_f64().max(1e-9);
-        let server_count = self.cluster.server_count();
-        // Under churn the fleet size varies mid-window; normalizing
-        // per-server rates by the window-average count keeps them honest
-        // across a ramp (exact when membership is fixed).
-        let servers = (server_count + *last_servers) as f64 / 2.0;
-        *last_servers = server_count;
-        let ctrl = (msgs.control_messages() - last_msgs.control_messages()) as f64;
-        let proto =
-            (msgs.protocol_control_messages() - last_msgs.protocol_control_messages()) as f64;
-        let total = (msgs.total_messages() - last_msgs.total_messages()) as f64;
-        let handoff = (msgs.handoff_messages - last_msgs.handoff_messages) as f64;
-        *last_msgs = msgs;
-        // Windowed locate latency percentiles: quantiles over only the
-        // locates completed since the previous sample (one bucket diff
-        // for all three). The instant transport's observations are all
-        // exactly zero, so skip the histogram clone/diff entirely there.
-        let (locate_p50_ms, locate_p95_ms, locate_p99_ms) = if self.cluster.transport_is_instant() {
-            (0.0, 0.0, 0.0)
-        } else {
-            let locate_hist = &self.cluster.latency_metrics().locate;
-            let quantiles = locate_hist.quantiles_since(last_locate, &[0.50, 0.95, 0.99]);
-            let (p50, p95, p99) = (
-                quantiles[0].unwrap_or(0.0),
-                quantiles[1].unwrap_or(0.0),
-                quantiles[2].unwrap_or(0.0),
-            );
-            *last_locate = locate_hist.clone();
-            (p50, p95, p99)
-        };
-        SampleRow {
-            time_hours: at.as_hours_f64(),
-            workload: self
-                .spec
-                .workload_at(at.saturating_duration_since(SimTime::ZERO)),
-            max_load_pct: 100.0 * max_load / capacity,
-            avg_active_load_pct: if active > 0 {
-                100.0 * active_sum / active as f64 / capacity
-            } else {
-                0.0
-            },
-            active_servers: active,
-            depth_min,
-            depth_avg,
-            depth_max,
-            ctrl_msgs_per_sec_per_server: ctrl / secs / servers,
-            proto_msgs_per_sec_per_server: proto / secs / servers,
-            total_msgs_per_sec_per_server: total / secs / servers,
-            server_count,
-            handoff_msgs_per_sec_per_server: handoff / secs / servers,
-            locate_p50_ms,
-            locate_p95_ms,
-            locate_p99_ms,
-        }
-    }
-
-    fn summarize(&self, samples: &[SampleRow]) -> Vec<PhaseSummary> {
-        let mut out = Vec::new();
-        for phase in &self.spec.phases {
-            let rows: Vec<&SampleRow> = samples
-                .iter()
-                .filter(|r| r.workload == phase.workload)
-                .collect();
-            if rows.is_empty() {
-                continue;
-            }
-            if out
-                .iter()
-                .any(|p: &PhaseSummary| p.workload == phase.workload)
-            {
-                continue; // phases with repeated workloads fold together
-            }
-            let n = rows.len() as f64;
-            out.push(PhaseSummary {
-                workload: phase.workload,
-                peak_load_pct: rows.iter().map(|r| r.max_load_pct).fold(0.0, f64::max),
-                mean_max_load_pct: rows.iter().map(|r| r.max_load_pct).sum::<f64>() / n,
-                mean_avg_load_pct: rows.iter().map(|r| r.avg_active_load_pct).sum::<f64>() / n,
-                mean_active_servers: rows.iter().map(|r| r.active_servers as f64).sum::<f64>() / n,
-                mean_ctrl_msgs: rows
-                    .iter()
-                    .map(|r| r.ctrl_msgs_per_sec_per_server)
-                    .sum::<f64>()
-                    / n,
-                mean_proto_msgs: rows
-                    .iter()
-                    .map(|r| r.proto_msgs_per_sec_per_server)
-                    .sum::<f64>()
-                    / n,
-                mean_total_msgs: rows
-                    .iter()
-                    .map(|r| r.total_msgs_per_sec_per_server)
-                    .sum::<f64>()
-                    / n,
-                max_depth: rows.iter().map(|r| r.depth_max).max().unwrap_or(0),
-            });
-        }
-        out
     }
 
     /// Read access to the cluster (post-run inspection in tests).
@@ -1020,6 +778,50 @@ mod tests {
         assert_eq!(cluster.recovery_oracle_reads(), 0);
         cluster.verify_consistency();
         assert!(cluster.global_cover().is_partition());
+    }
+
+    /// A schedule with only the process `churn` enabled, built by field.
+    fn only(churn: Churn) -> ChurnSpec {
+        let every = |c: Churn| (c == churn).then_some(SimDuration::from_mins(2));
+        ChurnSpec {
+            mean_join_interval: every(Churn::Join),
+            mean_leave_interval: every(Churn::Leave),
+            mean_crash_interval: every(Churn::Crash),
+            mean_burst_interval: every(Churn::Burst),
+            burst_size: 2,
+            flash_crowd: None,
+            min_servers: 8,
+            max_servers: 64,
+        }
+    }
+
+    #[test]
+    fn a_lone_churn_process_fires_alone_and_deterministically() {
+        for churn in [Churn::Crash, Churn::Leave] {
+            let mut scenario = fig4();
+            scenario.spec.churn = Some(only(churn));
+            let r1 = driver(scenario.clone()).run().unwrap();
+            let r2 = driver(scenario).run().unwrap();
+            assert_eq!(
+                r1.deterministic_fingerprint(),
+                r2.deterministic_fingerprint()
+            );
+            let fired = (r1.joins, r1.leaves, r1.crashes);
+            match churn {
+                Churn::Crash => {
+                    assert!(fired.0 == 0 && fired.1 == 0 && fired.2 > 0, "{fired:?}");
+                    assert_eq!(r1.recovery.single_crashes, r1.crashes);
+                    assert_eq!(r1.recovery.burst_crashes, 0);
+                }
+                _ => assert!(fired.0 == 0 && fired.1 > 0 && fired.2 == 0, "{fired:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_is_two_words() {
+        // The queue holds one event per source and query client.
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
     }
 
     #[test]

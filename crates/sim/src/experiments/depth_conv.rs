@@ -13,6 +13,7 @@ use clash_simkernel::rng::DetRng;
 use clash_simkernel::stats;
 use clash_workload::skew::{Workload, WorkloadKind};
 
+use crate::catalogue::heat;
 use crate::report;
 
 /// Probe-count distribution for one lookup mode.
@@ -59,15 +60,9 @@ pub fn run(
         ..ClashConfig::paper()
     };
     let mut cluster = ClashCluster::new(config, servers, seed.unwrap_or(42))?;
-    let workload = Workload::paper(WorkloadKind::C);
     let mut rng = DetRng::new(seed.map_or(4242, |s| s ^ 4242));
-    for i in 0..sources as u64 {
-        let key = workload.sample_key(config.key_width, &mut rng);
-        cluster.attach_source(i, key, 2.0)?;
-    }
-    for _ in 0..8 {
-        cluster.run_load_check()?;
-    }
+    heat(&mut cluster, sources as u64, &mut rng, 8)?;
+    let workload = Workload::paper(WorkloadKind::C);
     let tree_depth = cluster.depth_stats().expect("groups exist");
 
     let width = config.key_width.get();

@@ -123,7 +123,7 @@ pub fn render(out: &Fig4Output) -> String {
 }
 
 /// The per-phase summary table (the numbers quoted in §6.2).
-pub fn render_phase_summary(out: &Fig4Output) -> String {
+fn render_phase_summary(out: &Fig4Output) -> String {
     let mut rows = Vec::new();
     for kind in WorkloadKind::ALL {
         for run in &out.runs {

@@ -23,9 +23,9 @@ use clash_simkernel::rng::DetRng;
 use clash_simkernel::time::SimDuration;
 use clash_transport::{LinkPolicy, LinkTransport};
 use clash_workload::scenario::{Phase, ScenarioSpec};
-use clash_workload::skew::{Workload, WorkloadKind};
+use clash_workload::skew::WorkloadKind;
 
-use crate::catalogue::{fault_config, paper_spec};
+use crate::catalogue::{fault_config, heat, paper_spec};
 use crate::driver::SimDriver;
 use crate::experiments::churn::{oracle_sweep, OracleSweep};
 use crate::report;
@@ -118,22 +118,11 @@ fn heated_cluster(
     servers: usize,
     seed: u64,
 ) -> Result<ClashCluster, ClashError> {
-    let config = fault_config();
     let transport = Box::new(LinkTransport::new(policy, seed ^ servers as u64));
-    let mut cluster = ClashCluster::with_transport(config, servers, seed, transport)?;
-    let workload = Workload::paper(WorkloadKind::C);
+    let mut cluster = ClashCluster::with_transport(fault_config(), servers, seed, transport)?;
+    // `fault_config()`'s lowered capacity makes the heat split the tree.
     let mut rng = DetRng::new(seed).substream("netfault-sources");
-    let sources = servers as u64 * 100;
-    // 2 pkt/s per source ≈ the paper's workload-C rate; workload C piles
-    // most of that onto one initial-depth group, which overloads it
-    // against `fault_config()`'s lowered capacity and forces splitting.
-    for i in 0..sources {
-        let key = workload.sample_key(config.key_width, &mut rng);
-        cluster.attach_source(i, key, 2.0)?;
-    }
-    for _ in 0..2 {
-        cluster.run_load_check()?;
-    }
+    heat(&mut cluster, servers as u64 * 100, &mut rng, 2)?;
     Ok(cluster)
 }
 

@@ -15,8 +15,8 @@ use clash_core::error::ClashError;
 use clash_keyspace::prefix::Prefix;
 use clash_simkernel::rng::DetRng;
 use clash_simkernel::stats;
-use clash_workload::skew::{Workload, WorkloadKind};
 
+use crate::catalogue::heat;
 use crate::report;
 
 /// Aggregates for one range depth × one system.
@@ -50,25 +50,6 @@ pub struct RangeOutput {
     pub rows: Vec<RangeRow>,
     /// Queries sampled per row.
     pub queries: usize,
-}
-
-fn heated(
-    config: ClashConfig,
-    servers: usize,
-    sources: usize,
-    seed: u64,
-) -> Result<ClashCluster, ClashError> {
-    let mut cluster = ClashCluster::new(config, servers, seed)?;
-    let workload = Workload::paper(WorkloadKind::C);
-    let mut rng = DetRng::new(seed ^ 0xFEED);
-    for i in 0..sources as u64 {
-        let key = workload.sample_key(config.key_width, &mut rng);
-        cluster.attach_source(i, key, 2.0)?;
-    }
-    for _ in 0..6 {
-        cluster.run_load_check()?;
-    }
-    Ok(cluster)
 }
 
 fn measure(
@@ -124,8 +105,14 @@ pub fn run(scale: f64, queries: usize, seed: Option<u64>) -> Result<RangeOutput,
         capacity: clash_config.capacity,
         ..ClashConfig::dht_baseline(12)
     };
-    let mut clash = heated(clash_config, servers, sources, cluster_seed)?;
-    let mut dht12 = heated(dht12_config, servers, sources, cluster_seed)?;
+    let heated = |config| -> Result<ClashCluster, ClashError> {
+        let mut cluster = ClashCluster::new(config, servers, cluster_seed)?;
+        let mut rng = DetRng::new(cluster_seed ^ 0xFEED);
+        heat(&mut cluster, sources as u64, &mut rng, 6)?;
+        Ok(cluster)
+    };
+    let mut clash = heated(clash_config)?;
+    let mut dht12 = heated(dht12_config)?;
     let mut rows = Vec::new();
     for range_depth in [4u32, 6, 8, 10] {
         // Without an override the historical per-depth query seeds are

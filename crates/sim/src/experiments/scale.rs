@@ -41,7 +41,7 @@ use clash_workload::churn::ChurnSpec;
 use clash_workload::scenario::{Phase, ScenarioSpec};
 use clash_workload::skew::{Workload, WorkloadKind};
 
-use crate::catalogue::paper_spec;
+use crate::catalogue::{heat, paper_spec};
 use crate::driver::SimDriver;
 use crate::report;
 
@@ -272,16 +272,10 @@ fn loadcheck_cell(servers: usize, seed: u64) -> Result<ScaleCell, ClashError> {
     let config = ClashConfig::paper().with_replication(2);
     let transport = Box::new(LinkTransport::new(LinkPolicy::wan(), seed ^ 0x10AD));
     let mut cluster = ClashCluster::with_transport(config, servers, seed, transport)?;
-    let workload = Workload::paper(WorkloadKind::C);
     let mut rng = DetRng::new(seed ^ 0x5CA1_E0AD);
-    for i in 0..sources as u64 {
-        let key = workload.sample_key(config.key_width, &mut rng);
-        cluster.attach_source(i, key, 2.0)?;
-    }
     // Settle: reports flow, replicas seed, candidate state converges.
-    for _ in 0..3 {
-        cluster.run_load_check()?;
-    }
+    heat(&mut cluster, sources as u64, &mut rng, 3)?;
+    let workload = Workload::paper(WorkloadKind::C);
     // Attach the phase profiler only now, so the phase columns cover the
     // measured section alone (the settle checks stay unprofiled).
     cluster.set_profiler(Box::new(WallProfiler::default()));

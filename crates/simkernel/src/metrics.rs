@@ -176,11 +176,6 @@ impl Histogram {
         self.buckets[i]
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Observations below the range.
     pub fn underflow(&self) -> u64 {
         self.underflow

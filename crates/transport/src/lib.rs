@@ -276,11 +276,8 @@ pub trait Transport: Send {
     /// `benchmark`-archetype PR drops the call and this method.
     fn set_batch_workers(&mut self, _workers: usize) {}
 
-    /// Counters accumulated since construction (or the last reset).
+    /// Counters accumulated since construction.
     fn stats(&self) -> TransportStats;
-
-    /// Resets the counters (per-measurement-window accounting).
-    fn reset_stats(&mut self);
 
     /// Severs the network into islands: messages between nodes of
     /// different islands become [`Delivery::Unreachable`]. Nodes not
@@ -377,10 +374,6 @@ impl Transport for InstantTransport {
         self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TransportStats::default();
-    }
-
     fn is_instant(&self) -> bool {
         true
     }
@@ -412,8 +405,6 @@ mod tests {
         assert_eq!(s.per_class[MessageClass::LoadReport.index()], 1);
         assert_eq!(s.mean_latency_ms(), 0.0);
         assert!(t.is_instant());
-        t.reset_stats();
-        assert_eq!(t.stats(), TransportStats::default());
     }
 
     #[test]

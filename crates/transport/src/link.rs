@@ -207,10 +207,6 @@ impl Transport for LinkTransport {
         self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TransportStats::default();
-    }
-
     fn partition(&mut self, islands: &[Vec<NodeAddr>]) {
         self.partition.sever(islands);
     }
