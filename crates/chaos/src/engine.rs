@@ -40,7 +40,7 @@ use clash_core::cluster::ClashCluster;
 use clash_core::config::ClashConfig;
 use clash_core::error::ClashError;
 use clash_keyspace::key::Key;
-use clash_obs::{MetricValue, RingSink, Telemetry, TraceEvent};
+use clash_obs::{MetricValue, Telemetry, TraceEvent, TraceMode};
 use clash_simkernel::rng::DetRng;
 use clash_transport::{LatencyModel, LinkPolicy, LinkTransport};
 use clash_workload::{FaultKind, Workload, WorkloadKind};
@@ -350,7 +350,7 @@ impl<'a> Run<'a> {
             detail: format!("cluster construction failed: {e:?}"),
             event_index: None,
         })?;
-        cluster.set_trace_sink(Box::new(RingSink::new(options.ring_capacity)));
+        cluster.set_trace(TraceMode::Ring(options.ring_capacity));
         if options.inject_merge_reseed_bug {
             cluster.set_chaos_skip_merge_reseed(true);
         }

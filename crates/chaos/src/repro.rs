@@ -11,7 +11,7 @@
 //! parser. The parser accepts general JSON (it has to skip the trace
 //! tail), but only the fields named here are interpreted.
 
-use clash_obs::{ArgValue, TraceEvent};
+use clash_obs::TraceEvent;
 use clash_workload::FaultKind;
 
 use crate::engine::{CampaignFailure, ChaosOptions, ScheduleOutcome, Violation};
@@ -135,13 +135,9 @@ fn render_trace_event(ev: &TraceEvent) -> String {
         ev.seq,
         ev.kind.name()
     );
+    // `ArgValue`'s `Display` is the Chrome export's JSON rendering.
     for (name, value) in ev.kind.args() {
-        match value {
-            ArgValue::Int(v) => s.push_str(&format!(", \"{name}\": {v}")),
-            ArgValue::Bool(v) => s.push_str(&format!(", \"{name}\": {v}")),
-            ArgValue::Float(v) if v.is_finite() => s.push_str(&format!(", \"{name}\": {v}")),
-            ArgValue::Float(_) => s.push_str(&format!(", \"{name}\": null")),
-        }
+        s.push_str(&format!(", \"{name}\": {value}"));
     }
     s.push('}');
     s
@@ -580,6 +576,32 @@ mod tests {
         assert!(text.contains("\"event_index\": null"));
         let repro = parse_repro(&text).expect("parses");
         assert_eq!(repro.violation.event_index, None);
+    }
+
+    #[test]
+    fn wide_trace_integers_are_quoted_and_still_round_trip() {
+        let options = ChaosOptions::default();
+        let mut failure = sample_failure();
+        failure.trace_tail.push(TraceEvent {
+            at: SimTime::from_micros(1300),
+            seq: 10,
+            kind: TraceEventKind::LocateProbe {
+                key: 1 << 60,
+                depth: 4,
+                server: 7,
+                accepted: true,
+                hop: 1,
+            },
+        });
+        let text = render_repro(&options, 5, &failure);
+        assert!(
+            text.contains(&format!("\"key\": \"{}\"", 1u64 << 60)),
+            "a key above 2^53 must be quoted: {text}"
+        );
+        assert!(text.contains("\"server\": 7"), "small ints stay numeric");
+        let repro = parse_repro(&text).expect("parses");
+        assert_eq!(repro.schedule, failure.minimal);
+        assert_eq!(repro.violation, failure.violation);
     }
 
     #[test]

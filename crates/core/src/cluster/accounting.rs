@@ -8,7 +8,8 @@
 use clash_chord::id::ChordId;
 use clash_chord::net::{LookupResult, SimNet};
 use clash_obs::{
-    CheckPhase, PhaseProfile, PhaseProfiler, Telemetry, TraceEvent, TraceEventKind, TraceSink,
+    CheckPhase, PhaseProfile, PhaseProfiler, Recorder, Telemetry, TraceEvent, TraceEventKind,
+    TraceMode,
 };
 use clash_simkernel::time::{SimDuration, SimTime};
 use clash_transport::{
@@ -274,8 +275,8 @@ impl Wire {
 /// pins bit-for-bit identical fingerprints with tracing on and off.
 #[derive(Default)]
 pub(super) struct Obs {
-    /// Where emitted `TraceEvent`s go, once an enabled sink is installed.
-    trace: Option<Box<dyn TraceSink>>,
+    /// The flight recorder emitted `TraceEvent`s go to; `None` is off.
+    trace: Option<Recorder>,
     /// Monotone event sequence number (orders same-instant events).
     trace_seq: u64,
     /// Load checks run since construction (the trace ordinal).
@@ -295,8 +296,8 @@ impl Obs {
     /// Records the event `kind` builds, stamped with the virtual clock.
     /// With tracing off the event is never even constructed.
     pub(super) fn trace(&mut self, kind: impl FnOnce() -> TraceEventKind) {
-        if let Some(sink) = &mut self.trace {
-            sink.record(TraceEvent {
+        if let Some(recorder) = &mut self.trace {
+            recorder.record(TraceEvent {
                 at: self.sim_now,
                 seq: self.trace_seq,
                 kind: kind(),
@@ -317,20 +318,16 @@ impl Obs {
         }
     }
 
-    /// On a consistency failure: dump the flight recorder's tail to
-    /// stderr so the panic message comes with the decisions that led
-    /// there. No-op when tracing is off or nothing is buffered.
+    /// On a consistency failure: dump the flight recorder's newest 64
+    /// events (all of them when its ring holds fewer) to stderr so the
+    /// panic message comes with the decisions that led there. No-op
+    /// when tracing is off or nothing is buffered.
     pub(super) fn dump_trace_tail(&self) {
-        // Ask for at most what the sink can actually hold: a ring
-        // smaller than the default window used to make the header's
-        // "last N" claim overstate the available history.
-        const TAIL: usize = 64;
         let Some(trace) = &self.trace else {
             return;
         };
-        let want = trace.capacity().map_or(TAIL, |cap| cap.min(TAIL));
-        let tail = trace.tail(want);
-        if tail.is_empty() {
+        let tail = trace.tail(64);
+        if tail.len() == 0 {
             return;
         }
         eprintln!(
@@ -338,7 +335,7 @@ impl Obs {
             tail.len(),
             trace.dropped()
         );
-        for ev in &tail {
+        for ev in tail {
             eprintln!(
                 "  [{:>12} us seq {:>8}] {:?}",
                 ev.at.as_micros(),
@@ -382,10 +379,11 @@ impl ClashCluster {
         self.wire.transport.is_partitioned()
     }
 
-    /// Installs a flight-recorder sink; whatever the previous sink still
-    /// buffered is discarded with it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.obs.trace = sink.enabled().then_some(sink);
+    /// Installs the flight recorder `mode` describes ([`TraceMode::Off`]
+    /// removes it); whatever the previous recorder still held is
+    /// discarded with it, shed count included.
+    pub fn set_trace(&mut self, mode: TraceMode) {
+        self.obs.trace = Recorder::new(mode);
     }
 
     /// Installs a per-phase profiler (the driver wires a wall-clock one;
@@ -409,17 +407,19 @@ impl ClashCluster {
         self.obs.sim_now = now;
     }
 
-    /// Drains everything the flight recorder buffered, oldest first.
+    /// Drains everything the flight recorder holds, oldest first (empty
+    /// when tracing is off). Its shed count stays.
     pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
         self.obs
             .trace
             .as_mut()
-            .map_or_else(Vec::new, |sink| sink.drain())
+            .map_or_else(Vec::new, Recorder::drain)
     }
 
-    /// Events the bounded ring sink had to shed (0 for other sinks).
+    /// Events the flight recorder's ring had to shed since it was
+    /// installed (0 when unbounded or off).
     pub fn trace_dropped(&self) -> u64 {
-        self.obs.trace.as_ref().map_or(0, |sink| sink.dropped())
+        self.obs.trace.as_ref().map_or(0, Recorder::dropped)
     }
 
     /// Total protocol RNG draws since construction. Trace collection

@@ -433,3 +433,38 @@ fn route_phase_draws_zero_from_cluster_rng() {
     c.run_load_check().unwrap();
     c.verify_consistency();
 }
+
+/// Installing a recorder discards what the old one held, shed count
+/// included: `Off` records and sheds nothing, and a new ring starts
+/// empty and keeps at most its bound.
+#[test]
+fn set_trace_replaces_the_recorder_and_what_it_held() {
+    fn ops(c: &mut ClashCluster, bits: std::ops::Range<u64>) {
+        for b in bits {
+            c.locate(key(b)).unwrap();
+        }
+        c.flush_batch().unwrap();
+        c.run_load_check().unwrap();
+    }
+    let mut c = cluster(8);
+    c.set_trace(TraceMode::Ring(4));
+    ops(&mut c, 0..32);
+    assert!(c.trace_dropped() > 0, "32 locates overflow a 4-event ring");
+
+    c.set_trace(TraceMode::Off);
+    ops(&mut c, 32..64);
+    assert!(c.take_trace_events().is_empty());
+    assert_eq!(c.trace_dropped(), 0);
+
+    c.set_trace(TraceMode::Ring(8));
+    assert!(c.take_trace_events().is_empty(), "a new ring starts empty");
+    assert_eq!(c.trace_dropped(), 0);
+    ops(&mut c, 64..96);
+    let kept = c.take_trace_events();
+    assert_eq!(kept.len(), 8, "the ring keeps its newest 8 events");
+    assert!(c.trace_dropped() > 0);
+    assert!(
+        kept.windows(2).all(|w| w[0].seq < w[1].seq),
+        "oldest first"
+    );
+}

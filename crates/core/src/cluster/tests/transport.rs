@@ -188,7 +188,7 @@ fn partition_blocks_cross_island_operations_and_heals() {
     // window, through the flush's error arm when it hits the cut: the
     // span and the phase that flush opened must close all the same, and
     // it must send nothing past the cut.
-    c.set_trace_sink(TraceMode::Full.make_sink());
+    c.set_trace(TraceMode::Full);
     c.set_profiler(Box::new(OpenPhases::default()));
     let mut failed = 0;
     let mut ok = 0;

@@ -162,7 +162,7 @@ impl ClashCluster {
     /// load check in debug builds.
     ///
     /// On failure, the flight recorder's tail is dumped to stderr first
-    /// (when a sink is installed), so the panic arrives with the protocol
+    /// (when a recorder is installed), so the panic arrives with the protocol
     /// decisions that led to it.
     ///
     /// # Panics

@@ -33,7 +33,7 @@ pub const ALLOW_DIRECTIVE: &str = "allow-directive";
 pub const RULES: &[(&str, &str)] = &[
     (
         NO_WALL_CLOCK,
-        "Instant/SystemTime only in registered wall-clock crates (sim, bench, lint, obs); \
+        "Instant/SystemTime only in registered wall-clock crates (sim, lint, obs); \
          protocol time is virtual (SimTime)",
     ),
     (

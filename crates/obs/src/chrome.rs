@@ -14,7 +14,7 @@
 //! above 2^53 are quoted to survive JSON's double-precision numbers.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 
@@ -23,21 +23,18 @@ use crate::event::{ArgValue, TraceEvent};
 /// Largest integer a JSON number can hold exactly.
 const MAX_EXACT_JSON_INT: u64 = (1 << 53) - 1;
 
-fn push_arg_value(out: &mut String, v: ArgValue) {
-    match v {
-        ArgValue::Int(i) if i <= MAX_EXACT_JSON_INT => {
-            let _ = write!(out, "{i}");
-        }
-        // Too wide for an exact JSON number: quote it.
-        ArgValue::Int(i) => {
-            let _ = write!(out, "\"{i}\"");
-        }
-        ArgValue::Float(f) if f.is_finite() => {
-            let _ = write!(out, "{f}");
-        }
-        ArgValue::Float(_) => out.push_str("null"),
-        ArgValue::Bool(b) => {
-            let _ = write!(out, "{b}");
+/// An argument displays as a JSON value: the one renderer for the
+/// Chrome export and the chaos repro's trace tail. An integer above
+/// 2^53 is quoted so that readers using doubles keep it exact, and a
+/// non-finite float is `null`.
+impl fmt::Display for ArgValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ArgValue::Int(i) if i <= MAX_EXACT_JSON_INT => write!(f, "{i}"),
+            ArgValue::Int(i) => write!(f, "\"{i}\""),
+            ArgValue::Float(x) if x.is_finite() => write!(f, "{x}"),
+            ArgValue::Float(_) => f.write_str("null"),
+            ArgValue::Bool(b) => write!(f, "{b}"),
         }
     }
 }
@@ -87,8 +84,7 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
             ev.seq
         );
         for (k, v) in ev.kind.args() {
-            let _ = write!(out, ",\"{k}\":");
-            push_arg_value(&mut out, v);
+            let _ = write!(out, ",\"{k}\":{v}");
         }
         out.push_str("}}");
         if i + 1 < events.len() {

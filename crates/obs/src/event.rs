@@ -235,7 +235,7 @@ impl TraceEventKind {
     }
 
     /// The event's payload as `(key, value)` pairs for structured export.
-    /// Values are rendered as JSON numbers or booleans.
+    /// Each value displays as a JSON value (see [`ArgValue`]).
     #[must_use]
     pub fn args(&self) -> Vec<(&'static str, ArgValue)> {
         use ArgValue::{Bool, Float, Int};
@@ -374,7 +374,8 @@ impl TraceEventKind {
     }
 }
 
-/// A structured-export argument value.
+/// A structured-export argument value. Its `Display` is its JSON
+/// rendering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArgValue {
     /// An unsigned integer (ids, counts, bits).

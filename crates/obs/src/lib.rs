@@ -7,10 +7,11 @@
 //!   protocol layer emits structured, virtual-time-stamped
 //!   [`TraceEvent`]s (locate probe hops, split/merge decisions with the
 //!   load numbers that triggered them, replica recovery timelines,
-//!   batch-flush windows) into a [`TraceSink`]. The disabled default
-//!   ([`NullSink`]) costs one cached boolean test per emit site;
-//!   recording never reads a clock and never draws RNG, so traced and
-//!   untraced runs are bit-for-bit identical.
+//!   batch-flush windows) into a [`Recorder`], a ring that keeps the
+//!   newest events up to its bound ([`TraceMode`] selects off, ring or
+//!   unbounded). Off is no recorder at all, which costs one `Option`
+//!   test per emit site; recording never reads a clock and never draws
+//!   RNG, so traced and untraced runs are bit-for-bit identical.
 //! * [`telemetry`] — a unified [`Telemetry`] registry of labeled
 //!   counters/gauges/summaries with snapshot semantics, replacing
 //!   per-experiment field picking.
@@ -34,5 +35,5 @@ pub mod telemetry;
 pub use chrome::{to_chrome_json, write_chrome_trace};
 pub use event::{ArgValue, TraceEvent, TraceEventKind};
 pub use profile::{CheckPhase, NullProfiler, PhaseProfile, PhaseProfiler, WallProfiler};
-pub use sink::{FullSink, NullSink, RingSink, TraceMode, TraceSink};
+pub use sink::{Recorder, TraceMode};
 pub use telemetry::{MetricValue, Telemetry};

@@ -1,193 +1,81 @@
-//! Trace sinks: where recorded events go.
+//! The flight recorder: where recorded events go.
 //!
-//! The recorder is wired so that the *disabled* path costs one boolean
-//! load per potential event: emitters cache [`TraceSink::enabled`] and
-//! skip event construction entirely when it is `false`. Sinks never
-//! allocate per event beyond their declared buffer, never read clocks
-//! (events arrive pre-stamped with virtual time), and never draw RNG —
-//! recording is observation, not behaviour.
+//! There is one recorder, and "off" is no recorder at all: the emitting
+//! layer holds an `Option<Recorder>` and tests it before it builds an
+//! event, so the disabled path costs one branch per potential event.
+//! The recorder never allocates per event beyond its buffer, never
+//! reads a clock (events arrive pre-stamped with virtual time) and
+//! never draws RNG — recording is observation, not behaviour.
 
 use std::collections::VecDeque;
 
 use crate::event::TraceEvent;
-
-/// Destination for flight-recorder events.
-///
-/// `tail` takes `&self` deliberately: the consistency checker runs with
-/// a shared borrow and must be able to dump recent history right before
-/// it panics.
-pub trait TraceSink {
-    /// Whether emitters should record at all. Cached by the emitting
-    /// layer; a sink's answer must not change on its own.
-    fn enabled(&self) -> bool;
-    /// Record one event. Called only when [`TraceSink::enabled`] is true.
-    fn record(&mut self, ev: TraceEvent);
-    /// The most recent `n` events, oldest first, without consuming them.
-    fn tail(&self, n: usize) -> Vec<TraceEvent>;
-    /// Remove and return everything recorded so far, oldest first.
-    fn drain(&mut self) -> Vec<TraceEvent>;
-    /// Events discarded because the sink was full (0 for unbounded sinks).
-    fn dropped(&self) -> u64 {
-        0
-    }
-    /// The sink's buffer bound, if it has one (`None` for unbounded or
-    /// non-recording sinks). Lets diagnostic dumpers size their tail
-    /// request to what the sink can actually hold instead of assuming a
-    /// fixed window.
-    fn capacity(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// The zero-cost default: reports disabled, records nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&mut self, _ev: TraceEvent) {}
-    fn tail(&self, _n: usize) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// Bounded ring buffer: keeps the last `capacity` events, counts what
-/// it sheds. The flight-recorder mode for long runs — memory stays flat
-/// and the tail always holds the moments before a failure.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Events currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let skip = self.buf.len().saturating_sub(n);
-        self.buf.iter().skip(skip).copied().collect()
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.capacity)
-    }
-}
-
-/// Unbounded sink for full-export runs (`--trace <path>`): keeps every
-/// event so the whole run can be written as a Chrome trace afterwards.
-#[derive(Debug, Default)]
-pub struct FullSink {
-    buf: Vec<TraceEvent>,
-}
-
-impl FullSink {
-    /// An empty full-export sink.
-    #[must_use]
-    pub fn new() -> Self {
-        FullSink::default()
-    }
-
-    /// Events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for FullSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: TraceEvent) {
-        self.buf.push(ev);
-    }
-
-    fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let skip = self.buf.len().saturating_sub(n);
-        self.buf[skip..].to_vec()
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.buf)
-    }
-}
 
 /// How an experiment run wants its flight recorder configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No recording; emitters skip event construction (the default).
     Off,
-    /// Bounded ring of the given capacity (dump-on-failure history).
+    /// Keep the newest events up to the given bound (dump-on-failure
+    /// history).
     Ring(usize),
     /// Record everything for post-run export.
     Full,
 }
 
-impl TraceMode {
-    /// Build the sink this mode describes.
+/// Keeps the newest `bound` events (every event when unbounded) and
+/// counts what it sheds. A bounded ring is the flight-recorder mode for
+/// long runs — memory stays flat and the tail always holds the moments
+/// before a failure; an unbounded one feeds a whole-run export.
+#[derive(Debug)]
+pub struct Recorder {
+    buf: VecDeque<TraceEvent>,
+    bound: Option<usize>,
+    dropped: u64,
+}
+
+impl Recorder {
+    /// The recorder `mode` describes, `None` for [`TraceMode::Off`]. A
+    /// ring's bound is clamped to at least 1 and reserved up front; an
+    /// unbounded recorder grows as it records.
     #[must_use]
-    pub fn make_sink(self) -> Box<dyn TraceSink> {
-        match self {
-            TraceMode::Off => Box::new(NullSink),
-            TraceMode::Ring(cap) => Box::new(RingSink::new(cap)),
-            TraceMode::Full => Box::new(FullSink::new()),
+    pub fn new(mode: TraceMode) -> Option<Self> {
+        let bound = match mode {
+            TraceMode::Off => return None,
+            TraceMode::Ring(n) => Some(n.max(1)),
+            TraceMode::Full => None,
+        };
+        Some(Recorder {
+            buf: VecDeque::with_capacity(bound.unwrap_or(0)),
+            bound,
+            dropped: 0,
+        })
+    }
+
+    /// Records one event, shedding the oldest when the ring is full.
+    pub fn record(&mut self, ev: TraceEvent) {
+        if self.bound == Some(self.buf.len()) {
+            self.buf.pop_front();
+            self.dropped += 1;
         }
+        self.buf.push_back(ev);
+    }
+
+    /// The newest `n` events (fewer if fewer are held), oldest first,
+    /// without consuming them.
+    pub fn tail(&self, n: usize) -> impl ExactSizeIterator<Item = &TraceEvent> {
+        self.buf.iter().skip(self.buf.len().saturating_sub(n))
+    }
+
+    /// Removes and returns everything held, oldest first.
+    pub fn drain(&mut self) -> Vec<TraceEvent> {
+        self.buf.drain(..).collect()
+    }
+
+    /// Events shed because the ring was full (0 when unbounded).
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -205,61 +93,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn null_sink_is_disabled_and_silent() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(ev(0));
-        assert!(s.drain().is_empty());
-        assert!(s.tail(10).is_empty());
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_sink_keeps_newest_and_counts_drops() {
-        let mut s = RingSink::new(3);
-        for i in 0..5 {
-            s.record(ev(i));
+    fn recorded(mode: TraceMode, n: u64) -> Recorder {
+        let mut r = Recorder::new(mode).expect("an enabled mode");
+        for i in 0..n {
+            r.record(ev(i));
         }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
-        let tail = s.tail(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 3);
-        assert_eq!(tail[1].seq, 4);
-        let all = s.drain();
-        assert_eq!(all.iter().map(|e| e.seq).collect::<Vec<_>>(), [2, 3, 4]);
-        assert!(s.is_empty());
+        r
+    }
+
+    fn seqs<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Vec<u64> {
+        events.into_iter().map(|e| e.seq).collect()
     }
 
     #[test]
-    fn capacity_accessor_reports_only_bounded_sinks() {
-        assert_eq!(RingSink::new(3).capacity(), Some(3));
-        assert_eq!(RingSink::new(0).capacity(), Some(1), "capacity clamps to 1");
-        assert_eq!(NullSink.capacity(), None);
-        assert_eq!(FullSink::new().capacity(), None);
-    }
-
-    #[test]
-    fn full_sink_keeps_everything_in_order() {
-        let mut s = FullSink::new();
-        for i in 0..100 {
-            s.record(ev(i));
-        }
-        assert_eq!(s.len(), 100);
-        assert_eq!(s.dropped(), 0);
-        assert_eq!(
-            s.tail(3).iter().map(|e| e.seq).collect::<Vec<_>>(),
-            [97, 98, 99]
+    fn trace_mode_builds_matching_recorders() {
+        assert!(
+            Recorder::new(TraceMode::Off).is_none(),
+            "off is no recorder"
         );
-        assert_eq!(s.drain().len(), 100);
-        assert!(s.is_empty());
+        assert_eq!(Recorder::new(TraceMode::Ring(8)).unwrap().bound, Some(8));
+        assert_eq!(Recorder::new(TraceMode::Full).unwrap().bound, None);
     }
 
     #[test]
-    fn trace_mode_builds_matching_sinks() {
-        assert!(!TraceMode::Off.make_sink().enabled());
-        assert!(TraceMode::Ring(8).make_sink().enabled());
-        assert!(TraceMode::Full.make_sink().enabled());
+    fn ring_keeps_newest_and_counts_drops() {
+        let mut r = recorded(TraceMode::Ring(3), 5);
+        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.tail(2).len(), 2);
+        assert_eq!(seqs(r.tail(2)), [3, 4]);
+        assert_eq!(
+            seqs(r.tail(64)),
+            [2, 3, 4],
+            "a tail is at most what is held"
+        );
+        assert_eq!(seqs(&r.drain()), [2, 3, 4]);
+        assert!(r.drain().is_empty());
+        assert_eq!(
+            r.dropped(),
+            2,
+            "draining forgets events, not the shed count"
+        );
+    }
+
+    #[test]
+    fn ring_bound_clamps_to_one_and_is_reserved() {
+        let r = recorded(TraceMode::Ring(0), 3);
+        assert_eq!(seqs(r.tail(8)), [2]);
+        assert_eq!(r.dropped(), 2);
+        assert!(Recorder::new(TraceMode::Ring(100)).unwrap().buf.capacity() >= 100);
+    }
+
+    #[test]
+    fn unbounded_keeps_everything_in_order_without_reserving() {
+        assert_eq!(Recorder::new(TraceMode::Full).unwrap().buf.capacity(), 0);
+        let mut r = recorded(TraceMode::Full, 100);
+        assert_eq!(r.dropped(), 0);
+        assert_eq!(seqs(r.tail(3)), [97, 98, 99]);
+        assert_eq!(seqs(&r.drain()), (0..100).collect::<Vec<_>>());
     }
 }

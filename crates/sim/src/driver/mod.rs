@@ -320,7 +320,7 @@ impl SimDriver {
     ) -> Result<Self, ClashError> {
         // Always profile: the phase timers live outside the protocol's
         // deterministic state, so they are free to stay on. (Tracing, by
-        // contrast, is opt-in via `cluster_mut().set_trace_sink`.)
+        // contrast, is opt-in via `cluster_mut().set_trace`.)
         cluster.set_profiler(Box::new(WallProfiler::default()));
         Ok(SimDriver {
             config,
@@ -584,7 +584,7 @@ impl SimDriver {
     }
 
     /// Mutable access to the cluster *before* the run starts — used to
-    /// attach a trace sink or a profiler, and by the equivalence suites
+    /// install a flight recorder or a profiler, and by the equivalence suites
     /// to set up the reference twin of an otherwise identical scenario.
     pub fn cluster_mut(&mut self) -> &mut ClashCluster {
         &mut self.cluster

@@ -106,7 +106,7 @@ fn run_one(spec: ScenarioSpec, label: &str, trace: TraceMode) -> Result<ChurnRun
     let mut driver = SimDriver::with_transport(config, spec, label.to_owned(), transport)?;
     // The flight recorder is passive: any mode yields the same RunResult
     // bit-for-bit (pinned by tests/trace_equivalence.rs).
-    driver.cluster_mut().set_trace_sink(trace.make_sink());
+    driver.cluster_mut().set_trace(trace);
     let (result, mut cluster) = driver.run_with_cluster()?;
     cluster.verify_consistency();
     let sweep = oracle_sweep(&mut cluster, 512, 0xC1A5_0C12);
@@ -123,7 +123,7 @@ fn run_one(spec: ScenarioSpec, label: &str, trace: TraceMode) -> Result<ChurnRun
 
 /// Runs both churn scenarios at the paper populations scaled by `scale`.
 /// `seed` overrides the paper scenario's hard-coded root seed; both
-/// scenarios run with a flight-recorder sink in `trace` mode and each
+/// scenarios run with the flight recorder `trace` describes and each
 /// [`ChurnRun`] carries its collected events (for `--trace <path>`).
 ///
 /// # Errors

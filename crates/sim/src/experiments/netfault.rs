@@ -229,7 +229,7 @@ fn partition_heal(
     let mut cluster = heated_cluster(LinkPolicy::lan(), servers, seed ^ 0xFA17)?;
     // Record from the partition onward: the heating phase is routine,
     // the deferral/heal timeline is what the trace is for.
-    cluster.set_trace_sink(trace.make_sink());
+    cluster.set_trace(trace);
     let ids = cluster.server_ids();
     let (left, right) = ids.split_at(ids.len() / 2);
     cluster.partition_network(&[left.to_vec(), right.to_vec()]);

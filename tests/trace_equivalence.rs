@@ -23,7 +23,7 @@ fn run(scenario: Scenario, replication: usize, trace: TraceMode) -> (RunResult, 
     let transport = link("wan", spec.seed);
     let mut driver =
         SimDriver::with_transport(config, spec, "CLASH/trace-equiv".to_owned(), transport).unwrap();
-    driver.cluster_mut().set_trace_sink(trace.make_sink());
+    driver.cluster_mut().set_trace(trace);
     let (result, cluster) = driver.run_with_cluster().unwrap();
     cluster.verify_consistency();
     (result, cluster)
