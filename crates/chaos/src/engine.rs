@@ -30,7 +30,7 @@
 //!    ([`ClashCluster::replica_placement_deficit`]).
 //! 7. **Bounded convergence** — after the last fault and a heal, the
 //!    cluster reaches a stable, fully-agreeing, fully-replicated state
-//!    within `convergence_checks` load checks.
+//!    within [`CONVERGENCE_CHECKS`] load checks.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -57,7 +57,21 @@ type ServerId = clash_chord::id::ChordId;
 /// split → merge → re-replicate surface.
 const FLASH_CROWD_RATE: f64 = 2.5;
 
-/// Cluster cell sizing and invariant-suite knobs for one campaign.
+/// Load checks the cluster gets to converge after the last fault and a
+/// heal (invariant 7's bound `K`).
+pub const CONVERGENCE_CHECKS: u32 = 8;
+
+/// Keys sampled per oracle-agreement check.
+const SAMPLE_KEYS: usize = 32;
+
+/// Crash/leave events never drop the cell below this population.
+const MIN_SERVERS: usize = 5;
+
+/// Flight-recorder ring capacity: the repro's trace tail.
+const RING_CAPACITY: usize = 256;
+
+/// Cluster cell sizing for one campaign. The invariant suite's bounds
+/// are constants ([`CONVERGENCE_CHECKS`] among them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOptions {
     /// Servers in the cell at schedule start.
@@ -66,15 +80,6 @@ pub struct ChaosOptions {
     pub sources: usize,
     /// Successor-list replication factor.
     pub replication: usize,
-    /// Keys sampled per oracle-agreement check.
-    pub sample_keys: usize,
-    /// Load checks the cluster gets to converge after the last fault
-    /// (invariant 7's bound `K`).
-    pub convergence_checks: u32,
-    /// Crash/leave events never drop the cell below this population.
-    pub min_servers: usize,
-    /// Flight-recorder ring capacity (the repro's trace tail).
-    pub ring_capacity: usize,
     /// Test-only: skip replica re-seeding after merges (the seeded bug
     /// the campaign must catch; see
     /// [`ClashCluster::set_chaos_skip_merge_reseed`]).
@@ -87,10 +92,6 @@ impl Default for ChaosOptions {
             servers: 16,
             sources: 96,
             replication: 2,
-            sample_keys: 32,
-            convergence_checks: 8,
-            min_servers: 5,
-            ring_capacity: 256,
             inject_merge_reseed_bug: false,
         }
     }
@@ -304,8 +305,7 @@ pub fn run_schedule(options: &ChaosOptions, schedule: &ChaosSchedule) -> Schedul
 }
 
 /// Mutable state of one schedule replay.
-struct Run<'a> {
-    options: &'a ChaosOptions,
+struct Run {
     /// The schedule seed (also the cluster's protocol seed).
     seed: u64,
     cluster: ClashCluster,
@@ -331,8 +331,8 @@ struct Run<'a> {
     convergence_checks_used: Option<u32>,
 }
 
-impl<'a> Run<'a> {
-    fn build(options: &'a ChaosOptions, schedule: &ChaosSchedule) -> Result<Run<'a>, Violation> {
+impl Run {
+    fn build(options: &ChaosOptions, schedule: &ChaosSchedule) -> Result<Run, Violation> {
         let config = ClashConfig::small_test().with_replication(options.replication);
         let root = DetRng::new(schedule.seed);
         let transport = LinkTransport::new(
@@ -350,12 +350,11 @@ impl<'a> Run<'a> {
             detail: format!("cluster construction failed: {e:?}"),
             event_index: None,
         })?;
-        cluster.set_trace(TraceMode::Ring(options.ring_capacity));
+        cluster.set_trace(TraceMode::Ring(RING_CAPACITY));
         if options.inject_merge_reseed_bug {
             cluster.set_chaos_skip_merge_reseed(true);
         }
         let mut run = Run {
-            options,
             seed: schedule.seed,
             cluster,
             rng: root.substream("chaos-inject"),
@@ -415,7 +414,7 @@ impl<'a> Run<'a> {
             c.heal_partition();
             Ok(())
         })?;
-        for k in 1..=self.options.convergence_checks {
+        for k in 1..=CONVERGENCE_CHECKS {
             self.load_check(None)?;
             self.check_invariants(None)?;
             if self.converged(None)? {
@@ -428,7 +427,7 @@ impl<'a> Run<'a> {
             invariant: "convergence".to_string(),
             detail: format!(
                 "not converged after {} load checks: {} pending recoveries, {} under-replicated groups (first: {:?})",
-                self.options.convergence_checks,
+                CONVERGENCE_CHECKS,
                 self.cluster.pending_recoveries(),
                 deficit.len(),
                 deficit.first(),
@@ -530,7 +529,7 @@ impl<'a> Run<'a> {
                         self.guard("join", Some(index), |c| c.join_random_server().map(|_| ()))?;
                     } else {
                         let alive = self.cluster.server_ids();
-                        if alive.len() <= self.options.min_servers {
+                        if alive.len() <= MIN_SERVERS {
                             continue;
                         }
                         let victim = alive[self.rng.uniform_index(alive.len())];
@@ -632,10 +631,10 @@ impl<'a> Run<'a> {
     }
 
     /// `n` distinct random victims, capped so the cell keeps
-    /// `min_servers` alive.
+    /// [`MIN_SERVERS`] alive.
     fn pick_random_victims(&mut self, n: usize) -> Vec<ServerId> {
         let mut alive = self.cluster.server_ids();
-        let spare = alive.len().saturating_sub(self.options.min_servers);
+        let spare = alive.len().saturating_sub(MIN_SERVERS);
         let n = n.min(spare);
         shuffle(&mut alive, &mut self.rng);
         alive.truncate(n);
@@ -646,7 +645,7 @@ impl<'a> Run<'a> {
     /// that lands on the victim's own replica set.
     fn pick_ring_victims(&mut self, span: usize) -> Vec<ServerId> {
         let alive = self.cluster.server_ids();
-        let spare = alive.len().saturating_sub(self.options.min_servers);
+        let spare = alive.len().saturating_sub(MIN_SERVERS);
         let span = span.min(spare);
         if span == 0 {
             return Vec::new();
@@ -778,7 +777,7 @@ impl<'a> Run<'a> {
             DetRng::new(self.seed).substream_indexed("chaos-sample", self.sample_rounds);
         self.sample_rounds += 1;
         let width = self.cluster.config().key_width;
-        for _ in 0..self.options.sample_keys {
+        for _ in 0..SAMPLE_KEYS {
             let key = Key::from_bits_truncated(sample_rng.next_u64(), width);
             let oracle = self.cluster.oracle_locate(key);
             let located = self.guard("locate", at, |c| c.locate(key))?;

@@ -26,9 +26,10 @@
 //! # Quick start
 //!
 //! ```
-//! use clash_chaos::{ChaosOptions, run_campaign};
+//! use clash_chaos::{ChaosOptions, run_campaign, CONVERGENCE_CHECKS};
 //!
 //! // A tiny all-green campaign: 2 schedules against an 8-server cell.
+//! // The options size the cell; the invariant suite's bounds are fixed.
 //! let options = ChaosOptions {
 //!     servers: 8,
 //!     sources: 48,
@@ -37,6 +38,7 @@
 //! let report = run_campaign(&options, 7, 2);
 //! assert_eq!(report.schedules_run, 2);
 //! assert!(report.failures.is_empty(), "invariants hold on the stock protocol");
+//! assert!(report.worst_convergence_checks <= CONVERGENCE_CHECKS);
 //! ```
 
 // The grep audit at PR 7 found zero `unsafe` in the protocol crates;
@@ -49,7 +51,7 @@ pub mod shrink;
 
 pub use engine::{
     run_campaign, run_schedule, shrink_failure, CampaignFailure, CampaignReport, ChaosOptions,
-    ScheduleOutcome, Violation,
+    ScheduleOutcome, Violation, CONVERGENCE_CHECKS,
 };
 pub use repro::{parse_repro, render_repro, ChaosRepro, REPRO_FORMAT};
 pub use schedule::ChaosSchedule;

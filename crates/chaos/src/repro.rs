@@ -18,7 +18,7 @@ use crate::engine::{CampaignFailure, ChaosOptions, ScheduleOutcome, Violation};
 use crate::schedule::ChaosSchedule;
 
 /// Format marker written into (and required from) every repro file.
-pub const REPRO_FORMAT: &str = "clash-chaos-repro-v1";
+pub const REPRO_FORMAT: &str = "clash-chaos-repro-v2";
 
 /// A parsed repro: everything needed to replay the minimal schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,16 +63,6 @@ pub fn render_repro(
     out.push_str(&format!("    \"servers\": {},\n", options.servers));
     out.push_str(&format!("    \"sources\": {},\n", options.sources));
     out.push_str(&format!("    \"replication\": {},\n", options.replication));
-    out.push_str(&format!("    \"sample_keys\": {},\n", options.sample_keys));
-    out.push_str(&format!(
-        "    \"convergence_checks\": {},\n",
-        options.convergence_checks
-    ));
-    out.push_str(&format!("    \"min_servers\": {},\n", options.min_servers));
-    out.push_str(&format!(
-        "    \"ring_capacity\": {},\n",
-        options.ring_capacity
-    ));
     out.push_str(&format!(
         "    \"inject_merge_reseed_bug\": {}\n",
         options.inject_merge_reseed_bug
@@ -164,11 +154,6 @@ pub fn parse_repro(text: &str) -> Result<ChaosRepro, String> {
         servers: get(options_obj, "servers")?.as_u64("servers")? as usize,
         sources: get(options_obj, "sources")?.as_u64("sources")? as usize,
         replication: get(options_obj, "replication")?.as_u64("replication")? as usize,
-        sample_keys: get(options_obj, "sample_keys")?.as_u64("sample_keys")? as usize,
-        convergence_checks: get(options_obj, "convergence_checks")?.as_u64("convergence_checks")?
-            as u32,
-        min_servers: get(options_obj, "min_servers")?.as_u64("min_servers")? as usize,
-        ring_capacity: get(options_obj, "ring_capacity")?.as_u64("ring_capacity")? as usize,
         inject_merge_reseed_bug: get(options_obj, "inject_merge_reseed_bug")?
             .as_bool("inject_merge_reseed_bug")?,
     };
@@ -615,5 +600,9 @@ mod tests {
         let good = render_repro(&options, 1, &sample_failure());
         let bad = good.replace("crash_burst", "meteor_strike");
         assert!(parse_repro(&bad).unwrap_err().contains("meteor_strike"));
+        let v1 = good.replace(REPRO_FORMAT, "clash-chaos-repro-v1");
+        assert!(parse_repro(&v1)
+            .unwrap_err()
+            .contains("(expected \"clash-chaos-repro-v2\")"));
     }
 }

@@ -4,6 +4,7 @@
 
 use clash_chaos::{
     parse_repro, render_repro, run_campaign, run_schedule, ChaosOptions, ChaosSchedule,
+    CONVERGENCE_CHECKS,
 };
 use clash_workload::FaultKind;
 
@@ -37,7 +38,7 @@ fn default_scale_campaign_of_64_schedules_is_all_green() {
     }
     assert!(
         report.worst_convergence_checks >= 1
-            && report.worst_convergence_checks <= options.convergence_checks,
+            && report.worst_convergence_checks <= CONVERGENCE_CHECKS,
         "convergence stayed within the bound, worst {}",
         report.worst_convergence_checks
     ); // The campaign runs the default config, i.e. the locate-window

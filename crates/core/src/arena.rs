@@ -145,7 +145,15 @@ mod tests {
 
     fn server(v: u64) -> ClashServer {
         let cfg = ClashConfig::small_test();
-        ClashServer::new(ServerId::new(v, cfg.hash_space), cfg)
+        ClashServer::new(ServerId::new(v, cfg.hash_space), cfg.key_width)
+    }
+
+    #[test]
+    fn server_records_keep_their_size() {
+        // A slot holds the server's own state (table, replicas, one
+        // counter), not a copy of the cluster's settings or a second id.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<ClashServer>(), 120);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use clash_transport::MessageClass;
 
 use super::ClashCluster;
 use crate::arena::ServerArena;
+use crate::config::ClashConfig;
 use crate::error::ClashError;
 use crate::latency::ms;
 use crate::load::{GroupLoad, LoadLevel};
@@ -126,8 +127,8 @@ impl Candidates {
     /// summation order — and therefore every threshold comparison — is
     /// that of a full sweep) plus the cheap structural predicates for
     /// merge-ability and report-owing.
-    fn classify(server: &ClashServer) -> [bool; 3] {
-        let level = server.load_level();
+    fn classify(server: &ClashServer, config: &ClashConfig) -> [bool; 3] {
+        let level = server.load_level(config);
         [
             level == LoadLevel::Overloaded,
             level == LoadLevel::Underloaded && server.table().has_split_entries(),
@@ -137,9 +138,11 @@ impl Candidates {
 
     /// Folds the dirty set into the candidate indices. A departed server
     /// leaves every index.
-    fn refresh(&mut self, servers: &ServerArena) {
+    fn refresh(&mut self, servers: &ServerArena, config: &ClashConfig) {
         for sid in std::mem::take(&mut self.dirty) {
-            let member = servers.get(sid).map_or([false; 3], Self::classify);
+            let member = servers
+                .get(sid)
+                .map_or([false; 3], |server| Self::classify(server, config));
             let indices = [
                 &mut self.overloaded,
                 &mut self.mergeable,
@@ -156,7 +159,7 @@ impl Candidates {
     }
 
     /// See [`ClashCluster::verify_candidate_indices`].
-    fn verify(&self, servers: &ServerArena) {
+    fn verify(&self, servers: &ServerArena, config: &ClashConfig) {
         let indices = [
             (&self.overloaded, "overloaded"),
             (&self.mergeable, "mergeable"),
@@ -167,7 +170,7 @@ impl Candidates {
             if self.dirty.contains(&sid) {
                 continue;
             }
-            for ((index, name), member) in indices.into_iter().zip(Self::classify(server)) {
+            for ((index, name), member) in indices.into_iter().zip(Self::classify(server, config)) {
                 assert_eq!(
                     index.contains(&sid),
                     member,
@@ -195,7 +198,7 @@ impl ClashCluster {
     ///
     /// Panics on any mismatch (a missed `mark_dirty` site).
     pub fn verify_candidate_indices(&self) {
-        self.candidates.verify(&self.servers);
+        self.candidates.verify(&self.servers, &self.config);
     }
 
     /// Test reference: the next load check reclassifies *all* servers
@@ -256,7 +259,7 @@ impl ClashCluster {
             return Ok(report);
         }
         self.obs.phase_begin(CheckPhase::CandidateRefresh);
-        self.candidates.refresh(&self.servers);
+        self.candidates.refresh(&self.servers, &self.config);
         self.obs.phase_end(CheckPhase::CandidateRefresh);
         self.obs.phase_begin(CheckPhase::Reports);
         self.deliver_load_reports();
@@ -270,14 +273,14 @@ impl ClashCluster {
         // ahead of the cursor, just as the full walk would have.
         let mut cursor = 0u64;
         loop {
-            self.candidates.refresh(&self.servers);
+            self.candidates.refresh(&self.servers, &self.config);
             let Some(&sid_value) = self.candidates.overloaded.range(cursor..).next() else {
                 break;
             };
             let mut splits_done = 0;
             while splits_done < MAX_SPLITS_PER_CHECK {
                 let server = self.servers.live(sid_value);
-                if server.load_level() != LoadLevel::Overloaded {
+                if server.load_level(&self.config) != LoadLevel::Overloaded {
                     break;
                 }
                 match self.try_split(sid_value)? {
@@ -300,14 +303,14 @@ impl ClashCluster {
         // only ones the full walk could have done anything with).
         let mut cursor = 0u64;
         loop {
-            self.candidates.refresh(&self.servers);
+            self.candidates.refresh(&self.servers, &self.config);
             let Some(&sid_value) = self.candidates.mergeable.range(cursor..).next() else {
                 break;
             };
             let mut merges_done = 0;
             while merges_done < MAX_MERGES_PER_CHECK {
                 let server = self.servers.live(sid_value);
-                if server.load_level() != LoadLevel::Underloaded {
+                if server.load_level(&self.config) != LoadLevel::Underloaded {
                     break;
                 }
                 match self.try_merge(sid_value)? {
@@ -393,7 +396,7 @@ impl ClashCluster {
     fn try_split(&mut self, sid_value: u64) -> Result<Option<SplitRecord>, ClashError> {
         let splitter = self.servers.live(sid_value);
         let server_id = splitter.id();
-        let Some(hot) = splitter.hottest_splittable() else {
+        let Some(hot) = splitter.hottest_splittable(&self.config) else {
             return Ok(None);
         };
         // The load that triggered this split, for the flight recorder
@@ -434,8 +437,8 @@ impl ClashCluster {
                 break server_id;
             }
 
-            let splitter = self.servers.live_mut(sid_value);
-            let (left, right) = splitter.split_group(group)?;
+            let splitter = self.servers.live_mut(sid_value).table_mut();
+            let (left, right) = splitter.split(group)?;
             self.candidates.mark_dirty(sid_value);
             debug_assert_eq!(right, right_prefix);
             self.wire.msgs.splits += 1;
@@ -454,7 +457,7 @@ impl ClashCluster {
             });
             self.oracle.remove(group);
             self.oracle.insert(left, server_id);
-            splitter.set_group_load(left, left_load)?;
+            splitter.set_load(left, left_load)?;
             splitter.set_right_child(group, target)?;
             // The parent entry went inactive: retire its replicas and
             // protect the freshly active left child. The right child is
@@ -469,7 +472,8 @@ impl ClashCluster {
                 // it must not be charged as one.
                 self.servers
                     .live_mut(sid_value)
-                    .handle_accept_keygroup(right, server_id, right_load)?;
+                    .table_mut()
+                    .accept_group(right, server_id, right_load)?;
                 self.oracle.insert(right, server_id);
                 if right.depth() < self.config.max_depth {
                     // Split it again ("another randomized attempt to
@@ -487,7 +491,8 @@ impl ClashCluster {
                 self.servers
                     .get_mut(target.value())
                     .ok_or(ClashError::UnknownServer { server: target })?
-                    .handle_accept_keygroup(right, server_id, right_load)?;
+                    .table_mut()
+                    .accept_group(right, server_id, right_load)?;
                 self.candidates.mark_dirty(target.value());
                 self.oracle.insert(right, target);
             }
@@ -505,7 +510,7 @@ impl ClashCluster {
     fn try_merge(&mut self, sid_value: u64) -> Result<MergeOutcome, ClashError> {
         let merger = self.servers.live(sid_value);
         let server_id = merger.id();
-        let Some((parent, right_holder, _combined)) = merger.merge_candidate() else {
+        let Some((parent, right_holder, _combined)) = merger.merge_candidate(&self.config) else {
             return Ok(MergeOutcome::NoCandidate);
         };
         // Flight-recorder context only (see `try_split`).
@@ -567,7 +572,8 @@ impl ClashCluster {
         };
         self.servers
             .live_mut(sid_value)
-            .merge_group(parent, released)?;
+            .table_mut()
+            .merge(parent, released)?;
         self.candidates.mark_dirty(sid_value);
         self.wire.msgs.merges += 1;
         self.obs.trace(|| TraceEventKind::Merge {

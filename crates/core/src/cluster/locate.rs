@@ -327,7 +327,7 @@ impl ClashCluster {
     ) -> Result<(), ClashError> {
         let server = self.servers.live_mut(owner.value());
         if server.table().entry(group).is_none() {
-            server.bootstrap_root(group)?;
+            server.table_mut().insert_root(group)?;
             self.candidates.mark_dirty(owner.value());
             self.oracle.insert(group, owner);
             self.data.open_group(group);
@@ -591,7 +591,8 @@ impl ClashCluster {
         self.servers
             .get_mut(owner.value())
             .ok_or(ClashError::UnknownServer { server: owner })?
-            .set_group_load(group, load.unwrap_or_default())?;
+            .table_mut()
+            .set_load(group, load.unwrap_or_default())?;
         self.candidates.mark_dirty(owner.value());
         if self.replication_enabled() {
             self.refresh_replica_payloads(group, owner);

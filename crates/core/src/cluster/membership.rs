@@ -96,7 +96,8 @@ impl ClashCluster {
             })?;
         // Join lookup + finger seeding, plus the announcement itself.
         self.wire.msgs.handoff_messages += u64::from(join_msgs) + 1;
-        self.servers.insert(ClashServer::new(new_id, self.config));
+        self.servers
+            .insert(ClashServer::new(new_id, self.config.key_width));
         self.candidates.mark_dirty(new_id.value());
         self.wire.msgs.joins += 1;
         self.obs.trace(|| TraceEventKind::ServerJoined {

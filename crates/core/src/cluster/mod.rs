@@ -121,7 +121,7 @@ impl ClashCluster {
         let mut servers = ServerArena::with_capacity(n_servers);
         let mut candidates = load_check::Candidates::default();
         for id in net.node_ids() {
-            servers.insert(ClashServer::new(id, config));
+            servers.insert(ClashServer::new(id, config.key_width));
             candidates.mark_dirty(id.value());
         }
         let mut cluster = ClashCluster {
@@ -152,7 +152,10 @@ impl ClashCluster {
         for pattern in 0..(1u64 << depth) {
             let group = Prefix::new(pattern, depth, width)?;
             let owner = self.map_group(group);
-            self.servers.live_mut(owner.value()).bootstrap_root(group)?;
+            self.servers
+                .live_mut(owner.value())
+                .table_mut()
+                .insert_root(group)?;
             self.candidates.mark_dirty(owner.value());
             self.oracle.insert(group, owner);
             self.data.open_group(group);

@@ -248,7 +248,8 @@ impl ClashCluster {
                 debug_assert_ne!(new_owner, victim);
                 self.servers
                     .live_mut(new_owner.value())
-                    .bootstrap_root(group)?;
+                    .table_mut()
+                    .insert_root(group)?;
                 self.candidates.mark_dirty(new_owner.value());
                 self.oracle.insert(group, new_owner);
                 self.wire
@@ -456,9 +457,9 @@ impl ClashCluster {
         let ledger = self.data.ledger(group).expect("restored above");
         let load = ledger.load();
         self.wire.count_group_move(ledger);
-        let server = self.servers.live_mut(new_owner.value());
-        server.bootstrap_root(group)?;
-        server.set_group_load(group, load)?;
+        let table = self.servers.live_mut(new_owner.value()).table_mut();
+        table.insert_root(group)?;
+        table.set_load(group, load)?;
         self.candidates.mark_dirty(new_owner.value());
         self.oracle.insert(group, new_owner);
         self.recovery.pending.remove(&group);

@@ -5,7 +5,12 @@ use clash_keyspace::hash::HashSpace;
 use clash_keyspace::key::KeyWidth;
 
 use crate::error::ClashError;
-use crate::load::QueryStreamLoadModel;
+
+/// Overload threshold as a fraction of capacity (paper §6.1: 90 %).
+pub const OVERLOAD_FRACTION: f64 = 0.90;
+
+/// Underload threshold as a fraction of capacity (paper §6.1: 54 %).
+pub const UNDERLOAD_FRACTION: f64 = 0.54;
 
 /// Which active group an overloaded server sheds first.
 ///
@@ -24,8 +29,11 @@ pub enum SplitPolicy {
 /// Configuration of a CLASH deployment.
 ///
 /// The defaults reproduce the paper's simulation parameters (§6.1):
-/// 24-bit keys, 24-bit hash space, initial depth 6, overload at 90% and
-/// underload at 54% of server capacity.
+/// 24-bit keys, 24-bit hash space, initial depth 6. The overload and
+/// underload thresholds are fixed at §6.1's 90 % and 54 % of
+/// [`ClashConfig::capacity`] ([`OVERLOAD_FRACTION`],
+/// [`UNDERLOAD_FRACTION`]), and the load model's weights are constants
+/// too ([`QUERY_WEIGHT`](crate::load::QUERY_WEIGHT)).
 ///
 /// # Example
 ///
@@ -53,10 +61,6 @@ pub struct ClashConfig {
     pub initial_depth: u32,
     /// Server capacity in load units.
     pub capacity: f64,
-    /// Overload threshold as a fraction of capacity (paper: 0.90).
-    pub overload_fraction: f64,
-    /// Underload threshold as a fraction of capacity (paper: 0.54).
-    pub underload_fraction: f64,
     /// A merge only proceeds if the combined child load stays below this
     /// fraction of capacity (hysteresis against split/merge thrash).
     pub merge_headroom_fraction: f64,
@@ -68,8 +72,6 @@ pub struct ClashConfig {
     pub splitting_enabled: bool,
     /// Seed for the key → hash-space function `f()`.
     pub hash_seed: u64,
-    /// Load model calibration.
-    pub load_model: QueryStreamLoadModel,
     /// Which group an overloaded server splits first.
     pub split_policy: SplitPolicy,
     /// Successor-list replication factor `r`: each active key-group entry
@@ -96,13 +98,10 @@ impl ClashConfig {
             hash_space: HashSpace::PAPER,
             initial_depth: 6,
             capacity: 2500.0,
-            overload_fraction: 0.90,
-            underload_fraction: 0.54,
             merge_headroom_fraction: 0.54,
             max_depth: KeyWidth::PAPER.get(),
             splitting_enabled: true,
             hash_seed: 0xC1A5_4001,
-            load_model: QueryStreamLoadModel::paper_calibration(),
             split_policy: SplitPolicy::Hottest,
             replication_factor: 0,
             shards: 0,
@@ -130,13 +129,10 @@ impl ClashConfig {
             hash_space: HashSpace::new(16).expect("16 is a valid space"),
             initial_depth: 2,
             capacity: 100.0,
-            overload_fraction: 0.90,
-            underload_fraction: 0.54,
             merge_headroom_fraction: 0.54,
             max_depth: 8,
             splitting_enabled: true,
             hash_seed: 7,
-            load_model: QueryStreamLoadModel::paper_calibration(),
             split_policy: SplitPolicy::Hottest,
             replication_factor: 0,
             shards: 0,
@@ -158,12 +154,12 @@ impl ClashConfig {
 
     /// Overload threshold in absolute load units.
     pub fn overload_threshold(&self) -> f64 {
-        self.capacity * self.overload_fraction
+        self.capacity * OVERLOAD_FRACTION
     }
 
     /// Underload threshold in absolute load units.
     pub fn underload_threshold(&self) -> f64 {
-        self.capacity * self.underload_fraction
+        self.capacity * UNDERLOAD_FRACTION
     }
 
     /// Merge headroom in absolute load units.
@@ -175,10 +171,10 @@ impl ClashConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ClashError::InvalidConfig`] when thresholds are
-    /// inconsistent, depths exceed the key width, the capacity is not
-    /// positive, or the replication factor exceeds the successor-list
-    /// length its replicas are placed along.
+    /// Returns [`ClashError::InvalidConfig`] when depths exceed the key
+    /// width, the capacity is not positive, the merge headroom is not a
+    /// positive finite fraction, or the replication factor exceeds the
+    /// successor-list length its replicas are placed along.
     pub fn validate(&self) -> Result<(), ClashError> {
         if self.initial_depth > self.key_width.get() {
             return Err(ClashError::InvalidConfig {
@@ -205,19 +201,10 @@ impl ClashConfig {
                 reason: "capacity must be positive",
             });
         }
-        let fractions = [
-            self.overload_fraction,
-            self.underload_fraction,
-            self.merge_headroom_fraction,
-        ];
-        if fractions.iter().any(|f| !f.is_finite() || *f <= 0.0) {
+        let headroom = self.merge_headroom_fraction;
+        if !headroom.is_finite() || headroom <= 0.0 {
             return Err(ClashError::InvalidConfig {
-                reason: "threshold fractions must be positive and finite",
-            });
-        }
-        if self.underload_fraction >= self.overload_fraction {
-            return Err(ClashError::InvalidConfig {
-                reason: "underload fraction must be below overload fraction",
+                reason: "merge headroom fraction must be positive and finite",
             });
         }
         if self.replication_factor > SUCCESSOR_LIST_LEN {
@@ -277,15 +264,15 @@ mod tests {
     #[test]
     fn validation_catches_bad_thresholds() {
         let mut cfg = ClashConfig::small_test();
-        cfg.underload_fraction = 0.95;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = ClashConfig::small_test();
         cfg.capacity = 0.0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = ClashConfig::small_test();
-        cfg.overload_fraction = f64::NAN;
+        cfg.merge_headroom_fraction = f64::NAN;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = ClashConfig::small_test();
+        cfg.merge_headroom_fraction = 0.0;
         assert!(cfg.validate().is_err());
     }
 

@@ -19,7 +19,7 @@
 //! | `ServerTable` (§5, Fig. 2) | [`table::ServerTable`] |
 //! | server protocol messages (§5) | [`messages`] |
 //! | client depth search (§5) | [`client::DepthSearch`] |
-//! | load model & thresholds (§6) | [`load`], [`config`] |
+//! | load model & thresholds (§6), both constants | [`load::QUERY_WEIGHT`], [`config::OVERLOAD_FRACTION`], [`config::UNDERLOAD_FRACTION`] |
 //! | base-DHT baseline `DHT(x)` (§6.1) | [`config::ClashConfig::dht_baseline`] |
 //!
 //! The crate is deliberately I/O-free: [`server::ClashServer`] is a pure
@@ -69,7 +69,7 @@ pub use cluster::ClashCluster;
 pub use config::ClashConfig;
 pub use error::ClashError;
 pub use latency::LatencyMetrics;
-pub use load::{LoadLevel, QueryStreamLoadModel};
+pub use load::LoadLevel;
 pub use messages::AcceptObjectResponse;
 pub use replication::{ReplicaRecord, ReplicaStore};
 pub use server::ClashServer;

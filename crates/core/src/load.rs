@@ -6,6 +6,10 @@
 //! usually linear in the data rate, and logarithmic in the number of
 //! queries. Overload and underload conditions are detected by comparing
 //! this load value to pre-defined thresholds."
+//!
+//! Both are constants here: the weights ([`QUERY_WEIGHT`]) and the
+//! thresholds ([`crate::config::OVERLOAD_FRACTION`],
+//! [`crate::config::UNDERLOAD_FRACTION`]) are one fixed calibration.
 
 use std::fmt;
 
@@ -33,44 +37,25 @@ impl GroupLoad {
     }
 }
 
-/// The query-stream load model: `rate_weight · data_rate +
-/// query_weight · log₂(1 + queries)`.
+/// Load units per doubling of a group's resident queries. A group's
+/// load value is `data_rate + QUERY_WEIGHT · log₂(1 + queries)`: one
+/// unit per packet/sec of data rate, logarithmic in the query count.
 ///
-/// The weights are calibration constants (the paper reports only relative
-/// loads as % of capacity); [`ClashConfig::paper`](crate::config::ClashConfig::paper)
-/// holds the values used for the figure reproductions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryStreamLoadModel {
-    /// Load units per packet/sec of data rate.
-    pub rate_weight: f64,
-    /// Load units per doubling of resident queries.
-    pub query_weight: f64,
-}
+/// The paper reports only relative loads (% of capacity), so the weights
+/// are this reproduction's one calibration, fixed like §6.1's thresholds
+/// ([`OVERLOAD_FRACTION`](crate::config::OVERLOAD_FRACTION)).
+pub const QUERY_WEIGHT: f64 = 10.0;
 
-impl QueryStreamLoadModel {
-    /// The calibration used by the figure experiments.
-    pub fn paper_calibration() -> Self {
-        QueryStreamLoadModel {
-            rate_weight: 1.0,
-            query_weight: 10.0,
-        }
-    }
-
-    /// Load value of a single group.
-    pub fn group_load(&self, load: GroupLoad) -> f64 {
-        self.rate_weight * load.data_rate + self.query_weight * (1.0 + load.queries as f64).log2()
-    }
-
-    /// Total server load across its active groups.
-    pub fn server_load<I: IntoIterator<Item = GroupLoad>>(&self, groups: I) -> f64 {
-        groups.into_iter().map(|g| self.group_load(g)).sum()
+impl GroupLoad {
+    /// The group's load value (see [`QUERY_WEIGHT`]).
+    pub fn value(self) -> f64 {
+        self.data_rate + QUERY_WEIGHT * (1.0 + self.queries as f64).log2()
     }
 }
 
-impl Default for QueryStreamLoadModel {
-    fn default() -> Self {
-        Self::paper_calibration()
-    }
+/// Total server load across its active groups.
+pub fn server_load<I: IntoIterator<Item = GroupLoad>>(groups: I) -> f64 {
+    groups.into_iter().map(GroupLoad::value).sum()
 }
 
 /// A server's position relative to the configured thresholds.
@@ -123,29 +108,31 @@ mod tests {
 
     #[test]
     fn group_load_is_linear_in_rate() {
-        let m = QueryStreamLoadModel::paper_calibration();
-        let base = m.group_load(GroupLoad {
+        let base = GroupLoad {
             data_rate: 100.0,
             queries: 0,
-        });
-        let double = m.group_load(GroupLoad {
+        }
+        .value();
+        let double = GroupLoad {
             data_rate: 200.0,
             queries: 0,
-        });
+        }
+        .value();
         assert!((double - 2.0 * base).abs() < 1e-9);
     }
 
     #[test]
     fn group_load_is_logarithmic_in_queries() {
-        let m = QueryStreamLoadModel::paper_calibration();
-        let one = m.group_load(GroupLoad {
+        let one = GroupLoad {
             data_rate: 0.0,
             queries: 1,
-        });
-        let big = m.group_load(GroupLoad {
+        }
+        .value();
+        let big = GroupLoad {
             data_rate: 0.0,
             queries: 1023,
-        });
+        }
+        .value();
         // 1→2 queries is one doubling; 1023 queries is ten doublings.
         assert!((one - 10.0).abs() < 1e-9);
         assert!((big - 100.0).abs() < 0.1);
@@ -153,7 +140,6 @@ mod tests {
 
     #[test]
     fn server_load_sums_groups() {
-        let m = QueryStreamLoadModel::paper_calibration();
         let groups = vec![
             GroupLoad {
                 data_rate: 10.0,
@@ -164,7 +150,7 @@ mod tests {
                 queries: 0,
             },
         ];
-        assert!((m.server_load(groups) - 15.0).abs() < 1e-9);
+        assert!((server_load(groups) - 15.0).abs() < 1e-9);
     }
 
     #[test]

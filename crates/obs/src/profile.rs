@@ -118,13 +118,6 @@ impl PhaseProfile {
             0.0
         }
     }
-
-    /// Add another profile's accumulations into this one.
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        for (a, b) in self.ms.iter_mut().zip(other.ms.iter()) {
-            *a += b;
-        }
-    }
 }
 
 /// Phase-timing hooks the protocol layer calls. Implementations must
@@ -207,10 +200,8 @@ mod tests {
         p.ms[CheckPhase::FlushRoute.index()] = 70.0;
         assert!((p.total() - 100.0).abs() < 1e-9);
         assert!((p.share(CheckPhase::Splits) - 0.3).abs() < 1e-9);
-        let mut q = PhaseProfile::default();
-        q.ms[CheckPhase::Splits.index()] = 10.0;
-        p.merge(&q);
-        assert!((p.get(CheckPhase::Splits) - 40.0).abs() < 1e-9);
+        assert_eq!(p.get(CheckPhase::Splits), 30.0);
+        assert_eq!(PhaseProfile::default().share(CheckPhase::Splits), 0.0);
     }
 
     #[test]
@@ -227,6 +218,11 @@ mod tests {
         let p = prof.profile();
         assert!(p.get(CheckPhase::Splits) >= 0.0);
         assert_eq!(p.get(CheckPhase::Merges), 0.0);
+        // A second, shorter span of the same phase adds to the first (a
+        // reset would read less).
+        prof.begin(CheckPhase::Splits);
+        prof.end(CheckPhase::Splits);
+        assert!(prof.profile().get(CheckPhase::Splits) >= p.get(CheckPhase::Splits));
     }
 
     #[test]

@@ -117,10 +117,16 @@ pub struct SummarySnapshot {
 
 /// A histogram with fixed-width buckets over `[lo, hi)` plus overflow and
 /// underflow buckets.
+///
+/// The buckets are stored up to the highest one observed so far, so a
+/// recorder holds memory for the range its observations reached, not for
+/// the whole range: an untouched recorder allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     width: f64,
+    /// Bucket count over `[lo, hi)`; `buckets` never grows past it.
+    n: usize,
     buckets: Vec<u64>,
     underflow: u64,
     overflow: u64,
@@ -140,7 +146,8 @@ impl Histogram {
         Histogram {
             lo,
             width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
+            n,
+            buckets: Vec::new(),
             underflow: 0,
             overflow: 0,
             nan: 0,
@@ -164,16 +171,24 @@ impl Histogram {
             return;
         }
         let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
+        if idx >= self.n {
             self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
+            return;
         }
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
     }
 
     /// Count in bucket `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the bucket count.
     pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
+        assert!(i < self.n, "bucket {i} out of range 0..{}", self.n);
+        self.buckets.get(i).copied().unwrap_or(0)
     }
 
     /// Observations below the range.
@@ -220,6 +235,7 @@ impl Histogram {
             self.underflow,
             &self.buckets,
             self.overflow,
+            self.n,
             q,
         )
     }
@@ -248,17 +264,14 @@ impl Histogram {
     /// See [`Histogram::quantile_since`].
     pub fn quantiles_since(&self, earlier: &Histogram, qs: &[f64]) -> Vec<Option<f64>> {
         assert!(
-            self.lo == earlier.lo
-                && self.width == earlier.width
-                && self.buckets.len() == earlier.buckets.len(),
+            self.lo == earlier.lo && self.width == earlier.width && self.n == earlier.n,
             "quantile_since requires an identically shaped snapshot"
         );
-        let diff: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(&now, &then)| {
-                now.checked_sub(then)
+        let stored = |h: &Histogram, i: usize| h.buckets.get(i).copied().unwrap_or(0);
+        let diff: Vec<u64> = (0..self.buckets.len().max(earlier.buckets.len()))
+            .map(|i| {
+                stored(self, i)
+                    .checked_sub(stored(earlier, i))
                     .expect("snapshot is not an earlier state of this histogram")
             })
             .collect();
@@ -271,18 +284,20 @@ impl Histogram {
             .checked_sub(earlier.overflow)
             .expect("snapshot is not an earlier state of this histogram");
         qs.iter()
-            .map(|&q| quantile_over(self.lo, self.width, underflow, &diff, overflow, q))
+            .map(|&q| quantile_over(self.lo, self.width, underflow, &diff, overflow, self.n, q))
             .collect()
     }
 }
 
-/// Shared quantile kernel over a bucket array plus out-of-range tallies.
+/// Shared quantile kernel over the stored prefix of an `n`-bucket array
+/// (the buckets past it are empty) plus out-of-range tallies.
 fn quantile_over(
     lo: f64,
     width: f64,
     underflow: u64,
     buckets: &[u64],
     overflow: u64,
+    n: usize,
     q: f64,
 ) -> Option<f64> {
     assert!(
@@ -306,7 +321,7 @@ fn quantile_over(
         seen += count;
     }
     // Only overflow observations remain: report the upper range edge.
-    Some(lo + width * buckets.len() as f64)
+    Some(lo + width * n as f64)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Differential pins for the flight recorder (PR: observability).
 //!
 //! The contract the tracing tentpole lives or dies by: **recording is
-//! observation, not behaviour**. Attaching any trace sink — the bounded
-//! ring or the unbounded full-export buffer — must leave the protocol's
+//! observation, not behaviour**. Switching the flight recorder on — as
+//! the bounded ring or the unbounded full capture — must leave the protocol's
 //! decisions bit-for-bit identical to the untraced run, across
 //! replication factors, and must draw *zero* RNG of its own.
 //!
@@ -65,7 +65,7 @@ fn tracing_mode_never_changes_the_run() {
     }
 }
 
-/// The full sink actually captures the run: every traceable moment class
+/// The full capture actually records the run: every traceable moment class
 /// this scenario exercises shows up, stamped with non-decreasing virtual
 /// time and strictly increasing sequence numbers.
 #[test]
@@ -133,7 +133,7 @@ fn full_trace_captures_the_expected_event_classes() {
 /// The ring keeps only the newest events and reports what it shed; the
 /// tail it retains matches the end of the full capture.
 #[test]
-fn ring_sink_retains_the_newest_tail() {
+fn ring_retains_the_newest_tail() {
     let (_, mut full_cluster) = run(catalogue::churn(), 0, TraceMode::Full);
     let full = full_cluster.take_trace_events();
     // Both sides of the panic dump's 64-event window: a ring smaller
