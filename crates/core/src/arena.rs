@@ -145,15 +145,16 @@ mod tests {
 
     fn server(v: u64) -> ClashServer {
         let cfg = ClashConfig::small_test();
-        ClashServer::new(ServerId::new(v, cfg.hash_space), cfg.key_width)
+        ClashServer::new(ServerId::new(v, cfg.hash_space))
     }
 
     #[test]
     fn server_records_keep_their_size() {
         // A slot holds the server's own state (table, replicas, one
-        // counter), not a copy of the cluster's settings or a second id.
+        // counter), not a copy of the cluster's settings or a second id:
+        // no map in it stores the key width.
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(std::mem::size_of::<ClashServer>(), 120);
+        assert_eq!(std::mem::size_of::<ClashServer>(), 96);
     }
 
     #[test]

@@ -475,7 +475,7 @@ impl ClashCluster {
                     .table_mut()
                     .accept_group(right, server_id, right_load)?;
                 self.oracle.insert(right, server_id);
-                if right.depth() < self.config.max_depth {
+                if right.depth() < right.width().get() {
                     // Split it again ("another randomized attempt to
                     // select a different server node", §5).
                     self.wire.msgs.self_mapped_retries += 1;
@@ -483,7 +483,7 @@ impl ClashCluster {
                     group = right;
                     continue;
                 }
-                // At max depth and still self-mapped: keep the group.
+                // A single key and still self-mapped: keep the group.
             } else {
                 self.wire.msgs.split_messages += 1; // the ACCEPT_KEYGROUP itself
                 self.wire.msgs.accept_keygroups += 1;

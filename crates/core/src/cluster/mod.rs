@@ -121,7 +121,7 @@ impl ClashCluster {
         let mut servers = ServerArena::with_capacity(n_servers);
         let mut candidates = load_check::Candidates::default();
         for id in net.node_ids() {
-            servers.insert(ClashServer::new(id, config.key_width));
+            servers.insert(ClashServer::new(id));
             candidates.mark_dirty(id.value());
         }
         let mut cluster = ClashCluster {

@@ -117,6 +117,32 @@ fn overload_triggers_split_and_redistribution() {
     assert!(max_depth > 2);
 }
 
+/// A key group splits down to a single key (depth = key width) and no
+/// further: its owner stays overloaded but has nothing left to shed.
+#[test]
+fn one_hot_key_splits_to_full_width_and_stops() {
+    let mut c = cluster(8);
+    let hot = key(0b0101_1010);
+    for i in 0..100 {
+        c.attach_source(i, hot, 2.0).unwrap();
+    }
+    for _ in 0..12 {
+        c.run_load_check().unwrap();
+    }
+    let (owner, group) = c.oracle_locate(hot).unwrap();
+    assert_eq!(group.depth(), 8, "the hot key is a group of its own");
+    let level = c.server(owner).unwrap().load_level(c.config());
+    assert_eq!(level, crate::LoadLevel::Overloaded);
+    for _ in 0..3 {
+        let report = c.run_load_check().unwrap();
+        assert!(report.splits.iter().all(|s| s.server != owner));
+    }
+    assert_eq!(c.oracle_locate(hot), Some((owner, group)));
+    c.verify_consistency();
+    assert!(c.global_cover().is_partition());
+    assert_eq!(c.depth_stats().unwrap().2, 8);
+}
+
 #[test]
 fn locate_still_correct_after_splits() {
     let mut c = cluster(8);

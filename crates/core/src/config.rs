@@ -33,7 +33,9 @@ pub enum SplitPolicy {
 /// underload thresholds are fixed at §6.1's 90 % and 54 % of
 /// [`ClashConfig::capacity`] ([`OVERLOAD_FRACTION`],
 /// [`UNDERLOAD_FRACTION`]), and the load model's weights are constants
-/// too ([`QUERY_WEIGHT`](crate::load::QUERY_WEIGHT)).
+/// too ([`QUERY_WEIGHT`](crate::load::QUERY_WEIGHT)). A group splits one
+/// bit at a time down to a single key, so [`ClashConfig::key_width`] is
+/// also the depth cap (§4).
 ///
 /// # Example
 ///
@@ -51,7 +53,7 @@ pub enum SplitPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClashConfig {
-    /// Identifier key width N.
+    /// Identifier key width N, and so the deepest a group can split to.
     pub key_width: KeyWidth,
     /// Hash space M for the underlying DHT.
     pub hash_space: HashSpace,
@@ -64,8 +66,6 @@ pub struct ClashConfig {
     /// A merge only proceeds if the combined child load stays below this
     /// fraction of capacity (hysteresis against split/merge thrash).
     pub merge_headroom_fraction: f64,
-    /// Hard depth cap (defaults to the key width).
-    pub max_depth: u32,
     /// Whether binary splitting/merging is enabled. Disabled = the
     /// paper's non-adaptive `DHT(x)` baseline with fixed depth
     /// `initial_depth`.
@@ -99,7 +99,6 @@ impl ClashConfig {
             initial_depth: 6,
             capacity: 2500.0,
             merge_headroom_fraction: 0.54,
-            max_depth: KeyWidth::PAPER.get(),
             splitting_enabled: true,
             hash_seed: 0xC1A5_4001,
             split_policy: SplitPolicy::Hottest,
@@ -116,7 +115,6 @@ impl ClashConfig {
         ClashConfig {
             initial_depth: fixed_depth,
             splitting_enabled: false,
-            max_depth: fixed_depth,
             ..ClashConfig::paper()
         }
     }
@@ -130,7 +128,6 @@ impl ClashConfig {
             initial_depth: 2,
             capacity: 100.0,
             merge_headroom_fraction: 0.54,
-            max_depth: 8,
             splitting_enabled: true,
             hash_seed: 7,
             split_policy: SplitPolicy::Hottest,
@@ -179,16 +176,6 @@ impl ClashConfig {
         if self.initial_depth > self.key_width.get() {
             return Err(ClashError::InvalidConfig {
                 reason: "initial depth exceeds key width",
-            });
-        }
-        if self.max_depth > self.key_width.get() {
-            return Err(ClashError::InvalidConfig {
-                reason: "max depth exceeds key width",
-            });
-        }
-        if self.max_depth < self.initial_depth {
-            return Err(ClashError::InvalidConfig {
-                reason: "max depth is below the initial depth",
             });
         }
         if self.initial_depth > 24 {
@@ -241,7 +228,6 @@ mod tests {
             cfg.validate().unwrap();
             assert!(!cfg.splitting_enabled);
             assert_eq!(cfg.initial_depth, x);
-            assert_eq!(cfg.max_depth, x);
         }
     }
 
@@ -254,10 +240,6 @@ mod tests {
     fn validation_catches_bad_depths() {
         let mut cfg = ClashConfig::small_test();
         cfg.initial_depth = 9;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = ClashConfig::small_test();
-        cfg.max_depth = 1; // below initial depth 2
         assert!(cfg.validate().is_err());
     }
 

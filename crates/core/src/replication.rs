@@ -33,7 +33,6 @@
 use std::sync::Arc;
 
 use clash_keyspace::cover::PrefixMap;
-use clash_keyspace::key::KeyWidth;
 use clash_keyspace::prefix::Prefix;
 
 use crate::ServerId;
@@ -63,21 +62,13 @@ pub struct ReplicaRecord {
 
 /// A server's replication state: replicas held for peers, plus the
 /// placement registry for its own groups (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaStore {
     held: PrefixMap<ReplicaRecord>,
     placed: PrefixMap<Vec<ServerId>>,
 }
 
 impl ReplicaStore {
-    /// Creates an empty store for groups of `width`-bit keys.
-    pub fn new(width: KeyWidth) -> Self {
-        ReplicaStore {
-            held: PrefixMap::new(width),
-            placed: PrefixMap::new(width),
-        }
-    }
-
     // ----- held replicas (this server as a successor holder) -----------
 
     /// The replica held for `group`, if any.
@@ -225,6 +216,7 @@ mod tests {
     use super::reference::ModelReplicaStore;
     use super::*;
     use clash_keyspace::hash::HashSpace;
+    use clash_keyspace::key::KeyWidth;
     use proptest::prelude::*;
 
     fn sid(v: u64) -> ServerId {
@@ -245,7 +237,7 @@ mod tests {
 
     #[test]
     fn held_replica_roundtrip() {
-        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        let mut store = ReplicaStore::default();
         assert_eq!(store.held_count(), 0);
         store.store(p("01*"), rec(5));
         store.store(p("10*"), rec(7));
@@ -263,7 +255,7 @@ mod tests {
 
     #[test]
     fn expire_held_applies_lease_predicate() {
-        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        let mut store = ReplicaStore::default();
         store.store(p("01*"), rec(5));
         store.store(p("10*"), rec(7));
         store.store(p("11*"), rec(5));
@@ -277,7 +269,7 @@ mod tests {
     fn expire_held_keeps_ancestor_and_descendant_in_trie_order() {
         // A split parent's deferred stale copy (`01*`) beside its child
         // (`0110*`), stored out of order.
-        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        let mut store = ReplicaStore::default();
         store.store(p("1*"), rec(7));
         store.store(p("0110*"), rec(7));
         store.store(p("0111*"), rec(5));
@@ -294,7 +286,7 @@ mod tests {
 
     #[test]
     fn placement_registry_roundtrip() {
-        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
+        let mut store = ReplicaStore::default();
         assert!(store.placed(p("01*")).is_empty());
         store.set_placed(p("01*"), vec![sid(3), sid(4)]);
         assert_eq!(store.placed(p("01*")), &[sid(3), sid(4)]);
@@ -305,13 +297,6 @@ mod tests {
         store.set_placed(p("01*"), vec![sid(3)]);
         store.set_placed(p("01*"), Vec::new());
         assert!(store.placed_groups().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix width mismatch")]
-    fn foreign_width_is_refused() {
-        let mut store = ReplicaStore::new(KeyWidth::new(8).unwrap());
-        store.store(Prefix::parse("01*", 16).unwrap(), rec(5));
     }
 
     /// Every group of depth ≤ 4 plus two full-width keys under `0110*`:
@@ -350,9 +335,8 @@ mod tests {
         fn replica_store_matches_model(
             ops in prop::collection::vec((0u8..7, 0u64..u64::MAX, 0u64..u64::MAX), 1..200),
         ) {
-            let width = KeyWidth::new(8).unwrap();
             let groups = groups();
-            let mut store = ReplicaStore::new(width);
+            let mut store = ReplicaStore::default();
             let mut model = ModelReplicaStore::default();
             for (op, a, b) in ops {
                 let group = groups[a as usize % groups.len()];

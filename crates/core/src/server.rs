@@ -13,7 +13,6 @@
 //! [`ClashConfig`], passed in by the caller.
 
 use clash_keyspace::cover;
-use clash_keyspace::key::KeyWidth;
 use clash_keyspace::prefix::Prefix;
 
 use crate::config::{ClashConfig, SplitPolicy};
@@ -41,7 +40,7 @@ pub struct ServerStats {
 ///
 /// let cfg = ClashConfig::small_test();
 /// let id = ServerId::new(5, cfg.hash_space);
-/// let server = ClashServer::new(id, cfg.key_width);
+/// let server = ClashServer::new(id);
 /// assert_eq!(server.id(), id);
 /// assert!(server.table().is_empty());
 /// // An empty server carries no load, so it sits below the threshold.
@@ -59,11 +58,11 @@ pub struct ClashServer {
 }
 
 impl ClashServer {
-    /// Creates a server with an empty table for keys of `width` bits.
-    pub fn new(id: ServerId, width: KeyWidth) -> Self {
+    /// Creates a server with an empty table.
+    pub fn new(id: ServerId) -> Self {
         ClashServer {
-            table: ServerTable::new(id, width),
-            replicas: ReplicaStore::new(width),
+            table: ServerTable::new(id),
+            replicas: ReplicaStore::default(),
             stats: ServerStats::default(),
         }
     }
@@ -157,13 +156,13 @@ impl ClashServer {
     /// [`SplitPolicy`] (paper §6: "we selected the 'hottest' key group ...
     /// for splitting during overload"). Groups with zero load are never
     /// candidates — splitting them can shed nothing, and an overloaded
-    /// server whose hot groups are all at maximum depth simply cannot
-    /// shed (the paper's key-granularity limit).
+    /// server whose hot groups are all single keys (depth = key width)
+    /// simply cannot shed (the paper's key-granularity limit).
     pub fn hottest_splittable(&self, config: &ClashConfig) -> Option<Prefix> {
         let mut candidates = self
             .table
             .active_groups()
-            .filter(|e| e.group.depth() < config.max_depth)
+            .filter(|e| e.group.depth() < e.group.width().get())
             .filter(|e| e.load.value() > 0.0);
         match config.split_policy {
             SplitPolicy::Hottest => candidates
@@ -282,7 +281,7 @@ mod tests {
     }
 
     fn server() -> ClashServer {
-        ClashServer::new(sid(1), cfg().key_width)
+        ClashServer::new(sid(1))
     }
 
     /// Every report `s` owes this period, collected.
@@ -348,14 +347,14 @@ mod tests {
 
     #[test]
     fn hottest_skips_groups_at_max_depth() {
-        let mut config = cfg();
-        config.max_depth = 3;
         let mut s = server();
-        s.table_mut().insert_root(p("010*")).unwrap(); // at max depth
+        s.table_mut().insert_root(p("01011010")).unwrap(); // a single key
         s.table_mut().insert_root(p("00*")).unwrap();
-        s.table_mut().set_load(p("010*"), rate(99.0)).unwrap();
+        s.table_mut().set_load(p("01011010"), rate(99.0)).unwrap();
         s.table_mut().set_load(p("00*"), rate(1.0)).unwrap();
-        assert_eq!(s.hottest_splittable(&config), Some(p("00*")));
+        assert_eq!(s.hottest_splittable(&cfg()), Some(p("00*")));
+        s.table_mut().set_load(p("00*"), GroupLoad::zero()).unwrap();
+        assert_eq!(s.hottest_splittable(&cfg()), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use clash_keyspace::cover::PrefixMap;
-use clash_keyspace::key::{Key, KeyWidth};
+use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
 
 use crate::error::ClashError;
@@ -85,14 +85,13 @@ impl TableEntry {
 /// use clash_core::load::GroupLoad;
 /// use clash_chord::id::ChordId;
 /// use clash_keyspace::hash::HashSpace;
-/// use clash_keyspace::key::{Key, KeyWidth};
+/// use clash_keyspace::key::Key;
 /// use clash_keyspace::prefix::Prefix;
 ///
 /// let space = HashSpace::new(16)?;
 /// let s25 = ChordId::new(25, space);
 /// let s22 = ChordId::new(22, space);
-/// let width = KeyWidth::new(7)?;
-/// let mut table = ServerTable::new(s25, width);
+/// let mut table = ServerTable::new(s25);
 ///
 /// // s25 is the root for "011*" and accepted "01011*" from s22.
 /// table.insert_root(Prefix::parse("011*", 7)?)?;
@@ -113,22 +112,17 @@ pub struct ServerTable {
 }
 
 impl ServerTable {
-    /// Creates an empty table owned by `owner` for keys of `width` bits.
-    pub fn new(owner: ServerId, width: KeyWidth) -> Self {
+    /// Creates an empty table owned by `owner`.
+    pub fn new(owner: ServerId) -> Self {
         ServerTable {
             owner,
-            map: PrefixMap::new(width),
+            map: PrefixMap::new(),
         }
     }
 
     /// The owning server.
     pub fn owner(&self) -> ServerId {
         self.owner
-    }
-
-    /// The key width.
-    pub fn width(&self) -> KeyWidth {
-        self.map.width()
     }
 
     /// Number of entries (active + inactive).
@@ -722,14 +716,11 @@ mod tests {
     use super::reference::ModelTable;
     use super::*;
     use clash_keyspace::hash::HashSpace;
+    use clash_keyspace::key::KeyWidth;
     use proptest::prelude::*;
 
     fn sid(v: u64) -> ServerId {
         ServerId::new(v, HashSpace::new(16).unwrap())
-    }
-
-    fn w7() -> KeyWidth {
-        KeyWidth::new(7).unwrap()
     }
 
     fn p(s: &str) -> Prefix {
@@ -750,7 +741,7 @@ mod tests {
     /// Builds the exact table of Figure 2 (server s25).
     fn figure2_table() -> ServerTable {
         let s25 = sid(25);
-        let mut t = ServerTable::new(s25, w7());
+        let mut t = ServerTable::new(s25);
         // Entry 1: 011* root, split → right child 45.
         t.insert_root(p("011*")).unwrap();
         // Entry 2: 01011* accepted from s22, split → right child 26.
@@ -824,7 +815,7 @@ mod tests {
 
     #[test]
     fn split_moves_load_to_left_child() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         t.set_load(p("01*"), rate(10.0)).unwrap();
         let (l, r) = t.split(p("01*")).unwrap();
@@ -837,7 +828,7 @@ mod tests {
 
     #[test]
     fn split_requires_active_entry() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         t.split(p("01*")).unwrap();
         assert!(matches!(
@@ -852,7 +843,7 @@ mod tests {
 
     #[test]
     fn split_at_max_depth_fails() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("0101010")).unwrap();
         assert!(matches!(
             t.split(p("0101010")),
@@ -862,7 +853,7 @@ mod tests {
 
     #[test]
     fn merge_restores_parent_with_combined_load() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         t.set_load(p("01*"), rate(10.0)).unwrap();
         let (l, _r) = t.split(p("01*")).unwrap();
@@ -881,7 +872,7 @@ mod tests {
     #[test]
     fn merge_with_local_right_child() {
         // Self-mapped right child: both children live here.
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         let (l, r) = t.split(p("01*")).unwrap();
         t.set_right_child(p("01*"), sid(1)).unwrap(); // maps back to self
@@ -897,7 +888,7 @@ mod tests {
 
     #[test]
     fn merge_refuses_when_left_child_split_further() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         let (l, _r) = t.split(p("01*")).unwrap();
         t.set_right_child(p("01*"), sid(9)).unwrap();
@@ -911,7 +902,7 @@ mod tests {
 
     #[test]
     fn release_group_returns_load_or_refuses() {
-        let mut t = ServerTable::new(sid(2), w7());
+        let mut t = ServerTable::new(sid(2));
         t.accept_group(p("0111*"), sid(1), rate(7.0)).unwrap();
         assert_eq!(t.release_group(p("0111*")), Some(rate(7.0)));
         assert!(t.is_empty());
@@ -925,7 +916,7 @@ mod tests {
 
     #[test]
     fn child_reports_recorded_on_inactive_entries_only() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         let report = ChildReport {
             load: rate(2.0),
@@ -945,7 +936,7 @@ mod tests {
 
     #[test]
     fn clear_child_report_forgets_stale_state() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         t.split(p("01*")).unwrap();
         t.set_right_child(p("01*"), sid(9)).unwrap();
@@ -964,7 +955,7 @@ mod tests {
 
     #[test]
     fn adjust_rate_for_key_targets_owning_group() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         assert_eq!(t.adjust_rate_for_key(k("0101010"), 2.5), Some(p("01*")));
         assert_eq!(t.entry(p("01*")).unwrap().load.data_rate, 2.5);
@@ -977,7 +968,7 @@ mod tests {
 
     #[test]
     fn adjust_queries_for_key() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         t.adjust_queries_for_key(k("0101010"), 3);
         assert_eq!(t.entry(p("01*")).unwrap().load.queries, 3);
@@ -989,7 +980,7 @@ mod tests {
 
     #[test]
     fn duplicate_root_or_accept_rejected() {
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         t.insert_root(p("01*")).unwrap();
         assert!(t.insert_root(p("01*")).is_err());
         assert!(t.accept_group(p("01*"), sid(2), GroupLoad::zero()).is_err());
@@ -998,7 +989,7 @@ mod tests {
     #[test]
     fn extract_install_roundtrip_preserves_tree_state() {
         let mut src = figure2_table();
-        let mut dst = ServerTable::new(sid(99), w7());
+        let mut dst = ServerTable::new(sid(99));
         // Move the whole 011* left spine (shared virtual key) wholesale.
         for g in ["011*", "0110*", "01100*"] {
             let entry = src.extract_entry(p(g)).unwrap();
@@ -1025,7 +1016,7 @@ mod tests {
             active: false,
             ..active(g)
         };
-        let mut t = ServerTable::new(sid(1), w7());
+        let mut t = ServerTable::new(sid(1));
         // 01* contains 0110*; the inactive 011* between them and the
         // unrelated 00* before them do not hide it.
         for e in [active("00*"), active("01*"), inactive("011*")] {
@@ -1123,7 +1114,7 @@ mod tests {
         ) {
             let width = KeyWidth::new(if wide == 1 { 24 } else { 7 }).unwrap();
             let groups = nested_groups(width, [seeds.0, seeds.1, seeds.2]);
-            let mut table = ServerTable::new(sid(1), width);
+            let mut table = ServerTable::new(sid(1));
             let mut model = ModelTable::default();
             for (op, a) in ops {
                 let group = groups[a as usize % groups.len()];

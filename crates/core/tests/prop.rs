@@ -244,7 +244,7 @@ proptest! {
         probe in 0u64..1 << 24,
     ) {
         let width = KeyWidth::new(24).unwrap();
-        let mut table = ServerTable::new(ServerId::new(1, HashSpace::new(16).unwrap()), width);
+        let mut table = ServerTable::new(ServerId::new(1, HashSpace::new(16).unwrap()));
         let mut entries = Vec::new();
         for (depth, bits) in groups {
             let group = Prefix::of_key(Key::from_bits_truncated(bits, width), depth);
@@ -578,7 +578,6 @@ proptest! {
         let config = if sparse {
             ClashConfig {
                 initial_depth: 5,
-                max_depth: 5,
                 splitting_enabled: false,
                 ..ClashConfig::small_test()
             }

@@ -22,8 +22,12 @@ use crate::error::KeyError;
 use crate::key::{Key, KeyWidth};
 use crate::prefix::Prefix;
 
-/// [`Prefix`]es of one key width mapped to values, kept in binary-string
-/// order; nested entries are allowed.
+/// [`Prefix`]es mapped to values, kept in binary-string order; nested
+/// entries are allowed.
+///
+/// The map stores no key width: a lookup reads it off the key or prefix
+/// it is given, and every prefix and key passed to one map must share a
+/// width (a deployment has exactly one).
 ///
 /// # Example
 ///
@@ -32,7 +36,7 @@ use crate::prefix::Prefix;
 /// use clash_keyspace::key::Key;
 /// use clash_keyspace::prefix::Prefix;
 ///
-/// let mut table: PrefixMap<&str> = PrefixMap::new(7.try_into()?);
+/// let mut table: PrefixMap<&str> = PrefixMap::new();
 /// table.insert(Prefix::parse("011*", 7)?, "inactive root");
 /// table.insert(Prefix::parse("0110*", 7)?, "active leaf");
 ///
@@ -44,22 +48,21 @@ use crate::prefix::Prefix;
 /// ```
 #[derive(Clone)]
 pub struct PrefixMap<V> {
-    width: KeyWidth,
     entries: Vec<(Prefix, V)>,
 }
 
+impl<V> Default for PrefixMap<V> {
+    fn default() -> Self {
+        PrefixMap::new()
+    }
+}
+
 impl<V> PrefixMap<V> {
-    /// Creates an empty map over keys of the given width.
-    pub fn new(width: KeyWidth) -> Self {
+    /// Creates an empty map.
+    pub const fn new() -> Self {
         PrefixMap {
-            width,
             entries: Vec::new(),
         }
-    }
-
-    /// The key width this map covers.
-    pub fn width(&self) -> KeyWidth {
-        self.width
     }
 
     /// Number of entries.
@@ -74,15 +77,10 @@ impl<V> PrefixMap<V> {
 
     /// Where `prefix` sits: `Ok` at its entry, `Err` where it would go.
     fn find(&self, prefix: Prefix) -> Result<usize, usize> {
-        assert_eq!(prefix.width(), self.width, "prefix width mismatch");
         self.entries.binary_search_by(|(p, _)| p.cmp(&prefix))
     }
 
     /// Inserts `value` at `prefix`, returning the previous value if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prefix width differs from the map width.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
         match self.find(prefix) {
             Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
@@ -174,7 +172,6 @@ impl<V> PrefixMap<V> {
     /// container's ancestors precede it, so the search repeats below the
     /// last hit.
     fn containers(&self, key: Key, mut depth: u32, mut end: usize, mut f: impl FnMut(usize)) {
-        assert_eq!(key.width(), self.width, "key width mismatch");
         while let Some(at) = self.deepest_container(key, depth, end) {
             f(at);
             match self.entries[at].0.depth().checked_sub(1) {
@@ -185,15 +182,10 @@ impl<V> PrefixMap<V> {
     }
 
     fn longest_match_at(&self, key: Key) -> Option<usize> {
-        assert_eq!(key.width(), self.width, "key width mismatch");
-        self.deepest_container(key, self.width.get(), self.entries.len())
+        self.deepest_container(key, key.width().get(), self.entries.len())
     }
 
     /// Finds the deepest entry whose prefix contains `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the map width.
     pub fn longest_prefix_match(&self, key: Key) -> Option<(Prefix, &V)> {
         let at = self.longest_match_at(key)?;
         let (prefix, value) = &self.entries[at];
@@ -201,10 +193,6 @@ impl<V> PrefixMap<V> {
     }
 
     /// [`PrefixMap::longest_prefix_match`] with a mutable value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the map width.
     pub fn longest_prefix_match_mut(&mut self, key: Key) -> Option<(Prefix, &mut V)> {
         let at = self.longest_match_at(key)?;
         let (prefix, value) = &mut self.entries[at];
@@ -212,15 +200,11 @@ impl<V> PrefixMap<V> {
     }
 
     /// Visits every entry whose prefix contains `key`, root to leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the map width.
     pub fn for_each_containing<'a>(&'a self, key: Key, mut f: impl FnMut(Prefix, &'a V)) {
         // At most one container per depth, 0 to 64.
         let mut hits = [0usize; 65];
         let mut n = 0;
-        self.containers(key, self.width.get(), self.entries.len(), |at| {
+        self.containers(key, key.width().get(), self.entries.len(), |at| {
             hits[n] = at;
             n += 1;
         });
@@ -238,14 +222,10 @@ impl<V> PrefixMap<V> {
     /// In sorted order the entry sharing the most bits with the key is a
     /// neighbour of the key's full-depth group: for `a ≤ b ≤ c`,
     /// `lcp(a, c) = min(lcp(a, b), lcp(b, c))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the map width.
     pub fn max_common_prefix_len(&self, key: Key) -> u32 {
-        assert_eq!(key.width(), self.width, "key width mismatch");
-        let at = match self.find(Prefix::of_key(key, self.width.get())) {
-            Ok(_) => return self.width.get(),
+        let width = key.width().get();
+        let at = match self.find(Prefix::of_key(key, width)) {
+            Ok(_) => return width,
             Err(at) => at,
         };
         let shared = |i: usize| self.entries[i].0.common_prefix_len_with_key(key);
@@ -336,14 +316,18 @@ pub fn depth_stats(groups: impl IntoIterator<Item = Prefix>) -> Option<(u32, f64
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefixCover {
+    /// Kept beside the groups: an empty cover must still know the key
+    /// space it fails to cover.
+    width: KeyWidth,
     map: PrefixMap<()>,
 }
 
 impl PrefixCover {
-    /// Creates an empty cover (no groups).
+    /// Creates an empty cover (no groups) of the `width`-bit key space.
     pub fn new(width: KeyWidth) -> Self {
         PrefixCover {
-            map: PrefixMap::new(width),
+            width,
+            map: PrefixMap::new(),
         }
     }
 
@@ -375,7 +359,7 @@ impl PrefixCover {
 
     /// The key width.
     pub fn width(&self) -> KeyWidth {
-        self.map.width()
+        self.width
     }
 
     /// Number of groups.
@@ -469,7 +453,7 @@ impl PrefixCover {
         }
         // Sum of 2^(N-d) over groups must equal 2^N. Work in units of the
         // deepest group to stay in integer arithmetic.
-        let width = self.map.width().get();
+        let width = self.width.get();
         let mut total: u128 = 0;
         for p in self.map.prefixes() {
             total += 1u128 << (width - p.depth());
@@ -502,7 +486,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<u32> = PrefixMap::new();
         assert_eq!(m.insert(p("011*"), 1), None);
         assert_eq!(m.insert(p("011*"), 2), Some(1));
         assert_eq!(m.get(p("011*")), Some(&2));
@@ -514,7 +498,7 @@ mod tests {
 
     #[test]
     fn nested_entries_coexist() {
-        let mut m: PrefixMap<&str> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<&str> = PrefixMap::new();
         m.insert(p("011*"), "ancestor");
         m.insert(p("0110*"), "leaf");
         assert_eq!(m.len(), 2);
@@ -525,7 +509,7 @@ mod tests {
 
     #[test]
     fn longest_prefix_match_picks_deepest() {
-        let mut m: PrefixMap<&str> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<&str> = PrefixMap::new();
         m.insert(p("011*"), "shallow");
         m.insert(p("0110*"), "deep");
         let (g, v) = m.longest_prefix_match(k("0110101")).unwrap();
@@ -540,7 +524,7 @@ mod tests {
 
     #[test]
     fn lpm_includes_root_entry() {
-        let mut m: PrefixMap<&str> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<&str> = PrefixMap::new();
         m.insert(Prefix::root(w(7)), "root");
         let (g, v) = m.longest_prefix_match(k("1010101")).unwrap();
         assert_eq!(g.depth(), 0);
@@ -549,7 +533,7 @@ mod tests {
 
     #[test]
     fn iteration_is_binary_string_ordered() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<u32> = PrefixMap::new();
         for s in ["1*", "0110*", "011*", "00*", "0111111"] {
             m.insert(p(s), 0);
         }
@@ -559,7 +543,7 @@ mod tests {
 
     #[test]
     fn intersecting_collects_ancestors_and_subtree() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<u32> = PrefixMap::new();
         for (i, s) in ["0*", "01*", "0110*", "0111*", "010*", "1*"]
             .iter()
             .enumerate()
@@ -588,7 +572,7 @@ mod tests {
 
     #[test]
     fn intersecting_on_exact_entry_includes_it() {
-        let mut m: PrefixMap<u32> = PrefixMap::new(w(7));
+        let mut m: PrefixMap<u32> = PrefixMap::new();
         m.insert(p("011*"), 1);
         let hits = m.intersecting(p("011*"));
         assert_eq!(hits.len(), 1);
@@ -597,7 +581,7 @@ mod tests {
 
     /// Each group mapped to itself.
     fn map_of(groups: &[&str]) -> PrefixMap<Prefix> {
-        let mut m = PrefixMap::new(w(7));
+        let mut m = PrefixMap::new();
         for s in groups {
             m.insert(p(s), p(s));
         }
@@ -623,7 +607,7 @@ mod tests {
 
     #[test]
     fn dmin_on_empty_map_is_zero() {
-        let m: PrefixMap<Prefix> = PrefixMap::new(w(7));
+        let m: PrefixMap<Prefix> = PrefixMap::new();
         assert_eq!(m.max_common_prefix_len(k("0101010")), 0);
         assert!(deepest(&m, "0101010").is_none());
     }

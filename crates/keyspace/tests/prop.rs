@@ -172,7 +172,7 @@ proptest! {
         probe in 0usize..usize::MAX,
     ) {
         let entries: Vec<Prefix> = picks.iter().map(|i| pool[i % pool.len()]).collect();
-        let mut map = PrefixMap::new(pool[0].width());
+        let mut map = PrefixMap::new();
         for (i, e) in entries.iter().enumerate() {
             map.insert(*e, i);
         }
@@ -195,7 +195,7 @@ proptest! {
         picks in prop::collection::vec(0usize..usize::MAX, 0..20),
         probe in 0usize..usize::MAX,
     ) {
-        let mut map = PrefixMap::new(pool[0].width());
+        let mut map = PrefixMap::new();
         let mut latest = BTreeMap::new();
         for (i, pick) in picks.iter().enumerate() {
             let e = pool[pick % pool.len()];
@@ -220,7 +220,7 @@ proptest! {
         ops in prop::collection::vec((0u8..5, 0usize..usize::MAX, 0u64..u64::MAX), 1..40),
     ) {
         let width = pool[0].width();
-        let mut map = PrefixMap::new(width);
+        let mut map = PrefixMap::new();
         let mut model: BTreeMap<Prefix, u64> = BTreeMap::new();
         for (op, pick, v) in ops {
             let group = pool[pick % pool.len()];

@@ -12,9 +12,9 @@
 //! ([`policy`]).
 //!
 //! Run it over the workspace with `cargo run -p clash-lint` (add `--json`
-//! for machine-readable output). Suppress a finding with
-//! `// clash-lint: allow(<rule>) -- <reason>` on or directly above the
-//! offending line; the reason is mandatory.
+//! for machine-readable output). No comment suppresses a finding: a
+//! `// clash-lint: ...` comment is itself one (`allow-directive`), and a
+//! site that may do what a rule forbids is registered in [`policy`].
 //!
 //! The checks are token-level by design (no type resolution, no new
 //! dependencies): precise enough to catch every form the contract cares

@@ -18,8 +18,8 @@ fn usage() -> &'static str {
        --list-rules   print the rule registry and exit\n\
        --help         this text\n\
      \n\
-     Suppress a finding with `// clash-lint: allow(<rule>) -- <reason>` on\n\
-     or directly above the offending line; the reason is mandatory."
+     Nothing suppresses a finding: a `// clash-lint:` comment is itself\n\
+     one. Register an exempt site in crates/lint/src/policy.rs."
 }
 
 fn main() -> ExitCode {

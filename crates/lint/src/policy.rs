@@ -20,7 +20,7 @@
 /// Crates whose behavior is covered by the bit-for-bit determinism pins.
 /// `chaos` is here because schedule shrinking is only sound if a
 /// campaign is a pure function of `(options, seed)` — the engine is
-/// clock-free, env-free, and thread-free with zero suppressions.
+/// clock-free, env-free, and thread-free.
 pub const PROTOCOL_CRATES: &[&str] = &[
     "core",
     "chord",

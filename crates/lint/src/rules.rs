@@ -2,14 +2,13 @@
 //!
 //! Every rule works on the stripped token stream from [`crate::tokenizer`],
 //! so comments, strings, and char literals can never trigger (or hide) a
-//! finding. Diagnostics carry workspace-relative `path:line` positions and
-//! can be suppressed by a `// clash-lint: allow(<rule>) -- <reason>`
-//! directive on the same or the preceding line; a directive without a
-//! written reason is rejected and suppresses nothing.
+//! finding. Diagnostics carry workspace-relative `path:line` positions.
+//! Nothing suppresses one: a `// clash-lint: ...` comment is itself a
+//! finding, and an exemption is a registered site in [`crate::policy`].
 
 use crate::policy;
-use crate::tokenizer::{Directive, Lexed, Token};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tokenizer::{Lexed, Token};
+use std::collections::BTreeSet;
 
 /// One finding, anchored to a workspace-relative `path:line`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -26,7 +25,7 @@ pub const DET_COLLECTIONS: &str = "det-collections";
 pub const THREAD_CONTAINMENT: &str = "thread-containment";
 pub const ENV_DISCIPLINE: &str = "env-discipline";
 pub const EXHAUSTIVE_CHARGING: &str = "exhaustive-charging";
-/// Meta-rule for malformed/reason-less/unused suppression directives.
+/// Meta-rule: a `clash-lint:` comment, which suppresses nothing.
 pub const ALLOW_DIRECTIVE: &str = "allow-directive";
 
 /// `(id, one-line summary)` for every rule, in report order.
@@ -59,14 +58,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         ALLOW_DIRECTIVE,
-        "clash-lint allow directives must parse, carry a reason, and suppress something",
+        "no `// clash-lint:` comments: nothing is suppressed; register an exemption in policy.rs",
     ),
 ];
-
-/// True if `id` names a suppressible rule (everything but the meta-rule).
-fn is_known_rule(id: &str) -> bool {
-    RULES.iter().any(|(r, _)| *r == id && *r != ALLOW_DIRECTIVE)
-}
 
 /// A lexed source file ready for rule checks.
 pub struct FileCtx<'a> {
@@ -120,7 +114,7 @@ fn generic_args(toks: &[Token], lt: usize) -> Option<usize> {
     None
 }
 
-/// Per-file rules: appends raw (pre-suppression) diagnostics to `out`.
+/// Per-file rules: appends the file's diagnostics to `out`.
 pub fn check_file(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.lexed.tokens;
     let path = ctx.path;
@@ -407,93 +401,25 @@ fn message_class_variants(toks: &[Token]) -> Vec<(String, u32)> {
     out
 }
 
-/// Applies suppression directives to `raw` diagnostics for one file and
-/// reports directive problems (malformed, missing reason, unknown rule,
-/// unused) as `allow-directive` findings.
-///
-/// A directive suppresses a diagnostic when the diagnostic's rule is named
-/// by the directive and sits on the directive's line or the line after —
-/// but only if the directive carries a written reason.
-pub fn apply_directives(
-    path: &str,
-    directives: &[Directive],
-    raw: Vec<Diagnostic>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut used: Vec<bool> = vec![false; directives.len()];
-    'diags: for d in raw {
-        for (k, dir) in directives.iter().enumerate() {
-            let effective = dir.malformed.is_none() && dir.reason.is_some();
-            let covers_line = d.line == dir.line || d.line == dir.line + 1;
-            if effective && covers_line && dir.rules.iter().any(|r| r == d.rule) {
-                used[k] = true;
-                continue 'diags;
-            }
-        }
-        out.push(d);
-    }
-    for (k, dir) in directives.iter().enumerate() {
-        let mut complaints: Vec<String> = Vec::new();
-        if let Some(why) = &dir.malformed {
-            complaints.push(why.clone());
-        } else {
-            for r in &dir.rules {
-                if !is_known_rule(r) {
-                    complaints.push(format!("unknown rule `{r}` in allow directive"));
-                }
-            }
-            if dir.reason.is_none() {
-                complaints.push(
-                    "allow directive is missing a `-- <reason>`; suppression rejected".to_string(),
-                );
-            } else if !used[k] {
-                complaints.push(format!(
-                    "allow({}) suppresses nothing here; remove the stale directive",
-                    dir.rules.join(", ")
-                ));
-            }
-        }
-        for message in complaints {
+/// Runs every rule over the lexed files, reports each `clash-lint:`
+/// comment as an [`ALLOW_DIRECTIVE`] finding, and returns the diagnostics
+/// sorted. `files` must carry workspace-relative `/`-separated paths.
+pub fn run_lexed(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (path, lexed) in files {
+        check_file(&FileCtx { path, lexed }, &mut out);
+        for directive in &lexed.directives {
             out.push(Diagnostic {
-                path: path.to_string(),
-                line: dir.line,
+                path: path.clone(),
+                line: directive.line,
                 rule: ALLOW_DIRECTIVE,
-                message,
+                message: "`clash-lint:` comments suppress nothing; exempt a site by \
+                          registering it in crates/lint/src/policy.rs"
+                    .to_string(),
             });
         }
     }
-}
-
-/// Runs every rule over the lexed files and returns sorted, suppressed
-/// diagnostics. `files` must carry workspace-relative `/`-separated paths.
-pub fn run_lexed(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    // Raw per-file diagnostics, grouped so directives apply per file.
-    let mut by_file: BTreeMap<&str, Vec<Diagnostic>> = BTreeMap::new();
-    for (path, lexed) in files {
-        let ctx = FileCtx { path, lexed };
-        let mut raw = Vec::new();
-        check_file(&ctx, &mut raw);
-        by_file.entry(path.as_str()).or_default().extend(raw);
-    }
-    let mut charging = Vec::new();
-    check_charging(files, &mut charging);
-    for d in charging {
-        let slot = by_file
-            .entry(
-                files
-                    .iter()
-                    .find(|(p, _)| *p == d.path)
-                    .map(|(p, _)| p.as_str())
-                    .expect("charging diagnostics point at a lexed file"),
-            )
-            .or_default();
-        slot.push(d);
-    }
-    let mut out = Vec::new();
-    for (path, lexed) in files {
-        let raw = by_file.remove(path.as_str()).unwrap_or_default();
-        apply_directives(path, &lexed.directives, raw, &mut out);
-    }
+    check_charging(files, &mut out);
     out.sort();
     out
 }

@@ -9,11 +9,9 @@
 //! keywords are ordinary identifiers. That is enough for token-sequence
 //! pattern matching, which is all the rules need.
 //!
-//! Line comments are additionally scanned for `clash-lint:` suppression
-//! directives (see [`Directive`]). Block comments are stripped but do
-//! **not** carry directives — a directive in a block comment suppresses
-//! nothing, so there is no silent hole: the underlying diagnostic still
-//! fires.
+//! Line comments are additionally scanned for `clash-lint:` directives
+//! (see [`Directive`]), which the lint reports and never obeys. Block
+//! comments are stripped and carry none.
 
 /// One significant token: an identifier/number, or a single punctuation
 /// character. Multi-character operators (`::`, `->`, `>>`) appear as
@@ -24,25 +22,16 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A parsed `// clash-lint: allow(<rule>[, <rule>...]) -- <reason>`
-/// suppression directive.
-///
-/// A directive suppresses matching diagnostics reported on its own line or
-/// on the immediately following line (so it can trail the offending
-/// expression or sit on its own line above it). The `-- <reason>` part is
-/// mandatory; a directive without it is malformed, rejected, and suppresses
-/// nothing.
+/// A line comment that starts with `clash-lint:` (after doc-comment
+/// markers), whatever follows. The lint takes no suppressions, so every
+/// such comment is a finding: exemptions are registered sites in
+/// [`crate::policy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directive {
     pub line: u32,
-    pub rules: Vec<String>,
-    pub reason: Option<String>,
-    /// Set when the directive text after `clash-lint:` could not be parsed;
-    /// holds a human-readable description of what is wrong.
-    pub malformed: Option<String>,
 }
 
-/// Lexer output: the stripped token stream plus any suppression directives.
+/// Lexer output: the stripped token stream plus any `clash-lint:` comments.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
@@ -50,7 +39,7 @@ pub struct Lexed {
 }
 
 /// Lexes `src`, stripping comments/strings/lifetimes and collecting
-/// `clash-lint:` directives from line comments.
+/// `clash-lint:` line comments.
 pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let mut out = Lexed::default();
@@ -72,8 +61,8 @@ pub fn lex(src: &str) -> Lexed {
                     j += 1;
                 }
                 let body: String = chars[start..j].iter().collect();
-                if let Some(d) = parse_directive(&body, line) {
-                    out.directives.push(d);
+                if is_directive(&body) {
+                    out.directives.push(Directive { line });
                 }
                 i = j;
             }
@@ -254,50 +243,14 @@ fn skip_char_or_lifetime(chars: &[char], open: usize, line: &mut u32) -> usize {
     j
 }
 
-/// Parses a `clash-lint:` directive out of one line-comment body, if the
-/// comment *is* a directive. A directive is a comment that starts with
-/// `clash-lint:` (after doc-comment markers); prose that merely mentions
-/// the marker mid-sentence is not one.
-fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
-    let body = comment.trim_start_matches(['/', '!']).trim();
-    let rest = body.strip_prefix("clash-lint:")?.trim();
-    let malformed = |why: &str| {
-        Some(Directive {
-            line,
-            rules: Vec::new(),
-            reason: None,
-            malformed: Some(why.to_string()),
-        })
-    };
-    let Some(body) = rest.strip_prefix("allow") else {
-        return malformed("expected `allow(<rule>, ...) -- <reason>` after `clash-lint:`");
-    };
-    let body = body.trim_start();
-    let Some(body) = body.strip_prefix('(') else {
-        return malformed("expected `(` after `allow`");
-    };
-    let Some(close) = body.find(')') else {
-        return malformed("unclosed `(` in allow directive");
-    };
-    let rules: Vec<String> = body[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    if rules.is_empty() {
-        return malformed("allow() names no rules");
-    }
-    let tail = body[close + 1..].trim();
-    let reason = tail
-        .strip_prefix("--")
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty());
-    Some(Directive {
-        line,
-        rules,
-        reason,
-        malformed: None,
-    })
+/// True if a line-comment body is a `clash-lint:` directive: it starts
+/// with the marker (after doc-comment markers); prose that merely
+/// mentions the marker mid-sentence is not one.
+fn is_directive(comment: &str) -> bool {
+    comment
+        .trim_start_matches(['/', '!'])
+        .trim_start()
+        .starts_with("clash-lint:")
 }
 
 #[cfg(test)]
@@ -339,34 +292,45 @@ mod tests {
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
+    /// The line of every directive `src` holds.
+    fn directive_lines(src: &str) -> Vec<u32> {
+        lex(src).directives.iter().map(|d| d.line).collect()
+    }
+
     #[test]
     fn parses_allow_directive_with_reason() {
-        let lexed = lex("let x = 1; // clash-lint: allow(no-wall-clock) -- bench timing only\n");
-        assert_eq!(lexed.directives.len(), 1);
-        let d = &lexed.directives[0];
-        assert_eq!(d.rules, vec!["no-wall-clock"]);
-        assert_eq!(d.reason.as_deref(), Some("bench timing only"));
-        assert!(d.malformed.is_none());
+        let src = "let x = 1; // clash-lint: allow(no-wall-clock) -- bench timing only\n";
+        assert_eq!(directive_lines(src), vec![1]);
+        assert_eq!(texts(src), vec!["let", "x", "=", "1", ";"]);
     }
 
     #[test]
     fn directive_without_reason_is_flagged() {
-        let lexed = lex("// clash-lint: allow(no-wall-clock)\n");
-        let d = &lexed.directives[0];
-        assert!(d.reason.is_none());
-        assert!(d.malformed.is_none());
+        assert_eq!(
+            directive_lines("\n// clash-lint: allow(no-wall-clock)\n"),
+            vec![2]
+        );
     }
 
     #[test]
     fn malformed_directive_is_flagged() {
-        let lexed = lex("// clash-lint: disable(no-wall-clock)\n");
-        assert!(lexed.directives[0].malformed.is_some());
+        assert_eq!(
+            directive_lines("// clash-lint: disable(no-wall-clock)\n"),
+            vec![1]
+        );
+        assert_eq!(directive_lines("//! clash-lint:\n"), vec![1]);
     }
 
     #[test]
     fn multi_rule_directive() {
-        let lexed = lex("// clash-lint: allow(no-wall-clock, det-collections) -- fixture\n");
-        assert_eq!(lexed.directives[0].rules.len(), 2);
+        let src = "// clash-lint: allow(no-wall-clock, det-collections) -- fixture\n";
+        assert_eq!(directive_lines(src), vec![1]);
+    }
+
+    #[test]
+    fn prose_mid_comment_is_not_a_directive() {
+        let src = "// a `clash-lint:` comment is a finding\n/// see clash-lint: policy.rs\n";
+        assert!(directive_lines(src).is_empty());
     }
 
     #[test]
@@ -377,7 +341,6 @@ mod tests {
 
     #[test]
     fn block_comment_directive_is_ignored() {
-        let lexed = lex("/* clash-lint: allow(no-wall-clock) -- nope */\n");
-        assert!(lexed.directives.is_empty());
+        assert!(directive_lines("/* clash-lint: allow(no-wall-clock) -- nope */\n").is_empty());
     }
 }

@@ -6,7 +6,7 @@ use clash_core::messages::AcceptObjectResponse;
 use clash_core::table::ServerTable;
 use clash_core::ServerId;
 use clash_keyspace::hash::HashSpace;
-use clash_keyspace::key::{Key, KeyWidth};
+use clash_keyspace::key::Key;
 use clash_keyspace::prefix::Prefix;
 
 fn sid(v: u64) -> ServerId {
@@ -22,12 +22,11 @@ fn p7(s: &str) -> Prefix {
 /// s5 and s7 at the leaves. Returns the rendered tree plus the three
 /// server tables.
 pub fn figure1() -> String {
-    let width = KeyWidth::new(7).expect("7 is valid");
     let (s0, s12, s5, s7) = (sid(0), sid(12), sid(5), sid(7));
-    let mut t0 = ServerTable::new(s0, width);
-    let mut t12 = ServerTable::new(s12, width);
-    let mut t5 = ServerTable::new(s5, width);
-    let mut t7 = ServerTable::new(s7, width);
+    let mut t0 = ServerTable::new(s0);
+    let mut t12 = ServerTable::new(s12);
+    let mut t5 = ServerTable::new(s5);
+    let mut t7 = ServerTable::new(s7);
 
     // s0 manages "011*" and overloads: split, right child → s12.
     t0.insert_root(p7("011*")).expect("fresh group");
@@ -72,9 +71,8 @@ pub fn figure1() -> String {
 /// Reconstructs the exact server work table of Figure 2 (server s25) and
 /// replays the three `ACCEPT_OBJECT` cases of §5 against it.
 pub fn figure2() -> String {
-    let width = KeyWidth::new(7).expect("7 is valid");
     let s25 = sid(25);
-    let mut table = ServerTable::new(s25, width);
+    let mut table = ServerTable::new(s25);
     table.insert_root(p7("011*")).expect("fresh group");
     table
         .accept_group(p7("01011*"), sid(22), GroupLoad::zero())

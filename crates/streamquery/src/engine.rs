@@ -50,6 +50,7 @@ pub struct EngineStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
+    width: KeyWidth,
     /// Queries subscribed exactly at each region, in registration order.
     regions: PrefixMap<Vec<ContinuousQuery>>,
     /// Number of resident queries.
@@ -61,7 +62,8 @@ impl QueryEngine {
     /// Creates an empty engine for keys of the given width.
     pub fn new(width: KeyWidth) -> Self {
         QueryEngine {
-            regions: PrefixMap::new(width),
+            width,
+            regions: PrefixMap::new(),
             len: 0,
             stats: EngineStats::default(),
         }
@@ -69,7 +71,7 @@ impl QueryEngine {
 
     /// The key width.
     pub fn width(&self) -> KeyWidth {
-        self.regions.width()
+        self.width
     }
 
     /// Number of resident queries.
@@ -83,10 +85,6 @@ impl QueryEngine {
     }
 
     /// Registers a query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query's region width differs from the engine's.
     pub fn register(&mut self, query: ContinuousQuery) {
         let region = query.region();
         match self.regions.get_mut(region) {
@@ -123,10 +121,6 @@ impl QueryEngine {
 
     /// Ingests one packet: returns the ids of all matching queries, the
     /// coarsest region first, and updates throughput counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the engine's.
     pub fn ingest(&mut self, key: Key) -> Vec<u64> {
         let mut ids = Vec::new();
         self.regions

@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let encoder = QuadTreeEncoder::new(5)?;
     let config = ClashConfig {
         key_width: encoder.key_width(),
-        max_depth: encoder.key_width().get(),
         capacity: 120.0,
         ..ClashConfig::small_test()
     };

@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let width: KeyWidth = encoder.key_width();
     let config = ClashConfig {
         key_width: width,
-        max_depth: width.get(),
         ..ClashConfig::small_test()
     };
     let mut cluster = ClashCluster::new(config, 12, 7)?;
